@@ -279,6 +279,9 @@ def cmd_compute(args):
         shape = Shape(tuple(args.m))
         lam = parse_multipartition(args.args[0])
         mu_part = parse_multipartition(args.args[1])
+        for text, parts in zip(args.args, (lam, mu_part)):
+            if len(parts) != shape.r:
+                raise ParseError("component count does not match m", text, 0)
         for k, p in enumerate(mu_part):
             if len(p) > shape.m[k]:
                 raise ParseError(
@@ -381,6 +384,10 @@ def main(argv=None):
             m = tuple(int(x) for x in args.m.split(","))
             if len(m) != args.r:
                 raise ParseError("m must list exactly r block sizes", args.m, 0)
+            for flag, value, least in (("-n", args.n, 0), ("--deg", args.deg, 0),
+                                       ("--dmax", args.dmax, 1)):
+                if value < least:
+                    raise ParseError(f"{flag} must be at least {least}", str(value), 0)
             config = RunConfig(
                 n=args.n,
                 r=args.r,

@@ -1,27 +1,55 @@
 """Exact coefficient arithmetic.
 
 Everything downstream computes over one commutative ring: sparse Laurent
-polynomials in the variables q, Q_0, ..., Q_{r-1} with arbitrary-precision
-rational coefficients.  The number of Q parameters is fixed per session by
-``LaurentRing(r)``; the q = 1 regime is the same ring built with
-``q_one=True``, which pins the q exponent to zero at construction time.
+polynomials in the variables q, Q_0, ..., Q_{r-1} with exact rational
+coefficients.  A coefficient is stored as an ``int`` when it is integral and
+as a ``Fraction`` otherwise, never as a ``float``.  Every structure constant
+of the Hecke and Schur engines lies in Z[q^{+-1}, Q^{+-1}], so their
+arithmetic runs on plain integers; a ``Fraction`` appears only for a value
+that really is fractional (an inexact ``divexact`` quotient, the V_tau
+matrices, a user-supplied rational), and ``specialize`` evaluates to one.
+The number of Q parameters is fixed per session by ``LaurentRing(r)``; the
+q = 1 regime is the same ring built with ``q_one=True``, which pins the q
+exponent to zero at construction time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 
 class CoeffError(ArithmeticError):
     """Inexact division, missing specialization value, or similar misuse."""
 
 
+def _exact(c):
+    """The rational c as an int when it is integral, else as a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _div(a, b):
+    """Exact quotient a / b of int or Fraction values; never int / int."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return _exact(Fraction(a, b))
+
+
 class MultiLaurent:
     """Sparse Laurent polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples ``(e_q, e_Q0, ..., e_Q{r-1})`` to nonzero
-    ``Fraction`` values.  Instances are immutable by convention: no method
-    mutates ``terms`` after construction.
+    coefficients: an ``int`` when the value is integral, a ``Fraction``
+    otherwise, never a ``float``.  ``int`` and ``Fraction`` values compare and
+    hash equal, so ``terms`` of equal polynomials are equal dicts.  Instances
+    are immutable by convention: no method mutates ``terms`` after
+    construction.
     """
 
     __slots__ = ("nvars", "terms")
@@ -33,13 +61,13 @@ class MultiLaurent:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity (expected {nvars})")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 c = clean.get(exps)
                 if c is None:
                     clean[exps] = coeff
                 else:
-                    c += coeff
+                    c = _exact(c + coeff)
                     if c:
                         clean[exps] = c
                     else:
@@ -81,14 +109,14 @@ class MultiLaurent:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s += c
-                if s:
-                    out[e] = s
-                else:
+            if s is not None:
+                c += s
+                if not c:
                     del out[e]
+                    continue
+                if type(c) is not int:
+                    c = _exact(c)
+            out[e] = c
         return MultiLaurent._make(self.nvars, out)
 
     def __sub__(self, other):
@@ -104,31 +132,29 @@ class MultiLaurent:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = out.get(e)
-                if s is None:
-                    out[e] = c
-                else:
-                    s += c
-                    if s:
-                        out[e] = s
-                    else:
+                if s is not None:
+                    c += s
+                    if not c:
                         del out[e]
+                        continue
+                out[e] = c if type(c) is int else _exact(c)
         return MultiLaurent._make(self.nvars, out)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return MultiLaurent._make(self.nvars, {})
-        return MultiLaurent._make(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return MultiLaurent._make(self.nvars, {e: _exact(v * c) for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = MultiLaurent._make(self.nvars, {(0,) * self.nvars: Fraction(1)})
+        result = MultiLaurent._make(self.nvars, {(0,) * self.nvars: 1})
         base = self
         while n:
             if n & 1:
@@ -169,10 +195,11 @@ class LaurentRing:
         self.nvars = r + 1
         self._zero_exp = (0,) * self.nvars
         self.zero = MultiLaurent._make(self.nvars, {})
-        self.one = MultiLaurent._make(self.nvars, {self._zero_exp: Fraction(1)})
+        self.one = MultiLaurent._make(self.nvars, {self._zero_exp: 1})
         self._qpow_cache = {}
         self._qint_cache = {}
         self._qfact_cache = {}
+        self._qq_comm = None
 
     def __eq__(self, other):
         return (
@@ -199,7 +226,7 @@ class LaurentRing:
             raise ValueError("wrong exponent arity")
         if self.q_one:
             exps = (0,) + exps[1:]
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return self.zero
         return MultiLaurent(self.nvars, {exps: coeff})
@@ -210,7 +237,7 @@ class LaurentRing:
         cached = self._qpow_cache.get(e)
         if cached is None:
             exps = (e,) + (0,) * self.r
-            cached = MultiLaurent._make(self.nvars, {exps: Fraction(1)})
+            cached = MultiLaurent._make(self.nvars, {exps: 1})
             self._qpow_cache[e] = cached
         return cached
 
@@ -228,11 +255,13 @@ class LaurentRing:
             raise ValueError(f"Q_{k} not in this ring (r={self.r})")
         exps = [0] * self.nvars
         exps[k + 1] = e
-        return MultiLaurent._make(self.nvars, {tuple(exps): Fraction(1)})
+        return MultiLaurent._make(self.nvars, {tuple(exps): 1})
 
     def qq_comm(self):
-        """The ubiquitous factor q - q^{-1} (zero at q = 1)."""
-        return self.q_pow(1) - self.q_pow(-1)
+        """The ubiquitous factor q - q^{-1} (zero at q = 1), built once per ring."""
+        if self._qq_comm is None:
+            self._qq_comm = self.q_pow(1) - self.q_pow(-1)
+        return self._qq_comm
 
 
 def qint(d, ring):
@@ -282,7 +311,9 @@ def divexact(p, g):
     Supported divisors: a single monomial (always exact over Laurent
     polynomials), or a polynomial involving only the variable q.  Raises
     CoeffError when the division leaves a remainder, which signals an
-    arithmetic bug upstream.
+    arithmetic bug upstream.  A coefficient quotient is taken with ``divmod``
+    when it is an integer and as a ``Fraction`` otherwise, never with
+    ``int / int``, so no ``float`` can enter the result.
     """
     if g.is_zero:
         raise CoeffError("division by zero")
@@ -294,7 +325,7 @@ def divexact(p, g):
         (gexp, gc), = g.terms.items()
         out = {}
         for e, c in p.terms.items():
-            out[tuple(a - b for a, b in zip(e, gexp))] = c / gc
+            out[tuple(map(sub, e, gexp))] = _div(c, gc)
         return MultiLaurent._make(p.nvars, out)
     if any(any(e[1:]) for e in g.terms):
         raise CoeffError("divisor must be a monomial or univariate in q")
@@ -329,11 +360,11 @@ def _divexact_univariate(a, b):
         deg = max(rem)
         if deg < db:
             raise CoeffError("inexact division")
-        qc = rem[deg] / lead_b
+        qc = _div(rem[deg], lead_b)
         quo[deg - db] = qc
         for e, c in pb.items():
             k = deg - db + e
-            s = rem.get(k, Fraction(0)) - qc * c
+            s = rem.get(k, 0) - qc * c
             if s:
                 rem[k] = s
             elif k in rem:

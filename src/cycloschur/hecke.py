@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 from . import combinatorics as comb
 from . import symfun
@@ -197,7 +198,7 @@ class HeckeContext:
                 pushed = self.lmul_gen(i, pushed)
             for (c2, w2), coeff2 in pushed.terms.items():
                 for c, coeff in pairs:
-                    key = (tuple(x + y for x, y in zip(c, c2)), w2)
+                    key = (tuple(map(add, c, c2)), w2)
                     _acc(out, key, coeff * coeff2)
         return HeckeElem(self, out)
 

@@ -68,6 +68,11 @@ class TestComputeCommands:
     def test_wrong_arity_exit_2(self, capsys):
         assert main(["compute", "lr", "((1))"]) == 2
 
+    @pytest.mark.parametrize("lam,mu", [("((1),())", "((1),())"), ("((1),(),())", "((1),())")])
+    def test_tableaux_component_count_exit_2(self, capsys, lam, mu):
+        assert main(["compute", "tableaux", lam, mu, "-m", "2,2,2"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_symfun_suite_passes(self, capsys):
@@ -90,6 +95,17 @@ class TestVerifyCommand:
 
     def test_mismatched_m_exit_2(self):
         assert main(["verify", "--suite", "lie", "-r", "2", "-m", "3"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "lie", "-m", "2,2", "-r", "2", "--deg", "-1"],
+        ["--suite", "hecke", "-n", "-1", "-r", "1", "-m", "2"],
+        ["--suite", "hecke", "-n", "1", "-r", "1", "-m", "2", "--dmax", "0"],
+    ])
+    def test_out_of_range_numbers_exit_2(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_reports_byte_identical(self, tmp_path):
         args = [

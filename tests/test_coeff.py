@@ -25,13 +25,13 @@ def ml(terms):
 
 
 @st.composite
-def laurents(draw, ring=R2):
+def laurents(draw, ring=R2, max_den=5):
     n = draw(st.integers(0, 4))
     terms = {}
     for _ in range(n):
         exps = tuple(draw(st.integers(-3, 3)) for _ in range(ring.nvars))
         num = draw(st.integers(-9, 9))
-        den = draw(st.integers(1, 5))
+        den = draw(st.integers(1, max_den))
         terms[exps] = terms.get(exps, Fraction(0)) + Fraction(num, den)
     return MultiLaurent(ring.nvars, terms)
 
@@ -176,3 +176,66 @@ class TestJson:
         p = R2.q + R2.qinv
         data = ml_to_json(p)
         assert [d["exponents"] for d in data] == [[-1, 0, 0], [1, 0, 0]]
+
+
+def assert_exact(p):
+    """No float in terms, and every integral coefficient is stored as an int."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        assert type(c) is int or c.denominator != 1
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+class TestExactness:
+    @settings(max_examples=60)
+    @given(laurents(), laurents(), rationals, st.integers(0, 3))
+    def test_ring_operations(self, a, b, k, n):
+        for p in (a, b, a + b, a - b, a * b, a.scale(k), a ** n):
+            assert_exact(p)
+        assert_exact(ml_from_json(ml_to_json(a), R2.nvars))
+
+    @settings(max_examples=60)
+    @given(laurents(), st.tuples(*[st.integers(-3, 3)] * R2.nvars),
+           rationals.filter(bool))
+    def test_divexact_by_monomial(self, a, exps, k):
+        quo = divexact(a, R2.monomial(exps, k))
+        assert_exact(quo)
+        assert quo * R2.monomial(exps, k) == a
+
+    @settings(max_examples=40)
+    @given(laurents(), st.integers(1, 4))
+    def test_divexact_univariate(self, a, d):
+        g = qfactorial(d, R2)
+        assert_exact(divexact(a * g, g))
+
+    @settings(max_examples=40)
+    @given(laurents(max_den=1), st.integers(0, 5))
+    def test_integer_quotients_are_ints(self, a, d):
+        g = qfactorial(d, R2)
+        quo = divexact(a * g, g)
+        assert quo == a
+        assert all(type(c) is int for c in quo.terms.values())
+
+    def test_fractional_univariate_quotient(self):
+        half = divexact(R2.q + R2.qinv, (R2.q + R2.qinv).scale(2))
+        assert half.terms == {(0, 0, 0): Fraction(1, 2)}
+        assert_exact(half)
+
+    @settings(max_examples=40)
+    @given(laurents(max_den=1), st.integers(2, 4))
+    def test_inexact_univariate_raises(self, a, d):
+        g = qfactorial(d, R2)
+        with pytest.raises(CoeffError):
+            divexact(a * g + R2.one, g)
+
+    @pytest.mark.parametrize("d", range(-6, 7))
+    @pytest.mark.parametrize("c", range(0, 7))
+    def test_qbinom_coefficients_are_ints(self, d, c):
+        assert all(type(x) is int for x in qbinom(d, c, R2).terms.values())
+
+    def test_qq_comm_built_once(self):
+        ring = LaurentRing(2)
+        assert ring.qq_comm() is ring.qq_comm()
+        assert ring.qq_comm() == ring.q - ring.qinv
