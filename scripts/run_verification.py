@@ -38,7 +38,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--outdir", default="reports")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--points", type=int, default=3)
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
@@ -49,8 +48,7 @@ def main():
         tag = f"{'-'.join(suites)}_n{n}_r{r}_m{'x'.join(map(str, m))}"
         out = outdir / f"{tag}.json"
         config = RunConfig(
-            n=n, r=r, m=m, suites=suites, deg=deg, seed=args.seed,
-            points=args.points, out=str(out),
+            n=n, r=r, m=m, suites=suites, deg=deg, seed=args.seed, out=str(out),
         )
         t0 = time.time()
         code = cmd_verify(config)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 ``cycloschur verify`` runs the machine-verification suites and emits a JSON
-report (schema 1); ``cycloschur compute`` evaluates characters, LR data,
+report (schema 2); ``cycloschur compute`` evaluates characters, LR data,
 symmetric polynomials, tableaux, and Lie structure constants as JSON.
 
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage or
@@ -40,7 +40,6 @@ class RunConfig:
     deg: int = 2
     dmax: int = 3
     seed: int = 0
-    points: int = 3
     out: str | None = None
     q1: bool = False
 
@@ -57,7 +56,6 @@ class RunConfig:
             "deg": self.deg,
             "dmax": self.dmax,
             "seed": self.seed,
-            "points": self.points,
             "q1": self.q1,
         }
 
@@ -139,12 +137,7 @@ def _suite_hecke(config):
 def _suite_schur(config):
     sctx = schurops.SchurContext(config.n, config.shape, q_one=config.q1)
     checks = schurops.verify_relations(
-        sctx,
-        smax=config.deg,
-        tmax=config.deg,
-        umax=config.deg,
-        points=config.points,
-        seed=config.seed,
+        sctx, smax=config.deg, tmax=config.deg, umax=config.deg
     )
     checks += schurops.verify_divided_powers(sctx, dmax=config.dmax, tmax=1)
     checks += schurops.verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
@@ -154,12 +147,7 @@ def _suite_schur(config):
 def _suite_q1(config):
     sctx = schurops.SchurContext(config.n, config.shape, q_one=True)
     checks = schurops.verify_q1(
-        sctx,
-        smax=config.deg,
-        tmax=config.deg,
-        umax=config.deg,
-        points=config.points,
-        seed=config.seed,
+        sctx, smax=config.deg, tmax=config.deg, umax=config.deg
     )
     checks += schurops.verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
     return checks
@@ -213,7 +201,7 @@ def cmd_verify(config):
             "checks": checks,
         }
     report = {
-        "schema": 1,
+        "schema": 2,
         "config": config.as_json(),
         "suites": suites,
         "passed": passed,
@@ -343,9 +331,8 @@ def build_parser():
     pv.add_argument("-m", default="2,2", help="comma-separated block sizes")
     pv.add_argument("--deg", type=int, default=2, help="degree cap for s, t, u")
     pv.add_argument("--dmax", type=int, default=3, help="divided-power cap")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--points", type=int, default=3,
-                    help="specialization points for the equality cross-check")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed of the Jacobi sample in the lie suite")
     pv.add_argument("--out", default=None)
     pv.add_argument("--q1", action="store_true", help="run at q = 1")
 
@@ -396,7 +383,6 @@ def main(argv=None):
                 deg=args.deg,
                 dmax=args.dmax,
                 seed=args.seed,
-                points=args.points,
                 out=args.out,
                 q1=args.q1,
             )

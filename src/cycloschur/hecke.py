@@ -14,13 +14,12 @@ did not).
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from operator import add
 
 from . import combinatorics as comb
 from . import symfun
-from .coeff import LaurentRing, ml_to_json, specialize
+from .coeff import LaurentRing, ml_to_json
 
 
 def perm_id(n):
@@ -303,15 +302,6 @@ class HeckeElem:
     def commutator(self, other):
         return self * other - other * self
 
-    def specialize_at(self, point):
-        """Exact evaluation of every coefficient; dict key -> Fraction."""
-        out = {}
-        for key, coeff in self.terms.items():
-            v = specialize(coeff, point)
-            if v:
-                out[key] = v
-        return out
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -335,42 +325,6 @@ def elem_to_json(elem):
         }
         for (c, w), coeff in elem.sorted_terms()
     ]
-
-
-def random_points(ring, count, seed):
-    """Seeded rational specialization points, avoiding q in {0, 1, -1} and Q_i = 0."""
-    rng = random.Random(seed)
-    points = []
-
-    def draw():
-        return Fraction(rng.randint(-10_000, 10_000), rng.randint(1, 10_000))
-
-    for _ in range(count):
-        q = draw()
-        while q in (0, 1, -1):
-            q = draw()
-        point = {"q": q}
-        for k in range(ring.r):
-            Qk = draw()
-            while Qk == 0:
-                Qk = draw()
-            point[f"Q{k}"] = Qk
-        points.append(point)
-    return points
-
-
-def hecke_equal(a, b, points=3, seed=0):
-    """Exact equality of normal forms, cross-checked by evaluation at seeded
-    rational specializations (an independent detector of normalization bugs)."""
-    if a.ctx is not b.ctx:
-        raise ValueError("elements from different contexts")
-    same = a.terms == b.terms
-    if points:
-        for point in random_points(a.ctx.ring, points, seed):
-            agree = a.specialize_at(point) == b.specialize_at(point)
-            if same and not agree:
-                raise AssertionError("normal forms equal but specializations differ")
-    return same
 
 
 # ---------------------------------------------------------------------------

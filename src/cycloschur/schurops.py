@@ -19,10 +19,13 @@ words.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
+
 from . import combinatorics as comb
 from . import symfun
 from .coeff import divexact, qfactorial, qint
-from .hecke import HeckeContext, hecke_equal, m_mu, phi_jm, t_bracket
+from .hecke import HeckeContext, m_mu, phi_jm, t_bracket
 from .reporting import check as _check
 
 
@@ -190,13 +193,11 @@ class SchurContext:
             total = total + self.apply_seq(labels, mu).scale(coeff)
         return total
 
-    def op_equal(self, a, b, points=0, seed=0):
+    def op_equal(self, a, b):
         """Pointwise operator equality over every weight; returns
         (ok, witness weight or None)."""
         for mu in self.weights:
-            if not hecke_equal(
-                self.apply_word(a, mu), self.apply_word(b, mu), points=points, seed=seed
-            ):
+            if self.apply_word(a, mu) != self.apply_word(b, mu):
                 return False, mu
         return True, None
 
@@ -276,535 +277,266 @@ def word_J(ring, pos, t):
 
 
 # ---------------------------------------------------------------------------
-# relation suites
+# relation suites: each family yields (name, params, lhs word, rhs word)
 
 
-def verify_relations(sctx, smax=2, tmax=2, umax=2, points=0, seed=0):
-    """Relations (R1)-(R8) plus the derived commutation expansions, as
-    operator identities on every weight."""
+_PM = {+1: "plus", -1: "minus"}
+
+
+def ow_reverse(word):
+    """Every label sequence of the word read backwards."""
+    return tuple((c, labels[::-1]) for c, labels in word)
+
+
+def ow_twist(ring, a, b, c):
+    """a b - c b a for single labels a, b and a scalar c."""
+    return ow_add(ow(ring, a, b), ow_neg(ow_scale(ow(ring, b, a), c)))
+
+
+def ow_qcomm(ring, a, b, e):
+    """The q-commutator q^e a b - q^{-e} b a of single labels a, b."""
+    return ow_add(
+        ow_scale(ow(ring, a, b), ring.q_pow(e)),
+        ow_neg(ow_scale(ow(ring, b, a), ring.q_pow(-e))),
+    )
+
+
+def at_junction(ring, jk, J, d):
+    """J(d) away from a junction, -Q_k J(d) + J(d + 1) at the junction k."""
+    if jk is None:
+        return J(d)
+    return ow_add(ow_scale(J(d), -ring.Q(jk)), J(d + 1))
+
+
+def run_relations(sctx, relations):
+    """Decide each (name, params, lhs, rhs) on every weight, one check each."""
     checks = []
-    ring = sctx.ring
-    qq = ring.qq_comm()
-    m = sctx.shape.total
-    gamma = range(1, m + 1)
-    gamma_prime = range(1, m)
-    one = ow(ring)
-
-    def rec(name, params, lhs, rhs):
-        ok, witness = sctx.op_equal(lhs, rhs, points=points, seed=seed)
+    for name, params, lhs, rhs in relations:
+        ok, witness = sctx.op_equal(lhs, rhs)
         detail = None if ok else {"witness_weight": [list(c) for c in witness]}
         checks.append(_check(name, params, ok, detail))
-
-    # R1
-    for pos in gamma:
-        rec("R1-K-inverse", {"pos": pos}, ow(ring, K(+1, pos), K(-1, pos)), one)
-        rec("R1-K-inverse-rev", {"pos": pos}, ow(ring, K(-1, pos), K(+1, pos)), one)
-        for sign in (+1, -1):
-            rhs = ow_add(
-                one, ow_scale(ow(ring, I(-sign, pos, 0)), qq if sign > 0 else -qq)
-            )
-            rec(
-                "R1-K-square",
-                {"pos": pos, "sign": sign},
-                ow(ring, K(sign, pos), K(sign, pos)),
-                rhs,
-            )
-
-    # R2
-    for p1 in gamma:
-        for p2 in gamma:
-            if p2 >= p1:
-                rec(
-                    "R2-KK",
-                    {"pos": [p1, p2]},
-                    ow_commutator(ow(ring, K(+1, p1)), ow(ring, K(+1, p2))),
-                    ow_zero(),
-                )
-            for s1 in (+1, -1):
-                for t in range(tmax + 1):
-                    rec(
-                        "R2-KI",
-                        {"pos": [p1, p2], "sign": s1, "t": t},
-                        ow_commutator(ow(ring, K(+1, p1)), ow(ring, I(s1, p2, t))),
-                        ow_zero(),
-                    )
-                for s2 in (+1, -1):
-                    if p2 < p1:
-                        continue
-                    for s in range(smax + 1):
-                        for t in range(tmax + 1):
-                            rec(
-                                "R2-II",
-                                {"pos": [p1, p2], "signs": [s1, s2], "s": s, "t": t},
-                                ow_commutator(
-                                    ow(ring, I(s1, p1, s)), ow(ring, I(s2, p2, t))
-                                ),
-                                ow_zero(),
-                            )
-
-    # R3, R4, R5 and the derived expansions
-    for px in gamma_prime:
-        for pj in gamma:
-            a = sctx.cartan(px, pj)
-            for xsign in (+1, -1):
-                for t in range(tmax + 1):
-                    rec(
-                        "R3-KXK",
-                        {"x": px, "jl": pj, "xsign": xsign, "t": t},
-                        ow(ring, K(+1, pj), X(xsign, px, t), K(-1, pj)),
-                        ow_scale(ow(ring, X(xsign, px, t)), ring.q_pow(xsign * a)),
-                    )
-            for sig in (+1, -1):
-                for t in range(tmax + 1):
-                    lhs4 = ow_add(
-                        ow_scale(
-                            ow(ring, I(sig, pj, 0), X(+1, px, t)), ring.q_pow(sig * a)
-                        ),
-                        ow_neg(
-                            ow_scale(
-                                ow(ring, X(+1, px, t), I(sig, pj, 0)),
-                                ring.q_pow(-sig * a),
-                            )
-                        ),
-                    )
-                    rec(
-                        "R4-plus",
-                        {"x": px, "jl": pj, "sign": sig, "t": t},
-                        lhs4,
-                        ow_scale(ow(ring, X(+1, px, t)), ring.from_int(a)),
-                    )
-                    lhs4m = ow_add(
-                        ow_scale(
-                            ow(ring, I(sig, pj, 0), X(-1, px, t)), ring.q_pow(-sig * a)
-                        ),
-                        ow_neg(
-                            ow_scale(
-                                ow(ring, X(-1, px, t), I(sig, pj, 0)),
-                                ring.q_pow(sig * a),
-                            )
-                        ),
-                    )
-                    rec(
-                        "R4-minus",
-                        {"x": px, "jl": pj, "sign": sig, "t": t},
-                        lhs4m,
-                        ow_scale(ow(ring, X(-1, px, t)), ring.from_int(-a)),
-                    )
-                    for s in range(smax + 1):
-                        rec(
-                            "R5-plus",
-                            {"x": px, "jl": pj, "sign": sig, "s": s, "t": t},
-                            ow_commutator(
-                                ow(ring, I(sig, pj, s + 1)), ow(ring, X(+1, px, t))
-                            ),
-                            ow_add(
-                                ow_scale(
-                                    ow(ring, I(sig, pj, s), X(+1, px, t + 1)),
-                                    ring.q_pow(sig * a),
-                                ),
-                                ow_neg(
-                                    ow_scale(
-                                        ow(ring, X(+1, px, t + 1), I(sig, pj, s)),
-                                        ring.q_pow(-sig * a),
-                                    )
-                                ),
-                            ),
-                        )
-                        rec(
-                            "R5-minus",
-                            {"x": px, "jl": pj, "sign": sig, "s": s, "t": t},
-                            ow_commutator(
-                                ow(ring, I(sig, pj, s + 1)), ow(ring, X(-1, px, t))
-                            ),
-                            ow_add(
-                                ow_scale(
-                                    ow(ring, I(sig, pj, s), X(-1, px, t + 1)),
-                                    ring.q_pow(-sig * a),
-                                ),
-                                ow_neg(
-                                    ow_scale(
-                                        ow(ring, X(-1, px, t + 1), I(sig, pj, s)),
-                                        ring.q_pow(sig * a),
-                                    )
-                                ),
-                            ),
-                        )
-                # derived expansions of [I_s, X_t], s >= 1
-                for s in range(1, smax + 2):
-                    for t in range(tmax + 1):
-                        comm_p = ow_commutator(
-                            ow(ring, I(sig, pj, s)), ow(ring, X(+1, px, t))
-                        )
-                        form1 = [
-                            ow_scale(
-                                ow(ring, X(+1, px, t + s)),
-                                ring.q_pow(sig * a * (s - 1)).scale(a),
-                            )
-                        ]
-                        form2 = [
-                            ow_scale(
-                                ow(ring, X(+1, px, t + s)),
-                                ring.q_pow(-sig * a * (s - 1)).scale(a),
-                            )
-                        ]
-                        for p in range(1, s):
-                            form1.append(
-                                ow_scale(
-                                    ow(ring, X(+1, px, t + p), I(sig, pj, s - p)),
-                                    (qq * ring.q_pow(sig * a * (p - 1))).scale(sig * a),
-                                )
-                            )
-                            form2.append(
-                                ow_scale(
-                                    ow(ring, I(sig, pj, s - p), X(+1, px, t + p)),
-                                    (qq * ring.q_pow(-sig * a * (p - 1))).scale(sig * a),
-                                )
-                            )
-                        rec(
-                            "CI-CX-plus-form1",
-                            {"x": px, "jl": pj, "sign": sig, "s": s, "t": t},
-                            comm_p,
-                            ow_add(*form1),
-                        )
-                        rec(
-                            "CI-CX-plus-form2",
-                            {"x": px, "jl": pj, "sign": sig, "s": s, "t": t},
-                            comm_p,
-                            ow_add(*form2),
-                        )
-                        comm_m = ow_commutator(
-                            ow(ring, I(sig, pj, s)), ow(ring, X(-1, px, t))
-                        )
-                        form1m = [
-                            ow_scale(
-                                ow(ring, X(-1, px, t + s)),
-                                ring.q_pow(-sig * a * (s - 1)).scale(-a),
-                            )
-                        ]
-                        form2m = [
-                            ow_scale(
-                                ow(ring, X(-1, px, t + s)),
-                                ring.q_pow(sig * a * (s - 1)).scale(-a),
-                            )
-                        ]
-                        for p in range(1, s):
-                            form1m.append(
-                                ow_scale(
-                                    ow(ring, X(-1, px, t + p), I(sig, pj, s - p)),
-                                    (qq * ring.q_pow(-sig * a * (p - 1))).scale(-sig * a),
-                                )
-                            )
-                            form2m.append(
-                                ow_scale(
-                                    ow(ring, I(sig, pj, s - p), X(-1, px, t + p)),
-                                    (qq * ring.q_pow(sig * a * (p - 1))).scale(-sig * a),
-                                )
-                            )
-                        rec(
-                            "CI-CX-minus-form1",
-                            {"x": px, "jl": pj, "sign": sig, "s": s, "t": t},
-                            comm_m,
-                            ow_add(*form1m),
-                        )
-                        rec(
-                            "CI-CX-minus-form2",
-                            {"x": px, "jl": pj, "sign": sig, "s": s, "t": t},
-                            comm_m,
-                            ow_add(*form2m),
-                        )
-
-    # R6
-    for p1 in gamma_prime:
-        for p2 in gamma_prime:
-            for t in range(tmax + 1):
-                for s in range(smax + 1):
-                    lhs = ow_commutator(
-                        ow(ring, X(+1, p1, t)), ow(ring, X(-1, p2, s))
-                    )
-                    if p1 != p2:
-                        rec(
-                            "R6-offdiagonal",
-                            {"pos": [p1, p2], "t": t, "s": s},
-                            lhs,
-                            ow_zero(),
-                        )
-                        continue
-                    jk = sctx.shape.junction(p1)
-                    ktilde = word_ktilde(ring, +1, p1)
-                    if jk is None:
-                        rhs = ow_mul(ktilde, word_J(ring, p1, s + t))
-                    else:
-                        rhs = ow_add(
-                            ow_scale(
-                                ow_mul(ktilde, word_J(ring, p1, s + t)), -ring.Q(jk)
-                            ),
-                            ow_mul(ktilde, word_J(ring, p1, s + t + 1)),
-                        )
-                    rec("R6-diagonal", {"pos": p1, "t": t, "s": s}, lhs, rhs)
-
-    # R7
-    for p1 in gamma_prime:
-        for sign in (+1, -1):
-            for p2 in gamma_prime:
-                if p2 in (p1 - 1, p1, p1 + 1):
-                    continue
-                if p2 < p1:
-                    continue
-                for t in range(tmax + 1):
-                    for s in range(smax + 1):
-                        rec(
-                            "R7-far-commute",
-                            {"pos": [p1, p2], "sign": sign, "t": t, "s": s},
-                            ow_commutator(
-                                ow(ring, X(sign, p1, t)), ow(ring, X(sign, p2, s))
-                            ),
-                            ow_zero(),
-                        )
-            for t in range(tmax + 1):
-                for s in range(smax + 1):
-                    q2 = ring.q_pow(2 * sign)
-                    lhs = ow_add(
-                        ow(ring, X(sign, p1, t + 1), X(sign, p1, s)),
-                        ow_neg(
-                            ow_scale(ow(ring, X(sign, p1, s), X(sign, p1, t + 1)), q2)
-                        ),
-                    )
-                    rhs = ow_add(
-                        ow_scale(ow(ring, X(sign, p1, t), X(sign, p1, s + 1)), q2),
-                        ow_neg(ow(ring, X(sign, p1, s + 1), X(sign, p1, t))),
-                    )
-                    rec(
-                        "R7-same-index",
-                        {"pos": p1, "sign": sign, "t": t, "s": s},
-                        lhs,
-                        rhs,
-                    )
-        if p1 + 1 in gamma_prime:
-            for t in range(tmax + 1):
-                for s in range(smax + 1):
-                    lhs = ow_add(
-                        ow(ring, X(+1, p1, t + 1), X(+1, p1 + 1, s)),
-                        ow_neg(
-                            ow_scale(
-                                ow(ring, X(+1, p1 + 1, s), X(+1, p1, t + 1)),
-                                ring.qinv,
-                            )
-                        ),
-                    )
-                    rhs = ow_add(
-                        ow(ring, X(+1, p1, t), X(+1, p1 + 1, s + 1)),
-                        ow_neg(
-                            ow_scale(
-                                ow(ring, X(+1, p1 + 1, s + 1), X(+1, p1, t)), ring.q
-                            )
-                        ),
-                    )
-                    rec("R7-adjacent-plus", {"pos": p1, "t": t, "s": s}, lhs, rhs)
-                    lhs = ow_add(
-                        ow(ring, X(-1, p1 + 1, s), X(-1, p1, t + 1)),
-                        ow_neg(
-                            ow_scale(
-                                ow(ring, X(-1, p1, t + 1), X(-1, p1 + 1, s)),
-                                ring.qinv,
-                            )
-                        ),
-                    )
-                    rhs = ow_add(
-                        ow(ring, X(-1, p1 + 1, s + 1), X(-1, p1, t)),
-                        ow_neg(
-                            ow_scale(
-                                ow(ring, X(-1, p1, t), X(-1, p1 + 1, s + 1)), ring.q
-                            )
-                        ),
-                    )
-                    rec("R7-adjacent-minus", {"pos": p1, "t": t, "s": s}, lhs, rhs)
-
-    # R8 (q-Serre)
-    qplus = ring.q + ring.qinv
-    for p1 in gamma_prime:
-        for p2 in (p1 - 1, p1 + 1):
-            if p2 not in gamma_prime:
-                continue
-            for sign in (+1, -1):
-                for u in range(umax + 1):
-                    for s in range(smax + 1):
-                        for t in range(s, tmax + 1):
-                            anti = ow_add(
-                                ow(ring, X(sign, p1, s), X(sign, p1, t)),
-                                ow(ring, X(sign, p1, t), X(sign, p1, s)),
-                            )
-                            lhs = ow_add(
-                                ow_mul(ow(ring, X(sign, p2, u)), anti),
-                                ow_mul(anti, ow(ring, X(sign, p2, u))),
-                            )
-                            rhs = ow_scale(
-                                ow_add(
-                                    ow(
-                                        ring,
-                                        X(sign, p1, s),
-                                        X(sign, p2, u),
-                                        X(sign, p1, t),
-                                    ),
-                                    ow(
-                                        ring,
-                                        X(sign, p1, t),
-                                        X(sign, p2, u),
-                                        X(sign, p1, s),
-                                    ),
-                                ),
-                                qplus,
-                            )
-                            rec(
-                                "R8-serre",
-                                {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u},
-                                lhs,
-                                rhs,
-                            )
-
-    # consequences of R1: the tilde-K identity and the J_0 corollary
-    for pos in gamma_prime:
-        lhs = ow_scale(ow_mul(word_ktilde(ring, +1, pos), word_J(ring, pos, 0)), qq)
-        rhs = ow_add(word_ktilde(ring, +1, pos), ow_neg(word_ktilde(ring, -1, pos)))
-        rec("wtKJ0-cleared", {"pos": pos}, lhs, rhs)
-        rhs_j0 = ow_add(
-            ow(ring, I(+1, pos, 0)),
-            ow_neg(ow(ring, K(-1, pos), K(-1, pos), I(-1, pos + 1, 0))),
-        )
-        rec("CJ0", {"pos": pos}, word_J(ring, pos, 0), rhs_j0)
-
     return checks
 
 
-def verify_q1(sctx, smax=2, tmax=2, umax=2, points=0, seed=0):
+def verify_relations(sctx, smax=2, tmax=2, umax=2):
+    """Relations (R1)-(R8) plus the derived commutation expansions, as
+    operator identities on every weight."""
+    return run_relations(sctx, relation_words(sctx, smax, tmax, umax))
+
+
+def relation_words(sctx, smax, tmax, umax):
+    """(R1)-(R8), the expansions of [I_s, X_t] and two corollaries of (R1),
+    as (name, params, lhs word, rhs word) in report order."""
+    ring = sctx.ring
+    qq = ring.qq_comm()
+    gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
+    S, T, U = range(smax + 1), range(tmax + 1), range(umax + 1)
+    w = partial(ow, ring)
+    zero, one = ow_zero(), w()
+
+    def comm(a, b):
+        return ow_commutator(w(a), w(b))
+
+    # R1
+    for pos in gamma:
+        yield "R1-K-inverse", {"pos": pos}, w(K(+1, pos), K(-1, pos)), one
+        yield "R1-K-inverse-rev", {"pos": pos}, w(K(-1, pos), K(+1, pos)), one
+        for sign in (+1, -1):
+            rhs = ow_add(one, ow_scale(w(I(-sign, pos, 0)), qq.scale(sign)))
+            params = {"pos": pos, "sign": sign}
+            yield "R1-K-square", params, w(K(sign, pos), K(sign, pos)), rhs
+
+    # R2
+    for p1, p2 in product(gamma, gamma):
+        if p2 >= p1:
+            yield "R2-KK", {"pos": [p1, p2]}, comm(K(+1, p1), K(+1, p2)), zero
+        for s1 in (+1, -1):
+            for t in T:
+                params = {"pos": [p1, p2], "sign": s1, "t": t}
+                yield "R2-KI", params, comm(K(+1, p1), I(s1, p2, t)), zero
+            if p2 < p1:
+                continue
+            for s2, s, t in product((+1, -1), S, T):
+                params = {"pos": [p1, p2], "signs": [s1, s2], "s": s, "t": t}
+                yield "R2-II", params, comm(I(s1, p1, s), I(s2, p2, t)), zero
+
+    # R3, R4, R5 and the derived expansions; X^- is X^+ with e = a negated
+    for px, pj in product(gamma_prime, gamma):
+        a = sctx.cartan(px, pj)
+        for xsign, t in product((+1, -1), T):
+            x = X(xsign, px, t)
+            params = {"x": px, "jl": pj, "xsign": xsign, "t": t}
+            rhs = ow_scale(w(x), ring.q_pow(xsign * a))
+            yield "R3-KXK", params, w(K(+1, pj), x, K(-1, pj)), rhs
+        for sign in (+1, -1):
+            for t in T:
+                for xsign in (+1, -1):
+                    x, e = X(xsign, px, t), xsign * sign * a
+                    yield (
+                        f"R4-{_PM[xsign]}",
+                        {"x": px, "jl": pj, "sign": sign, "t": t},
+                        ow_qcomm(ring, I(sign, pj, 0), x, e),
+                        ow_scale(w(x), ring.from_int(xsign * a)),
+                    )
+                for s, xsign in product(S, (+1, -1)):
+                    x, e = X(xsign, px, t), xsign * sign * a
+                    yield (
+                        f"R5-{_PM[xsign]}",
+                        {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
+                        comm(I(sign, pj, s + 1), x),
+                        ow_qcomm(ring, I(sign, pj, s), X(xsign, px, t + 1), e),
+                    )
+            # [I_s, X_t], s >= 1: form 1 puts each X left of its I, form 2
+            # right of it and runs the q-powers the other way
+            for s, t, xsign in product(range(1, smax + 2), T, (+1, -1)):
+                e = xsign * sign * a
+                lhs = comm(I(sign, pj, s), X(xsign, px, t))
+                for form in (1, 2):
+                    f = e if form == 1 else -e
+                    lead = ring.q_pow(f * (s - 1)).scale(xsign * a)
+                    parts = [ow_scale(w(X(xsign, px, t + s)), lead)]
+                    for p in range(1, s):
+                        pair = (X(xsign, px, t + p), I(sign, pj, s - p))
+                        pair = pair if form == 1 else pair[::-1]
+                        coeff = (qq * ring.q_pow(f * (p - 1))).scale(e)
+                        parts.append(ow_scale(w(*pair), coeff))
+                    yield (
+                        f"CI-CX-{_PM[xsign]}-form{form}",
+                        {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
+                        lhs,
+                        ow_add(*parts),
+                    )
+
+    # R6
+    for p1, p2, t, s in product(gamma_prime, gamma_prime, T, S):
+        lhs = comm(X(+1, p1, t), X(-1, p2, s))
+        if p1 != p2:
+            yield "R6-offdiagonal", {"pos": [p1, p2], "t": t, "s": s}, lhs, zero
+            continue
+        J = partial(word_J, ring, p1)
+        rhs = at_junction(ring, sctx.shape.junction(p1), J, s + t)
+        rhs = ow_mul(word_ktilde(ring, +1, p1), rhs)
+        yield "R6-diagonal", {"pos": p1, "t": t, "s": s}, lhs, rhs
+
+    # R7; R7-adjacent-minus is R7-adjacent-plus read backwards
+    for p1 in gamma_prime:
+        for sign in (+1, -1):
+            for p2, t, s in product(gamma_prime, T, S):
+                if p2 > p1 + 1:
+                    params = {"pos": [p1, p2], "sign": sign, "t": t, "s": s}
+                    lhs = comm(X(sign, p1, t), X(sign, p2, s))
+                    yield "R7-far-commute", params, lhs, zero
+            q2, x = ring.q_pow(2 * sign), partial(X, sign, p1)
+            for t, s in product(T, S):
+                lhs = ow_twist(ring, x(t + 1), x(s), q2)
+                rhs = ow_neg(ow_twist(ring, x(s + 1), x(t), q2))
+                params = {"pos": p1, "sign": sign, "t": t, "s": s}
+                yield "R7-same-index", params, lhs, rhs
+        if p1 + 1 not in gamma_prime:
+            continue
+        for t, s, sign in product(T, S, (+1, -1)):
+            x, y = partial(X, sign, p1), partial(X, sign, p1 + 1)
+            lhs = ow_twist(ring, x(t + 1), y(s), ring.qinv)
+            rhs = ow_twist(ring, x(t), y(s + 1), ring.q)
+            if sign < 0:
+                lhs, rhs = ow_reverse(lhs), ow_reverse(rhs)
+            params = {"pos": p1, "t": t, "s": s}
+            yield f"R7-adjacent-{_PM[sign]}", params, lhs, rhs
+
+    # R8 (q-Serre)
+    qplus = ring.q + ring.qinv
+    for p1, p2 in product(gamma_prime, gamma_prime):
+        if abs(p1 - p2) != 1:
+            continue
+        for sign, u, s in product((+1, -1), U, S):
+            for t in range(s, tmax + 1):
+                xs, xt, xu = X(sign, p1, s), X(sign, p1, t), X(sign, p2, u)
+                anti = ow_add(w(xs, xt), w(xt, xs))
+                lhs = ow_add(ow_mul(w(xu), anti), ow_mul(anti, w(xu)))
+                rhs = ow_scale(ow_add(w(xs, xu, xt), w(xt, xu, xs)), qplus)
+                params = {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u}
+                yield "R8-serre", params, lhs, rhs
+
+    # consequences of R1: the tilde-K identity and the J_0 corollary
+    for pos in gamma_prime:
+        ktilde, J0 = word_ktilde(ring, +1, pos), word_J(ring, pos, 0)
+        lhs = ow_scale(ow_mul(ktilde, J0), qq)
+        rhs = ow_add(ktilde, ow_neg(word_ktilde(ring, -1, pos)))
+        yield "wtKJ0-cleared", {"pos": pos}, lhs, rhs
+        rhs = ow_neg(w(K(-1, pos), K(-1, pos), I(-1, pos + 1, 0)))
+        rhs = ow_add(w(I(+1, pos, 0)), rhs)
+        yield "CJ0", {"pos": pos}, J0, rhs
+
+
+def verify_q1(sctx, smax=2, tmax=2, umax=2):
     """The q = 1 identities: trivial K, matching I^+ = I^-, and the images of
     the current-algebra relations (L1)-(L6)."""
     if not sctx.ring.q_one:
         raise ValueError("needs a q = 1 context")
-    checks = []
-    ring = sctx.ring
-    m = sctx.shape.total
-    gamma = range(1, m + 1)
-    gamma_prime = range(1, m)
-    one = ow(ring)
+    return run_relations(sctx, q1_relation_words(sctx, smax, tmax, umax))
 
-    def rec(name, params, lhs, rhs):
-        ok, witness = sctx.op_equal(lhs, rhs, points=points, seed=seed)
-        detail = None if ok else {"witness_weight": [list(c) for c in witness]}
-        checks.append(_check(name, params, ok, detail))
+
+def q1_relation_words(sctx, smax, tmax, umax):
+    """The q = 1 identities and (L1)-(L6) as (name, params, lhs, rhs)."""
+    ring = sctx.ring
+    gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
+    S, T, U = range(smax + 1), range(tmax + 1), range(umax + 1)
+    w = partial(ow, ring)
+    zero, one = ow_zero(), w()
+
+    def comm(a, b):
+        return ow_commutator(w(a), w(b))
 
     def lieJ(pos, t):
-        return ow_add(ow(ring, I(+1, pos, t)), ow_neg(ow(ring, I(+1, pos + 1, t))))
+        return ow_add(w(I(+1, pos, t)), ow_neg(w(I(+1, pos + 1, t))))
 
     for pos in gamma:
         for sign in (+1, -1):
-            rec("q1-K-trivial", {"pos": pos, "sign": sign}, ow(ring, K(sign, pos)), one)
+            yield "q1-K-trivial", {"pos": pos, "sign": sign}, w(K(sign, pos)), one
         for t in range(tmax + 2):
-            rec(
-                "q1-I-plus-minus",
-                {"pos": pos, "t": t},
-                ow(ring, I(+1, pos, t)),
-                ow(ring, I(-1, pos, t)),
-            )
+            lhs, rhs = w(I(+1, pos, t)), w(I(-1, pos, t))
+            yield "q1-I-plus-minus", {"pos": pos, "t": t}, lhs, rhs
     for pos in gamma_prime:
-        rec(
-            "q1-wtKJ0",
-            {"pos": pos},
-            ow_mul(word_ktilde(ring, +1, pos), word_J(ring, pos, 0)),
-            lieJ(pos, 0),
-        )
+        lhs = ow_mul(word_ktilde(ring, +1, pos), word_J(ring, pos, 0))
+        yield "q1-wtKJ0", {"pos": pos}, lhs, lieJ(pos, 0)
     # (L1)
-    for p1 in gamma:
-        for p2 in gamma:
-            if p2 < p1:
-                continue
-            for s in range(smax + 1):
-                for t in range(tmax + 1):
-                    rec(
-                        "q1-L1",
-                        {"pos": [p1, p2], "s": s, "t": t},
-                        ow_commutator(ow(ring, I(+1, p1, s)), ow(ring, I(+1, p2, t))),
-                        ow_zero(),
-                    )
+    for p1, p2, s, t in product(gamma, gamma, S, T):
+        if p2 >= p1:
+            params = {"pos": [p1, p2], "s": s, "t": t}
+            yield "q1-L1", params, comm(I(+1, p1, s), I(+1, p2, t)), zero
     # (L2)
-    for px in gamma_prime:
-        for pj in gamma:
-            a = sctx.cartan(px, pj)
-            for sign in (+1, -1):
-                for s in range(smax + 1):
-                    for t in range(tmax + 1):
-                        rhs = ow_scale(
-                            ow(ring, X(sign, px, s + t)), ring.from_int(sign * a)
-                        )
-                        rec(
-                            "q1-L2",
-                            {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
-                            ow_commutator(
-                                ow(ring, I(+1, pj, s)), ow(ring, X(sign, px, t))
-                            ),
-                            rhs,
-                        )
+    for px, pj, sign, s, t in product(gamma_prime, gamma, (+1, -1), S, T):
+        a = sctx.cartan(px, pj)
+        rhs = ow_scale(w(X(sign, px, s + t)), ring.from_int(sign * a))
+        params = {"x": px, "jl": pj, "sign": sign, "s": s, "t": t}
+        yield "q1-L2", params, comm(I(+1, pj, s), X(sign, px, t)), rhs
     # (L3)
-    for p1 in gamma_prime:
-        for p2 in gamma_prime:
-            for t in range(tmax + 1):
-                for s in range(smax + 1):
-                    lhs = ow_commutator(ow(ring, X(+1, p1, t)), ow(ring, X(-1, p2, s)))
-                    if p1 != p2:
-                        rec("q1-L3-offdiag", {"pos": [p1, p2], "t": t, "s": s}, lhs, ow_zero())
-                        continue
-                    jk = sctx.shape.junction(p1)
-                    if jk is None:
-                        rhs = lieJ(p1, s + t)
-                    else:
-                        rhs = ow_add(
-                            ow_scale(lieJ(p1, s + t), -ring.Q(jk)),
-                            lieJ(p1, s + t + 1),
-                        )
-                    rec("q1-L3-diag", {"pos": p1, "t": t, "s": s}, lhs, rhs)
+    for p1, p2, t, s in product(gamma_prime, gamma_prime, T, S):
+        lhs = comm(X(+1, p1, t), X(-1, p2, s))
+        if p1 != p2:
+            yield "q1-L3-offdiag", {"pos": [p1, p2], "t": t, "s": s}, lhs, zero
+            continue
+        rhs = at_junction(ring, sctx.shape.junction(p1), partial(lieJ, p1), s + t)
+        yield "q1-L3-diag", {"pos": p1, "t": t, "s": s}, lhs, rhs
     # (L4), (L5), (L6)
-    for p1 in gamma_prime:
-        for sign in (+1, -1):
-            for p2 in gamma_prime:
-                if p2 in (p1 - 1, p1 + 1) or p2 < p1:
-                    continue
-                for t in range(tmax + 1):
-                    for s in range(smax + 1):
-                        rec(
-                            "q1-L4",
-                            {"pos": [p1, p2], "sign": sign, "t": t, "s": s},
-                            ow_commutator(
-                                ow(ring, X(sign, p1, t)), ow(ring, X(sign, p2, s))
-                            ),
-                            ow_zero(),
-                        )
-            for p2 in (p1 - 1, p1 + 1):
-                if p2 not in gamma_prime:
-                    continue
-                for t in range(tmax + 1):
-                    for s in range(smax + 1):
-                        rec(
-                            "q1-L5",
-                            {"pos": [p1, p2], "sign": sign, "t": t, "s": s},
-                            ow_commutator(
-                                ow(ring, X(sign, p1, t + 1)), ow(ring, X(sign, p2, s))
-                            ),
-                            ow_commutator(
-                                ow(ring, X(sign, p1, t)), ow(ring, X(sign, p2, s + 1))
-                            ),
-                        )
-                for s in range(smax + 1):
-                    for t in range(tmax + 1):
-                        for u in range(umax + 1):
-                            inner = ow_commutator(
-                                ow(ring, X(sign, p1, t)), ow(ring, X(sign, p2, u))
-                            )
-                            rec(
-                                "q1-L6",
-                                {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u},
-                                ow_commutator(ow(ring, X(sign, p1, s)), inner),
-                                ow_zero(),
-                            )
-    return checks
+    for p1, sign in product(gamma_prime, (+1, -1)):
+        for p2, t, s in product(gamma_prime, T, S):
+            if p2 >= p1 and p2 != p1 + 1:
+                params = {"pos": [p1, p2], "sign": sign, "t": t, "s": s}
+                lhs = comm(X(sign, p1, t), X(sign, p2, s))
+                yield "q1-L4", params, lhs, zero
+        for p2 in gamma_prime:
+            if abs(p1 - p2) != 1:
+                continue
+            for t, s in product(T, S):
+                params = {"pos": [p1, p2], "sign": sign, "t": t, "s": s}
+                lhs = comm(X(sign, p1, t + 1), X(sign, p2, s))
+                rhs = comm(X(sign, p1, t), X(sign, p2, s + 1))
+                yield "q1-L5", params, lhs, rhs
+            for s, t, u in product(S, T, U):
+                params = {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u}
+                inner = comm(X(sign, p1, t), X(sign, p2, u))
+                yield "q1-L6", params, ow_commutator(w(X(sign, p1, s)), inner), zero
 
 
 # ---------------------------------------------------------------------------
@@ -880,9 +612,9 @@ def hw_eigenvalue_pair(lam_j, j, l, t, sign, ring):
 
 def verify_hw_eigenvalues(ring, lam_max=5, j_max=3, t_max=4, l_values=(1, 2)):
     """The two closed forms of the highest-weight eigenvalues agree, for both
-    signs (and at q = 1 when the ring pins q)."""
+    signs (and at q = 1 when the ring pins q), at every l <= r of l_values."""
     checks = []
-    for l in l_values:
+    for l in (l for l in l_values if l <= ring.r):
         for j in range(1, j_max + 1):
             for lam_j in range(0, lam_max + 1):
                 for t in range(0, t_max + 1):

@@ -17,6 +17,7 @@ import itertools
 
 from . import combinatorics as comb
 from .coeff import MultiLaurent
+from .reporting import check as _check
 
 
 class SymPoly:
@@ -345,13 +346,6 @@ def sympoly_to_json(poly):
 
 # ---------------------------------------------------------------------------
 # verification suites
-
-
-def _check(name, params, ok, detail=None):
-    item = {"check": name, "params": params, "ok": bool(ok)}
-    if detail is not None:
-        item["detail"] = detail
-    return item
 
 
 def verify_phi_recursions(tmax, kmax, ring):

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import json
 
 import pytest
@@ -80,7 +82,8 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         report = json.loads(out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
+        assert "points" not in report["config"]
         assert report["passed"] is True
         assert report["suites"]["symfun"]["failed"] == []
 
@@ -136,3 +139,55 @@ class TestVerifyCommand:
             "verify", "--suite", "q1", "-n", "1", "-r", "2", "-m", "1,1", "--deg", "1",
         ])
         assert code == 0
+
+    def test_verify_schur_q1_single_parameter(self, capsys):
+        code = main([
+            "verify", "--suite", "schur,q1", "-n", "1", "-r", "1", "-m", "2",
+            "--deg", "1", "--dmax", "1",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_points_option_removed(self, capsys):
+        assert main(["verify", "--suite", "lie", "--points", "3"]) == 2
+
+
+# Per-family check counts and the sha256 of the canonical ``suites`` section
+# for ``verify --suite schur,q1 -n 2 -r 2 -m 1,2 --deg 1 --dmax 1``: a run
+# that reaches every schur and q1 family, the R6 junction case and
+# R7-adjacent in both signs.
+PINNED_FAMILIES = {
+    "schur": {
+        "CI-CX-minus-form1": 48, "CI-CX-minus-form2": 48,
+        "CI-CX-plus-form1": 48, "CI-CX-plus-form2": 48, "CJ0": 2,
+        "R1-K-inverse": 3, "R1-K-inverse-rev": 3, "R1-K-square": 6,
+        "R2-II": 96, "R2-KI": 36, "R2-KK": 6, "R3-KXK": 24,
+        "R4-minus": 24, "R4-plus": 24, "R5-minus": 48, "R5-plus": 48,
+        "R6-diagonal": 8, "R6-offdiagonal": 8, "R7-adjacent-minus": 4,
+        "R7-adjacent-plus": 4, "R7-same-index": 16, "R8-serre": 24,
+        "divided-power-integral": 48, "hw-eigenvalue": 160, "wtKJ0-cleared": 2,
+    },
+    "q1": {
+        "hw-eigenvalue": 160, "q1-I-plus-minus": 9, "q1-K-trivial": 6,
+        "q1-L1": 24, "q1-L2": 48, "q1-L3-diag": 8, "q1-L3-offdiag": 8,
+        "q1-L4": 16, "q1-L5": 16, "q1-L6": 32, "q1-wtKJ0": 2,
+    },
+}
+PINNED_SHA256 = "a257e0637ca8f48c1eb4878b076e8e547c0cd34efc3dde5f10ee8498f644a7a2"
+
+
+def test_schur_q1_suites_pinned(capsys):
+    code = main([
+        "verify", "--suite", "schur,q1", "-n", "2", "-r", "2", "-m", "1,2",
+        "--deg", "1", "--dmax", "1",
+    ])
+    assert code == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    for name, families in PINNED_FAMILIES.items():
+        counts = collections.Counter(c["check"] for c in suites[name]["checks"])
+        assert counts == families
+        assert suites[name]["total"] == sum(families.values())
+    assert sum(PINNED_FAMILIES["schur"].values()) == 786
+    assert sum(PINNED_FAMILIES["q1"].values()) == 329
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SHA256

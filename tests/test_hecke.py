@@ -9,7 +9,6 @@ from cycloschur.hecke import (
     HeckeContext,
     divided_t_bracket,
     elem_to_json,
-    hecke_equal,
     m_mu,
     perm_inversions,
     phi_jm,
@@ -204,21 +203,19 @@ class TestDividedBrackets:
 class TestEquality:
     def test_syntactic(self, ctx3):
         a = ctx3.T(1) + ctx3.L(2)
-        assert hecke_equal(a, ctx3.T(1) + ctx3.L(2))
+        assert a == ctx3.T(1) + ctx3.L(2)
 
     def test_distinct(self, ctx3):
-        assert not hecke_equal(ctx3.one(), ctx3.T(1))
+        assert ctx3.one() != ctx3.T(1)
+
+    def test_other_context_never_equal(self, ctx3):
+        assert ctx3.one() != HeckeContext(3, 2).one()
 
     def test_m_mu_T_via_equal(self, ctx3):
         shape = Shape((2, 2))
         mu = ((2, 0), (1, 0))
         mm = m_mu(ctx3, mu, shape)
-        assert hecke_equal(ctx3.rmul_gen(mm, 1), mm.scale(ctx3.ring.q))
-
-    def test_specialization_points_deterministic(self, ctx3):
-        from cycloschur.hecke import random_points
-
-        assert random_points(ctx3.ring, 3, seed=7) == random_points(ctx3.ring, 3, seed=7)
+        assert ctx3.rmul_gen(mm, 1) == mm.scale(ctx3.ring.q)
 
 
 class TestPhiJm:

@@ -2,7 +2,7 @@ import pytest
 
 from cycloschur.coeff import LaurentRing
 from cycloschur.combinatorics import Shape
-from cycloschur.hecke import hecke_equal, t_bracket
+from cycloschur.hecke import t_bracket
 from cycloschur.reporting import failures
 from cycloschur.schurops import (
     I,
@@ -14,6 +14,9 @@ from cycloschur.schurops import (
     ow,
     ow_commutator,
     ow_mul,
+    ow_qcomm,
+    ow_scale,
+    run_relations,
     verify_divided_powers,
     verify_hw_eigenvalues,
     verify_q1,
@@ -169,7 +172,22 @@ class TestDividedPowers:
         expected = (expected * cofactor).scale(
             qfactorial(d, sctx.ring) * sctx.ring.q_pow(-d * succ + d * d)
         )
-        assert hecke_equal(value, expected)
+        assert value == expected
+
+
+class TestRunRelations:
+    def test_records_a_false_relation(self, sctx22):
+        # R4-plus with the sign of the exponent e = sign * a flipped
+        ring = sctx22.ring
+        a = sctx22.cartan(1, 1)
+        lhs = ow_qcomm(ring, I(+1, 1, 0), X(+1, 1, 0), -a)
+        rhs = ow_scale(ow(ring, X(+1, 1, 0)), ring.from_int(a))
+        (check,) = run_relations(sctx22, [("R4-plus", {"x": 1}, lhs, rhs)])
+        assert check["ok"] is False
+        assert check["params"] == {"x": 1}
+        assert check["detail"]["witness_weight"] in (
+            [list(c) for c in mu] for mu in sctx22.weights
+        )
 
 
 class TestHwEigenvalues:
