@@ -12,6 +12,10 @@ formulas; general brackets reduce recursively through the derivation rule
 Coefficients live in the shared Laurent ring with the q exponent pinned to
 zero; the parameters Q_1, ..., Q_{r-1} enter at the junction positions
 m_1 + ... + m_k.
+
+The m x m matrices of the evaluation map onto gl_m and of the modules V_tau
+are sparse: a dict {(i, j): coefficient} with zero-based indices that stores
+only nonzero entries, so the zero matrix is {} and matrix equality is ==.
 """
 
 from __future__ import annotations
@@ -308,15 +312,9 @@ class LieContext:
         ring = self.ring
         tau_t = ring.from_fraction(tau**t) if t else ring.one
         if abs(p - q) <= 1:
-            M = mat_zero(self.m, ring)
-            if p == q:
-                M[p - 1][p - 1] = tau_t
-            elif q == p + 1:
-                Q = self.junction_Q(p)
-                coeff = tau_t if Q is None else (ring.from_fraction(tau) - Q) * tau_t
-                M[p - 1][q - 1] = coeff
-            else:
-                M[p - 1][q - 1] = tau_t
+            Q = self.junction_Q(p) if q == p + 1 else None
+            coeff = tau_t if Q is None else (ring.from_fraction(tau) - Q) * tau_t
+            M = mat_unit(p - 1, q - 1, coeff)
         else:
             if p < q:
                 g = (p, p + 1, 0)
@@ -325,15 +323,13 @@ class LieContext:
                 g = (p, p - 1, 0)
                 inner = (p - 1, q, t)
             M = mat_commutator(
-                self.vtau_basis_matrix(g, tau),
-                self.vtau_basis_matrix(inner, tau),
-                ring,
+                self.vtau_basis_matrix(g, tau), self.vtau_basis_matrix(inner, tau)
             )
         self._vtau_cache[key] = M
         return M
 
     def vtau_rep(self, x, tau):
-        M = mat_zero(self.m, self.ring)
+        M = {}
         for label, coeff in x.terms.items():
             M = mat_add(M, mat_scale(self.vtau_basis_matrix(label, tau), coeff))
         return M
@@ -359,15 +355,9 @@ class LieContext:
         if cached is not None:
             return cached
         p, q, t = label
-        ring = self.ring
         if abs(p - q) <= 1:
-            M = mat_zero(self.m, ring)
-            if t == 0:
-                if q == p + 1:
-                    Q = self.junction_Q(p)
-                    M[p - 1][q - 1] = ring.one if Q is None else -Q
-                else:
-                    M[p - 1][q - 1] = ring.one
+            Q = self.junction_Q(p) if q == p + 1 else None
+            M = {} if t else {(p - 1, q - 1): self.ring.one if Q is None else -Q}
         else:
             if p < q:
                 g = (p, p + 1, 0)
@@ -375,14 +365,12 @@ class LieContext:
             else:
                 g = (p, p - 1, 0)
                 inner = (p - 1, q, t)
-            M = mat_commutator(
-                self.eval_basis_matrix(g), self.eval_basis_matrix(inner), ring
-            )
+            M = mat_commutator(self.eval_basis_matrix(g), self.eval_basis_matrix(inner))
         self._eval_cache[label] = M
         return M
 
     def eval_map(self, x):
-        M = mat_zero(self.m, self.ring)
+        M = {}
         for label, coeff in x.terms.items():
             M = mat_add(M, mat_scale(self.eval_basis_matrix(label), coeff))
         return M
@@ -404,45 +392,56 @@ class LieContext:
 # matrices over the coefficient ring
 
 
-def mat_zero(m, ring):
-    return [[ring.zero for _ in range(m)] for _ in range(m)]
+def mat_unit(i, j, c):
+    """The matrix whose only entry is c at (i, j)."""
+    return {} if c.is_zero else {(i, j): c}
+
+
+def _acc(out, key, c):
+    cur = out.get(key)
+    if cur is None:
+        out[key] = c
+    else:
+        s = cur + c
+        if s.is_zero:
+            del out[key]
+        else:
+            out[key] = s
 
 
 def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
-
-def mat_mul(A, B, ring):
-    m = len(A)
-    out = mat_zero(m, ring)
-    for i in range(m):
-        for k in range(m):
-            a = A[i][k]
-            if a.is_zero:
-                continue
-            rowB = B[k]
-            rowO = out[i]
-            for j in range(m):
-                b = rowB[j]
-                if not b.is_zero:
-                    rowO[j] = rowO[j] + a * b
+    out = dict(A)
+    for key, b in B.items():
+        _acc(out, key, b)
     return out
 
 
-def mat_commutator(A, B, ring):
-    return mat_sub(mat_mul(A, B, ring), mat_mul(B, A, ring))
+def mat_sub(A, B):
+    out = dict(A)
+    for key, b in B.items():
+        _acc(out, key, -b)
+    return out
 
 
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+def mat_scale(A, c):
+    if c.is_zero:
+        return {}
+    return {key: a * c for key, a in A.items()}
+
+
+def mat_mul(A, B):
+    rows = {}
+    for (k, j), b in B.items():
+        rows.setdefault(k, []).append((j, b))
+    out = {}
+    for (i, k), a in A.items():
+        for j, b in rows.get(k, ()):
+            _acc(out, (i, j), a * b)
+    return out
+
+
+def mat_commutator(A, B):
+    return mat_sub(mat_mul(A, B), mat_mul(B, A))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +550,7 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
             for b in gens:
                 Mb = lctx.vtau_basis_matrix(b, tau)
                 lhs = lctx.vtau_rep(lctx.bracket_basis(a, b), tau)
-                if not mat_eq(lhs, mat_commutator(Ma, Mb, lctx.ring)):
+                if lhs != mat_commutator(Ma, Mb):
                     ok = False
                     witness = (a, b)
                     break
@@ -570,11 +569,12 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
             for q in range(1, lctx.m + 1):
                 for t in range(deg_cap + 1):
                     M = lctx.vtau_basis_matrix((p, q, t), tau)
-                    expected = mat_zero(lctx.m, lctx.ring)
-                    expected[p - 1][q - 1] = lctx.psi_vtau(p, q, tau) * (
-                        lctx.ring.from_fraction(tau**t)
+                    expected = mat_unit(
+                        p - 1,
+                        q - 1,
+                        lctx.psi_vtau(p, q, tau) * lctx.ring.from_fraction(tau**t),
                     )
-                    if not mat_eq(M, expected):
+                    if M != expected:
                         closed_ok = False
         checks.append(
             _check(
@@ -593,8 +593,10 @@ def verify_gr(lctx, deg_cap=2):
     terms live strictly higher.  In the one-component case there is no excess
     at all."""
     checks = []
-    ring = lctx.ring
     m = lctx.m
+    psi = {
+        (p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)
+    }
     filtration_ok = True
     leading_ok = True
     exact_ok = True
@@ -618,14 +620,10 @@ def verify_gr(lctx, deg_cap=2):
                                 witness = ((p, q, s), (u, v, t))
                             expected = lctx.zero()
                             if q == u:
-                                expected = expected + lctx.basis(
-                                    p, v, s + t, lctx.psi_gr(p, v)
-                                )
+                                expected = expected + lctx.basis(p, v, s + t, psi[p, v])
                             if v == p:
-                                expected = expected - lctx.basis(
-                                    u, q, s + t, lctx.psi_gr(u, q)
-                                )
-                            scaled = lead.scale(lctx.psi_gr(p, q) * lctx.psi_gr(u, v))
+                                expected = expected - lctx.basis(u, q, s + t, psi[u, q])
+                            scaled = lead.scale(psi[p, q] * psi[u, v])
                             if scaled != expected:
                                 leading_ok = False
                                 witness = ((p, q, s), (u, v, t))
@@ -647,7 +645,7 @@ def verify_eval_map(lctx, deg_cap=2):
     """The evaluation onto gl_m is a Lie homomorphism, and composing with the
     Levi embedding recovers the block-diagonal inclusion."""
     checks = []
-    ring = lctx.ring
+    one = lctx.ring.one
     labels = all_basis_labels(lctx, deg_cap)
     ok = True
     witness = None
@@ -656,7 +654,7 @@ def verify_eval_map(lctx, deg_cap=2):
         for b in labels:
             Mb = lctx.eval_basis_matrix(b)
             lhs = lctx.eval_map(lctx.bracket_basis(a, b))
-            if not mat_eq(lhs, mat_commutator(Ma, Mb, ring)):
+            if lhs != mat_commutator(Ma, Mb):
                 ok = False
                 witness = (a, b)
                 break
@@ -670,10 +668,10 @@ def verify_eval_map(lctx, deg_cap=2):
             None if ok else f"violation at {witness}",
         )
     )
-    # g(X_{t>=1}) = g(I_{t>=1}) = 0
-    kill_ok = all(
-        all(c.is_zero for row in lctx.eval_basis_matrix(g) for c in row)
-        for g in generator_labels(lctx, deg_cap)
+    # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
+    kill_ok = not any(
+        lctx.eval_basis_matrix(g)
+        for g in generator_labels(lctx, max(deg_cap, 1))
         if g[2] >= 1
     )
     checks.append(
@@ -684,18 +682,12 @@ def verify_eval_map(lctx, deg_cap=2):
     for k in range(1, lctx.shape.r + 1):
         block = [pos + 1 for pos in lctx.shape.block(k)]
         for pos in block:
-            unit = mat_zero(lctx.m, ring)
-            unit[pos - 1][pos - 1] = ring.one
-            if not mat_eq(lctx.eval_map(lctx.I(pos, 0)), unit):
+            if lctx.eval_map(lctx.I(pos, 0)) != {(pos - 1, pos - 1): one}:
                 levi_ok = False
         for pos in block[:-1]:
-            up = mat_zero(lctx.m, ring)
-            up[pos - 1][pos] = ring.one
-            down = mat_zero(lctx.m, ring)
-            down[pos][pos - 1] = ring.one
-            if not mat_eq(lctx.eval_map(lctx.X(+1, pos, 0)), up):
+            if lctx.eval_map(lctx.X(+1, pos, 0)) != {(pos - 1, pos): one}:
                 levi_ok = False
-            if not mat_eq(lctx.eval_map(lctx.X(-1, pos, 0)), down):
+            if lctx.eval_map(lctx.X(-1, pos, 0)) != {(pos, pos - 1): one}:
                 levi_ok = False
     checks.append(_check("eval-levi-embedding", {"shape": lctx.shape.m}, levi_ok))
     return checks

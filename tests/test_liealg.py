@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloschur.combinatorics import Shape
 from cycloschur.liealg import (
     LieContext,
     all_basis_labels,
     jacobi_defect,
+    mat_add,
     mat_commutator,
-    mat_eq,
-    mat_zero,
+    mat_mul,
+    mat_scale,
+    mat_sub,
     verify_antisymmetry,
     verify_eval_map,
     verify_gr,
@@ -109,30 +113,30 @@ class TestVtau:
     def test_I_diagonal_action(self, lctx):
         tau = Fraction(3, 2)
         M = lctx.vtau_basis_matrix((2, 2, 2), tau)
-        expected = mat_zero(4, lctx.ring)
-        expected[1][1] = lctx.ring.from_fraction(tau**2)
-        assert mat_eq(M, expected)
+        expected = {}
+        expected[1, 1] = lctx.ring.from_fraction(tau**2)
+        assert M == expected
 
     def test_X_minus_action(self, lctx):
         tau = Fraction(2)
         M = lctx.vtau_basis_matrix((3, 2, 1), tau)  # X^-_{2,1}
-        expected = mat_zero(4, lctx.ring)
-        expected[2][1] = lctx.ring.from_fraction(tau)
-        assert mat_eq(M, expected)
+        expected = {}
+        expected[2, 1] = lctx.ring.from_fraction(tau)
+        assert M == expected
 
     def test_junction_raiser(self, lctx):
         tau = Fraction(1, 2)
         M = lctx.vtau_basis_matrix((2, 3, 0), tau)
-        expected = mat_zero(4, lctx.ring)
-        expected[1][2] = lctx.ring.from_fraction(tau) - lctx.ring.Q(1)
-        assert mat_eq(M, expected)
+        expected = {}
+        expected[1, 2] = lctx.ring.from_fraction(tau) - lctx.ring.Q(1)
+        assert M == expected
 
     def test_long_label_closed_form(self, lctx):
         tau = Fraction(3)
         M = lctx.vtau_basis_matrix((1, 4, 2), tau)
-        expected = mat_zero(4, lctx.ring)
-        expected[0][3] = lctx.psi_vtau(1, 4, tau) * lctx.ring.from_fraction(tau**2)
-        assert mat_eq(M, expected)
+        expected = {}
+        expected[0, 3] = lctx.psi_vtau(1, 4, tau) * lctx.ring.from_fraction(tau**2)
+        assert M == expected
 
     def test_homomorphism_suite(self, lctx):
         checks = verify_vtau(lctx, deg_cap=2, taus=(Fraction(2), Fraction(-1, 3)))
@@ -155,11 +159,11 @@ class TestGr:
 class TestEvalMap:
     def test_kills_positive_degree(self, lctx):
         M = lctx.eval_basis_matrix((1, 2, 1))
-        assert all(c.is_zero for row in M for c in row)
+        assert not M
 
     def test_junction_value(self, lctx):
         M = lctx.eval_basis_matrix((2, 3, 0))
-        assert M[1][2] == -lctx.ring.Q(1)
+        assert M[1, 2] == -lctx.ring.Q(1)
 
     def test_levi_and_homomorphism(self, lctx):
         checks = verify_eval_map(lctx, deg_cap=2)
@@ -169,7 +173,129 @@ class TestEvalMap:
         a = (1, 2, 0)
         b = (2, 1, 0)
         lhs = lctx.eval_map(lctx.bracket_basis(a, b))
-        rhs = mat_commutator(
-            lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b), lctx.ring
+        rhs = mat_commutator(lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
+        assert lhs == rhs
+
+    def test_kills_positive_degree_checked_at_deg_zero(self):
+        # at deg_cap 0 the check still covers the degree-1 generators
+        lctx4 = LieContext(Shape((2, 2)))
+        assert not failures(verify_eval_map(lctx4, deg_cap=0))
+        lctx4._eval_cache[(1, 2, 1)] = {(0, 1): lctx4.ring.one}
+        checks = verify_eval_map(lctx4, deg_cap=0)
+        (kill,) = _by_name(checks, "eval-kills-positive-degree")
+        assert not kill["ok"]
+
+
+# -- sparse matrices against a dense reference ---------------------------------
+
+RING = LieContext(Shape((1, 1))).ring
+
+
+@st.composite
+def coeffs(draw):
+    # few monomials and small integers, so that sums and products cancel often
+    out = RING.zero
+    for _ in range(draw(st.integers(1, 2))):
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        out = out + RING.Q(1, draw(st.integers(-1, 1))).scale(c)
+    return out
+
+
+@st.composite
+def sparse_pairs(draw):
+    m = draw(st.integers(1, 4))
+    keys = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    nonzero = coeffs().filter(lambda c: not c.is_zero)
+    entries = st.dictionaries(keys, nonzero, max_size=m * m)
+    return m, draw(entries), draw(entries)
+
+
+def dense(A, m):
+    return [[A.get((i, j), RING.zero) for j in range(m)] for i in range(m)]
+
+
+def sparse(D):
+    return {
+        (i, j): c for i, row in enumerate(D) for j, c in enumerate(row) if not c.is_zero
+    }
+
+
+def dense_mul(D, E):
+    m = len(D)
+    out = [[RING.zero for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                out[i][j] = out[i][j] + D[i][k] * E[k][j]
+    return out
+
+
+def dense_add(D, E):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(D, E)]
+
+
+def dense_sub(D, E):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(D, E)]
+
+
+class TestSparseMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_pairs())
+    def test_matches_dense_reference(self, case):
+        m, A, B = case
+        DA, DB = dense(A, m), dense(B, m)
+        AB, BA = dense_mul(DA, DB), dense_mul(DB, DA)
+        expected = {
+            mat_add: sparse(dense_add(DA, DB)),
+            mat_sub: sparse(dense_sub(DA, DB)),
+            mat_mul: sparse(AB),
+            mat_commutator: sparse(dense_sub(AB, BA)),
+        }
+        for op, want in expected.items():
+            got = op(A, B)
+            assert got == want, op.__name__
+            assert not any(c.is_zero for c in got.values()), op.__name__
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_pairs(), st.one_of(st.just(RING.zero), coeffs()))
+    def test_scale_matches_dense_reference(self, case, c):
+        m, A, _ = case
+        got = mat_scale(A, c)
+        assert got == sparse([[a * c for a in row] for row in dense(A, m)])
+        assert not any(v.is_zero for v in got.values())
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_pairs())
+    def test_self_difference_is_empty(self, case):
+        _, A, _ = case
+        assert mat_sub(A, A) == {}
+        assert mat_commutator(A, A) == {}
+
+
+# -- the matrix checks can fail ---------------------------------------------------
+
+
+def _by_name(checks, name):
+    return [c for c in checks if c["check"] == name]
+
+
+class TestChecksCanFail:
+    def test_corrupt_eval_entry(self):
+        lctx4 = LieContext(Shape((2, 2)))
+        one = lctx4.ring.one
+        lctx4._eval_cache[(1, 2, 0)] = {(0, 1): one + one}
+        (hom,) = _by_name(verify_eval_map(lctx4, deg_cap=1), "eval-homomorphism")
+        assert not hom["ok"]
+        assert hom["detail"].startswith("violation at ")
+
+    def test_corrupt_vtau_matrix(self):
+        lctx4 = LieContext(Shape((2, 2)))
+        one = lctx4.ring.one
+        tau = Fraction(2)
+        lctx4._vtau_cache[((1, 2, 0), tau)] = {(0, 1): one + one}
+        homs = _by_name(
+            verify_vtau(lctx4, deg_cap=1, taus=(tau, Fraction(-1, 3))),
+            "vtau-homomorphism",
         )
-        assert mat_eq(lhs, rhs)
+        assert [c["ok"] for c in homs] == [False, True]
+        assert homs[0]["detail"].startswith("violation at ")
