@@ -5,7 +5,7 @@ report (schema 2); ``cycloschur compute`` evaluates characters, LR data,
 symmetric polynomials, tableaux, and Lie structure constants as JSON.
 
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage or
-parse error.
+parse error, 3 an engine self-check failed (a fault in the engine).
 """
 
 from __future__ import annotations
@@ -400,6 +400,9 @@ def main(argv=None):
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except hecke.EngineError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,11 @@ from . import symfun
 from .coeff import LaurentRing, ml_to_json
 
 
+class EngineError(Exception):
+    """An engine self-check failed: a fault in the algebra engine itself, not
+    a failed verification."""
+
+
 def perm_id(n):
     return tuple(range(n))
 
@@ -152,7 +157,7 @@ class HeckeContext:
                         e2[ia] += b - s
                         e2[ib] += s
                         _acc(out, (tuple(e2), w), mqq)
-        return HeckeElem(self, out)
+        return HeckeElem._make(self, out)
 
     def _acc_T_left(self, out, i, c, w, coeff):
         # T_i T_w in normal form
@@ -182,7 +187,7 @@ class HeckeContext:
             else:
                 _acc(out, (c, w2), coeff)
                 _acc(out, (c, w), qq * coeff)
-        return HeckeElem(self, out)
+        return HeckeElem._make(self, out)
 
     def mul(self, a, b):
         if a.ctx is not b.ctx:
@@ -199,7 +204,7 @@ class HeckeContext:
                 for c, coeff in pairs:
                     key = (tuple(map(add, c, c2)), w2)
                     _acc(out, key, coeff * coeff2)
-        return HeckeElem(self, out)
+        return HeckeElem._make(self, out)
 
     # -- words --------------------------------------------------------------
 
@@ -257,6 +262,14 @@ class HeckeElem:
         self.ctx = ctx
         self.terms = {k: v for k, v in terms.items() if not v.is_zero}
 
+    @classmethod
+    def _make(cls, ctx, clean_terms):
+        # internal fast path: clean_terms must already be zero-free
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = clean_terms
+        return self
+
     @property
     def is_zero(self):
         return not self.terms
@@ -273,10 +286,10 @@ class HeckeElem:
         out = dict(self.terms)
         for k, v in other.terms.items():
             _acc(out, k, v)
-        return HeckeElem(self.ctx, out)
+        return HeckeElem._make(self.ctx, out)
 
     def __neg__(self):
-        return HeckeElem(self.ctx, {k: -v for k, v in self.terms.items()})
+        return HeckeElem._make(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -289,7 +302,8 @@ class HeckeElem:
             coeff = self.ctx.ring.from_fraction(Fraction(coeff))
         if coeff.is_zero:
             return self.ctx.zero()
-        return HeckeElem(self.ctx, {k: v * coeff for k, v in self.terms.items()})
+        # a product of nonzero Laurent polynomials is nonzero
+        return HeckeElem._make(self.ctx, {k: v * coeff for k, v in self.terms.items()})
 
     def shift_L(self, j, e):
         out = {}
@@ -297,7 +311,7 @@ class HeckeElem:
             c2 = list(c)
             c2[j - 1] += e
             out[(tuple(c2), w)] = coeff
-        return HeckeElem(self.ctx, out)
+        return HeckeElem._make(self.ctx, out)
 
     def commutator(self, other):
         return self * other - other * self
@@ -436,18 +450,19 @@ def stacked_bracket(ctx, N, mu, d, sign):
 def divided_t_bracket(ctx, N, mu, d, sign):
     """The stacked bracket together with its cofactor: returns (product, h)
     with product = (T;N,d)^{sign}! * h, built by the recursive expansion.
-    Raises if the reconstruction disagrees with the direct product."""
+    Raises EngineError if the reconstruction disagrees with the direct
+    product."""
     direct = stacked_bracket(ctx, N, mu, d, sign)
     if d == 0:
         return direct, ctx.one()
     if mu < d or direct.is_zero:
         if not direct.is_zero:
-            raise AssertionError("stacked bracket should vanish for mu < d")
+            raise EngineError("stacked bracket should vanish for mu < d")
         return direct, ctx.zero()
     h = _cofactor(ctx, N, mu, d, sign)
     recon = t_paren_factorial(ctx, N, d, sign) * h
     if recon != direct:
-        raise AssertionError(
+        raise EngineError(
             f"divided bracket mismatch at N={N}, mu={mu}, d={d}, sign={sign}"
         )
     return direct, h

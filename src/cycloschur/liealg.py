@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .coeff import LaurentRing
 from .reporting import check as _check
@@ -48,6 +49,14 @@ class LieElem:
         self.ctx = ctx
         self.terms = clean
 
+    @classmethod
+    def _make(cls, ctx, clean_terms):
+        # internal fast path: clean_terms must already be zero-free
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = clean_terms
+        return self
+
     @property
     def is_zero(self):
         return not self.terms
@@ -69,18 +78,19 @@ class LieElem:
                     del out[label]
                 else:
                     out[label] = s
-        return LieElem(self.ctx, out)
+        return LieElem._make(self.ctx, out)
 
     def __neg__(self):
-        return LieElem(self.ctx, {k: -v for k, v in self.terms.items()})
+        return LieElem._make(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff):
         if coeff.is_zero:
-            return LieElem(self.ctx, {})
-        return LieElem(self.ctx, {k: v * coeff for k, v in self.terms.items()})
+            return LieElem._make(self.ctx, {})
+        # a product of nonzero Laurent polynomials is nonzero
+        return LieElem._make(self.ctx, {k: v * coeff for k, v in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -564,23 +574,26 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
                 None if ok else f"violation at {witness}",
             )
         )
-        closed_ok = True
-        for p in range(1, lctx.m + 1):
-            for q in range(1, lctx.m + 1):
-                for t in range(deg_cap + 1):
-                    M = lctx.vtau_basis_matrix((p, q, t), tau)
-                    expected = mat_unit(
-                        p - 1,
-                        q - 1,
-                        lctx.psi_vtau(p, q, tau) * lctx.ring.from_fraction(tau**t),
-                    )
-                    if M != expected:
-                        closed_ok = False
+        positions = range(1, lctx.m + 1)
+        mismatch = next(
+            (
+                (p, q, t)
+                for p, q, t in product(positions, positions, range(deg_cap + 1))
+                if lctx.vtau_basis_matrix((p, q, t), tau)
+                != mat_unit(
+                    p - 1,
+                    q - 1,
+                    lctx.psi_vtau(p, q, tau) * lctx.ring.from_fraction(tau**t),
+                )
+            ),
+            None,
+        )
         checks.append(
             _check(
                 "vtau-basis-closed-form",
                 {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap},
-                closed_ok,
+                mismatch is None,
+                None if mismatch is None else f"violation at {mismatch}",
             )
         )
     return checks
@@ -669,25 +682,43 @@ def verify_eval_map(lctx, deg_cap=2):
         )
     )
     # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
-    kill_ok = not any(
-        lctx.eval_basis_matrix(g)
-        for g in generator_labels(lctx, max(deg_cap, 1))
-        if g[2] >= 1
+    alive = next(
+        (
+            g
+            for g in generator_labels(lctx, max(deg_cap, 1))
+            if g[2] >= 1 and lctx.eval_basis_matrix(g)
+        ),
+        None,
     )
     checks.append(
-        _check("eval-kills-positive-degree", {"shape": lctx.shape.m}, kill_ok)
+        _check(
+            "eval-kills-positive-degree",
+            {"shape": lctx.shape.m},
+            alive is None,
+            None if alive is None else f"violation at {alive}",
+        )
     )
     # g o iota = block-diagonal embedding on the Levi generators
-    levi_ok = True
+    levi = []
     for k in range(1, lctx.shape.r + 1):
         block = [pos + 1 for pos in lctx.shape.block(k)]
-        for pos in block:
-            if lctx.eval_map(lctx.I(pos, 0)) != {(pos - 1, pos - 1): one}:
-                levi_ok = False
+        levi += [(pos, pos, 0) for pos in block]
         for pos in block[:-1]:
-            if lctx.eval_map(lctx.X(+1, pos, 0)) != {(pos - 1, pos): one}:
-                levi_ok = False
-            if lctx.eval_map(lctx.X(-1, pos, 0)) != {(pos, pos - 1): one}:
-                levi_ok = False
-    checks.append(_check("eval-levi-embedding", {"shape": lctx.shape.m}, levi_ok))
+            levi += [(pos, pos + 1, 0), (pos + 1, pos, 0)]
+    bad = next(
+        (
+            g
+            for g in levi
+            if lctx.eval_map(lctx.basis(*g)) != {(g[0] - 1, g[1] - 1): one}
+        ),
+        None,
+    )
+    checks.append(
+        _check(
+            "eval-levi-embedding",
+            {"shape": lctx.shape.m},
+            bad is None,
+            None if bad is None else f"violation at {bad}",
+        )
+    )
     return checks

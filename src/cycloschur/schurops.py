@@ -2,9 +2,17 @@
 
 A generator never materializes as a matrix: applied to the cyclic vector
 m_mu it returns a target weight nu and a right factor h with value
-m_nu * h, and operator words compose by multiplying the right factors.
-Operator equality is decided pointwise over all weights of Lambda_{n,r}(m)
-through the exact Hecke engine.
+m_nu * h.  The generators are right H-linear (the Schur algebra is
+sum Hom_H(M^mu, M^nu) with M^nu = m_nu H), so a label sequence maps m_mu to
+m_nu * h with h the product of its generators' right factors, and a word
+maps m_mu to sum_nu m_nu * H_nu.  ``seq_factor`` caches the pair (nu, h) of
+each label sequence at each weight, sharing prefixes; ``right_factors``
+collects the H_nu of a word.  Operator equality is decided pointwise over
+all weights of Lambda_{n,r}(m) through the exact Hecke engine: two words
+agree at mu when sum_nu m_nu * (A_nu - B_nu) is zero, so m_nu is multiplied
+in once per target weight whose right factors differ.  Differing right
+factors alone do not decide: m_nu can kill the difference (it does in
+R6-diagonal at a junction, through its (L_N - Q_k) factors).
 
 Generator labels are tuples:
     ("K", sign, pos)        sign in {+1, -1}, pos in 1..m
@@ -25,7 +33,7 @@ from itertools import product
 from . import combinatorics as comb
 from . import symfun
 from .coeff import divexact, qfactorial, qint
-from .hecke import HeckeContext, m_mu, phi_jm, t_bracket
+from .hecke import EngineError, HeckeContext, m_mu, phi_jm, t_bracket
 from .reporting import check as _check
 
 
@@ -155,7 +163,7 @@ class SchurContext:
         nu, h = out
         closed = self.expand(nu, h)
         if inductive != closed:
-            raise AssertionError(
+            raise EngineError(
                 f"closed form and inductive definition disagree for {label} at {mu}"
             )
 
@@ -166,38 +174,68 @@ class SchurContext:
             return self.hctx.zero()
         return self.m(nu) * h
 
-    def apply_seq(self, labels, mu):
+    def seq_factor(self, labels, mu):
+        """The sequence applied to m_mu (rightmost label first) as (nu, h)
+        with value m_nu * h, or (None, None) when it vanishes.  Cached per
+        (labels, mu); labels[:-1] is looked up at the intermediate weight, so
+        sequences that share a prefix share its factor."""
         key = (labels, mu)
         cached = self._seq_cache.get(key)
         if cached is not None:
             return cached
-        nu = mu
-        h = self.hctx.one()
-        dead = False
-        for label in reversed(labels):
-            nu2, h2 = self.apply_gen(label, nu)
-            if nu2 is None or h2.is_zero:
-                dead = True
-                break
-            h = h2 * h
-            nu = nu2
-        value = self.hctx.zero() if dead else self.expand(nu, h)
-        self._seq_cache[key] = value
-        return value
+        if not labels:
+            out = (mu, self.hctx.one())
+        else:
+            out = (None, None)
+            nu1, h1 = self.apply_gen(labels[-1], mu)
+            if nu1 is not None and not h1.is_zero:
+                nu, rest = self.seq_factor(labels[:-1], nu1)
+                if nu is not None:
+                    h = rest * h1
+                    if not h.is_zero:
+                        out = (nu, h)
+        self._seq_cache[key] = out
+        return out
 
-    def apply_word(self, word, mu):
-        total = self.hctx.zero()
+    def right_factors(self, word, mu):
+        """The word applied to m_mu as {nu: H_nu}, the value being
+        sum_nu m_nu * H_nu; an H_nu may be zero after cancellation."""
+        out = {}
         for coeff, labels in word:
             if coeff.is_zero:
                 continue
-            total = total + self.apply_seq(labels, mu).scale(coeff)
+            nu, h = self.seq_factor(labels, mu)
+            if nu is None:
+                continue
+            h = h.scale(coeff)
+            out[nu] = out[nu] + h if nu in out else h
+        return out
+
+    def apply_seq(self, labels, mu):
+        """The sequence applied to m_mu, expanded in the Hecke algebra."""
+        return self.expand(*self.seq_factor(labels, mu))
+
+    def apply_word(self, word, mu):
+        """The word applied to m_mu, expanded in the Hecke algebra."""
+        return self.word_difference(word, (), mu)
+
+    def word_difference(self, a, b, mu):
+        """apply_word(a, mu) - apply_word(b, mu), computed as
+        sum_nu m_nu * (A_nu - B_nu) over the weights nu whose right factors
+        differ."""
+        fa, fb = self.right_factors(a, mu), self.right_factors(b, mu)
+        zero = self.hctx.zero()
+        total = zero
+        for nu in fa.keys() | fb.keys():
+            diff = fa.get(nu, zero) - fb.get(nu, zero)
+            total = total + self.expand(nu, diff)
         return total
 
     def op_equal(self, a, b):
         """Pointwise operator equality over every weight; returns
         (ok, witness weight or None)."""
         for mu in self.weights:
-            if self.apply_word(a, mu) != self.apply_word(b, mu):
+            if not self.word_difference(a, b, mu).is_zero:
                 return False, mu
         return True, None
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycloschur.hecke as hecke_mod
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import (
+    EngineError,
     HeckeContext,
     divided_t_bracket,
     elem_to_json,
@@ -123,6 +125,21 @@ class TestAlgebraAxioms:
         both = ctx.normalize([w1, w2])
         assert both == ctx.normalize([w1]) + ctx.normalize([w2])
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_results_store_no_zero_coefficient(self, data):
+        # the operations build their term dicts without a cleaning pass
+        ctx = HeckeContext(3, 2)
+        x = ctx.normalize([data.draw(short_words(ctx))])
+        y = ctx.normalize([data.draw(short_words(ctx))])
+        results = [
+            x + y, x - y, x - x, -x, x * y, x.scale(ctx.ring.qq_comm()),
+            x.shift_L(2, 1), ctx.lmul_gen(1, x), ctx.rmul_gen(x, 2),
+        ]
+        for elem in results:
+            assert not any(c.is_zero for c in elem.terms.values())
+        assert (x - x).terms == {}
+
 
 class TestMmu:
     def test_trivial_weight(self):
@@ -189,6 +206,13 @@ class TestDividedBrackets:
     def test_mu_less_than_d(self, ctx3):
         prod, h = divided_t_bracket(ctx3, 0, 1, 2, +1)
         assert prod.is_zero and h.is_zero
+
+    def test_reconstruction_mismatch_is_an_engine_error(self, monkeypatch):
+        ctx = HeckeContext(3, 2)
+        real = hecke_mod.stacked_bracket
+        monkeypatch.setattr(hecke_mod, "stacked_bracket", lambda *a: real(*a).scale(2))
+        with pytest.raises(EngineError, match="divided bracket mismatch"):
+            divided_t_bracket(ctx, 0, 2, 1, +1)
 
     def test_d1(self, ctx3):
         prod, h = divided_t_bracket(ctx3, 0, 2, 1, +1)

@@ -284,18 +284,34 @@ class TestChecksCanFail:
         lctx4 = LieContext(Shape((2, 2)))
         one = lctx4.ring.one
         lctx4._eval_cache[(1, 2, 0)] = {(0, 1): one + one}
-        (hom,) = _by_name(verify_eval_map(lctx4, deg_cap=1), "eval-homomorphism")
+        checks = verify_eval_map(lctx4, deg_cap=1)
+        (hom,) = _by_name(checks, "eval-homomorphism")
         assert not hom["ok"]
         assert hom["detail"].startswith("violation at ")
+        (levi,) = _by_name(checks, "eval-levi-embedding")
+        assert not levi["ok"]
+        assert levi["detail"] == "violation at (1, 2, 0)"
+        (kill,) = _by_name(checks, "eval-kills-positive-degree")
+        assert kill["ok"] and "detail" not in kill
+
+    def test_corrupt_positive_degree_eval_entry(self):
+        lctx4 = LieContext(Shape((2, 2)))
+        lctx4._eval_cache[(1, 2, 1)] = {(0, 1): lctx4.ring.one}
+        checks = verify_eval_map(lctx4, deg_cap=0)
+        (kill,) = _by_name(checks, "eval-kills-positive-degree")
+        assert not kill["ok"]
+        assert kill["detail"] == "violation at (1, 2, 1)"
 
     def test_corrupt_vtau_matrix(self):
         lctx4 = LieContext(Shape((2, 2)))
         one = lctx4.ring.one
         tau = Fraction(2)
         lctx4._vtau_cache[((1, 2, 0), tau)] = {(0, 1): one + one}
-        homs = _by_name(
-            verify_vtau(lctx4, deg_cap=1, taus=(tau, Fraction(-1, 3))),
-            "vtau-homomorphism",
-        )
+        checks = verify_vtau(lctx4, deg_cap=1, taus=(tau, Fraction(-1, 3)))
+        homs = _by_name(checks, "vtau-homomorphism")
         assert [c["ok"] for c in homs] == [False, True]
         assert homs[0]["detail"].startswith("violation at ")
+        closed = _by_name(checks, "vtau-basis-closed-form")
+        assert [c["ok"] for c in closed] == [False, True]
+        assert closed[0]["detail"] == "violation at (1, 2, 0)"
+        assert "detail" not in closed[1]

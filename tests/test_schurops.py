@@ -16,6 +16,9 @@ from cycloschur.schurops import (
     ow_mul,
     ow_qcomm,
     ow_scale,
+    ow_zero,
+    q1_relation_words,
+    relation_words,
     run_relations,
     verify_divided_powers,
     verify_hw_eigenvalues,
@@ -185,9 +188,82 @@ class TestRunRelations:
         (check,) = run_relations(sctx22, [("R4-plus", {"x": 1}, lhs, rhs)])
         assert check["ok"] is False
         assert check["params"] == {"x": 1}
-        assert check["detail"]["witness_weight"] in (
-            [list(c) for c in mu] for mu in sctx22.weights
-        )
+        assert check["detail"]["witness_weight"] == [[0, 1], [0, 1]]
+
+
+def expanded_reference(sctx, word, mu):
+    """sum_s c_s * (m_{nu_s} * h_s), each h_s multiplied out label by label
+    from apply_gen, with no sequence cache and no right-factor grouping."""
+    total = sctx.hctx.zero()
+    for coeff, labels in word:
+        nu, h = mu, sctx.hctx.one()
+        for label in reversed(labels):
+            nu, h1 = sctx.apply_gen(label, nu)
+            if nu is None:
+                break
+            h = h1 * h
+        else:
+            total = total + (sctx.m(nu) * h).scale(coeff)
+    return total
+
+
+class TestRightFactors:
+    @pytest.mark.parametrize("q_one,words", [
+        (False, relation_words), (True, q1_relation_words),
+    ])
+    def test_difference_matches_expanded_reference(self, q_one, words):
+        sctx = SchurContext(2, Shape((1, 2)), q_one=q_one)
+        zero = ow_zero()
+        nonzero = 0
+        for _name, _params, lhs, rhs in words(sctx, 1, 1, 1):
+            for mu in sctx.weights:
+                left = expanded_reference(sctx, lhs, mu)
+                right = expanded_reference(sctx, rhs, mu)
+                assert sctx.word_difference(lhs, rhs, mu) == left - right
+                assert sctx.word_difference(lhs, zero, mu) == left
+                assert sctx.apply_word(rhs, mu) == right
+                nonzero += not left.is_zero
+        assert nonzero > 100
+
+    def test_m_nu_kills_differing_right_factors(self):
+        # R6-diagonal at the junction position 1 of m = (1, 2): the right
+        # factors of the two sides differ at nu = mu, m_nu times them agree
+        sctx = SchurContext(2, Shape((1, 2)))
+        assert sctx.shape.junction(1) == 1
+        ((lhs, rhs),) = [
+            (lhs, rhs)
+            for name, params, lhs, rhs in relation_words(sctx, 1, 1, 1)
+            if name == "R6-diagonal" and params == {"pos": 1, "t": 0, "s": 0}
+        ]
+        mu = ((2,), (0, 0))
+        fa, fb = sctx.right_factors(lhs, mu), sctx.right_factors(rhs, mu)
+        assert set(fa) | set(fb) == {mu}
+        assert fa[mu] != fb[mu]
+        assert (sctx.m(mu) * (fa[mu] - fb[mu])).is_zero
+        assert sctx.word_difference(lhs, rhs, mu).is_zero
+        assert sctx.op_equal(lhs, rhs) == (True, None)
+
+    def test_seq_factor_is_the_product_and_caches_prefixes(self):
+        sctx = SchurContext(3, Shape((2, 2)))
+        labels = (X(-1, 2, 1), I(+1, 2, 1), X(+1, 1, 0))
+        mu = ((0, 3), (0, 0))
+        nu, h = sctx.seq_factor(labels, mu)
+        step, prod, seen = mu, sctx.hctx.one(), [(labels, mu)]
+        for k in range(len(labels), 0, -1):
+            step, h1 = sctx.apply_gen(labels[k - 1], step)
+            prod = h1 * prod
+            seen.append((labels[: k - 1], step))
+        assert nu == step == ((1, 1), (1, 0))
+        assert h == prod and not h.is_zero
+        for key in seen:
+            assert key in sctx._seq_cache
+        assert sctx._seq_cache[labels[:2], ((1, 2), (0, 0))][0] == nu
+        assert sctx.apply_seq(labels, mu) == sctx.m(nu) * prod
+
+    def test_dead_sequence(self, sctx22):
+        # X^+_1 on a weight whose successor entry is zero
+        assert sctx22.seq_factor((X(+1, 1, 0),), ((2, 0), (0, 0))) == (None, None)
+        assert sctx22.apply_seq((X(+1, 1, 0),), ((2, 0), (0, 0))).is_zero
 
 
 class TestHwEigenvalues:
