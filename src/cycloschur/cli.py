@@ -5,7 +5,8 @@ report (schema 2); ``cycloschur compute`` evaluates characters, LR data,
 symmetric polynomials, tableaux, and Lie structure constants as JSON.
 
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage or
-parse error, 3 an engine self-check failed (a fault in the engine).
+parse error (a ``ParseError`` raised at this edge, or an argparse failure),
+3 an engine self-check failed or any other exception (a fault in the program).
 """
 
 from __future__ import annotations
@@ -58,6 +59,27 @@ class RunConfig:
             "seed": self.seed,
             "q1": self.q1,
         }
+
+
+def at_least(what, value, least):
+    if value < least:
+        raise ParseError(f"{what} must be at least {least}", str(value), 0)
+    return value
+
+
+def parse_int(text, what, least=None):
+    """``int(text)``, or a ParseError naming ``what``; with ``least``, the
+    value must also be at least that."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer", text, 0) from None
+    return value if least is None else at_least(what, value, least)
+
+
+def parse_blocks(text):
+    """The comma-separated block sizes of ``-m``, each a positive integer."""
+    return tuple(parse_int(x, "block size", least=1) for x in text.split(","))
 
 
 def parse_multipartition(text):
@@ -256,7 +278,9 @@ def cmd_compute(args):
             "terms": sorted(terms, key=lambda item: item["nu"]),
         }
     elif args.query == "phi":
-        t, k, sign_txt = int(args.args[0]), int(args.args[1]), args.args[2]
+        t = parse_int(args.args[0], "t")
+        k = parse_int(args.args[1], "k", least=1)
+        sign_txt = args.args[2]
         if sign_txt not in ("+", "-"):
             raise ParseError("sign must be + or -", sign_txt, 0)
         ring = LaurentRing(r)
@@ -368,13 +392,12 @@ def main(argv=None):
                 for s in suites:
                     if s not in SUITES:
                         raise ParseError(f"unknown suite {s!r}", args.suite, 0)
-            m = tuple(int(x) for x in args.m.split(","))
+            m = parse_blocks(args.m)
             if len(m) != args.r:
                 raise ParseError("m must list exactly r block sizes", args.m, 0)
             for flag, value, least in (("-n", args.n, 0), ("--deg", args.deg, 0),
                                        ("--dmax", args.dmax, 1)):
-                if value < least:
-                    raise ParseError(f"{flag} must be at least {least}", str(value), 0)
+                at_least(flag, value, least)
             config = RunConfig(
                 n=args.n,
                 r=args.r,
@@ -395,7 +418,8 @@ def main(argv=None):
                     " ".join(args.args),
                     0,
                 )
-            args.m = tuple(int(x) for x in str(args.m).split(","))
+            args.m = parse_blocks(args.m)
+            at_least("-r", args.r, 1)
             return cmd_compute(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -403,9 +427,9 @@ def main(argv=None):
     except hecke.EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 2
 
 

@@ -159,10 +159,9 @@ class SchurContext:
             word = ow_neg(
                 ow_commutator(ow(ring, I(-1, pos, 1)), ow(ring, X(-1, pos, t - 1)))
             )
-        inductive = self.apply_word(word, mu)
         nu, h = out
-        closed = self.expand(nu, h)
-        if inductive != closed:
+        closed = {} if nu is None else {nu: h}
+        if not self.factor_difference(self.right_factors(word, mu), closed).is_zero:
             raise EngineError(
                 f"closed form and inductive definition disagree for {label} at {mu}"
             )
@@ -215,15 +214,17 @@ class SchurContext:
         """The sequence applied to m_mu, expanded in the Hecke algebra."""
         return self.expand(*self.seq_factor(labels, mu))
 
-    def apply_word(self, word, mu):
-        """The word applied to m_mu, expanded in the Hecke algebra."""
-        return self.word_difference(word, (), mu)
-
     def word_difference(self, a, b, mu):
-        """apply_word(a, mu) - apply_word(b, mu), computed as
-        sum_nu m_nu * (A_nu - B_nu) over the weights nu whose right factors
-        differ."""
-        fa, fb = self.right_factors(a, mu), self.right_factors(b, mu)
+        """Word a minus word b applied to m_mu, expanded in the Hecke algebra
+        as sum_nu m_nu * (A_nu - B_nu) over the weights nu whose right
+        factors differ; word b = () gives the value of word a."""
+        return self.factor_difference(
+            self.right_factors(a, mu), self.right_factors(b, mu)
+        )
+
+    def factor_difference(self, fa, fb):
+        """sum_nu m_nu * (fa[nu] - fb[nu]) for right factors {nu: H_nu}; m_nu
+        is multiplied in only where the factors differ."""
         zero = self.hctx.zero()
         total = zero
         for nu in fa.keys() | fb.keys():

@@ -149,6 +149,32 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "hecke", "-r", "2", "-m", "2,x"],
+        ["verify", "--suite", "hecke", "-r", "2", "-m", "0,2"],
+        ["compute", "phi", "2", "0", "+"],
+        ["compute", "phi", "x", "2", "+"],
+        ["compute", "phi", "1", "2", "+", "-r", "0"],
+    ])
+    def test_bad_input_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(self, a, b):
+            raise ValueError("broken multiply")
+
+        monkeypatch.setattr(hecke.HeckeContext, "mul", broken)
+        argv = ["verify", "--suite", "hecke", "-n", "2", "-r", "1", "-m", "2"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("internal error: ")
+
     def test_points_option_removed(self, capsys):
         assert main(["verify", "--suite", "lie", "--points", "3"]) == 2
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycloschur.hecke as hecke_mod
+from cycloschur import combinatorics as comb
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import (
     EngineError,
@@ -24,10 +25,12 @@ from cycloschur.hecke import (
     verify_hecke,
     verify_jm_normal_form,
     verify_L_commutes_bracket,
+    verify_m_mu_L_T,
+    verify_m_mu_L_T_etc,
     verify_m_mu_T,
     young_subgroup_sum,
 )
-from cycloschur.reporting import failures
+from cycloschur.reporting import check, failures
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,40 @@ class TestAlgebraAxioms:
         for elem in results:
             assert not any(c.is_zero for c in elem.terms.values())
         assert (x - x).terms == {}
+
+
+@st.composite
+def factor_products(draw, ctx, shape):
+    """A product of one to three factors, each a T_i, an L_j^e, a bracket
+    [T; N, mu]^{sign} or an m_mu."""
+    weights = comb.enumerate_compositions(ctx.n, shape)
+    out = ctx.one()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            factor = ctx.T(draw(st.integers(1, ctx.n - 1)))
+        elif kind == 1:
+            factor = ctx.L(draw(st.integers(1, ctx.n)), draw(st.integers(1, 2)))
+        elif kind == 2:
+            sign = draw(st.sampled_from((+1, -1)))
+            N = draw(st.integers(0, ctx.n))
+            factor = t_bracket(ctx, N, draw(st.integers(1, ctx.n)), sign)
+        else:
+            factor = m_mu(ctx, draw(st.sampled_from(weights)), shape)
+        out = out * factor
+    return out
+
+
+class TestAssociativity:
+    # the m_mu identities are decided as m_mu * (X - Y), so mul must be
+    # associative on the factors they use
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_products_of_suite_factors(self, data):
+        ctx = HeckeContext(3, 2)
+        shape = Shape((1, 2))
+        a, b, c = (data.draw(factor_products(ctx, shape)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
 
 
 class TestMmu:
@@ -272,3 +309,194 @@ class TestSuiteSmall:
         checks = verify_hecke(ctx, Shape((2, 2)), t_comm=3, t_mmult=2, t_etc=2, dmax=2)
         bad = failures(checks)
         assert not bad, bad[:3]
+
+
+def _reference_m_mu_L_T(ctx, shape, tmax=3):
+    """The m-mu-L-T relations as left-associated chains on m_mu, compared
+    with ==."""
+    checks = []
+    ring = ctx.ring
+    for mu in comb.enumerate_compositions(ctx.n, shape):
+        mm = m_mu(ctx, mu, shape)
+        flat = comb.flatten(mu)
+        for pos in shape.positions():
+            N = comb.jm_position(mu, shape.node(pos), shape)
+            entry = flat[pos - 1]
+            if entry:
+                for t in range(0, tmax + 1):
+                    lnt = mm if t == 0 else mm * ctx.L(N, t)
+                    for p in range(1, entry + 1):
+                        lhs = lnt * t_bracket(ctx, N, p, -1)
+                        dec = list(range(N, N - p, -1))
+                        rhs = (mm * phi_jm(ctx, t, +1, dec)).scale(
+                            ring.q_pow(2 * p - 2)
+                        )
+                        params = {"mu": mu, "pos": pos, "t": t, "p": p}
+                        checks.append(check("m-mu-L-T-i", params, lhs == rhs))
+            if pos >= shape.total:
+                continue
+            succ = flat[pos]
+            if succ:
+                for t in range(0, tmax + 1):
+                    lnt = mm if t == 0 else mm * ctx.L(N + 1, t)
+                    for p in range(1, succ + 1):
+                        lhs = lnt * t_bracket(ctx, N, p, +1)
+                        rhs = mm * phi_jm(ctx, t, -1, list(range(N + 1, N + p + 1)))
+                        params = {"mu": mu, "pos": pos, "t": t, "p": p}
+                        checks.append(check("m-mu-L-T-ii", params, lhs == rhs))
+    return checks
+
+
+def _reference_m_mu_L_T_etc(ctx, shape, tmax=2):
+    """The four mixed-bracket expansions as left-associated chains on m_mu,
+    compared with ==."""
+    checks = []
+    ring = ctx.ring
+    qq = ring.qq_comm()
+    for mu in comb.enumerate_compositions(ctx.n, shape):
+        mm = m_mu(ctx, mu, shape)
+        flat = comb.flatten(mu)
+        for pos in range(1, shape.total):
+            N = comb.jm_position(mu, shape.node(pos), shape)
+            mi = flat[pos - 1]
+            mi1 = flat[pos]
+            dec = list(range(N, N - mi, -1))
+            inc = list(range(N + 1, N + mi1 + 1))
+            for t in range(0, tmax + 1):
+                params = {"mu": mu, "pos": pos, "t": t}
+                lnt = mm if (t == 0 or N == 0) else mm * ctx.L(N, t)
+                if mi != 0:
+                    b_plus = t_bracket(ctx, N - 1, mi1 + 1, +1)
+                    b_minus = t_bracket(ctx, N, mi, -1)
+                    lhs1 = lnt * b_plus * b_minus
+                    rhs1 = (mm * phi_jm(ctx, t, +1, dec)).scale(ring.q_pow(2 * mi - 2))
+                    if mi1 != 0:
+                        rhs1 = rhs1 + lnt * (
+                            t_bracket(ctx, N + 1, mi + 1, -1) - ctx.one()
+                        ) * t_bracket(ctx, N, mi1, +1)
+                    checks.append(check("m-mu-L-T-etc-i", params, lhs1 == rhs1))
+                    lhs2 = lnt * b_plus * ctx.L(N) * b_minus
+                    rhs2 = (mm * phi_jm(ctx, t + 1, +1, dec)).scale(
+                        ring.q_pow(2 * mi - 2)
+                    )
+                    if mi1 != 0:
+                        rhs2 = rhs2 - (
+                            mm * phi_jm(ctx, t, +1, dec) * phi_jm(ctx, 1, -1, inc)
+                        ).scale(qq * ring.q_pow(2 * mi - 1))
+                    diff2 = b_plus - ctx.one()
+                    if not diff2.is_zero:
+                        rhs2 = rhs2 + lnt * ctx.L(N + 1) * diff2 * b_minus
+                    checks.append(check("m-mu-L-T-etc-ii", params, lhs2 == rhs2))
+                if mi1 != 0:
+                    b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
+                    b_plus0 = t_bracket(ctx, N, mi1, +1)
+                    lt = ctx.L(N + 1, t) if t else ctx.one()
+                    head = ring.one
+                    if t != 0:
+                        head = head + (ring.q_pow(2 * mi) - ring.one)
+                    cross = ctx.zero()
+                    cross4 = ctx.zero()
+                    if mi != 0:
+                        for b in range(1, t):
+                            low = mm * phi_jm(ctx, t - b, +1, dec)
+                            scale = qq * ring.q_pow(2 * mi - 1)
+                            cross = cross + (low * phi_jm(ctx, b, -1, inc)).scale(scale)
+                            cross4 = cross4 + (
+                                low * phi_jm(ctx, b + 1, -1, inc)
+                            ).scale(scale)
+                    tail = lnt * (b_minus1 - ctx.one()) * b_plus0
+                    lhs3 = mm * b_minus1 * lt * b_plus0
+                    rhs3 = (mm * phi_jm(ctx, t, -1, inc)).scale(head) + cross + tail
+                    checks.append(check("m-mu-L-T-etc-iii", params, lhs3 == rhs3))
+                    lhs4 = mm * ctx.L(N + 1) * b_minus1 * lt * b_plus0
+                    rhs4 = (
+                        (mm * phi_jm(ctx, t + 1, -1, inc)).scale(head)
+                        + cross4
+                        + lnt * ctx.L(N + 1) * (b_minus1 - ctx.one()) * b_plus0
+                    )
+                    checks.append(check("m-mu-L-T-etc-iv", params, lhs4 == rhs4))
+    return checks
+
+
+def _verdicts(checks):
+    return [(c["check"], c["params"], c["ok"]) for c in checks]
+
+
+M_MU_FAMILIES = {
+    "m-mu-L-T-i", "m-mu-L-T-ii",
+    "m-mu-L-T-etc-i", "m-mu-L-T-etc-ii", "m-mu-L-T-etc-iii", "m-mu-L-T-etc-iv",
+}
+
+
+class TestMmuDifferences:
+    """The m_mu identities are decided as m_mu * (X - Y) == 0."""
+
+    @pytest.mark.parametrize("m", [(1, 2), (2, 2)])
+    def test_verdicts_match_left_associated_reference(self, m):
+        ctx = HeckeContext(3, 2)
+        shape = Shape(m)
+        new = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
+        ref = _reference_m_mu_L_T(ctx, shape) + _reference_m_mu_L_T_etc(ctx, shape)
+        assert _verdicts(new) == _verdicts(ref)
+        assert {c["check"] for c in new} == M_MU_FAMILIES
+
+    @pytest.mark.parametrize("m", [(1, 2), (2, 2)])
+    def test_failures_match_reference_under_a_broken_phi(self, monkeypatch, m):
+        real = hecke_mod.phi_jm
+        monkeypatch.setattr(hecke_mod, "phi_jm", lambda *a: real(*a).scale(2))
+        monkeypatch.setitem(globals(), "phi_jm", hecke_mod.phi_jm)
+        ctx = HeckeContext(3, 2)
+        shape = Shape(m)
+        new = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
+        ref = _reference_m_mu_L_T(ctx, shape) + _reference_m_mu_L_T_etc(ctx, shape)
+        assert _verdicts(new) == _verdicts(ref)
+        assert failures(new)
+
+    def test_m_mu_kills_a_nonzero_difference(self):
+        # m-mu-L-T-ii at mu = ((0,), (1, 2)), pos 2, t 0, p 2: the bracket
+        # [T; 1, 2]^+ and Phi_0^- of L_2, L_3 differ, and m_mu = 1 + q T_2
+        # kills the difference, so the check passes only through m_mu
+        ctx = HeckeContext(3, 2)
+        shape = Shape((1, 2))
+        mu = ((0,), (1, 2))
+        diff = t_bracket(ctx, 1, 2, +1) - phi_jm(ctx, 0, -1, [2, 3])
+        assert not diff.is_zero
+        assert (m_mu(ctx, mu, shape) * diff).is_zero
+        (pinned,) = [
+            c for c in verify_m_mu_L_T(ctx, shape)
+            if c["check"] == "m-mu-L-T-ii"
+            and c["params"] == {"mu": [[0], [1, 2]], "pos": 2, "t": 0, "p": 2}
+        ]
+        assert pinned["ok"] and "detail" not in pinned
+
+    def test_every_family_can_fail_with_detail(self, monkeypatch):
+        real = hecke_mod.phi_jm
+        monkeypatch.setattr(hecke_mod, "phi_jm", lambda *a: real(*a).scale(2))
+        ctx = HeckeContext(3, 2)
+        shape = Shape((2, 2))
+        checks = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
+        failed = failures(checks)
+        assert {c["check"] for c in failed} == M_MU_FAMILIES
+        for c in failed:
+            terms = c["detail"]["lhs_minus_rhs"]
+            assert 1 <= len(terms) <= 3
+            keys = [(t["L"], t["w"]) for t in terms]
+            assert keys == sorted(keys)
+        assert all("detail" not in c for c in checks if c["ok"])
+
+    def test_detail_is_the_leading_terms_of_the_difference(self, monkeypatch):
+        real = hecke_mod.phi_jm
+        monkeypatch.setattr(hecke_mod, "phi_jm", lambda *a: real(*a).scale(2))
+        ctx = HeckeContext(3, 2)
+        shape = Shape((1, 2))
+        mu = ((0,), (1, 2))
+        (c,) = [
+            c for c in verify_m_mu_L_T(ctx, shape)
+            if c["check"] == "m-mu-L-T-ii"
+            and c["params"] == {"mu": [[0], [1, 2]], "pos": 2, "t": 1, "p": 2}
+        ]
+        mm = m_mu(ctx, mu, shape)
+        lhs = mm * ctx.L(2) * t_bracket(ctx, 1, 2, +1)
+        rhs = mm * real(ctx, 1, -1, [2, 3]).scale(2)
+        assert not c["ok"]
+        assert c["detail"] == {"lhs_minus_rhs": elem_to_json(lhs - rhs)[:3]}

@@ -221,7 +221,7 @@ class TestRightFactors:
                 right = expanded_reference(sctx, rhs, mu)
                 assert sctx.word_difference(lhs, rhs, mu) == left - right
                 assert sctx.word_difference(lhs, zero, mu) == left
-                assert sctx.apply_word(rhs, mu) == right
+                assert sctx.word_difference(rhs, zero, mu) == right
                 nonzero += not left.is_zero
         assert nonzero > 100
 
