@@ -11,22 +11,53 @@ expected to hold already in this model (the suites would expose it if one
 did not).  The suite's identities m_mu X = m_mu Y on the permutation module
 M^mu = m_mu H are decided as m_mu (X - Y) = 0, with X - Y built from the
 small factors, so m_mu is multiplied in once per check.
+
+An element is one flat dict {(key, w): coefficient}: the coefficient is an
+``int``, or a ``Fraction`` when it is not integral, never zero, and ``key``
+is one ``int`` packing the exponents of the monomial
+L_1^{c_1} ... L_n^{c_n} q^{e} Q_0^{f_0} ... Q_{r-1}^{f_{r-1}}.  Each
+exponent has a 16-bit slot, L_1 lowest, then L_2, ..., L_n, q, Q_0, ...,
+Q_{r-1}; the slot holds the exponent plus 8192, so every exponent lies in
+[-8192, 8191].  The two top bits of a slot are guard bits, clear in every
+valid key: a sum of two valid keys (less the bias) that leaves the range in
+some slot sets a guard bit there instead of carrying into the next slot, and
+the engine raises ``EngineError`` for it.  Products therefore add keys and
+multiply integers and allocate no ``MultiLaurent``.  At the boundary,
+``HeckeContext.term``, ``phi_jm`` and ``young_subgroup_sum`` take
+``(c, w) -> MultiLaurent`` input, and ``HeckeElem.grouped`` gives that view
+back (``sorted_terms``, ``elem_to_json`` and ``repr`` read it).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import add
 
 from . import combinatorics as comb
 from . import symfun
-from .coeff import LaurentRing, ml_to_json
+from .coeff import LaurentRing, MultiLaurent, _exact, ml_to_json
+
+# packed exponent keys: slot width, bias, slot mask and the two guard bits
+_W = 16
+_BIAS = 1 << (_W - 3)
+_MASK = (1 << _W) - 1
+_GUARD = 3 << (_W - 2)
 
 
 class EngineError(Exception):
     """An engine self-check failed: a fault in the algebra engine itself, not
     a failed verification."""
+
+
+def _overflow():
+    return EngineError(
+        f"exponent outside the packed key range [{-_BIAS}, {_BIAS - 1}]"
+    )
+
+
+def _clean(out):
+    """The accumulated terms without zeros, integral Fractions as ints."""
+    return {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
 
 
 def perm_id(n):
@@ -65,6 +96,11 @@ class HeckeContext:
         self._zero_c = (0,) * n
         self._rw_cache = {self._id: ()}
         self._mmu_cache = {}
+        slots = range(n + 1 + r)
+        self._origin = sum(_BIAS << (_W * s) for s in slots)  # key of 1
+        self._guard = sum(_GUARD << (_W * s) for s in slots)
+        # key step of q^1; 0 at q = 1, where no (q - q^{-1}) term is emitted
+        self._qstep = 0 if q_one else 1 << (_W * n)
 
     def reduced_word(self, w):
         cached = self._rw_cache.get(w)
@@ -73,18 +109,41 @@ class HeckeContext:
             self._rw_cache[w] = cached
         return cached
 
+    # -- packed keys --------------------------------------------------------
+
+    def _delta(self, slot, exps):
+        """The key shift adding exps to consecutive slots from ``slot`` on."""
+        delta = 0
+        for s, e in enumerate(exps, slot):
+            if not -_BIAS <= e < _BIAS:
+                raise _overflow()
+            delta += e << (_W * s)
+        return delta
+
+    def _unpack(self, key):
+        """(L-exponents, ring exponents (q, Q_0, ...)) of a packed key."""
+        exps = [((key >> (_W * s)) & _MASK) - _BIAS for s in range(self.n + 1 + self.r)]
+        return tuple(exps[: self.n]), tuple(exps[self.n :])
+
+    def from_grouped(self, terms):
+        """The element with terms {(c, w): MultiLaurent}."""
+        flat = {}
+        for (c, w), coeff in terms.items():
+            base = self._origin + self._delta(0, c)
+            for exps, x in coeff.terms.items():
+                flat[(base + self._delta(self.n, exps), tuple(w))] = x
+        return HeckeElem(self, flat)
+
     # -- constructors -------------------------------------------------------
 
     def zero(self):
         return HeckeElem(self, {})
 
     def one(self):
-        return HeckeElem(self, {(self._zero_c, self._id): self.ring.one})
+        return HeckeElem(self, {(self._origin, self._id): 1})
 
     def term(self, c, w, coeff):
-        if coeff.is_zero:
-            return self.zero()
-        return HeckeElem(self, {(tuple(c), tuple(w)): coeff})
+        return self.from_grouped({(tuple(c), tuple(w)): coeff})
 
     def L(self, j, e=1):
         """The Jucys-Murphy monomial L_j^e (1 <= j <= n)."""
@@ -118,95 +177,97 @@ class HeckeContext:
 
     def lmul_gen(self, i, elem):
         """Left multiplication by T_i (1 <= i <= n-1)."""
-        ring = self.ring
-        qq = ring.qq_comm()
         out = {}
-        ia, ib = i - 1, i
-        for (c, w), coeff in elem.terms.items():
-            a = c[ia]
-            b = c[ib]
-            m = a if a < b else b
-            # T_i commutes with (L_i L_{i+1})^m; the excess on one side is
-            # pushed through with the Jucys-Murphy rules
-            base = list(c)
-            base[ia] = m
-            base[ib] = m
-            a -= m
-            b -= m
-            if a == 0 and b == 0:
-                self._acc_T_left(out, i, tuple(base), w, coeff)
-            elif a:
-                # T_i L_i^a = L_{i+1}^a T_i - (q - q^{-1}) sum_{s<a} L_{i+1}^{a-s} L_i^s
-                e1 = list(base)
-                e1[ib] += a
-                self._acc_T_left(out, i, tuple(e1), w, coeff)
-                if not qq.is_zero:
-                    mqq = qq * coeff
-                    for s in range(a):
-                        e2 = list(base)
-                        e2[ib] += a - s
-                        e2[ia] += s
-                        _acc(out, (tuple(e2), w), -mqq)
-            else:
-                # T_i L_{i+1}^b = L_i^b T_i + (q - q^{-1}) sum_{1<=s<=b} L_i^{b-s} L_{i+1}^s
-                e1 = list(base)
-                e1[ia] += b
-                self._acc_T_left(out, i, tuple(e1), w, coeff)
-                if not qq.is_zero:
-                    mqq = qq * coeff
-                    for s in range(1, b + 1):
-                        e2 = list(base)
-                        e2[ia] += b - s
-                        e2[ib] += s
-                        _acc(out, (tuple(e2), w), mqq)
-        return HeckeElem._make(self, out)
+        get = out.get
+        qstep = self._qstep
+        guard = self._guard
+        sh = _W * (i - 1)
+        # adding swap moves one unit of exponent from L_i to L_{i+1}
+        swap = (1 << (sh + _W)) - (1 << sh)
+        for (key, w), coeff in elem.terms.items():
+            # d = c_i - c_{i+1}; T_i commutes with (L_i L_{i+1})^min and
+            # T_i L^c = L^{s_i c} T_i + (q - q^{-1}) terms between the two
+            d = ((key >> sh) & _MASK) - ((key >> (sh + _W)) & _MASK)
+            e1 = key + d * swap
+            self._acc_T_left(out, i, e1, w, coeff)
+            if d and qstep:
+                if (key + qstep) & guard or (key - qstep) & guard:
+                    raise _overflow()
+                if d > 0:
+                    # T_i L_i^d = L_{i+1}^d T_i - (q - q^{-1}) sum_{s<d} L_{i+1}^{d-s} L_i^s
+                    k, step, c = e1, -swap, -coeff
+                else:
+                    # T_i L_{i+1}^-d = L_i^-d T_i
+                    #                  + (q - q^{-1}) sum_{1<=s<=-d} L_i^{-d-s} L_{i+1}^s
+                    k, step, c = e1 + swap, swap, coeff
+                for _ in range(abs(d)):
+                    kp = (k + qstep, w)
+                    km = (k - qstep, w)
+                    out[kp] = get(kp, 0) + c
+                    out[km] = get(km, 0) - c
+                    k += step
+        return HeckeElem(self, _clean(out))
 
-    def _acc_T_left(self, out, i, c, w, coeff):
+    def _acc_T_left(self, out, i, key, w, coeff):
         # T_i T_w in normal form
         p1 = w.index(i - 1)
         p2 = w.index(i)
         w2 = list(w)
         w2[p1], w2[p2] = i, i - 1
-        w2 = tuple(w2)
-        if p1 < p2:
-            _acc(out, (c, w2), coeff)
-        else:
-            _acc(out, (c, w2), coeff)
-            _acc(out, (c, w), self.ring.qq_comm() * coeff)
+        k = (key, tuple(w2))
+        out[k] = out.get(k, 0) + coeff
+        if p1 > p2:
+            self._acc_qq(out, key, w, coeff)
+
+    def _acc_qq(self, out, key, w, coeff):
+        # (q - q^{-1}) coeff L^c T_w: two terms, none at q = 1
+        qstep = self._qstep
+        if qstep:
+            if (key + qstep) & self._guard or (key - qstep) & self._guard:
+                raise _overflow()
+            kp = (key + qstep, w)
+            km = (key - qstep, w)
+            out[kp] = out.get(kp, 0) + coeff
+            out[km] = out.get(km, 0) - coeff
 
     def rmul_gen(self, elem, i):
         """Right multiplication by T_i (1 <= i <= n-1)."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"T_{i} out of range")
         out = {}
-        qq = self.ring.qq_comm()
-        for (c, w), coeff in elem.terms.items():
+        for (key, w), coeff in elem.terms.items():
             w2 = list(w)
             w2[i - 1], w2[i] = w2[i], w2[i - 1]
-            w2 = tuple(w2)
-            if w[i - 1] < w[i]:
-                _acc(out, (c, w2), coeff)
-            else:
-                _acc(out, (c, w2), coeff)
-                _acc(out, (c, w), qq * coeff)
-        return HeckeElem._make(self, out)
+            k = (key, tuple(w2))
+            out[k] = out.get(k, 0) + coeff
+            if w[i - 1] > w[i]:
+                self._acc_qq(out, key, w, coeff)
+        return HeckeElem(self, _clean(out))
 
     def mul(self, a, b):
         if a.ctx is not b.ctx:
             raise ValueError("elements from different contexts")
-        out = {}
+        if not a.terms or not b.terms:
+            return self.zero()
+        guard = self._guard
+        origin = self._origin
         by_w = {}
-        for (c, w), coeff in a.terms.items():
-            by_w.setdefault(w, []).append((c, coeff))
+        for (key, w), coeff in a.terms.items():
+            by_w.setdefault(w, []).append((key - origin, coeff))
+        out = {}
+        get = out.get
         for w, pairs in by_w.items():
             pushed = b
             for i in reversed(self.reduced_word(w)):
                 pushed = self.lmul_gen(i, pushed)
-            for (c2, w2), coeff2 in pushed.terms.items():
-                for c, coeff in pairs:
-                    key = (tuple(map(add, c, c2)), w2)
-                    _acc(out, key, coeff * coeff2)
-        return HeckeElem._make(self, out)
+            for (key2, w2), coeff2 in pushed.terms.items():
+                for shift, coeff in pairs:
+                    key = shift + key2
+                    if key & guard:
+                        raise _overflow()
+                    k = (key, w2)
+                    out[k] = get(k, 0) + coeff * coeff2
+        return HeckeElem(self, _clean(out))
 
     # -- words --------------------------------------------------------------
 
@@ -241,36 +302,16 @@ class HeckeContext:
         return [("T", i) for i in gens]
 
 
-def _acc(out, key, ml):
-    if ml.is_zero:
-        return
-    cur = out.get(key)
-    if cur is None:
-        out[key] = ml
-    else:
-        s = cur + ml
-        if s.is_zero:
-            del out[key]
-        else:
-            out[key] = s
-
-
 class HeckeElem:
-    """Normal-form element: dict (L-exponents, permutation) -> coefficient."""
+    """Normal-form element: dict (packed exponent key, permutation) ->
+    nonzero int or Fraction coefficient (see the module docstring)."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
+        # terms must already be zero-free, with integral values as ints
         self.ctx = ctx
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero}
-
-    @classmethod
-    def _make(cls, ctx, clean_terms):
-        # internal fast path: clean_terms must already be zero-free
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.terms = clean_terms
-        return self
+        self.terms = terms
 
     @property
     def is_zero(self):
@@ -282,16 +323,24 @@ class HeckeElem:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((k, hash(v)) for k, v in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            _acc(out, k, v)
-        return HeckeElem._make(self.ctx, out)
+            s = out.get(k)
+            if s is None:
+                out[k] = v
+            else:
+                s += v
+                if s:
+                    out[k] = s if type(s) is int else _exact(s)
+                else:
+                    del out[k]
+        return HeckeElem(self.ctx, out)
 
     def __neg__(self):
-        return HeckeElem._make(self.ctx, {k: -v for k, v in self.terms.items()})
+        return HeckeElem(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -299,27 +348,48 @@ class HeckeElem:
     def __mul__(self, other):
         return self.ctx.mul(self, other)
 
+    def _shifted(self, delta, coeff, out):
+        # accumulate coeff * (this element with every key shifted by delta)
+        guard = self.ctx._guard
+        get = out.get
+        for (key, w), v in self.terms.items():
+            key += delta
+            if key & guard:
+                raise _overflow()
+            k = (key, w)
+            out[k] = get(k, 0) + v * coeff
+
     def scale(self, coeff):
+        """The element times a central scalar: a MultiLaurent, int or Fraction."""
+        ctx = self.ctx
         if not hasattr(coeff, "is_zero"):
-            coeff = self.ctx.ring.from_fraction(Fraction(coeff))
-        if coeff.is_zero:
-            return self.ctx.zero()
-        # a product of nonzero Laurent polynomials is nonzero
-        return HeckeElem._make(self.ctx, {k: v * coeff for k, v in self.terms.items()})
+            coeff = ctx.ring.from_fraction(Fraction(coeff))
+        out = {}
+        for exps, c in coeff.terms.items():
+            self._shifted(ctx._delta(ctx.n, exps), c, out)
+        return HeckeElem(ctx, _clean(out))
 
     def shift_L(self, j, e):
+        """The element times L_j^e."""
         out = {}
-        for (c, w), coeff in self.terms.items():
-            c2 = list(c)
-            c2[j - 1] += e
-            out[(tuple(c2), w)] = coeff
-        return HeckeElem._make(self.ctx, out)
+        self._shifted(self.ctx._delta(j - 1, (e,)), 1, out)
+        return HeckeElem(self.ctx, out)
 
     def commutator(self, other):
         return self * other - other * self
 
+    def grouped(self):
+        """The terms as {(L-exponents, permutation): MultiLaurent}."""
+        ctx = self.ctx
+        out = {}
+        for (key, w), coeff in self.terms.items():
+            c, exps = ctx._unpack(key)
+            out.setdefault((c, w), {})[exps] = coeff
+        nvars = ctx.ring.nvars
+        return {k: MultiLaurent._make(nvars, v) for k, v in out.items()}
+
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        return sorted(self.grouped().items())
 
     def __repr__(self):
         if not self.terms:
@@ -370,7 +440,7 @@ def young_subgroup_sum(ctx, mu):
                 w[off + j] = off + p
             length += inv
         terms[((0,) * ctx.n, tuple(w))] = ctx.ring.q_pow(length)
-    return HeckeElem(ctx, terms)
+    return ctx.from_grouped(terms)
 
 
 def m_mu(ctx, mu, shape):
@@ -451,23 +521,14 @@ def stacked_bracket(ctx, N, mu, d, sign):
 
 def divided_t_bracket(ctx, N, mu, d, sign):
     """The stacked bracket together with its cofactor: returns (product, h)
-    with product = (T;N,d)^{sign}! * h, built by the recursive expansion.
-    Raises EngineError if the reconstruction disagrees with the direct
-    product."""
+    with h built by the recursive expansion, so that product should equal
+    (T;N,d)^{sign}! * h (the divided-bracket-cofactor check)."""
     direct = stacked_bracket(ctx, N, mu, d, sign)
     if d == 0:
         return direct, ctx.one()
     if mu < d or direct.is_zero:
-        if not direct.is_zero:
-            raise EngineError("stacked bracket should vanish for mu < d")
         return direct, ctx.zero()
-    h = _cofactor(ctx, N, mu, d, sign)
-    recon = t_paren_factorial(ctx, N, d, sign) * h
-    if recon != direct:
-        raise EngineError(
-            f"divided bracket mismatch at N={N}, mu={mu}, d={d}, sign={sign}"
-        )
-    return direct, h
+    return direct, _cofactor(ctx, N, mu, d, sign)
 
 
 def _cofactor(ctx, N, mu, d, sign):
@@ -499,7 +560,7 @@ def phi_jm(ctx, t, sign, l_indices):
         for j, e in enumerate(exps):
             c[l_indices[j] - 1] += e
         terms[(tuple(c), perm_id(ctx.n))] = coeff
-    return HeckeElem(ctx, terms)
+    return ctx.from_grouped(terms)
 
 
 # ---------------------------------------------------------------------------

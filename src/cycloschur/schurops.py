@@ -590,16 +590,13 @@ def divided_power_image(sctx, pos, sign, t, d, mu):
     labels = tuple([X(sign, pos, t)] * d)
     value = sctx.apply_seq(labels, mu)
     fact = qfactorial(d, sctx.ring)
-    quotient_terms = {}
-    for key, coeff in value.terms.items():
-        quotient_terms[key] = divexact(coeff, fact)
-    quotient = type(value)(sctx.hctx, quotient_terms)
+    quotient = {key: divexact(coeff, fact) for key, coeff in value.grouped().items()}
     integral = all(
         c.denominator == 1 and all(x >= 0 for x in e[1:])
-        for ml in quotient.terms.values()
+        for ml in quotient.values()
         for e, c in ml.terms.items()
     )
-    return quotient, integral
+    return sctx.hctx.from_grouped(quotient), integral
 
 
 def verify_divided_powers(sctx, dmax=3, tmax=1):

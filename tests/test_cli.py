@@ -178,20 +178,25 @@ class TestVerifyCommand:
     def test_points_option_removed(self, capsys):
         assert main(["verify", "--suite", "lie", "--points", "3"]) == 2
 
-    @pytest.mark.parametrize("module,name,suite", [
-        (hecke, "stacked_bracket", ["hecke", "-n", "2", "-r", "1", "-m", "2"]),
-        (schurops, "phi_jm", ["schur", "-n", "2", "-r", "1", "-m", "2", "--deg", "1"]),
-    ])
-    def test_engine_error_exit_3(self, capsys, monkeypatch, module, name, suite):
-        # doubling one engine function makes divided_t_bracket's cofactor
-        # reconstruction, or the X_t induction check, disagree
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a: real(*a).scale(2))
-        assert main(["verify", "--suite", *suite]) == 3
+    def test_engine_error_exit_3(self, capsys, monkeypatch):
+        # doubling phi_jm makes the X_t induction check disagree
+        real = schurops.phi_jm
+        monkeypatch.setattr(schurops, "phi_jm", lambda *a: real(*a).scale(2))
+        argv = ["verify", "--suite", "schur", "-n", "2", "-r", "1", "-m", "2", "--deg", "1"]
+        assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("engine error: ")
+
+    def test_broken_stacked_bracket_fails_the_cofactor_check(self, capsys, monkeypatch):
+        # the cofactor reconstruction is a recorded check, not an engine error
+        real = hecke.stacked_bracket
+        monkeypatch.setattr(hecke, "stacked_bracket", lambda *a: real(*a).scale(2))
+        assert main(["verify", "--suite", "hecke", "-n", "2", "-r", "1", "-m", "2"]) == 1
+        failed = json.loads(capsys.readouterr().out)["suites"]["hecke"]["failed"]
+        assert any(c["check"] == "divided-bracket-cofactor" for c in failed)
+        assert all(not c["ok"] for c in failed)
 
 
 # Per-family check counts and the sha256 of the canonical ``suites`` section
@@ -218,13 +223,15 @@ PINNED_FAMILIES = {
 PINNED_SHA256 = "a257e0637ca8f48c1eb4878b076e8e547c0cd34efc3dde5f10ee8498f644a7a2"
 
 
-# The q1 and schur workloads of the benchmark at seed 0, with the digests
-# recorded in bench/expected.json.
+# The q1, schur and hecke workloads of the benchmark at seed 0, with the
+# digests recorded in bench/expected.json.
 @pytest.mark.parametrize("argv,digest", [
     (["--suite", "q1", "-n", "3", "-r", "2", "-m", "2,2"],
      "28e7fe4adf9c064cd1df46aca3ac2355a78283302d5c18dfc2c120533ac1f79e"),
     (["--suite", "schur", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2"],
      "4f887598b545da69dc477aa70926cf48cb1fbd605c5b3553cd77bea4f1df1c5b"),
+    (["--suite", "hecke", "-n", "3", "-r", "3", "-m", "2,2,2"],
+     "b8d2414b1297fc86a6152fdd1a3da40d83e25139121329801a143e0254b2526d"),
 ])
 def test_benchmark_suites_pinned(capsys, argv, digest):
     assert main(["verify", *argv, "--seed", "0"]) == 0

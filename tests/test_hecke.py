@@ -52,7 +52,7 @@ class TestPermutations:
             assert len(word) == perm_inversions(w)
             elem = ctx4.Tword(word)
             if word:
-                ((c, w2),) = elem.terms.keys()
+                ((c, w2),) = elem.grouped().keys()
                 assert c == (0, 0, 0, 0)
                 assert w2 == w
             else:
@@ -86,7 +86,7 @@ class TestNormalize:
         elem = ctx3.normalize(words)
         # renormalizing the normal form term by term is the identity
         rebuilt = ctx3.zero()
-        for (c, w), coeff in elem.terms.items():
+        for (c, w), coeff in elem.grouped().items():
             atoms = [("L", j + 1, e) for j, e in enumerate(c) if e]
             atoms += [("T", i) for i in ctx3.reduced_word(w)]
             rebuilt = rebuilt + ctx3.normalize([(coeff, atoms)])
@@ -140,7 +140,7 @@ class TestAlgebraAxioms:
             x.shift_L(2, 1), ctx.lmul_gen(1, x), ctx.rmul_gen(x, 2),
         ]
         for elem in results:
-            assert not any(c.is_zero for c in elem.terms.values())
+            assert all(elem.terms.values())
         assert (x - x).terms == {}
 
 
@@ -176,6 +176,175 @@ class TestAssociativity:
         shape = Shape((1, 2))
         a, b, c = (data.draw(factor_products(ctx, shape)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+# -- reference engine -------------------------------------------------------
+# The engine as it was before packed keys: terms {(c, w): MultiLaurent}, one
+# MultiLaurent product per coefficient.
+
+
+def _ref_acc(out, key, ml):
+    if ml.is_zero:
+        return
+    cur = out.get(key)
+    if cur is None:
+        out[key] = ml
+    else:
+        s = cur + ml
+        if s.is_zero:
+            del out[key]
+        else:
+            out[key] = s
+
+
+def _ref_acc_T_left(ring, out, i, c, w, coeff):
+    # T_i T_w in normal form
+    p1 = w.index(i - 1)
+    p2 = w.index(i)
+    w2 = list(w)
+    w2[p1], w2[p2] = i, i - 1
+    _ref_acc(out, (c, tuple(w2)), coeff)
+    if p1 > p2:
+        _ref_acc(out, (c, w), ring.qq_comm() * coeff)
+
+
+def _ref_lmul_gen(ring, i, terms):
+    qq = ring.qq_comm()
+    out = {}
+    ia, ib = i - 1, i
+    for (c, w), coeff in terms.items():
+        a, b = c[ia], c[ib]
+        m = min(a, b)
+        base = list(c)
+        base[ia] = base[ib] = m
+        a -= m
+        b -= m
+        if a == 0 and b == 0:
+            _ref_acc_T_left(ring, out, i, tuple(base), w, coeff)
+        elif a:
+            e1 = list(base)
+            e1[ib] += a
+            _ref_acc_T_left(ring, out, i, tuple(e1), w, coeff)
+            for s in range(a):
+                e2 = list(base)
+                e2[ib] += a - s
+                e2[ia] += s
+                _ref_acc(out, (tuple(e2), w), -(qq * coeff))
+        else:
+            e1 = list(base)
+            e1[ia] += b
+            _ref_acc_T_left(ring, out, i, tuple(e1), w, coeff)
+            for s in range(1, b + 1):
+                e2 = list(base)
+                e2[ia] += b - s
+                e2[ib] += s
+                _ref_acc(out, (tuple(e2), w), qq * coeff)
+    return out
+
+
+def _ref_mul(ring, a, b):
+    out = {}
+    by_w = {}
+    for (c, w), coeff in a.items():
+        by_w.setdefault(w, []).append((c, coeff))
+    for w, pairs in by_w.items():
+        pushed = b
+        for i in reversed(reduced_word(w)):
+            pushed = _ref_lmul_gen(ring, i, pushed)
+        for (c2, w2), coeff2 in pushed.items():
+            for c, coeff in pairs:
+                key = (tuple(x + y for x, y in zip(c, c2)), w2)
+                _ref_acc(out, key, coeff * coeff2)
+    return out
+
+
+@st.composite
+def central_scalars(draw, ring):
+    """A sum of one or two monomials in q, Q_0, ... with rational coefficients."""
+    out = ring.zero
+    for _ in range(draw(st.integers(1, 2))):
+        exps = [draw(st.integers(-2, 2))] + [
+            draw(st.integers(-1, 1)) for _ in range(ring.r)
+        ]
+        num = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+        out = out + ring.monomial(exps, Fraction(num, draw(st.integers(1, 3))))
+    return out
+
+
+@st.composite
+def differential_factors(draw, ctx, shape):
+    """One to four factors, each a T_i, an L_j^e, a bracket, an m_mu or a
+    central scalar."""
+    weights = comb.enumerate_compositions(ctx.n, shape)
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            factors.append(ctx.T(draw(st.integers(1, ctx.n - 1))))
+        elif kind == 1:
+            factors.append(ctx.L(draw(st.integers(1, ctx.n)), draw(st.integers(1, 3))))
+        elif kind == 2:
+            sign = draw(st.sampled_from((+1, -1)))
+            N = draw(st.integers(0, ctx.n))
+            factors.append(t_bracket(ctx, N, draw(st.integers(1, ctx.n)), sign))
+        elif kind == 3:
+            factors.append(m_mu(ctx, draw(st.sampled_from(weights)), shape))
+        else:
+            factors.append(ctx.scalar(draw(central_scalars(ctx.ring))))
+    return factors
+
+
+class TestPackedKeys:
+    """The packed engine against the reference engine above."""
+
+    @pytest.mark.parametrize("n,r,m,q_one", [
+        (3, 2, (1, 2), False), (3, 2, (1, 2), True),
+        (3, 3, (1, 1, 1), False), (3, 3, (1, 1, 1), True),
+    ])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_products_match_the_reference(self, n, r, m, q_one, data):
+        ctx = HeckeContext(n, r, q_one=q_one)
+        factors = data.draw(differential_factors(ctx, Shape(m)))
+        prod = ctx.one()
+        ref = ctx.one().grouped()
+        for f in factors:
+            prod = prod * f
+            ref = _ref_mul(ctx.ring, ref, f.grouped())
+        assert prod.grouped() == ref
+        for coeff in prod.terms.values():
+            assert type(coeff) in (int, Fraction) and coeff != 0
+            assert type(coeff) is int or coeff.denominator != 1
+
+    def test_grouped_round_trip(self, ctx3):
+        ring = ctx3.ring
+        grouped = {
+            ((0, 2, 0), (1, 0, 2)): ring.q_pow(-3) + ring.Q(1, -2).scale(Fraction(1, 2)),
+            ((1, 0, 0), (0, 1, 2)): ring.Q(0, 5),
+        }
+        assert ctx3.from_grouped(grouped).grouped() == grouped
+
+    def test_integral_rationals_are_stored_as_ints(self, ctx3):
+        half = ctx3.scalar(ctx3.ring.from_fraction(Fraction(1, 2)))
+        x = ctx3.T(1).scale(Fraction(3, 2))
+        products = (half * x.scale(4), x * x.scale(Fraction(4, 3)), ctx3.lmul_gen(1, x.scale(2)))
+        for elem in (*products, x + x):
+            assert all(type(c) is int for c in elem.terms.values())
+
+    def test_squaring_L1_overflows_its_slot(self, ctx3):
+        x = ctx3.L(1)
+        for _ in range(12):
+            x = x * x
+        assert x == ctx3.L(1, 4096)
+        with pytest.raises(EngineError, match="packed key range"):
+            x * x
+
+    def test_q_slot_underflow_in_lmul_gen(self, ctx3):
+        low = ctx3.T(1).scale(ctx3.ring.q_pow(-8192))
+        with pytest.raises(EngineError, match="packed key range"):
+            ctx3.lmul_gen(1, low)
+        with pytest.raises(EngineError, match="packed key range"):
+            ctx3.L(2, 8192)
 
 
 class TestMmu:
@@ -244,12 +413,29 @@ class TestDividedBrackets:
         prod, h = divided_t_bracket(ctx3, 0, 1, 2, +1)
         assert prod.is_zero and h.is_zero
 
-    def test_reconstruction_mismatch_is_an_engine_error(self, monkeypatch):
+    def test_reconstruction_mismatch_fails_the_cofactor_check(self, monkeypatch):
         ctx = HeckeContext(3, 2)
         real = hecke_mod.stacked_bracket
         monkeypatch.setattr(hecke_mod, "stacked_bracket", lambda *a: real(*a).scale(2))
-        with pytest.raises(EngineError, match="divided bracket mismatch"):
-            divided_t_bracket(ctx, 0, 2, 1, +1)
+        direct, h = divided_t_bracket(ctx, 0, 2, 1, +1)
+        assert direct == real(ctx, 0, 2, 1, +1).scale(2) and not h.is_zero
+        failed = failures(verify_divided_brackets(ctx, dmax=2))
+        assert {c["check"] for c in failed} == {"divided-bracket-cofactor"}
+
+    def test_nonzero_bracket_below_d_fails_the_vanishing_check(self, monkeypatch):
+        ctx = HeckeContext(3, 2)
+        real = hecke_mod.stacked_bracket
+
+        def broken(c, N, mu, d, sign):
+            extra = c.one() if mu < d else c.zero()
+            return real(c, N, mu, d, sign) + extra
+
+        monkeypatch.setattr(hecke_mod, "stacked_bracket", broken)
+        assert divided_t_bracket(ctx, 0, 1, 2, +1) == (ctx.one(), ctx.zero())
+        failed = failures(verify_divided_brackets(ctx, dmax=2))
+        assert {"mu": 1, "d": 2, "N": 0, "sign": 1} in [
+            c["params"] for c in failed if c["check"] == "divided-bracket-vanishing"
+        ]
 
     def test_d1(self, ctx3):
         prod, h = divided_t_bracket(ctx3, 0, 2, 1, +1)
