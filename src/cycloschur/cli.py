@@ -20,7 +20,6 @@ from . import combinatorics as comb
 from . import hecke, liealg, schurops, symfun
 from .coeff import LaurentRing, ml_to_json
 from .combinatorics import Shape
-from .reporting import all_ok
 
 
 SUITES = ("hecke", "schur", "lie", "symfun", "q1")
@@ -211,17 +210,16 @@ _SUITE_RUNNERS = {
 
 def cmd_verify(config):
     suites = {}
-    passed = True
     for name in config.suites:
         checks = _SUITE_RUNNERS[name](config)
-        ok = all_ok(checks)
-        passed = passed and ok
+        failed = [c for c in checks if not c["ok"]]
         suites[name] = {
-            "passed": ok,
+            "passed": not failed,
             "total": len(checks),
-            "failed": [c for c in checks if not c["ok"]],
+            "failed": failed,
             "checks": checks,
         }
+    passed = all(info["passed"] for info in suites.values())
     report = {
         "schema": 2,
         "config": config.as_json(),
@@ -365,7 +363,6 @@ def build_parser():
                                       "structure-constants"])
     pc.add_argument("args", nargs="*",
                     help="query arguments, e.g. multipartition literals '((2,1),())'")
-    pc.add_argument("-n", type=int, default=2)
     pc.add_argument("-r", type=int, default=1)
     pc.add_argument("-m", default="2,2")
     pc.add_argument("--deg", type=int, default=1)

@@ -461,45 +461,35 @@ def m_mu(ctx, mu, shape):
     return elem
 
 
+def _chain(ctx, s, h, sign):
+    """The word T_s T_{s+sign} ... of h letters."""
+    return ctx.Tword(range(s, s + sign * h, sign))
+
+
+def _in_window(n, N, length, sign):
+    """Whether the one-sided window from N to N + sign*length lies in 0..n."""
+    return N <= n and 0 <= N + sign * length <= n
+
+
 def t_bracket(ctx, N, mu, sign):
-    """[T; N, mu]^{sign}; zero when mu = 0 or the index window leaves 1..n."""
-    if mu == 0:
-        return ctx.zero()
-    n = ctx.n
-    if sign > 0:
-        if N + mu > n:
-            return ctx.zero()
-        out = ctx.one()
-        for h in range(1, mu):
-            word = ctx.Tword(range(N + 1, N + h + 1))
-            out = out + word.scale(ctx.ring.q_pow(h))
-        return out
-    if N > n or N < mu:
+    """[T; N, mu]^{sign} = sum_{h<mu} q^h T_{N+sign} ... T_{N+sign*h}; zero
+    when mu = 0 or the window from N to N + sign*mu leaves 0..n."""
+    if mu == 0 or not _in_window(ctx.n, N, mu, sign):
         return ctx.zero()
     out = ctx.one()
     for h in range(1, mu):
-        word = ctx.Tword(range(N - 1, N - h - 1, -1))
-        out = out + word.scale(ctx.ring.q_pow(h))
+        out = out + _chain(ctx, N + sign, h, sign).scale(ctx.ring.q_pow(h))
     return out
 
 
 def t_paren(ctx, N, d, sign):
-    """(T; N, d)^{sign} for d >= 1."""
-    n = ctx.n
-    if sign > 0:
-        if N + d > n:
-            return ctx.zero()
-        out = ctx.one()
-        for h in range(1, d):
-            word = ctx.Tword(range(N + d - h, N + d))
-            out = out + word.scale(ctx.ring.q_pow(h))
-        return out
-    if N > n or N < d:
+    """(T; N, d)^{sign} = sum_{h<d} q^h T_{N+sign*(d-h)} ... T_{N+sign*(d-1)}
+    for d >= 1; zero when the window from N to N + sign*d leaves 0..n."""
+    if not _in_window(ctx.n, N, d, sign):
         return ctx.zero()
     out = ctx.one()
     for h in range(1, d):
-        word = ctx.Tword(range(N - d + h, N - d, -1))
-        out = out + word.scale(ctx.ring.q_pow(h))
+        out = out + _chain(ctx, N + sign * (d - h), h, sign).scale(ctx.ring.q_pow(h))
     return out
 
 
@@ -536,10 +526,7 @@ def _cofactor(ctx, N, mu, d, sign):
         return ctx.one()
     out = _cofactor(ctx, N, d - 1, d - 1, sign)
     for h in range(1, mu - d + 1):
-        if sign > 0:
-            word = ctx.Tword(range(N + d, N + d + h))
-        else:
-            word = ctx.Tword(range(N - d, N - d - h, -1))
+        word = _chain(ctx, N + sign * d, h, sign)
         out = out + (word * _cofactor(ctx, N, d + h - 1, d - 1, sign)).scale(
             ctx.ring.q_pow(h)
         )
@@ -566,7 +553,7 @@ def phi_jm(ctx, t, sign, l_indices):
 # ---------------------------------------------------------------------------
 # verification suite
 
-from .reporting import check as _check  # noqa: E402
+from .reporting import PM, check as _check  # noqa: E402
 
 
 def word_built_jm(ctx):
@@ -663,26 +650,20 @@ def verify_L_commutes_bracket(ctx):
     checks = []
     for N in range(0, ctx.n + 1):
         for mu in range(0, ctx.n + 1):
-            plus = t_bracket(ctx, N, mu, +1)
-            minus = t_bracket(ctx, N, mu, -1)
+            brackets = {sign: t_bracket(ctx, N, mu, sign) for sign in (+1, -1)}
             for i in range(1, ctx.n + 1):
                 Li = ctx.L(i)
-                if not (N + mu >= i >= N + 1):
-                    checks.append(
-                        _check(
-                            "L-commutes-bracket-plus",
-                            {"i": i, "N": N, "mu": mu},
-                            Li * plus == plus * Li,
+                for sign, br in brackets.items():
+                    # L_i commutes with the bracket for i outside (lo, hi]
+                    lo, hi = sorted((N, N + sign * mu))
+                    if not lo < i <= hi:
+                        checks.append(
+                            _check(
+                                f"L-commutes-bracket-{PM[sign]}",
+                                {"i": i, "N": N, "mu": mu},
+                                Li * br == br * Li,
+                            )
                         )
-                    )
-                if not (N >= i >= N - mu + 1):
-                    checks.append(
-                        _check(
-                            "L-commutes-bracket-minus",
-                            {"i": i, "N": N, "mu": mu},
-                            Li * minus == minus * Li,
-                        )
-                    )
     return checks
 
 
@@ -692,38 +673,28 @@ def verify_bracket_com_rel(ctx):
     n = ctx.n
     for N in range(0, n + 1):
         for mu in range(3, n + 1):
-            if N + mu <= n:
-                a = ctx.Tword(range(N + 2, N + mu)).scale(ring.q_pow(mu - 2))
-                b = ctx.Tword(range(N + 1, N + mu)).scale(ring.q_pow(mu - 1))
-                c = ctx.Tword(range(N + 1, N + mu - 1)).scale(ring.q_pow(mu - 2))
-                checks.append(
-                    _check("bracket-com-rel-i", {"N": N, "mu": mu}, a * b == b * c)
-                )
-            if mu <= N <= n:
-                a = ctx.Tword(range(N - 2, N - mu, -1)).scale(ring.q_pow(mu - 2))
-                b = ctx.Tword(range(N - 1, N - mu, -1)).scale(ring.q_pow(mu - 1))
-                c = ctx.Tword(range(N - 1, N - mu + 1, -1)).scale(ring.q_pow(mu - 2))
-                checks.append(
-                    _check("bracket-com-rel-ii", {"N": N, "mu": mu}, a * b == b * c)
-                )
-    for N in range(0, n):
-        for mu in range(1, n - N):
-            word_p = ctx.Tword(range(N + 1, N + mu + 1)).scale(ring.q_pow(mu))
-            for c in range(1, mu + 1):
-                lhs = t_bracket(ctx, N + 1, c, +1) * word_p
-                rhs = word_p * t_bracket(ctx, N, c, +1)
-                checks.append(
-                    _check("bracket-com-rel-iii-plus", {"N": N, "mu": mu, "c": c}, lhs == rhs)
-                )
-    for N in range(2, n + 1):
-        for mu in range(1, N):
-            word_m = ctx.Tword(range(N - 1, N - mu - 1, -1)).scale(ring.q_pow(mu))
-            for c in range(1, mu + 1):
-                lhs = t_bracket(ctx, N - 1, c, -1) * word_m
-                rhs = word_m * t_bracket(ctx, N, c, -1)
-                checks.append(
-                    _check("bracket-com-rel-iii-minus", {"N": N, "mu": mu, "c": c}, lhs == rhs)
-                )
+            for sign, name in ((+1, "bracket-com-rel-i"), (-1, "bracket-com-rel-ii")):
+                if _in_window(n, N, mu, sign):
+                    a = _chain(ctx, N + 2 * sign, mu - 2, sign).scale(ring.q_pow(mu - 2))
+                    b = _chain(ctx, N + sign, mu - 1, sign).scale(ring.q_pow(mu - 1))
+                    c = _chain(ctx, N + sign, mu - 2, sign).scale(ring.q_pow(mu - 2))
+                    checks.append(_check(name, {"N": N, "mu": mu}, a * b == b * c))
+    for sign in (+1, -1):
+        for N in range(0, n + 1):
+            for mu in range(1, n + 1):
+                if not _in_window(n, N, mu + 1, sign):
+                    continue
+                word = _chain(ctx, N + sign, mu, sign).scale(ring.q_pow(mu))
+                for c in range(1, mu + 1):
+                    lhs = t_bracket(ctx, N + sign, c, sign) * word
+                    rhs = word * t_bracket(ctx, N, c, sign)
+                    checks.append(
+                        _check(
+                            f"bracket-com-rel-iii-{PM[sign]}",
+                            {"N": N, "mu": mu, "c": c},
+                            lhs == rhs,
+                        )
+                    )
     return checks
 
 
@@ -753,8 +724,7 @@ def verify_divided_brackets(ctx, dmax=3):
                             )
                         )
                         continue
-                    in_range = (N + mu <= n) if sign > 0 else (mu <= N <= n)
-                    if not in_range:
+                    if not _in_window(n, N, mu, sign):
                         checks.append(
                             _check(
                                 "divided-bracket-out-of-range",
@@ -765,10 +735,7 @@ def verify_divided_brackets(ctx, dmax=3):
                         continue
                     rhs = stacked_bracket(ctx, N, d - 1, d - 1, sign)
                     for hh in range(1, mu - d + 1):
-                        if sign > 0:
-                            word = ctx.Tword(range(N + d, N + d + hh))
-                        else:
-                            word = ctx.Tword(range(N - d, N - d - hh, -1))
+                        word = _chain(ctx, N + sign * d, hh, sign)
                         rhs = rhs + (
                             word * stacked_bracket(ctx, N, d + hh - 1, d - 1, sign)
                         ).scale(ring.q_pow(hh))

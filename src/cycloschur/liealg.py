@@ -5,9 +5,10 @@ the gamma linearization 1..m, and a degree t >= 0.  Labels with
 |p - q| <= 1 are the generators (diagonal elements, raising and lowering
 steps); longer labels are defined by iterated brackets of degree-zero
 raising/lowering generators with an innermost generator carrying the
-degree.  Brackets of a generator against any basis element come from closed
-formulas; general brackets reduce recursively through the derivation rule
-[[a,b],c] = [a,[b,c]] - [b,[a,c]].
+degree.  Brackets of a diagonal or raising generator against any basis
+element come from closed formulas, and a lowering generator's bracket is
+their minus transpose; general brackets reduce recursively through the
+derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].
 
 Coefficients live in the shared Laurent ring with the q exponent pinned to
 zero; the parameters Q_1, ..., Q_{r-1} enter at the junction positions
@@ -33,29 +34,10 @@ class LieElem:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx, terms=()):
-        items = terms.items() if hasattr(terms, "items") else terms
-        clean = {}
-        for label, coeff in items:
-            if not coeff.is_zero:
-                if label in clean:
-                    s = clean[label] + coeff
-                    if s.is_zero:
-                        del clean[label]
-                    else:
-                        clean[label] = s
-                else:
-                    clean[label] = coeff
+    def __init__(self, ctx, terms):
+        # terms must already be zero-free
         self.ctx = ctx
-        self.terms = clean
-
-    @classmethod
-    def _make(cls, ctx, clean_terms):
-        # internal fast path: clean_terms must already be zero-free
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.terms = clean_terms
-        return self
+        self.terms = terms
 
     @property
     def is_zero(self):
@@ -69,28 +51,20 @@ class LieElem:
     def __add__(self, other):
         out = dict(self.terms)
         for label, coeff in other.terms.items():
-            cur = out.get(label)
-            if cur is None:
-                out[label] = coeff
-            else:
-                s = cur + coeff
-                if s.is_zero:
-                    del out[label]
-                else:
-                    out[label] = s
-        return LieElem._make(self.ctx, out)
+            _acc(out, label, coeff)
+        return LieElem(self.ctx, out)
 
     def __neg__(self):
-        return LieElem._make(self.ctx, {k: -v for k, v in self.terms.items()})
+        return LieElem(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff):
         if coeff.is_zero:
-            return LieElem._make(self.ctx, {})
+            return LieElem(self.ctx, {})
         # a product of nonzero Laurent polynomials is nonzero
-        return LieElem._make(self.ctx, {k: v * coeff for k, v in self.terms.items()})
+        return LieElem(self.ctx, {k: v * coeff for k, v in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -126,7 +100,8 @@ class LieContext:
     def basis(self, p, q, t, coeff=None):
         if not (1 <= p <= self.m and 1 <= q <= self.m and t >= 0):
             raise ValueError(f"bad basis label ({p}, {q}, {t})")
-        return LieElem(self, {(p, q, t): self.ring.one if coeff is None else coeff})
+        coeff = self.ring.one if coeff is None else coeff
+        return LieElem(self, {} if coeff.is_zero else {(p, q, t): coeff})
 
     def X(self, sign, pos, t):
         if not 1 <= pos <= self.m - 1:
@@ -158,19 +133,12 @@ class LieContext:
         cached = self._bb_cache.get(key)
         if cached is not None:
             return cached
-        p, q, s = a
-        if abs(p - q) <= 1:
+        if abs(a[0] - a[1]) <= 1:
             out = self._gen_on_basis(a, b)
         elif abs(b[0] - b[1]) <= 1:
             out = -self._gen_on_basis(b, a)
         else:
-            # peel one step off a: a = [g, a1] with g a degree-zero generator
-            if p < q:
-                g = (p, p + 1, 0)
-                a1 = (p + 1, q, s)
-            else:
-                g = (p, p - 1, 0)
-                a1 = (p - 1, q, s)
+            g, a1 = _peel(a)
             # [[g, a1], b] = [g, [a1, b]] - [a1, [g, b]]
             inner1 = self.bracket_basis(a1, b)
             term1 = self._gen_on_elem(g, inner1)
@@ -192,20 +160,13 @@ class LieContext:
         """Closed-form bracket [generator, basis element]."""
         gp, gq, s = g
         p, q, t = b
+        if gq == gp - 1:
+            # lowering generator X^-_{a,s}: the minus transpose of the raising
+            # bracket, [X^-_{a,s}, E[p,q;t]] = -[X^+_{a,s}, E[q,p;t]]^T
+            raised = self._gen_on_basis((gq, gp, s), (q, p, t))
+            return LieElem(self, {(v, u, d): -c for (u, v, d), c in raised.terms.items()})
         one = self.ring.one
         out = {}
-
-        def add(label, coeff):
-            cur = out.get(label)
-            if cur is None:
-                if not coeff.is_zero:
-                    out[label] = coeff
-            else:
-                s2 = cur + coeff
-                if s2.is_zero:
-                    del out[label]
-                else:
-                    out[label] = s2
 
         if gp == gq:
             # diagonal generator I_{a,s}
@@ -213,101 +174,54 @@ class LieContext:
             if p == q:
                 return self.zero()
             if a == p:
-                add((p, q, t + s), one)
+                _acc(out, (p, q, t + s), one)
             if a == q:
-                add((p, q, t + s), -one)
+                _acc(out, (p, q, t + s), -one)
             return LieElem(self, out)
 
-        if gq == gp + 1:
-            # raising generator X^+_{a,s}
-            a = gp
-            if p == q:
-                c = p
-                if c == a:
-                    add((a, a + 1, t + s), -one)
-                elif c == a + 1:
-                    add((a, a + 1, t + s), one)
-                return LieElem(self, out)
-            if p < q:
-                if a == p - 1:
-                    add((p - 1, q, t + s), one)
-                if a == q:
-                    add((p, q + 1, t + s), -one)
-                return LieElem(self, out)
-            # p > q
-            ell = p - q
-            if ell == 1 and a == p - 1:
-                Q = self.junction_Q(a)
-                if Q is None:
-                    add((p - 1, p - 1, t + s), one)
-                    add((p, p, t + s), -one)
-                else:
-                    add((p - 1, p - 1, t + s), -Q)
-                    add((p, p, t + s), Q)
-                    add((p - 1, p - 1, t + s + 1), one)
-                    add((p, p, t + s + 1), -one)
-                return LieElem(self, out)
-            if ell > 1 and a == p - 1:
-                Q = self.junction_Q(a)
-                if Q is None:
-                    add((p - 1, q, t + s), one)
-                else:
-                    add((p - 1, q, t + s), -Q)
-                    add((p - 1, q, t + s + 1), one)
-                return LieElem(self, out)
-            if ell > 1 and a == q:
-                Q = self.junction_Q(a)
-                if Q is None:
-                    add((p, q + 1, t + s), -one)
-                else:
-                    add((p, q + 1, t + s), Q)
-                    add((p, q + 1, t + s + 1), -one)
-                return LieElem(self, out)
-            return self.zero()
-
-        # lowering generator X^-_{a,s} with label (a+1, a)
-        a = gq
+        # raising generator X^+_{a,s}
+        a = gp
         if p == q:
             c = p
             if c == a:
-                add((a + 1, a, t + s), one)
+                _acc(out, (a, a + 1, t + s), -one)
             elif c == a + 1:
-                add((a + 1, a, t + s), -one)
+                _acc(out, (a, a + 1, t + s), one)
             return LieElem(self, out)
-        if p > q:
-            if a == p:
-                add((p + 1, q, t + s), one)
-            if a == q - 1:
-                add((p, q - 1, t + s), -one)
+        if p < q:
+            if a == p - 1:
+                _acc(out, (p - 1, q, t + s), one)
+            if a == q:
+                _acc(out, (p, q + 1, t + s), -one)
             return LieElem(self, out)
-        # p < q
-        ell = q - p
-        if ell == 1 and a == p:
+        # p > q
+        ell = p - q
+        if ell == 1 and a == p - 1:
             Q = self.junction_Q(a)
             if Q is None:
-                add((p, p, t + s), -one)
-                add((p + 1, p + 1, t + s), one)
+                _acc(out, (p - 1, p - 1, t + s), one)
+                _acc(out, (p, p, t + s), -one)
             else:
-                add((p, p, t + s), Q)
-                add((p + 1, p + 1, t + s), -Q)
-                add((p, p, t + s + 1), -one)
-                add((p + 1, p + 1, t + s + 1), one)
+                _acc(out, (p - 1, p - 1, t + s), -Q)
+                _acc(out, (p, p, t + s), Q)
+                _acc(out, (p - 1, p - 1, t + s + 1), one)
+                _acc(out, (p, p, t + s + 1), -one)
             return LieElem(self, out)
-        if ell > 1 and a == p:
+        if ell > 1 and a == p - 1:
             Q = self.junction_Q(a)
             if Q is None:
-                add((p + 1, q, t + s), one)
+                _acc(out, (p - 1, q, t + s), one)
             else:
-                add((p + 1, q, t + s), -Q)
-                add((p + 1, q, t + s + 1), one)
+                _acc(out, (p - 1, q, t + s), -Q)
+                _acc(out, (p - 1, q, t + s + 1), one)
             return LieElem(self, out)
-        if ell > 1 and a == q - 1:
+        if ell > 1 and a == q:
             Q = self.junction_Q(a)
             if Q is None:
-                add((p, q - 1, t + s), -one)
+                _acc(out, (p, q + 1, t + s), -one)
             else:
-                add((p, q - 1, t + s), Q)
-                add((p, q - 1, t + s + 1), -one)
+                _acc(out, (p, q + 1, t + s), Q)
+                _acc(out, (p, q + 1, t + s + 1), -one)
             return LieElem(self, out)
         return self.zero()
 
@@ -326,12 +240,7 @@ class LieContext:
             coeff = tau_t if Q is None else (ring.from_fraction(tau) - Q) * tau_t
             M = mat_unit(p - 1, q - 1, coeff)
         else:
-            if p < q:
-                g = (p, p + 1, 0)
-                inner = (p + 1, q, t)
-            else:
-                g = (p, p - 1, 0)
-                inner = (p - 1, q, t)
+            g, inner = _peel(label)
             M = mat_commutator(
                 self.vtau_basis_matrix(g, tau), self.vtau_basis_matrix(inner, tau)
             )
@@ -369,12 +278,7 @@ class LieContext:
             Q = self.junction_Q(p) if q == p + 1 else None
             M = {} if t else {(p - 1, q - 1): self.ring.one if Q is None else -Q}
         else:
-            if p < q:
-                g = (p, p + 1, 0)
-                inner = (p + 1, q, t)
-            else:
-                g = (p, p - 1, 0)
-                inner = (p - 1, q, t)
+            g, inner = _peel(label)
             M = mat_commutator(self.eval_basis_matrix(g), self.eval_basis_matrix(inner))
         self._eval_cache[label] = M
         return M
@@ -396,6 +300,14 @@ class LieContext:
                 if k is not None:
                     out = out * ring.Q(k, -1).scale(-1)
         return out
+
+
+def _peel(label):
+    """(g, inner) with E[label] = [g, E[inner]]: g the degree-zero step from
+    p towards q, for a label with |p - q| >= 2."""
+    p, q, t = label
+    step = 1 if p < q else -1
+    return (p, p + step, 0), (p + step, q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -527,22 +439,21 @@ def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
 
 def verify_antisymmetry(lctx, deg_cap=2):
     labels = all_basis_labels(lctx, deg_cap)
-    ok = True
-    witness = None
-    for a in labels:
-        for b in labels:
-            if not (lctx.bracket_basis(a, b) + lctx.bracket_basis(b, a)).is_zero:
-                ok = False
-                witness = (a, b)
-                break
-        if not ok:
-            break
+    witness = next(
+        (
+            (a, b)
+            for a in labels
+            for b in labels
+            if not (lctx.bracket_basis(a, b) + lctx.bracket_basis(b, a)).is_zero
+        ),
+        None,
+    )
     return [
         _check(
             "bracket-antisymmetry",
             {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            ok,
-            None if ok else f"violation at {witness}",
+            witness is None,
+            None if witness is None else f"violation at {witness}",
         )
     ]
 
@@ -553,25 +464,24 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
     checks = []
     gens = generator_labels(lctx, deg_cap)
     for tau in taus:
-        ok = True
-        witness = None
-        for a in gens:
-            Ma = lctx.vtau_basis_matrix(a, tau)
-            for b in gens:
-                Mb = lctx.vtau_basis_matrix(b, tau)
-                lhs = lctx.vtau_rep(lctx.bracket_basis(a, b), tau)
-                if lhs != mat_commutator(Ma, Mb):
-                    ok = False
-                    witness = (a, b)
-                    break
-            if not ok:
-                break
+        witness = next(
+            (
+                (a, b)
+                for a in gens
+                for b in gens
+                if lctx.vtau_rep(lctx.bracket_basis(a, b), tau)
+                != mat_commutator(
+                    lctx.vtau_basis_matrix(a, tau), lctx.vtau_basis_matrix(b, tau)
+                )
+            ),
+            None,
+        )
         checks.append(
             _check(
                 "vtau-homomorphism",
                 {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap},
-                ok,
-                None if ok else f"violation at {witness}",
+                witness is None,
+                None if witness is None else f"violation at {witness}",
             )
         )
         positions = range(1, lctx.m + 1)
@@ -660,25 +570,22 @@ def verify_eval_map(lctx, deg_cap=2):
     checks = []
     one = lctx.ring.one
     labels = all_basis_labels(lctx, deg_cap)
-    ok = True
-    witness = None
-    for a in labels:
-        Ma = lctx.eval_basis_matrix(a)
-        for b in labels:
-            Mb = lctx.eval_basis_matrix(b)
-            lhs = lctx.eval_map(lctx.bracket_basis(a, b))
-            if lhs != mat_commutator(Ma, Mb):
-                ok = False
-                witness = (a, b)
-                break
-        if not ok:
-            break
+    witness = next(
+        (
+            (a, b)
+            for a in labels
+            for b in labels
+            if lctx.eval_map(lctx.bracket_basis(a, b))
+            != mat_commutator(lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
+        ),
+        None,
+    )
     checks.append(
         _check(
             "eval-homomorphism",
             {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            ok,
-            None if ok else f"violation at {witness}",
+            witness is None,
+            None if witness is None else f"violation at {witness}",
         )
     )
     # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0

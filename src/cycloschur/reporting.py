@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# the suffix naming a sign in check names
+PM = {+1: "plus", -1: "minus"}
+
 
 def check(name, params, ok, detail=None):
     item = {"check": name, "params": _jsonable(params), "ok": bool(ok)}
@@ -16,11 +19,3 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def all_ok(checks):
-    return all(c["ok"] for c in checks)
-
-
-def failures(checks):
-    return [c for c in checks if not c["ok"]]

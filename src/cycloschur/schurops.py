@@ -34,7 +34,7 @@ from . import combinatorics as comb
 from . import symfun
 from .coeff import divexact, qfactorial, qint
 from .hecke import EngineError, HeckeContext, m_mu, phi_jm, t_bracket
-from .reporting import check as _check
+from .reporting import PM, check as _check
 
 
 def K(sign, pos):
@@ -52,7 +52,7 @@ def X(sign, pos, t):
 class SchurContext:
     """Fixes (n, r, m) and carries the Hecke engine plus caches."""
 
-    def __init__(self, n, shape, q_one=False, verify_x_induction=True):
+    def __init__(self, n, shape, q_one=False):
         self.n = n
         self.shape = shape
         self.hctx = HeckeContext(n, shape.r, q_one=q_one)
@@ -61,7 +61,6 @@ class SchurContext:
         self._gen_cache = {}
         self._seq_cache = {}
         self._x_verified = set()
-        self.verify_x_induction = verify_x_induction
 
     # -- weights --------------------------------------------------------
 
@@ -111,31 +110,23 @@ class SchurContext:
             _, sign, pos, t = label
             i, k = shape.node(pos)
             N = comb.jm_position(mu, (i, k), shape)
-            flat = comb.flatten(mu)
-            if sign > 0:
-                succ = flat[pos]
-                nu = self.add_alpha(mu, pos, +1)
-                if nu is None or succ == 0:
-                    out = (None, self.hctx.zero())
-                else:
-                    h = t_bracket(self.hctx, N, succ, +1)
-                    if t:
-                        h = self.hctx.L(N + 1, t) * h
-                    out = (nu, h.scale(ring.q_pow(-succ + 1)))
+            # X^+ moves a node from position pos + 1 to pos (side 1), X^- one
+            # from pos to pos + 1 (side 0); `moved` counts the nodes at the
+            # source and L_{N + side} is the source's JM element at the step
+            side = (1 + sign) // 2
+            moved = comb.flatten(mu)[pos - 1 + side]
+            nu = self.add_alpha(mu, pos, sign)
+            if nu is None:
+                out = (None, self.hctx.zero())
             else:
-                entry = flat[pos - 1]
-                nu = self.add_alpha(mu, pos, -1)
-                if nu is None or entry == 0:
-                    out = (None, self.hctx.zero())
-                else:
-                    h = t_bracket(self.hctx, N, entry, -1)
-                    jk = shape.junction(pos)
-                    if jk is not None:
-                        h = (self.hctx.L(N) - self.hctx.scalar(ring.Q(jk))) * h
-                    if t:
-                        h = self.hctx.L(N, t) * h
-                    out = (nu, h.scale(ring.q_pow(-entry + 1)))
-            if t > 0 and self.verify_x_induction:
+                h = t_bracket(self.hctx, N, moved, sign)
+                jk = shape.junction(pos)
+                if sign < 0 and jk is not None:
+                    h = (self.hctx.L(N) - self.hctx.scalar(ring.Q(jk))) * h
+                if t:
+                    h = self.hctx.L(N + side, t) * h
+                out = (nu, h.scale(ring.q_pow(1 - moved)))
+            if t > 0:
                 self._check_x_induction(label, mu, out)
         else:
             raise ValueError(f"unknown label {label!r}")
@@ -151,14 +142,9 @@ class SchurContext:
         self._x_verified.add(key)
         _, sign, pos, t = label
         ring = self.ring
-        if sign > 0:
-            word = ow_commutator(
-                ow(ring, I(+1, pos, 1)), ow(ring, X(+1, pos, t - 1))
-            )
-        else:
-            word = ow_neg(
-                ow_commutator(ow(ring, I(-1, pos, 1)), ow(ring, X(-1, pos, t - 1)))
-            )
+        # X^{sign}_t = sign [I^{sign}_1, X^{sign}_{t-1}]
+        word = ow_commutator(ow(ring, I(sign, pos, 1)), ow(ring, X(sign, pos, t - 1)))
+        word = ow_scale(word, ring.from_int(sign))
         nu, h = out
         closed = {} if nu is None else {nu: h}
         if not self.factor_difference(self.right_factors(word, mu), closed).is_zero:
@@ -319,9 +305,6 @@ def word_J(ring, pos, t):
 # relation suites: each family yields (name, params, lhs word, rhs word)
 
 
-_PM = {+1: "plus", -1: "minus"}
-
-
 def ow_reverse(word):
     """Every label sequence of the word read backwards."""
     return tuple((c, labels[::-1]) for c, labels in word)
@@ -412,7 +395,7 @@ def relation_words(sctx, smax, tmax, umax):
                 for xsign in (+1, -1):
                     x, e = X(xsign, px, t), xsign * sign * a
                     yield (
-                        f"R4-{_PM[xsign]}",
+                        f"R4-{PM[xsign]}",
                         {"x": px, "jl": pj, "sign": sign, "t": t},
                         ow_qcomm(ring, I(sign, pj, 0), x, e),
                         ow_scale(w(x), ring.from_int(xsign * a)),
@@ -420,7 +403,7 @@ def relation_words(sctx, smax, tmax, umax):
                 for s, xsign in product(S, (+1, -1)):
                     x, e = X(xsign, px, t), xsign * sign * a
                     yield (
-                        f"R5-{_PM[xsign]}",
+                        f"R5-{PM[xsign]}",
                         {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
                         comm(I(sign, pj, s + 1), x),
                         ow_qcomm(ring, I(sign, pj, s), X(xsign, px, t + 1), e),
@@ -440,7 +423,7 @@ def relation_words(sctx, smax, tmax, umax):
                         coeff = (qq * ring.q_pow(f * (p - 1))).scale(e)
                         parts.append(ow_scale(w(*pair), coeff))
                     yield (
-                        f"CI-CX-{_PM[xsign]}-form{form}",
+                        f"CI-CX-{PM[xsign]}-form{form}",
                         {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
                         lhs,
                         ow_add(*parts),
@@ -480,7 +463,7 @@ def relation_words(sctx, smax, tmax, umax):
             if sign < 0:
                 lhs, rhs = ow_reverse(lhs), ow_reverse(rhs)
             params = {"pos": p1, "t": t, "s": s}
-            yield f"R7-adjacent-{_PM[sign]}", params, lhs, rhs
+            yield f"R7-adjacent-{PM[sign]}", params, lhs, rhs
 
     # R8 (q-Serre)
     qplus = ring.q + ring.qinv
@@ -633,16 +616,9 @@ def hw_eigenvalue_pair(lam_j, j, l, t, sign, ring):
     args = [ring.Q(l - 1) * ring.q_pow(2 * (c - j)) for c in range(1, lam_j + 1)]
     poly = symfun.phi(t, lam_j, sign, ring)
     via_phi = poly.evaluate(args, ring) * ring.q_pow(sign * (t - 1))
-    if sign > 0:
-        closed = (
-            ring.Q(l - 1, t)
-            * ring.q_pow((2 * t - 1) * lam_j - t * (2 * j - 1))
-            * qint(lam_j, ring)
-        )
-    else:
-        closed = (
-            ring.Q(l - 1, t) * ring.q_pow(lam_j - t * (2 * j - 1)) * qint(lam_j, ring)
-        )
+    # the q-power runs (2t - 1) lam_j for sign +1 and lam_j for sign -1
+    e = (t - 1) * (1 + sign) * lam_j + lam_j - t * (2 * j - 1)
+    closed = ring.Q(l - 1, t) * ring.q_pow(e) * qint(lam_j, ring)
     return via_phi, closed
 
 

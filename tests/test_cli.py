@@ -178,6 +178,9 @@ class TestVerifyCommand:
     def test_points_option_removed(self, capsys):
         assert main(["verify", "--suite", "lie", "--points", "3"]) == 2
 
+    def test_compute_n_option_removed(self, capsys):
+        assert main(["compute", "phi", "1", "3", "+", "-n", "2"]) == 2
+
     def test_engine_error_exit_3(self, capsys, monkeypatch):
         # doubling phi_jm makes the X_t induction check disagree
         real = schurops.phi_jm
@@ -232,12 +235,31 @@ PINNED_SHA256 = "a257e0637ca8f48c1eb4878b076e8e547c0cd34efc3dde5f10ee8498f644a7a
      "4f887598b545da69dc477aa70926cf48cb1fbd605c5b3553cd77bea4f1df1c5b"),
     (["--suite", "hecke", "-n", "3", "-r", "3", "-m", "2,2,2"],
      "b8d2414b1297fc86a6152fdd1a3da40d83e25139121329801a143e0254b2526d"),
+    (["--suite", "lie,symfun", "-n", "3", "-r", "3", "-m", "2,2,2", "--deg", "2"],
+     "20e1e05b1dc47080fb6819c3471b196be23090f3afddc1e0aa5e88ba1b8e51cf"),
 ])
 def test_benchmark_suites_pinned(capsys, argv, digest):
     assert main(["verify", *argv, "--seed", "0"]) == 0
+    assert _suites_sha256(capsys) == digest
+
+
+# Shapes where the plus and minus sides differ: r = 2 Hecke windows (the
+# README argv) and Lie brackets across a junction in the middle of m.
+@pytest.mark.parametrize("argv,digest", [
+    (["--suite", "hecke", "-n", "3", "-r", "2", "-m", "2,2"],
+     "33c0cfe9eb7f2b13c228923455cf5a0b1b5c973bd7efe1da61972a006a069ac0"),
+    (["--suite", "lie", "-m", "1,2,1", "-r", "3", "--deg", "2"],
+     "fdcb84b98e31c928b854db4b0a310961832f52d4ee6fec64ac1852926d253f8e"),
+])
+def test_sign_shapes_suites_pinned(capsys, argv, digest):
+    assert main(["verify", *argv]) == 0
+    assert _suites_sha256(capsys) == digest
+
+
+def _suites_sha256(capsys):
     suites = json.loads(capsys.readouterr().out)["suites"]
     canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_schur_q1_suites_pinned(capsys):
