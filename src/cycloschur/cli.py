@@ -12,17 +12,19 @@ parse error (a ``ParseError`` raised at this edge, or an argparse failure),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import combinatorics as comb
-from . import hecke, liealg, schurops, symfun
-from .coeff import LaurentRing, ml_to_json
+from . import liealg, symfun
+from .coeff import LaurentRing
 from .combinatorics import Shape
+from .hecke import EngineError
+from .suites import RUNNERS
 
-
-SUITES = ("hecke", "schur", "lie", "symfun", "q1")
+SUITES = tuple(RUNNERS)
 
 
 class ParseError(ValueError):
@@ -150,68 +152,10 @@ def parse_multipartition(text):
     return tuple(components)
 
 
-def _suite_hecke(config):
-    ctx = hecke.HeckeContext(config.n, config.r, q_one=config.q1)
-    return hecke.verify_hecke(ctx, config.shape, dmax=config.dmax)
-
-
-def _suite_schur(config):
-    sctx = schurops.SchurContext(config.n, config.shape, q_one=config.q1)
-    checks = schurops.verify_relations(
-        sctx, smax=config.deg, tmax=config.deg, umax=config.deg
-    )
-    checks += schurops.verify_divided_powers(sctx, dmax=config.dmax, tmax=1)
-    checks += schurops.verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
-    return checks
-
-
-def _suite_q1(config):
-    sctx = schurops.SchurContext(config.n, config.shape, q_one=True)
-    checks = schurops.verify_q1(
-        sctx, smax=config.deg, tmax=config.deg, umax=config.deg
-    )
-    checks += schurops.verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
-    return checks
-
-
-def _suite_lie(config):
-    lctx = liealg.LieContext(config.shape)
-    checks = liealg.verify_antisymmetry(lctx, deg_cap=config.deg)
-    exhaustive = config.shape.total <= 4
-    checks += liealg.verify_jacobi(
-        lctx,
-        deg_cap=config.deg,
-        sample=None if exhaustive else 500,
-        seed=config.seed,
-    )
-    checks += liealg.verify_vtau(lctx, deg_cap=min(config.deg + 1, 3))
-    checks += liealg.verify_gr(lctx, deg_cap=config.deg)
-    checks += liealg.verify_eval_map(lctx, deg_cap=config.deg)
-    return checks
-
-
-def _suite_symfun(config):
-    ring = LaurentRing(config.r, q_one=config.q1)
-    checks = symfun.verify_phi_recursions(4, 4, ring)
-    checks += symfun.verify_phi_q1(4, 4, LaurentRing(config.r, q_one=True))
-    checks += symfun.verify_characters(config.shape, min(config.n, 3), ring)
-    checks += symfun.verify_char_products(config.shape, min(config.n, 3), ring)
-    return checks
-
-
-_SUITE_RUNNERS = {
-    "hecke": _suite_hecke,
-    "schur": _suite_schur,
-    "lie": _suite_lie,
-    "symfun": _suite_symfun,
-    "q1": _suite_q1,
-}
-
-
 def cmd_verify(config):
     suites = {}
     for name in config.suites:
-        checks = _SUITE_RUNNERS[name](config)
+        checks = RUNNERS[name](config)
         failed = [c for c in checks if not c["ok"]]
         suites[name] = {
             "passed": not failed,
@@ -263,8 +207,6 @@ def cmd_compute(args):
         sizes = [sum(lk) + sum(mk) for lk, mk in zip(lam, mu)]
         terms = []
         pools = [comb.partitions_of(nk) for nk in sizes]
-        import itertools
-
         for nu in itertools.product(*pools):
             c = comb.lr_coefficient(lam, mu, nu)
             if c:
@@ -276,7 +218,7 @@ def cmd_compute(args):
             "terms": sorted(terms, key=lambda item: item["nu"]),
         }
     elif args.query == "phi":
-        t = parse_int(args.args[0], "t")
+        t = parse_int(args.args[0], "t", least=0)
         k = parse_int(args.args[1], "k", least=1)
         sign_txt = args.args[2]
         if sign_txt not in ("+", "-"):
@@ -417,11 +359,12 @@ def main(argv=None):
                 )
             args.m = parse_blocks(args.m)
             at_least("-r", args.r, 1)
+            at_least("--deg", args.deg, 0)
             return cmd_compute(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except hecke.EngineError as exc:
+    except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

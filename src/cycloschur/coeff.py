@@ -416,11 +416,3 @@ def ml_to_json(p):
         {"exponents": list(exps), "num": str(c.numerator), "den": str(c.denominator)}
         for exps, c in p.sorted_terms()
     ]
-
-
-def ml_from_json(data, nvars):
-    terms = {}
-    for item in data:
-        exps = tuple(item["exponents"])
-        terms[exps] = Fraction(int(item["num"]), int(item["den"]))
-    return MultiLaurent(nvars, terms)

@@ -1,10 +1,10 @@
 """Index sets and tableau combinatorics.
 
 Gamma(m) row/component indices and their linearization, multicompositions
-and multipartitions, dominance order, semistandard multitableaux, node
-residues, Jucys-Murphy positions, and Littlewood-Richardson coefficients
-(computed by the lattice-word rule; the Schur-expansion cross-check lives in
-``symfun``).
+and multipartitions, semistandard multitableaux, node residues,
+Jucys-Murphy positions, and Littlewood-Richardson coefficients (computed by
+the lattice-word rule; the Schur-expansion cross-check lives in
+``suites.symfun``).
 
 Conventions: a multicomposition is a tuple of r tuples, component k padded
 to exactly m_k entries.  A multipartition used as a tableau shape keeps its
@@ -161,30 +161,6 @@ def multipartition_in_small_set(lam, shape):
 
 def size(lam):
     return sum(sum(part) for part in lam)
-
-
-def composition_of_multipartition(lam, shape):
-    """Pad a multipartition into composition form; fails if some length exceeds m_k."""
-    if not multipartition_in_small_set(lam, shape):
-        raise ValueError(f"{lam} does not fit into shape {shape.m}")
-    return tuple(
-        tuple(lam[k][i] if i < len(lam[k]) else 0 for i in range(shape.m[k]))
-        for k in range(shape.r)
-    )
-
-
-def dominance_ge(a, b):
-    """Dominance order on flat weight vectors: a >= b iff a - b lies in Q^+."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    if sum(a) != sum(b):
-        return False
-    acc = 0
-    for x, y in zip(a[:-1], b[:-1]):
-        acc += x - y
-        if acc < 0:
-            return False
-    return True
 
 
 def residue(node, ring):

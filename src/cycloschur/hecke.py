@@ -8,9 +8,7 @@ Jucys-Murphy commutation rules; the T suffix is reduced by standard
 Iwahori-Hecke multiplication.  Equality of normal forms implies equality in
 the cyclotomic quotient, and every identity the verification suites check is
 expected to hold already in this model (the suites would expose it if one
-did not).  The suite's identities m_mu X = m_mu Y on the permutation module
-M^mu = m_mu H are decided as m_mu (X - Y) = 0, with X - Y built from the
-small factors, so m_mu is multiplied in once per check.
+did not).
 
 An element is one flat dict {(key, w): coefficient}: the coefficient is an
 ``int``, or a ``Fraction`` when it is not integral, never zero, and ``key``
@@ -461,12 +459,12 @@ def m_mu(ctx, mu, shape):
     return elem
 
 
-def _chain(ctx, s, h, sign):
+def t_chain(ctx, s, h, sign):
     """The word T_s T_{s+sign} ... of h letters."""
     return ctx.Tword(range(s, s + sign * h, sign))
 
 
-def _in_window(n, N, length, sign):
+def in_window(n, N, length, sign):
     """Whether the one-sided window from N to N + sign*length lies in 0..n."""
     return N <= n and 0 <= N + sign * length <= n
 
@@ -474,22 +472,22 @@ def _in_window(n, N, length, sign):
 def t_bracket(ctx, N, mu, sign):
     """[T; N, mu]^{sign} = sum_{h<mu} q^h T_{N+sign} ... T_{N+sign*h}; zero
     when mu = 0 or the window from N to N + sign*mu leaves 0..n."""
-    if mu == 0 or not _in_window(ctx.n, N, mu, sign):
+    if mu == 0 or not in_window(ctx.n, N, mu, sign):
         return ctx.zero()
     out = ctx.one()
     for h in range(1, mu):
-        out = out + _chain(ctx, N + sign, h, sign).scale(ctx.ring.q_pow(h))
+        out = out + t_chain(ctx, N + sign, h, sign).scale(ctx.ring.q_pow(h))
     return out
 
 
 def t_paren(ctx, N, d, sign):
     """(T; N, d)^{sign} = sum_{h<d} q^h T_{N+sign*(d-h)} ... T_{N+sign*(d-1)}
     for d >= 1; zero when the window from N to N + sign*d leaves 0..n."""
-    if not _in_window(ctx.n, N, d, sign):
+    if not in_window(ctx.n, N, d, sign):
         return ctx.zero()
     out = ctx.one()
     for h in range(1, d):
-        out = out + _chain(ctx, N + sign * (d - h), h, sign).scale(ctx.ring.q_pow(h))
+        out = out + t_chain(ctx, N + sign * (d - h), h, sign).scale(ctx.ring.q_pow(h))
     return out
 
 
@@ -526,7 +524,7 @@ def _cofactor(ctx, N, mu, d, sign):
         return ctx.one()
     out = _cofactor(ctx, N, d - 1, d - 1, sign)
     for h in range(1, mu - d + 1):
-        word = _chain(ctx, N + sign * d, h, sign)
+        word = t_chain(ctx, N + sign * d, h, sign)
         out = out + (word * _cofactor(ctx, N, d + h - 1, d - 1, sign)).scale(
             ctx.ring.q_pow(h)
         )
@@ -548,331 +546,3 @@ def phi_jm(ctx, t, sign, l_indices):
             c[l_indices[j] - 1] += e
         terms[(tuple(c), perm_id(ctx.n))] = coeff
     return ctx.from_grouped(terms)
-
-
-# ---------------------------------------------------------------------------
-# verification suite
-
-from .reporting import PM, check as _check  # noqa: E402
-
-
-def word_built_jm(ctx):
-    """L_1, ..., L_n normalized from their defining words in the T generators."""
-    return {j: ctx.normalize([(ctx.ring.one, ctx.jm_word(j))]) for j in range(1, ctx.n + 1)}
-
-
-def verify_jm_normal_form(ctx):
-    checks = []
-    built = word_built_jm(ctx)
-    for j in range(1, ctx.n + 1):
-        checks.append(_check("jm-normal-form", {"j": j}, built[j] == ctx.L(j)))
-    if ctx.n >= 2:
-        lhs = ctx.normalize([(ctx.ring.one, [("T", 0), ("T", 1), ("T", 0), ("T", 1)])])
-        rhs = ctx.normalize([(ctx.ring.one, [("T", 1), ("T", 0), ("T", 1), ("T", 0)])])
-        checks.append(_check("affine-braid-T0T1T0T1", {}, lhs == rhs))
-    return checks
-
-
-def verify_commute_LT(ctx, tmax=4):
-    """Lemma parts (i)-(v) about T_i versus Jucys-Murphy elements, with the
-    L's built from their defining words."""
-    checks = []
-    built = word_built_jm(ctx)
-    qq = ctx.ring.qq_comm()
-
-    def lpow(j, t):
-        out = ctx.one()
-        for _ in range(t):
-            out = out * built[j]
-        return out
-
-    for j in range(1, ctx.n + 1):
-        for jj in range(j, ctx.n + 1):
-            checks.append(
-                _check(
-                    "commute-LT-i",
-                    {"i": j, "j": jj},
-                    built[j] * built[jj] == built[jj] * built[j],
-                )
-            )
-    for i in range(1, ctx.n):
-        Ti = ctx.T(i)
-        for j in range(1, ctx.n + 1):
-            if j not in (i, i + 1):
-                checks.append(
-                    _check(
-                        "commute-LT-ii",
-                        {"i": i, "j": j},
-                        Ti * built[j] == built[j] * Ti,
-                    )
-                )
-        prod = built[i] * built[i + 1]
-        tot = built[i] + built[i + 1]
-        checks.append(_check("commute-LT-iii-product", {"i": i}, Ti * prod == prod * Ti))
-        checks.append(_check("commute-LT-iii-sum", {"i": i}, Ti * tot == tot * Ti))
-        for t in range(1, tmax + 1):
-            lhs4 = lpow(i + 1, t) * Ti
-            rhs4 = Ti * lpow(i, t)
-            for s in range(t):
-                rhs4 = rhs4 + (lpow(i + 1, t - s) * lpow(i, s)).scale(qq)
-            checks.append(_check("commute-LT-iv", {"i": i, "t": t}, lhs4 == rhs4))
-            lhs5 = lpow(i, t) * Ti
-            rhs5 = Ti * lpow(i + 1, t)
-            for s in range(1, t + 1):
-                rhs5 = rhs5 - (lpow(i, t - s) * lpow(i + 1, s)).scale(qq)
-            checks.append(_check("commute-LT-v", {"i": i, "t": t}, lhs5 == rhs5))
-    return checks
-
-
-def young_generators(mu):
-    """1-based indices i with s_i in the Young subgroup S_mu."""
-    flat = comb.flatten(mu)
-    gens = []
-    off = 0
-    for part in flat:
-        for i in range(off + 1, off + part):
-            gens.append(i)
-        off += part
-    return gens
-
-
-def verify_m_mu_T(ctx, shape):
-    checks = []
-    for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
-        for i in young_generators(mu):
-            ok = ctx.rmul_gen(mm, i) == mm.scale(ctx.ring.q)
-            checks.append(_check("m-mu-T", {"mu": mu, "i": i}, ok))
-    return checks
-
-
-def verify_L_commutes_bracket(ctx):
-    checks = []
-    for N in range(0, ctx.n + 1):
-        for mu in range(0, ctx.n + 1):
-            brackets = {sign: t_bracket(ctx, N, mu, sign) for sign in (+1, -1)}
-            for i in range(1, ctx.n + 1):
-                Li = ctx.L(i)
-                for sign, br in brackets.items():
-                    # L_i commutes with the bracket for i outside (lo, hi]
-                    lo, hi = sorted((N, N + sign * mu))
-                    if not lo < i <= hi:
-                        checks.append(
-                            _check(
-                                f"L-commutes-bracket-{PM[sign]}",
-                                {"i": i, "N": N, "mu": mu},
-                                Li * br == br * Li,
-                            )
-                        )
-    return checks
-
-
-def verify_bracket_com_rel(ctx):
-    checks = []
-    ring = ctx.ring
-    n = ctx.n
-    for N in range(0, n + 1):
-        for mu in range(3, n + 1):
-            for sign, name in ((+1, "bracket-com-rel-i"), (-1, "bracket-com-rel-ii")):
-                if _in_window(n, N, mu, sign):
-                    a = _chain(ctx, N + 2 * sign, mu - 2, sign).scale(ring.q_pow(mu - 2))
-                    b = _chain(ctx, N + sign, mu - 1, sign).scale(ring.q_pow(mu - 1))
-                    c = _chain(ctx, N + sign, mu - 2, sign).scale(ring.q_pow(mu - 2))
-                    checks.append(_check(name, {"N": N, "mu": mu}, a * b == b * c))
-    for sign in (+1, -1):
-        for N in range(0, n + 1):
-            for mu in range(1, n + 1):
-                if not _in_window(n, N, mu + 1, sign):
-                    continue
-                word = _chain(ctx, N + sign, mu, sign).scale(ring.q_pow(mu))
-                for c in range(1, mu + 1):
-                    lhs = t_bracket(ctx, N + sign, c, sign) * word
-                    rhs = word * t_bracket(ctx, N, c, sign)
-                    checks.append(
-                        _check(
-                            f"bracket-com-rel-iii-{PM[sign]}",
-                            {"N": N, "mu": mu, "c": c},
-                            lhs == rhs,
-                        )
-                    )
-    return checks
-
-
-def verify_divided_brackets(ctx, dmax=3):
-    checks = []
-    ring = ctx.ring
-    n = ctx.n
-    for sign in (+1, -1):
-        for N in range(0, n + 1):
-            for mu in range(0, n + 1):
-                for d in range(1, dmax + 1):
-                    direct, h = divided_t_bracket(ctx, N, mu, d, sign)
-                    recon = t_paren_factorial(ctx, N, d, sign) * h
-                    checks.append(
-                        _check(
-                            "divided-bracket-cofactor",
-                            {"sign": sign, "N": N, "mu": mu, "d": d},
-                            recon == direct,
-                        )
-                    )
-                    if mu < d:
-                        checks.append(
-                            _check(
-                                "divided-bracket-vanishing",
-                                {"sign": sign, "N": N, "mu": mu, "d": d},
-                                direct.is_zero,
-                            )
-                        )
-                        continue
-                    if not _in_window(n, N, mu, sign):
-                        checks.append(
-                            _check(
-                                "divided-bracket-out-of-range",
-                                {"sign": sign, "N": N, "mu": mu, "d": d},
-                                direct.is_zero,
-                            )
-                        )
-                        continue
-                    rhs = stacked_bracket(ctx, N, d - 1, d - 1, sign)
-                    for hh in range(1, mu - d + 1):
-                        word = _chain(ctx, N + sign * d, hh, sign)
-                        rhs = rhs + (
-                            word * stacked_bracket(ctx, N, d + hh - 1, d - 1, sign)
-                        ).scale(ring.q_pow(hh))
-                    rhs = t_paren(ctx, N, d, sign) * rhs
-                    checks.append(
-                        _check(
-                            "divided-bracket-expansion",
-                            {"sign": sign, "N": N, "mu": mu, "d": d},
-                            direct == rhs,
-                        )
-                    )
-    return checks
-
-
-def _mm_check(name, params, mm, diff):
-    """Record m_mu X == m_mu Y from diff = X - Y with one m_mu multiply; on
-    failure ``detail`` holds the first three terms of m_mu (X - Y)."""
-    value = mm * diff
-    if value.is_zero:
-        return _check(name, params, True)
-    return _check(name, params, False, {"lhs_minus_rhs": elem_to_json(value)[:3]})
-
-
-def verify_m_mu_L_T(ctx, shape, tmax=3):
-    """m_mu L^t times a one-sided bracket equals a q-power times m_mu Phi."""
-    checks = []
-    ring = ctx.ring
-    for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
-        flat = comb.flatten(mu)
-        for pos in shape.positions():
-            i, k = shape.node(pos)
-            N = comb.jm_position(mu, (i, k), shape)
-            entry = flat[pos - 1]
-            if entry:
-                for t in range(0, tmax + 1):
-                    lnt = ctx.one() if t == 0 else ctx.L(N, t)
-                    for p in range(1, entry + 1):
-                        diff = lnt * t_bracket(ctx, N, p, -1) - phi_jm(
-                            ctx, t, +1, list(range(N, N - p, -1))
-                        ).scale(ring.q_pow(2 * p - 2))
-                        params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check("m-mu-L-T-i", params, mm, diff))
-            if pos >= shape.total:
-                continue
-            succ = flat[pos]
-            if succ:
-                for t in range(0, tmax + 1):
-                    lnt = ctx.one() if t == 0 else ctx.L(N + 1, t)
-                    for p in range(1, succ + 1):
-                        diff = lnt * t_bracket(ctx, N, p, +1) - phi_jm(
-                            ctx, t, -1, list(range(N + 1, N + p + 1))
-                        )
-                        params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check("m-mu-L-T-ii", params, mm, diff))
-    return checks
-
-
-def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
-    """The four mixed-bracket expansions feeding the commutator of raising and
-    lowering Schur generators."""
-    checks = []
-    ring = ctx.ring
-    qq = ring.qq_comm()
-    one = ctx.one()
-    for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
-        flat = comb.flatten(mu)
-        for pos in range(1, shape.total):
-            i, k = shape.node(pos)
-            N = comb.jm_position(mu, (i, k), shape)
-            mi = flat[pos - 1]
-            mi1 = flat[pos]
-            dec = list(range(N, N - mi, -1))
-            inc = list(range(N + 1, N + mi1 + 1))
-            cross_q = qq * ring.q_pow(2 * mi - 1)
-            for t in range(0, tmax + 1):
-                params = {"mu": mu, "pos": pos, "t": t}
-                # L_N^t only exists for N >= 1; every use below is guarded by
-                # mi != 0 or by a vanishing bracket difference when N = 0
-                lnt = one if (t == 0 or N == 0) else ctx.L(N, t)
-                if mi != 0:
-                    b_plus = t_bracket(ctx, N - 1, mi1 + 1, +1)
-                    b_minus = t_bracket(ctx, N, mi, -1)
-                    diff1 = lnt * b_plus * b_minus - phi_jm(ctx, t, +1, dec).scale(
-                        ring.q_pow(2 * mi - 2)
-                    )
-                    if mi1 != 0:
-                        diff1 = diff1 - lnt * (
-                            t_bracket(ctx, N + 1, mi + 1, -1) - one
-                        ) * t_bracket(ctx, N, mi1, +1)
-                    checks.append(_mm_check("m-mu-L-T-etc-i", params, mm, diff1))
-
-                    diff2 = lnt * b_plus * ctx.L(N) * b_minus - phi_jm(
-                        ctx, t + 1, +1, dec
-                    ).scale(ring.q_pow(2 * mi - 2))
-                    if mi1 != 0:
-                        diff2 = diff2 + (
-                            phi_jm(ctx, t, +1, dec) * phi_jm(ctx, 1, -1, inc)
-                        ).scale(cross_q)
-                    b_plus_tail = b_plus - one
-                    if not b_plus_tail.is_zero:  # only when mi1 >= 1, so N+1 <= n
-                        diff2 = diff2 - lnt * ctx.L(N + 1) * b_plus_tail * b_minus
-                    checks.append(_mm_check("m-mu-L-T-etc-ii", params, mm, diff2))
-                if mi1 != 0:
-                    b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
-                    b_plus0 = t_bracket(ctx, N, mi1, +1)
-                    l_next = ctx.L(N + 1)
-                    middle = b_minus1 * (ctx.L(N + 1, t) if t else one) * b_plus0
-                    head = ring.q_pow(2 * mi) if t else ring.one
-                    tail = lnt * (b_minus1 - one) * b_plus0
-                    diff3 = middle - phi_jm(ctx, t, -1, inc).scale(head) - tail
-                    diff4 = (
-                        l_next * middle
-                        - phi_jm(ctx, t + 1, -1, inc).scale(head)
-                        - l_next * tail
-                    )
-                    for b in range(1, t):
-                        low = phi_jm(ctx, t - b, +1, dec)
-                        diff3 = diff3 - (low * phi_jm(ctx, b, -1, inc)).scale(cross_q)
-                        diff4 = diff4 - (low * phi_jm(ctx, b + 1, -1, inc)).scale(
-                            cross_q
-                        )
-                    checks.append(_mm_check("m-mu-L-T-etc-iii", params, mm, diff3))
-                    checks.append(_mm_check("m-mu-L-T-etc-iv", params, mm, diff4))
-    return checks
-
-
-def verify_hecke(ctx, shape, t_comm=4, t_mmult=3, t_etc=2, dmax=3):
-    """The full Hecke-engine suite for one (n, r, m) configuration."""
-    checks = []
-    checks += verify_jm_normal_form(ctx)
-    checks += verify_commute_LT(ctx, tmax=t_comm)
-    checks += verify_m_mu_T(ctx, shape)
-    checks += verify_L_commutes_bracket(ctx)
-    checks += verify_bracket_com_rel(ctx)
-    checks += verify_divided_brackets(ctx, dmax=dmax)
-    checks += verify_m_mu_L_T(ctx, shape, tmax=t_mmult)
-    checks += verify_m_mu_L_T_etc(ctx, shape, tmax=t_etc)
-    return checks

@@ -21,12 +21,7 @@ only nonzero entries, so the zero matrix is {} and matrix equality is ==.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-from itertools import product
-
-from .coeff import LaurentRing
-from .reporting import check as _check
+from .coeff import LaurentRing, ml_to_json
 
 
 class LieElem:
@@ -76,8 +71,6 @@ class LieElem:
 
 
 def elem_to_json(x):
-    from .coeff import ml_to_json
-
     return [
         {"src": p, "tgt": q, "t": t, "coeff": ml_to_json(c)}
         for (p, q, t), c in x.sorted_terms()
@@ -367,7 +360,7 @@ def mat_commutator(A, B):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# basis labels and the Jacobiator
 
 
 def all_basis_labels(lctx, deg_cap):
@@ -403,229 +396,3 @@ def jacobi_defect(lctx, a, b, c):
     for lab, coeff in ca.terms.items():
         out = out + lctx.bracket_basis(lab, b).scale(coeff)
     return out
-
-
-def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
-    """Jacobi identity on basis triples: exhaustive when sample is None, else
-    a seeded random sample of that size."""
-    labels = all_basis_labels(lctx, deg_cap)
-    if sample is None:
-        triples = [
-            (a, b, c) for a in labels for b in labels for c in labels
-        ]
-    else:
-        rng = random.Random(seed)
-        triples = [
-            (rng.choice(labels), rng.choice(labels), rng.choice(labels))
-            for _ in range(sample)
-        ]
-    bad = []
-    count = 0
-    for a, b, c in triples:
-        count += 1
-        if not jacobi_defect(lctx, a, b, c).is_zero:
-            bad.append((a, b, c))
-            if len(bad) >= 3:
-                break
-    return [
-        _check(
-            "jacobi",
-            {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": count},
-            not bad,
-            None if not bad else f"violations at {bad}",
-        )
-    ]
-
-
-def verify_antisymmetry(lctx, deg_cap=2):
-    labels = all_basis_labels(lctx, deg_cap)
-    witness = next(
-        (
-            (a, b)
-            for a in labels
-            for b in labels
-            if not (lctx.bracket_basis(a, b) + lctx.bracket_basis(b, a)).is_zero
-        ),
-        None,
-    )
-    return [
-        _check(
-            "bracket-antisymmetry",
-            {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            witness is None,
-            None if witness is None else f"violation at {witness}",
-        )
-    ]
-
-
-def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5, 7))):
-    """V_tau is a representation: the matrix of a bracket of generators equals
-    the matrix commutator; the basis action has the expected closed form."""
-    checks = []
-    gens = generator_labels(lctx, deg_cap)
-    for tau in taus:
-        witness = next(
-            (
-                (a, b)
-                for a in gens
-                for b in gens
-                if lctx.vtau_rep(lctx.bracket_basis(a, b), tau)
-                != mat_commutator(
-                    lctx.vtau_basis_matrix(a, tau), lctx.vtau_basis_matrix(b, tau)
-                )
-            ),
-            None,
-        )
-        checks.append(
-            _check(
-                "vtau-homomorphism",
-                {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap},
-                witness is None,
-                None if witness is None else f"violation at {witness}",
-            )
-        )
-        positions = range(1, lctx.m + 1)
-        mismatch = next(
-            (
-                (p, q, t)
-                for p, q, t in product(positions, positions, range(deg_cap + 1))
-                if lctx.vtau_basis_matrix((p, q, t), tau)
-                != mat_unit(
-                    p - 1,
-                    q - 1,
-                    lctx.psi_vtau(p, q, tau) * lctx.ring.from_fraction(tau**t),
-                )
-            ),
-            None,
-        )
-        checks.append(
-            _check(
-                "vtau-basis-closed-form",
-                {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap},
-                mismatch is None,
-                None if mismatch is None else f"violation at {mismatch}",
-            )
-        )
-    return checks
-
-
-def verify_gr(lctx, deg_cap=2):
-    """Filtration and the graded comparison with the current algebra: the
-    lowest-degree part of [E^s_{pq}, E^t_{uv}] sits in degree exactly s + t and
-    matches the gl_m[x] structure constants after the psi rescaling; all other
-    terms live strictly higher.  In the one-component case there is no excess
-    at all."""
-    checks = []
-    m = lctx.m
-    psi = {
-        (p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)
-    }
-    filtration_ok = True
-    leading_ok = True
-    exact_ok = True
-    witness = None
-    for p in range(1, m + 1):
-        for q in range(1, m + 1):
-            for s in range(deg_cap + 1):
-                for u in range(1, m + 1):
-                    for v in range(1, m + 1):
-                        for t in range(deg_cap + 1):
-                            br = lctx.bracket_basis((p, q, s), (u, v, t))
-                            lead = lctx.zero()
-                            for (a, b, d), coeff in br.terms.items():
-                                if d < s + t:
-                                    filtration_ok = False
-                                    witness = ((p, q, s), (u, v, t))
-                                elif d == s + t:
-                                    lead = lead + lctx.basis(a, b, d, coeff)
-                            if lctx.shape.r == 1 and lead != br:
-                                exact_ok = False
-                                witness = ((p, q, s), (u, v, t))
-                            expected = lctx.zero()
-                            if q == u:
-                                expected = expected + lctx.basis(p, v, s + t, psi[p, v])
-                            if v == p:
-                                expected = expected - lctx.basis(u, q, s + t, psi[u, q])
-                            scaled = lead.scale(psi[p, q] * psi[u, v])
-                            if scaled != expected:
-                                leading_ok = False
-                                witness = ((p, q, s), (u, v, t))
-    params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
-    checks.append(
-        _check("gr-filtration", params, filtration_ok, None if filtration_ok else str(witness))
-    )
-    checks.append(
-        _check("gr-leading-term", params, leading_ok, None if leading_ok else str(witness))
-    )
-    if lctx.shape.r == 1:
-        checks.append(
-            _check("gr-exact-current", params, exact_ok, None if exact_ok else str(witness))
-        )
-    return checks
-
-
-def verify_eval_map(lctx, deg_cap=2):
-    """The evaluation onto gl_m is a Lie homomorphism, and composing with the
-    Levi embedding recovers the block-diagonal inclusion."""
-    checks = []
-    one = lctx.ring.one
-    labels = all_basis_labels(lctx, deg_cap)
-    witness = next(
-        (
-            (a, b)
-            for a in labels
-            for b in labels
-            if lctx.eval_map(lctx.bracket_basis(a, b))
-            != mat_commutator(lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
-        ),
-        None,
-    )
-    checks.append(
-        _check(
-            "eval-homomorphism",
-            {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            witness is None,
-            None if witness is None else f"violation at {witness}",
-        )
-    )
-    # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
-    alive = next(
-        (
-            g
-            for g in generator_labels(lctx, max(deg_cap, 1))
-            if g[2] >= 1 and lctx.eval_basis_matrix(g)
-        ),
-        None,
-    )
-    checks.append(
-        _check(
-            "eval-kills-positive-degree",
-            {"shape": lctx.shape.m},
-            alive is None,
-            None if alive is None else f"violation at {alive}",
-        )
-    )
-    # g o iota = block-diagonal embedding on the Levi generators
-    levi = []
-    for k in range(1, lctx.shape.r + 1):
-        block = [pos + 1 for pos in lctx.shape.block(k)]
-        levi += [(pos, pos, 0) for pos in block]
-        for pos in block[:-1]:
-            levi += [(pos, pos + 1, 0), (pos + 1, pos, 0)]
-    bad = next(
-        (
-            g
-            for g in levi
-            if lctx.eval_map(lctx.basis(*g)) != {(g[0] - 1, g[1] - 1): one}
-        ),
-        None,
-    )
-    checks.append(
-        _check(
-            "eval-levi-embedding",
-            {"shape": lctx.shape.m},
-            bad is None,
-            None if bad is None else f"violation at {bad}",
-        )
-    )
-    return checks

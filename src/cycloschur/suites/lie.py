@@ -1,0 +1,230 @@
+"""The Lie suite: antisymmetry and the Jacobi identity of the deformed
+current Lie algebra, the V_tau representations, the graded comparison with
+the current algebra of gl_m, and the evaluation and Levi maps."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from ..liealg import (
+    LieContext,
+    all_basis_labels,
+    generator_labels,
+    jacobi_defect,
+    mat_commutator,
+    mat_unit,
+)
+from ..reporting import check
+
+
+def _first_violation(name, params, witnesses):
+    """One check that passes when the iterator ``witnesses`` is empty; on
+    failure its detail names the first witness."""
+    witness = next(witnesses, None)
+    return check(
+        name,
+        params,
+        witness is None,
+        None if witness is None else f"violation at {witness}",
+    )
+
+
+def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
+    """Jacobi identity on basis triples: exhaustive when sample is None, else
+    a seeded random sample of that size."""
+    labels = all_basis_labels(lctx, deg_cap)
+    if sample is None:
+        triples = [
+            (a, b, c) for a in labels for b in labels for c in labels
+        ]
+    else:
+        rng = random.Random(seed)
+        triples = [
+            (rng.choice(labels), rng.choice(labels), rng.choice(labels))
+            for _ in range(sample)
+        ]
+    bad = []
+    count = 0
+    for a, b, c in triples:
+        count += 1
+        if not jacobi_defect(lctx, a, b, c).is_zero:
+            bad.append((a, b, c))
+            if len(bad) >= 3:
+                break
+    return [
+        check(
+            "jacobi",
+            {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": count},
+            not bad,
+            None if not bad else f"violations at {bad}",
+        )
+    ]
+
+
+def verify_antisymmetry(lctx, deg_cap=2):
+    labels = all_basis_labels(lctx, deg_cap)
+    return [
+        _first_violation(
+            "bracket-antisymmetry",
+            {"shape": lctx.shape.m, "deg_cap": deg_cap},
+            (
+                (a, b)
+                for a in labels
+                for b in labels
+                if not (lctx.bracket_basis(a, b) + lctx.bracket_basis(b, a)).is_zero
+            ),
+        )
+    ]
+
+
+def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5, 7))):
+    """V_tau is a representation: the matrix of a bracket of generators equals
+    the matrix commutator; the basis action has the expected closed form."""
+    checks = []
+    gens = generator_labels(lctx, deg_cap)
+    positions = range(1, lctx.m + 1)
+    for tau in taus:
+        params = {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap}
+        checks.append(
+            _first_violation(
+                "vtau-homomorphism",
+                params,
+                (
+                    (a, b)
+                    for a in gens
+                    for b in gens
+                    if lctx.vtau_rep(lctx.bracket_basis(a, b), tau)
+                    != mat_commutator(
+                        lctx.vtau_basis_matrix(a, tau), lctx.vtau_basis_matrix(b, tau)
+                    )
+                ),
+            )
+        )
+        checks.append(
+            _first_violation(
+                "vtau-basis-closed-form",
+                params,
+                (
+                    (p, q, t)
+                    for p, q, t in product(positions, positions, range(deg_cap + 1))
+                    if lctx.vtau_basis_matrix((p, q, t), tau)
+                    != mat_unit(
+                        p - 1,
+                        q - 1,
+                        lctx.psi_vtau(p, q, tau) * lctx.ring.from_fraction(tau**t),
+                    )
+                ),
+            )
+        )
+    return checks
+
+
+def verify_gr(lctx, deg_cap=2):
+    """Filtration and the graded comparison with the current algebra: the
+    lowest-degree part of [E^s_{pq}, E^t_{uv}] sits in degree exactly s + t and
+    matches the gl_m[x] structure constants after the psi rescaling; all other
+    terms live strictly higher.  In the one-component case there is no excess
+    at all.  Each failed check names the first pair at which it failed."""
+    m = lctx.m
+    psi = {
+        (p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)
+    }
+    first = {}
+    for p in range(1, m + 1):
+        for q in range(1, m + 1):
+            for s in range(deg_cap + 1):
+                for u in range(1, m + 1):
+                    for v in range(1, m + 1):
+                        for t in range(deg_cap + 1):
+                            pair = ((p, q, s), (u, v, t))
+                            br = lctx.bracket_basis(*pair)
+                            lead = lctx.zero()
+                            for (a, b, d), coeff in br.terms.items():
+                                if d < s + t:
+                                    first.setdefault("gr-filtration", pair)
+                                elif d == s + t:
+                                    lead = lead + lctx.basis(a, b, d, coeff)
+                            if lctx.shape.r == 1 and lead != br:
+                                first.setdefault("gr-exact-current", pair)
+                            expected = lctx.zero()
+                            if q == u:
+                                expected = expected + lctx.basis(p, v, s + t, psi[p, v])
+                            if v == p:
+                                expected = expected - lctx.basis(u, q, s + t, psi[u, q])
+                            scaled = lead.scale(psi[p, q] * psi[u, v])
+                            if scaled != expected:
+                                first.setdefault("gr-leading-term", pair)
+    names = ["gr-filtration", "gr-leading-term"]
+    if lctx.shape.r == 1:
+        names.append("gr-exact-current")
+    params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
+    return [
+        check(name, params, name not in first, str(first[name]) if name in first else None)
+        for name in names
+    ]
+
+
+def verify_eval_map(lctx, deg_cap=2):
+    """The evaluation onto gl_m is a Lie homomorphism, and composing with the
+    Levi embedding recovers the block-diagonal inclusion."""
+    one = lctx.ring.one
+    labels = all_basis_labels(lctx, deg_cap)
+    # g o iota = block-diagonal embedding on the Levi generators
+    levi = []
+    for k in range(1, lctx.shape.r + 1):
+        block = [pos + 1 for pos in lctx.shape.block(k)]
+        levi += [(pos, pos, 0) for pos in block]
+        for pos in block[:-1]:
+            levi += [(pos, pos + 1, 0), (pos + 1, pos, 0)]
+    return [
+        _first_violation(
+            "eval-homomorphism",
+            {"shape": lctx.shape.m, "deg_cap": deg_cap},
+            (
+                (a, b)
+                for a in labels
+                for b in labels
+                if lctx.eval_map(lctx.bracket_basis(a, b))
+                != mat_commutator(lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
+            ),
+        ),
+        # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
+        _first_violation(
+            "eval-kills-positive-degree",
+            {"shape": lctx.shape.m},
+            (
+                g
+                for g in generator_labels(lctx, max(deg_cap, 1))
+                if g[2] >= 1 and lctx.eval_basis_matrix(g)
+            ),
+        ),
+        _first_violation(
+            "eval-levi-embedding",
+            {"shape": lctx.shape.m},
+            (
+                g
+                for g in levi
+                if lctx.eval_map(lctx.basis(*g)) != {(g[0] - 1, g[1] - 1): one}
+            ),
+        ),
+    ]
+
+
+def run(config):
+    """The ``lie`` suite of ``cycloschur verify``: Jacobi is exhaustive up to
+    four positions and a seeded sample of 500 triples beyond."""
+    lctx = LieContext(config.shape)
+    checks = verify_antisymmetry(lctx, deg_cap=config.deg)
+    exhaustive = config.shape.total <= 4
+    checks += verify_jacobi(
+        lctx,
+        deg_cap=config.deg,
+        sample=None if exhaustive else 500,
+        seed=config.seed,
+    )
+    checks += verify_vtau(lctx, deg_cap=min(config.deg + 1, 3))
+    checks += verify_gr(lctx, deg_cap=config.deg)
+    checks += verify_eval_map(lctx, deg_cap=config.deg)
+    return checks

@@ -1,0 +1,382 @@
+"""The Schur suites: relations (R1)-(R8) with the derived commutation
+expansions, the q = 1 identities with the images of (L1)-(L6), divided
+powers and the highest-weight eigenvalues.  Each relation family yields
+(name, params, lhs word, rhs word), and ``run_relations`` decides every
+pair as an operator identity on all weights."""
+
+from __future__ import annotations
+
+from functools import partial
+from itertools import product
+
+from .. import combinatorics as comb
+from ..coeff import divexact, qfactorial, qint
+from ..reporting import PM, check
+from ..schurops import (I, K, SchurContext, X, ow, ow_add, ow_commutator, ow_mul, ow_neg,
+                        ow_scale, ow_zero)
+from ..symfun import phi
+
+
+def word_ktilde(ring, sign, pos):
+    """tilde-K^{sign}_{(i,k)} = K^{sign}_{(i,k)} K^{-sign}_{(i+1,k)}."""
+    return ow(ring, K(sign, pos), K(-sign, pos + 1))
+
+
+def word_J(ring, pos, t):
+    """The derived diagonal element J_{(i,k),t}, expanded into I's."""
+    qq = ring.qq_comm()
+    if t == 0:
+        return ow_add(
+            ow(ring, I(+1, pos, 0)),
+            ow_neg(ow(ring, I(-1, pos + 1, 0))),
+            ow_scale(ow(ring, I(+1, pos, 0), I(-1, pos + 1, 0)), qq),
+        )
+    parts = [
+        ow_scale(ow(ring, I(+1, pos, t)), ring.q_pow(-t)),
+        ow_neg(ow_scale(ow(ring, I(-1, pos + 1, t)), ring.q_pow(t))),
+    ]
+    for b in range(1, t):
+        parts.append(
+            ow_neg(
+                ow_scale(
+                    ow(ring, I(+1, pos, t - b), I(-1, pos + 1, b)),
+                    qq * ring.q_pow(-t + 2 * b),
+                )
+            )
+        )
+    return ow_add(*parts)
+
+
+def ow_reverse(word):
+    """Every label sequence of the word read backwards."""
+    return tuple((c, labels[::-1]) for c, labels in word)
+
+
+def ow_twist(ring, a, b, c):
+    """a b - c b a for single labels a, b and a scalar c."""
+    return ow_add(ow(ring, a, b), ow_neg(ow_scale(ow(ring, b, a), c)))
+
+
+def ow_qcomm(ring, a, b, e):
+    """The q-commutator q^e a b - q^{-e} b a of single labels a, b."""
+    return ow_add(
+        ow_scale(ow(ring, a, b), ring.q_pow(e)),
+        ow_neg(ow_scale(ow(ring, b, a), ring.q_pow(-e))),
+    )
+
+
+def at_junction(ring, jk, J, d):
+    """J(d) away from a junction, -Q_k J(d) + J(d + 1) at the junction k."""
+    if jk is None:
+        return J(d)
+    return ow_add(ow_scale(J(d), -ring.Q(jk)), J(d + 1))
+
+
+def run_relations(sctx, relations):
+    """Decide each (name, params, lhs, rhs) on every weight, one check each."""
+    checks = []
+    for name, params, lhs, rhs in relations:
+        ok, witness = sctx.op_equal(lhs, rhs)
+        detail = None if ok else {"witness_weight": [list(c) for c in witness]}
+        checks.append(check(name, params, ok, detail))
+    return checks
+
+
+def verify_relations(sctx, smax=2, tmax=2, umax=2):
+    """Relations (R1)-(R8) plus the derived commutation expansions, as
+    operator identities on every weight."""
+    return run_relations(sctx, relation_words(sctx, smax, tmax, umax))
+
+
+def relation_words(sctx, smax, tmax, umax):
+    """(R1)-(R8), the expansions of [I_s, X_t] and two corollaries of (R1),
+    as (name, params, lhs word, rhs word) in report order."""
+    ring = sctx.ring
+    qq = ring.qq_comm()
+    gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
+    S, T, U = range(smax + 1), range(tmax + 1), range(umax + 1)
+    w = partial(ow, ring)
+    zero, one = ow_zero(), w()
+
+    def comm(a, b):
+        return ow_commutator(w(a), w(b))
+
+    # R1
+    for pos in gamma:
+        yield "R1-K-inverse", {"pos": pos}, w(K(+1, pos), K(-1, pos)), one
+        yield "R1-K-inverse-rev", {"pos": pos}, w(K(-1, pos), K(+1, pos)), one
+        for sign in (+1, -1):
+            rhs = ow_add(one, ow_scale(w(I(-sign, pos, 0)), qq.scale(sign)))
+            params = {"pos": pos, "sign": sign}
+            yield "R1-K-square", params, w(K(sign, pos), K(sign, pos)), rhs
+
+    # R2
+    for p1, p2 in product(gamma, gamma):
+        if p2 >= p1:
+            yield "R2-KK", {"pos": [p1, p2]}, comm(K(+1, p1), K(+1, p2)), zero
+        for s1 in (+1, -1):
+            for t in T:
+                params = {"pos": [p1, p2], "sign": s1, "t": t}
+                yield "R2-KI", params, comm(K(+1, p1), I(s1, p2, t)), zero
+            if p2 < p1:
+                continue
+            for s2, s, t in product((+1, -1), S, T):
+                params = {"pos": [p1, p2], "signs": [s1, s2], "s": s, "t": t}
+                yield "R2-II", params, comm(I(s1, p1, s), I(s2, p2, t)), zero
+
+    # R3, R4, R5 and the derived expansions; X^- is X^+ with e = a negated
+    for px, pj in product(gamma_prime, gamma):
+        a = sctx.cartan(px, pj)
+        for xsign, t in product((+1, -1), T):
+            x = X(xsign, px, t)
+            params = {"x": px, "jl": pj, "xsign": xsign, "t": t}
+            rhs = ow_scale(w(x), ring.q_pow(xsign * a))
+            yield "R3-KXK", params, w(K(+1, pj), x, K(-1, pj)), rhs
+        for sign in (+1, -1):
+            for t in T:
+                for xsign in (+1, -1):
+                    x, e = X(xsign, px, t), xsign * sign * a
+                    yield (
+                        f"R4-{PM[xsign]}",
+                        {"x": px, "jl": pj, "sign": sign, "t": t},
+                        ow_qcomm(ring, I(sign, pj, 0), x, e),
+                        ow_scale(w(x), ring.from_int(xsign * a)),
+                    )
+                for s, xsign in product(S, (+1, -1)):
+                    x, e = X(xsign, px, t), xsign * sign * a
+                    yield (
+                        f"R5-{PM[xsign]}",
+                        {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
+                        comm(I(sign, pj, s + 1), x),
+                        ow_qcomm(ring, I(sign, pj, s), X(xsign, px, t + 1), e),
+                    )
+            # [I_s, X_t], s >= 1: form 1 puts each X left of its I, form 2
+            # right of it and runs the q-powers the other way
+            for s, t, xsign in product(range(1, smax + 2), T, (+1, -1)):
+                e = xsign * sign * a
+                lhs = comm(I(sign, pj, s), X(xsign, px, t))
+                for form in (1, 2):
+                    f = e if form == 1 else -e
+                    lead = ring.q_pow(f * (s - 1)).scale(xsign * a)
+                    parts = [ow_scale(w(X(xsign, px, t + s)), lead)]
+                    for p in range(1, s):
+                        pair = (X(xsign, px, t + p), I(sign, pj, s - p))
+                        pair = pair if form == 1 else pair[::-1]
+                        coeff = (qq * ring.q_pow(f * (p - 1))).scale(e)
+                        parts.append(ow_scale(w(*pair), coeff))
+                    yield (
+                        f"CI-CX-{PM[xsign]}-form{form}",
+                        {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
+                        lhs,
+                        ow_add(*parts),
+                    )
+
+    # R6
+    for p1, p2, t, s in product(gamma_prime, gamma_prime, T, S):
+        lhs = comm(X(+1, p1, t), X(-1, p2, s))
+        if p1 != p2:
+            yield "R6-offdiagonal", {"pos": [p1, p2], "t": t, "s": s}, lhs, zero
+            continue
+        J = partial(word_J, ring, p1)
+        rhs = at_junction(ring, sctx.shape.junction(p1), J, s + t)
+        rhs = ow_mul(word_ktilde(ring, +1, p1), rhs)
+        yield "R6-diagonal", {"pos": p1, "t": t, "s": s}, lhs, rhs
+
+    # R7; R7-adjacent-minus is R7-adjacent-plus read backwards
+    for p1 in gamma_prime:
+        for sign in (+1, -1):
+            for p2, t, s in product(gamma_prime, T, S):
+                if p2 > p1 + 1:
+                    params = {"pos": [p1, p2], "sign": sign, "t": t, "s": s}
+                    lhs = comm(X(sign, p1, t), X(sign, p2, s))
+                    yield "R7-far-commute", params, lhs, zero
+            q2, x = ring.q_pow(2 * sign), partial(X, sign, p1)
+            for t, s in product(T, S):
+                lhs = ow_twist(ring, x(t + 1), x(s), q2)
+                rhs = ow_neg(ow_twist(ring, x(s + 1), x(t), q2))
+                params = {"pos": p1, "sign": sign, "t": t, "s": s}
+                yield "R7-same-index", params, lhs, rhs
+        if p1 + 1 not in gamma_prime:
+            continue
+        for t, s, sign in product(T, S, (+1, -1)):
+            x, y = partial(X, sign, p1), partial(X, sign, p1 + 1)
+            lhs = ow_twist(ring, x(t + 1), y(s), ring.qinv)
+            rhs = ow_twist(ring, x(t), y(s + 1), ring.q)
+            if sign < 0:
+                lhs, rhs = ow_reverse(lhs), ow_reverse(rhs)
+            params = {"pos": p1, "t": t, "s": s}
+            yield f"R7-adjacent-{PM[sign]}", params, lhs, rhs
+
+    # R8 (q-Serre)
+    qplus = ring.q + ring.qinv
+    for p1, p2 in product(gamma_prime, gamma_prime):
+        if abs(p1 - p2) != 1:
+            continue
+        for sign, u, s in product((+1, -1), U, S):
+            for t in range(s, tmax + 1):
+                xs, xt, xu = X(sign, p1, s), X(sign, p1, t), X(sign, p2, u)
+                anti = ow_add(w(xs, xt), w(xt, xs))
+                lhs = ow_add(ow_mul(w(xu), anti), ow_mul(anti, w(xu)))
+                rhs = ow_scale(ow_add(w(xs, xu, xt), w(xt, xu, xs)), qplus)
+                params = {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u}
+                yield "R8-serre", params, lhs, rhs
+
+    # consequences of R1: the tilde-K identity and the J_0 corollary
+    for pos in gamma_prime:
+        ktilde, J0 = word_ktilde(ring, +1, pos), word_J(ring, pos, 0)
+        lhs = ow_scale(ow_mul(ktilde, J0), qq)
+        rhs = ow_add(ktilde, ow_neg(word_ktilde(ring, -1, pos)))
+        yield "wtKJ0-cleared", {"pos": pos}, lhs, rhs
+        rhs = ow_neg(w(K(-1, pos), K(-1, pos), I(-1, pos + 1, 0)))
+        rhs = ow_add(w(I(+1, pos, 0)), rhs)
+        yield "CJ0", {"pos": pos}, J0, rhs
+
+
+def verify_q1(sctx, smax=2, tmax=2, umax=2):
+    """The q = 1 identities: trivial K, matching I^+ = I^-, and the images of
+    the current-algebra relations (L1)-(L6)."""
+    if not sctx.ring.q_one:
+        raise ValueError("needs a q = 1 context")
+    return run_relations(sctx, q1_relation_words(sctx, smax, tmax, umax))
+
+
+def q1_relation_words(sctx, smax, tmax, umax):
+    """The q = 1 identities and (L1)-(L6) as (name, params, lhs, rhs)."""
+    ring = sctx.ring
+    gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
+    S, T, U = range(smax + 1), range(tmax + 1), range(umax + 1)
+    w = partial(ow, ring)
+    zero, one = ow_zero(), w()
+
+    def comm(a, b):
+        return ow_commutator(w(a), w(b))
+
+    def lieJ(pos, t):
+        return ow_add(w(I(+1, pos, t)), ow_neg(w(I(+1, pos + 1, t))))
+
+    for pos in gamma:
+        for sign in (+1, -1):
+            yield "q1-K-trivial", {"pos": pos, "sign": sign}, w(K(sign, pos)), one
+        for t in range(tmax + 2):
+            lhs, rhs = w(I(+1, pos, t)), w(I(-1, pos, t))
+            yield "q1-I-plus-minus", {"pos": pos, "t": t}, lhs, rhs
+    for pos in gamma_prime:
+        lhs = ow_mul(word_ktilde(ring, +1, pos), word_J(ring, pos, 0))
+        yield "q1-wtKJ0", {"pos": pos}, lhs, lieJ(pos, 0)
+    # (L1)
+    for p1, p2, s, t in product(gamma, gamma, S, T):
+        if p2 >= p1:
+            params = {"pos": [p1, p2], "s": s, "t": t}
+            yield "q1-L1", params, comm(I(+1, p1, s), I(+1, p2, t)), zero
+    # (L2)
+    for px, pj, sign, s, t in product(gamma_prime, gamma, (+1, -1), S, T):
+        a = sctx.cartan(px, pj)
+        rhs = ow_scale(w(X(sign, px, s + t)), ring.from_int(sign * a))
+        params = {"x": px, "jl": pj, "sign": sign, "s": s, "t": t}
+        yield "q1-L2", params, comm(I(+1, pj, s), X(sign, px, t)), rhs
+    # (L3)
+    for p1, p2, t, s in product(gamma_prime, gamma_prime, T, S):
+        lhs = comm(X(+1, p1, t), X(-1, p2, s))
+        if p1 != p2:
+            yield "q1-L3-offdiag", {"pos": [p1, p2], "t": t, "s": s}, lhs, zero
+            continue
+        rhs = at_junction(ring, sctx.shape.junction(p1), partial(lieJ, p1), s + t)
+        yield "q1-L3-diag", {"pos": p1, "t": t, "s": s}, lhs, rhs
+    # (L4), (L5), (L6)
+    for p1, sign in product(gamma_prime, (+1, -1)):
+        for p2, t, s in product(gamma_prime, T, S):
+            if p2 >= p1 and p2 != p1 + 1:
+                params = {"pos": [p1, p2], "sign": sign, "t": t, "s": s}
+                lhs = comm(X(sign, p1, t), X(sign, p2, s))
+                yield "q1-L4", params, lhs, zero
+        for p2 in gamma_prime:
+            if abs(p1 - p2) != 1:
+                continue
+            for t, s in product(T, S):
+                params = {"pos": [p1, p2], "sign": sign, "t": t, "s": s}
+                lhs = comm(X(sign, p1, t + 1), X(sign, p2, s))
+                rhs = comm(X(sign, p1, t), X(sign, p2, s + 1))
+                yield "q1-L5", params, lhs, rhs
+            for s, t, u in product(S, T, U):
+                params = {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u}
+                inner = comm(X(sign, p1, t), X(sign, p2, u))
+                yield "q1-L6", params, ow_commutator(w(X(sign, p1, s)), inner), zero
+
+
+# ---------------------------------------------------------------------------
+# divided powers and highest-weight eigenvalues
+
+
+def divided_power_image(sctx, pos, sign, t, d, mu):
+    """(X^{sign}_t)^d(m_mu) divided exactly by [d]!, with the integrality flag
+    for the A-form (integer coefficients, Laurent in q, polynomial in Q)."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    labels = tuple([X(sign, pos, t)] * d)
+    value = sctx.apply_seq(labels, mu)
+    fact = qfactorial(d, sctx.ring)
+    quotient = {key: divexact(coeff, fact) for key, coeff in value.grouped().items()}
+    integral = all(
+        c.denominator == 1 and all(x >= 0 for x in e[1:])
+        for ml in quotient.values()
+        for e, c in ml.terms.items()
+    )
+    return sctx.hctx.from_grouped(quotient), integral
+
+
+def verify_divided_powers(sctx, dmax=3, tmax=1):
+    """(X^{sign}_t)^d(m_mu) / [d]! lies in the A-form, and vanishes when d
+    exceeds the entry that X^{sign} moves nodes out of."""
+    checks = []
+    gamma_prime, T, D = range(1, sctx.shape.total), range(tmax + 1), range(1, dmax + 1)
+    for pos, sign, t, d, mu in product(gamma_prime, (+1, -1), T, D, sctx.weights):
+        quotient, integral = divided_power_image(sctx, pos, sign, t, d, mu)
+        flat = comb.flatten(mu)
+        cap = flat[pos] if sign > 0 else flat[pos - 1]
+        params = {"pos": pos, "sign": sign, "t": t, "d": d, "mu": mu}
+        ok = integral and (d <= cap or quotient.is_zero)
+        checks.append(check("divided-power-integral", params, ok))
+    return checks
+
+
+def hw_eigenvalue_pair(lam_j, j, l, t, sign, ring):
+    """(residue form, closed form) of the highest-weight eigenvalue of
+    I^{sign}_{(j,l),t} on the Weyl module: the Phi value at the row residues
+    versus the explicit q-power times a Gauss integer."""
+    if lam_j == 0:
+        return ring.zero, ring.zero
+    args = [ring.Q(l - 1) * ring.q_pow(2 * (c - j)) for c in range(1, lam_j + 1)]
+    poly = phi(t, lam_j, sign, ring)
+    via_phi = poly.evaluate(args, ring) * ring.q_pow(sign * (t - 1))
+    # the q-power runs (2t - 1) lam_j for sign +1 and lam_j for sign -1
+    e = (t - 1) * (1 + sign) * lam_j + lam_j - t * (2 * j - 1)
+    closed = ring.Q(l - 1, t) * ring.q_pow(e) * qint(lam_j, ring)
+    return via_phi, closed
+
+
+def verify_hw_eigenvalues(ring, lam_max=5, j_max=3, t_max=4, l_values=(1, 2)):
+    """The two closed forms of the highest-weight eigenvalues agree, for both
+    signs (and at q = 1 when the ring pins q), at every l <= r of l_values."""
+    checks = []
+    L = [l for l in l_values if l <= ring.r]
+    J, LAM, T = range(1, j_max + 1), range(lam_max + 1), range(t_max + 1)
+    for l, j, lam_j, t, sign in product(L, J, LAM, T, (+1, -1)):
+        via_phi, closed = hw_eigenvalue_pair(lam_j, j, l, t, sign, ring)
+        params = {"lam_j": lam_j, "j": j, "l": l, "t": t, "sign": sign, "q_one": ring.q_one}
+        checks.append(check("hw-eigenvalue", params, via_phi == closed))
+    return checks
+
+
+def run(config):
+    """The ``schur`` suite of ``cycloschur verify``."""
+    sctx = SchurContext(config.n, config.shape, q_one=config.q1)
+    checks = verify_relations(sctx, smax=config.deg, tmax=config.deg, umax=config.deg)
+    checks += verify_divided_powers(sctx, dmax=config.dmax, tmax=1)
+    return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
+
+
+def run_q1(config):
+    """The ``q1`` suite of ``cycloschur verify``."""
+    sctx = SchurContext(config.n, config.shape, q_one=True)
+    checks = verify_q1(sctx, smax=config.deg, tmax=config.deg, umax=config.deg)
+    return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)

@@ -5,42 +5,33 @@ pass/fail line (visible with -s or in the captured output)."""
 import sys
 import time
 
-import pytest
-
 from cycloschur.coeff import LaurentRing
-from cycloschur.combinatorics import (
-    Shape,
-    enumerate_multipartitions,
-    lr_coefficient,
-    size,
-    strip,
-)
-from cycloschur.hecke import HeckeContext, verify_hecke
-from cycloschur.liealg import (
-    LieContext,
+from cycloschur.combinatorics import Shape, enumerate_multipartitions
+from cycloschur.hecke import HeckeContext
+from cycloschur.liealg import LieContext
+from cycloschur.reporting import check
+from cycloschur.schurops import SchurContext
+from cycloschur.suites.hecke import verify_hecke
+from cycloschur.suites.lie import (
     verify_antisymmetry,
     verify_eval_map,
     verify_gr,
     verify_jacobi,
     verify_vtau,
 )
-from cycloschur.schurops import (
-    SchurContext,
+from cycloschur.suites.schur import (
     verify_divided_powers,
     verify_hw_eigenvalues,
     verify_q1,
     verify_relations,
 )
-from cycloschur.symfun import (
-    SymPoly,
-    char_product_check,
-    lr_matches_schur_oracle,
+from cycloschur.suites.symfun import (
     verify_char_products,
     verify_characters,
     verify_phi_q1,
     verify_phi_recursions,
-    weyl_character,
 )
+from cycloschur.symfun import char_product_check
 
 
 def report(criterion, label, checks, elapsed, budget):
@@ -143,26 +134,12 @@ def test_criterion_9_tensor_character_identity():
     ring = LaurentRing(2)
     chars = {}
     checks = []
-    total = 0
     for n1 in range(0, 6):
         for n2 in range(0, 6 - n1):
             for lam in enumerate_multipartitions(n1, shape):
                 for mu in enumerate_multipartitions(n2, shape):
                     rep = char_product_check(lam, mu, shape, ring, chars)
-                    total += 1
-                    if not rep["verified"]:
-                        checks.append(
-                            {
-                                "check": "tensor-character",
-                                "params": {"lambda": lam, "mu": mu},
-                                "ok": False,
-                            }
-                        )
-    checks.append(
-        {
-            "check": "tensor-character",
-            "params": {"pairs": total},
-            "ok": all(c["ok"] for c in checks) if checks else True,
-        }
-    )
+                    params = {"lambda": lam, "mu": mu}
+                    checks.append(check("tensor-character", params, rep["verified"]))
+    assert len(checks) == 316
     report(9, "tensor product character identity", checks, time.time() - t0, 120)

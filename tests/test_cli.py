@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cycloschur import hecke, schurops
+from cycloschur.suites import hecke as hecke_suite
 from cycloschur.cli import ParseError, main, parse_multipartition
 
 
@@ -155,6 +156,8 @@ class TestVerifyCommand:
         ["compute", "phi", "2", "0", "+"],
         ["compute", "phi", "x", "2", "+"],
         ["compute", "phi", "1", "2", "+", "-r", "0"],
+        ["compute", "phi", "-1", "2", "+"],
+        ["compute", "structure-constants", "-m", "2,2", "--deg", "-1"],
     ])
     def test_bad_input_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2
@@ -195,7 +198,9 @@ class TestVerifyCommand:
     def test_broken_stacked_bracket_fails_the_cofactor_check(self, capsys, monkeypatch):
         # the cofactor reconstruction is a recorded check, not an engine error
         real = hecke.stacked_bracket
-        monkeypatch.setattr(hecke, "stacked_bracket", lambda *a: real(*a).scale(2))
+        # the engine's divided_t_bracket and the suite's expansion both use it
+        for module in (hecke, hecke_suite):
+            monkeypatch.setattr(module, "stacked_bracket", lambda *a: real(*a).scale(2))
         assert main(["verify", "--suite", "hecke", "-n", "2", "-r", "1", "-m", "2"]) == 1
         failed = json.loads(capsys.readouterr().out)["suites"]["hecke"]["failed"]
         assert any(c["check"] == "divided-bracket-cofactor" for c in failed)

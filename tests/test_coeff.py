@@ -9,7 +9,6 @@ from cycloschur.coeff import (
     LaurentRing,
     MultiLaurent,
     divexact,
-    ml_from_json,
     ml_to_json,
     qbinom,
     qfactorial,
@@ -18,6 +17,15 @@ from cycloschur.coeff import (
 )
 
 R2 = LaurentRing(2)
+
+
+def ml_from_json(data, nvars):
+    """The inverse of ``ml_to_json``: a reference for its round trip."""
+    terms = {}
+    for item in data:
+        exps = tuple(item["exponents"])
+        terms[exps] = Fraction(int(item["num"]), int(item["den"]))
+    return MultiLaurent(nvars, terms)
 
 
 def ml(terms):

@@ -1,14 +1,10 @@
-import itertools
-
 import pytest
 
 from cycloschur.coeff import LaurentRing
 from cycloschur.combinatorics import (
     Shape,
-    composition_of_multipartition,
     compositions_of,
     diagram,
-    dominance_ge,
     enumerate_compositions,
     enumerate_multipartitions,
     flatten,
@@ -24,6 +20,17 @@ from cycloschur.combinatorics import (
 )
 
 R2 = LaurentRing(2)
+
+
+def composition_of_multipartition(lam, shape):
+    """Pad a multipartition into composition form; fails if some length
+    exceeds m_k.  The weight at which its tableau is unique."""
+    if not multipartition_in_small_set(lam, shape):
+        raise ValueError(f"{lam} does not fit into shape {shape.m}")
+    return tuple(
+        tuple(lam[k][i] if i < len(lam[k]) else 0 for i in range(shape.m[k]))
+        for k in range(shape.r)
+    )
 
 
 class TestGamma:
@@ -106,25 +113,6 @@ class TestMultipartitions:
             for lam in enumerate_multipartitions(n, wide)
         }
         assert set(enumerate_multipartitions(n, shape, extended=True)) == direct
-
-
-class TestDominance:
-    def test_partial_order_axioms(self):
-        shape = Shape((2, 2))
-        weights = [flatten(mu) for mu in enumerate_compositions(3, shape)]
-        for a in weights:
-            assert dominance_ge(a, a)
-        for a, b in itertools.permutations(weights, 2):
-            if dominance_ge(a, b) and dominance_ge(b, a):
-                assert a == b
-        for a, b, c in itertools.product(weights, repeat=3):
-            if dominance_ge(a, b) and dominance_ge(b, c):
-                assert dominance_ge(a, c)
-
-    def test_basic(self):
-        assert dominance_ge((2, 0), (1, 1))
-        assert not dominance_ge((1, 1), (2, 0))
-        assert not dominance_ge((2, 0), (1, 0))
 
 
 class TestResidue:

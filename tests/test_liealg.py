@@ -16,6 +16,8 @@ from cycloschur.liealg import (
     mat_mul,
     mat_scale,
     mat_sub,
+)
+from cycloschur.suites.lie import (
     verify_antisymmetry,
     verify_eval_map,
     verify_gr,
@@ -377,3 +379,25 @@ class TestChecksCanFail:
         assert [c["ok"] for c in closed] == [False, True]
         assert closed[0]["detail"] == "violation at (1, 2, 0)"
         assert "detail" not in closed[1]
+
+    def test_each_gr_check_names_its_own_first_failure(self):
+        # a degree-0 term under a degree-2 bracket breaks only the filtration,
+        # a wrong degree-0 term in a degree-0 bracket only the leading term;
+        # [E_14, E_41] reduces through [E_34, E_43], so its leading term is
+        # the first one that fails
+        lctx4 = LieContext(Shape((2, 2)))
+        low, wrong = ((1, 2, 1), (2, 3, 1)), ((3, 4, 0), (4, 3, 0))
+        for pair in (low, wrong):
+            br = lctx4.bracket_basis(*pair)
+            lctx4._bb_cache[pair] = br + lctx4.basis(1, 1, 0)
+        checks = verify_gr(lctx4, deg_cap=2)
+        (filtration,) = _by_name(checks, "gr-filtration")
+        (leading,) = _by_name(checks, "gr-leading-term")
+        assert filtration == {
+            "check": "gr-filtration",
+            "params": {"shape": [2, 2], "deg_cap": 2},
+            "ok": False,
+            "detail": str(low),
+        }
+        assert not leading["ok"]
+        assert leading["detail"] == str(((1, 4, 0), (4, 1, 0)))

@@ -8,14 +8,16 @@ from cycloschur.schurops import (
     K,
     SchurContext,
     X,
-    divided_power_image,
-    hw_eigenvalue_pair,
     ow,
     ow_commutator,
     ow_mul,
-    ow_qcomm,
     ow_scale,
     ow_zero,
+)
+from cycloschur.suites.schur import (
+    divided_power_image,
+    hw_eigenvalue_pair,
+    ow_qcomm,
     q1_relation_words,
     relation_words,
     run_relations,

@@ -12,11 +12,13 @@ from cycloschur.symfun import (
     power_sum,
     schur_poly,
     single_component_multipartition,
+    weyl_character,
+)
+from cycloschur.suites.symfun import (
     verify_char_products,
     verify_characters,
     verify_phi_q1,
     verify_phi_recursions,
-    weyl_character,
 )
 
 R1 = LaurentRing(1)
