@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from . import combinatorics as comb
 from . import liealg, symfun
-from .coeff import LaurentRing
+from .coeff import EngineError, LaurentRing
 from .combinatorics import Shape
-from .hecke import EngineError
 from .suites import RUNNERS
 
 SUITES = tuple(RUNNERS)
@@ -152,6 +151,18 @@ def parse_multipartition(text):
     return tuple(components)
 
 
+def _write_json(obj, path):
+    """Write obj as compact JSON with sorted keys to path, or to stdout when
+    path is None.  The compact form keeps to the C encoder, which an
+    ``indent`` would turn off."""
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def cmd_verify(config):
     suites = {}
     for name in config.suites:
@@ -170,16 +181,12 @@ def cmd_verify(config):
         "suites": suites,
         "passed": passed,
     }
-    payload = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    _write_json(report, config.out)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(payload)
         for name in config.suites:
             info = suites[name]
             print(f"{name}: {'pass' if info['passed'] else 'FAIL'} ({info['total']} checks)")
         print(f"report written to {config.out}")
-    else:
-        sys.stdout.write(payload)
     return 0 if passed else 1
 
 
@@ -271,12 +278,7 @@ def cmd_compute(args):
                "table": table}
     else:
         raise ParseError(f"unknown query {args.query!r}", args.query, 0)
-    payload = json.dumps(out, sort_keys=True, indent=1) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_json(out, args.out)
     return 0
 
 

@@ -11,6 +11,11 @@ matrices, a user-supplied rational), and ``specialize`` evaluates to one.
 The number of Q parameters is fixed per session by ``LaurentRing(r)``; the
 q = 1 regime is the same ring built with ``q_one=True``, which pins the q
 exponent to zero at construction time.
+
+The flat engines ``hecke`` and ``liealg`` do not multiply ``MultiLaurent``
+values: they pack a monomial's exponents into one ``int`` key, and this
+module defines that packing once for both (see "packed exponent keys"
+below), with the ``EngineError`` an out-of-range exponent raises.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ class CoeffError(ArithmeticError):
 def _exact(c):
     """The rational c as an int when it is integral, else as a Fraction."""
     if type(c) is not int:
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c.denominator == 1:
             return c.numerator
     return c
@@ -416,3 +422,70 @@ def ml_to_json(p):
         {"exponents": list(exps), "num": str(c.numerator), "den": str(c.denominator)}
         for exps, c in p.sorted_terms()
     ]
+
+
+# ---------------------------------------------------------------------------
+# packed exponent keys
+#
+# The flat engines (``hecke``, ``liealg``) store a monomial as one ``int``
+# key: each exponent has a 16-bit slot holding the exponent plus 8192, so
+# every exponent lies in [-8192, 8191].  The two top bits of a slot are guard
+# bits, clear in every valid key: a sum of two valid keys less the origin
+# (the key of exponent zero) that leaves the range in some slot sets a guard
+# bit there instead of carrying into the next slot, and the engine raises
+# ``EngineError`` for it.  A product of monomials is thus one key addition
+# and one ``&`` per key formed.
+
+# slot width, bias, slot mask and the two guard bits
+_W = 16
+_BIAS = 1 << (_W - 3)
+_MASK = (1 << _W) - 1
+_GUARD = 3 << (_W - 2)
+
+
+class EngineError(Exception):
+    """An engine self-check failed: a fault in the algebra engine itself, not
+    a failed verification."""
+
+
+def _overflow():
+    return EngineError(
+        f"exponent outside the packed key range [{-_BIAS}, {_BIAS - 1}]"
+    )
+
+
+def _slots(value, count):
+    """``value`` in each of the lowest ``count`` slots: the origin for
+    ``_BIAS``, the guard mask for ``_GUARD``."""
+    return sum(value << (_W * s) for s in range(count))
+
+
+def _pack(exps, slot=0):
+    """The key shift adding exps to consecutive slots from ``slot`` on."""
+    delta = 0
+    for s, e in enumerate(exps, slot):
+        if not -_BIAS <= e < _BIAS:
+            raise _overflow()
+        delta += e << (_W * s)
+    return delta
+
+
+def _unpack(key, count):
+    """The exponents in the lowest ``count`` slots of a packed key."""
+    return tuple(((key >> (_W * s)) & _MASK) - _BIAS for s in range(count))
+
+
+def _add_terms(a, b):
+    """The sum of two zero-free flat term dicts, zero-free."""
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s += v
+            if s:
+                out[k] = s if type(s) is int else _exact(s)
+            else:
+                del out[k]
+    return out

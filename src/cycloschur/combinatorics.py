@@ -154,11 +154,6 @@ def enumerate_multipartitions(n, shape, extended=False):
     return out
 
 
-def multipartition_in_small_set(lam, shape):
-    """Predicate: does lam lie in Lambda^+_{n,r}(m) (all lengths <= m_k)?"""
-    return all(len(strip(lam[k])) <= shape.m[k] for k in range(shape.r))
-
-
 def size(lam):
     return sum(sum(part) for part in lam)
 

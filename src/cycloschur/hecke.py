@@ -15,15 +15,13 @@ An element is one flat dict {(key, w): coefficient}: the coefficient is an
 is one ``int`` packing the exponents of the monomial
 L_1^{c_1} ... L_n^{c_n} q^{e} Q_0^{f_0} ... Q_{r-1}^{f_{r-1}}.  Each
 exponent has a 16-bit slot, L_1 lowest, then L_2, ..., L_n, q, Q_0, ...,
-Q_{r-1}; the slot holds the exponent plus 8192, so every exponent lies in
-[-8192, 8191].  The two top bits of a slot are guard bits, clear in every
-valid key: a sum of two valid keys (less the bias) that leaves the range in
-some slot sets a guard bit there instead of carrying into the next slot, and
-the engine raises ``EngineError`` for it.  Products therefore add keys and
-multiply integers and allocate no ``MultiLaurent``.  At the boundary,
-``HeckeContext.term``, ``phi_jm`` and ``young_subgroup_sum`` take
-``(c, w) -> MultiLaurent`` input, and ``HeckeElem.grouped`` gives that view
-back (``sorted_terms``, ``elem_to_json`` and ``repr`` read it).
+Q_{r-1}, in the packing of ``coeff`` (every exponent lies in [-8192, 8191],
+and a key formed out of that range raises ``EngineError``).  Products
+therefore add keys and multiply integers and allocate no ``MultiLaurent``.
+At the boundary, ``HeckeContext.term``, ``phi_jm`` and
+``young_subgroup_sum`` take ``(c, w) -> MultiLaurent`` input, and
+``HeckeElem.grouped`` gives that view back (``sorted_terms``,
+``elem_to_json`` and ``repr`` read it).
 """
 
 from __future__ import annotations
@@ -33,24 +31,22 @@ from fractions import Fraction
 
 from . import combinatorics as comb
 from . import symfun
-from .coeff import LaurentRing, MultiLaurent, _exact, ml_to_json
-
-# packed exponent keys: slot width, bias, slot mask and the two guard bits
-_W = 16
-_BIAS = 1 << (_W - 3)
-_MASK = (1 << _W) - 1
-_GUARD = 3 << (_W - 2)
-
-
-class EngineError(Exception):
-    """An engine self-check failed: a fault in the algebra engine itself, not
-    a failed verification."""
-
-
-def _overflow():
-    return EngineError(
-        f"exponent outside the packed key range [{-_BIAS}, {_BIAS - 1}]"
-    )
+from .coeff import (
+    _BIAS,
+    _GUARD,
+    _MASK,
+    _W,
+    EngineError,
+    LaurentRing,
+    MultiLaurent,
+    _add_terms,
+    _exact,
+    _overflow,
+    _pack,
+    _slots,
+    _unpack,
+    ml_to_json,
+)
 
 
 def _clean(out):
@@ -94,9 +90,9 @@ class HeckeContext:
         self._zero_c = (0,) * n
         self._rw_cache = {self._id: ()}
         self._mmu_cache = {}
-        slots = range(n + 1 + r)
-        self._origin = sum(_BIAS << (_W * s) for s in slots)  # key of 1
-        self._guard = sum(_GUARD << (_W * s) for s in slots)
+        self._nslots = n + 1 + r
+        self._origin = _slots(_BIAS, self._nslots)  # key of 1
+        self._guard = _slots(_GUARD, self._nslots)
         # key step of q^1; 0 at q = 1, where no (q - q^{-1}) term is emitted
         self._qstep = 0 if q_one else 1 << (_W * n)
 
@@ -109,27 +105,18 @@ class HeckeContext:
 
     # -- packed keys --------------------------------------------------------
 
-    def _delta(self, slot, exps):
-        """The key shift adding exps to consecutive slots from ``slot`` on."""
-        delta = 0
-        for s, e in enumerate(exps, slot):
-            if not -_BIAS <= e < _BIAS:
-                raise _overflow()
-            delta += e << (_W * s)
-        return delta
-
     def _unpack(self, key):
         """(L-exponents, ring exponents (q, Q_0, ...)) of a packed key."""
-        exps = [((key >> (_W * s)) & _MASK) - _BIAS for s in range(self.n + 1 + self.r)]
-        return tuple(exps[: self.n]), tuple(exps[self.n :])
+        exps = _unpack(key, self._nslots)
+        return exps[: self.n], exps[self.n :]
 
     def from_grouped(self, terms):
         """The element with terms {(c, w): MultiLaurent}."""
         flat = {}
         for (c, w), coeff in terms.items():
-            base = self._origin + self._delta(0, c)
+            base = self._origin + _pack(c)
             for exps, x in coeff.terms.items():
-                flat[(base + self._delta(self.n, exps), tuple(w))] = x
+                flat[(base + _pack(exps, self.n), tuple(w))] = x
         return HeckeElem(self, flat)
 
     # -- constructors -------------------------------------------------------
@@ -324,18 +311,7 @@ class HeckeElem:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = v
-            else:
-                s += v
-                if s:
-                    out[k] = s if type(s) is int else _exact(s)
-                else:
-                    del out[k]
-        return HeckeElem(self.ctx, out)
+        return HeckeElem(self.ctx, _add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return HeckeElem(self.ctx, {k: -v for k, v in self.terms.items()})
@@ -364,13 +340,13 @@ class HeckeElem:
             coeff = ctx.ring.from_fraction(Fraction(coeff))
         out = {}
         for exps, c in coeff.terms.items():
-            self._shifted(ctx._delta(ctx.n, exps), c, out)
+            self._shifted(_pack(exps, ctx.n), c, out)
         return HeckeElem(ctx, _clean(out))
 
     def shift_L(self, j, e):
         """The element times L_j^e."""
         out = {}
-        self._shifted(self.ctx._delta(j - 1, (e,)), 1, out)
+        self._shifted(_pack((e,), j - 1), 1, out)
         return HeckeElem(self.ctx, out)
 
     def commutator(self, other):

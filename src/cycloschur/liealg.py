@@ -10,27 +10,69 @@ element come from closed formulas, and a lowering generator's bracket is
 their minus transpose; general brackets reduce recursively through the
 derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].
 
-Coefficients live in the shared Laurent ring with the q exponent pinned to
+Coefficients lie in the shared Laurent ring with the q exponent pinned to
 zero; the parameters Q_1, ..., Q_{r-1} enter at the junction positions
-m_1 + ... + m_k.
+m_1 + ... + m_k.  They are stored flat, as in ``hecke``: an element is one
+dict {(label, key): coefficient}, where ``key`` is one ``int`` packing the
+ring exponents (q, Q_0, ..., Q_{r-1}) in the slots of ``coeff`` and the
+coefficient is a nonzero ``int``, or a ``Fraction`` when it is not
+integral.  Brackets, matrix products and scaling add keys, multiply
+numbers and check the packed range once per key formed (an exponent out of
+range raises ``EngineError``); they allocate no ``MultiLaurent``.  At the
+boundary, ``basis``, ``scale`` and ``mat_unit`` take ``MultiLaurent``
+coefficients, and ``LieElem.grouped`` gives back {label: MultiLaurent}
+(``sorted_terms``, ``elem_to_json`` and ``repr`` read it).
 
 The m x m matrices of the evaluation map onto gl_m and of the modules V_tau
-are sparse: a dict {(i, j): coefficient} with zero-based indices that stores
-only nonzero entries, so the zero matrix is {} and matrix equality is ==.
+are sparse and flat the same way: a dict {(i, j, key): coefficient} with
+zero-based indices that stores only nonzero entries, so the zero matrix is
+{} and matrix equality is ==.
 """
 
 from __future__ import annotations
 
-from .coeff import LaurentRing, ml_to_json
+from fractions import Fraction
+
+from .coeff import (
+    _BIAS,
+    _GUARD,
+    _W,
+    LaurentRing,
+    MultiLaurent,
+    _add_terms,
+    _exact,
+    _overflow,
+    _pack,
+    _slots,
+    _unpack,
+    ml_to_json,
+)
+
+
+def _acc_scaled(out, terms, shift, c, guard):
+    # add c * (terms with every key shifted by shift) to the zero-free out
+    for (label, key), v in terms.items():
+        key += shift
+        if key & guard:
+            raise _overflow()
+        k = (label, key)
+        v *= c
+        if k in out:
+            v += out[k]
+            if not v:
+                del out[k]
+                continue
+        out[k] = v if type(v) is int else _exact(v)
 
 
 class LieElem:
-    """Finitely supported combination of basis labels (p, q, t)."""
+    """Finitely supported combination of basis labels (p, q, t), stored as
+    flat terms {(label, key): coefficient} (see the module docstring)."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
-        # terms must already be zero-free
+        # terms must already be zero-free, with integral values as ints
         self.ctx = ctx
         self.terms = terms
 
@@ -44,10 +86,7 @@ class LieElem:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for label, coeff in other.terms.items():
-            _acc(out, label, coeff)
-        return LieElem(self.ctx, out)
+        return LieElem(self.ctx, _add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return LieElem(self.ctx, {k: -v for k, v in self.terms.items()})
@@ -56,13 +95,25 @@ class LieElem:
         return self + (-other)
 
     def scale(self, coeff):
-        if coeff.is_zero:
-            return LieElem(self.ctx, {})
-        # a product of nonzero Laurent polynomials is nonzero
-        return LieElem(self.ctx, {k: v * coeff for k, v in self.terms.items()})
+        """The element times a MultiLaurent, int or Fraction."""
+        if not self.terms:
+            return self
+        ctx = self.ctx
+        out = {}
+        for key, c in ctx._flat(coeff).items():
+            _acc_scaled(out, self.terms, key - ctx._origin, c, ctx._guard)
+        return LieElem(ctx, out)
+
+    def grouped(self):
+        """The terms as {label: MultiLaurent}."""
+        nvars = self.ctx.ring.nvars
+        out = {}
+        for (label, key), c in self.terms.items():
+            out.setdefault(label, {})[_unpack(key, nvars)] = c
+        return {label: MultiLaurent._make(nvars, v) for label, v in out.items()}
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        return sorted(self.grouped().items())
 
     def __repr__(self):
         if not self.terms:
@@ -84,17 +135,35 @@ class LieContext:
         self.shape = shape
         self.m = shape.total
         self.ring = LaurentRing(max(shape.r, 1))
+        nvars = self.ring.nvars
+        self._origin = _slots(_BIAS, nvars)  # key of 1
+        self._guard = _slots(_GUARD, nvars)
+        # the key of Q_k at the junction position of each k (slot 0 is q)
+        self._jkey = {}
+        for pos in range(1, self.m + 1):
+            k = shape.junction(pos)
+            if k is not None:
+                self._jkey[pos] = self._origin + (1 << (_W * (k + 1)))
         self._bb_cache = {}
-        self._vtau_cache = {}
+        self._vtau_cache = {}  # tau -> {label: matrix}
+        self._last_tau = self._last_vtau = None
         self._eval_cache = {}
+
+    # -- flat coefficients --------------------------------------------------
+
+    def _flat(self, coeff):
+        """A MultiLaurent, int or Fraction as {key: nonzero coefficient}."""
+        if isinstance(coeff, MultiLaurent):
+            return {self._origin + _pack(exps): c for exps, c in coeff.terms.items()}
+        coeff = _exact(coeff)
+        return {self._origin: coeff} if coeff else {}
 
     # -- element constructors --------------------------------------------
 
-    def basis(self, p, q, t, coeff=None):
+    def basis(self, p, q, t, coeff=1):
         if not (1 <= p <= self.m and 1 <= q <= self.m and t >= 0):
             raise ValueError(f"bad basis label ({p}, {q}, {t})")
-        coeff = self.ring.one if coeff is None else coeff
-        return LieElem(self, {} if coeff.is_zero else {(p, q, t): coeff})
+        return LieElem(self, {((p, q, t), k): c for k, c in self._flat(coeff).items()})
 
     def X(self, sign, pos, t):
         if not 1 <= pos <= self.m - 1:
@@ -115,11 +184,16 @@ class LieContext:
     # -- brackets ----------------------------------------------------------
 
     def bracket(self, x, y):
-        out = self.zero()
-        for a, ca in x.terms.items():
-            for b, cb in y.terms.items():
-                out = out + self.bracket_basis(a, b).scale(ca * cb)
-        return out
+        origin, guard = self._origin, self._guard
+        out = {}
+        for (a, ka), ca in x.terms.items():
+            for (b, kb), cb in y.terms.items():
+                key = ka + kb - origin
+                if key & guard:
+                    raise _overflow()
+                terms = self.bracket_basis(a, b).terms
+                _acc_scaled(out, terms, key - origin, ca * cb, guard)
+        return LieElem(self, out)
 
     def bracket_basis(self, a, b):
         key = (a, b)
@@ -132,119 +206,141 @@ class LieContext:
             out = -self._gen_on_basis(b, a)
         else:
             g, a1 = _peel(a)
+            origin, guard = self._origin, self._guard
+            acc = {}
             # [[g, a1], b] = [g, [a1, b]] - [a1, [g, b]]
-            inner1 = self.bracket_basis(a1, b)
-            term1 = self._gen_on_elem(g, inner1)
-            inner2 = self._gen_on_basis(g, b)
-            term2 = self.zero()
-            for lab, coeff in inner2.terms.items():
-                term2 = term2 + self.bracket_basis(a1, lab).scale(coeff)
-            out = term1 - term2
+            for (lab, k), c in self.bracket_basis(a1, b).terms.items():
+                _acc_scaled(acc, self._gen_on_basis(g, lab).terms, k - origin, c, guard)
+            # the labels of [g, b] are distinct: one bracket_basis call each
+            for (lab, k), c in self._gen_on_basis(g, b).terms.items():
+                terms = self.bracket_basis(a1, lab).terms
+                _acc_scaled(acc, terms, k - origin, -c, guard)
+            out = LieElem(self, acc)
         self._bb_cache[key] = out
         return out
 
-    def _gen_on_elem(self, g, x):
-        out = self.zero()
-        for lab, coeff in x.terms.items():
-            out = out + self._gen_on_basis(g, lab).scale(coeff)
-        return out
-
     def _gen_on_basis(self, g, b):
-        """Closed-form bracket [generator, basis element]."""
+        """Closed-form bracket [generator, basis element]; every label of the
+        result carries a single monomial, +-1 or +-Q_k."""
         gp, gq, s = g
         p, q, t = b
         if gq == gp - 1:
             # lowering generator X^-_{a,s}: the minus transpose of the raising
             # bracket, [X^-_{a,s}, E[p,q;t]] = -[X^+_{a,s}, E[q,p;t]]^T
             raised = self._gen_on_basis((gq, gp, s), (q, p, t))
-            return LieElem(self, {(v, u, d): -c for (u, v, d), c in raised.terms.items()})
-        one = self.ring.one
-        out = {}
+            return LieElem(
+                self, {((v, u, d), k): -c for ((u, v, d), k), c in raised.terms.items()}
+            )
+        one = self._origin
+        d = t + s
 
         if gp == gq:
             # diagonal generator I_{a,s}
             a = gp
-            if p == q:
+            if p == q or a not in (p, q):
                 return self.zero()
-            if a == p:
-                _acc(out, (p, q, t + s), one)
-            if a == q:
-                _acc(out, (p, q, t + s), -one)
-            return LieElem(self, out)
+            return LieElem(self, {((p, q, d), one): 1 if a == p else -1})
 
         # raising generator X^+_{a,s}
         a = gp
         if p == q:
-            c = p
-            if c == a:
-                _acc(out, (a, a + 1, t + s), -one)
-            elif c == a + 1:
-                _acc(out, (a, a + 1, t + s), one)
-            return LieElem(self, out)
+            if p == a:
+                return LieElem(self, {((a, a + 1, d), one): -1})
+            if p == a + 1:
+                return LieElem(self, {((a, a + 1, d), one): 1})
+            return self.zero()
         if p < q:
             if a == p - 1:
-                _acc(out, (p - 1, q, t + s), one)
+                return LieElem(self, {((p - 1, q, d), one): 1})
             if a == q:
-                _acc(out, (p, q + 1, t + s), -one)
-            return LieElem(self, out)
+                return LieElem(self, {((p, q + 1, d), one): -1})
+            return self.zero()
         # p > q
         ell = p - q
+        Q = self._jkey.get(a)
         if ell == 1 and a == p - 1:
-            Q = self.junction_Q(a)
             if Q is None:
-                _acc(out, (p - 1, p - 1, t + s), one)
-                _acc(out, (p, p, t + s), -one)
-            else:
-                _acc(out, (p - 1, p - 1, t + s), -Q)
-                _acc(out, (p, p, t + s), Q)
-                _acc(out, (p - 1, p - 1, t + s + 1), one)
-                _acc(out, (p, p, t + s + 1), -one)
-            return LieElem(self, out)
+                return LieElem(
+                    self, {((p - 1, p - 1, d), one): 1, ((p, p, d), one): -1}
+                )
+            return LieElem(self, {
+                ((p - 1, p - 1, d), Q): -1,
+                ((p, p, d), Q): 1,
+                ((p - 1, p - 1, d + 1), one): 1,
+                ((p, p, d + 1), one): -1,
+            })
         if ell > 1 and a == p - 1:
-            Q = self.junction_Q(a)
             if Q is None:
-                _acc(out, (p - 1, q, t + s), one)
-            else:
-                _acc(out, (p - 1, q, t + s), -Q)
-                _acc(out, (p - 1, q, t + s + 1), one)
-            return LieElem(self, out)
+                return LieElem(self, {((p - 1, q, d), one): 1})
+            return LieElem(self, {((p - 1, q, d), Q): -1, ((p - 1, q, d + 1), one): 1})
         if ell > 1 and a == q:
-            Q = self.junction_Q(a)
             if Q is None:
-                _acc(out, (p, q + 1, t + s), -one)
-            else:
-                _acc(out, (p, q + 1, t + s), Q)
-                _acc(out, (p, q + 1, t + s + 1), -one)
-            return LieElem(self, out)
+                return LieElem(self, {((p, q + 1, d), one): -1})
+            return LieElem(self, {((p, q + 1, d), Q): 1, ((p, q + 1, d + 1), one): -1})
         return self.zero()
+
+    # -- images of elements under a matrix representation -------------------
+
+    def _image(self, x, matrix_of):
+        """sum over the terms c L of x of c * matrix_of(L)."""
+        origin, guard = self._origin, self._guard
+        out = {}
+        for (label, k), c in x.terms.items():
+            shift = k - origin
+            for (i, j, key), v in matrix_of(label).items():
+                key += shift
+                if key & guard:
+                    raise _overflow()
+                e = (i, j, key)
+                v *= c
+                if e in out:
+                    v += out[e]
+                    if not v:
+                        del out[e]
+                        continue
+                out[e] = v if type(v) is int else _exact(v)
+        return out
 
     # -- the V_tau representations ----------------------------------------
 
+    def _vtau_matrices(self, tau):
+        """The {label: matrix} cache of V_tau.  The suites ask for one tau
+        many times in a row and hashing a Fraction is slow, so the last tau's
+        cache is kept at hand."""
+        if tau is not self._last_tau:
+            self._last_tau = tau
+            self._last_vtau = self._vtau_cache.setdefault(tau, {})
+        return self._last_vtau
+
     def vtau_basis_matrix(self, label, tau):
-        key = (label, tau)
-        cached = self._vtau_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._vtau_matrix(label, tau, self._vtau_matrices(tau))
+
+    def _vtau_matrix(self, label, tau, cache):
+        M = cache.get(label)
+        if M is not None:
+            return M
         p, q, t = label
-        ring = self.ring
-        tau_t = ring.from_fraction(tau**t) if t else ring.one
         if abs(p - q) <= 1:
-            Q = self.junction_Q(p) if q == p + 1 else None
-            coeff = tau_t if Q is None else (ring.from_fraction(tau) - Q) * tau_t
-            M = mat_unit(p - 1, q - 1, coeff)
+            tau_t = Fraction(tau) ** t
+            Q = self._jkey.get(p) if q == p + 1 else None
+            if Q is None:
+                entries = {self._origin: tau_t}
+            else:
+                entries = {self._origin: tau * tau_t, Q: -tau_t}
+            M = {(p - 1, q - 1, k): _exact(c) for k, c in entries.items() if c}
         else:
             g, inner = _peel(label)
             M = mat_commutator(
-                self.vtau_basis_matrix(g, tau), self.vtau_basis_matrix(inner, tau)
+                self,
+                self._vtau_matrix(g, tau, cache),
+                self._vtau_matrix(inner, tau, cache),
             )
-        self._vtau_cache[key] = M
+        cache[label] = M
         return M
 
     def vtau_rep(self, x, tau):
-        M = {}
-        for label, coeff in x.terms.items():
-            M = mat_add(M, mat_scale(self.vtau_basis_matrix(label, tau), coeff))
-        return M
+        cache = self._vtau_matrices(tau)
+        return self._image(x, lambda label: self._vtau_matrix(label, tau, cache))
 
     def psi_vtau(self, p, q, tau):
         """The scalar by which E[p,q;t] hits v_q: the product (tau - Q) over
@@ -268,19 +364,23 @@ class LieContext:
             return cached
         p, q, t = label
         if abs(p - q) <= 1:
-            Q = self.junction_Q(p) if q == p + 1 else None
-            M = {} if t else {(p - 1, q - 1): self.ring.one if Q is None else -Q}
+            Q = self._jkey.get(p) if q == p + 1 else None
+            if t:
+                M = {}
+            elif Q is None:
+                M = {(p - 1, q - 1, self._origin): 1}
+            else:
+                M = {(p - 1, q - 1, Q): -1}
         else:
             g, inner = _peel(label)
-            M = mat_commutator(self.eval_basis_matrix(g), self.eval_basis_matrix(inner))
+            M = mat_commutator(
+                self, self.eval_basis_matrix(g), self.eval_basis_matrix(inner)
+            )
         self._eval_cache[label] = M
         return M
 
     def eval_map(self, x):
-        M = {}
-        for label, coeff in x.terms.items():
-            M = mat_add(M, mat_scale(self.eval_basis_matrix(label), coeff))
-        return M
+        return self._image(x, self.eval_basis_matrix)
 
     def psi_gr(self, p, q):
         """Rescaling of the graded isomorphism: prod of (-Q_k^{-1}) over the
@@ -304,59 +404,46 @@ def _peel(label):
 
 
 # ---------------------------------------------------------------------------
-# matrices over the coefficient ring
+# flat matrices over the coefficient ring
 
 
-def mat_unit(i, j, c):
-    """The matrix whose only entry is c at (i, j)."""
-    return {} if c.is_zero else {(i, j): c}
+def mat_unit(lctx, i, j, coeff):
+    """The matrix whose only entry is coeff (a MultiLaurent, int or Fraction)
+    at (i, j)."""
+    return {(i, j, k): c for k, c in lctx._flat(coeff).items()}
 
 
-def _acc(out, key, c):
-    cur = out.get(key)
-    if cur is None:
-        out[key] = c
-    else:
-        s = cur + c
-        if s.is_zero:
-            del out[key]
-        else:
-            out[key] = s
-
-
-def mat_add(A, B):
-    out = dict(A)
-    for key, b in B.items():
-        _acc(out, key, b)
-    return out
-
-
-def mat_sub(A, B):
-    out = dict(A)
-    for key, b in B.items():
-        _acc(out, key, -b)
-    return out
-
-
-def mat_scale(A, c):
-    if c.is_zero:
-        return {}
-    return {key: a * c for key, a in A.items()}
-
-
-def mat_mul(A, B):
-    rows = {}
-    for (k, j), b in B.items():
-        rows.setdefault(k, []).append((j, b))
+def mat_mul(lctx, A, B):
+    # the factors are images of basis elements, one (i, j) entry each, so a
+    # loop over all pairs of entries costs less than indexing B by rows
+    origin, guard = lctx._origin, lctx._guard
     out = {}
-    for (i, k), a in A.items():
-        for j, b in rows.get(k, ()):
-            _acc(out, (i, j), a * b)
+    for (i, k, ka), a in A.items():
+        ka -= origin
+        for (k2, j, kb), b in B.items():
+            if k2 != k:
+                continue
+            e = ka + kb
+            if e & guard:
+                raise _overflow()
+            e = (i, j, e)
+            c = a * b
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c if type(c) is int else _exact(c)
     return out
 
 
-def mat_commutator(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
+def mat_commutator(lctx, A, B):
+    out = mat_mul(lctx, A, B)
+    for e, c in mat_mul(lctx, B, A).items():
+        c = out.pop(e, 0) - c
+        if c:
+            out[e] = c if type(c) is int else _exact(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +460,19 @@ def all_basis_labels(lctx, deg_cap):
     ]
 
 
-def generator_labels(lctx, deg_cap):
-    labels = []
-    for t in range(deg_cap + 1):
-        for pos in range(1, lctx.m + 1):
-            labels.append((pos, pos, t))
-        for pos in range(1, lctx.m):
-            labels.append((pos, pos + 1, t))
-            labels.append((pos + 1, pos, t))
-    return labels
-
-
 def jacobi_defect(lctx, a, b, c):
-    ab = lctx.bracket_basis(a, b)
-    bc = lctx.bracket_basis(b, c)
-    ca = lctx.bracket_basis(c, a)
-    out = lctx.zero()
-    for lab, coeff in ab.terms.items():
-        out = out + lctx.bracket_basis(lab, c).scale(coeff)
-    for lab, coeff in bc.terms.items():
-        out = out + lctx.bracket_basis(lab, a).scale(coeff)
-    for lab, coeff in ca.terms.items():
-        out = out + lctx.bracket_basis(lab, b).scale(coeff)
-    return out
+    origin, guard = lctx._origin, lctx._guard
+    out = {}
+    for x, z in (
+        (lctx.bracket_basis(a, b), c),
+        (lctx.bracket_basis(b, c), a),
+        (lctx.bracket_basis(c, a), b),
+    ):
+        # one bracket_basis call per label of x, however many keys it carries
+        brackets = {}
+        for (lab, k), coeff in x.terms.items():
+            br = brackets.get(lab)
+            if br is None:
+                br = brackets[lab] = lctx.bracket_basis(lab, z).terms
+            _acc_scaled(out, br, k - origin, coeff, guard)
+    return LieElem(lctx, out)

@@ -10,8 +10,8 @@ from itertools import product
 
 from ..liealg import (
     LieContext,
+    LieElem,
     all_basis_labels,
-    generator_labels,
     jacobi_defect,
     mat_commutator,
     mat_unit,
@@ -19,16 +19,29 @@ from ..liealg import (
 from ..reporting import check
 
 
-def _first_violation(name, params, witnesses):
-    """One check that passes when the iterator ``witnesses`` is empty; on
-    failure its detail names the first witness."""
-    witness = next(witnesses, None)
-    return check(
-        name,
-        params,
-        witness is None,
-        None if witness is None else f"violation at {witness}",
-    )
+def generator_labels(lctx, deg_cap):
+    """The labels of the diagonal, raising and lowering generators up to
+    degree deg_cap."""
+    labels = []
+    for t in range(deg_cap + 1):
+        for pos in range(1, lctx.m + 1):
+            labels.append((pos, pos, t))
+        for pos in range(1, lctx.m):
+            labels.append((pos, pos + 1, t))
+            labels.append((pos + 1, pos, t))
+    return labels
+
+
+def _first_violation(name, params, instances, violated):
+    """One check over ``instances``: it fails at the first instance at which
+    ``violated`` holds, naming it in its detail, and with the detail
+    ``"no instances"`` when there is none to examine."""
+    examined = False
+    for x in instances:
+        if violated(x):
+            return check(name, params, False, f"violation at {x}")
+        examined = True
+    return check(name, params, examined, None if examined else "no instances")
 
 
 def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
@@ -53,12 +66,18 @@ def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
             bad.append((a, b, c))
             if len(bad) >= 3:
                 break
+    if not count:
+        detail = "no instances"
+    elif bad:
+        detail = f"violations at {bad}"
+    else:
+        detail = None
     return [
         check(
             "jacobi",
             {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": count},
-            not bad,
-            None if not bad else f"violations at {bad}",
+            detail is None,
+            detail,
         )
     ]
 
@@ -69,12 +88,10 @@ def verify_antisymmetry(lctx, deg_cap=2):
         _first_violation(
             "bracket-antisymmetry",
             {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            (
-                (a, b)
-                for a in labels
-                for b in labels
-                if not (lctx.bracket_basis(a, b) + lctx.bracket_basis(b, a)).is_zero
-            ),
+            product(labels, labels),
+            lambda ab: not (
+                lctx.bracket_basis(*ab) + lctx.bracket_basis(ab[1], ab[0])
+            ).is_zero,
         )
     ]
 
@@ -87,34 +104,28 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
     positions = range(1, lctx.m + 1)
     for tau in taus:
         params = {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap}
+        rep = {g: lctx.vtau_basis_matrix(g, tau) for g in gens}
         checks.append(
             _first_violation(
                 "vtau-homomorphism",
                 params,
-                (
-                    (a, b)
-                    for a in gens
-                    for b in gens
-                    if lctx.vtau_rep(lctx.bracket_basis(a, b), tau)
-                    != mat_commutator(
-                        lctx.vtau_basis_matrix(a, tau), lctx.vtau_basis_matrix(b, tau)
-                    )
-                ),
+                product(gens, gens),
+                lambda ab: lctx.vtau_rep(lctx.bracket_basis(*ab), tau)
+                != mat_commutator(lctx, rep[ab[0]], rep[ab[1]]),
             )
         )
         checks.append(
             _first_violation(
                 "vtau-basis-closed-form",
                 params,
-                (
-                    (p, q, t)
-                    for p, q, t in product(positions, positions, range(deg_cap + 1))
-                    if lctx.vtau_basis_matrix((p, q, t), tau)
-                    != mat_unit(
-                        p - 1,
-                        q - 1,
-                        lctx.psi_vtau(p, q, tau) * lctx.ring.from_fraction(tau**t),
-                    )
+                product(positions, positions, range(deg_cap + 1)),
+                lambda pqt: lctx.vtau_basis_matrix(pqt, tau)
+                != mat_unit(
+                    lctx,
+                    pqt[0] - 1,
+                    pqt[1] - 1,
+                    lctx.psi_vtau(pqt[0], pqt[1], tau)
+                    * lctx.ring.from_fraction(tau ** pqt[2]),
                 ),
             )
         )
@@ -131,33 +142,42 @@ def verify_gr(lctx, deg_cap=2):
     psi = {
         (p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)
     }
+    factor = {(pq, uv): psi[pq] * psi[uv] for pq in psi for uv in psi}
+    # psi[p, q] E[p, q; d], the terms of the gl_m[x] bracket
+    psi_basis = {
+        (p, q, d): lctx.basis(p, q, d, psi[p, q])
+        for p, q in psi
+        for d in range(2 * deg_cap + 1)
+    }
+    one_component = lctx.shape.r == 1
     first = {}
     for p in range(1, m + 1):
         for q in range(1, m + 1):
             for s in range(deg_cap + 1):
                 for u in range(1, m + 1):
                     for v in range(1, m + 1):
+                        scale = factor[(p, q), (u, v)]
                         for t in range(deg_cap + 1):
                             pair = ((p, q, s), (u, v, t))
                             br = lctx.bracket_basis(*pair)
-                            lead = lctx.zero()
-                            for (a, b, d), coeff in br.terms.items():
+                            lead = {}
+                            for term, coeff in br.terms.items():
+                                d = term[0][2]
                                 if d < s + t:
                                     first.setdefault("gr-filtration", pair)
                                 elif d == s + t:
-                                    lead = lead + lctx.basis(a, b, d, coeff)
-                            if lctx.shape.r == 1 and lead != br:
+                                    lead[term] = coeff
+                            if one_component and lead != br.terms:
                                 first.setdefault("gr-exact-current", pair)
                             expected = lctx.zero()
                             if q == u:
-                                expected = expected + lctx.basis(p, v, s + t, psi[p, v])
+                                expected = expected + psi_basis[p, v, s + t]
                             if v == p:
-                                expected = expected - lctx.basis(u, q, s + t, psi[u, q])
-                            scaled = lead.scale(psi[p, q] * psi[u, v])
-                            if scaled != expected:
+                                expected = expected - psi_basis[u, q, s + t]
+                            if LieElem(lctx, lead).scale(scale) != expected:
                                 first.setdefault("gr-leading-term", pair)
     names = ["gr-filtration", "gr-leading-term"]
-    if lctx.shape.r == 1:
+    if one_component:
         names.append("gr-exact-current")
     params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
     return [
@@ -169,8 +189,8 @@ def verify_gr(lctx, deg_cap=2):
 def verify_eval_map(lctx, deg_cap=2):
     """The evaluation onto gl_m is a Lie homomorphism, and composing with the
     Levi embedding recovers the block-diagonal inclusion."""
-    one = lctx.ring.one
     labels = all_basis_labels(lctx, deg_cap)
+    image = {a: lctx.eval_basis_matrix(a) for a in labels}
     # g o iota = block-diagonal embedding on the Levi generators
     levi = []
     for k in range(1, lctx.shape.r + 1):
@@ -182,32 +202,23 @@ def verify_eval_map(lctx, deg_cap=2):
         _first_violation(
             "eval-homomorphism",
             {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            (
-                (a, b)
-                for a in labels
-                for b in labels
-                if lctx.eval_map(lctx.bracket_basis(a, b))
-                != mat_commutator(lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
-            ),
+            product(labels, labels),
+            lambda ab: lctx.eval_map(lctx.bracket_basis(*ab))
+            != mat_commutator(lctx, image[ab[0]], image[ab[1]]),
         ),
         # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
         _first_violation(
             "eval-kills-positive-degree",
             {"shape": lctx.shape.m},
-            (
-                g
-                for g in generator_labels(lctx, max(deg_cap, 1))
-                if g[2] >= 1 and lctx.eval_basis_matrix(g)
-            ),
+            [g for g in generator_labels(lctx, max(deg_cap, 1)) if g[2] >= 1],
+            lambda g: lctx.eval_basis_matrix(g) != {},
         ),
         _first_violation(
             "eval-levi-embedding",
             {"shape": lctx.shape.m},
-            (
-                g
-                for g in levi
-                if lctx.eval_map(lctx.basis(*g)) != {(g[0] - 1, g[1] - 1): one}
-            ),
+            levi,
+            lambda g: lctx.eval_map(lctx.basis(*g))
+            != mat_unit(lctx, g[0] - 1, g[1] - 1, 1),
         ),
     ]
 

@@ -282,3 +282,20 @@ def test_schur_q1_suites_pinned(capsys):
     assert sum(PINNED_FAMILIES["q1"].values()) == 329
     canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SHA256
+
+
+# The sha256 of the canonical ``compute structure-constants`` output, with
+# its row count, as computed with MultiLaurent coefficients before the Lie
+# engine stored them flat.
+@pytest.mark.parametrize("argv,rows,digest", [
+    (["-m", "1,2,1", "-r", "3", "--deg", "1"], 432,
+     "c5c94d15497a2d720f572c7b82a21235075d6aa793d199cc3f8309dbabdc8ad9"),
+    (["-m", "2,2", "-r", "2", "--deg", "2"], 972,
+     "2f0e63f40ed7bd83bf225124cf7b2aa73396d48165edd96a0aae634d23365764"),
+])
+def test_structure_constants_pinned(capsys, argv, rows, digest):
+    assert main(["compute", "structure-constants", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["table"]) == rows
+    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest

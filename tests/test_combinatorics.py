@@ -10,7 +10,6 @@ from cycloschur.combinatorics import (
     flatten,
     jm_position,
     lr_coefficient,
-    multipartition_in_small_set,
     partitions_of,
     residue,
     semistandard_tableaux,
@@ -20,6 +19,11 @@ from cycloschur.combinatorics import (
 )
 
 R2 = LaurentRing(2)
+
+
+def multipartition_in_small_set(lam, shape):
+    """Predicate: does lam lie in Lambda^+_{n,r}(m) (all lengths <= m_k)?"""
+    return all(len(strip(lam[k])) <= shape.m[k] for k in range(shape.r))
 
 
 def composition_of_multipartition(lam, shape):

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloschur.coeff import EngineError
 from cycloschur.combinatorics import Shape
 from cycloschur.liealg import (
     LieContext,
     all_basis_labels,
-    generator_labels,
     jacobi_defect,
-    mat_add,
     mat_commutator,
     mat_mul,
-    mat_scale,
-    mat_sub,
+    mat_unit,
 )
 from cycloschur.suites.lie import (
+    _first_violation,
+    generator_labels,
     verify_antisymmetry,
     verify_eval_map,
     verify_gr,
@@ -87,9 +87,9 @@ class TestBracketTable:
         # two junctions crossed: the bracket picks up terms two degrees up
         lctx3 = LieContext(Shape((1, 1, 1)))
         br = lctx3.bracket(lctx3.basis(1, 3, 0), lctx3.basis(3, 1, 0))
-        degrees = {t for (_, _, t) in br.terms}
+        degrees = {t for (_, _, t) in br.grouped()}
         assert degrees == {0, 1, 2}
-        lead = [lab for lab in br.terms if lab[2] == 0]
+        lead = [lab for lab in br.grouped() if lab[2] == 0]
         assert set(lead) == {(1, 1, 0), (3, 3, 0)}
 
 
@@ -150,7 +150,7 @@ def test_lowering_is_the_minus_transpose_of_raising(m):
     for g in lowering:
         for b in all_basis_labels(lctx, 2):
             expected = _hand_written_lowering(lctx, g, b)
-            assert lctx._gen_on_basis(g, b).terms == expected, (g, b)
+            assert lctx._gen_on_basis(g, b).grouped() == expected, (g, b)
             nonzero += bool(expected)
     assert nonzero
 
@@ -177,30 +177,25 @@ class TestVtau:
     def test_I_diagonal_action(self, lctx):
         tau = Fraction(3, 2)
         M = lctx.vtau_basis_matrix((2, 2, 2), tau)
-        expected = {}
-        expected[1, 1] = lctx.ring.from_fraction(tau**2)
-        assert M == expected
+        assert M == mat_unit(lctx, 1, 1, tau**2)
+        assert M == {(1, 1, lctx._origin): Fraction(9, 4)}
 
     def test_X_minus_action(self, lctx):
         tau = Fraction(2)
         M = lctx.vtau_basis_matrix((3, 2, 1), tau)  # X^-_{2,1}
-        expected = {}
-        expected[2, 1] = lctx.ring.from_fraction(tau)
-        assert M == expected
+        assert M == {(2, 1, lctx._origin): 2}
+        assert type(M[2, 1, lctx._origin]) is int
 
     def test_junction_raiser(self, lctx):
         tau = Fraction(1, 2)
         M = lctx.vtau_basis_matrix((2, 3, 0), tau)
-        expected = {}
-        expected[1, 2] = lctx.ring.from_fraction(tau) - lctx.ring.Q(1)
-        assert M == expected
+        assert M == mat_unit(lctx, 1, 2, lctx.ring.from_fraction(tau) - lctx.ring.Q(1))
 
     def test_long_label_closed_form(self, lctx):
         tau = Fraction(3)
         M = lctx.vtau_basis_matrix((1, 4, 2), tau)
-        expected = {}
-        expected[0, 3] = lctx.psi_vtau(1, 4, tau) * lctx.ring.from_fraction(tau**2)
-        assert M == expected
+        expected = lctx.psi_vtau(1, 4, tau) * lctx.ring.from_fraction(tau**2)
+        assert M == mat_unit(lctx, 0, 3, expected)
 
     def test_homomorphism_suite(self, lctx):
         checks = verify_vtau(lctx, deg_cap=2, taus=(Fraction(2), Fraction(-1, 3)))
@@ -227,7 +222,7 @@ class TestEvalMap:
 
     def test_junction_value(self, lctx):
         M = lctx.eval_basis_matrix((2, 3, 0))
-        assert M[1, 2] == -lctx.ring.Q(1)
+        assert M == mat_unit(lctx, 1, 2, -lctx.ring.Q(1))
 
     def test_levi_and_homomorphism(self, lctx):
         checks = verify_eval_map(lctx, deg_cap=2)
@@ -237,14 +232,14 @@ class TestEvalMap:
         a = (1, 2, 0)
         b = (2, 1, 0)
         lhs = lctx.eval_map(lctx.bracket_basis(a, b))
-        rhs = mat_commutator(lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
+        rhs = mat_commutator(lctx, lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
         assert lhs == rhs
 
     def test_kills_positive_degree_checked_at_deg_zero(self):
         # at deg_cap 0 the check still covers the degree-1 generators
         lctx4 = LieContext(Shape((2, 2)))
         assert all(c["ok"] for c in verify_eval_map(lctx4, deg_cap=0))
-        lctx4._eval_cache[(1, 2, 1)] = {(0, 1): lctx4.ring.one}
+        lctx4._eval_cache[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
         checks = verify_eval_map(lctx4, deg_cap=0)
         (kill,) = _by_name(checks, "eval-kills-positive-degree")
         assert not kill["ok"]
@@ -252,15 +247,17 @@ class TestEvalMap:
 
 # -- sparse matrices against a dense reference ---------------------------------
 
-RING = LieContext(Shape((1, 1))).ring
+LCTX = LieContext(Shape((1, 1)))
+RING = LCTX.ring
 
 
 @st.composite
 def coeffs(draw):
-    # few monomials and small integers, so that sums and products cancel often
+    # few monomials and small numbers, so that sums and products cancel often
+    # and products of Fractions come out integral
     out = RING.zero
     for _ in range(draw(st.integers(1, 2))):
-        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        c = draw(st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)]))
         out = out + RING.Q(1, draw(st.integers(-1, 1))).scale(c)
     return out
 
@@ -272,6 +269,19 @@ def sparse_pairs(draw):
     nonzero = coeffs().filter(lambda c: not c.is_zero)
     entries = st.dictionaries(keys, nonzero, max_size=m * m)
     return m, draw(entries), draw(entries)
+
+
+def flat(A, lctx=LCTX):
+    """A matrix {(i, j): MultiLaurent} in the engine's flat form."""
+    out = {}
+    for (i, j), c in A.items():
+        out.update(mat_unit(lctx, i, j, c))
+    return out
+
+
+def assert_normal(M):
+    # zero-free, integral values as ints
+    assert all(c and (type(c) is int or c.denominator != 1) for c in M.values())
 
 
 def dense(A, m):
@@ -302,6 +312,10 @@ def dense_sub(D, E):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(D, E)]
 
 
+def dense_scale(D, c):
+    return [[a * c for a in row] for row in D]
+
+
 class TestSparseMatrices:
     @settings(max_examples=150, deadline=None)
     @given(sparse_pairs())
@@ -309,31 +323,34 @@ class TestSparseMatrices:
         m, A, B = case
         DA, DB = dense(A, m), dense(B, m)
         AB, BA = dense_mul(DA, DB), dense_mul(DB, DA)
-        expected = {
-            mat_add: sparse(dense_add(DA, DB)),
-            mat_sub: sparse(dense_sub(DA, DB)),
-            mat_mul: sparse(AB),
-            mat_commutator: sparse(dense_sub(AB, BA)),
+        FA, FB = flat(A), flat(B)
+        cases = {
+            "mat_mul": (mat_mul(LCTX, FA, FB), AB),
+            "mat_commutator": (mat_commutator(LCTX, FA, FB), dense_sub(AB, BA)),
         }
-        for op, want in expected.items():
-            got = op(A, B)
-            assert got == want, op.__name__
-            assert not any(c.is_zero for c in got.values()), op.__name__
+        for name, (got, want) in cases.items():
+            assert got == flat(sparse(want)), name
+            assert_normal(got)
 
     @settings(max_examples=50, deadline=None)
-    @given(sparse_pairs(), st.one_of(st.just(RING.zero), coeffs()))
-    def test_scale_matches_dense_reference(self, case, c):
-        m, A, _ = case
-        got = mat_scale(A, c)
-        assert got == sparse([[a * c for a in row] for row in dense(A, m)])
-        assert not any(v.is_zero for v in got.values())
+    @given(sparse_pairs(), st.one_of(st.just(RING.zero), coeffs()), coeffs())
+    def test_scale_matches_dense_reference(self, case, c, c2):
+        # the image of c E[1,1;0] + c2 E[2,2;0] under a map sending the two
+        # labels to A and B: each basis matrix scaled by its coefficient
+        m, A, B = case
+        x = LCTX.basis(1, 1, 0, c) + LCTX.basis(2, 2, 0, c2)
+        images = {(1, 1, 0): flat(A), (2, 2, 0): flat(B)}
+        got = LCTX._image(x, images.__getitem__)
+        assert got == flat(sparse(dense_add(dense_scale(dense(A, m), c),
+                                            dense_scale(dense(B, m), c2))))
+        assert_normal(got)
 
     @settings(max_examples=50, deadline=None)
     @given(sparse_pairs())
     def test_self_difference_is_empty(self, case):
         _, A, _ = case
-        assert mat_sub(A, A) == {}
-        assert mat_commutator(A, A) == {}
+        FA = flat(A)
+        assert mat_commutator(LCTX, FA, FA) == {}
 
 
 # -- the matrix checks can fail ---------------------------------------------------
@@ -346,8 +363,7 @@ def _by_name(checks, name):
 class TestChecksCanFail:
     def test_corrupt_eval_entry(self):
         lctx4 = LieContext(Shape((2, 2)))
-        one = lctx4.ring.one
-        lctx4._eval_cache[(1, 2, 0)] = {(0, 1): one + one}
+        lctx4._eval_cache[(1, 2, 0)] = mat_unit(lctx4, 0, 1, 2)
         checks = verify_eval_map(lctx4, deg_cap=1)
         (hom,) = _by_name(checks, "eval-homomorphism")
         assert not hom["ok"]
@@ -360,7 +376,7 @@ class TestChecksCanFail:
 
     def test_corrupt_positive_degree_eval_entry(self):
         lctx4 = LieContext(Shape((2, 2)))
-        lctx4._eval_cache[(1, 2, 1)] = {(0, 1): lctx4.ring.one}
+        lctx4._eval_cache[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
         checks = verify_eval_map(lctx4, deg_cap=0)
         (kill,) = _by_name(checks, "eval-kills-positive-degree")
         assert not kill["ok"]
@@ -368,9 +384,8 @@ class TestChecksCanFail:
 
     def test_corrupt_vtau_matrix(self):
         lctx4 = LieContext(Shape((2, 2)))
-        one = lctx4.ring.one
         tau = Fraction(2)
-        lctx4._vtau_cache[((1, 2, 0), tau)] = {(0, 1): one + one}
+        lctx4._vtau_cache.setdefault(tau, {})[(1, 2, 0)] = mat_unit(lctx4, 0, 1, 2)
         checks = verify_vtau(lctx4, deg_cap=1, taus=(tau, Fraction(-1, 3)))
         homs = _by_name(checks, "vtau-homomorphism")
         assert [c["ok"] for c in homs] == [False, True]
@@ -401,3 +416,230 @@ class TestChecksCanFail:
         }
         assert not leading["ok"]
         assert leading["detail"] == str(((1, 4, 0), (4, 1, 0)))
+
+
+# -- the flat engine against the MultiLaurent one it replaced -----------------
+
+
+class MultiLaurentLie:
+    """The brackets, V_tau and evaluation matrices with MultiLaurent
+    coefficients: elements {label: MultiLaurent}, matrices {(i, j):
+    MultiLaurent}, as computed before the engine stored them flat."""
+
+    def __init__(self, lctx):
+        self.lctx = lctx
+        self.ring = lctx.ring
+        self._bb = {}
+        self._vtau = {}
+        self._eval = {}
+
+    @staticmethod
+    def _acc(out, key, c):
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+    def _combine(self, out, x, coeff):
+        for lab, c in x.items():
+            self._acc(out, lab, c * coeff)
+
+    def gen_on_basis(self, g, b):
+        gp, gq, s = g
+        p, q, t = b
+        if gq == gp - 1:
+            raised = self.gen_on_basis((gq, gp, s), (q, p, t))
+            return {(v, u, d): -c for (u, v, d), c in raised.items()}
+        one = self.ring.one
+        out = {}
+        if gp == gq:
+            a = gp
+            if p == q:
+                return {}
+            if a == p:
+                self._acc(out, (p, q, t + s), one)
+            if a == q:
+                self._acc(out, (p, q, t + s), -one)
+            return out
+        a = gp
+        if p == q:
+            if p == a:
+                self._acc(out, (a, a + 1, t + s), -one)
+            elif p == a + 1:
+                self._acc(out, (a, a + 1, t + s), one)
+            return out
+        if p < q:
+            if a == p - 1:
+                self._acc(out, (p - 1, q, t + s), one)
+            if a == q:
+                self._acc(out, (p, q + 1, t + s), -one)
+            return out
+        ell = p - q
+        Q = self.lctx.junction_Q(a)
+        if ell == 1 and a == p - 1:
+            if Q is None:
+                self._acc(out, (p - 1, p - 1, t + s), one)
+                self._acc(out, (p, p, t + s), -one)
+            else:
+                self._acc(out, (p - 1, p - 1, t + s), -Q)
+                self._acc(out, (p, p, t + s), Q)
+                self._acc(out, (p - 1, p - 1, t + s + 1), one)
+                self._acc(out, (p, p, t + s + 1), -one)
+        elif ell > 1 and a == p - 1:
+            if Q is None:
+                self._acc(out, (p - 1, q, t + s), one)
+            else:
+                self._acc(out, (p - 1, q, t + s), -Q)
+                self._acc(out, (p - 1, q, t + s + 1), one)
+        elif ell > 1 and a == q:
+            if Q is None:
+                self._acc(out, (p, q + 1, t + s), -one)
+            else:
+                self._acc(out, (p, q + 1, t + s), Q)
+                self._acc(out, (p, q + 1, t + s + 1), -one)
+        return out
+
+    def bracket_basis(self, a, b):
+        cached = self._bb.get((a, b))
+        if cached is not None:
+            return cached
+        if abs(a[0] - a[1]) <= 1:
+            out = self.gen_on_basis(a, b)
+        elif abs(b[0] - b[1]) <= 1:
+            out = {lab: -c for lab, c in self.gen_on_basis(b, a).items()}
+        else:
+            p, q, t = a
+            step = 1 if p < q else -1
+            g, a1 = (p, p + step, 0), (p + step, q, t)
+            out = {}
+            for lab, c in self.bracket_basis(a1, b).items():
+                self._combine(out, self.gen_on_basis(g, lab), c)
+            for lab, c in self.gen_on_basis(g, b).items():
+                self._combine(out, self.bracket_basis(a1, lab), -c)
+        self._bb[a, b] = out
+        return out
+
+    def commutator(self, A, B):
+        out = {}
+        for (i, k), a in A.items():
+            for (k2, j), b in B.items():
+                if k == k2:
+                    self._acc(out, (i, j), a * b)
+        for (i, k), b in B.items():
+            for (k2, j), a in A.items():
+                if k == k2:
+                    self._acc(out, (i, j), -(b * a))
+        return out
+
+    def vtau_basis_matrix(self, label, tau):
+        cached = self._vtau.get((label, tau))
+        if cached is not None:
+            return cached
+        ring = self.ring
+        p, q, t = label
+        tau_t = ring.from_fraction(tau**t) if t else ring.one
+        if abs(p - q) <= 1:
+            Q = self.lctx.junction_Q(p) if q == p + 1 else None
+            coeff = tau_t if Q is None else (ring.from_fraction(tau) - Q) * tau_t
+            M = {} if coeff.is_zero else {(p - 1, q - 1): coeff}
+        else:
+            step = 1 if p < q else -1
+            M = self.commutator(
+                self.vtau_basis_matrix((p, p + step, 0), tau),
+                self.vtau_basis_matrix((p + step, q, t), tau),
+            )
+        self._vtau[label, tau] = M
+        return M
+
+    def eval_basis_matrix(self, label):
+        cached = self._eval.get(label)
+        if cached is not None:
+            return cached
+        p, q, t = label
+        if abs(p - q) <= 1:
+            Q = self.lctx.junction_Q(p) if q == p + 1 else None
+            M = {} if t else {(p - 1, q - 1): self.ring.one if Q is None else -Q}
+        else:
+            step = 1 if p < q else -1
+            M = self.commutator(
+                self.eval_basis_matrix((p, p + step, 0)),
+                self.eval_basis_matrix((p + step, q, t)),
+            )
+        self._eval[label] = M
+        return M
+
+
+@pytest.mark.parametrize("m", [(3,), (1, 2, 1), (2, 2, 2)])
+def test_flat_engine_matches_multilaurent_reference(m):
+    lctx = LieContext(Shape(m))
+    ref = MultiLaurentLie(lctx)
+    labels = all_basis_labels(lctx, 2)
+    nonzero = 0
+    for a in labels:
+        for b in labels:
+            want = ref.bracket_basis(a, b)
+            assert lctx.bracket_basis(a, b).grouped() == want, (a, b)
+            nonzero += bool(want)
+        for g in generator_labels(lctx, 2):
+            assert lctx._gen_on_basis(g, a).grouped() == ref.gen_on_basis(g, a), (g, a)
+        want = flat(ref.eval_basis_matrix(a), lctx)
+        assert lctx.eval_basis_matrix(a) == want, a
+        for tau in (Fraction(2), Fraction(-1, 3), Fraction(5, 7)):
+            want = flat(ref.vtau_basis_matrix(a, tau), lctx)
+            assert lctx.vtau_basis_matrix(a, tau) == want, (a, tau)
+    assert nonzero
+
+
+class TestPackedRange:
+    # shape (2,2): the raiser at the junction position 2 carries Q_1
+    def test_scale_out_of_range(self, lctx):
+        x = lctx.basis(1, 2, 0, lctx.ring.Q(1, 8191))
+        lower = x.scale(lctx.ring.Q(1, -1))
+        assert lower.grouped() == {(1, 2, 0): lctx.ring.Q(1, 8190)}
+        with pytest.raises(EngineError, match="packed key range"):
+            x.scale(lctx.ring.Q(1))
+
+    def test_bracket_out_of_range(self, lctx):
+        # [E_23, E_32] carries a Q_1 term, which overflows Q_1^8191
+        x = lctx.basis(2, 3, 0, lctx.ring.Q(1, 8191))
+        with pytest.raises(EngineError, match="packed key range"):
+            lctx.bracket(x, lctx.basis(3, 2, 0))
+        y = lctx.basis(2, 3, 0, lctx.ring.Q(1, -8192))
+        with pytest.raises(EngineError, match="packed key range"):
+            lctx.bracket(y, lctx.basis(3, 2, 0, lctx.ring.Q(1, -1)))
+
+    def test_matrix_image_out_of_range(self, lctx):
+        # the V_tau and evaluation matrices of E_23 carry Q_1 as well
+        x = lctx.basis(2, 3, 0, lctx.ring.Q(1, 8191))
+        with pytest.raises(EngineError, match="packed key range"):
+            lctx.vtau_rep(x, Fraction(2))
+        with pytest.raises(EngineError, match="packed key range"):
+            lctx.eval_map(x)
+        A = mat_unit(lctx, 0, 1, lctx.ring.Q(1, 8191))
+        with pytest.raises(EngineError, match="packed key range"):
+            mat_mul(lctx, A, lctx.eval_basis_matrix((2, 3, 0)))
+
+    def test_exponent_past_the_slot(self, lctx):
+        with pytest.raises(EngineError, match="packed key range"):
+            lctx.basis(1, 1, 0, lctx.ring.Q(1, 8192))
+
+
+class TestNoInstances:
+    def test_jacobi_over_no_triples_fails(self, lctx):
+        (c,) = verify_jacobi(lctx, deg_cap=2, sample=0)
+        assert c == {
+            "check": "jacobi",
+            "params": {"shape": [2, 2], "deg_cap": 2, "triples": 0},
+            "ok": False,
+            "detail": "no instances",
+        }
+
+    def test_first_violation_over_nothing_fails(self):
+        c = _first_violation("x", {}, [], lambda _: False)
+        assert not c["ok"] and c["detail"] == "no instances"
+        c = _first_violation("x", {}, [1, 2], lambda _: False)
+        assert c["ok"] and "detail" not in c
+        c = _first_violation("x", {}, [1, 2], lambda i: i == 2)
+        assert not c["ok"] and c["detail"] == "violation at 2"
