@@ -32,7 +32,8 @@ def main():
     for n in range(args.n + 1):
         for lam in enumerate_multipartitions(n, shape, extended=True):
             ch = weyl_character(lam, shape, ring)
-            dim = sum(int(c.terms.get((0,) * ring.nvars, 0)) for c in ch.terms.values())
+            one = (0,) * ring.nvars
+            dim = sum(int(dict(c.sorted_terms()).get(one, 0)) for c in ch.terms.values())
             print(f"  ch D{fmt_mp(lam)}: {len(ch.terms)} weights, dimension {dim}")
     print("\nproducts with the box character:")
     box = ((1,),) + ((),) * (shape.r - 1)

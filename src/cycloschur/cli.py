@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import combinatorics as comb
 from . import liealg, symfun
-from .coeff import EngineError, LaurentRing
+from .coeff import EXP_MAX, EngineError, LaurentRing
 from .combinatorics import Shape
 from .suites import RUNNERS
 
@@ -227,6 +227,9 @@ def cmd_compute(args):
     elif args.query == "phi":
         t = parse_int(args.args[0], "t", least=0)
         k = parse_int(args.args[1], "k", least=1)
+        # the q exponents of Phi_t in k variables reach 2k - 2 in absolute value
+        if 2 * k - 2 > EXP_MAX:
+            raise ParseError(f"k must be at most {EXP_MAX // 2 + 1}", args.args[1], 0)
         sign_txt = args.args[2]
         if sign_txt not in ("+", "-"):
             raise ParseError("sign must be + or -", sign_txt, 0)

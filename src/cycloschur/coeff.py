@@ -12,16 +12,19 @@ The number of Q parameters is fixed per session by ``LaurentRing(r)``; the
 q = 1 regime is the same ring built with ``q_one=True``, which pins the q
 exponent to zero at construction time.
 
-The flat engines ``hecke`` and ``liealg`` do not multiply ``MultiLaurent``
-values: they pack a monomial's exponents into one ``int`` key, and this
-module defines that packing once for both (see "packed exponent keys"
-below), with the ``EngineError`` an out-of-range exponent raises.
+A monomial of the ring is one packed ``int`` key (see "packed exponent
+keys" below), and this module is the only one that knows the slot layout:
+``MultiLaurent.terms`` is keyed by it, ``LieElem`` and the Lie matrices use
+the keys of ``MultiLaurent`` as they are, and ``hecke`` places a key above
+its L slots with one shift.  Exponent tuples appear only at the edges: the
+``MultiLaurent(nvars, {tuple: c})`` constructor, ``sorted_terms``,
+``specialize``, ``ml_to_json`` and ``repr``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from functools import lru_cache
 
 
 class CoeffError(ArithmeticError):
@@ -47,39 +50,107 @@ def _div(a, b):
     return _exact(Fraction(a, b))
 
 
+# ---------------------------------------------------------------------------
+# packed exponent keys
+#
+# A monomial q^e Q_0^f_0 ... Q_{r-1}^f_{r-1} is one ``int`` key: each exponent
+# has a 16-bit slot holding the exponent plus 8192, q in slot 0 and Q_k in
+# slot k + 1, so every exponent lies in [-8192, 8191].  The two top bits of a
+# slot are guard bits, clear in every valid key: a sum of two valid keys less
+# the origin (the key of exponent zero) that leaves the range in some slot
+# sets a guard bit there instead of carrying into the next slot, and the
+# arithmetic raises ``EngineError`` for it.  A product of monomials is thus
+# one key addition and one ``&`` per key formed.
+
+# slot width, bias, slot mask and the two guard bits
+_W = 16
+_BIAS = 1 << (_W - 3)
+_MASK = (1 << _W) - 1
+_GUARD = 3 << (_W - 2)
+# the largest exponent a key holds; the least is -_BIAS
+EXP_MAX = _BIAS - 1
+
+
+class EngineError(Exception):
+    """An engine self-check failed: a fault in the algebra engine itself, not
+    a failed verification."""
+
+
+def _overflow():
+    return EngineError(
+        f"exponent outside the packed key range [{-_BIAS}, {EXP_MAX}]"
+    )
+
+
+@lru_cache(maxsize=None)
+def _slots(value, count):
+    """``value`` in each of the lowest ``count`` slots: the origin for
+    ``_BIAS``, the guard mask for ``_GUARD``."""
+    return sum(value << (_W * s) for s in range(count))
+
+
+def _pack(exps, slot=0):
+    """The key shift adding exps to consecutive slots from ``slot`` on."""
+    delta = 0
+    for s, e in enumerate(exps, slot):
+        if not -_BIAS <= e < _BIAS:
+            raise _overflow()
+        delta += e << (_W * s)
+    return delta
+
+
+def _unpack(key, count):
+    """The exponents in the lowest ``count`` slots of a packed key."""
+    return tuple(((key >> (_W * s)) & _MASK) - _BIAS for s in range(count))
+
+
+def _add_terms(a, b):
+    """The sum of two zero-free flat term dicts, zero-free."""
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s += v
+            if s:
+                out[k] = s if type(s) is int else _exact(s)
+            else:
+                del out[k]
+    return out
+
+
+def _clean(out):
+    """The accumulated terms without zeros, integral Fractions as ints."""
+    return {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
+
+
 class MultiLaurent:
     """Sparse Laurent polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples ``(e_q, e_Q0, ..., e_Q{r-1})`` to nonzero
+    ``terms`` maps packed keys (see "packed exponent keys") to nonzero
     coefficients: an ``int`` when the value is integral, a ``Fraction``
     otherwise, never a ``float``.  ``int`` and ``Fraction`` values compare and
-    hash equal, so ``terms`` of equal polynomials are equal dicts.  Instances
-    are immutable by convention: no method mutates ``terms`` after
-    construction.
+    hash equal, so ``terms`` of equal polynomials are equal dicts.  The
+    constructor takes exponent tuples ``(e_q, e_Q0, ..., e_Q{r-1})`` and
+    ``sorted_terms`` gives them back.  Instances are immutable by convention:
+    no method mutates ``terms`` after construction.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
+        origin = _slots(_BIAS, nvars)
         clean = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity (expected {nvars})")
-            coeff = _exact(coeff)
-            if coeff:
-                c = clean.get(exps)
-                if c is None:
-                    clean[exps] = coeff
-                else:
-                    c = _exact(c + coeff)
-                    if c:
-                        clean[exps] = c
-                    else:
-                        del clean[exps]
+            key = origin + _pack(exps)
+            clean[key] = clean.get(key, 0) + _exact(coeff)
         self.nvars = nvars
-        self.terms = clean
+        self.terms = _clean(clean)
 
     @classmethod
     def _make(cls, nvars, clean_terms):
@@ -112,18 +183,7 @@ class MultiLaurent:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("mixed variable arities")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is not None:
-                c += s
-                if not c:
-                    del out[e]
-                    continue
-                if type(c) is not int:
-                    c = _exact(c)
-            out[e] = c
-        return MultiLaurent._make(self.nvars, out)
+        return MultiLaurent._make(self.nvars, _add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -135,10 +195,14 @@ class MultiLaurent:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("mixed variable arities")
+        origin, guard = _slots(_BIAS, self.nvars), _slots(_GUARD, self.nvars)
         out = {}
         for e1, c1 in self.terms.items():
+            e1 -= origin
             for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
+                if e & guard:
+                    raise _overflow()
                 c = c1 * c2
                 s = out.get(e)
                 if s is not None:
@@ -160,7 +224,7 @@ class MultiLaurent:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = MultiLaurent._make(self.nvars, {(0,) * self.nvars: 1})
+        result = MultiLaurent._make(self.nvars, {_slots(_BIAS, self.nvars): 1})
         base = self
         while n:
             if n & 1:
@@ -170,8 +234,9 @@ class MultiLaurent:
         return result
 
     def sorted_terms(self):
-        """Terms in canonical (lexicographic exponent) order."""
-        return sorted(self.terms.items())
+        """The terms as (exponent tuple, coefficient) pairs in lexicographic
+        exponent order, the canonical order of every report."""
+        return sorted((_unpack(k, self.nvars), c) for k, c in self.terms.items())
 
     def __repr__(self):
         if not self.terms:
@@ -190,7 +255,8 @@ class LaurentRing:
 
     With ``q_one=True`` every q power collapses to 1 at construction, so the
     whole engine runs at the q = 1 specialization without a parallel code
-    path.
+    path.  ``origin`` is the packed key of 1 and ``guard`` the mask of the
+    guard bits of every slot.
     """
 
     def __init__(self, r, q_one=False):
@@ -199,12 +265,14 @@ class LaurentRing:
         self.r = r
         self.q_one = q_one
         self.nvars = r + 1
-        self._zero_exp = (0,) * self.nvars
+        self.origin = _slots(_BIAS, self.nvars)
+        self.guard = _slots(_GUARD, self.nvars)
         self.zero = MultiLaurent._make(self.nvars, {})
-        self.one = MultiLaurent._make(self.nvars, {self._zero_exp: 1})
+        self.one = MultiLaurent._make(self.nvars, {self.origin: 1})
         self._qpow_cache = {}
         self._qint_cache = {}
         self._qfact_cache = {}
+        self._phi_cache = {}  # symfun.phi by (t, k, sign)
         self._qq_comm = None
 
     def __eq__(self, other):
@@ -242,8 +310,7 @@ class LaurentRing:
             return self.one
         cached = self._qpow_cache.get(e)
         if cached is None:
-            exps = (e,) + (0,) * self.r
-            cached = MultiLaurent._make(self.nvars, {exps: 1})
+            cached = MultiLaurent._make(self.nvars, {self.origin + _pack((e,)): 1})
             self._qpow_cache[e] = cached
         return cached
 
@@ -259,9 +326,7 @@ class LaurentRing:
         """The parameter Q_k, 0 <= k <= r-1, raised to the power e."""
         if not 0 <= k < self.r:
             raise ValueError(f"Q_{k} not in this ring (r={self.r})")
-        exps = [0] * self.nvars
-        exps[k + 1] = e
-        return MultiLaurent._make(self.nvars, {tuple(exps): 1})
+        return MultiLaurent._make(self.nvars, {self.origin + _pack((e,), k + 1): 1})
 
     def qq_comm(self):
         """The ubiquitous factor q - q^{-1} (zero at q = 1), built once per ring."""
@@ -328,24 +393,27 @@ def divexact(p, g):
     if p.nvars != g.nvars:
         raise ValueError("mixed variable arities")
     if len(g.terms) == 1:
-        (gexp, gc), = g.terms.items()
-        out = {}
-        for e, c in p.terms.items():
-            out[tuple(map(sub, e, gexp))] = _div(c, gc)
+        (gkey, gc), = g.terms.items()
+        shift = _slots(_BIAS, p.nvars) - gkey
+        out = {k + shift: _div(c, gc) for k, c in p.terms.items()}
+        if any(k & _slots(_GUARD, p.nvars) for k in out):
+            raise _overflow()
         return MultiLaurent._make(p.nvars, out)
-    if any(any(e[1:]) for e in g.terms):
+    # a key is its Q part (key >> _W) above its q slot
+    one_q = _slots(_BIAS, p.nvars) >> _W
+    if any(k >> _W != one_q for k in g.terms):
         raise CoeffError("divisor must be a monomial or univariate in q")
-    # group the dividend by its Q-exponent part and divide each univariate
-    # (in q) piece by g
+    # group the dividend by its Q part and divide each univariate (in q)
+    # piece by g
     groups = {}
-    for e, c in p.terms.items():
-        groups.setdefault(e[1:], {})[e[0]] = c
-    gq = {e[0]: c for e, c in g.terms.items()}
+    for k, c in p.terms.items():
+        groups.setdefault(k >> _W, {})[(k & _MASK) - _BIAS] = c
+    gq = {(k & _MASK) - _BIAS: c for k, c in g.terms.items()}
     out = {}
     for qpart, poly in groups.items():
-        quo = _divexact_univariate(poly, gq)
-        for e0, c in quo.items():
-            out[(e0,) + qpart] = c
+        base = (qpart << _W) + _BIAS
+        for e0, c in _divexact_univariate(poly, gq).items():
+            out[base + _pack((e0,))] = c
     return MultiLaurent._make(p.nvars, out)
 
 
@@ -401,9 +469,9 @@ def specialize(p, assignment):
             raise CoeffError(f"variable index {idx} out of range")
         values[idx] = Fraction(val)
     total = Fraction(0)
-    for exps, coeff in p.terms.items():
+    for key, coeff in p.terms.items():
         term = coeff
-        for i, e in enumerate(exps):
+        for i, e in enumerate(_unpack(key, p.nvars)):
             if e == 0:
                 continue
             v = values[i]
@@ -422,70 +490,3 @@ def ml_to_json(p):
         {"exponents": list(exps), "num": str(c.numerator), "den": str(c.denominator)}
         for exps, c in p.sorted_terms()
     ]
-
-
-# ---------------------------------------------------------------------------
-# packed exponent keys
-#
-# The flat engines (``hecke``, ``liealg``) store a monomial as one ``int``
-# key: each exponent has a 16-bit slot holding the exponent plus 8192, so
-# every exponent lies in [-8192, 8191].  The two top bits of a slot are guard
-# bits, clear in every valid key: a sum of two valid keys less the origin
-# (the key of exponent zero) that leaves the range in some slot sets a guard
-# bit there instead of carrying into the next slot, and the engine raises
-# ``EngineError`` for it.  A product of monomials is thus one key addition
-# and one ``&`` per key formed.
-
-# slot width, bias, slot mask and the two guard bits
-_W = 16
-_BIAS = 1 << (_W - 3)
-_MASK = (1 << _W) - 1
-_GUARD = 3 << (_W - 2)
-
-
-class EngineError(Exception):
-    """An engine self-check failed: a fault in the algebra engine itself, not
-    a failed verification."""
-
-
-def _overflow():
-    return EngineError(
-        f"exponent outside the packed key range [{-_BIAS}, {_BIAS - 1}]"
-    )
-
-
-def _slots(value, count):
-    """``value`` in each of the lowest ``count`` slots: the origin for
-    ``_BIAS``, the guard mask for ``_GUARD``."""
-    return sum(value << (_W * s) for s in range(count))
-
-
-def _pack(exps, slot=0):
-    """The key shift adding exps to consecutive slots from ``slot`` on."""
-    delta = 0
-    for s, e in enumerate(exps, slot):
-        if not -_BIAS <= e < _BIAS:
-            raise _overflow()
-        delta += e << (_W * s)
-    return delta
-
-
-def _unpack(key, count):
-    """The exponents in the lowest ``count`` slots of a packed key."""
-    return tuple(((key >> (_W * s)) & _MASK) - _BIAS for s in range(count))
-
-
-def _add_terms(a, b):
-    """The sum of two zero-free flat term dicts, zero-free."""
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = v
-        else:
-            s += v
-            if s:
-                out[k] = s if type(s) is int else _exact(s)
-            else:
-                del out[k]
-    return out

@@ -13,21 +13,22 @@ did not).
 An element is one flat dict {(key, w): coefficient}: the coefficient is an
 ``int``, or a ``Fraction`` when it is not integral, never zero, and ``key``
 is one ``int`` packing the exponents of the monomial
-L_1^{c_1} ... L_n^{c_n} q^{e} Q_0^{f_0} ... Q_{r-1}^{f_{r-1}}.  Each
-exponent has a 16-bit slot, L_1 lowest, then L_2, ..., L_n, q, Q_0, ...,
-Q_{r-1}, in the packing of ``coeff`` (every exponent lies in [-8192, 8191],
-and a key formed out of that range raises ``EngineError``).  Products
-therefore add keys and multiply integers and allocate no ``MultiLaurent``.
-At the boundary, ``HeckeContext.term``, ``phi_jm`` and
-``young_subgroup_sum`` take ``(c, w) -> MultiLaurent`` input, and
-``HeckeElem.grouped`` gives that view back (``sorted_terms``,
-``elem_to_json`` and ``repr`` read it).
+L_1^{c_1} ... L_n^{c_n} q^{e} Q_0^{f_0} ... Q_{r-1}^{f_{r-1}}.  The L
+exponents have the n lowest slots of the ``coeff`` packing (L_1 lowest),
+and the ring part above them is a ``MultiLaurent`` key as it is, shifted by
+16n bits.  Every exponent lies in [-8192, 8191], and a key formed out of
+that range raises ``EngineError``.  Products therefore add keys and
+multiply integers and allocate no ``MultiLaurent``.  At the boundary, where
+``HeckeContext.from_grouped`` (behind ``term``, ``phi_jm`` and
+``young_subgroup_sum``), ``HeckeElem.scale`` and ``HeckeElem.grouped``
+(behind ``sorted_terms``, ``elem_to_json`` and ``repr``) meet a
+``MultiLaurent``, a ring key moves in with ``key << 16n`` and out with
+``key >> 16n``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import combinatorics as comb
 from . import symfun
@@ -40,18 +41,13 @@ from .coeff import (
     LaurentRing,
     MultiLaurent,
     _add_terms,
-    _exact,
+    _clean,
     _overflow,
     _pack,
     _slots,
     _unpack,
     ml_to_json,
 )
-
-
-def _clean(out):
-    """The accumulated terms without zeros, integral Fractions as ints."""
-    return {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
 
 
 def perm_id(n):
@@ -90,11 +86,12 @@ class HeckeContext:
         self._zero_c = (0,) * n
         self._rw_cache = {self._id: ()}
         self._mmu_cache = {}
-        self._nslots = n + 1 + r
-        self._origin = _slots(_BIAS, self._nslots)  # key of 1
-        self._guard = _slots(_GUARD, self._nslots)
+        # a ring key sits above the n L slots
+        sh = self._ring_shift = _W * n
+        self._origin = _slots(_BIAS, n) + (self.ring.origin << sh)  # key of 1
+        self._guard = _slots(_GUARD, n) + (self.ring.guard << sh)
         # key step of q^1; 0 at q = 1, where no (q - q^{-1}) term is emitted
-        self._qstep = 0 if q_one else 1 << (_W * n)
+        self._qstep = 0 if q_one else 1 << sh
 
     def reduced_word(self, w):
         cached = self._rw_cache.get(w)
@@ -103,20 +100,13 @@ class HeckeContext:
             self._rw_cache[w] = cached
         return cached
 
-    # -- packed keys --------------------------------------------------------
-
-    def _unpack(self, key):
-        """(L-exponents, ring exponents (q, Q_0, ...)) of a packed key."""
-        exps = _unpack(key, self._nslots)
-        return exps[: self.n], exps[self.n :]
-
     def from_grouped(self, terms):
         """The element with terms {(c, w): MultiLaurent}."""
         flat = {}
         for (c, w), coeff in terms.items():
-            base = self._origin + _pack(c)
-            for exps, x in coeff.terms.items():
-                flat[(base + _pack(exps, self.n), tuple(w))] = x
+            base = _slots(_BIAS, self.n) + _pack(c)
+            for key, x in coeff.terms.items():
+                flat[(base + (key << self._ring_shift), tuple(w))] = x
         return HeckeElem(self, flat)
 
     # -- constructors -------------------------------------------------------
@@ -337,10 +327,10 @@ class HeckeElem:
         """The element times a central scalar: a MultiLaurent, int or Fraction."""
         ctx = self.ctx
         if not hasattr(coeff, "is_zero"):
-            coeff = ctx.ring.from_fraction(Fraction(coeff))
+            coeff = ctx.ring.from_fraction(coeff)
         out = {}
-        for exps, c in coeff.terms.items():
-            self._shifted(_pack(exps, ctx.n), c, out)
+        for key, c in coeff.terms.items():
+            self._shifted((key - ctx.ring.origin) << ctx._ring_shift, c, out)
         return HeckeElem(ctx, _clean(out))
 
     def shift_L(self, j, e):
@@ -355,10 +345,10 @@ class HeckeElem:
     def grouped(self):
         """The terms as {(L-exponents, permutation): MultiLaurent}."""
         ctx = self.ctx
+        sh = ctx._ring_shift
         out = {}
         for (key, w), coeff in self.terms.items():
-            c, exps = ctx._unpack(key)
-            out.setdefault((c, w), {})[exps] = coeff
+            out.setdefault((_unpack(key, ctx.n), w), {})[key >> sh] = coeff
         nvars = ctx.ring.nvars
         return {k: MultiLaurent._make(nvars, v) for k, v in out.items()}
 

@@ -13,15 +13,16 @@ derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].
 Coefficients lie in the shared Laurent ring with the q exponent pinned to
 zero; the parameters Q_1, ..., Q_{r-1} enter at the junction positions
 m_1 + ... + m_k.  They are stored flat, as in ``hecke``: an element is one
-dict {(label, key): coefficient}, where ``key`` is one ``int`` packing the
-ring exponents (q, Q_0, ..., Q_{r-1}) in the slots of ``coeff`` and the
-coefficient is a nonzero ``int``, or a ``Fraction`` when it is not
-integral.  Brackets, matrix products and scaling add keys, multiply
-numbers and check the packed range once per key formed (an exponent out of
-range raises ``EngineError``); they allocate no ``MultiLaurent``.  At the
-boundary, ``basis``, ``scale`` and ``mat_unit`` take ``MultiLaurent``
-coefficients, and ``LieElem.grouped`` gives back {label: MultiLaurent}
-(``sorted_terms``, ``elem_to_json`` and ``repr`` read it).
+dict {(label, key): coefficient}, where ``key`` is the packed key of a
+``MultiLaurent`` monomial, used as it is, and the coefficient is a nonzero
+``int``, or a ``Fraction`` when it is not integral.  Brackets, matrix
+products and scaling add keys less the ring's ``origin``, multiply numbers
+and test the ring's ``guard`` mask once per key formed (an exponent out of
+range raises ``EngineError``); they allocate no ``MultiLaurent`` and never
+look inside a key.  At the boundary, ``basis``, ``scale`` and ``mat_unit``
+take the terms of a ``MultiLaurent`` coefficient, and ``LieElem.grouped``
+regroups them as {label: MultiLaurent} (``sorted_terms``, ``elem_to_json``
+and ``repr`` read it).
 
 The m x m matrices of the evaluation map onto gl_m and of the modules V_tau
 are sparse and flat the same way: a dict {(i, j, key): coefficient} with
@@ -33,20 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import (
-    _BIAS,
-    _GUARD,
-    _W,
-    LaurentRing,
-    MultiLaurent,
-    _add_terms,
-    _exact,
-    _overflow,
-    _pack,
-    _slots,
-    _unpack,
-    ml_to_json,
-)
+from .coeff import LaurentRing, MultiLaurent, _add_terms, _exact, _overflow, ml_to_json
 
 
 def _acc_scaled(out, terms, shift, c, guard):
@@ -109,7 +97,7 @@ class LieElem:
         nvars = self.ctx.ring.nvars
         out = {}
         for (label, key), c in self.terms.items():
-            out.setdefault(label, {})[_unpack(key, nvars)] = c
+            out.setdefault(label, {})[key] = c
         return {label: MultiLaurent._make(nvars, v) for label, v in out.items()}
 
     def sorted_terms(self):
@@ -135,15 +123,14 @@ class LieContext:
         self.shape = shape
         self.m = shape.total
         self.ring = LaurentRing(max(shape.r, 1))
-        nvars = self.ring.nvars
-        self._origin = _slots(_BIAS, nvars)  # key of 1
-        self._guard = _slots(_GUARD, nvars)
-        # the key of Q_k at the junction position of each k (slot 0 is q)
+        self._origin = self.ring.origin  # key of 1
+        self._guard = self.ring.guard
+        # the key of Q_k at the junction position of each k
         self._jkey = {}
         for pos in range(1, self.m + 1):
             k = shape.junction(pos)
             if k is not None:
-                self._jkey[pos] = self._origin + (1 << (_W * (k + 1)))
+                (self._jkey[pos],) = self.ring.Q(k).terms
         self._bb_cache = {}
         self._vtau_cache = {}  # tau -> {label: matrix}
         self._last_tau = self._last_vtau = None
@@ -153,10 +140,9 @@ class LieContext:
 
     def _flat(self, coeff):
         """A MultiLaurent, int or Fraction as {key: nonzero coefficient}."""
-        if isinstance(coeff, MultiLaurent):
-            return {self._origin + _pack(exps): c for exps, c in coeff.terms.items()}
-        coeff = _exact(coeff)
-        return {self._origin: coeff} if coeff else {}
+        if not isinstance(coeff, MultiLaurent):
+            coeff = self.ring.from_fraction(coeff)
+        return coeff.terms
 
     # -- element constructors --------------------------------------------
 

@@ -319,7 +319,7 @@ def divided_power_image(sctx, pos, sign, t, d, mu):
     integral = all(
         c.denominator == 1 and all(x >= 0 for x in e[1:])
         for ml in quotient.values()
-        for e, c in ml.terms.items()
+        for e, c in ml.sorted_terms()
     )
     return sctx.hctx.from_grouped(quotient), integral
 

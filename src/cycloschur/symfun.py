@@ -187,19 +187,25 @@ def phi(t, k, sign, ring):
 
     Closed form: sum over partitions lam of t with at most k parts of
     (1 - q^{-+2})^{len(lam)-1} m_lam; the degenerate t = 0 value is the
-    constant q^{-+k+-1} [k].  ``sign`` is +1 or -1.
+    constant q^{-+k+-1} [k].  ``sign`` is +1 or -1.  Built once per ring
+    and arguments.
     """
     if k < 1:
         raise ValueError("need at least one variable")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    key = (t, k, sign)
+    cached = ring._phi_cache.get(key)
+    if cached is not None:
+        return cached
     if t == 0:
-        coeff = ring.q_pow(-sign * k + sign) * qint(k, ring)
-        return SymPoly.constant(k, coeff)
-    unit = ring.one - ring.q_pow(-2 * sign)
-    out = SymPoly.zero(k)
-    for lam in comb.partitions_of(t, max_len=k):
-        out = out + monomial_sym(lam, k, ring).scale(unit ** (len(lam) - 1))
+        out = SymPoly.constant(k, ring.q_pow(-sign * k + sign) * qint(k, ring))
+    else:
+        unit = ring.one - ring.q_pow(-2 * sign)
+        out = SymPoly.zero(k)
+        for lam in comb.partitions_of(t, max_len=k):
+            out = out + monomial_sym(lam, k, ring).scale(unit ** (len(lam) - 1))
+    ring._phi_cache[key] = out
     return out
 
 

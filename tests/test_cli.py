@@ -1,6 +1,9 @@
 import collections
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,8 @@ class TestVerifyCommand:
         ["compute", "phi", "1", "2", "+", "-r", "0"],
         ["compute", "phi", "-1", "2", "+"],
         ["compute", "structure-constants", "-m", "2,2", "--deg", "-1"],
+        ["compute", "phi", "0", "4097", "-"],
+        ["compute", "phi", "0", "5000", "+"],
     ])
     def test_bad_input_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2
@@ -165,6 +170,12 @@ class TestVerifyCommand:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
+
+    def test_phi_at_the_largest_k(self, capsys):
+        # q^{2k-2} is the largest q power of Phi_0^- in k = 4096 variables
+        assert main(["compute", "phi", "0", "4096", "-"]) == 0
+        (term,) = json.loads(capsys.readouterr().out)["terms"]
+        assert max(t["exponents"][0] for t in term["coeff"]) == 2 * 4096 - 2
 
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
         def broken(self, a, b):
@@ -299,3 +310,38 @@ def test_structure_constants_pinned(capsys, argv, rows, digest):
     assert len(out["table"]) == rows
     canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+# The sha256 of the canonical ``compute`` output, with its term count, as
+# computed with MultiLaurent coefficients keyed by exponent tuples.
+@pytest.mark.parametrize("argv,count,digest", [
+    (["phi", "3", "4", "+"], 20,
+     "e8d95769132585bd0e2b741c8e4d481b5131ef6717c968ae65cddf6004a28447"),
+    (["phi", "2", "3", "-", "-r", "3"], 6,
+     "35e5259a2e9e06f779a0dade1013db868c5da4b496034c45b2048174200b8a19"),
+    (["phi", "0", "5", "-", "-r", "2"], 1,
+     "1ffc40c72d1e1033ef324258c0bebe4a6145a8b81f2c6cfedc4f33815c541e04"),
+    (["character", "((2,1),(1))", "-r", "2", "-m", "2,2"], 24,
+     "a37b3c7cdb817fd5e0ab68e6349b91928f7a960eab52b916bb9974eee4120cc0"),
+    (["character", "((1),(1),(1))", "-r", "3", "-m", "1,2,1"], 9,
+     "fdf6088dd844389420ad469363edd469f86e9e013553bcc2246e0a47bb75c701"),
+])
+def test_compute_pinned(capsys, argv, count, digest):
+    assert main(["compute", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["terms"]) == count
+    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+def test_character_tables_script_pinned():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "character_tables.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "-m", "2,2", "-n", "3"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert len(out.splitlines()) == 30
+    assert "  ch D((1),(1)): 7 weights, dimension 8" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "26c3616b551f0da7fb225475f0fa35f2b931efb88af284624aa7afcd7faa919c"
+    )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cycloschur.coeff import (
     CoeffError,
+    EngineError,
     LaurentRing,
     MultiLaurent,
     divexact,
@@ -84,7 +85,7 @@ class TestQBinom:
     def test_integrality(self, d, c):
         # lies in Z[q, q^{-1}]: integer coefficients, no Q variables
         b = qbinom(d, c, R2)
-        for exps, coeff in b.terms.items():
+        for exps, coeff in b.sorted_terms():
             assert coeff.denominator == 1
             assert exps[1:] == (0, 0)
 
@@ -228,7 +229,7 @@ class TestExactness:
 
     def test_fractional_univariate_quotient(self):
         half = divexact(R2.q + R2.qinv, (R2.q + R2.qinv).scale(2))
-        assert half.terms == {(0, 0, 0): Fraction(1, 2)}
+        assert half.sorted_terms() == [((0, 0, 0), Fraction(1, 2))]
         assert_exact(half)
 
     @settings(max_examples=40)
@@ -247,3 +248,64 @@ class TestExactness:
         ring = LaurentRing(2)
         assert ring.qq_comm() is ring.qq_comm()
         assert ring.qq_comm() == ring.q - ring.qinv
+
+
+exponents = st.integers(-8192, 8191)
+
+
+@st.composite
+def wide_laurents(draw, nvars):
+    """Terms anywhere in the packed range, negative exponents included."""
+    return MultiLaurent(nvars, draw(st.dictionaries(
+        st.tuples(*[exponents] * nvars), st.integers(-5, 5), max_size=6
+    )))
+
+
+class TestPackedKeys:
+    def test_product_out_of_range_raises(self):
+        with pytest.raises(EngineError):
+            R2.q_pow(8191) * R2.q
+        with pytest.raises(EngineError):
+            R2.Q(1, -8192) * R2.Q(1, -1)
+
+    @pytest.mark.parametrize("p,g", [
+        (R2.q_pow(-8192), R2.q),
+        (R2.Q(0, 8191), R2.Q(0, -1)),
+    ])
+    def test_monomial_divexact_out_of_range_raises(self, p, g):
+        with pytest.raises(EngineError):
+            divexact(p, g)
+
+    def test_constructor_out_of_range_raises(self):
+        with pytest.raises(EngineError):
+            MultiLaurent(3, {(9000, 0, 0): 1})
+
+    def test_range_ends_are_valid(self):
+        low, high = R2.monomial((-8192, 0, 8191)), R2.monomial((8191, -8192, 0))
+        assert (low * high).sorted_terms() == [((-1, -8192, 8191), 1)]
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 4).flatmap(wide_laurents))
+    def test_sorted_terms_in_tuple_order(self, p):
+        terms = p.sorted_terms()
+        exps = [e for e, _ in terms]
+        assert exps == sorted(exps)
+        assert len(terms) == len(p.terms)
+        assert MultiLaurent(p.nvars, dict(terms)) == p
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 3), st.data())
+    def test_keys_agree_across_q_one(self, r, data):
+        generic, q_one = LaurentRing(r), LaurentRing(r, q_one=True)
+        assert generic.origin == q_one.origin and generic.guard == q_one.guard
+        for _ in range(3):
+            exps = (0,) + data.draw(st.tuples(*[st.integers(-4, 4)] * r))
+            c = data.draw(st.integers(-3, 3).filter(bool))
+            a, b = generic.monomial(exps, c), q_one.monomial(exps, c)
+            assert a.terms == b.terms
+            assert (a * a + a).terms == (b * b + b).terms
+        for k in range(r):
+            assert generic.Q(k, 2).terms == q_one.Q(k, 2).terms
+        ones = (1,) * r
+        assert q_one.monomial((5,) + ones).terms == generic.monomial((0,) + ones).terms
+

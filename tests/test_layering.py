@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -21,3 +22,27 @@ def test_engines_load_no_suite_code():
         m for m in out if m.startswith("cycloschur.suites") or m == "cycloschur.reporting"
     ]
     assert loaded == []
+
+
+# The slot layout of a packed exponent key is known to coeff, which defines
+# it, and to hecke, which places a ring key above its L slots; every other
+# module works with whole keys.
+PACKING = {"_W", "_BIAS", "_MASK", "_GUARD", "_pack", "_unpack", "_slots"}
+
+
+def test_only_coeff_and_hecke_know_the_key_layout():
+    src = Path(cycloschur.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.relative_to(src).as_posix() in ("coeff.py", "hecke.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [(path.name, node.lineno, n) for n in sorted(names & PACKING)]
+    assert found == []
+
