@@ -33,8 +33,9 @@ def main():
         for lam in enumerate_multipartitions(n, shape, extended=True):
             ch = weyl_character(lam, shape, ring)
             one = (0,) * ring.nvars
-            dim = sum(int(dict(c.sorted_terms()).get(one, 0)) for c in ch.terms.values())
-            print(f"  ch D{fmt_mp(lam)}: {len(ch.terms)} weights, dimension {dim}")
+            weights = ch.grouped()
+            dim = sum(int(dict(c.sorted_terms()).get(one, 0)) for c in weights.values())
+            print(f"  ch D{fmt_mp(lam)}: {len(weights)} weights, dimension {dim}")
     print("\nproducts with the box character:")
     box = ((1,),) + ((),) * (shape.r - 1)
     for lam in enumerate_multipartitions(min(args.n, 3), shape, extended=True):

@@ -14,11 +14,12 @@ exponent to zero at construction time.
 
 A monomial of the ring is one packed ``int`` key (see "packed exponent
 keys" below), and this module is the only one that knows the slot layout:
-``MultiLaurent.terms`` is keyed by it, ``LieElem`` and the Lie matrices use
-the keys of ``MultiLaurent`` as they are, and ``hecke`` places a key above
-its L slots with one shift.  Exponent tuples appear only at the edges: the
-``MultiLaurent(nvars, {tuple: c})`` constructor, ``sorted_terms``,
-``specialize``, ``ml_to_json`` and ``repr``.
+``MultiLaurent.terms`` is keyed by it, ``LieElem``, the Lie matrices and
+``SymPoly`` pair the keys of ``MultiLaurent`` as they are with a label or
+x-exponents, and ``hecke`` places a key above its L slots with one shift.
+Ring exponent tuples appear only at the edges: the constructor
+``MultiLaurent(nvars, {tuple: c})``, ``sorted_terms``, ``specialize``,
+``ml_to_json`` and ``repr``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,22 @@ def _add_terms(a, b):
     return out
 
 
+def _acc_scaled(out, terms, shift, c, guard):
+    """Add c * (terms keyed (head, key), each key plus shift) to the zero-free out."""
+    for (head, key), v in terms.items():
+        key += shift
+        if key & guard:
+            raise _overflow()
+        k = (head, key)
+        v *= c
+        if k in out:
+            v += out[k]
+            if not v:
+                del out[k]
+                continue
+        out[k] = v if type(v) is int else _exact(v)
+
+
 def _clean(out):
     """The accumulated terms without zeros, integral Fractions as ints."""
     return {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
@@ -164,16 +181,10 @@ class MultiLaurent:
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, MultiLaurent):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __neg__(self):
         return MultiLaurent._make(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -212,8 +223,6 @@ class MultiLaurent:
                         continue
                 out[e] = c if type(c) is int else _exact(c)
         return MultiLaurent._make(self.nvars, out)
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         c = _exact(c)

@@ -19,11 +19,11 @@ and the ring part above them is a ``MultiLaurent`` key as it is, shifted by
 16n bits.  Every exponent lies in [-8192, 8191], and a key formed out of
 that range raises ``EngineError``.  Products therefore add keys and
 multiply integers and allocate no ``MultiLaurent``.  At the boundary, where
-``HeckeContext.from_grouped`` (behind ``term``, ``phi_jm`` and
-``young_subgroup_sum``), ``HeckeElem.scale`` and ``HeckeElem.grouped``
-(behind ``sorted_terms``, ``elem_to_json`` and ``repr``) meet a
-``MultiLaurent``, a ring key moves in with ``key << 16n`` and out with
-``key >> 16n``.
+``HeckeContext.from_grouped`` (behind ``term`` and ``young_subgroup_sum``),
+``HeckeElem.scale`` and ``HeckeElem.grouped`` (behind ``sorted_terms``,
+``elem_to_json`` and ``repr``) meet a ``MultiLaurent``, a ring key moves in
+with ``key << 16n`` and out with ``key >> 16n``; ``phi_jm`` moves the keys
+of a flat ``SymPoly`` in the same way.
 """
 
 from __future__ import annotations
@@ -504,11 +504,9 @@ def phi_jm(ctx, t, sign, l_indices):
     if k == 0:
         return ctx.zero()
     poly = symfun.phi(t, k, sign, ctx.ring)
+    base = _slots(_BIAS, ctx.n)
     terms = {}
-    idvec = (0,) * ctx.n
-    for exps, coeff in poly.terms.items():
-        c = list(idvec)
-        for j, e in enumerate(exps):
-            c[l_indices[j] - 1] += e
-        terms[(tuple(c), perm_id(ctx.n))] = coeff
-    return ctx.from_grouped(terms)
+    for (exps, key), c in poly.terms.items():
+        lkey = base + sum(_pack((e,), j - 1) for j, e in zip(l_indices, exps))
+        terms[(lkey + (key << ctx._ring_shift), ctx._id)] = c
+    return HeckeElem(ctx, terms)

@@ -12,17 +12,19 @@ derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].
 
 Coefficients lie in the shared Laurent ring with the q exponent pinned to
 zero; the parameters Q_1, ..., Q_{r-1} enter at the junction positions
-m_1 + ... + m_k.  They are stored flat, as in ``hecke``: an element is one
-dict {(label, key): coefficient}, where ``key`` is the packed key of a
-``MultiLaurent`` monomial, used as it is, and the coefficient is a nonzero
-``int``, or a ``Fraction`` when it is not integral.  Brackets, matrix
-products and scaling add keys less the ring's ``origin``, multiply numbers
-and test the ring's ``guard`` mask once per key formed (an exponent out of
-range raises ``EngineError``); they allocate no ``MultiLaurent`` and never
-look inside a key.  At the boundary, ``basis``, ``scale`` and ``mat_unit``
-take the terms of a ``MultiLaurent`` coefficient, and ``LieElem.grouped``
-regroups them as {label: MultiLaurent} (``sorted_terms``, ``elem_to_json``
-and ``repr`` read it).
+m_1 + ... + m_k.  They are stored flat, as in ``hecke`` and ``symfun``: an
+element is one dict {(label, key): coefficient}, where ``key`` is the packed
+key of a ``MultiLaurent`` monomial, used as it is, and the coefficient is a
+nonzero ``int``, or a ``Fraction`` when it is not integral.  Brackets,
+matrix products and scaling add keys less the ring's ``origin``, multiply
+numbers and test the ring's ``guard`` mask once per key formed (an exponent
+out of range raises ``EngineError``); they allocate no ``MultiLaurent`` and
+never look inside a key.  A shifted, scaled copy of one element's terms is
+added to another's by ``coeff._acc_scaled``, which ``SymPoly`` shares.  At
+the boundary, ``basis``, ``scale`` and ``mat_unit`` take the terms of a
+``MultiLaurent`` coefficient, and ``LieElem.grouped`` regroups them as
+{label: MultiLaurent} (``sorted_terms``, ``elem_to_json`` and ``repr`` read
+it).
 
 The m x m matrices of the evaluation map onto gl_m and of the modules V_tau
 are sparse and flat the same way: a dict {(i, j, key): coefficient} with
@@ -34,23 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import LaurentRing, MultiLaurent, _add_terms, _exact, _overflow, ml_to_json
-
-
-def _acc_scaled(out, terms, shift, c, guard):
-    # add c * (terms with every key shifted by shift) to the zero-free out
-    for (label, key), v in terms.items():
-        key += shift
-        if key & guard:
-            raise _overflow()
-        k = (label, key)
-        v *= c
-        if k in out:
-            v += out[k]
-            if not v:
-                del out[k]
-                continue
-        out[k] = v if type(v) is int else _exact(v)
+from .coeff import (LaurentRing, MultiLaurent, _acc_scaled, _add_terms, _exact, _overflow,
+                    ml_to_json)
 
 
 class LieElem:

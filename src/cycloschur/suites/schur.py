@@ -347,7 +347,7 @@ def hw_eigenvalue_pair(lam_j, j, l, t, sign, ring):
         return ring.zero, ring.zero
     args = [ring.Q(l - 1) * ring.q_pow(2 * (c - j)) for c in range(1, lam_j + 1)]
     poly = phi(t, lam_j, sign, ring)
-    via_phi = poly.evaluate(args, ring) * ring.q_pow(sign * (t - 1))
+    via_phi = poly.evaluate(args) * ring.q_pow(sign * (t - 1))
     # the q-power runs (2t - 1) lam_j for sign +1 and lam_j for sign -1
     e = (t - 1) * (1 + sign) * lam_j + lam_j - t * (2 * j - 1)
     closed = ring.Q(l - 1, t) * ring.q_pow(e) * qint(lam_j, ring)

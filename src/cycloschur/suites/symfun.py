@@ -20,7 +20,7 @@ def verify_phi_recursions(tmax, kmax, ring):
             prefix = [phi(0, s, sign, ring) for s in range(1, k + 1)]
             for t in range(0, tmax + 1):
                 nxt = [phi(t + 1, s, sign, ring) for s in range(1, k + 1)]
-                rhs = SymPoly.zero(k)
+                rhs = SymPoly.zero(ring, k)
                 for s in range(1, k + 1):
                     rhs = rhs + embed(prefix[s - 1], k, range(s)).times_var(s - 1)
                 for s in range(1, k):
@@ -64,7 +64,7 @@ def verify_characters(shape, nmax, ring):
                         sym_ok = False
             checks.append(check("character-block-symmetry", {"lambda": lam}, sym_ok))
 
-            prod = SymPoly.constant(nvars, ring.one)
+            prod = SymPoly.constant(ring, nvars, ring.one)
             for k in range(1, shape.r + 1):
                 single = single_component_multipartition(lam[k - 1], k, shape.r)
                 ch_single = weyl_character(single, shape, ring)

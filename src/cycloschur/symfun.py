@@ -8,56 +8,56 @@ A ``SymPoly`` lives in a fixed ordered variable set of size ``nvars``; for
 block-of-components variables the slot of x_{(i,k)} is gamma((i,k)) - 1, so
 restricted variable sets like x^{(k)} u ... u x^{(r)} are just position
 slices of the same ring.
+
+Each ``SymPoly`` carries its ``LaurentRing`` and stores its terms flat, as
+``liealg`` does: {(exponent tuple, key): coefficient}, with ``key`` the
+packed key of a ``MultiLaurent`` monomial and a nonzero ``int`` or
+``Fraction`` coefficient.  Products and ``scale`` add keys and test the
+ring's ``guard`` mask (an exponent out of range raises ``EngineError``)
+without allocating a ``MultiLaurent``; ``SymPoly.grouped`` gives the
+{exponent tuple: MultiLaurent} view that ``sorted_terms``, ``evaluate``,
+``sympoly_to_json``, ``repr`` and ``expand_in_schur_basis`` read.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import add
 
 from . import combinatorics as comb
-from .coeff import MultiLaurent, ml_to_json, qint
+from .coeff import MultiLaurent, _acc_scaled, _add_terms, _exact, _overflow, ml_to_json, qint
 
 
 class SymPoly:
-    """Sparse polynomial: exponent tuple (length nvars) -> MultiLaurent coefficient."""
+    """Sparse polynomial in ``nvars`` variables, stored flat (see the module
+    docstring); the constructor takes {exponent tuple: MultiLaurent}."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("ring", "nvars", "terms")
 
-    def __init__(self, nvars, terms=()):
-        clean = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise ValueError("exponent arity mismatch")
-            if not coeff.is_zero:
-                if exps in clean:
-                    s = clean[exps] + coeff
-                    if s.is_zero:
-                        del clean[exps]
-                    else:
-                        clean[exps] = s
-                else:
-                    clean[exps] = coeff
+    def __init__(self, ring, nvars, terms):
+        if any(len(exps) != nvars for exps in terms):
+            raise ValueError("exponent arity mismatch")
+        self.ring = ring
         self.nvars = nvars
-        self.terms = clean
+        self.terms = {(tuple(e), k): c for e, x in terms.items() for k, c in x.terms.items()}
 
     @classmethod
-    def _make(cls, nvars, clean_terms):
+    def _make(cls, ring, nvars, clean_terms):
+        # internal fast path: clean_terms must already be zero-free
         self = object.__new__(cls)
+        self.ring = ring
         self.nvars = nvars
         self.terms = clean_terms
         return self
 
     @classmethod
-    def zero(cls, nvars):
-        return cls._make(nvars, {})
+    def zero(cls, ring, nvars):
+        return cls._make(ring, nvars, {})
 
     @classmethod
-    def constant(cls, nvars, coeff):
-        if coeff.is_zero:
-            return cls._make(nvars, {})
-        return cls._make(nvars, {(0,) * nvars: coeff})
+    def constant(cls, ring, nvars, coeff):
+        return cls(ring, nvars, {(0,) * nvars: coeff})
 
     @property
     def is_zero(self):
@@ -66,90 +66,88 @@ class SymPoly:
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset((e, hash(c)) for e, c in self.terms.items())))
+        return self.nvars == other.nvars and self.ring == other.ring and self.terms == other.terms
 
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("mixed variable arities")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero:
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return SymPoly._make(self.nvars, out)
+        return SymPoly._make(self.ring, self.nvars, _add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return SymPoly._make(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SymPoly._make(self.ring, self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, MultiLaurent):
-            return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("mixed variable arities")
+        origin, guard = self.ring.origin, self.ring.guard
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for (e1, k1), c1 in self.terms.items():
+            k1 -= origin
+            for (e2, k2), c2 in other.terms.items():
+                key = k1 + k2
+                if key & guard:
+                    raise _overflow()
+                k = (tuple(map(add, e1, e2)), key)
                 c = c1 * c2
-                if e in out:
-                    s = out[e] + c
-                    if s.is_zero:
-                        del out[e]
-                    else:
-                        out[e] = s
-                else:
-                    if not c.is_zero:
-                        out[e] = c
-        return SymPoly._make(self.nvars, out)
+                s = out.get(k)
+                if s is not None:
+                    c += s
+                    if not c:
+                        del out[k]
+                        continue
+                out[k] = c if type(c) is int else _exact(c)
+        return SymPoly._make(self.ring, self.nvars, out)
 
     def scale(self, coeff):
-        if coeff.is_zero:
-            return SymPoly._make(self.nvars, {})
-        return SymPoly._make(self.nvars, {e: c * coeff for e, c in self.terms.items()})
+        """The polynomial times a MultiLaurent."""
+        ring = self.ring
+        out = {}
+        for key, c in coeff.terms.items():
+            _acc_scaled(out, self.terms, key - ring.origin, c, ring.guard)
+        return SymPoly._make(ring, self.nvars, out)
+
+    def _map_exps(self, nvars, f):
+        # the polynomial with every exponent tuple e replaced by f(e), f injective
+        terms = {(f(e), key): c for (e, key), c in self.terms.items()}
+        return SymPoly._make(self.ring, nvars, terms)
 
     def times_var(self, slot):
         """Multiply by the variable in the given 0-based slot."""
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[slot] += 1
-            out[tuple(e2)] = c
-        return SymPoly._make(self.nvars, out)
+        return self._map_exps(self.nvars, lambda e: e[:slot] + (e[slot] + 1,) + e[slot + 1:])
 
     def swap_vars(self, i, j):
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i], e2[j] = e2[j], e2[i]
-            out[tuple(e2)] = c
-        return SymPoly._make(self.nvars, out)
+        def swap(e):
+            e = list(e)
+            e[i], e[j] = e[j], e[i]
+            return tuple(e)
 
-    def evaluate(self, values, ring):
+        return self._map_exps(self.nvars, swap)
+
+    def grouped(self):
+        """The terms as {exponent tuple: MultiLaurent}."""
+        out = {}
+        for (e, key), c in self.terms.items():
+            out.setdefault(e, {})[key] = c
+        nvars = self.ring.nvars
+        return {e: MultiLaurent._make(nvars, v) for e, v in out.items()}
+
+    def evaluate(self, values):
         """Substitute a MultiLaurent for every variable (exponents must be >= 0)."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
-        total = ring.zero
-        for e, c in self.terms.items():
-            term = c
-            for i, exp in enumerate(e):
+        total = self.ring.zero
+        for e, term in self.grouped().items():
+            for v, exp in zip(values, e):
                 if exp:
-                    term = term * values[i] ** exp
+                    term = term * v ** exp
             total = total + term
         return total
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        return sorted(self.grouped().items())
 
     def __repr__(self):
         if not self.terms:
@@ -158,18 +156,25 @@ class SymPoly:
         return " + ".join(parts)
 
 
+def _tally(ring, nvars, exps):
+    """The sum of the monomials x^e, e in exps, counted with multiplicity."""
+    one = ring.origin
+    return SymPoly._make(ring, nvars, {(e, one): c for e, c in Counter(exps).items()})
+
+
 def embed(poly, nvars, positions):
     """Reinterpret a k-variable polynomial inside nvars variables, sending
     variable j to slot positions[j]."""
     if len(positions) != poly.nvars:
         raise ValueError("positions must match the polynomial arity")
-    out = {}
-    for e, c in poly.terms.items():
+
+    def place(e):
         big = [0] * nvars
-        for j, exp in enumerate(e):
-            big[positions[j]] = exp
-        out[tuple(big)] = c
-    return SymPoly._make(nvars, out)
+        for p, exp in zip(positions, e):
+            big[p] = exp
+        return tuple(big)
+
+    return poly._map_exps(nvars, place)
 
 
 def monomial_sym(lam, k, ring):
@@ -178,8 +183,7 @@ def monomial_sym(lam, k, ring):
     if len(lam) > k:
         raise ValueError("partition longer than the variable count")
     padded = tuple(lam) + (0,) * (k - len(lam))
-    exps = set(itertools.permutations(padded))
-    return SymPoly._make(k, {e: ring.one for e in exps})
+    return _tally(ring, k, set(itertools.permutations(padded)))
 
 
 def phi(t, k, sign, ring):
@@ -199,10 +203,10 @@ def phi(t, k, sign, ring):
     if cached is not None:
         return cached
     if t == 0:
-        out = SymPoly.constant(k, ring.q_pow(-sign * k + sign) * qint(k, ring))
+        out = SymPoly.constant(ring, k, ring.q_pow(-sign * k + sign) * qint(k, ring))
     else:
         unit = ring.one - ring.q_pow(-2 * sign)
-        out = SymPoly.zero(k)
+        out = SymPoly.zero(ring, k)
         for lam in comb.partitions_of(t, max_len=k):
             out = out + monomial_sym(lam, k, ring).scale(unit ** (len(lam) - 1))
     ring._phi_cache[key] = out
@@ -211,12 +215,7 @@ def phi(t, k, sign, ring):
 
 def power_sum(t, k, ring):
     """p_t(x_1..x_k); Phi_t at q = 1."""
-    out = {}
-    for i in range(k):
-        e = [0] * k
-        e[i] = t
-        out[tuple(e)] = ring.one
-    return SymPoly._make(k, out)
+    return _tally(ring, k, ((0,) * i + (t,) + (0,) * (k - 1 - i) for i in range(k)))
 
 
 def schur_poly(lam, nvars, ring, positions=None):
@@ -232,10 +231,10 @@ def schur_poly(lam, nvars, ring, positions=None):
         positions = tuple(range(nvars))
     nv = len(positions)
     if len(lam) > nv:
-        return SymPoly.zero(nvars)
+        return SymPoly.zero(ring, nvars)
     if not lam:
-        return SymPoly.constant(nvars, ring.one)
-    out = {}
+        return SymPoly.constant(ring, nvars, ring.one)
+    weights = []
     row_vals = [[0] * w for w in lam]
 
     def rec(i, j):
@@ -244,11 +243,7 @@ def schur_poly(lam, nvars, ring, positions=None):
             for row in row_vals:
                 for v in row:
                     e[positions[v - 1]] += 1
-            e = tuple(e)
-            if e in out:
-                out[e] = out[e] + ring.one
-            else:
-                out[e] = ring.one
+            weights.append(tuple(e))
             return
         lo = row_vals[i][j - 1] if j > 0 else 1
         if i > 0 and j < lam[i - 1]:
@@ -261,23 +256,20 @@ def schur_poly(lam, nvars, ring, positions=None):
                 rec(i + 1, 0)
 
     rec(0, 0)
-    return SymPoly._make(nvars, {e: c for e, c in out.items() if not c.is_zero})
+    return _tally(ring, nvars, weights)
 
 
 def weyl_character(lam, shape, ring):
     """ch Delta(lam) = sum over weights mu of #T_0(lam, mu) x^mu."""
     nvars = shape.total
-    out = {}
-    for tab in comb.semistandard_tableaux(lam, shape):
-        mu = comb.tableau_weight(tab, shape)
-        e = comb.flatten(mu)
-        if e in out:
-            out[e] = out[e] + ring.one
-        else:
-            out[e] = ring.one
-    if not out and comb.size(lam) == 0:
-        return SymPoly.constant(nvars, ring.one)
-    return SymPoly._make(nvars, out)
+    weights = (
+        comb.flatten(comb.tableau_weight(tab, shape))
+        for tab in comb.semistandard_tableaux(lam, shape)
+    )
+    ch = _tally(ring, nvars, weights)
+    if ch.is_zero and comb.size(lam) == 0:
+        return SymPoly.constant(ring, nvars, ring.one)
+    return ch
 
 
 def single_component_multipartition(part, k, r):
@@ -291,11 +283,13 @@ def expand_in_schur_basis(poly, ring):
     residual = poly
     out = {}
     while not residual.is_zero:
-        exps = max(residual.terms)
+        # the whole coefficient of the leading exponent tuple, all its ring keys
+        groups = residual.grouped()
+        exps = max(groups)
         lam = comb.strip(exps)
         if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
             raise ValueError(f"leading exponent {exps} not weakly decreasing")
-        coeff = residual.terms[exps]
+        coeff = groups[exps]
         residual = residual - schur_poly(lam, poly.nvars, ring).scale(coeff)
         out[lam] = coeff
     return out
@@ -322,7 +316,7 @@ def char_product_check(lam, mu, shape, ring, chars=None):
     mu = tuple(comb.strip(p) for p in mu)
     lhs = char(lam) * char(mu)
     n_total = comb.size(lam) + comb.size(mu)
-    rhs = SymPoly.zero(shape.total)
+    rhs = SymPoly.zero(ring, shape.total)
     lr_terms = []
     for nu in comb.enumerate_multipartitions(n_total, shape, extended=True):
         c = comb.lr_coefficient(lam, mu, nu)

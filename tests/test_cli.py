@@ -266,6 +266,9 @@ def test_benchmark_suites_pinned(capsys, argv, digest):
      "33c0cfe9eb7f2b13c228923455cf5a0b1b5c973bd7efe1da61972a006a069ac0"),
     (["--suite", "lie", "-m", "1,2,1", "-r", "3", "--deg", "2"],
      "fdcb84b98e31c928b854db4b0a310961832f52d4ee6fec64ac1852926d253f8e"),
+    # Weyl characters and their products across the same junction
+    (["--suite", "symfun", "-n", "3", "-r", "3", "-m", "1,2,1"],
+     "8660b47dffb8739a90124ffca5d701d315d56cff6ac3502b5634c3ba5437a89c"),
 ])
 def test_sign_shapes_suites_pinned(capsys, argv, digest):
     assert main(["verify", *argv]) == 0

@@ -1,6 +1,10 @@
-import pytest
+from fractions import Fraction
 
-from cycloschur.coeff import LaurentRing, qint
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qint
 from cycloschur.combinatorics import Shape, enumerate_multipartitions
 from cycloschur.symfun import (
     SymPoly,
@@ -26,7 +30,7 @@ R2 = LaurentRing(2)
 
 
 def poly(nvars, ring, entries):
-    return SymPoly(nvars, {tuple(e): ring.from_int(c) for e, c in entries.items()})
+    return SymPoly(ring, nvars, {tuple(e): ring.from_int(c) for e, c in entries.items()})
 
 
 class TestMonomialSym:
@@ -53,7 +57,7 @@ class TestPhi:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_one_variable(self, sign, t):
-        expected = SymPoly(1, {(t,): R1.one})
+        expected = SymPoly(R1, 1, {(t,): R1.one})
         assert phi(t, 1, sign, R1) == expected
 
     def test_t2_k2_plus(self):
@@ -65,7 +69,7 @@ class TestPhi:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_t0_constant(self, sign, k):
-        expected = SymPoly.constant(k, R1.q_pow(-sign * k + sign) * qint(k, R1))
+        expected = SymPoly.constant(R1, k, R1.q_pow(-sign * k + sign) * qint(k, R1))
         assert phi(0, k, sign, R1) == expected
 
     def test_recursions_small(self):
@@ -75,6 +79,15 @@ class TestPhi:
     def test_q1_power_sums(self):
         checks = verify_phi_q1(4, 3, LaurentRing(1, q_one=True))
         assert checks and all(c["ok"] for c in checks)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_q1_degree_zero_is_power_sum(self, r, sign, k):
+        # p_0(x_1..x_k) = k, the value of q^{-+k+-1} [k] at q = 1
+        ring = LaurentRing(r, q_one=True)
+        assert phi(0, k, sign, ring) == power_sum(0, k, ring)
+        assert power_sum(0, k, ring) == SymPoly.constant(ring, k, ring.from_int(k))
 
 
 class TestSchur:
@@ -105,11 +118,18 @@ class TestSchur:
         expansion = expand_in_schur_basis(p, R1)
         assert expansion == {(3,): R1.one, (2, 1): R1.one}
 
+    def test_expand_in_schur_basis_q_dependent_coefficients(self):
+        # the leading exponent (1, 1) of the second summand carries two ring
+        # terms, both of which belong to its coefficient
+        a, b = R1.q, R1.one - R1.q_pow(-2)
+        p = schur_poly((2,), 2, R1).scale(a) + schur_poly((1, 1), 2, R1).scale(b)
+        assert expand_in_schur_basis(p, R1) == {(2,): a, (1, 1): b}
+
 
 class TestWeylCharacter:
     def test_empty(self):
         shape = Shape((2, 2))
-        assert weyl_character(((), ()), shape, R2) == SymPoly.constant(4, R2.one)
+        assert weyl_character(((), ()), shape, R2) == SymPoly.constant(R2, 4, R2.one)
 
     def test_single_box_first_component(self):
         shape = Shape((2, 2))
@@ -174,3 +194,184 @@ class TestHelpers:
         ch = weyl_character(lam, shape, R2)
         # column of two boxes forces the strictly increasing filling (1,1),(1,2)
         assert ch == poly(2, R2, {(1, 1): 1})
+
+
+class RefSymPoly:
+    """The tuple-keyed SymPoly that preceded the flat one: exponent tuple ->
+    MultiLaurent coefficient, with its own zero-cleaning loops."""
+
+    def __init__(self, nvars, terms):
+        clean = {}
+        for exps, coeff in terms.items():
+            exps = tuple(exps)
+            if not coeff.is_zero:
+                if exps in clean:
+                    s = clean[exps] + coeff
+                    if s.is_zero:
+                        del clean[exps]
+                    else:
+                        clean[exps] = s
+                else:
+                    clean[exps] = coeff
+        self.nvars = nvars
+        self.terms = clean
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            if e in out:
+                s = out[e] + c
+                if s.is_zero:
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = c
+        return RefSymPoly(self.nvars, out)
+
+    def __neg__(self):
+        return RefSymPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                c = c1 * c2
+                if e in out:
+                    s = out[e] + c
+                    if s.is_zero:
+                        del out[e]
+                    else:
+                        out[e] = s
+                elif not c.is_zero:
+                    out[e] = c
+        return RefSymPoly(self.nvars, out)
+
+    def scale(self, coeff):
+        return RefSymPoly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
+
+    def times_var(self, slot):
+        out = {}
+        for e, c in self.terms.items():
+            e2 = list(e)
+            e2[slot] += 1
+            out[tuple(e2)] = c
+        return RefSymPoly(self.nvars, out)
+
+    def swap_vars(self, i, j):
+        out = {}
+        for e, c in self.terms.items():
+            e2 = list(e)
+            e2[i], e2[j] = e2[j], e2[i]
+            out[tuple(e2)] = c
+        return RefSymPoly(self.nvars, out)
+
+    def embed(self, nvars, positions):
+        out = {}
+        for e, c in self.terms.items():
+            big = [0] * nvars
+            for j, exp in enumerate(e):
+                big[positions[j]] = exp
+            out[tuple(big)] = c
+        return RefSymPoly(nvars, out)
+
+    def evaluate(self, values, ring):
+        total = ring.zero
+        for e, c in self.terms.items():
+            term = c
+            for i, exp in enumerate(e):
+                if exp:
+                    term = term * values[i] ** exp
+            total = total + term
+        return total
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+
+RINGS = [LaurentRing(2), LaurentRing(2, q_one=True)]
+
+
+@st.composite
+def coeffs(draw, ring):
+    # Fraction coefficients and negative exponents; a q_one ring pins q^0
+    out = ring.zero
+    for _ in range(draw(st.integers(0, 3))):
+        exps = tuple(draw(st.integers(-3, 3)) for _ in range(ring.nvars))
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+        out = out + ring.monomial(exps, c)
+    return out
+
+
+@st.composite
+def sympoly_terms(draw, ring, nvars=3):
+    n = draw(st.integers(0, 4))
+    return {tuple(draw(st.integers(0, 2)) for _ in range(nvars)): draw(coeffs(ring))
+            for _ in range(n)}
+
+
+def assert_flat(p):
+    for (exps, key), c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == p.nvars and type(key) is int
+        assert c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=["generic", "q_one"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_sympoly_matches_multilaurent_reference(ring, data):
+    ta, tb = data.draw(sympoly_terms(ring)), data.draw(sympoly_terms(ring))
+    c = data.draw(coeffs(ring))
+    a, b = SymPoly(ring, 3, ta), SymPoly(ring, 3, tb)
+    ra, rb = RefSymPoly(3, ta), RefSymPoly(3, tb)
+    assert a.sorted_terms() == ra.sorted_terms()
+    pairs = [
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (a - a, ra - ra),
+        (a * b, ra * rb),
+        (a.scale(c), ra.scale(c)),
+        (a.times_var(1), ra.times_var(1)),
+        (a.swap_vars(0, 2), ra.swap_vars(0, 2)),
+        (embed(a, 5, (4, 0, 2)), ra.embed(5, (4, 0, 2))),
+    ]
+    for got, want in pairs:
+        assert_flat(got)
+        assert got.sorted_terms() == want.sorted_terms()
+    values = [data.draw(coeffs(ring)) for _ in range(3)]
+    assert a.evaluate(values) == ra.evaluate(values, ring)
+
+
+class TestPackedRange:
+    def test_product_out_of_range(self):
+        x = SymPoly(R1, 1, {(1,): R1.Q(0, 8191)})
+        lower = x * SymPoly(R1, 1, {(0,): R1.Q(0, -1)})
+        assert lower.sorted_terms() == [((1,), R1.Q(0, 8190))]
+        with pytest.raises(EngineError, match="packed key range"):
+            x * x
+
+    def test_scale_out_of_range(self):
+        x = SymPoly(R1, 1, {(1,): R1.q_pow(-8192)})
+        assert x.scale(R1.q).sorted_terms() == [((1,), R1.q_pow(-8191))]
+        with pytest.raises(EngineError, match="packed key range"):
+            x.scale(R1.qinv)
+
+
+def test_constructors_store_flat_terms():
+    shape = Shape((2, 2))
+    polys = [
+        phi(3, 3, 1, R2),
+        phi(0, 2, -1, R2),
+        weyl_character(((2,), (1,)), shape, R2),
+        schur_poly((2, 1), 3, R2),
+        monomial_sym((2, 1), 3, R2),
+        power_sum(2, 3, R2),
+    ]
+    for p in polys:
+        assert p.terms
+        assert_flat(p)
+        assert not any(isinstance(c, MultiLaurent) for c in p.terms.values())
