@@ -332,10 +332,16 @@ def main(argv=None):
             if args.suite == "all":
                 suites = SUITES
             else:
-                suites = tuple(s.strip() for s in args.suite.split(","))
-                for s in suites:
+                suites = ()
+                pos = 0
+                for raw in args.suite.split(","):
+                    s = raw.strip()
                     if s not in SUITES:
-                        raise ParseError(f"unknown suite {s!r}", args.suite, 0)
+                        raise ParseError(f"unknown suite {s!r}", args.suite, pos)
+                    if s in suites:
+                        raise ParseError(f"suite {s!r} listed twice", args.suite, pos)
+                    suites += (s,)
+                    pos += len(raw) + 1
             m = parse_blocks(args.m)
             if len(m) != args.r:
                 raise ParseError("m must list exactly r block sizes", args.m, 0)

@@ -19,16 +19,19 @@ and the ring part above them is a ``MultiLaurent`` key as it is, shifted by
 16n bits.  Every exponent lies in [-8192, 8191], and a key formed out of
 that range raises ``EngineError``.  Products therefore add keys and
 multiply integers and allocate no ``MultiLaurent``.  At the boundary, where
-``HeckeContext.from_grouped`` (behind ``term`` and ``young_subgroup_sum``),
-``HeckeElem.scale`` and ``HeckeElem.grouped`` (behind ``sorted_terms``,
-``elem_to_json`` and ``repr``) meet a ``MultiLaurent``, a ring key moves in
-with ``key << 16n`` and out with ``key >> 16n``; ``phi_jm`` moves the keys
-of a flat ``SymPoly`` in the same way.
+``HeckeContext.from_grouped`` (behind ``term``), ``HeckeElem.scale`` and
+``HeckeElem.grouped`` (behind ``sorted_terms``, ``elem_to_json`` and
+``repr``) meet a ``MultiLaurent``, a ring key moves in with ``key << 16n``
+and out with ``key >> 16n``; ``phi_jm`` moves the keys of a flat ``SymPoly``
+in the same way.
+
+The cyclic generators m_mu are never multiplied in as elements:
+``m_mu_mul`` applies their factors to the right operand, a coset sweep per
+Young-subgroup level and a key shift per (L_i - Q_k), and ``m_mu`` is that
+sweep applied to 1.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from . import combinatorics as comb
 from . import symfun
@@ -52,11 +55,6 @@ from .coeff import (
 
 def perm_id(n):
     return tuple(range(n))
-
-
-def perm_inversions(w):
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
 def reduced_word(w):
@@ -335,6 +333,8 @@ class HeckeElem:
 
     def shift_L(self, j, e):
         """The element times L_j^e."""
+        if not 1 <= j <= self.ctx.n:
+            raise ValueError(f"L_{j} out of range")
         out = {}
         self._shifted(_pack((e,), j - 1), 1, out)
         return HeckeElem(self.ctx, out)
@@ -381,48 +381,49 @@ def elem_to_json(elem):
 # the m_mu generators and the bracket elements
 
 
-def young_subgroup_sum(ctx, mu):
-    """sum over w in S_mu of q^{l(w)} T_w, for the Young subgroup of the
-    flattened composition."""
-    flat = comb.flatten(mu)
-    blocks = []
+def m_mu_mul(ctx, mu, shape, D):
+    """m_mu * D through the factors of m_mu = x_mu * lprod, never expanding
+    m_mu.  x_mu, the sum over w in S_mu of q^{l(w)} T_w, is applied one block
+    of the flattened composition and one level k = 2..part at a time as
+    x_{S_k} = sum_{j<=k} q^{k-j} T_j ... T_{k-1} x_{S_{k-1}}, the minimal left
+    coset representatives of S_{k-1} in S_k (k - 1 ``lmul_gen`` calls).
+    lprod = prod_{k<r} prod_{i<=a_k} (L_i - Q_k) commutes with x_mu (it is
+    symmetric in L_1..L_{a_k} and S_mu preserves 1..a_k), so it is applied
+    after x_mu, each factor as a shift of L_i minus a shift of Q_k: a left
+    multiplication by L_i only adds to the exponent key.  Applying the L
+    factors first would make every coset level work on 2^a times the terms."""
+    if not D.terms:
+        return D
+    qstep = ctx._qstep
     off = 0
-    for part in flat:
-        if part > 1:
-            blocks.append((off, part))
+    for part in comb.flatten(mu):
+        for k in range(2, part + 1):
+            out = dict(D.terms)
+            z = D
+            for j in range(k - 1, 0, -1):
+                z = ctx.lmul_gen(off + j, z)
+                z._shifted((k - j) * qstep, 1, out)
+            D = HeckeElem(ctx, _clean(out))
         off += part
-    terms = {}
-    locals_per_block = [
-        [(perm, perm_inversions(perm)) for perm in itertools.permutations(range(size))]
-        for _, size in blocks
-    ]
-    for combo in itertools.product(*locals_per_block):
-        w = list(perm_id(ctx.n))
-        length = 0
-        for (off, _size), (perm, inv) in zip(blocks, combo):
-            for j, p in enumerate(perm):
-                w[off + j] = off + p
-            length += inv
-        terms[((0,) * ctx.n, tuple(w))] = ctx.ring.q_pow(length)
-    return ctx.from_grouped(terms)
+    a_k = 0
+    for k in range(1, shape.r):
+        a_k += sum(mu[k - 1])
+        Qk = _pack((1,), k + 1) << ctx._ring_shift
+        for i in range(1, a_k + 1):
+            out = {}
+            D._shifted(_pack((1,), i - 1), 1, out)
+            D._shifted(Qk, -1, out)
+            D = HeckeElem(ctx, _clean(out))
+    return D
 
 
 def m_mu(ctx, mu, shape):
     """The element m_mu: the q-weighted Young-subgroup sum times the shifted
     Jucys-Murphy product prod_{k<r} prod_{i<=a_k} (L_i - Q_k)."""
     cached = ctx._mmu_cache.get(mu)
-    if cached is not None:
-        return cached
-    elem = young_subgroup_sum(ctx, mu)
-    lprod = ctx.one()
-    for k in range(1, shape.r):
-        a_k = sum(sum(mu[j]) for j in range(k))
-        Qk = ctx.scalar(ctx.ring.Q(k))
-        for i in range(1, a_k + 1):
-            lprod = lprod * (ctx.L(i) - Qk)
-    elem = elem * lprod
-    ctx._mmu_cache[mu] = elem
-    return elem
+    if cached is None:
+        cached = ctx._mmu_cache[mu] = m_mu_mul(ctx, mu, shape, ctx.one())
+    return cached
 
 
 def t_chain(ctx, s, h, sign):

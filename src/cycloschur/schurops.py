@@ -26,7 +26,7 @@ An operator word is a tuple of (coefficient, label sequence) pairs.
 from __future__ import annotations
 
 from . import combinatorics as comb
-from .hecke import EngineError, HeckeContext, m_mu, phi_jm, t_bracket
+from .hecke import EngineError, HeckeContext, m_mu_mul, phi_jm, t_bracket
 
 
 def K(sign, pos):
@@ -69,9 +69,6 @@ class SchurContext:
             return None
         return comb.unflatten(flat, self.shape)
 
-    def m(self, mu):
-        return m_mu(self.hctx, mu, self.shape)
-
     # -- single generators ------------------------------------------------
 
     def apply_gen(self, label, mu):
@@ -113,10 +110,11 @@ class SchurContext:
             else:
                 h = t_bracket(self.hctx, N, moved, sign)
                 jk = shape.junction(pos)
+                # left multiplications by L-polynomials shift exponent keys
                 if sign < 0 and jk is not None:
-                    h = (self.hctx.L(N) - self.hctx.scalar(ring.Q(jk))) * h
+                    h = h.shift_L(N, 1) - h.scale(ring.Q(jk))
                 if t:
-                    h = self.hctx.L(N + side, t) * h
+                    h = h.shift_L(N + side, t)
                 out = (nu, h.scale(ring.q_pow(1 - moved)))
             if t > 0:
                 self._check_x_induction(label, mu, out)
@@ -149,7 +147,7 @@ class SchurContext:
     def expand(self, nu, h):
         if nu is None or h.is_zero:
             return self.hctx.zero()
-        return self.m(nu) * h
+        return m_mu_mul(self.hctx, nu, self.shape, h)
 
     def seq_factor(self, labels, mu):
         """The sequence applied to m_mu (rightmost label first) as (nu, h)

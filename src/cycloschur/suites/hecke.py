@@ -1,16 +1,16 @@
 """The Hecke-engine suite: the Jucys-Murphy normal form, the commutation
 lemma for T_i against L_j, the m_mu and bracket identities and the divided
 brackets with their cofactors.  The identities m_mu X = m_mu Y are decided
-as m_mu (X - Y) = 0, with X - Y built from the small factors, so m_mu is
-multiplied in once per check."""
+as m_mu (X - Y) = 0, with X - Y built from the small factors and m_mu
+applied to it once per check through its factors (``m_mu_mul``)."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from .. import combinatorics as comb
-from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu, phi_jm,
-                     stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial)
+from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu, m_mu_mul,
+                     phi_jm, stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial)
 from ..reporting import PM, check
 
 
@@ -163,10 +163,10 @@ def verify_divided_brackets(ctx, dmax=3):
     return checks
 
 
-def _mm_check(name, params, mm, diff):
+def _mm_check(name, params, ctx, mu, shape, diff):
     """Record m_mu X == m_mu Y from diff = X - Y with one m_mu multiply; on
     failure ``detail`` holds the first three terms of m_mu (X - Y)."""
-    value = mm * diff
+    value = m_mu_mul(ctx, mu, shape, diff)
     if value.is_zero:
         return check(name, params, True)
     return check(name, params, False, {"lhs_minus_rhs": elem_to_json(value)[:3]})
@@ -177,7 +177,6 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
     checks = []
     ring = ctx.ring
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
         flat = comb.flatten(mu)
         for pos in shape.positions():
             i, k = shape.node(pos)
@@ -191,7 +190,7 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
                             ctx, t, +1, list(range(N, N - p, -1))
                         ).scale(ring.q_pow(2 * p - 2))
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check("m-mu-L-T-i", params, mm, diff))
+                        checks.append(_mm_check("m-mu-L-T-i", params, ctx, mu, shape, diff))
             if pos >= shape.total:
                 continue
             succ = flat[pos]
@@ -203,7 +202,7 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
                             ctx, t, -1, list(range(N + 1, N + p + 1))
                         )
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check("m-mu-L-T-ii", params, mm, diff))
+                        checks.append(_mm_check("m-mu-L-T-ii", params, ctx, mu, shape, diff))
     return checks
 
 
@@ -215,7 +214,6 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
     qq = ring.qq_comm()
     one = ctx.one()
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
         flat = comb.flatten(mu)
         for pos in range(1, shape.total):
             i, k = shape.node(pos)
@@ -240,7 +238,7 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
                         diff1 = diff1 - lnt * (
                             t_bracket(ctx, N + 1, mi + 1, -1) - one
                         ) * t_bracket(ctx, N, mi1, +1)
-                    checks.append(_mm_check("m-mu-L-T-etc-i", params, mm, diff1))
+                    checks.append(_mm_check("m-mu-L-T-etc-i", params, ctx, mu, shape, diff1))
 
                     diff2 = lnt * b_plus * ctx.L(N) * b_minus - phi_jm(
                         ctx, t + 1, +1, dec
@@ -252,7 +250,7 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
                     b_plus_tail = b_plus - one
                     if not b_plus_tail.is_zero:  # only when mi1 >= 1, so N+1 <= n
                         diff2 = diff2 - lnt * ctx.L(N + 1) * b_plus_tail * b_minus
-                    checks.append(_mm_check("m-mu-L-T-etc-ii", params, mm, diff2))
+                    checks.append(_mm_check("m-mu-L-T-etc-ii", params, ctx, mu, shape, diff2))
                 if mi1 != 0:
                     b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
                     b_plus0 = t_bracket(ctx, N, mi1, +1)
@@ -272,8 +270,8 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
                         diff4 = diff4 - (low * phi_jm(ctx, b + 1, -1, inc)).scale(
                             cross_q
                         )
-                    checks.append(_mm_check("m-mu-L-T-etc-iii", params, mm, diff3))
-                    checks.append(_mm_check("m-mu-L-T-etc-iv", params, mm, diff4))
+                    checks.append(_mm_check("m-mu-L-T-etc-iii", params, ctx, mu, shape, diff3))
+                    checks.append(_mm_check("m-mu-L-T-etc-iv", params, ctx, mu, shape, diff4))
     return checks
 
 

@@ -163,6 +163,7 @@ class TestVerifyCommand:
         ["compute", "structure-constants", "-m", "2,2", "--deg", "-1"],
         ["compute", "phi", "0", "4097", "-"],
         ["compute", "phi", "0", "5000", "+"],
+        ["verify", "--suite", "hecke,hecke"],
     ])
     def test_bad_input_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2
@@ -257,6 +258,19 @@ PINNED_SHA256 = "a257e0637ca8f48c1eb4878b076e8e547c0cd34efc3dde5f10ee8498f644a7a
 def test_benchmark_suites_pinned(capsys, argv, digest):
     assert main(["verify", *argv, "--seed", "0"]) == 0
     assert _suites_sha256(capsys) == digest
+
+
+# A heavier Hecke run, with blocks of size up to 4 through the m_mu coset
+# sweep: 7741 checks, digest recorded before m_mu_mul replaced the expanded
+# m_mu.
+def test_heavy_hecke_suites_pinned(capsys):
+    assert main(["verify", "--suite", "hecke", "-n", "4", "-r", "3", "-m", "2,2,2"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites["hecke"]["total"] == 7741
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "5b71fa65dfd97df3f36d7e134111bcbd2b87b37f8e98bbf31389fef3c3fbd29f"
+    )
 
 
 # Shapes where the plus and minus sides differ: r = 2 Hecke windows (the

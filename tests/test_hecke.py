@@ -15,13 +15,12 @@ from cycloschur.hecke import (
     divided_t_bracket,
     elem_to_json,
     m_mu,
-    perm_inversions,
+    m_mu_mul,
     phi_jm,
     reduced_word,
     t_bracket,
     t_paren,
     t_paren_factorial,
-    young_subgroup_sum,
 )
 from cycloschur.reporting import check
 from cycloschur.suites.hecke import (
@@ -47,10 +46,13 @@ def ctx4():
     return HeckeContext(4, 2)
 
 
+def perm_inversions(w):
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
 class TestPermutations:
     def test_reduced_word_roundtrip(self, ctx4):
-        import itertools
-
         for w in itertools.permutations(range(4)):
             word = reduced_word(w)
             assert len(word) == perm_inversions(w)
@@ -343,6 +345,12 @@ class TestPackedKeys:
         with pytest.raises(EngineError, match="packed key range"):
             x * x
 
+    def test_shift_L_index_out_of_range(self, ctx3):
+        # L_{n+1} would land in the q slot
+        for j in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                ctx3.one().shift_L(j, 1)
+
     def test_q_slot_underflow_in_lmul_gen(self, ctx3):
         low = ctx3.T(1).scale(ctx3.ring.q_pow(-8192))
         with pytest.raises(EngineError, match="packed key range"):
@@ -377,6 +385,112 @@ class TestMmu:
         ctx = HeckeContext(4, 1)
         elem = young_subgroup_sum(ctx, ((2, 2),))
         assert len(elem.terms) == 4
+        q = ctx.ring.q
+        expected = (
+            ctx.one() + ctx.T(1).scale(q) + ctx.T(3).scale(q)
+            + ctx.Tword((1, 3)).scale(ctx.ring.q_pow(2))
+        )
+        assert elem == expected
+        # at r = 1 there are no L factors and m_mu is the Young sum
+        assert m_mu(ctx, ((2, 2),), Shape((2,))) == expected
+
+    @pytest.mark.parametrize("m", [(3,), (1, 2), (2, 2), (1, 1, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_matches_the_enumerated_young_sum(self, m, q_one):
+        ctx = HeckeContext(3, len(m), q_one=q_one)
+        shape = Shape(m)
+        for mu in comb.enumerate_compositions(3, shape):
+            assert m_mu(ctx, mu, shape) == reference_m_mu(ctx, mu, shape), mu
+
+
+# -- reference m_mu ---------------------------------------------------------
+# m_mu as the engine built it before m_mu_mul: the Young-subgroup sum
+# enumerated one permutation at a time, times the L factors through mul.
+
+
+def young_subgroup_sum(ctx, mu):
+    """sum over w in S_mu of q^{l(w)} T_w, for the Young subgroup of the
+    flattened composition."""
+    flat = comb.flatten(mu)
+    blocks = []
+    off = 0
+    for part in flat:
+        if part > 1:
+            blocks.append((off, part))
+        off += part
+    terms = {}
+    locals_per_block = [
+        [(perm, perm_inversions(perm)) for perm in itertools.permutations(range(size))]
+        for _, size in blocks
+    ]
+    for combo in itertools.product(*locals_per_block):
+        w = list(range(ctx.n))
+        length = 0
+        for (off, _size), (perm, inv) in zip(blocks, combo):
+            for j, p in enumerate(perm):
+                w[off + j] = off + p
+            length += inv
+        terms[((0,) * ctx.n, tuple(w))] = ctx.ring.q_pow(length)
+    return ctx.from_grouped(terms)
+
+
+def reference_m_mu(ctx, mu, shape):
+    """The Young-subgroup sum times prod_{k<r} prod_{i<=a_k} (L_i - Q_k)."""
+    elem = young_subgroup_sum(ctx, mu)
+    for k in range(1, shape.r):
+        a_k = sum(sum(mu[j]) for j in range(k))
+        Qk = ctx.scalar(ctx.ring.Q(k))
+        for i in range(1, a_k + 1):
+            elem = elem * (ctx.L(i) - Qk)
+    return elem
+
+
+@st.composite
+def right_operands(draw, ctx):
+    """A sum of zero to three terms c L^e T_w with central c, L exponents
+    in 0..2 and any w."""
+    out = ctx.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        term = ctx.Tword(draw(st.lists(st.integers(1, ctx.n - 1), max_size=4)))
+        for j in range(1, ctx.n + 1):
+            e = draw(st.integers(0, 2))
+            if e:
+                term = term.shift_L(j, e)
+        out = out + term.scale(draw(central_scalars(ctx.ring)))
+    return out
+
+
+class TestMmuMul:
+    """m_mu_mul against the reference m_mu multiplied in through mul."""
+
+    # r = 1 has no L factors; parts of size 1 have no coset levels; (4,)
+    # and (1, 3) sweep blocks of size 3 and 4
+    @pytest.mark.parametrize("n,m,q_one", [
+        (3, (3,), False), (4, (4,), True), (3, (1, 2), False), (3, (1, 2), True),
+        (4, (1, 3), False), (4, (2, 2, 2), False), (3, (1, 1, 1), True),
+    ])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_m_mu_times_the_operand(self, n, m, q_one, data):
+        ctx = HeckeContext(n, len(m), q_one=q_one)
+        shape = Shape(m)
+        mu = data.draw(st.sampled_from(comb.enumerate_compositions(n, shape)))
+        D = data.draw(right_operands(ctx))
+        expected = reference_m_mu(ctx, mu, shape) * D
+        assert m_mu_mul(ctx, mu, shape, D) == expected
+        assert m_mu(ctx, mu, shape) * D == expected
+
+    def test_zero_operand(self):
+        ctx = HeckeContext(3, 2)
+        assert m_mu_mul(ctx, ((1,), (2,)), Shape((1, 1)), ctx.zero()).is_zero
+
+    def test_operand_with_L_exponents_and_a_permutation(self):
+        ctx = HeckeContext(3, 2)
+        shape = Shape((1, 2))
+        mu = ((1,), (0, 2))
+        D = ctx.Tword((1, 2)).shift_L(2, 2).shift_L(3, 1)
+        expected = reference_m_mu(ctx, mu, shape) * D
+        assert m_mu_mul(ctx, mu, shape, D) == expected
 
 
 class TestBrackets:
