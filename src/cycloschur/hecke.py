@@ -109,6 +109,10 @@ class HeckeContext:
 
     # -- constructors -------------------------------------------------------
 
+    def from_terms(self, out):
+        """The element of a term dict summed by ``HeckeElem.accumulate``."""
+        return HeckeElem(self, _clean(out))
+
     def zero(self):
         return HeckeElem(self, {})
 
@@ -321,14 +325,22 @@ class HeckeElem:
             k = (key, w)
             out[k] = get(k, 0) + v * coeff
 
+    def accumulate(self, coeff, out, sign=1):
+        """Add sign * coeff * (this element) into the term dict ``out``,
+        coeff a MultiLaurent: each coefficient term is a shift of every key.
+        ``HeckeContext.from_terms`` makes the element of the sum."""
+        ctx = self.ctx
+        origin, sh = ctx.ring.origin, ctx._ring_shift
+        for key, c in coeff.terms.items():
+            self._shifted((key - origin) << sh, sign * c, out)
+
     def scale(self, coeff):
         """The element times a central scalar: a MultiLaurent, int or Fraction."""
         ctx = self.ctx
         if not hasattr(coeff, "is_zero"):
             coeff = ctx.ring.from_fraction(coeff)
         out = {}
-        for key, c in coeff.terms.items():
-            self._shifted((key - ctx.ring.origin) << ctx._ring_shift, c, out)
+        self.accumulate(coeff, out)
         return HeckeElem(ctx, _clean(out))
 
     def shift_L(self, j, e):

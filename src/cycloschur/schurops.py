@@ -1,18 +1,26 @@
 """Weight-by-weight models of the cyclotomic q-Schur algebra generators.
 
-A generator never materializes as a matrix: applied to the cyclic vector
-m_mu it returns a target weight nu and a right factor h with value
-m_nu * h.  The generators are right H-linear (the Schur algebra is
-sum Hom_H(M^mu, M^nu) with M^nu = m_nu H), so a label sequence maps m_mu to
-m_nu * h with h the product of its generators' right factors, and a word
-maps m_mu to sum_nu m_nu * H_nu.  ``seq_factor`` caches the pair (nu, h) of
-each label sequence at each weight, sharing prefixes; ``right_factors``
-collects the H_nu of a word.  Operator equality is decided pointwise over
-all weights of Lambda_{n,r}(m) through the exact Hecke engine: two words
-agree at mu when sum_nu m_nu * (A_nu - B_nu) is zero, so m_nu is multiplied
-in once per target weight whose right factors differ.  Differing right
-factors alone do not decide: m_nu can kill the difference (it does in
-R6-diagonal at a junction, through its (L_N - Q_k) factors).
+The algebra is S = End_H(M), M the direct sum of the M^mu = m_mu H over
+the weights (Dipper, James and Mathas, Math. Z. 229, 1998), so an operator
+is the family of its blocks Hom_H(M^mu, M^nu).  A generator never
+materializes as a matrix: applied to the cyclic vector m_mu it returns a
+target weight nu and a right factor h with value m_nu * h.  The generators
+are right H-linear, so a label sequence maps m_mu to m_nu * h with h the
+product of its generators' right factors.  ``table`` gives a sequence's
+{mu: (nu, h)} over the weights of Lambda_{n,r}(m) at which h is nonzero, a
+dead weight never stored; it is built once, from the table of labels[:-1]
+and the table of the last label.  Building the table of X_t, t > 0, checks
+its closed form against the inductive definition.
+
+``op_equal`` decides an identity term-major: one table lookup per word term
+adds c * h for word a and -c * h for word b into one flat term dict per
+block (mu, nu), through ``HeckeElem.accumulate``.  Then, in weight order,
+m_nu is multiplied into each nonzero block A_nu - B_nu, and the first block
+that stays nonzero is the witness.  The decision is per block of the direct
+sum of the M^nu: the M^nu are not independent inside H, so a sum over nu in
+H can cancel a difference.  Differing right factors alone do not decide
+either: m_nu can kill the difference (it does in R6-diagonal at a junction,
+through its (L_N - Q_k) factors).
 
 Generator labels are tuples:
     ("K", sign, pos)        sign in {+1, -1}, pos in 1..m
@@ -25,8 +33,10 @@ An operator word is a tuple of (coefficient, label sequence) pairs.
 
 from __future__ import annotations
 
+import json
+
 from . import combinatorics as comb
-from .hecke import EngineError, HeckeContext, m_mu_mul, phi_jm, t_bracket
+from .hecke import EngineError, HeckeContext, elem_to_json, m_mu_mul, phi_jm, t_bracket
 
 
 def K(sign, pos):
@@ -42,7 +52,7 @@ def X(sign, pos, t):
 
 
 class SchurContext:
-    """Fixes (n, r, m) and carries the Hecke engine plus caches."""
+    """Fixes (n, r, m) and carries the Hecke engine plus the sequence tables."""
 
     def __init__(self, n, shape, q_one=False):
         self.n = n
@@ -50,9 +60,7 @@ class SchurContext:
         self.hctx = HeckeContext(n, shape.r, q_one=q_one)
         self.ring = self.hctx.ring
         self.weights = comb.enumerate_compositions(n, shape)
-        self._gen_cache = {}
         self._seq_cache = {}
-        self._x_verified = set()
 
     # -- weights --------------------------------------------------------
 
@@ -74,28 +82,22 @@ class SchurContext:
     def apply_gen(self, label, mu):
         """Value on the cyclic generator: returns (nu, h) with image m_nu * h,
         or (None, 0) when the target weight leaves Lambda_{n,r}(m)."""
-        key = (label, mu)
-        cached = self._gen_cache.get(key)
-        if cached is not None:
-            return cached
         kind = label[0]
         ring = self.ring
         shape = self.shape
         if kind == "K":
             _, sign, pos = label
-            out = (mu, self.hctx.scalar(ring.q_pow(sign * self.entry(mu, pos))))
-        elif kind == "I":
+            return mu, self.hctx.scalar(ring.q_pow(sign * self.entry(mu, pos)))
+        if kind == "I":
             _, sign, pos, t = label
             entry = self.entry(mu, pos)
             if entry == 0:
-                out = (mu, self.hctx.zero())
-            else:
-                i, k = shape.node(pos)
-                N = comb.jm_position(mu, (i, k), shape)
-                args = list(range(N, N - entry, -1))
-                h = phi_jm(self.hctx, t, sign, args).scale(ring.q_pow(sign * (t - 1)))
-                out = (mu, h)
-        elif kind == "X":
+                return mu, self.hctx.zero()
+            i, k = shape.node(pos)
+            N = comb.jm_position(mu, (i, k), shape)
+            args = list(range(N, N - entry, -1))
+            return mu, phi_jm(self.hctx, t, sign, args).scale(ring.q_pow(sign * (t - 1)))
+        if kind == "X":
             _, sign, pos, t = label
             i, k = shape.node(pos)
             N = comb.jm_position(mu, (i, k), shape)
@@ -106,115 +108,105 @@ class SchurContext:
             moved = comb.flatten(mu)[pos - 1 + side]
             nu = self.add_alpha(mu, pos, sign)
             if nu is None:
-                out = (None, self.hctx.zero())
-            else:
-                h = t_bracket(self.hctx, N, moved, sign)
-                jk = shape.junction(pos)
-                # left multiplications by L-polynomials shift exponent keys
-                if sign < 0 and jk is not None:
-                    h = h.shift_L(N, 1) - h.scale(ring.Q(jk))
-                if t:
-                    h = h.shift_L(N + side, t)
-                out = (nu, h.scale(ring.q_pow(1 - moved)))
-            if t > 0:
-                self._check_x_induction(label, mu, out)
-        else:
-            raise ValueError(f"unknown label {label!r}")
-        self._gen_cache[key] = out
-        return out
+                return None, self.hctx.zero()
+            h = t_bracket(self.hctx, N, moved, sign)
+            jk = shape.junction(pos)
+            # left multiplications by L-polynomials shift exponent keys
+            if sign < 0 and jk is not None:
+                h = h.shift_L(N, 1) - h.scale(ring.Q(jk))
+            if t:
+                h = h.shift_L(N + side, t)
+            return nu, h.scale(ring.q_pow(1 - moved))
+        raise ValueError(f"unknown label {label!r}")
 
-    def _check_x_induction(self, label, mu, out):
+    def _check_x_induction(self, label):
         """The inductive definition of X_t as a commutator with I_1 must agree
-        with the closed form; a mismatch means an engine bug."""
-        key = (label, mu)
-        if key in self._x_verified:
-            return
-        self._x_verified.add(key)
+        with the closed form in every block; a mismatch means an engine bug."""
         _, sign, pos, t = label
         ring = self.ring
         # X^{sign}_t = sign [I^{sign}_1, X^{sign}_{t-1}]
         word = ow_commutator(ow(ring, I(sign, pos, 1)), ow(ring, X(sign, pos, t - 1)))
-        word = ow_scale(word, ring.from_int(sign))
-        nu, h = out
-        closed = {} if nu is None else {nu: h}
-        if not self.factor_difference(self.right_factors(word, mu), closed).is_zero:
+        ok, witness = self.op_equal(ow_scale(word, ring.from_int(sign)), ow(ring, label))
+        if not ok:
             raise EngineError(
-                f"closed form and inductive definition disagree for {label} at {mu}"
+                f"closed form and inductive definition disagree for {label}: "
+                + json.dumps(difference_detail(witness))
             )
 
     # -- words ------------------------------------------------------------
 
-    def expand(self, nu, h):
-        if nu is None or h.is_zero:
-            return self.hctx.zero()
-        return m_mu_mul(self.hctx, nu, self.shape, h)
-
-    def seq_factor(self, labels, mu):
-        """The sequence applied to m_mu (rightmost label first) as (nu, h)
-        with value m_nu * h, or (None, None) when it vanishes.  Cached per
-        (labels, mu); labels[:-1] is looked up at the intermediate weight, so
-        sequences that share a prefix share its factor."""
-        key = (labels, mu)
-        cached = self._seq_cache.get(key)
-        if cached is not None:
-            return cached
-        if not labels:
-            out = (mu, self.hctx.one())
-        else:
-            out = (None, None)
-            nu1, h1 = self.apply_gen(labels[-1], mu)
-            if nu1 is not None and not h1.is_zero:
-                nu, rest = self.seq_factor(labels[:-1], nu1)
-                if nu is not None:
-                    h = rest * h1
+    def table(self, labels):
+        """The sequence applied to every m_mu (rightmost label first), as
+        {mu: (nu, h)} with value m_nu * h, in weight order and only where h
+        is nonzero.  Cached per sequence; sequences that share all but their
+        last label share that prefix's table."""
+        table = self._seq_cache.get(labels)
+        if table is not None:
+            return table
+        table = {}
+        if len(labels) > 1:
+            rest = self.table(labels[:-1])
+            for mu, (nu1, h1) in self.table(labels[-1:]).items():
+                hit = rest.get(nu1)
+                if hit is not None:
+                    h = hit[1] * h1
                     if not h.is_zero:
-                        out = (nu, h)
-        self._seq_cache[key] = out
-        return out
-
-    def right_factors(self, word, mu):
-        """The word applied to m_mu as {nu: H_nu}, the value being
-        sum_nu m_nu * H_nu; an H_nu may be zero after cancellation."""
-        out = {}
-        for coeff, labels in word:
-            if coeff.is_zero:
-                continue
-            nu, h = self.seq_factor(labels, mu)
-            if nu is None:
-                continue
-            h = h.scale(coeff)
-            out[nu] = out[nu] + h if nu in out else h
-        return out
+                        table[mu] = (hit[0], h)
+        elif labels:
+            for mu in self.weights:
+                nu, h = self.apply_gen(labels[0], mu)
+                if not h.is_zero:
+                    table[mu] = (nu, h)
+        else:
+            one = self.hctx.one()
+            table = {mu: (mu, one) for mu in self.weights}
+        self._seq_cache[labels] = table
+        if len(labels) == 1 and labels[0][0] == "X" and labels[0][3] > 0:
+            self._check_x_induction(labels[0])
+        return table
 
     def apply_seq(self, labels, mu):
         """The sequence applied to m_mu, expanded in the Hecke algebra."""
-        return self.expand(*self.seq_factor(labels, mu))
+        hit = self.table(labels).get(mu)
+        if hit is None:
+            return self.hctx.zero()
+        return m_mu_mul(self.hctx, hit[0], self.shape, hit[1])
 
-    def word_difference(self, a, b, mu):
-        """Word a minus word b applied to m_mu, expanded in the Hecke algebra
-        as sum_nu m_nu * (A_nu - B_nu) over the weights nu whose right
-        factors differ; word b = () gives the value of word a."""
-        return self.factor_difference(
-            self.right_factors(a, mu), self.right_factors(b, mu)
-        )
+    def block_difference(self, a, b):
+        """Word a minus word b on every weight, block by block: {mu: {nu:
+        terms of A_nu - B_nu}}, where word a sends m_mu to sum_nu m_nu A_nu.
+        A block's terms are summed by ``HeckeElem.accumulate`` and may
+        cancel to zero."""
+        blocks = {}
+        for word, sign in ((a, 1), (b, -1)):
+            for coeff, labels in word:
+                for mu, (nu, h) in self.table(labels).items():
+                    row = blocks.get(mu)
+                    if row is None:
+                        row = blocks[mu] = {}
+                    out = row.get(nu)
+                    if out is None:
+                        out = row[nu] = {}
+                    h.accumulate(coeff, out, sign)
+        return blocks
 
-    def factor_difference(self, fa, fb):
-        """sum_nu m_nu * (fa[nu] - fb[nu]) for right factors {nu: H_nu}; m_nu
-        is multiplied in only where the factors differ."""
-        zero = self.hctx.zero()
-        total = zero
-        for nu in fa.keys() | fb.keys():
-            diff = fa.get(nu, zero) - fb.get(nu, zero)
-            total = total + self.expand(nu, diff)
-        return total
+    def first_difference(self, blocks):
+        """The first block of ``block_difference`` (weights mu in order) on
+        which the operators differ, as (mu, nu, m_nu * (A_nu - B_nu)), or
+        None."""
+        hctx, shape = self.hctx, self.shape
+        for mu in self.weights:
+            for nu, out in blocks.get(mu, {}).items():
+                value = m_mu_mul(hctx, nu, shape, hctx.from_terms(out))
+                if not value.is_zero:
+                    return mu, nu, value
+        return None
 
     def op_equal(self, a, b):
-        """Pointwise operator equality over every weight; returns
-        (ok, witness weight or None)."""
-        for mu in self.weights:
-            if not self.word_difference(a, b, mu).is_zero:
-                return False, mu
-        return True, None
+        """Operator equality, decided block by block over every weight;
+        returns (True, None) or (False, (mu, nu, m_nu * (A_nu - B_nu)))."""
+        witness = self.first_difference(self.block_difference(a, b))
+        return witness is None, witness
 
     def cartan(self, pos_x, pos_jl):
         if pos_jl == pos_x:
@@ -222,6 +214,17 @@ class SchurContext:
         if pos_jl == pos_x + 1:
             return -1
         return 0
+
+
+def difference_detail(witness):
+    """A failure detail from an ``op_equal`` witness: the weight, the target
+    weight and the first three terms of m_nu * (A_nu - B_nu)."""
+    mu, nu, value = witness
+    return {
+        "witness_weight": [list(c) for c in mu],
+        "target_weight": [list(c) for c in nu],
+        "lhs_minus_rhs": elem_to_json(value)[:3],
+    }
 
 
 # ---------------------------------------------------------------------------

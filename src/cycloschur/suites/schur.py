@@ -12,8 +12,8 @@ from itertools import product
 from .. import combinatorics as comb
 from ..coeff import divexact, qfactorial, qint
 from ..reporting import PM, check
-from ..schurops import (I, K, SchurContext, X, ow, ow_add, ow_commutator, ow_mul, ow_neg,
-                        ow_scale, ow_zero)
+from ..schurops import (I, K, SchurContext, X, difference_detail, ow, ow_add, ow_commutator,
+                        ow_mul, ow_neg, ow_scale, ow_zero)
 from ..symfun import phi
 
 
@@ -77,8 +77,7 @@ def run_relations(sctx, relations):
     checks = []
     for name, params, lhs, rhs in relations:
         ok, witness = sctx.op_equal(lhs, rhs)
-        detail = None if ok else {"witness_weight": [list(c) for c in witness]}
-        checks.append(check(name, params, ok, detail))
+        checks.append(check(name, params, ok, None if ok else difference_detail(witness)))
     return checks
 
 

@@ -273,6 +273,23 @@ def test_heavy_hecke_suites_pinned(capsys):
     )
 
 
+# Heavier Schur runs, digests recorded before the operator identities were
+# decided block by block: degree 3 over a junction at n = 3, and three
+# components at r = 3.
+@pytest.mark.parametrize("argv,total,digest", [
+    (["-n", "3", "-r", "2", "-m", "1,2", "--deg", "3"], 2494,
+     "901ef4881eca7fc226265a97a4174e350e9c7e7af42140a97a135d38e8865fe1"),
+    (["-n", "2", "-r", "3", "-m", "1,2,1", "--deg", "2"], 2853,
+     "727c905a54c281fafe0045d6563081e5c4446bf66010b9f5d75c934dd6343934"),
+])
+def test_heavy_schur_suites_pinned(capsys, argv, total, digest):
+    assert main(["verify", "--suite", "schur", *argv]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites["schur"]["total"] == total
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
 # Shapes where the plus and minus sides differ: r = 2 Hecke windows (the
 # README argv) and Lie brackets across a junction in the middle of m.
 @pytest.mark.parametrize("argv,digest", [

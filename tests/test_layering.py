@@ -46,3 +46,21 @@ def test_only_coeff_and_hecke_know_the_key_layout():
             found += [(path.name, node.lineno, n) for n in sorted(names & PACKING)]
     assert found == []
 
+
+
+# The ring shift of a Hecke key and the key-shifting accumulator are the
+# engine's own: other modules scale through ``HeckeElem.scale`` and
+# ``HeckeElem.accumulate``.
+HECKE_PRIVATE = {"_ring_shift", "_shifted"}
+
+
+def test_only_hecke_shifts_hecke_keys():
+    src = Path(cycloschur.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.relative_to(src).as_posix() == "hecke.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in HECKE_PRIVATE:
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []

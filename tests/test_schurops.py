@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
-from cycloschur.coeff import LaurentRing
+from cycloschur import schurops
+from cycloschur.coeff import EngineError, LaurentRing
 from cycloschur.combinatorics import Shape
-from cycloschur.hecke import m_mu, t_bracket
+from cycloschur.hecke import elem_to_json, m_mu, m_mu_mul, t_bracket
 from cycloschur.schurops import (
     I,
     K,
@@ -83,10 +86,10 @@ class TestApplyGen:
         assert h == expected
 
     def test_closed_form_matches_induction(self, sctx22):
-        # exercised internally; a plain call must not raise
-        for mu in sctx22.weights:
-            sctx22.apply_gen(X(+1, 1, 2), mu)
-            sctx22.apply_gen(X(-1, 2, 2), mu)
+        # building the table of X_t, t > 0, checks it against the inductive
+        # definition on every weight; it must not raise
+        assert sctx22.table((X(+1, 1, 2),))
+        assert sctx22.table((X(-1, 2, 2),))
 
 
 class TestApplyWord:
@@ -192,21 +195,76 @@ class TestRunRelations:
         assert check["params"] == {"x": 1}
         assert check["detail"]["witness_weight"] == [[0, 1], [0, 1]]
 
+    def test_failure_detail_of_a_corrupted_rhs(self, sctx22):
+        # R3-KXK with q^{a+1} for q^a on the right: the witness is the first
+        # weight on which X^+_1 is alive, the target is mu + alpha_1, and the
+        # terms are those of m_nu * (lhs - rhs) from the expanded reference
+        ring = sctx22.ring
+        a = sctx22.cartan(1, 1)
+        x = X(+1, 1, 0)
+        lhs = ow(ring, K(+1, 1), x, K(-1, 1))
+        rhs = ow_scale(ow(ring, x), ring.q_pow(a + 1))
+        (check,) = run_relations(sctx22, [("R3-KXK", {"x": 1, "jl": 1}, lhs, rhs)])
+        assert check["ok"] is False
+        mu = next(
+            mu for mu in sctx22.weights
+            if not expanded_reference(sctx22, ow(ring, x), mu).is_zero
+        )
+        nu = sctx22.add_alpha(mu, 1, +1)
+        diff = expanded_reference(sctx22, lhs, mu) - expanded_reference(sctx22, rhs, mu)
+        assert check["detail"] == {
+            "witness_weight": [list(c) for c in mu],
+            "target_weight": [list(c) for c in nu],
+            "lhs_minus_rhs": elem_to_json(diff)[:3],
+        }
+
+    def test_passing_relation_has_no_detail(self, sctx22):
+        ring = sctx22.ring
+        lhs = ow(ring, K(+1, 2), K(-1, 2))
+        (check,) = run_relations(sctx22, [("R1-K-inverse", {"pos": 2}, lhs, ow(ring))])
+        assert check == {"check": "R1-K-inverse", "params": {"pos": 2}, "ok": True}
+
+    def test_x_induction_failure_carries_the_detail(self, monkeypatch):
+        # doubling phi_jm breaks the inductive definition of X_1 through I_1
+        real = schurops.phi_jm
+        monkeypatch.setattr(schurops, "phi_jm", lambda *a: real(*a).scale(2))
+        sctx = SchurContext(2, Shape((2, 2)))
+        with pytest.raises(EngineError) as info:
+            sctx.table((X(+1, 1, 1),))
+        message = str(info.value)
+        assert message.startswith(f"closed form and inductive definition disagree for {X(+1, 1, 1)}")
+        detail = json.loads(message.split(": ", 1)[1])
+        assert set(detail) == {"witness_weight", "target_weight", "lhs_minus_rhs"}
+        assert detail["lhs_minus_rhs"]
+
+
+def chain(sctx, labels, mu):
+    """The sequence applied to m_mu as (nu, h), h multiplied out label by
+    label from apply_gen with no sequence table; (None, 0) when it dies."""
+    nu, h = mu, sctx.hctx.one()
+    for label in reversed(labels):
+        nu, h1 = sctx.apply_gen(label, nu)
+        if nu is None:
+            return None, h1
+        h = h1 * h
+    return nu, h
+
+
+def expanded_blocks(sctx, word, mu):
+    """{nu: sum_s c_s * (m_nu * h_s)} over the sequences s of the word that
+    send m_mu to weight nu, from ``chain``."""
+    blocks = {}
+    for coeff, labels in word:
+        nu, h = chain(sctx, labels, mu)
+        if nu is not None:
+            value = (m_mu(sctx.hctx, nu, sctx.shape) * h).scale(coeff)
+            blocks[nu] = blocks[nu] + value if nu in blocks else value
+    return blocks
+
 
 def expanded_reference(sctx, word, mu):
-    """sum_s c_s * (m_{nu_s} * h_s), each h_s multiplied out label by label
-    from apply_gen, with no sequence cache and no right-factor grouping."""
-    total = sctx.hctx.zero()
-    for coeff, labels in word:
-        nu, h = mu, sctx.hctx.one()
-        for label in reversed(labels):
-            nu, h1 = sctx.apply_gen(label, nu)
-            if nu is None:
-                break
-            h = h1 * h
-        else:
-            total = total + (m_mu(sctx.hctx, nu, sctx.shape) * h).scale(coeff)
-    return total
+    """The word applied to m_mu, summed over its blocks in H."""
+    return sum(expanded_blocks(sctx, word, mu).values(), sctx.hctx.zero())
 
 
 class TestRightFactors:
@@ -215,17 +273,26 @@ class TestRightFactors:
     ])
     def test_difference_matches_expanded_reference(self, q_one, words):
         sctx = SchurContext(2, Shape((1, 2)), q_one=q_one)
-        zero = ow_zero()
+        hctx, zero = sctx.hctx, ow_zero()
         nonzero = 0
         for _name, _params, lhs, rhs in words(sctx, 1, 1, 1):
-            for mu in sctx.weights:
-                left = expanded_reference(sctx, lhs, mu)
-                right = expanded_reference(sctx, rhs, mu)
-                assert sctx.word_difference(lhs, rhs, mu) == left - right
-                assert sctx.word_difference(lhs, zero, mu) == left
-                assert sctx.word_difference(rhs, zero, mu) == right
-                nonzero += not left.is_zero
-        assert nonzero > 100
+            for a, b in ((lhs, rhs), (lhs, zero), (rhs, zero)):
+                blocks = sctx.block_difference(a, b)
+                for mu in sctx.weights:
+                    left, right = expanded_blocks(sctx, a, mu), expanded_blocks(sctx, b, mu)
+                    row = {
+                        nu: m_mu_mul(hctx, nu, sctx.shape, hctx.from_terms(out))
+                        for nu, out in blocks.get(mu, {}).items()
+                    }
+                    for nu in left.keys() | right.keys() | row.keys():
+                        expected = left.get(nu, hctx.zero()) - right.get(nu, hctx.zero())
+                        assert row.get(nu, hctx.zero()) == expected
+                    total = sum(row.values(), hctx.zero())
+                    assert total == expanded_reference(sctx, a, mu) - expanded_reference(
+                        sctx, b, mu
+                    )
+                    nonzero += b is zero and not total.is_zero
+        assert nonzero > 200
 
     def test_m_nu_kills_differing_right_factors(self):
         # R6-diagonal at the junction position 1 of m = (1, 2): the right
@@ -238,34 +305,82 @@ class TestRightFactors:
             if name == "R6-diagonal" and params == {"pos": 1, "t": 0, "s": 0}
         ]
         mu = ((2,), (0, 0))
-        fa, fb = sctx.right_factors(lhs, mu), sctx.right_factors(rhs, mu)
-        assert set(fa) | set(fb) == {mu}
-        assert fa[mu] != fb[mu]
-        assert (m_mu(sctx.hctx, mu, sctx.shape) * (fa[mu] - fb[mu])).is_zero
-        assert sctx.word_difference(lhs, rhs, mu).is_zero
+        blocks = sctx.block_difference(lhs, rhs)
+        assert set(blocks[mu]) == {mu}
+        diff = sctx.hctx.from_terms(blocks[mu][mu])
+        assert not diff.is_zero
+        assert (m_mu(sctx.hctx, mu, sctx.shape) * diff).is_zero
+        assert sctx.first_difference(blocks) is None
         assert sctx.op_equal(lhs, rhs) == (True, None)
 
-    def test_seq_factor_is_the_product_and_caches_prefixes(self):
+    def test_table_is_the_product_and_caches_prefixes(self):
         sctx = SchurContext(3, Shape((2, 2)))
         labels = (X(-1, 2, 1), I(+1, 2, 1), X(+1, 1, 0))
         mu = ((0, 3), (0, 0))
-        nu, h = sctx.seq_factor(labels, mu)
-        step, prod, seen = mu, sctx.hctx.one(), [(labels, mu)]
-        for k in range(len(labels), 0, -1):
-            step, h1 = sctx.apply_gen(labels[k - 1], step)
-            prod = h1 * prod
-            seen.append((labels[: k - 1], step))
+        nu, h = sctx.table(labels)[mu]
+        step, prod = chain(sctx, labels, mu)
         assert nu == step == ((1, 1), (1, 0))
         assert h == prod and not h.is_zero
-        for key in seen:
+        # the table of labels[:-1] and those of the single labels
+        for key in (labels[:2], labels[:1], labels[1:2], labels[2:]):
             assert key in sctx._seq_cache
-        assert sctx._seq_cache[labels[:2], ((1, 2), (0, 0))][0] == nu
+        assert sctx._seq_cache[labels[:2]][((1, 2), (0, 0))][0] == nu
         assert sctx.apply_seq(labels, mu) == m_mu(sctx.hctx, nu, sctx.shape) * prod
+
+    def test_tables_hold_exactly_the_live_weights(self):
+        sctx = SchurContext(3, Shape((2, 2)))
+        labels = (X(-1, 2, 1), I(+1, 2, 1), X(+1, 1, 0))
+        sctx.table(labels)
+        # the sequence, its prefixes and single labels, and the words of the
+        # X_1 induction check
+        assert len(sctx._seq_cache) > 5
+        for seq, table in sctx._seq_cache.items():
+            live = {}
+            for mu in sctx.weights:
+                nu, h = chain(sctx, seq, mu)
+                if not h.is_zero:
+                    live[mu] = (nu, h)
+            assert table == live
 
     def test_dead_sequence(self, sctx22):
         # X^+_1 on a weight whose successor entry is zero
-        assert sctx22.seq_factor((X(+1, 1, 0),), ((2, 0), (0, 0))) == (None, None)
+        assert ((2, 0), (0, 0)) not in sctx22.table((X(+1, 1, 0),))
         assert sctx22.apply_seq((X(+1, 1, 0),), ((2, 0), (0, 0))).is_zero
+        # (X^+_1)^3 moves three nodes, more than n = 2: dead on every weight
+        assert sctx22.table((X(+1, 1, 0),) * 3) == {}
+        assert sctx22.table((X(+1, 1, 0),) * 2)
+
+
+class TestBlocks:
+    def test_cross_block_cancellation_is_a_difference(self):
+        # r = 1, n = 2, m = (2): m_{(1,1)} = 1 and m_{(2,0)} = 1 + q T_1, so
+        # the components 1 + q T_1 at (1,1) and -1 at (2,0) sum to zero in H
+        # but differ in both blocks of M^{(1,1)} + M^{(2,0)}
+        sctx = SchurContext(2, Shape((2,)))
+        hc, ring, shape = sctx.hctx, sctx.ring, sctx.shape
+        a, b = ((1, 1),), ((2, 0),)
+        comps = {a: hc.one() + hc.T(1).scale(ring.q), b: -hc.one()}
+        total = sum((m_mu_mul(hc, nu, shape, h) for nu, h in comps.items()), hc.zero())
+        assert total.is_zero
+        row = {}
+        for nu, h in comps.items():
+            h.accumulate(ring.one, row.setdefault(nu, {}))
+        mu = a
+        assert sctx.first_difference({mu: row}) == (mu, a, comps[a])
+        assert sctx.first_difference({mu: {b: row[b]}}) == (mu, b, -comps[a])
+
+    def test_accumulate_is_scale(self, sctx22):
+        hc, ring = sctx22.hctx, sctx22.ring
+        h = hc.L(1, 2) * hc.T(1) + hc.scalar(ring.Q(1))
+        coeff = ring.q_pow(3) - ring.Q(0) * ring.from_int(2)
+        out = {}
+        h.accumulate(coeff, out)
+        h.accumulate(coeff, out, -1)
+        assert hc.from_terms(out).is_zero
+        out = {}
+        h.accumulate(coeff, out)
+        h.accumulate(ring.one, out)
+        assert hc.from_terms(out) == h.scale(coeff) + h
 
 
 class TestHwEigenvalues:
