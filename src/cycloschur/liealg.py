@@ -119,6 +119,7 @@ class LieContext:
             if k is not None:
                 (self._jkey[pos],) = self.ring.Q(k).terms
         self._bb_cache = {}
+        self._antisymmetry = {}  # tuple of labels -> first violating pair or None
         self._vtau_cache = {}  # tau -> {label: matrix}
         self._last_tau = self._last_vtau = None
         self._eval_cache = {}
@@ -191,6 +192,20 @@ class LieContext:
             out = LieElem(self, acc)
         self._bb_cache[key] = out
         return out
+
+    def antisymmetry_violation(self, labels):
+        """The first pair (a, b) of ``labels``, a at or before b, with
+        [a, b] + [b, a] != 0, or None when the bracket is antisymmetric on
+        them; memoized per tuple of labels."""
+        labels = tuple(labels)
+        if labels not in self._antisymmetry:
+            bb = self.bracket_basis
+            self._antisymmetry[labels] = next(
+                (ab for ab in upper_pairs(labels)
+                 if not _negatives(bb(*ab).terms, bb(ab[1], ab[0]).terms)),
+                None,
+            )
+        return self._antisymmetry[labels]
 
     def _gen_on_basis(self, g, b):
         """Closed-form bracket [generator, basis element]; every label of the
@@ -366,6 +381,17 @@ class LieContext:
                 if k is not None:
                     out = out * ring.Q(k, -1).scale(-1)
         return out
+
+
+def upper_pairs(labels):
+    """The pairs (a, b) of a sequence of labels with a at or before b, in
+    the order of the product of labels with itself."""
+    return ((a, b) for i, a in enumerate(labels) for b in labels[i:])
+
+
+def _negatives(x, y):
+    """Whether two zero-free term dicts sum to zero."""
+    return len(x) == len(y) and all(y.get(k) == -c for k, c in x.items())
 
 
 def _peel(label):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from ..liealg import (
     LieContext,
@@ -15,6 +15,7 @@ from ..liealg import (
     jacobi_defect,
     mat_commutator,
     mat_unit,
+    upper_pairs,
 )
 from ..reporting import check
 
@@ -44,20 +45,26 @@ def _first_violation(name, params, instances, violated):
     return check(name, params, examined, None if examined else "no instances")
 
 
-def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
-    """Jacobi identity on basis triples: exhaustive when sample is None, else
-    a seeded random sample of that size."""
-    labels = all_basis_labels(lctx, deg_cap)
-    if sample is None:
-        triples = [
-            (a, b, c) for a in labels for b in labels for c in labels
-        ]
-    else:
-        rng = random.Random(seed)
-        triples = [
-            (rng.choice(labels), rng.choice(labels), rng.choice(labels))
-            for _ in range(sample)
-        ]
+def _antisymmetry_detail(pair):
+    return f"antisymmetry violation at {pair}"
+
+
+def _first_pair_violation(name, params, lctx, labels, violated):
+    """One check of a condition on pairs of labels that is symmetric in the
+    pair wherever the bracket is antisymmetric.  It proves antisymmetry on
+    ``labels`` first and fails naming the first pair where that breaks;
+    otherwise it walks the pairs (a, b) with a at or before b, whose first
+    violation is the first of the whole product, as the condition holds or
+    fails for (a, b) and (b, a) alike."""
+    pair = lctx.antisymmetry_violation(labels)
+    if pair is not None:
+        return check(name, params, False, _antisymmetry_detail(pair))
+    return _first_violation(name, params, upper_pairs(labels), violated)
+
+
+def _jacobi_check(lctx, deg_cap, triples):
+    """The ``jacobi`` check over ordered triples, naming up to three
+    violations; ``triples`` counts those examined."""
     bad = []
     count = 0
     for a, b, c in triples:
@@ -72,33 +79,58 @@ def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
         detail = f"violations at {bad}"
     else:
         detail = None
-    return [
-        check(
-            "jacobi",
-            {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": count},
-            detail is None,
-            detail,
-        )
-    ]
+    return check(
+        "jacobi",
+        {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": count},
+        detail is None,
+        detail,
+    )
+
+
+def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
+    """Jacobi identity on basis triples: exhaustive when sample is None, else
+    a seeded random sample of that size, drawn as ordered triples.
+
+    The exhaustive check relies on antisymmetry of the bracket on its labels,
+    which it proves first and fails naming the pair where it breaks.  The
+    Jacobiator J(a, b, c) is cyclic by definition and linear in each bracket
+    it takes, so with [b, a] = -[a, b] on the labels it is alternating and
+    J(a, a, b) = 0: the strict triples a < b < c decide the identity.  The
+    report counts the ordered triples covered, and a violation is named by
+    the ordered walk, as the first ones in product order."""
+    labels = all_basis_labels(lctx, deg_cap)
+    if sample is not None:
+        rng = random.Random(seed)
+        triples = [
+            (rng.choice(labels), rng.choice(labels), rng.choice(labels))
+            for _ in range(sample)
+        ]
+        return [_jacobi_check(lctx, deg_cap, triples)]
+    params = {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": len(labels) ** 3}
+    pair = lctx.antisymmetry_violation(labels)
+    if pair is not None:
+        return [check("jacobi", params, False, _antisymmetry_detail(pair))]
+    if not all(jacobi_defect(lctx, *abc).is_zero for abc in combinations(labels, 3)):
+        return [_jacobi_check(lctx, deg_cap, product(labels, repeat=3))]
+    return [check("jacobi", params, bool(labels), None if labels else "no instances")]
 
 
 def verify_antisymmetry(lctx, deg_cap=2):
     labels = all_basis_labels(lctx, deg_cap)
+    pair = lctx.antisymmetry_violation(labels)
+    params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
+    if pair is not None:
+        return [check("bracket-antisymmetry", params, False, f"violation at {pair}")]
     return [
-        _first_violation(
-            "bracket-antisymmetry",
-            {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            product(labels, labels),
-            lambda ab: not (
-                lctx.bracket_basis(*ab) + lctx.bracket_basis(ab[1], ab[0])
-            ).is_zero,
-        )
+        check("bracket-antisymmetry", params, bool(labels), None if labels else "no instances")
     ]
 
 
 def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5, 7))):
     """V_tau is a representation: the matrix of a bracket of generators equals
-    the matrix commutator; the basis action has the expected closed form."""
+    the matrix commutator; the basis action has the expected closed form.
+    The homomorphism check relies on antisymmetry of the bracket on the
+    generators, which it proves first, to walk each unordered pair once."""
     checks = []
     gens = generator_labels(lctx, deg_cap)
     positions = range(1, lctx.m + 1)
@@ -106,10 +138,11 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
         params = {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap}
         rep = {g: lctx.vtau_basis_matrix(g, tau) for g in gens}
         checks.append(
-            _first_violation(
+            _first_pair_violation(
                 "vtau-homomorphism",
                 params,
-                product(gens, gens),
+                lctx,
+                gens,
                 lambda ab: lctx.vtau_rep(lctx.bracket_basis(*ab), tau)
                 != mat_commutator(lctx, rep[ab[0]], rep[ab[1]]),
             )
@@ -137,7 +170,12 @@ def verify_gr(lctx, deg_cap=2):
     lowest-degree part of [E^s_{pq}, E^t_{uv}] sits in degree exactly s + t and
     matches the gl_m[x] structure constants after the psi rescaling; all other
     terms live strictly higher.  In the one-component case there is no excess
-    at all.  Each failed check names the first pair at which it failed."""
+    at all.  Each failed check names the first pair at which it failed.
+
+    The checks rely on antisymmetry of the bracket on their labels, which
+    they prove first (each fails naming the pair where it breaks): then each
+    condition holds or fails for (a, b) and (b, a) alike, and the pairs with
+    a at or before b are walked once."""
     m = lctx.m
     psi = {
         (p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)
@@ -150,36 +188,34 @@ def verify_gr(lctx, deg_cap=2):
         for d in range(2 * deg_cap + 1)
     }
     one_component = lctx.shape.r == 1
-    first = {}
-    for p in range(1, m + 1):
-        for q in range(1, m + 1):
-            for s in range(deg_cap + 1):
-                for u in range(1, m + 1):
-                    for v in range(1, m + 1):
-                        scale = factor[(p, q), (u, v)]
-                        for t in range(deg_cap + 1):
-                            pair = ((p, q, s), (u, v, t))
-                            br = lctx.bracket_basis(*pair)
-                            lead = {}
-                            for term, coeff in br.terms.items():
-                                d = term[0][2]
-                                if d < s + t:
-                                    first.setdefault("gr-filtration", pair)
-                                elif d == s + t:
-                                    lead[term] = coeff
-                            if one_component and lead != br.terms:
-                                first.setdefault("gr-exact-current", pair)
-                            expected = lctx.zero()
-                            if q == u:
-                                expected = expected + psi_basis[p, v, s + t]
-                            if v == p:
-                                expected = expected - psi_basis[u, q, s + t]
-                            if LieElem(lctx, lead).scale(scale) != expected:
-                                first.setdefault("gr-leading-term", pair)
     names = ["gr-filtration", "gr-leading-term"]
     if one_component:
         names.append("gr-exact-current")
     params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
+    labels = all_basis_labels(lctx, deg_cap)
+    broken = lctx.antisymmetry_violation(labels)
+    if broken is not None:
+        return [check(name, params, False, _antisymmetry_detail(broken)) for name in names]
+    first = {}
+    for pair in upper_pairs(labels):
+        (p, q, s), (u, v, t) = pair
+        br = lctx.bracket_basis(*pair)
+        lead = {}
+        for term, coeff in br.terms.items():
+            d = term[0][2]
+            if d < s + t:
+                first.setdefault("gr-filtration", pair)
+            elif d == s + t:
+                lead[term] = coeff
+        if one_component and lead != br.terms:
+            first.setdefault("gr-exact-current", pair)
+        expected = lctx.zero()
+        if q == u:
+            expected = expected + psi_basis[p, v, s + t]
+        if v == p:
+            expected = expected - psi_basis[u, q, s + t]
+        if LieElem(lctx, lead).scale(factor[(p, q), (u, v)]) != expected:
+            first.setdefault("gr-leading-term", pair)
     return [
         check(name, params, name not in first, str(first[name]) if name in first else None)
         for name in names
@@ -188,7 +224,9 @@ def verify_gr(lctx, deg_cap=2):
 
 def verify_eval_map(lctx, deg_cap=2):
     """The evaluation onto gl_m is a Lie homomorphism, and composing with the
-    Levi embedding recovers the block-diagonal inclusion."""
+    Levi embedding recovers the block-diagonal inclusion.  The homomorphism
+    check relies on antisymmetry of the bracket on its labels, which it
+    proves first, to walk each unordered pair once."""
     labels = all_basis_labels(lctx, deg_cap)
     image = {a: lctx.eval_basis_matrix(a) for a in labels}
     # g o iota = block-diagonal embedding on the Levi generators
@@ -199,10 +237,11 @@ def verify_eval_map(lctx, deg_cap=2):
         for pos in block[:-1]:
             levi += [(pos, pos + 1, 0), (pos + 1, pos, 0)]
     return [
-        _first_violation(
+        _first_pair_violation(
             "eval-homomorphism",
             {"shape": lctx.shape.m, "deg_cap": deg_cap},
-            product(labels, labels),
+            lctx,
+            labels,
             lambda ab: lctx.eval_map(lctx.bracket_basis(*ab))
             != mat_commutator(lctx, image[ab[0]], image[ab[1]]),
         ),

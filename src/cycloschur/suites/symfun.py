@@ -7,8 +7,8 @@ from __future__ import annotations
 from .. import combinatorics as comb
 from ..coeff import LaurentRing
 from ..reporting import check
-from ..symfun import (SymPoly, char_product_check, embed, expand_in_schur_basis, phi, power_sum,
-                      schur_poly, single_component_multipartition, weyl_character)
+from ..symfun import (SymPoly, cached_character, char_product_check, embed, expand_in_schur_basis,
+                      phi, power_sum, schur_poly, single_component_multipartition)
 
 
 def verify_phi_recursions(tmax, kmax, ring):
@@ -49,13 +49,16 @@ def verify_phi_q1(tmax, kmax, ring_q1):
     return checks
 
 
-def verify_characters(shape, nmax, ring):
-    """Parts (i) and (ii) of the character proposition plus block symmetry."""
+def verify_characters(shape, nmax, ring, chars=None):
+    """Parts (i) and (ii) of the character proposition plus block symmetry.
+    ``chars`` is an optional character cache shared with other checks."""
+    if chars is None:
+        chars = {}
     checks = []
     nvars = shape.total
     for n in range(0, nmax + 1):
         for lam in comb.enumerate_multipartitions(n, shape, extended=True):
-            ch = weyl_character(lam, shape, ring)
+            ch = cached_character(lam, shape, ring, chars)
             sym_ok = True
             for k in range(1, shape.r + 1):
                 block = list(shape.block(k))
@@ -67,7 +70,7 @@ def verify_characters(shape, nmax, ring):
             prod = SymPoly.constant(ring, nvars, ring.one)
             for k in range(1, shape.r + 1):
                 single = single_component_multipartition(lam[k - 1], k, shape.r)
-                ch_single = weyl_character(single, shape, ring)
+                ch_single = cached_character(single, shape, ring, chars)
                 prod = prod * ch_single
                 positions = [
                     slot for l in range(k, shape.r + 1) for slot in shape.block(l)
@@ -79,22 +82,28 @@ def verify_characters(shape, nmax, ring):
     return checks
 
 
-def verify_char_products(shape, total_max, ring):
+def verify_char_products(shape, total_max, ring, chars=None):
     """Part (iii): the LR product formula for all multipartition pairs with
     |lam| + |mu| <= total_max, plus the classical LR cross-check against the
-    Schur-expansion oracle on every component pair encountered."""
+    Schur-expansion oracle on every component pair encountered.  ``chars``
+    is an optional character cache shared with other checks."""
+    if chars is None:
+        chars = {}
     checks = []
     seen_partition_pairs = set()
-    chars = {}
+    by_size = {
+        n: comb.enumerate_multipartitions(n, shape, extended=True)
+        for n in range(total_max + 1)
+    }
     pairs = [
         (lam, mu)
         for n1 in range(0, total_max + 1)
         for n2 in range(0, total_max - n1 + 1)
-        for lam in comb.enumerate_multipartitions(n1, shape, extended=True)
-        for mu in comb.enumerate_multipartitions(n2, shape, extended=True)
+        for lam in by_size[n1]
+        for mu in by_size[n2]
     ]
     for lam, mu in pairs:
-        report = char_product_check(lam, mu, shape, ring, chars)
+        report = char_product_check(lam, mu, shape, ring, chars, by_size)
         checks.append(check("char-product-lr", {"lambda": lam, "mu": mu}, report["verified"]))
         for lk, mk in zip(lam, mu):
             seen_partition_pairs.add((comb.strip(lk), comb.strip(mk)))
@@ -127,6 +136,7 @@ def run(config):
     ring = LaurentRing(config.r, q_one=config.q1)
     checks = verify_phi_recursions(4, 4, ring)
     checks += verify_phi_q1(4, 4, LaurentRing(config.r, q_one=True))
-    checks += verify_characters(config.shape, min(config.n, 3), ring)
-    checks += verify_char_products(config.shape, min(config.n, 3), ring)
+    chars = {}
+    checks += verify_characters(config.shape, min(config.n, 3), ring, chars)
+    checks += verify_char_products(config.shape, min(config.n, 3), ring, chars)
     return checks

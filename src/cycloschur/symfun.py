@@ -295,34 +295,40 @@ def expand_in_schur_basis(poly, ring):
     return out
 
 
-def char_product_check(lam, mu, shape, ring, chars=None):
+def cached_character(nu, shape, ring, chars):
+    """weyl_character(nu, shape, ring) through the cache ``chars``, keyed by
+    multipartition."""
+    ch = chars.get(nu)
+    if ch is None:
+        ch = chars[nu] = weyl_character(nu, shape, ring)
+    return ch
+
+
+def char_product_check(lam, mu, shape, ring, chars=None, by_size=None):
     """Verify ch Delta(lam) ch Delta(mu) = sum_nu LR^nu_{lam,mu} ch Delta(nu).
 
     Returns a report dict with the LR multiset and a ``verified`` flag; never
     silently passes a mismatch.  ``chars`` is an optional shared character
-    cache keyed by multipartition.
+    cache keyed by multipartition, and ``by_size`` an optional {n: the
+    extended multipartitions of n} that covers |lam| + |mu|.
     """
     if chars is None:
         chars = {}
-
-    def char(nu):
-        cached = chars.get(nu)
-        if cached is None:
-            cached = weyl_character(nu, shape, ring)
-            chars[nu] = cached
-        return cached
-
     lam = tuple(comb.strip(p) for p in lam)
     mu = tuple(comb.strip(p) for p in mu)
-    lhs = char(lam) * char(mu)
+    lhs = cached_character(lam, shape, ring, chars) * cached_character(mu, shape, ring, chars)
     n_total = comb.size(lam) + comb.size(mu)
+    if by_size is None:
+        nus = comb.enumerate_multipartitions(n_total, shape, extended=True)
+    else:
+        nus = by_size[n_total]
     rhs = SymPoly.zero(ring, shape.total)
     lr_terms = []
-    for nu in comb.enumerate_multipartitions(n_total, shape, extended=True):
+    for nu in nus:
         c = comb.lr_coefficient(lam, mu, nu)
         if c:
             lr_terms.append((nu, c))
-            rhs = rhs + char(nu).scale(ring.from_int(c))
+            rhs = rhs + cached_character(nu, shape, ring, chars).scale(ring.from_int(c))
     return {
         "lambda": [list(p) for p in lam],
         "mu": [list(p) for p in mu],

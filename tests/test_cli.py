@@ -306,6 +306,26 @@ def test_sign_shapes_suites_pinned(capsys, argv, digest):
     assert _suites_sha256(capsys) == digest
 
 
+# Exhaustive Jacobi runs (four positions or fewer), digests recorded while
+# Jacobi still walked every ordered triple; ``triples`` stays that count.
+# One label has no strict triple but one ordered triple, and still passes.
+@pytest.mark.parametrize("argv,triples,digest", [
+    (["-m", "2,2", "-r", "2", "--deg", "2"], 110592,
+     "c015e530a30cfbc31637517db04ce556f0b7d48e347ac6d6b2e201103c382d14"),
+    (["-m", "1,1", "-r", "2", "--deg", "0"], 64,
+     "98ac34fc880f71ed1ede02515d827aaafc5a7c2aa5fa88157121f1afcd2aa060"),
+    (["-m", "1", "-r", "1", "--deg", "0"], 1,
+     "5ad238e126aa3403eda9553d2cdd672a38e63628c11bcddc323cccf1e999f3eb"),
+])
+def test_exhaustive_jacobi_suites_pinned(capsys, argv, triples, digest):
+    assert main(["verify", "--suite", "lie", *argv]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    (jacobi,) = [c for c in suites["lie"]["checks"] if c["check"] == "jacobi"]
+    assert jacobi["ok"] and jacobi["params"]["triples"] == triples
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
 def _suites_sha256(capsys):
     suites = json.loads(capsys.readouterr().out)["suites"]
     canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))

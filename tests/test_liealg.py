@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from cycloschur.coeff import EngineError
 from cycloschur.combinatorics import Shape
 from cycloschur.liealg import (
     LieContext,
+    LieElem,
     all_basis_labels,
     jacobi_defect,
     mat_commutator,
     mat_mul,
     mat_unit,
 )
+from cycloschur.suites import lie as lie_suite
 from cycloschur.suites.lie import (
     _first_violation,
     generator_labels,
@@ -397,14 +400,17 @@ class TestChecksCanFail:
 
     def test_each_gr_check_names_its_own_first_failure(self):
         # a degree-0 term under a degree-2 bracket breaks only the filtration,
-        # a wrong degree-0 term in a degree-0 bracket only the leading term;
-        # [E_14, E_41] reduces through [E_34, E_43], so its leading term is
-        # the first one that fails
+        # a wrong degree-0 term in a degree-0 bracket only the leading term.
+        # Each mutant goes into both orders, the second negated, so that the
+        # bracket stays antisymmetric.  The wrong term sits on [E_14, E_41]
+        # itself: put on [E_34, E_43], it would reach [E_14, E_41] through
+        # the recursion but not [E_41, E_14], and break antisymmetry there.
         lctx4 = LieContext(Shape((2, 2)))
-        low, wrong = ((1, 2, 1), (2, 3, 1)), ((3, 4, 0), (4, 3, 0))
-        for pair in (low, wrong):
-            br = lctx4.bracket_basis(*pair)
-            lctx4._bb_cache[pair] = br + lctx4.basis(1, 1, 0)
+        low, wrong = ((1, 2, 1), (2, 3, 1)), ((1, 4, 0), (4, 1, 0))
+        for a, b in (low, wrong):
+            br = lctx4.bracket_basis(a, b) + lctx4.basis(1, 1, 0)
+            lctx4._bb_cache[a, b] = br
+            lctx4._bb_cache[b, a] = -br
         checks = verify_gr(lctx4, deg_cap=2)
         (filtration,) = _by_name(checks, "gr-filtration")
         (leading,) = _by_name(checks, "gr-leading-term")
@@ -643,3 +649,188 @@ class TestNoInstances:
         assert c["ok"] and "detail" not in c
         c = _first_violation("x", {}, [1, 2], lambda i: i == 2)
         assert not c["ok"] and c["detail"] == "violation at 2"
+
+
+# -- antisymmetry proven once, then unordered pairs and strict triples ----------
+
+TAUS = (Fraction(2), Fraction(-1, 3))
+
+
+def _pairwise_checks(lctx, deg_cap):
+    """Every check over pairs of labels, and exhaustive Jacobi."""
+    checks = verify_antisymmetry(lctx, deg_cap=deg_cap)
+    checks += verify_jacobi(lctx, deg_cap=deg_cap)
+    checks += _by_name(verify_vtau(lctx, deg_cap=deg_cap, taus=TAUS), "vtau-homomorphism")
+    checks += verify_gr(lctx, deg_cap=deg_cap)
+    checks += _by_name(verify_eval_map(lctx, deg_cap=deg_cap), "eval-homomorphism")
+    return checks
+
+
+def _product_order_details(lctx, deg_cap):
+    """{(check, tau): (detail or None, ordered triples examined)} for the
+    pairwise checks and Jacobi as found by walking the whole product of
+    labels, as the suite did before it proved antisymmetry first: the
+    reference for the unordered walks."""
+    labels = all_basis_labels(lctx, deg_cap)
+    out = {}
+
+    def first(name, tau, instances, violated):
+        bad = next((x for x in instances if violated(x)), None)
+        out[name, tau] = (None if bad is None else f"violation at {bad}", None)
+
+    gens = generator_labels(lctx, deg_cap)
+    for tau in TAUS:
+        rep = {g: lctx.vtau_basis_matrix(g, tau) for g in gens}
+        first("vtau-homomorphism", str(tau), itertools.product(gens, gens),
+              lambda ab: lctx.vtau_rep(lctx.bracket_basis(*ab), tau)
+              != mat_commutator(lctx, rep[ab[0]], rep[ab[1]]))
+    image = {a: lctx.eval_basis_matrix(a) for a in labels}
+    first("eval-homomorphism", None, itertools.product(labels, labels),
+          lambda ab: lctx.eval_map(lctx.bracket_basis(*ab))
+          != mat_commutator(lctx, image[ab[0]], image[ab[1]]))
+    m = lctx.m
+    psi = {(p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)}
+    names = {"gr-filtration": None, "gr-leading-term": None}
+    if lctx.shape.r == 1:
+        names["gr-exact-current"] = None
+    for p, q, s, u, v, t in itertools.product(
+        range(1, m + 1), range(1, m + 1), range(deg_cap + 1),
+        range(1, m + 1), range(1, m + 1), range(deg_cap + 1),
+    ):
+        pair = ((p, q, s), (u, v, t))
+        br = lctx.bracket_basis(*pair)
+        lead = {}
+        for term, coeff in br.terms.items():
+            d = term[0][2]
+            if d < s + t:
+                names["gr-filtration"] = names["gr-filtration"] or str(pair)
+            elif d == s + t:
+                lead[term] = coeff
+        if "gr-exact-current" in names and lead != br.terms:
+            names["gr-exact-current"] = names["gr-exact-current"] or str(pair)
+        expected = lctx.zero()
+        if q == u:
+            expected = expected + lctx.basis(p, v, s + t, psi[p, v])
+        if v == p:
+            expected = expected - lctx.basis(u, q, s + t, psi[u, q])
+        if LieElem(lctx, lead).scale(psi[p, q] * psi[u, v]) != expected:
+            names["gr-leading-term"] = names["gr-leading-term"] or str(pair)
+    out.update({(name, None): (detail, None) for name, detail in names.items()})
+    bad = []
+    count = 0
+    for abc in itertools.product(labels, repeat=3):
+        count += 1
+        if not jacobi_defect(lctx, *abc).is_zero:
+            bad.append(abc)
+            if len(bad) == 3:
+                break
+    out["jacobi", None] = (f"violations at {bad}" if bad else None, count)
+    return out
+
+
+def _details(checks):
+    return {
+        (c["check"], c["params"].get("tau")): (c.get("detail"), c["params"].get("triples"))
+        for c in checks
+        if c["check"] != "bracket-antisymmetry"
+    }
+
+
+class TestAntisymmetryFirst:
+    def test_violation_is_memoized_per_label_tuple(self):
+        lctx4 = LieContext(Shape((2, 2)))
+        labels = all_basis_labels(lctx4, 1)
+        assert lctx4.antisymmetry_violation(labels) is None
+        assert lctx4._antisymmetry == {tuple(labels): None}
+        assert lctx4.antisymmetry_violation(tuple(labels)) is None
+        assert len(lctx4._antisymmetry) == 1
+
+    def test_violation_names_the_pair_in_label_order(self):
+        # the mutant sits on the later order of the pair; the pair is named
+        # with its first label first, and [a, a] != 0 counts too
+        lctx4 = LieContext(Shape((2, 2)))
+        a, b = (1, 2, 0), (3, 3, 0)
+        lctx4._bb_cache[b, a] = lctx4.bracket_basis(b, a) + lctx4.basis(1, 1, 0)
+        assert lctx4.antisymmetry_violation([a, b]) == (a, b)
+        assert lctx4.antisymmetry_violation([b, a]) == (b, a)
+        lctx4._bb_cache[b, b] = lctx4.basis(1, 1, 0)
+        assert lctx4.antisymmetry_violation([b]) == (b, b)
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,)])
+    def test_broken_antisymmetry_fails_every_pairwise_check(self, m):
+        # one order of one generator pair; (1, 2, 0) is no inner label of the
+        # recursion, so the mutant reaches no other bracket
+        lctx = LieContext(Shape(m))
+        a, b = (1, 2, 0), (2, 1, 0)
+        lctx._bb_cache[a, b] = lctx.bracket_basis(a, b) + lctx.basis(1, 1, 0)
+        checks = _pairwise_checks(lctx, deg_cap=1)
+        names = [c["check"] for c in checks]
+        gr = ["gr-filtration", "gr-leading-term"] + (["gr-exact-current"] if len(m) == 1 else [])
+        assert names == ["bracket-antisymmetry", "jacobi", "vtau-homomorphism",
+                         "vtau-homomorphism", *gr, "eval-homomorphism"]
+        assert not any(c["ok"] for c in checks)
+        assert checks[0]["detail"] == f"violation at {(a, b)}"
+        for c in checks[1:]:
+            assert c["detail"] == f"antisymmetry violation at {(a, b)}", c
+        assert checks[1]["params"]["triples"] == len(all_basis_labels(lctx, 1)) ** 3
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,)])
+    @pytest.mark.parametrize("mutants,survivors", [
+        # a wrong leading term, a degree-0 term under a degree-2 bracket and a
+        # degree-1 term in a degree-0 bracket: every family fails
+        ([(((1, 2, 0), (2, 2, 0)), (1, 1, 0)),
+          (((1, 2, 1), (1, 1, 1)), (1, 1, 0)),
+          (((1, 1, 0), (1, 2, 0)), (2, 2, 1))], set()),
+        # a degree-0 term under a degree-1 bracket with the last label only
+        ([(("last-lowering", "last"), (1, 1, 0))], {"gr-leading-term"}),
+    ])
+    def test_symmetric_mutants_are_found_where_the_product_walk_finds_them(
+        self, m, mutants, survivors
+    ):
+        # each mutant in both orders, the second negated.  Neither (1, 2, t),
+        # (m, m - 1, 0) nor a diagonal label is an inner label of the
+        # recursion, so no other bracket changes.
+        lctx = LieContext(Shape(m))
+        deg_cap = 1
+        n = lctx.m
+        named = {"last": (n, n, deg_cap), "last-lowering": (n, n - 1, 0)}
+        for (x, y), extra in mutants:
+            x, y = named.get(x, x), named.get(y, y)
+            br = lctx.bracket_basis(x, y) + lctx.basis(*extra)
+            lctx._bb_cache[x, y] = br
+            lctx._bb_cache[y, x] = -br
+        assert lctx.antisymmetry_violation(all_basis_labels(lctx, deg_cap)) is None
+        checks = _pairwise_checks(lctx, deg_cap)
+        got = _details(checks)
+        assert got == _product_order_details(lctx, deg_cap)
+        failed = {name for (name, _), (detail, _) in got.items() if detail}
+        assert failed == {name for name, _ in got} - survivors
+        assert checks[0]["ok"]
+
+    def test_exhaustive_jacobi_walks_the_strict_triples(self, monkeypatch):
+        seen = []
+
+        def recording(lctx, a, b, c):
+            seen.append((a, b, c))
+            return jacobi_defect(lctx, a, b, c)
+
+        monkeypatch.setattr(lie_suite, "jacobi_defect", recording)
+        lctx = LieContext(Shape((1, 2)))
+        (c,) = verify_jacobi(lctx, deg_cap=1)
+        labels = all_basis_labels(lctx, 1)
+        assert c["ok"] and c["params"]["triples"] == len(labels) ** 3
+        assert seen == list(itertools.combinations(labels, 3))
+
+    def test_clean_reports_match_the_product_walk(self):
+        lctx = LieContext(Shape((1, 2)))
+        checks = _pairwise_checks(lctx, deg_cap=1)
+        assert all(c["ok"] for c in checks)
+        assert _details(checks) == _product_order_details(lctx, 1)
+
+    def test_one_label_has_one_ordered_triple(self):
+        (c,) = verify_jacobi(LieContext(Shape((1,))), deg_cap=0)
+        assert c == {
+            "check": "jacobi",
+            "params": {"shape": [1], "deg_cap": 0, "triples": 1},
+            "ok": True,
+        }

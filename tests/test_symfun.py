@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloschur import combinatorics
+from cycloschur import symfun as symfun_module
 from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qint
 from cycloschur.combinatorics import Shape, enumerate_multipartitions
 from cycloschur.symfun import (
@@ -171,6 +173,29 @@ class TestCharProduct:
     def test_products_with_oracle_small(self):
         checks = verify_char_products(Shape((2, 2)), 3, R2)
         assert checks and all(c["ok"] for c in checks)
+
+    def test_suite_computes_each_character_and_size_once(self, monkeypatch):
+        # the character checks and the product checks share one character
+        # cache, and the products list each size's multipartitions once
+        calls = {"weyl_character": [], "enumerate_multipartitions": []}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[0])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(symfun_module, "weyl_character")
+        counting(combinatorics, "enumerate_multipartitions")
+        shape, chars = Shape((1, 2, 1)), {}
+        checks = verify_characters(shape, 3, LaurentRing(3), chars)
+        checks += verify_char_products(shape, 3, LaurentRing(3), chars)
+        assert all(c["ok"] for c in checks)
+        assert sorted(calls["weyl_character"]) == sorted(chars)
+        assert calls["enumerate_multipartitions"] == [0, 1, 2, 3] * 2
 
 
 class TestHelpers:
