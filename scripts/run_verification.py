@@ -25,6 +25,7 @@ CAMPAIGN = [
     (("hecke",), 3, 2, (2, 2), 2),
     (("hecke",), 3, 3, (2, 2, 2), 2),
     (("hecke",), 4, 2, (2, 2), 2),
+    (("hecke",), 5, 2, (2, 2), 2),
     (("schur",), 2, 2, (2, 2), 2),
     (("schur",), 3, 2, (2, 2), 2),
     (("schur",), 2, 3, (1, 1, 1), 2),

@@ -26,9 +26,9 @@ and out with ``key >> 16n``; ``phi_jm`` moves the keys of a flat ``SymPoly``
 in the same way.
 
 The cyclic generators m_mu are never multiplied in as elements:
-``m_mu_mul`` applies their factors to the right operand, a coset sweep per
-Young-subgroup level and a key shift per (L_i - Q_k), and ``m_mu`` is that
-sweep applied to 1.
+``m_mu_mul`` applies their factors to the right operand, the coset sweep of
+``x_mu_mul`` per Young-subgroup level and a key shift per (L_i - Q_k), and
+``m_mu`` is that sweep applied to 1.
 """
 
 from __future__ import annotations
@@ -393,22 +393,21 @@ def elem_to_json(elem):
 # the m_mu generators and the bracket elements
 
 
-def m_mu_mul(ctx, mu, shape, D):
-    """m_mu * D through the factors of m_mu = x_mu * lprod, never expanding
-    m_mu.  x_mu, the sum over w in S_mu of q^{l(w)} T_w, is applied one block
-    of the flattened composition and one level k = 2..part at a time as
+def young_parts(mu):
+    """The block sizes of the Young subgroup S_mu: the nonzero parts of the
+    flattened composition, in order."""
+    return tuple(part for part in comb.flatten(mu) if part)
+
+
+def x_mu_mul(ctx, parts, D):
+    """x_mu * D, x_mu the sum over w in S_mu of q^{l(w)} T_w for the Young
+    subgroup with the ordered block sizes ``parts`` (``young_parts``).  Each
+    block is applied one level k = 2..part at a time as
     x_{S_k} = sum_{j<=k} q^{k-j} T_j ... T_{k-1} x_{S_{k-1}}, the minimal left
-    coset representatives of S_{k-1} in S_k (k - 1 ``lmul_gen`` calls).
-    lprod = prod_{k<r} prod_{i<=a_k} (L_i - Q_k) commutes with x_mu (it is
-    symmetric in L_1..L_{a_k} and S_mu preserves 1..a_k), so it is applied
-    after x_mu, each factor as a shift of L_i minus a shift of Q_k: a left
-    multiplication by L_i only adds to the exponent key.  Applying the L
-    factors first would make every coset level work on 2^a times the terms."""
-    if not D.terms:
-        return D
+    coset representatives of S_{k-1} in S_k (k - 1 ``lmul_gen`` calls)."""
     qstep = ctx._qstep
     off = 0
-    for part in comb.flatten(mu):
+    for part in parts:
         for k in range(2, part + 1):
             out = dict(D.terms)
             z = D
@@ -417,6 +416,26 @@ def m_mu_mul(ctx, mu, shape, D):
                 z._shifted((k - j) * qstep, 1, out)
             D = HeckeElem(ctx, _clean(out))
         off += part
+    return D
+
+
+def m_mu_mul(ctx, mu, shape, D):
+    """m_mu * D through the factors of m_mu = x_mu * lprod, never expanding
+    m_mu: ``x_mu_mul``, then lprod = prod_{k<r} prod_{i<=a_k} (L_i - Q_k).
+    lprod commutes with x_mu (it is symmetric in L_1..L_{a_k} and S_mu
+    preserves 1..a_k), so it is applied after x_mu, each factor as a shift of
+    L_i minus a shift of Q_k: a left multiplication by L_i only adds to the
+    exponent key.  Applying the L factors first would make every coset level
+    work on 2^a times the terms.
+
+    The L factors never change whether the product is zero: on the normal
+    form sum_w f_w(L) T_w, left multiplication by lprod multiplies each
+    coefficient polynomial f_w by the nonzero polynomial lprod(L), and the
+    polynomial ring in the L's over the Laurent ring is a domain, at q = 1
+    too.  So m_mu D = 0 exactly when x_mu D = 0."""
+    if not D.terms:
+        return D
+    D = x_mu_mul(ctx, young_parts(mu), D)
     a_k = 0
     for k in range(1, shape.r):
         a_k += sum(mu[k - 1])

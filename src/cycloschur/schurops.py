@@ -19,8 +19,10 @@ m_nu is multiplied into each nonzero block A_nu - B_nu, and the first block
 that stays nonzero is the witness.  The decision is per block of the direct
 sum of the M^nu: the M^nu are not independent inside H, so a sum over nu in
 H can cancel a difference.  Differing right factors alone do not decide
-either: m_nu can kill the difference (it does in R6-diagonal at a junction,
-through its (L_N - Q_k) factors).
+either: m_nu can kill the difference (it does in R6-diagonal at a junction).
+What kills it is x_nu: the (L_i - Q_k) factors of m_nu = x_nu * lprod only
+multiply the coefficient polynomials of the normal form by a nonzero
+polynomial, which never gives zero (see ``hecke.m_mu_mul``).
 
 Generator labels are tuples:
     ("K", sign, pos)        sign in {+1, -1}, pos in 1..m

@@ -1,8 +1,10 @@
 """The Hecke-engine suite: the Jucys-Murphy normal form, the commutation
 lemma for T_i against L_j, the m_mu and bracket identities and the divided
 brackets with their cofactors.  The identities m_mu X = m_mu Y are decided
-as m_mu (X - Y) = 0, with X - Y built from the small factors and m_mu
-applied to it once per check through its factors (``m_mu_mul``)."""
+as x_mu (X - Y) = 0, which is equivalent (see ``_mm_check``).  X - Y is
+built from the small factors once per distinct input of a ``verify_*``
+call, and each verdict once per family, Young subgroup and difference;
+m_mu (X - Y) is built (``m_mu_mul``) only for a failing check's detail."""
 
 from __future__ import annotations
 
@@ -10,7 +12,8 @@ from itertools import product
 
 from .. import combinatorics as comb
 from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu, m_mu_mul,
-                     phi_jm, stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial)
+                     phi_jm, stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial,
+                     x_mu_mul, young_parts)
 from ..reporting import PM, check
 
 
@@ -163,115 +166,139 @@ def verify_divided_brackets(ctx, dmax=3):
     return checks
 
 
-def _mm_check(name, params, ctx, mu, shape, diff):
-    """Record m_mu X == m_mu Y from diff = X - Y with one m_mu multiply; on
-    failure ``detail`` holds the first three terms of m_mu (X - Y)."""
-    value = m_mu_mul(ctx, mu, shape, diff)
-    if value.is_zero:
+def _mm_check(name, params, ctx, mu, shape, key, diff, verdicts):
+    """Record m_mu X == m_mu Y from diff = X - Y, the difference with key
+    ``key`` in family ``name``.  m_mu = lprod * x_mu, and left multiplication
+    by lprod = prod (L_i - Q_k) multiplies each coefficient polynomial f_w(L)
+    of the normal form sum_w f_w(L) T_w by a nonzero polynomial, in a domain
+    (at q = 1 too), so m_mu D = 0 exactly when x_mu D = 0.  The check decides
+    the latter, once per (family, ordered Young block sizes, key) in the
+    memo ``verdicts``; the block order matters (T_1 - q is killed by
+    x_(2,1) = 1 + q T_1, not by x_(1,2) = 1 + q T_2).  Only on failure is
+    m_mu (X - Y) built, and ``detail`` holds its first three terms."""
+    parts = young_parts(mu)
+    memo = (name, parts, key)
+    ok = verdicts.get(memo)
+    if ok is None:
+        ok = verdicts[memo] = x_mu_mul(ctx, parts, diff).is_zero
+    if ok:
         return check(name, params, True)
+    value = m_mu_mul(ctx, mu, shape, diff)
     return check(name, params, False, {"lhs_minus_rhs": elem_to_json(value)[:3]})
 
 
+def _lt_difference(ctx, sign, N, p, t):
+    """The m-mu-L-T difference L_j^t [T; N, p]^sign - c Phi_t^{-sign} at the
+    p Jucys-Murphy elements L_j, L_{j+sign}, ...: j = N and c = q^{2p-2} for
+    sign -1 (m-mu-L-T-i), j = N + 1 and c = 1 for sign +1 (m-mu-L-T-ii)."""
+    j = N if sign < 0 else N + 1
+    lnt = ctx.one() if t == 0 else ctx.L(j, t)
+    head = ctx.ring.q_pow(2 * p - 2) if sign < 0 else ctx.ring.one
+    return lnt * t_bracket(ctx, N, p, sign) - phi_jm(
+        ctx, t, -sign, list(range(j, j + sign * p, sign))
+    ).scale(head)
+
+
 def verify_m_mu_L_T(ctx, shape, tmax=3):
-    """m_mu L^t times a one-sided bracket equals a q-power times m_mu Phi."""
+    """m_mu L^t times a one-sided bracket equals a q-power times m_mu Phi.
+    The difference depends on mu only through (sign, N, p, t), so each is
+    built once per call."""
     checks = []
-    ring = ctx.ring
+    diffs = {}
+    verdicts = {}
     for mu in comb.enumerate_compositions(ctx.n, shape):
         flat = comb.flatten(mu)
         for pos in shape.positions():
-            i, k = shape.node(pos)
-            N = comb.jm_position(mu, (i, k), shape)
-            entry = flat[pos - 1]
-            if entry:
+            N = comb.jm_position(mu, shape.node(pos), shape)
+            succ = flat[pos] if pos < shape.total else 0
+            for sign, name, size in ((-1, "m-mu-L-T-i", flat[pos - 1]),
+                                     (+1, "m-mu-L-T-ii", succ)):
                 for t in range(0, tmax + 1):
-                    lnt = ctx.one() if t == 0 else ctx.L(N, t)
-                    for p in range(1, entry + 1):
-                        diff = lnt * t_bracket(ctx, N, p, -1) - phi_jm(
-                            ctx, t, +1, list(range(N, N - p, -1))
-                        ).scale(ring.q_pow(2 * p - 2))
+                    for p in range(1, size + 1):
+                        key = (sign, N, p, t)
+                        diff = diffs.get(key)
+                        if diff is None:
+                            diff = diffs[key] = _lt_difference(ctx, *key)
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check("m-mu-L-T-i", params, ctx, mu, shape, diff))
-            if pos >= shape.total:
-                continue
-            succ = flat[pos]
-            if succ:
-                for t in range(0, tmax + 1):
-                    lnt = ctx.one() if t == 0 else ctx.L(N + 1, t)
-                    for p in range(1, succ + 1):
-                        diff = lnt * t_bracket(ctx, N, p, +1) - phi_jm(
-                            ctx, t, -1, list(range(N + 1, N + p + 1))
-                        )
-                        params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check("m-mu-L-T-ii", params, ctx, mu, shape, diff))
+                        checks.append(_mm_check(name, params, ctx, mu, shape, key, diff, verdicts))
     return checks
+
+
+ETC_FAMILIES = ("m-mu-L-T-etc-i", "m-mu-L-T-etc-ii", "m-mu-L-T-etc-iii", "m-mu-L-T-etc-iv")
+
+
+def _etc_differences(ctx, N, mi, mi1, t):
+    """The four differences X - Y of the m-mu-L-T-etc families at the
+    Jucys-Murphy position N with entries mi, mi1 and power t, in the order
+    of ``ETC_FAMILIES``; None where a relation does not apply (i and ii need
+    mi != 0, iii and iv need mi1 != 0)."""
+    ring = ctx.ring
+    qq = ring.qq_comm()
+    one = ctx.one()
+    dec = list(range(N, N - mi, -1))
+    inc = list(range(N + 1, N + mi1 + 1))
+    cross_q = qq * ring.q_pow(2 * mi - 1)
+    # L_N^t only exists for N >= 1; every use below is guarded by mi != 0 or
+    # by a vanishing bracket difference when N = 0
+    lnt = one if (t == 0 or N == 0) else ctx.L(N, t)
+    diff1 = diff2 = diff3 = diff4 = None
+    if mi != 0:
+        b_plus = t_bracket(ctx, N - 1, mi1 + 1, +1)
+        b_minus = t_bracket(ctx, N, mi, -1)
+        diff1 = lnt * b_plus * b_minus - phi_jm(ctx, t, +1, dec).scale(ring.q_pow(2 * mi - 2))
+        if mi1 != 0:
+            diff1 = diff1 - lnt * (
+                t_bracket(ctx, N + 1, mi + 1, -1) - one
+            ) * t_bracket(ctx, N, mi1, +1)
+
+        diff2 = lnt * b_plus * ctx.L(N) * b_minus - phi_jm(
+            ctx, t + 1, +1, dec
+        ).scale(ring.q_pow(2 * mi - 2))
+        if mi1 != 0:
+            diff2 = diff2 + (
+                phi_jm(ctx, t, +1, dec) * phi_jm(ctx, 1, -1, inc)
+            ).scale(cross_q)
+        b_plus_tail = b_plus - one
+        if not b_plus_tail.is_zero:  # only when mi1 >= 1, so N+1 <= n
+            diff2 = diff2 - lnt * ctx.L(N + 1) * b_plus_tail * b_minus
+    if mi1 != 0:
+        b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
+        b_plus0 = t_bracket(ctx, N, mi1, +1)
+        l_next = ctx.L(N + 1)
+        middle = b_minus1 * (ctx.L(N + 1, t) if t else one) * b_plus0
+        head = ring.q_pow(2 * mi) if t else ring.one
+        tail = lnt * (b_minus1 - one) * b_plus0
+        diff3 = middle - phi_jm(ctx, t, -1, inc).scale(head) - tail
+        diff4 = l_next * middle - phi_jm(ctx, t + 1, -1, inc).scale(head) - l_next * tail
+        for b in range(1, t):
+            low = phi_jm(ctx, t - b, +1, dec)
+            diff3 = diff3 - (low * phi_jm(ctx, b, -1, inc)).scale(cross_q)
+            diff4 = diff4 - (low * phi_jm(ctx, b + 1, -1, inc)).scale(cross_q)
+    return diff1, diff2, diff3, diff4
 
 
 def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
     """The four mixed-bracket expansions feeding the commutator of raising and
-    lowering Schur generators."""
+    lowering Schur generators.  The differences depend on mu only through
+    (N, m_i, m_{i+1}, t), so each set is built once per call."""
     checks = []
-    ring = ctx.ring
-    qq = ring.qq_comm()
-    one = ctx.one()
+    diffs = {}
+    verdicts = {}
     for mu in comb.enumerate_compositions(ctx.n, shape):
         flat = comb.flatten(mu)
         for pos in range(1, shape.total):
-            i, k = shape.node(pos)
-            N = comb.jm_position(mu, (i, k), shape)
-            mi = flat[pos - 1]
-            mi1 = flat[pos]
-            dec = list(range(N, N - mi, -1))
-            inc = list(range(N + 1, N + mi1 + 1))
-            cross_q = qq * ring.q_pow(2 * mi - 1)
+            N = comb.jm_position(mu, shape.node(pos), shape)
             for t in range(0, tmax + 1):
+                key = (N, flat[pos - 1], flat[pos], t)
+                found = diffs.get(key)
+                if found is None:
+                    found = diffs[key] = _etc_differences(ctx, *key)
                 params = {"mu": mu, "pos": pos, "t": t}
-                # L_N^t only exists for N >= 1; every use below is guarded by
-                # mi != 0 or by a vanishing bracket difference when N = 0
-                lnt = one if (t == 0 or N == 0) else ctx.L(N, t)
-                if mi != 0:
-                    b_plus = t_bracket(ctx, N - 1, mi1 + 1, +1)
-                    b_minus = t_bracket(ctx, N, mi, -1)
-                    diff1 = lnt * b_plus * b_minus - phi_jm(ctx, t, +1, dec).scale(
-                        ring.q_pow(2 * mi - 2)
-                    )
-                    if mi1 != 0:
-                        diff1 = diff1 - lnt * (
-                            t_bracket(ctx, N + 1, mi + 1, -1) - one
-                        ) * t_bracket(ctx, N, mi1, +1)
-                    checks.append(_mm_check("m-mu-L-T-etc-i", params, ctx, mu, shape, diff1))
-
-                    diff2 = lnt * b_plus * ctx.L(N) * b_minus - phi_jm(
-                        ctx, t + 1, +1, dec
-                    ).scale(ring.q_pow(2 * mi - 2))
-                    if mi1 != 0:
-                        diff2 = diff2 + (
-                            phi_jm(ctx, t, +1, dec) * phi_jm(ctx, 1, -1, inc)
-                        ).scale(cross_q)
-                    b_plus_tail = b_plus - one
-                    if not b_plus_tail.is_zero:  # only when mi1 >= 1, so N+1 <= n
-                        diff2 = diff2 - lnt * ctx.L(N + 1) * b_plus_tail * b_minus
-                    checks.append(_mm_check("m-mu-L-T-etc-ii", params, ctx, mu, shape, diff2))
-                if mi1 != 0:
-                    b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
-                    b_plus0 = t_bracket(ctx, N, mi1, +1)
-                    l_next = ctx.L(N + 1)
-                    middle = b_minus1 * (ctx.L(N + 1, t) if t else one) * b_plus0
-                    head = ring.q_pow(2 * mi) if t else ring.one
-                    tail = lnt * (b_minus1 - one) * b_plus0
-                    diff3 = middle - phi_jm(ctx, t, -1, inc).scale(head) - tail
-                    diff4 = (
-                        l_next * middle
-                        - phi_jm(ctx, t + 1, -1, inc).scale(head)
-                        - l_next * tail
-                    )
-                    for b in range(1, t):
-                        low = phi_jm(ctx, t - b, +1, dec)
-                        diff3 = diff3 - (low * phi_jm(ctx, b, -1, inc)).scale(cross_q)
-                        diff4 = diff4 - (low * phi_jm(ctx, b + 1, -1, inc)).scale(
-                            cross_q
+                for name, diff in zip(ETC_FAMILIES, found):
+                    if diff is not None:
+                        checks.append(
+                            _mm_check(name, params, ctx, mu, shape, key, diff, verdicts)
                         )
-                    checks.append(_mm_check("m-mu-L-T-etc-iii", params, ctx, mu, shape, diff3))
-                    checks.append(_mm_check("m-mu-L-T-etc-iv", params, ctx, mu, shape, diff4))
     return checks
 
 

@@ -273,6 +273,18 @@ def test_heavy_hecke_suites_pinned(capsys):
     )
 
 
+# The coset-heavy run, blocks of size up to 5: 4167 checks, digest recorded
+# while every m_mu identity still multiplied in the whole m_mu.
+def test_coset_heavy_hecke_suites_pinned(capsys):
+    assert main(["verify", "--suite", "hecke", "-n", "5", "-r", "2", "-m", "2,2"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites["hecke"]["total"] == 4167
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "bbcce3374b680176e04d4a9e90354e0cacf9ad9d3d647af94eb0b0426c1c3e40"
+    )
+
+
 # Heavier Schur runs, digests recorded before the operator identities were
 # decided block by block: degree 3 over a junction at n = 3, and three
 # components at r = 3.

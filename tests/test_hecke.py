@@ -21,9 +21,12 @@ from cycloschur.hecke import (
     t_bracket,
     t_paren,
     t_paren_factorial,
+    x_mu_mul,
+    young_parts,
 )
 from cycloschur.reporting import check
 from cycloschur.suites.hecke import (
+    _mm_check,
     verify_bracket_com_rel,
     verify_commute_LT,
     verify_divided_brackets,
@@ -33,6 +36,7 @@ from cycloschur.suites.hecke import (
     verify_m_mu_L_T,
     verify_m_mu_L_T_etc,
     verify_m_mu_T,
+    young_generators,
 )
 
 
@@ -493,6 +497,45 @@ class TestMmuMul:
         assert m_mu_mul(ctx, mu, shape, D) == expected
 
 
+@st.composite
+def x_mu_operands(draw, ctx, mu):
+    """A right operand D, or (T_i - q) D for s_i in S_mu, which x_mu kills
+    because x_mu T_i = q x_mu; returns (operand, whether it was killed)."""
+    D = draw(right_operands(ctx))
+    gens = young_generators(mu)
+    if not gens or not draw(st.booleans()):
+        return D, False
+    i = draw(st.sampled_from(gens))
+    return (ctx.T(i) - ctx.scalar(ctx.ring.q)) * D, True
+
+
+class TestXmuMul:
+    """x_mu_mul against the enumerated Young sum, and its zero test against
+    m_mu_mul's: the (L_i - Q_k) factors never make a product zero."""
+
+    # r >= 2, so the L product of m_mu is nontrivial for most weights
+    @pytest.mark.parametrize("n,m,q_one", [
+        (3, (1, 2), False), (3, (1, 2), True), (3, (2, 2), False),
+        (4, (2, 2, 2), False), (4, (2, 2, 2), True), (4, (1, 3), True),
+    ])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_zero_exactly_when_m_mu_times_the_operand_is(self, n, m, q_one, data):
+        ctx = HeckeContext(n, len(m), q_one=q_one)
+        shape = Shape(m)
+        mu = data.draw(st.sampled_from(comb.enumerate_compositions(n, shape)))
+        D, killed = data.draw(x_mu_operands(ctx, mu))
+        value = x_mu_mul(ctx, young_parts(mu), D)
+        assert value == young_subgroup_sum(ctx, mu) * D
+        assert value.is_zero == m_mu_mul(ctx, mu, shape, D).is_zero
+        if killed:
+            assert value.is_zero
+
+    def test_parts_are_the_ordered_nonzero_blocks(self):
+        assert young_parts(((2, 0), (1,), (0, 3))) == (2, 1, 3)
+        assert young_parts(((0,), (0,))) == ()
+
+
 class TestBrackets:
     def test_mu_one(self, ctx3):
         assert t_bracket(ctx3, 1, 1, +1) == ctx3.one()
@@ -744,7 +787,7 @@ def _reference_m_mu_L_T(ctx, shape, tmax=3):
                             ring.q_pow(2 * p - 2)
                         )
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(check("m-mu-L-T-i", params, lhs == rhs))
+                        checks.append(_ref_check("m-mu-L-T-i", params, lhs, rhs))
             if pos >= shape.total:
                 continue
             succ = flat[pos]
@@ -755,7 +798,7 @@ def _reference_m_mu_L_T(ctx, shape, tmax=3):
                         lhs = lnt * t_bracket(ctx, N, p, +1)
                         rhs = mm * phi_jm(ctx, t, -1, list(range(N + 1, N + p + 1)))
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(check("m-mu-L-T-ii", params, lhs == rhs))
+                        checks.append(_ref_check("m-mu-L-T-ii", params, lhs, rhs))
     return checks
 
 
@@ -786,7 +829,7 @@ def _reference_m_mu_L_T_etc(ctx, shape, tmax=2):
                         rhs1 = rhs1 + lnt * (
                             t_bracket(ctx, N + 1, mi + 1, -1) - ctx.one()
                         ) * t_bracket(ctx, N, mi1, +1)
-                    checks.append(check("m-mu-L-T-etc-i", params, lhs1 == rhs1))
+                    checks.append(_ref_check("m-mu-L-T-etc-i", params, lhs1, rhs1))
                     lhs2 = lnt * b_plus * ctx.L(N) * b_minus
                     rhs2 = (mm * phi_jm(ctx, t + 1, +1, dec)).scale(
                         ring.q_pow(2 * mi - 2)
@@ -798,7 +841,7 @@ def _reference_m_mu_L_T_etc(ctx, shape, tmax=2):
                     diff2 = b_plus - ctx.one()
                     if not diff2.is_zero:
                         rhs2 = rhs2 + lnt * ctx.L(N + 1) * diff2 * b_minus
-                    checks.append(check("m-mu-L-T-etc-ii", params, lhs2 == rhs2))
+                    checks.append(_ref_check("m-mu-L-T-etc-ii", params, lhs2, rhs2))
                 if mi1 != 0:
                     b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
                     b_plus0 = t_bracket(ctx, N, mi1, +1)
@@ -819,19 +862,23 @@ def _reference_m_mu_L_T_etc(ctx, shape, tmax=2):
                     tail = lnt * (b_minus1 - ctx.one()) * b_plus0
                     lhs3 = mm * b_minus1 * lt * b_plus0
                     rhs3 = (mm * phi_jm(ctx, t, -1, inc)).scale(head) + cross + tail
-                    checks.append(check("m-mu-L-T-etc-iii", params, lhs3 == rhs3))
+                    checks.append(_ref_check("m-mu-L-T-etc-iii", params, lhs3, rhs3))
                     lhs4 = mm * ctx.L(N + 1) * b_minus1 * lt * b_plus0
                     rhs4 = (
                         (mm * phi_jm(ctx, t + 1, -1, inc)).scale(head)
                         + cross4
                         + lnt * ctx.L(N + 1) * (b_minus1 - ctx.one()) * b_plus0
                     )
-                    checks.append(check("m-mu-L-T-etc-iv", params, lhs4 == rhs4))
+                    checks.append(_ref_check("m-mu-L-T-etc-iv", params, lhs4, rhs4))
     return checks
 
 
-def _verdicts(checks):
-    return [(c["check"], c["params"], c["ok"]) for c in checks]
+def _ref_check(name, params, lhs, rhs):
+    """A check record as the suite writes it: on failure, the first three
+    terms of lhs - rhs."""
+    if lhs == rhs:
+        return check(name, params, True)
+    return check(name, params, False, {"lhs_minus_rhs": elem_to_json(lhs - rhs)[:3]})
 
 
 M_MU_FAMILIES = {
@@ -841,27 +888,32 @@ M_MU_FAMILIES = {
 
 
 class TestMmuDifferences:
-    """The m_mu identities are decided as m_mu * (X - Y) == 0."""
+    """The m_mu identities are decided on X - Y, and every record, details
+    included, matches the left-associated reference."""
 
-    @pytest.mark.parametrize("m", [(1, 2), (2, 2)])
+    # (2, 2, 2) has many weights sharing (N, entries), so most checks reuse
+    # a difference and a verdict
+    @pytest.mark.parametrize("m", [(1, 2), (2, 2), (2, 2, 2)])
     def test_verdicts_match_left_associated_reference(self, m):
-        ctx = HeckeContext(3, 2)
+        ctx = HeckeContext(3, len(m))
         shape = Shape(m)
         new = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
         ref = _reference_m_mu_L_T(ctx, shape) + _reference_m_mu_L_T_etc(ctx, shape)
-        assert _verdicts(new) == _verdicts(ref)
+        assert new == ref
         assert {c["check"] for c in new} == M_MU_FAMILIES
 
-    @pytest.mark.parametrize("m", [(1, 2), (2, 2)])
+    # the details too: each is the first terms of m_mu (X - Y), and at r = 3
+    # most weights have a nontrivial (L_i - Q_k) product
+    @pytest.mark.parametrize("m", [(1, 2), (2, 2), (2, 2, 2)])
     def test_failures_match_reference_under_a_broken_phi(self, monkeypatch, m):
         real = hecke_mod.phi_jm
         monkeypatch.setattr(suite_mod, "phi_jm", lambda *a: real(*a).scale(2))
         monkeypatch.setitem(globals(), "phi_jm", suite_mod.phi_jm)
-        ctx = HeckeContext(3, 2)
+        ctx = HeckeContext(3, len(m))
         shape = Shape(m)
         new = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
         ref = _reference_m_mu_L_T(ctx, shape) + _reference_m_mu_L_T_etc(ctx, shape)
-        assert _verdicts(new) == _verdicts(ref)
+        assert new == ref
         assert not all(c["ok"] for c in new)
 
     def test_m_mu_kills_a_nonzero_difference(self):
@@ -912,3 +964,65 @@ class TestMmuDifferences:
         rhs = mm * real(ctx, 1, -1, [2, 3]).scale(2)
         assert not c["ok"]
         assert c["detail"] == {"lhs_minus_rhs": elem_to_json(lhs - rhs)[:3]}
+
+
+class TestSharedDifferences:
+    """Each difference is built once per distinct input of a ``verify_*``
+    call, and each zero test once per (family, Young blocks, difference)."""
+
+    @staticmethod
+    def _builds(monkeypatch, name, verify, m):
+        real = getattr(suite_mod, name)
+        calls = []
+
+        def counted(ctx, *key):
+            calls.append(key)
+            return real(ctx, *key)
+
+        monkeypatch.setattr(suite_mod, name, counted)
+        verify(HeckeContext(3, len(m)), Shape(m))
+        return calls
+
+    @pytest.mark.parametrize("name,verify,count", [
+        ("_lt_difference", verify_m_mu_L_T, 48),
+        ("_etc_differences", verify_m_mu_L_T_etc, 60),
+    ])
+    def test_each_difference_is_built_once_per_call(self, monkeypatch, name, verify, count):
+        # a second call on a new context builds them all again: the memo
+        # belongs to the call
+        for _ in range(2):
+            calls = self._builds(monkeypatch, name, verify, (2, 2, 2))
+            assert len(calls) == len(set(calls)) == count
+
+    def test_verdicts_belong_to_the_call(self, monkeypatch):
+        shape = Shape((2, 2))
+        assert all(c["ok"] for c in verify_m_mu_L_T(HeckeContext(3, 2), shape))
+        real = hecke_mod.phi_jm
+        monkeypatch.setattr(suite_mod, "phi_jm", lambda *a: real(*a).scale(2))
+        assert not all(c["ok"] for c in verify_m_mu_L_T(HeckeContext(3, 2), shape))
+
+    def test_memo_keys_the_block_order(self):
+        # the same difference under x_(2,1) and x_(1,2): a memo keyed by the
+        # sorted or unordered blocks would hand the second the first's verdict
+        ctx = HeckeContext(3, 2)
+        shape = Shape((1, 1))
+        D = ctx.T(1) - ctx.scalar(ctx.ring.q)
+        verdicts = {}
+        first = _mm_check("f", {}, ctx, ((2,), (1,)), shape, "k", D, verdicts)
+        second = _mm_check("f", {}, ctx, ((1,), (2,)), shape, "k", D, verdicts)
+        assert first["ok"]
+        assert not second["ok"]
+        mm = reference_m_mu(ctx, ((1,), (2,)), shape)
+        assert second["detail"] == {"lhs_minus_rhs": elem_to_json(mm * D)[:3]}
+
+    def test_memo_keys_the_family_and_the_difference(self):
+        ctx = HeckeContext(3, 2)
+        shape = Shape((1, 1))
+        mu = ((2,), (1,))
+        q = ctx.scalar(ctx.ring.q)
+        killed = ctx.T(1) - q
+        alive = ctx.T(2) - q
+        verdicts = {}
+        assert _mm_check("f", {}, ctx, mu, shape, "k", killed, verdicts)["ok"]
+        assert not _mm_check("f", {}, ctx, mu, shape, "j", alive, verdicts)["ok"]
+        assert not _mm_check("g", {}, ctx, mu, shape, "k", alive, verdicts)["ok"]
