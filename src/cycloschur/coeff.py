@@ -6,8 +6,8 @@ coefficients.  A coefficient is stored as an ``int`` when it is integral and
 as a ``Fraction`` otherwise, never as a ``float``.  Every structure constant
 of the Hecke and Schur engines lies in Z[q^{+-1}, Q^{+-1}], so their
 arithmetic runs on plain integers; a ``Fraction`` appears only for a value
-that really is fractional (an inexact ``divexact`` quotient, the V_tau
-matrices, a user-supplied rational), and ``specialize`` evaluates to one.
+that really is fractional (the V_tau matrices, a user-supplied rational),
+and ``specialize`` evaluates to one.
 The number of Q parameters is fixed per session by ``LaurentRing(r)``; the
 q = 1 regime is the same ring built with ``q_one=True``, which pins the q
 exponent to zero at construction time.
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 
 class CoeffError(ArithmeticError):
-    """Inexact division, missing specialization value, or similar misuse."""
+    """A missing or zero specialization value, or a similar misuse."""
 
 
 def _exact(c):
@@ -373,76 +373,24 @@ def qfactorial(d, ring):
     return out
 
 
-def qbinom(d, c, ring):
-    """Gaussian binomial [d choose c], exact in Z[q, q^{-1}]; c >= 0."""
-    if c < 0:
-        raise ValueError("qbinom needs c >= 0")
-    if c == 0:
-        return ring.one
-    num = ring.one
-    for j in range(c):
-        num = num * qint(d - j, ring)
-    return divexact(num, qfactorial(c, ring))
-
-
-def divexact(p, g):
-    """Exact division p / g.
-
-    Supported divisors: a single monomial (always exact over Laurent
-    polynomials), or a polynomial involving only the variable q.  Raises
-    CoeffError when the division leaves a remainder, which signals an
-    arithmetic bug upstream.  A coefficient quotient is taken with ``divmod``
-    when it is an integer and as a ``Fraction`` otherwise, never with
-    ``int / int``, so no ``float`` can enter the result.
-    """
-    if g.is_zero:
-        raise CoeffError("division by zero")
-    if p.is_zero:
-        return p
-    if p.nvars != g.nvars:
-        raise ValueError("mixed variable arities")
-    if len(g.terms) == 1:
-        (gkey, gc), = g.terms.items()
-        shift = _slots(_BIAS, p.nvars) - gkey
-        out = {k + shift: _div(c, gc) for k, c in p.terms.items()}
-        if any(k & _slots(_GUARD, p.nvars) for k in out):
-            raise _overflow()
-        return MultiLaurent._make(p.nvars, out)
-    # a key is its Q part (key >> _W) above its q slot
-    one_q = _slots(_BIAS, p.nvars) >> _W
-    if any(k >> _W != one_q for k in g.terms):
-        raise CoeffError("divisor must be a monomial or univariate in q")
-    # group the dividend by its Q part and divide each univariate (in q)
-    # piece by g
-    groups = {}
-    for k, c in p.terms.items():
-        groups.setdefault(k >> _W, {})[(k & _MASK) - _BIAS] = c
-    gq = {(k & _MASK) - _BIAS: c for k, c in g.terms.items()}
-    out = {}
-    for qpart, poly in groups.items():
-        base = (qpart << _W) + _BIAS
-        for e0, c in _divexact_univariate(poly, gq).items():
-            out[base + _pack((e0,))] = c
-    return MultiLaurent._make(p.nvars, out)
-
-
 def _divexact_univariate(a, b):
-    """Exact division of univariate Laurent polynomials given as exp->coeff dicts."""
+    """The quotient a / b of univariate Laurent polynomials given as
+    exp->coeff dicts, b nonzero, or None when the division leaves a
+    remainder.  A coefficient quotient is taken by ``_div``: an int when it
+    is integral, else a Fraction, never a float."""
     sa = min(a)
     sb = min(b)
     # shift to ordinary polynomials
     pa = {e - sa: c for e, c in a.items()}
     pb = {e - sb: c for e, c in b.items()}
-    da = max(pa)
     db = max(pb)
     lead_b = pb[db]
     quo = {}
     rem = dict(pa)
-    deg = da
     while rem:
         deg = max(rem)
         if deg < db:
-            raise CoeffError("inexact division")
+            return None
         qc = _div(rem[deg], lead_b)
         quo[deg - db] = qc
         for e, c in pb.items():

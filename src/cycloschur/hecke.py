@@ -23,7 +23,8 @@ multiply integers and allocate no ``MultiLaurent``.  At the boundary, where
 ``HeckeElem.grouped`` (behind ``sorted_terms``, ``elem_to_json`` and
 ``repr``) meet a ``MultiLaurent``, a ring key moves in with ``key << 16n``
 and out with ``key >> 16n``; ``phi_jm`` moves the keys of a flat ``SymPoly``
-in the same way.
+in the same way.  ``a_form_quotient`` divides by a polynomial in q on the
+flat keys, rewriting their q slot, and builds no ``MultiLaurent`` either.
 
 The cyclic generators m_mu are never multiplied in as elements:
 ``m_mu_mul`` applies their factors to the right operand, the coset sweep of
@@ -45,6 +46,7 @@ from .coeff import (
     MultiLaurent,
     _add_terms,
     _clean,
+    _divexact_univariate,
     _overflow,
     _pack,
     _slots,
@@ -376,6 +378,42 @@ class HeckeElem:
             perm = "id" if w == self.ctx._id else "w" + str(tuple(x + 1 for x in w))
             bits.append(f"({coeff!r}) {ls or '1'}.{perm}")
         return " + ".join(bits)
+
+
+def a_form_quotient(elem, g):
+    """elem / g for a nonzero g in q alone, when the quotient lies in the
+    A-form (integer coefficients, no negative Q exponent), else None.  Each
+    group of terms with one (key less its q slot, w), a Laurent polynomial
+    in q, is divided by g.  The Q exponents stay, so they are tested on the
+    group key: a valid slot holds exponent + bias < 2 * bias, so the
+    exponent is nonnegative exactly when the slot's bias bit is set."""
+    ctx, ring = elem.ctx, elem.ctx.ring
+    gq = {}
+    for key, c in g.terms.items():
+        if key >> _W != ring.origin >> _W:
+            raise ValueError("the divisor must be a polynomial in q alone")
+        gq[(key & _MASK) - _BIAS] = c
+    if not gq:
+        raise ValueError("division by zero")
+    sh = ctx._ring_shift
+    q_slot, q_origin = _MASK << sh, _BIAS << sh
+    q_bias = _slots(_BIAS, ring.r) << (sh + _W)
+    groups = {}
+    for (key, w), c in elem.terms.items():
+        head = key & ~q_slot
+        if head & q_bias != q_bias:
+            return None
+        groups.setdefault((head, w), {})[((key >> sh) & _MASK) - _BIAS] = c
+    out = {}
+    for (head, w), poly in groups.items():
+        quotient = _divexact_univariate(poly, gq)
+        if quotient is None:
+            return None
+        for e, c in quotient.items():
+            if type(c) is not int:
+                return None
+            out[(head + q_origin + _pack((e,), ctx.n), w)] = c
+    return HeckeElem(ctx, out)
 
 
 def elem_to_json(elem):

@@ -166,17 +166,17 @@ def verify_divided_brackets(ctx, dmax=3):
     return checks
 
 
-def _mm_check(name, params, ctx, mu, shape, key, diff, verdicts):
+def _mm_check(name, params, ctx, mu, parts, shape, key, diff, verdicts):
     """Record m_mu X == m_mu Y from diff = X - Y, the difference with key
-    ``key`` in family ``name``.  m_mu = lprod * x_mu, and left multiplication
-    by lprod = prod (L_i - Q_k) multiplies each coefficient polynomial f_w(L)
-    of the normal form sum_w f_w(L) T_w by a nonzero polynomial, in a domain
-    (at q = 1 too), so m_mu D = 0 exactly when x_mu D = 0.  The check decides
-    the latter, once per (family, ordered Young block sizes, key) in the
-    memo ``verdicts``; the block order matters (T_1 - q is killed by
-    x_(2,1) = 1 + q T_1, not by x_(1,2) = 1 + q T_2).  Only on failure is
-    m_mu (X - Y) built, and ``detail`` holds its first three terms."""
-    parts = young_parts(mu)
+    ``key`` in family ``name``, with ``parts`` = ``young_parts(mu)``.
+    m_mu = lprod * x_mu, and left multiplication by lprod = prod (L_i - Q_k)
+    multiplies each coefficient polynomial f_w(L) of the normal form
+    sum_w f_w(L) T_w by a nonzero polynomial, in a domain (at q = 1 too), so
+    m_mu D = 0 exactly when x_mu D = 0.  The check decides the latter, once
+    per (family, ordered Young block sizes, key) in the memo ``verdicts``;
+    the block order matters (T_1 - q is killed by x_(2,1) = 1 + q T_1, not
+    by x_(1,2) = 1 + q T_2).  Only on failure is m_mu (X - Y) built, and
+    ``detail`` holds its first three terms."""
     memo = (name, parts, key)
     ok = verdicts.get(memo)
     if ok is None:
@@ -207,7 +207,7 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
     diffs = {}
     verdicts = {}
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        flat = comb.flatten(mu)
+        flat, parts = comb.flatten(mu), young_parts(mu)
         for pos in shape.positions():
             N = comb.jm_position(mu, shape.node(pos), shape)
             succ = flat[pos] if pos < shape.total else 0
@@ -220,7 +220,9 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
                         if diff is None:
                             diff = diffs[key] = _lt_difference(ctx, *key)
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check(name, params, ctx, mu, shape, key, diff, verdicts))
+                        checks.append(
+                            _mm_check(name, params, ctx, mu, parts, shape, key, diff, verdicts)
+                        )
     return checks
 
 
@@ -285,7 +287,7 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
     diffs = {}
     verdicts = {}
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        flat = comb.flatten(mu)
+        flat, parts = comb.flatten(mu), young_parts(mu)
         for pos in range(1, shape.total):
             N = comb.jm_position(mu, shape.node(pos), shape)
             for t in range(0, tmax + 1):
@@ -297,7 +299,7 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
                 for name, diff in zip(ETC_FAMILIES, found):
                     if diff is not None:
                         checks.append(
-                            _mm_check(name, params, ctx, mu, shape, key, diff, verdicts)
+                            _mm_check(name, params, ctx, mu, parts, shape, key, diff, verdicts)
                         )
     return checks
 

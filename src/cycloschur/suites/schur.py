@@ -10,7 +10,8 @@ from functools import partial
 from itertools import product
 
 from .. import combinatorics as comb
-from ..coeff import divexact, qfactorial, qint
+from ..coeff import qfactorial, qint
+from ..hecke import a_form_quotient, elem_to_json
 from ..reporting import PM, check
 from ..schurops import (I, K, SchurContext, X, difference_detail, ow, ow_add, ow_commutator,
                         ow_mul, ow_neg, ow_scale, ow_zero)
@@ -307,34 +308,33 @@ def q1_relation_words(sctx, smax, tmax, umax):
 
 
 def divided_power_image(sctx, pos, sign, t, d, mu):
-    """(X^{sign}_t)^d(m_mu) divided exactly by [d]!, with the integrality flag
-    for the A-form (integer coefficients, Laurent in q, polynomial in Q)."""
+    """(X^{sign}_t)^d(m_mu) divided by [d]! when the quotient lies in the
+    A-form (integer coefficients, Laurent in q, polynomial in Q), else None."""
     if d < 1:
         raise ValueError("need d >= 1")
-    labels = tuple([X(sign, pos, t)] * d)
-    value = sctx.apply_seq(labels, mu)
-    fact = qfactorial(d, sctx.ring)
-    quotient = {key: divexact(coeff, fact) for key, coeff in value.grouped().items()}
-    integral = all(
-        c.denominator == 1 and all(x >= 0 for x in e[1:])
-        for ml in quotient.values()
-        for e, c in ml.sorted_terms()
-    )
-    return sctx.hctx.from_grouped(quotient), integral
+    value = sctx.apply_seq(tuple([X(sign, pos, t)] * d), mu)
+    return a_form_quotient(value, qfactorial(d, sctx.ring))
 
 
 def verify_divided_powers(sctx, dmax=3, tmax=1):
     """(X^{sign}_t)^d(m_mu) / [d]! lies in the A-form, and vanishes when d
-    exceeds the entry that X^{sign} moves nodes out of."""
+    exceeds the entry that X^{sign} moves nodes out of.  A failed check
+    carries the target weight and the first terms of the undivided image."""
     checks = []
     gamma_prime, T, D = range(1, sctx.shape.total), range(tmax + 1), range(1, dmax + 1)
     for pos, sign, t, d, mu in product(gamma_prime, (+1, -1), T, D, sctx.weights):
-        quotient, integral = divided_power_image(sctx, pos, sign, t, d, mu)
+        quotient = divided_power_image(sctx, pos, sign, t, d, mu)
         flat = comb.flatten(mu)
         cap = flat[pos] if sign > 0 else flat[pos - 1]
         params = {"pos": pos, "sign": sign, "t": t, "d": d, "mu": mu}
-        ok = integral and (d <= cap or quotient.is_zero)
-        checks.append(check("divided-power-integral", params, ok))
+        ok = quotient is not None and (d <= cap or quotient.is_zero)
+        detail = None
+        if not ok:
+            labels = tuple([X(sign, pos, t)] * d)
+            nu = sctx.table(labels)[mu][0]
+            image = elem_to_json(sctx.apply_seq(labels, mu))[:3]
+            detail = {"target_weight": [list(c) for c in nu], "image": image}
+        checks.append(check("divided-power-integral", params, ok, detail))
     return checks
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from cycloschur import hecke, schurops
 from cycloschur.suites import hecke as hecke_suite
+from cycloschur.suites import schur as schur_suite
 from cycloschur.cli import ParseError, main, parse_multipartition
 
 
@@ -218,6 +219,25 @@ class TestVerifyCommand:
         assert any(c["check"] == "divided-bracket-cofactor" for c in failed)
         assert all(not c["ok"] for c in failed)
 
+    def test_non_divisible_image_fails_the_divided_power_check(self, capsys, monkeypatch):
+        # a divisor [d]! (1 + q^2) leaves a remainder on the nonzero images
+        real = schur_suite.qfactorial
+
+        def qfactorial(d, ring):
+            fact = real(d, ring)
+            return fact * (ring.one + ring.q_pow(2)) if d >= 2 else fact
+
+        monkeypatch.setattr(schur_suite, "qfactorial", qfactorial)
+        argv = ["verify", "--suite", "schur", "-n", "3", "-r", "2", "-m", "2,2", "--deg", "0"]
+        assert main(argv) == 1
+        failed = json.loads(capsys.readouterr().out)["suites"]["schur"]["failed"]
+        assert failed
+        for c in failed:
+            assert c["check"] == "divided-power-integral" and c["params"]["d"] >= 2
+            assert set(c["detail"]) == {"target_weight", "image"}
+            assert len(c["detail"]["target_weight"]) == 2
+            assert 1 <= len(c["detail"]["image"]) <= 3
+
 
 # Per-family check counts and the sha256 of the canonical ``suites`` section
 # for ``verify --suite schur,q1 -n 2 -r 2 -m 1,2 --deg 1 --dmax 1``: a run
@@ -287,12 +307,18 @@ def test_coset_heavy_hecke_suites_pinned(capsys):
 
 # Heavier Schur runs, digests recorded before the operator identities were
 # decided block by block: degree 3 over a junction at n = 3, and three
-# components at r = 3.
+# components at r = 3.  The n = 4 runs divide 1260 images by [d]! (by d! at
+# q = 1), 408 of them with a nonzero quotient; their digests were recorded
+# while the quotient was still taken on grouped MultiLaurent coefficients.
 @pytest.mark.parametrize("argv,total,digest", [
     (["-n", "3", "-r", "2", "-m", "1,2", "--deg", "3"], 2494,
      "901ef4881eca7fc226265a97a4174e350e9c7e7af42140a97a135d38e8865fe1"),
     (["-n", "2", "-r", "3", "-m", "1,2,1", "--deg", "2"], 2853,
      "727c905a54c281fafe0045d6563081e5c4446bf66010b9f5d75c934dd6343934"),
+    (["-n", "4", "-r", "2", "-m", "2,2", "--deg", "0"], 1769,
+     "49452c281489f9b3fa5eb8c7363a40b166767b0f01dcc84111e1351efdce2f95"),
+    (["-n", "4", "-r", "2", "-m", "2,2", "--deg", "0", "--q1"], 1769,
+     "a018ce117740ce6935bd307e7b83da723b05295cb24efaff8ade4bd51843c859"),
 ])
 def test_heavy_schur_suites_pinned(capsys, argv, total, digest):
     assert main(["verify", "--suite", "schur", *argv]) == 0

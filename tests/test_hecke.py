@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 import cycloschur.hecke as hecke_mod
 import cycloschur.suites.hecke as suite_mod
 from cycloschur import combinatorics as comb
+from cycloschur.coeff import qfactorial
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import (
     EngineError,
     HeckeContext,
+    a_form_quotient,
     divided_t_bracket,
     elem_to_json,
     m_mu,
@@ -361,6 +363,64 @@ class TestPackedKeys:
             ctx3.lmul_gen(1, low)
         with pytest.raises(EngineError, match="packed key range"):
             ctx3.L(2, 8192)
+
+
+@st.composite
+def a_form_elements(draw, ctx):
+    """Zero to four terms c q^e Q^f L^c T_w of the A-form: c an integer, e in
+    -3..3, every Q exponent in 0..3, L exponents in 0..2 and any w."""
+    ring = ctx.ring
+    out = ctx.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(st.tuples(*[st.integers(0, 2)] * ctx.n))
+        w = tuple(draw(st.permutations(range(ctx.n))))
+        exps = (draw(st.integers(-3, 3)),) + draw(st.tuples(*[st.integers(0, 3)] * ring.r))
+        out = out + ctx.term(c, w, ring.monomial(exps, draw(st.integers(-9, 9))))
+    return out
+
+
+class TestAFormQuotient:
+    """a_form_quotient, the division of the divided powers by [d]! (by d! at
+    q = 1), on elements with every L, q and Q slot in use."""
+
+    @pytest.mark.parametrize("q_one", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(0, 4))
+    def test_divides_back(self, q_one, data, d):
+        ctx = HeckeContext(3, 2, q_one=q_one)
+        a = data.draw(a_form_elements(ctx))
+        g = qfactorial(d, ctx.ring)
+        quo = a_form_quotient(a.scale(g), g)
+        assert quo == a
+        assert all(type(c) is int for c in quo.terms.values())
+
+    @pytest.mark.parametrize("q_one", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 4))
+    def test_remainder_is_none(self, q_one, data, d):
+        # [d]! is no unit for d >= 2, and at q = 1 the constant 1 is no
+        # multiple of d!
+        ctx = HeckeContext(3, 2, q_one=q_one)
+        a = data.draw(a_form_elements(ctx))
+        g = qfactorial(d, ctx.ring)
+        assert a_form_quotient(a.scale(g) + ctx.one(), g) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(0, 4), k=st.integers(0, 1), e=st.integers(1, 3))
+    def test_negative_Q_exponent_is_none(self, data, d, k, e):
+        ctx = HeckeContext(3, 2)
+        a = data.draw(a_form_elements(ctx)) + ctx.scalar(ctx.ring.Q(k, -e))
+        g = qfactorial(d, ctx.ring)
+        assert a_form_quotient(a.scale(g), g) is None
+
+    def test_divisor_in_q_alone(self, ctx3):
+        ring = ctx3.ring
+        for g in (ring.Q(0), ring.q + ring.Q(1), ring.zero):
+            with pytest.raises(ValueError):
+                a_form_quotient(ctx3.T(1), g)
+
+    def test_zero_divides_to_zero(self, ctx3):
+        assert a_form_quotient(ctx3.zero(), qfactorial(3, ctx3.ring)).is_zero
 
 
 class TestMmu:
@@ -1008,8 +1068,8 @@ class TestSharedDifferences:
         shape = Shape((1, 1))
         D = ctx.T(1) - ctx.scalar(ctx.ring.q)
         verdicts = {}
-        first = _mm_check("f", {}, ctx, ((2,), (1,)), shape, "k", D, verdicts)
-        second = _mm_check("f", {}, ctx, ((1,), (2,)), shape, "k", D, verdicts)
+        first = _mm_check("f", {}, ctx, ((2,), (1,)), (2, 1), shape, "k", D, verdicts)
+        second = _mm_check("f", {}, ctx, ((1,), (2,)), (1, 2), shape, "k", D, verdicts)
         assert first["ok"]
         assert not second["ok"]
         mm = reference_m_mu(ctx, ((1,), (2,)), shape)
@@ -1018,11 +1078,11 @@ class TestSharedDifferences:
     def test_memo_keys_the_family_and_the_difference(self):
         ctx = HeckeContext(3, 2)
         shape = Shape((1, 1))
-        mu = ((2,), (1,))
+        mu, parts = ((2,), (1,)), (2, 1)
         q = ctx.scalar(ctx.ring.q)
         killed = ctx.T(1) - q
         alive = ctx.T(2) - q
         verdicts = {}
-        assert _mm_check("f", {}, ctx, mu, shape, "k", killed, verdicts)["ok"]
-        assert not _mm_check("f", {}, ctx, mu, shape, "j", alive, verdicts)["ok"]
-        assert not _mm_check("g", {}, ctx, mu, shape, "k", alive, verdicts)["ok"]
+        assert _mm_check("f", {}, ctx, mu, parts, shape, "k", killed, verdicts)["ok"]
+        assert not _mm_check("f", {}, ctx, mu, parts, shape, "j", alive, verdicts)["ok"]
+        assert not _mm_check("g", {}, ctx, mu, parts, shape, "k", alive, verdicts)["ok"]

@@ -1,9 +1,10 @@
 import json
+from itertools import product
 
 import pytest
 
 from cycloschur import schurops
-from cycloschur.coeff import EngineError, LaurentRing
+from cycloschur.coeff import EngineError, LaurentRing, qfactorial
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import elem_to_json, m_mu, m_mu_mul, t_bracket
 from cycloschur.schurops import (
@@ -141,25 +142,37 @@ class TestApplyWord:
 class TestDividedPowers:
     def test_d1_integral(self, sctx32):
         mu = ((1, 1), (1, 0))
-        quotient, integral = divided_power_image(sctx32, 1, +1, 0, 1, mu)
-        assert integral
+        quotient = divided_power_image(sctx32, 1, +1, 0, 1, mu)
         assert quotient == sctx32.apply_seq((X(+1, 1, 0),), mu)
 
     def test_d2_divides(self, sctx32):
         mu = ((0, 2), (1, 0))
-        quotient, integral = divided_power_image(sctx32, 1, +1, 0, 2, mu)
-        assert integral
+        quotient = divided_power_image(sctx32, 1, +1, 0, 2, mu)
+        assert quotient is not None
         assert not quotient.is_zero
 
     def test_overshoot_vanishes(self, sctx32):
         mu = ((1, 1), (1, 0))
-        quotient, _ = divided_power_image(sctx32, 1, +1, 0, 2, mu)
+        quotient = divided_power_image(sctx32, 1, +1, 0, 2, mu)
         assert quotient.is_zero
+
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_quotient_times_divisor_is_the_image(self, q_one):
+        # every divided power at n = 3, m = (2, 2): the A-form quotient times
+        # [d]! (d! at q = 1) gives back the image, and some are nonzero
+        sctx = SchurContext(3, Shape((2, 2)), q_one=q_one)
+        gamma_prime = range(1, sctx.shape.total)
+        nonzero = 0
+        for pos, sign, t, d, mu in product(gamma_prime, (+1, -1), (0, 1), (1, 2, 3), sctx.weights):
+            value = sctx.apply_seq(tuple([X(sign, pos, t)] * d), mu)
+            quotient = divided_power_image(sctx, pos, sign, t, d, mu)
+            assert quotient.scale(qfactorial(d, sctx.ring)) == value
+            nonzero += not quotient.is_zero
+        assert nonzero > 0
 
     def test_power_formula_with_cofactor(self, sctx32):
         # (X^+_t)^d (m_mu) = [d]! q^{-d mu_{i+1} + d^2} m_{mu + d alpha}
         #                     (L_{N+1}...L_{N+d})^t  H^+(N, mu_{i+1}, d)
-        from cycloschur.coeff import qfactorial
         from cycloschur.combinatorics import flatten, jm_position, unflatten
         from cycloschur.hecke import divided_t_bracket
 
