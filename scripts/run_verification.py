@@ -31,6 +31,7 @@ CAMPAIGN = [
     (("schur",), 2, 3, (1, 1, 1), 2),
     (("schur",), 4, 2, (2, 2), 0),
     (("q1",), 3, 2, (2, 2), 2),
+    (("q1",), 4, 2, (2, 2), 2),
     (("lie",), 2, 2, (2, 2), 2),
     (("lie",), 4, 1, (4,), 2),
 ]

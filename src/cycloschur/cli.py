@@ -16,6 +16,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import combinatorics as comb
 from . import liealg, symfun
@@ -80,6 +81,19 @@ def parse_int(text, what, least=None):
 def parse_blocks(text):
     """The comma-separated block sizes of ``-m``, each a positive integer."""
     return tuple(parse_int(x, "block size", least=1) for x in text.split(","))
+
+
+def check_out(path):
+    """Reject an ``--out`` that cannot name a file to write, before any work
+    runs: an existing directory, or a path in a directory that does not
+    exist.  No ``--out`` (None or empty) writes to stdout."""
+    if not path:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ParseError("--out names a directory", path, 0)
+    if not target.parent.is_dir():
+        raise ParseError("the directory of --out does not exist", path, 0)
 
 
 def parse_multipartition(text):
@@ -348,6 +362,7 @@ def main(argv=None):
             for flag, value, least in (("-n", args.n, 0), ("--deg", args.deg, 0),
                                        ("--dmax", args.dmax, 1)):
                 at_least(flag, value, least)
+            check_out(args.out)
             config = RunConfig(
                 n=args.n,
                 r=args.r,
@@ -371,6 +386,7 @@ def main(argv=None):
             args.m = parse_blocks(args.m)
             at_least("-r", args.r, 1)
             at_least("--deg", args.deg, 0)
+            check_out(args.out)
             return cmd_compute(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -283,9 +283,11 @@ class HeckeContext:
 
 class HeckeElem:
     """Normal-form element: dict (packed exponent key, permutation) ->
-    nonzero int or Fraction coefficient (see the module docstring)."""
+    nonzero int or Fraction coefficient (see the module docstring).
+    Instances are immutable by convention: the hash is computed once, on
+    first use, and kept."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx, terms):
         # terms must already be zero-free, with integral values as ints
@@ -302,7 +304,11 @@ class HeckeElem:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.terms.items()))
+            return h
 
     def __add__(self, other):
         return HeckeElem(self.ctx, _add_terms(self.terms, other.terms))

@@ -118,6 +118,7 @@ class LieContext:
             k = shape.junction(pos)
             if k is not None:
                 (self._jkey[pos],) = self.ring.Q(k).terms
+        self._empty = LieElem(self, {})  # every vanishing closed-form bracket
         self._bb_cache = {}
         self._antisymmetry = {}  # tuple of labels -> first violating pair or None
         self._vtau_cache = {}  # tau -> {label: matrix}
@@ -177,7 +178,7 @@ class LieContext:
         if abs(a[0] - a[1]) <= 1:
             out = self._gen_on_basis(a, b)
         elif abs(b[0] - b[1]) <= 1:
-            out = -self._gen_on_basis(b, a)
+            out = self._gen_on_basis(b, a, -1)
         else:
             g, a1 = _peel(a)
             origin, guard = self._origin, self._guard
@@ -207,17 +208,20 @@ class LieContext:
             )
         return self._antisymmetry[labels]
 
-    def _gen_on_basis(self, g, b):
-        """Closed-form bracket [generator, basis element]; every label of the
-        result carries a single monomial, +-1 or +-Q_k."""
+    def _gen_on_basis(self, g, b, sign=1):
+        """Closed-form bracket sign * [generator, basis element]; every label
+        of the result carries a single monomial, +-1 or +-Q_k.  A vanishing
+        bracket is the context's one empty element."""
         gp, gq, s = g
         p, q, t = b
         if gq == gp - 1:
             # lowering generator X^-_{a,s}: the minus transpose of the raising
             # bracket, [X^-_{a,s}, E[p,q;t]] = -[X^+_{a,s}, E[q,p;t]]^T
-            raised = self._gen_on_basis((gq, gp, s), (q, p, t))
+            raised = self._gen_on_basis((gq, gp, s), (q, p, t), -sign)
+            if not raised.terms:
+                return raised
             return LieElem(
-                self, {((v, u, d), k): -c for ((u, v, d), k), c in raised.terms.items()}
+                self, {((v, u, d), k): c for ((u, v, d), k), c in raised.terms.items()}
             )
         one = self._origin
         d = t + s
@@ -226,46 +230,46 @@ class LieContext:
             # diagonal generator I_{a,s}
             a = gp
             if p == q or a not in (p, q):
-                return self.zero()
-            return LieElem(self, {((p, q, d), one): 1 if a == p else -1})
+                return self._empty
+            return LieElem(self, {((p, q, d), one): sign if a == p else -sign})
 
         # raising generator X^+_{a,s}
         a = gp
         if p == q:
             if p == a:
-                return LieElem(self, {((a, a + 1, d), one): -1})
+                return LieElem(self, {((a, a + 1, d), one): -sign})
             if p == a + 1:
-                return LieElem(self, {((a, a + 1, d), one): 1})
-            return self.zero()
+                return LieElem(self, {((a, a + 1, d), one): sign})
+            return self._empty
         if p < q:
             if a == p - 1:
-                return LieElem(self, {((p - 1, q, d), one): 1})
+                return LieElem(self, {((p - 1, q, d), one): sign})
             if a == q:
-                return LieElem(self, {((p, q + 1, d), one): -1})
-            return self.zero()
+                return LieElem(self, {((p, q + 1, d), one): -sign})
+            return self._empty
         # p > q
         ell = p - q
         Q = self._jkey.get(a)
         if ell == 1 and a == p - 1:
             if Q is None:
                 return LieElem(
-                    self, {((p - 1, p - 1, d), one): 1, ((p, p, d), one): -1}
+                    self, {((p - 1, p - 1, d), one): sign, ((p, p, d), one): -sign}
                 )
             return LieElem(self, {
-                ((p - 1, p - 1, d), Q): -1,
-                ((p, p, d), Q): 1,
-                ((p - 1, p - 1, d + 1), one): 1,
-                ((p, p, d + 1), one): -1,
+                ((p - 1, p - 1, d), Q): -sign,
+                ((p, p, d), Q): sign,
+                ((p - 1, p - 1, d + 1), one): sign,
+                ((p, p, d + 1), one): -sign,
             })
         if ell > 1 and a == p - 1:
             if Q is None:
-                return LieElem(self, {((p - 1, q, d), one): 1})
-            return LieElem(self, {((p - 1, q, d), Q): -1, ((p - 1, q, d + 1), one): 1})
+                return LieElem(self, {((p - 1, q, d), one): sign})
+            return LieElem(self, {((p - 1, q, d), Q): -sign, ((p - 1, q, d + 1), one): sign})
         if ell > 1 and a == q:
             if Q is None:
-                return LieElem(self, {((p, q + 1, d), one): -1})
-            return LieElem(self, {((p, q + 1, d), Q): 1, ((p, q + 1, d + 1), one): -1})
-        return self.zero()
+                return LieElem(self, {((p, q + 1, d), one): -sign})
+            return LieElem(self, {((p, q + 1, d), Q): sign, ((p, q + 1, d + 1), one): -sign})
+        return self._empty
 
     # -- images of elements under a matrix representation -------------------
 

@@ -9,20 +9,26 @@ are right H-linear, so a label sequence maps m_mu to m_nu * h with h the
 product of its generators' right factors.  ``table`` gives a sequence's
 {mu: (nu, h)} over the weights of Lambda_{n,r}(m) at which h is nonzero, a
 dead weight never stored; it is built once, from the table of labels[:-1]
-and the table of the last label.  Building the table of X_t, t > 0, checks
-its closed form against the inductive definition.
+and the table of the last label.  The right factors are hash-consed per
+context: a product h_rest * h_1 is multiplied once per pair of factors (by
+content) and every right factor with the same terms is one object, so a
+repeated pair is a dict hit decided by identity.  Building the table of
+X_t, t > 0, checks its closed form against the inductive definition.
 
 ``op_equal`` decides an identity term-major: one table lookup per word term
 adds c * h for word a and -c * h for word b into one flat term dict per
 block (mu, nu), through ``HeckeElem.accumulate``.  Then, in weight order,
-m_nu is multiplied into each nonzero block A_nu - B_nu, and the first block
-that stays nonzero is the witness.  The decision is per block of the direct
-sum of the M^nu: the M^nu are not independent inside H, so a sum over nu in
-H can cancel a difference.  Differing right factors alone do not decide
-either: m_nu can kill the difference (it does in R6-diagonal at a junction).
-What kills it is x_nu: the (L_i - Q_k) factors of m_nu = x_nu * lprod only
-multiply the coefficient polynomials of the normal form by a nonzero
-polynomial, which never gives zero (see ``hecke.m_mu_mul``).
+each nonzero block D = A_nu - B_nu is tested for m_nu * D == 0, and the
+first block that fails is the witness.  The decision is per block of the
+direct sum of the M^nu: the M^nu are not independent inside H, so a sum
+over nu in H can cancel a difference.  Differing right factors alone do not
+decide either: m_nu can kill the difference (it does in R6-diagonal at a
+junction).  What kills it is x_nu: the (L_i - Q_k) factors of
+m_nu = x_nu * lprod only multiply the coefficient polynomials of the normal
+form by a nonzero polynomial, which never gives zero (see
+``hecke.m_mu_mul``).  So the test is x_nu * D == 0 (``hecke.x_mu_mul``),
+memoized per context on (ordered Young block sizes of nu, D); only the
+witness is multiplied by the whole m_nu, for the failure detail.
 
 Generator labels are tuples:
     ("K", sign, pos)        sign in {+1, -1}, pos in 1..m
@@ -38,7 +44,8 @@ from __future__ import annotations
 import json
 
 from . import combinatorics as comb
-from .hecke import EngineError, HeckeContext, elem_to_json, m_mu_mul, phi_jm, t_bracket
+from .hecke import (EngineError, HeckeContext, elem_to_json, m_mu_mul, phi_jm, t_bracket,
+                    x_mu_mul, young_parts)
 
 
 def K(sign, pos):
@@ -54,7 +61,8 @@ def X(sign, pos, t):
 
 
 class SchurContext:
-    """Fixes (n, r, m) and carries the Hecke engine plus the sequence tables."""
+    """Fixes (n, r, m) and carries the Hecke engine, the sequence tables and
+    the memos behind them, which live and die with the context."""
 
     def __init__(self, n, shape, q_one=False):
         self.n = n
@@ -62,7 +70,11 @@ class SchurContext:
         self.hctx = HeckeContext(n, shape.r, q_one=q_one)
         self.ring = self.hctx.ring
         self.weights = comb.enumerate_compositions(n, shape)
+        self._parts = {mu: young_parts(mu) for mu in self.weights}
         self._seq_cache = {}
+        self._factors = {}  # right factor -> the one object with its terms
+        self._products = {}  # (left factor, right factor) -> their product
+        self._verdicts = {}  # (young_parts(nu), block D) -> x_nu * D == 0
 
     # -- weights --------------------------------------------------------
 
@@ -141,7 +153,8 @@ class SchurContext:
         """The sequence applied to every m_mu (rightmost label first), as
         {mu: (nu, h)} with value m_nu * h, in weight order and only where h
         is nonzero.  Cached per sequence; sequences that share all but their
-        last label share that prefix's table."""
+        last label share that prefix's table, and each product of right
+        factors is taken once (``_product``)."""
         table = self._seq_cache.get(labels)
         if table is not None:
             return table
@@ -151,21 +164,33 @@ class SchurContext:
             for mu, (nu1, h1) in self.table(labels[-1:]).items():
                 hit = rest.get(nu1)
                 if hit is not None:
-                    h = hit[1] * h1
+                    h = self._product(hit[1], h1)
                     if not h.is_zero:
                         table[mu] = (hit[0], h)
         elif labels:
             for mu in self.weights:
                 nu, h = self.apply_gen(labels[0], mu)
                 if not h.is_zero:
-                    table[mu] = (nu, h)
+                    table[mu] = (nu, self._intern(h))
         else:
-            one = self.hctx.one()
+            one = self._intern(self.hctx.one())
             table = {mu: (mu, one) for mu in self.weights}
         self._seq_cache[labels] = table
         if len(labels) == 1 and labels[0][0] == "X" and labels[0][3] > 0:
             self._check_x_induction(labels[0])
         return table
+
+    def _intern(self, h):
+        """The one right factor of this context with the terms of h."""
+        return self._factors.setdefault(h, h)
+
+    def _product(self, left, right):
+        """left * right, multiplied once per pair of factors and interned."""
+        key = (left, right)
+        h = self._products.get(key)
+        if h is None:
+            h = self._products[key] = self._intern(self.hctx.mul(left, right))
+        return h
 
     def apply_seq(self, labels, mu):
         """The sequence applied to m_mu, expanded in the Hecke algebra."""
@@ -195,13 +220,22 @@ class SchurContext:
     def first_difference(self, blocks):
         """The first block of ``block_difference`` (weights mu in order) on
         which the operators differ, as (mu, nu, m_nu * (A_nu - B_nu)), or
-        None."""
-        hctx, shape = self.hctx, self.shape
+        None.  A nonzero block D is decided by x_nu * D == 0, once per
+        (ordered Young block sizes of nu, D): the order matters, T_1 - q is
+        killed by x_(2,1) = 1 + q T_1 and not by x_(1,2) = 1 + q T_2."""
+        hctx, verdicts = self.hctx, self._verdicts
         for mu in self.weights:
             for nu, out in blocks.get(mu, {}).items():
-                value = m_mu_mul(hctx, nu, shape, hctx.from_terms(out))
-                if not value.is_zero:
-                    return mu, nu, value
+                D = hctx.from_terms(out)
+                if D.is_zero:
+                    continue
+                parts = self._parts[nu]
+                key = (parts, D)
+                zero = verdicts.get(key)
+                if zero is None:
+                    zero = verdicts[key] = x_mu_mul(hctx, parts, D).is_zero
+                if not zero:
+                    return mu, nu, m_mu_mul(hctx, nu, self.shape, D)
         return None
 
     def op_equal(self, a, b):

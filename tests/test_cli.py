@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cycloschur import hecke, schurops
+from cycloschur import cli, hecke, schurops
 from cycloschur.suites import hecke as hecke_suite
 from cycloschur.suites import schur as schur_suite
 from cycloschur.cli import ParseError, main, parse_multipartition
@@ -173,6 +173,27 @@ class TestVerifyCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "lie", "-r", "1", "-m", "2", "--deg", "0"],
+        ["compute", "phi", "1", "3", "+"],
+    ])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
+                                             command, where):
+        # rejected before any suite or query runs
+        def not_run(*args):
+            raise AssertionError("ran before --out was checked")
+
+        monkeypatch.setitem(cli.RUNNERS, "lie", not_run)
+        monkeypatch.setattr(cli, "cmd_compute", not_run)
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+        assert main([*command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(out) in line
+        assert list(tmp_path.iterdir()) == []
+
     def test_phi_at_the_largest_k(self, capsys):
         # q^{2k-2} is the largest q power of Phi_0^- in k = 4096 variables
         assert main(["compute", "phi", "0", "4096", "-"]) == 0
@@ -319,6 +340,9 @@ def test_coset_heavy_hecke_suites_pinned(capsys):
      "49452c281489f9b3fa5eb8c7363a40b166767b0f01dcc84111e1351efdce2f95"),
     (["-n", "4", "-r", "2", "-m", "2,2", "--deg", "0", "--q1"], 1769,
      "a018ce117740ce6935bd307e7b83da723b05295cb24efaff8ade4bd51843c859"),
+    # recorded before the table products and block verdicts were memoized
+    (["-n", "3", "-r", "2", "-m", "2,2", "--deg", "2"], 3213,
+     "c4ebb7614ec448d7e581af24720338c9b33f449a0e0d566e57d4846d865fa8eb"),
 ])
 def test_heavy_schur_suites_pinned(capsys, argv, total, digest):
     assert main(["verify", "--suite", "schur", *argv]) == 0
@@ -326,6 +350,23 @@ def test_heavy_schur_suites_pinned(capsys, argv, total, digest):
     assert suites["schur"]["total"] == total
     canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+# A failing run: R4 and R5 with the q-power of every q-commutator off by
+# one.  The digest covers the 288 failed checks with their witness weights,
+# target weights and the terms of m_nu * (A_nu - B_nu); it was recorded
+# before the table products and block verdicts were memoized.
+def test_failing_schur_run_pinned(capsys, monkeypatch):
+    real = schur_suite.ow_qcomm
+    monkeypatch.setattr(schur_suite, "ow_qcomm", lambda ring, a, b, e: real(ring, a, b, e + 1))
+    argv = ["verify", "--suite", "schur", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "1"]
+    assert main(argv) == 1
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert (suites["schur"]["total"], len(suites["schur"]["failed"])) == (1628, 288)
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "130449d77c45c62a283f399b997745858d00ba42117c2b470ee3483bf988c1e2"
+    )
 
 
 # Shapes where the plus and minus sides differ: r = 2 Hecke windows (the

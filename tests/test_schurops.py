@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from itertools import product
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from cycloschur import schurops
 from cycloschur.coeff import EngineError, LaurentRing, qfactorial
 from cycloschur.combinatorics import Shape
-from cycloschur.hecke import elem_to_json, m_mu, m_mu_mul, t_bracket
+from cycloschur.hecke import elem_to_json, m_mu, m_mu_mul, t_bracket, x_mu_mul
 from cycloschur.schurops import (
     I,
     K,
@@ -362,6 +364,92 @@ class TestRightFactors:
         # (X^+_1)^3 moves three nodes, more than n = 2: dead on every weight
         assert sctx22.table((X(+1, 1, 0),) * 3) == {}
         assert sctx22.table((X(+1, 1, 0),) * 2)
+
+
+def counting_mul(monkeypatch, hctx):
+    """Record the factors of every ``hctx.mul`` call, by content."""
+    calls = []
+    real = hctx.mul
+
+    def mul(a, b):
+        calls.append((frozenset(a.terms.items()), frozenset(b.terms.items())))
+        return real(a, b)
+
+    monkeypatch.setattr(hctx, "mul", mul)
+    return calls
+
+
+class TestMemos:
+    @pytest.mark.parametrize("q_one,words", [
+        (False, relation_words), (True, q1_relation_words),
+    ])
+    def test_one_mul_per_distinct_factor_pair(self, monkeypatch, q_one, words):
+        sctx = SchurContext(3, Shape((2, 2)), q_one=q_one)
+        calls = counting_mul(monkeypatch, sctx.hctx)
+        sequences = {
+            labels
+            for _name, _params, lhs, rhs in words(sctx, 1, 1, 1)
+            for _coeff, labels in lhs + rhs
+        }
+        for labels in sequences:
+            sctx.table(labels)
+        assert len(calls) == len(set(calls)) == len(sctx._products) > 100
+        # every table value is the one object with its terms
+        values = [h for table in sctx._seq_cache.values() for _nu, h in table.values()]
+        assert len({id(h) for h in values}) == len(set(values)) < len(values)
+        # each table entry is still the product of its sequence's generators
+        for labels, table in sctx._seq_cache.items():
+            for mu, (nu, h) in table.items():
+                assert chain(sctx, labels, mu) == (nu, h)
+
+    def test_block_verdict_is_keyed_by_ordered_parts_and_block(self):
+        # T_1 - q is killed by x_(2,1) = 1 + q T_1, not by x_(1,2) = 1 + q T_2
+        sctx = SchurContext(3, Shape((2, 2)))
+        hc, ring, shape = sctx.hctx, sctx.ring, sctx.shape
+        nu21, nu12 = ((2, 1), (0, 0)), ((1, 2), (0, 0))
+        mu = sctx.weights[0]
+
+        def row(nu, D):
+            out = {}
+            D.accumulate(ring.one, out)
+            return {mu: {nu: out}}
+
+        D = hc.T(1) - hc.scalar(ring.q)
+        assert sctx.first_difference(row(nu21, D)) is None
+        value = m_mu_mul(hc, nu12, shape, D)
+        assert sctx.first_difference(row(nu12, D)) == (mu, nu12, value)
+        # the witness carries m_nu D, not the x_nu D that decided it
+        assert value != x_mu_mul(hc, (1, 2), D)
+        # another block under the parts (2, 1) is decided afresh
+        D2 = hc.T(1) + hc.one()
+        assert sctx.first_difference(row(nu21, D2)) == (
+            mu, nu21, m_mu_mul(hc, nu21, shape, D2))
+        assert set(sctx._verdicts) == {((2, 1), D), ((1, 2), D), ((2, 1), D2)}
+
+    def test_cancelled_block_is_skipped(self, sctx22):
+        hc, ring = sctx22.hctx, sctx22.ring
+        mu = sctx22.weights[0]
+        out = {}
+        hc.T(1).accumulate(ring.one, out)
+        hc.T(1).accumulate(ring.one, out, -1)
+        assert sctx22.first_difference({mu: {mu: out}}) is None
+
+    def test_memos_die_with_their_context(self, monkeypatch):
+        labels = (X(-1, 2, 1), I(+1, 2, 1), X(+1, 1, 0))
+        sctx = SchurContext(3, Shape((2, 2)))
+        sctx.table(labels)
+        assert not sctx.op_equal(ow(sctx.ring, K(+1, 1)), ow(sctx.ring, K(-1, 1)))[0]
+        assert sctx._products and sctx._verdicts
+        ref = weakref.ref(sctx.hctx)
+        del sctx
+        gc.collect()
+        assert ref() is None
+        # a new context shares nothing and multiplies every pair again
+        fresh = SchurContext(3, Shape((2, 2)))
+        assert not (fresh._factors or fresh._products or fresh._verdicts)
+        calls = counting_mul(monkeypatch, fresh.hctx)
+        fresh.table(labels)
+        assert len(calls) == len(fresh._products) > 0
 
 
 class TestBlocks:
