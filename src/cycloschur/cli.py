@@ -206,7 +206,6 @@ def cmd_verify(config):
 
 def cmd_compute(args):
     r = args.r
-    out = None
     if args.query == "character":
         shape = Shape(tuple(args.m))
         lam = parse_multipartition(args.args[0])
@@ -275,7 +274,7 @@ def cmd_compute(args):
             "count": len(tabs),
             "tableaux": [comb.tableau_to_json(lam, tab) for tab in tabs],
         }
-    elif args.query == "structure-constants":
+    else:  # structure-constants; argparse admits no other query
         shape = Shape(tuple(args.m))
         lctx = liealg.LieContext(shape)
         deg = args.deg
@@ -293,10 +292,12 @@ def cmd_compute(args):
                     )
         out = {"query": "structure-constants", "m": list(shape.m), "deg": deg,
                "table": table}
-    else:
-        raise ParseError(f"unknown query {args.query!r}", args.query, 0)
     _write_json(out, args.out)
     return 0
+
+
+_N_QUERY_ARGS = {"character": 1, "lr": 2, "phi": 3, "tableaux": 2,
+                 "structure-constants": 0}
 
 
 def build_parser():
@@ -320,8 +321,7 @@ def build_parser():
     pv.add_argument("--q1", action="store_true", help="run at q = 1")
 
     pc = sub.add_parser("compute", help="compute one object as JSON")
-    pc.add_argument("query", choices=["character", "lr", "phi", "tableaux",
-                                      "structure-constants"])
+    pc.add_argument("query", choices=list(_N_QUERY_ARGS))
     pc.add_argument("args", nargs="*",
                     help="query arguments, e.g. multipartition literals '((2,1),())'")
     pc.add_argument("-r", type=int, default=1)
@@ -329,10 +329,6 @@ def build_parser():
     pc.add_argument("--deg", type=int, default=1)
     pc.add_argument("--out", default=None)
     return parser
-
-
-_N_QUERY_ARGS = {"character": 1, "lr": 2, "phi": 3, "tableaux": 2,
-                 "structure-constants": 0}
 
 
 def main(argv=None):
@@ -375,19 +371,19 @@ def main(argv=None):
                 q1=args.q1,
             )
             return cmd_verify(config)
-        if args.command == "compute":
-            expected = _N_QUERY_ARGS[args.query]
-            if len(args.args) != expected:
-                raise ParseError(
-                    f"{args.query} needs {expected} argument(s)",
-                    " ".join(args.args),
-                    0,
-                )
-            args.m = parse_blocks(args.m)
-            at_least("-r", args.r, 1)
-            at_least("--deg", args.deg, 0)
-            check_out(args.out)
-            return cmd_compute(args)
+        # the subcommand is required, so it is compute
+        expected = _N_QUERY_ARGS[args.query]
+        if len(args.args) != expected:
+            raise ParseError(
+                f"{args.query} needs {expected} argument(s)",
+                " ".join(args.args),
+                0,
+            )
+        args.m = parse_blocks(args.m)
+        at_least("-r", args.r, 1)
+        at_least("--deg", args.deg, 0)
+        check_out(args.out)
+        return cmd_compute(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -397,7 +393,6 @@ def main(argv=None):
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ flat keys, rewriting their q slot, and builds no ``MultiLaurent`` either.
 The cyclic generators m_mu are never multiplied in as elements:
 ``m_mu_mul`` applies their factors to the right operand, the coset sweep of
 ``x_mu_mul`` per Young-subgroup level and a key shift per (L_i - Q_k), and
-``m_mu`` is that sweep applied to 1.
+``m_mu`` is that sweep applied to 1.  Whether m_mu kills an element is
+decided in one place, ``m_mu_kills``, for the Hecke suite's m_mu identities
+and the Schur block verdicts alike.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class HeckeContext:
         self._id = perm_id(n)
         self._zero_c = (0,) * n
         self._rw_cache = {self._id: ()}
-        self._mmu_cache = {}
+        self._kills = {}  # (young_parts(mu), D) -> m_mu * D == 0
         # a ring key sits above the n L slots
         sh = self._ring_shift = _W * n
         self._origin = _slots(_BIAS, n) + (self.ring.origin << sh)  # key of 1
@@ -470,13 +472,8 @@ def m_mu_mul(ctx, mu, shape, D):
     preserves 1..a_k), so it is applied after x_mu, each factor as a shift of
     L_i minus a shift of Q_k: a left multiplication by L_i only adds to the
     exponent key.  Applying the L factors first would make every coset level
-    work on 2^a times the terms.
-
-    The L factors never change whether the product is zero: on the normal
-    form sum_w f_w(L) T_w, left multiplication by lprod multiplies each
-    coefficient polynomial f_w by the nonzero polynomial lprod(L), and the
-    polynomial ring in the L's over the Laurent ring is a domain, at q = 1
-    too.  So m_mu D = 0 exactly when x_mu D = 0."""
+    work on 2^a times the terms.  To decide m_mu * D == 0, use
+    ``m_mu_kills``."""
     if not D.terms:
         return D
     D = x_mu_mul(ctx, young_parts(mu), D)
@@ -492,13 +489,29 @@ def m_mu_mul(ctx, mu, shape, D):
     return D
 
 
+def m_mu_kills(ctx, mu, D):
+    """Whether m_mu * D == 0, decided as x_mu * D == 0 and memoized on the
+    context by content, (``young_parts(mu)``, D).
+
+    The L factors never change whether the product is zero: m_mu = lprod *
+    x_mu, and on the normal form sum_w f_w(L) T_w left multiplication by
+    lprod = prod (L_i - Q_k) multiplies each coefficient polynomial f_w by
+    the nonzero polynomial lprod(L); the polynomial ring in the L's over the
+    Laurent ring is a domain, at q = 1 too.  So m_mu D = 0 exactly when
+    x_mu D = 0.  The order of the Young blocks matters: T_1 - q is killed by
+    x_(2,1) = 1 + q T_1 and not by x_(1,2) = 1 + q T_2."""
+    parts = young_parts(mu)
+    key = (parts, D)
+    killed = ctx._kills.get(key)
+    if killed is None:
+        killed = ctx._kills[key] = x_mu_mul(ctx, parts, D).is_zero
+    return killed
+
+
 def m_mu(ctx, mu, shape):
     """The element m_mu: the q-weighted Young-subgroup sum times the shifted
     Jucys-Murphy product prod_{k<r} prod_{i<=a_k} (L_i - Q_k)."""
-    cached = ctx._mmu_cache.get(mu)
-    if cached is None:
-        cached = ctx._mmu_cache[mu] = m_mu_mul(ctx, mu, shape, ctx.one())
-    return cached
+    return m_mu_mul(ctx, mu, shape, ctx.one())
 
 
 def t_chain(ctx, s, h, sign):

@@ -23,12 +23,8 @@ first block that fails is the witness.  The decision is per block of the
 direct sum of the M^nu: the M^nu are not independent inside H, so a sum
 over nu in H can cancel a difference.  Differing right factors alone do not
 decide either: m_nu can kill the difference (it does in R6-diagonal at a
-junction).  What kills it is x_nu: the (L_i - Q_k) factors of
-m_nu = x_nu * lprod only multiply the coefficient polynomials of the normal
-form by a nonzero polynomial, which never gives zero (see
-``hecke.m_mu_mul``).  So the test is x_nu * D == 0 (``hecke.x_mu_mul``),
-memoized per context on (ordered Young block sizes of nu, D); only the
-witness is multiplied by the whole m_nu, for the failure detail.
+junction).  Each block is decided by ``hecke.m_mu_kills``; only the witness
+is multiplied by the whole m_nu, for the failure detail.
 
 Generator labels are tuples:
     ("K", sign, pos)        sign in {+1, -1}, pos in 1..m
@@ -44,8 +40,8 @@ from __future__ import annotations
 import json
 
 from . import combinatorics as comb
-from .hecke import (EngineError, HeckeContext, elem_to_json, m_mu_mul, phi_jm, t_bracket,
-                    x_mu_mul, young_parts)
+from .hecke import (EngineError, HeckeContext, elem_to_json, m_mu_kills, m_mu_mul, phi_jm,
+                    t_bracket)
 
 
 def K(sign, pos):
@@ -70,11 +66,9 @@ class SchurContext:
         self.hctx = HeckeContext(n, shape.r, q_one=q_one)
         self.ring = self.hctx.ring
         self.weights = comb.enumerate_compositions(n, shape)
-        self._parts = {mu: young_parts(mu) for mu in self.weights}
         self._seq_cache = {}
         self._factors = {}  # right factor -> the one object with its terms
         self._products = {}  # (left factor, right factor) -> their product
-        self._verdicts = {}  # (young_parts(nu), block D) -> x_nu * D == 0
 
     # -- weights --------------------------------------------------------
 
@@ -220,21 +214,12 @@ class SchurContext:
     def first_difference(self, blocks):
         """The first block of ``block_difference`` (weights mu in order) on
         which the operators differ, as (mu, nu, m_nu * (A_nu - B_nu)), or
-        None.  A nonzero block D is decided by x_nu * D == 0, once per
-        (ordered Young block sizes of nu, D): the order matters, T_1 - q is
-        killed by x_(2,1) = 1 + q T_1 and not by x_(1,2) = 1 + q T_2."""
-        hctx, verdicts = self.hctx, self._verdicts
+        None.  A nonzero block D is decided by ``m_mu_kills``."""
+        hctx = self.hctx
         for mu in self.weights:
             for nu, out in blocks.get(mu, {}).items():
                 D = hctx.from_terms(out)
-                if D.is_zero:
-                    continue
-                parts = self._parts[nu]
-                key = (parts, D)
-                zero = verdicts.get(key)
-                if zero is None:
-                    zero = verdicts[key] = x_mu_mul(hctx, parts, D).is_zero
-                if not zero:
+                if not (D.is_zero or m_mu_kills(hctx, nu, D)):
                     return mu, nu, m_mu_mul(hctx, nu, self.shape, D)
         return None
 

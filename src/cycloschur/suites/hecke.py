@@ -1,19 +1,18 @@
 """The Hecke-engine suite: the Jucys-Murphy normal form, the commutation
 lemma for T_i against L_j, the m_mu and bracket identities and the divided
 brackets with their cofactors.  The identities m_mu X = m_mu Y are decided
-as x_mu (X - Y) = 0, which is equivalent (see ``_mm_check``).  X - Y is
-built from the small factors once per distinct input of a ``verify_*``
-call, and each verdict once per family, Young subgroup and difference;
-m_mu (X - Y) is built (``m_mu_mul``) only for a failing check's detail."""
+by ``hecke.m_mu_kills`` on X - Y, which is built from the small factors once
+per distinct input of a ``verify_*`` call; m_mu (X - Y) is built
+(``m_mu_mul``) only for a failing check's detail."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from .. import combinatorics as comb
-from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu, m_mu_mul,
-                     phi_jm, stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial,
-                     x_mu_mul, young_parts)
+from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu, m_mu_kills,
+                     m_mu_mul, phi_jm, stacked_bracket, t_bracket, t_chain, t_paren,
+                     t_paren_factorial)
 from ..reporting import PM, check
 
 
@@ -166,22 +165,11 @@ def verify_divided_brackets(ctx, dmax=3):
     return checks
 
 
-def _mm_check(name, params, ctx, mu, parts, shape, key, diff, verdicts):
-    """Record m_mu X == m_mu Y from diff = X - Y, the difference with key
-    ``key`` in family ``name``, with ``parts`` = ``young_parts(mu)``.
-    m_mu = lprod * x_mu, and left multiplication by lprod = prod (L_i - Q_k)
-    multiplies each coefficient polynomial f_w(L) of the normal form
-    sum_w f_w(L) T_w by a nonzero polynomial, in a domain (at q = 1 too), so
-    m_mu D = 0 exactly when x_mu D = 0.  The check decides the latter, once
-    per (family, ordered Young block sizes, key) in the memo ``verdicts``;
-    the block order matters (T_1 - q is killed by x_(2,1) = 1 + q T_1, not
-    by x_(1,2) = 1 + q T_2).  Only on failure is m_mu (X - Y) built, and
-    ``detail`` holds its first three terms."""
-    memo = (name, parts, key)
-    ok = verdicts.get(memo)
-    if ok is None:
-        ok = verdicts[memo] = x_mu_mul(ctx, parts, diff).is_zero
-    if ok:
+def _mm_check(name, params, ctx, mu, shape, diff):
+    """Record m_mu X == m_mu Y from diff = X - Y, decided by ``m_mu_kills``.
+    Only on failure is m_mu (X - Y) built, and ``detail`` holds its first
+    three terms."""
+    if m_mu_kills(ctx, mu, diff):
         return check(name, params, True)
     value = m_mu_mul(ctx, mu, shape, diff)
     return check(name, params, False, {"lhs_minus_rhs": elem_to_json(value)[:3]})
@@ -205,9 +193,8 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
     built once per call."""
     checks = []
     diffs = {}
-    verdicts = {}
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        flat, parts = comb.flatten(mu), young_parts(mu)
+        flat = comb.flatten(mu)
         for pos in shape.positions():
             N = comb.jm_position(mu, shape.node(pos), shape)
             succ = flat[pos] if pos < shape.total else 0
@@ -220,9 +207,7 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
                         if diff is None:
                             diff = diffs[key] = _lt_difference(ctx, *key)
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(
-                            _mm_check(name, params, ctx, mu, parts, shape, key, diff, verdicts)
-                        )
+                        checks.append(_mm_check(name, params, ctx, mu, shape, diff))
     return checks
 
 
@@ -285,9 +270,8 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
     (N, m_i, m_{i+1}, t), so each set is built once per call."""
     checks = []
     diffs = {}
-    verdicts = {}
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        flat, parts = comb.flatten(mu), young_parts(mu)
+        flat = comb.flatten(mu)
         for pos in range(1, shape.total):
             N = comb.jm_position(mu, shape.node(pos), shape)
             for t in range(0, tmax + 1):
@@ -298,9 +282,7 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
                 params = {"mu": mu, "pos": pos, "t": t}
                 for name, diff in zip(ETC_FAMILIES, found):
                     if diff is not None:
-                        checks.append(
-                            _mm_check(name, params, ctx, mu, parts, shape, key, diff, verdicts)
-                        )
+                        checks.append(_mm_check(name, params, ctx, mu, shape, diff))
     return checks
 
 

@@ -76,6 +76,14 @@ class TestComputeCommands:
     def test_wrong_arity_exit_2(self, capsys):
         assert main(["compute", "lr", "((1))"]) == 2
 
+    def test_unknown_query_exit_2(self, capsys):
+        assert main(["compute", "nosuch"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_no_subcommand_exit_2(self, capsys):
+        assert main([]) == 2
+        assert "required" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lam,mu", [("((1),())", "((1),())"), ("((1),(),())", "((1),())")])
     def test_tableaux_component_count_exit_2(self, capsys, lam, mu):
         assert main(["compute", "tableaux", lam, mu, "-m", "2,2,2"]) == 2

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from cycloschur.hecke import (
     divided_t_bracket,
     elem_to_json,
     m_mu,
+    m_mu_kills,
     m_mu_mul,
     phi_jm,
     reduced_word,
@@ -570,8 +573,9 @@ def x_mu_operands(draw, ctx, mu):
 
 
 class TestXmuMul:
-    """x_mu_mul against the enumerated Young sum, and its zero test against
-    m_mu_mul's: the (L_i - Q_k) factors never make a product zero."""
+    """x_mu_mul against the enumerated Young sum, and its zero test, which
+    ``m_mu_kills`` makes, against m_mu_mul's: the (L_i - Q_k) factors never
+    make a product zero."""
 
     # r >= 2, so the L product of m_mu is nontrivial for most weights
     @pytest.mark.parametrize("n,m,q_one", [
@@ -588,12 +592,77 @@ class TestXmuMul:
         value = x_mu_mul(ctx, young_parts(mu), D)
         assert value == young_subgroup_sum(ctx, mu) * D
         assert value.is_zero == m_mu_mul(ctx, mu, shape, D).is_zero
+        # asked twice, the second time from the memo
+        assert m_mu_kills(ctx, mu, D) == m_mu_kills(ctx, mu, D) == value.is_zero
         if killed:
             assert value.is_zero
 
     def test_parts_are_the_ordered_nonzero_blocks(self):
         assert young_parts(((2, 0), (1,), (0, 3))) == (2, 1, 3)
         assert young_parts(((0,), (0,))) == ()
+
+
+class TestMmuKills:
+    """The memo of m_mu_kills, the one decision of m_mu * D == 0 (its
+    verdicts are tested in ``TestXmuMul``)."""
+
+    def test_keys_the_ordered_blocks(self):
+        # the same difference under x_(2,1) and x_(1,2): a memo keyed by the
+        # sorted or unordered blocks would hand the second the first's verdict
+        ctx = HeckeContext(3, 2)
+        shape = Shape((1, 1))
+        D = ctx.T(1) - ctx.scalar(ctx.ring.q)
+        first = _mm_check("f", {}, ctx, ((2,), (1,)), shape, D)
+        second = _mm_check("f", {}, ctx, ((1,), (2,)), shape, D)
+        assert first["ok"]
+        assert not second["ok"]
+        assert set(ctx._kills) == {((2, 1), D), ((1, 2), D)}
+        mm = reference_m_mu(ctx, ((1,), (2,)), shape)
+        assert second["detail"] == {"lhs_minus_rhs": elem_to_json(mm * D)[:3]}
+
+    def test_a_new_difference_is_decided_afresh(self):
+        ctx = HeckeContext(3, 2)
+        mu = ((2,), (1,))
+        q = ctx.scalar(ctx.ring.q)
+        assert m_mu_kills(ctx, mu, ctx.T(1) - q)
+        assert not m_mu_kills(ctx, mu, ctx.T(2) - q)
+        # equal contents are one question, however the element was built
+        assert m_mu_kills(ctx, mu, -q + ctx.T(1))
+        assert len(ctx._kills) == 2
+
+    def test_memo_dies_with_its_context(self):
+        ctx = HeckeContext(3, 2)
+        D = ctx.T(1) - ctx.scalar(ctx.ring.q)
+        assert m_mu_kills(ctx, ((2,), (1,)), D)
+        assert ctx._kills
+        ref = weakref.ref(ctx)
+        del ctx, D
+        gc.collect()
+        assert ref() is None
+        assert not HeckeContext(3, 2)._kills
+
+    def test_one_sweep_per_distinct_question(self, monkeypatch):
+        # the m_mu identity families ask about equal (blocks, difference)
+        # pairs under different families, weights and difference keys
+        real_x, real_kills = hecke_mod.x_mu_mul, hecke_mod.m_mu_kills
+        sweeps, asked = [], []
+
+        def counted_x(ctx, parts, D):
+            sweeps.append((parts, D))
+            return real_x(ctx, parts, D)
+
+        def counted_kills(ctx, mu, D):
+            asked.append((young_parts(mu), D))
+            return real_kills(ctx, mu, D)
+
+        monkeypatch.setattr(hecke_mod, "x_mu_mul", counted_x)
+        monkeypatch.setattr(suite_mod, "m_mu_kills", counted_kills)
+        ctx = HeckeContext(3, 3)
+        shape = Shape((2, 2, 2))
+        checks = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
+        assert all(c["ok"] for c in checks)
+        assert len(sweeps) == len(set(sweeps)) == len(set(asked)) < len(asked)
+        assert set(sweeps) == set(asked)
 
 
 class TestBrackets:
@@ -989,7 +1058,7 @@ class TestMmuDifferences:
         (pinned,) = [
             c for c in verify_m_mu_L_T(ctx, shape)
             if c["check"] == "m-mu-L-T-ii"
-            and c["params"] == {"mu": [[0], [1, 2]], "pos": 2, "t": 0, "p": 2}
+            and c["params"] == {"mu": ((0,), (1, 2)), "pos": 2, "t": 0, "p": 2}
         ]
         assert pinned["ok"] and "detail" not in pinned
 
@@ -1017,7 +1086,7 @@ class TestMmuDifferences:
         (c,) = [
             c for c in verify_m_mu_L_T(ctx, shape)
             if c["check"] == "m-mu-L-T-ii"
-            and c["params"] == {"mu": [[0], [1, 2]], "pos": 2, "t": 1, "p": 2}
+            and c["params"] == {"mu": ((0,), (1, 2)), "pos": 2, "t": 1, "p": 2}
         ]
         mm = m_mu(ctx, mu, shape)
         lhs = mm * ctx.L(2) * t_bracket(ctx, 1, 2, +1)
@@ -1028,7 +1097,7 @@ class TestMmuDifferences:
 
 class TestSharedDifferences:
     """Each difference is built once per distinct input of a ``verify_*``
-    call, and each zero test once per (family, Young blocks, difference)."""
+    call."""
 
     @staticmethod
     def _builds(monkeypatch, name, verify, m):
@@ -1060,29 +1129,3 @@ class TestSharedDifferences:
         real = hecke_mod.phi_jm
         monkeypatch.setattr(suite_mod, "phi_jm", lambda *a: real(*a).scale(2))
         assert not all(c["ok"] for c in verify_m_mu_L_T(HeckeContext(3, 2), shape))
-
-    def test_memo_keys_the_block_order(self):
-        # the same difference under x_(2,1) and x_(1,2): a memo keyed by the
-        # sorted or unordered blocks would hand the second the first's verdict
-        ctx = HeckeContext(3, 2)
-        shape = Shape((1, 1))
-        D = ctx.T(1) - ctx.scalar(ctx.ring.q)
-        verdicts = {}
-        first = _mm_check("f", {}, ctx, ((2,), (1,)), (2, 1), shape, "k", D, verdicts)
-        second = _mm_check("f", {}, ctx, ((1,), (2,)), (1, 2), shape, "k", D, verdicts)
-        assert first["ok"]
-        assert not second["ok"]
-        mm = reference_m_mu(ctx, ((1,), (2,)), shape)
-        assert second["detail"] == {"lhs_minus_rhs": elem_to_json(mm * D)[:3]}
-
-    def test_memo_keys_the_family_and_the_difference(self):
-        ctx = HeckeContext(3, 2)
-        shape = Shape((1, 1))
-        mu, parts = ((2,), (1,)), (2, 1)
-        q = ctx.scalar(ctx.ring.q)
-        killed = ctx.T(1) - q
-        alive = ctx.T(2) - q
-        verdicts = {}
-        assert _mm_check("f", {}, ctx, mu, parts, shape, "k", killed, verdicts)["ok"]
-        assert not _mm_check("f", {}, ctx, mu, parts, shape, "j", alive, verdicts)["ok"]
-        assert not _mm_check("g", {}, ctx, mu, parts, shape, "k", alive, verdicts)["ok"]

@@ -24,6 +24,28 @@ def test_engines_load_no_suite_code():
     assert loaded == []
 
 
+def _uses(private, owners):
+    """(file, line, name) for each use of a name in ``private`` by a src
+    module other than the ``owners``: imported, read as an attribute or
+    named."""
+    src = Path(cycloschur.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.relative_to(src).as_posix() in owners:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            found += [(path.name, node.lineno, n) for n in sorted(names & private)]
+    return found
+
+
 # The slot layout of a packed exponent key is known to coeff, which defines
 # it, and to hecke, which places a ring key above its L slots; every other
 # module works with whole keys.
@@ -31,21 +53,7 @@ PACKING = {"_W", "_BIAS", "_MASK", "_GUARD", "_pack", "_unpack", "_slots"}
 
 
 def test_only_coeff_and_hecke_know_the_key_layout():
-    src = Path(cycloschur.__file__).parent
-    found = []
-    for path in sorted(src.rglob("*.py")):
-        if path.relative_to(src).as_posix() in ("coeff.py", "hecke.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            else:
-                continue
-            found += [(path.name, node.lineno, n) for n in sorted(names & PACKING)]
-    assert found == []
-
+    assert _uses(PACKING, ("coeff.py", "hecke.py")) == []
 
 
 # The ring shift of a Hecke key and the key-shifting accumulator are the
@@ -55,12 +63,13 @@ HECKE_PRIVATE = {"_ring_shift", "_shifted"}
 
 
 def test_only_hecke_shifts_hecke_keys():
-    src = Path(cycloschur.__file__).parent
-    found = []
-    for path in sorted(src.rglob("*.py")):
-        if path.relative_to(src).as_posix() == "hecke.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in HECKE_PRIVATE:
-                found.append((path.name, node.lineno, node.attr))
-    assert found == []
+    assert _uses(HECKE_PRIVATE, ("hecke.py",)) == []
+
+
+# Whether m_mu kills an element is decided behind ``hecke.m_mu_kills``: the
+# Young-sum sweep and the block sizes it runs on are not used elsewhere.
+KILLS_PRIVATE = {"x_mu_mul", "young_parts"}
+
+
+def test_only_hecke_decides_m_mu_kills():
+    assert _uses(KILLS_PRIVATE, ("hecke.py",)) == []

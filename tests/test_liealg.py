@@ -416,7 +416,7 @@ class TestChecksCanFail:
         (leading,) = _by_name(checks, "gr-leading-term")
         assert filtration == {
             "check": "gr-filtration",
-            "params": {"shape": [2, 2], "deg_cap": 2},
+            "params": {"shape": (2, 2), "deg_cap": 2},
             "ok": False,
             "detail": str(low),
         }
@@ -637,7 +637,7 @@ class TestNoInstances:
         (c,) = verify_jacobi(lctx, deg_cap=2, sample=0)
         assert c == {
             "check": "jacobi",
-            "params": {"shape": [2, 2], "deg_cap": 2, "triples": 0},
+            "params": {"shape": (2, 2), "deg_cap": 2, "triples": 0},
             "ok": False,
             "detail": "no instances",
         }
@@ -831,6 +831,6 @@ class TestAntisymmetryFirst:
         (c,) = verify_jacobi(LieContext(Shape((1,))), deg_cap=0)
         assert c == {
             "check": "jacobi",
-            "params": {"shape": [1], "deg_cap": 0, "triples": 1},
+            "params": {"shape": (1,), "deg_cap": 0, "triples": 1},
             "ok": True,
         }

@@ -424,7 +424,7 @@ class TestMemos:
         D2 = hc.T(1) + hc.one()
         assert sctx.first_difference(row(nu21, D2)) == (
             mu, nu21, m_mu_mul(hc, nu21, shape, D2))
-        assert set(sctx._verdicts) == {((2, 1), D), ((1, 2), D), ((2, 1), D2)}
+        assert set(hc._kills) == {((2, 1), D), ((1, 2), D), ((2, 1), D2)}
 
     def test_cancelled_block_is_skipped(self, sctx22):
         hc, ring = sctx22.hctx, sctx22.ring
@@ -439,14 +439,14 @@ class TestMemos:
         sctx = SchurContext(3, Shape((2, 2)))
         sctx.table(labels)
         assert not sctx.op_equal(ow(sctx.ring, K(+1, 1)), ow(sctx.ring, K(-1, 1)))[0]
-        assert sctx._products and sctx._verdicts
+        assert sctx._products and sctx.hctx._kills
         ref = weakref.ref(sctx.hctx)
         del sctx
         gc.collect()
         assert ref() is None
         # a new context shares nothing and multiplies every pair again
         fresh = SchurContext(3, Shape((2, 2)))
-        assert not (fresh._factors or fresh._products or fresh._verdicts)
+        assert not (fresh._factors or fresh._products or fresh.hctx._kills)
         calls = counting_mul(monkeypatch, fresh.hctx)
         fresh.table(labels)
         assert len(calls) == len(fresh._products) > 0
