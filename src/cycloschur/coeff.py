@@ -16,7 +16,9 @@ A monomial of the ring is one packed ``int`` key (see "packed exponent
 keys" below), and this module is the only one that knows the slot layout:
 ``MultiLaurent.terms`` is keyed by it, ``LieElem``, the Lie matrices and
 ``SymPoly`` pair the keys of ``MultiLaurent`` as they are with a label or
-x-exponents, and ``hecke`` places a key above its L slots with one shift.
+x-exponents, operator words in ``schurops`` carry ``MultiLaurent.terms`` as
+their coefficients, and ``hecke`` places a key above its L slots with one
+shift.
 Ring exponent tuples appear only at the edges: the constructor
 ``MultiLaurent(nvars, {tuple: c})``, ``sorted_terms``, ``specialize``,
 ``ml_to_json`` and ``repr``.
@@ -137,6 +139,29 @@ def _acc_scaled(out, terms, shift, c, guard):
         out[k] = v if type(v) is int else _exact(v)
 
 
+def _mul_terms(a, b, nvars):
+    """The product of two zero-free flat term dicts of ring elements in
+    ``nvars`` variables, zero-free.  Each key formed is tested for a guard
+    bit, so an exponent out of range raises ``EngineError``."""
+    origin, guard = _slots(_BIAS, nvars), _slots(_GUARD, nvars)
+    out = {}
+    for e1, c1 in a.items():
+        e1 -= origin
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if e & guard:
+                raise _overflow()
+            c = c1 * c2
+            s = out.get(e)
+            if s is not None:
+                c += s
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c if type(c) is int else _exact(c)
+    return out
+
+
 def _clean(out):
     """The accumulated terms without zeros, integral Fractions as ints."""
     return {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
@@ -206,23 +231,7 @@ class MultiLaurent:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("mixed variable arities")
-        origin, guard = _slots(_BIAS, self.nvars), _slots(_GUARD, self.nvars)
-        out = {}
-        for e1, c1 in self.terms.items():
-            e1 -= origin
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e & guard:
-                    raise _overflow()
-                c = c1 * c2
-                s = out.get(e)
-                if s is not None:
-                    c += s
-                    if not c:
-                        del out[e]
-                        continue
-                out[e] = c if type(c) is int else _exact(c)
-        return MultiLaurent._make(self.nvars, out)
+        return MultiLaurent._make(self.nvars, _mul_terms(self.terms, other.terms, self.nvars))
 
     def scale(self, c):
         c = _exact(c)

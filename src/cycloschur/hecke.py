@@ -26,6 +26,11 @@ and out with ``key >> 16n``; ``phi_jm`` moves the keys of a flat ``SymPoly``
 in the same way.  ``a_form_quotient`` divides by a polynomial in q on the
 flat keys, rewriting their q slot, and builds no ``MultiLaurent`` either.
 
+A product a * b pushes b through T_w for each w in the support of a, and
+``HeckeContext._pushes`` keeps each push T_w * b by content (w, b) for the
+life of the context, so the right factors that the Schur tables multiply
+again and again are pushed once.
+
 The cyclic generators m_mu are never multiplied in as elements:
 ``m_mu_mul`` applies their factors to the right operand, the coset sweep of
 ``x_mu_mul`` per Young-subgroup level and a key shift per (L_i - Q_k), and
@@ -86,21 +91,14 @@ class HeckeContext:
         self.ring = LaurentRing(r, q_one=q_one)
         self._id = perm_id(n)
         self._zero_c = (0,) * n
-        self._rw_cache = {self._id: ()}
         self._kills = {}  # (young_parts(mu), D) -> m_mu * D == 0
+        self._pushes = {}  # (w, b) -> T_w * b for w != id, see ``_push``
         # a ring key sits above the n L slots
         sh = self._ring_shift = _W * n
         self._origin = _slots(_BIAS, n) + (self.ring.origin << sh)  # key of 1
         self._guard = _slots(_GUARD, n) + (self.ring.guard << sh)
         # key step of q^1; 0 at q = 1, where no (q - q^{-1}) term is emitted
         self._qstep = 0 if q_one else 1 << sh
-
-    def reduced_word(self, w):
-        cached = self._rw_cache.get(w)
-        if cached is None:
-            cached = reduced_word(w)
-            self._rw_cache[w] = cached
-        return cached
 
     def from_grouped(self, terms):
         """The element with terms {(c, w): MultiLaurent}."""
@@ -226,6 +224,8 @@ class HeckeContext:
         return HeckeElem(self, _clean(out))
 
     def mul(self, a, b):
+        """a * b: for each w in the support of a, T_w * b (``_push``) times
+        the L-monomials and scalars of a's terms at w, which only add keys."""
         if a.ctx is not b.ctx:
             raise ValueError("elements from different contexts")
         if not a.terms or not b.terms:
@@ -238,9 +238,7 @@ class HeckeContext:
         out = {}
         get = out.get
         for w, pairs in by_w.items():
-            pushed = b
-            for i in reversed(self.reduced_word(w)):
-                pushed = self.lmul_gen(i, pushed)
+            pushed = b if w == self._id else self._push(w, b)
             for (key2, w2), coeff2 in pushed.terms.items():
                 for shift, coeff in pairs:
                     key = shift + key2
@@ -249,6 +247,25 @@ class HeckeContext:
                     k = (key, w2)
                     out[k] = get(k, 0) + coeff * coeff2
         return HeckeElem(self, _clean(out))
+
+    def _push(self, w, b):
+        """T_w * b for w != id, memoized in ``_pushes`` by content (w, b).
+        With i the first letter of a reduced word of w, T_w = T_i T_{s_i w}
+        and s_i w is one letter shorter, so a miss is one ``lmul_gen`` on the
+        memoized push of s_i w, and the push of every tail of the word is
+        kept too.  The memo lives and dies with the context."""
+        key = (w, b)
+        pushed = self._pushes.get(key)
+        if pushed is None:
+            i = reduced_word(w)[0]
+            # s_i w: the values i - 1 and i of w swapped
+            rest = list(w)
+            p1, p2 = w.index(i - 1), w.index(i)
+            rest[p1], rest[p2] = i, i - 1
+            rest = tuple(rest)
+            inner = b if rest == self._id else self._push(rest, b)
+            pushed = self._pushes[key] = self.lmul_gen(i, inner)
+        return pushed
 
     # -- words --------------------------------------------------------------
 
@@ -268,8 +285,10 @@ class HeckeContext:
                     i = atom[1]
                     if i == 0:
                         cur = cur.shift_L(1, 1)
-                    else:
+                    elif 1 <= i <= self.n - 1:
                         cur = self.lmul_gen(i, cur)
+                    else:
+                        raise ValueError(f"T_{i} out of range")
                 elif atom[0] == "L":
                     cur = cur.shift_L(atom[1], atom[2])
                 else:
@@ -335,13 +354,14 @@ class HeckeElem:
             k = (key, w)
             out[k] = get(k, 0) + v * coeff
 
-    def accumulate(self, coeff, out, sign=1):
-        """Add sign * coeff * (this element) into the term dict ``out``,
-        coeff a MultiLaurent: each coefficient term is a shift of every key.
-        ``HeckeContext.from_terms`` makes the element of the sum."""
+    def accumulate(self, terms, out, sign=1):
+        """Add sign * c * (this element) into the term dict ``out``, c the
+        ring element with the flat terms ``terms`` (``MultiLaurent.terms``,
+        or an operator word coefficient): each of its terms is a shift of
+        every key.  ``HeckeContext.from_terms`` makes the element of the sum."""
         ctx = self.ctx
         origin, sh = ctx.ring.origin, ctx._ring_shift
-        for key, c in coeff.terms.items():
+        for key, c in terms.items():
             self._shifted((key - origin) << sh, sign * c, out)
 
     def scale(self, coeff):
@@ -350,7 +370,7 @@ class HeckeElem:
         if not hasattr(coeff, "is_zero"):
             coeff = ctx.ring.from_fraction(coeff)
         out = {}
-        self.accumulate(coeff, out)
+        self.accumulate(coeff.terms, out)
         return HeckeElem(ctx, _clean(out))
 
     def shift_L(self, j, e):

@@ -32,7 +32,13 @@ Generator labels are tuples:
     ("X", sign, pos, t)     pos in 1..m-1 (the gamma linearization of
                             Gamma'(m); junctions between components are the
                             positions m_1 + ... + m_k)
-An operator word is a tuple of (coefficient, label sequence) pairs.
+An operator word is a tuple of (coefficient, label sequence) pairs.  A
+coefficient is the flat, zero-free packed-key term dict of a ring element,
+``MultiLaurent.terms`` as it is, and never a ``MultiLaurent``: ``ow_mul``
+and ``ow_scale`` multiply coefficients with ``coeff._mul_terms``, the
+product loop of ``MultiLaurent.__mul__``, which raises ``EngineError`` for
+an exponent out of range, and ``block_difference`` hands them to
+``HeckeElem.accumulate``.  ``ow_scale`` takes a ring element.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 import json
 
 from . import combinatorics as comb
+from .coeff import _mul_terms
 from .hecke import (EngineError, HeckeContext, elem_to_json, m_mu_kills, m_mu_mul, phi_jm,
                     t_bracket)
 
@@ -133,7 +140,7 @@ class SchurContext:
         _, sign, pos, t = label
         ring = self.ring
         # X^{sign}_t = sign [I^{sign}_1, X^{sign}_{t-1}]
-        word = ow_commutator(ow(ring, I(sign, pos, 1)), ow(ring, X(sign, pos, t - 1)))
+        word = ow_commutator(ring, ow(ring, I(sign, pos, 1)), ow(ring, X(sign, pos, t - 1)))
         ok, witness = self.op_equal(ow_scale(word, ring.from_int(sign)), ow(ring, label))
         if not ok:
             raise EngineError(
@@ -253,7 +260,7 @@ def difference_detail(witness):
 
 
 def ow(ring, *labels):
-    return ((ring.one, tuple(labels)),)
+    return ((ring.one.terms, tuple(labels)),)
 
 
 def ow_zero():
@@ -261,11 +268,12 @@ def ow_zero():
 
 
 def ow_scale(word, coeff):
-    return tuple((c * coeff, labels) for c, labels in word)
+    """The word times the ring element ``coeff`` (a ``MultiLaurent``)."""
+    return tuple((_mul_terms(c, coeff.terms, coeff.nvars), labels) for c, labels in word)
 
 
 def ow_neg(word):
-    return tuple((-c, labels) for c, labels in word)
+    return tuple(({k: -v for k, v in c.items()}, labels) for c, labels in word)
 
 
 def ow_add(*words):
@@ -275,11 +283,11 @@ def ow_add(*words):
     return tuple(out)
 
 
-def ow_mul(a, b):
+def ow_mul(ring, a, b):
     return tuple(
-        (ca * cb, la + lb) for ca, la in a for cb, lb in b
+        (_mul_terms(ca, cb, ring.nvars), la + lb) for ca, la in a for cb, lb in b
     )
 
 
-def ow_commutator(a, b):
-    return ow_add(ow_mul(a, b), ow_neg(ow_mul(b, a)))
+def ow_commutator(ring, a, b):
+    return ow_add(ow_mul(ring, a, b), ow_neg(ow_mul(ring, b, a)))

@@ -99,7 +99,7 @@ def relation_words(sctx, smax, tmax, umax):
     zero, one = ow_zero(), w()
 
     def comm(a, b):
-        return ow_commutator(w(a), w(b))
+        return ow_commutator(ring, w(a), w(b))
 
     # R1
     for pos in gamma:
@@ -179,7 +179,7 @@ def relation_words(sctx, smax, tmax, umax):
             continue
         J = partial(word_J, ring, p1)
         rhs = at_junction(ring, sctx.shape.junction(p1), J, s + t)
-        rhs = ow_mul(word_ktilde(ring, +1, p1), rhs)
+        rhs = ow_mul(ring, word_ktilde(ring, +1, p1), rhs)
         yield "R6-diagonal", {"pos": p1, "t": t, "s": s}, lhs, rhs
 
     # R7; R7-adjacent-minus is R7-adjacent-plus read backwards
@@ -216,7 +216,7 @@ def relation_words(sctx, smax, tmax, umax):
             for t in range(s, tmax + 1):
                 xs, xt, xu = X(sign, p1, s), X(sign, p1, t), X(sign, p2, u)
                 anti = ow_add(w(xs, xt), w(xt, xs))
-                lhs = ow_add(ow_mul(w(xu), anti), ow_mul(anti, w(xu)))
+                lhs = ow_add(ow_mul(ring, w(xu), anti), ow_mul(ring, anti, w(xu)))
                 rhs = ow_scale(ow_add(w(xs, xu, xt), w(xt, xu, xs)), qplus)
                 params = {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u}
                 yield "R8-serre", params, lhs, rhs
@@ -224,7 +224,7 @@ def relation_words(sctx, smax, tmax, umax):
     # consequences of R1: the tilde-K identity and the J_0 corollary
     for pos in gamma_prime:
         ktilde, J0 = word_ktilde(ring, +1, pos), word_J(ring, pos, 0)
-        lhs = ow_scale(ow_mul(ktilde, J0), qq)
+        lhs = ow_scale(ow_mul(ring, ktilde, J0), qq)
         rhs = ow_add(ktilde, ow_neg(word_ktilde(ring, -1, pos)))
         yield "wtKJ0-cleared", {"pos": pos}, lhs, rhs
         rhs = ow_neg(w(K(-1, pos), K(-1, pos), I(-1, pos + 1, 0)))
@@ -249,7 +249,7 @@ def q1_relation_words(sctx, smax, tmax, umax):
     zero, one = ow_zero(), w()
 
     def comm(a, b):
-        return ow_commutator(w(a), w(b))
+        return ow_commutator(ring, w(a), w(b))
 
     def lieJ(pos, t):
         return ow_add(w(I(+1, pos, t)), ow_neg(w(I(+1, pos + 1, t))))
@@ -261,7 +261,7 @@ def q1_relation_words(sctx, smax, tmax, umax):
             lhs, rhs = w(I(+1, pos, t)), w(I(-1, pos, t))
             yield "q1-I-plus-minus", {"pos": pos, "t": t}, lhs, rhs
     for pos in gamma_prime:
-        lhs = ow_mul(word_ktilde(ring, +1, pos), word_J(ring, pos, 0))
+        lhs = ow_mul(ring, word_ktilde(ring, +1, pos), word_J(ring, pos, 0))
         yield "q1-wtKJ0", {"pos": pos}, lhs, lieJ(pos, 0)
     # (L1)
     for p1, p2, s, t in product(gamma, gamma, S, T):
@@ -300,7 +300,7 @@ def q1_relation_words(sctx, smax, tmax, umax):
             for s, t, u in product(S, T, U):
                 params = {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u}
                 inner = comm(X(sign, p1, t), X(sign, p2, u))
-                yield "q1-L6", params, ow_commutator(w(X(sign, p1, s)), inner), zero
+                yield "q1-L6", params, ow_commutator(ring, w(X(sign, p1, s)), inner), zero
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,15 @@ class TestNormalize:
         rebuilt = ctx3.zero()
         for (c, w), coeff in elem.grouped().items():
             atoms = [("L", j + 1, e) for j, e in enumerate(c) if e]
-            atoms += [("T", i) for i in ctx3.reduced_word(w)]
+            atoms += [("T", i) for i in reduced_word(w)]
             rebuilt = rebuilt + ctx3.normalize([(coeff, atoms)])
         assert rebuilt == elem
+
+    def test_T_atom_out_of_range(self, ctx3):
+        # T_3 would read the q slot as an L exponent; T_{-1} a negative shift
+        for i in (3, -1):
+            with pytest.raises(ValueError, match=f"T_{i} out of range"):
+                ctx3.normalize([(ctx3.ring.one, [("T", i)])])
 
 
 @st.composite
@@ -321,15 +327,18 @@ class TestPackedKeys:
     def test_products_match_the_reference(self, n, r, m, q_one, data):
         ctx = HeckeContext(n, r, q_one=q_one)
         factors = data.draw(differential_factors(ctx, Shape(m)))
-        prod = ctx.one()
         ref = ctx.one().grouped()
         for f in factors:
-            prod = prod * f
             ref = _ref_mul(ctx.ring, ref, f.grouped())
-        assert prod.grouped() == ref
-        for coeff in prod.terms.values():
-            assert type(coeff) in (int, Fraction) and coeff != 0
-            assert type(coeff) is int or coeff.denominator != 1
+        # the second pass on the same context takes its pushes from the memo
+        for _ in range(2):
+            prod = ctx.one()
+            for f in factors:
+                prod = prod * f
+            assert prod.grouped() == ref
+            for coeff in prod.terms.values():
+                assert type(coeff) in (int, Fraction) and coeff != 0
+                assert type(coeff) is int or coeff.denominator != 1
 
     def test_grouped_round_trip(self, ctx3):
         ring = ctx3.ring
@@ -380,6 +389,93 @@ def a_form_elements(draw, ctx):
         exps = (draw(st.integers(-3, 3)),) + draw(st.tuples(*[st.integers(0, 3)] * ring.r))
         out = out + ctx.term(c, w, ring.monomial(exps, draw(st.integers(-9, 9))))
     return out
+
+
+def counting_lmul_gen(monkeypatch, ctx):
+    """Record the generator of every ``ctx.lmul_gen`` call."""
+    calls = []
+    real = ctx.lmul_gen
+
+    def lmul_gen(i, elem):
+        calls.append(i)
+        return real(i, elem)
+
+    monkeypatch.setattr(ctx, "lmul_gen", lmul_gen)
+    return calls
+
+
+def pushed_by_word(ctx, w, b):
+    """T_w * b as T_{i_1} (T_{i_2} (... b)) along the reduced word, no memo."""
+    for i in reversed(reduced_word(w)):
+        b = ctx.lmul_gen(i, b)
+    return b
+
+
+class TestPushMemo:
+    """The memo of ``HeckeContext._push``: T_w * b by content (w, b)."""
+
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_entries_are_the_pushes_along_the_reduced_word(self, q_one):
+        ctx = HeckeContext(3, 2, q_one=q_one)
+        a = ctx.Tword((1, 2, 1)) + ctx.Tword((2, 1)).scale(ctx.ring.Q(0)) + ctx.L(2)
+        b = ctx.L(1, 2) * ctx.T(2) + ctx.L(3).scale(ctx.ring.q)
+        a * b
+        # T_1 T_2 T_1 keeps the pushes of T_2 T_1 and T_1; a's T_2 T_1 is a hit
+        assert len(ctx._pushes) == 3
+        for (w, b2), pushed in ctx._pushes.items():
+            assert b2 is b and w != ctx._id
+            assert pushed == pushed_by_word(ctx, w, b)
+
+    def test_a_miss_costs_one_lmul_gen(self, monkeypatch):
+        ctx = HeckeContext(4, 2)
+        b = ctx.L(1) + ctx.T(3)
+        calls = counting_lmul_gen(monkeypatch, ctx)
+        ctx.T(1) * b
+        assert calls == [1]
+        # T_2 T_1 has its tail T_1 memoized: one more call
+        ctx.Tword((2, 1)) * b
+        assert calls == [1, 2]
+        ctx.Tword((3, 2, 1)) * b
+        assert calls == [1, 2, 3]
+
+    def test_equal_contents_make_no_lmul_gen_call(self, monkeypatch):
+        ctx = HeckeContext(3, 2)
+        a = ctx.Tword((1, 2)) + ctx.T(2).scale(ctx.ring.Q(1))
+        b = ctx.L(2, 3) - ctx.T(1)
+        first = a * b
+        calls = counting_lmul_gen(monkeypatch, ctx)
+        # new objects with equal terms, built another way
+        a2 = ctx.from_grouped(a.grouped())
+        b2 = -ctx.T(1) + ctx.L(2, 3)
+        assert a2 is not a and b2 is not b
+        assert a2 * b2 == first
+        assert calls == []
+
+    def test_distinct_operands_never_share_an_entry(self):
+        ctx = HeckeContext(3, 2)
+        a = ctx.Tword((1, 2))
+        w = next(iter(a.terms))[1]
+        b1, b2 = ctx.L(1), ctx.L(2)
+        p1, p2 = a * b1, a * b2
+        assert p1 != p2
+        assert ctx._pushes[(w, b1)] == pushed_by_word(ctx, w, b1)
+        assert ctx._pushes[(w, b2)] == pushed_by_word(ctx, w, b2)
+        assert p1.grouped() == _ref_mul(ctx.ring, a.grouped(), b1.grouped())
+        assert p2.grouped() == _ref_mul(ctx.ring, a.grouped(), b2.grouped())
+
+    def test_memo_dies_with_its_context(self):
+        ctx = HeckeContext(3, 2)
+        ctx.T(1) * ctx.L(1)
+        assert ctx._pushes
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
+        fresh = HeckeContext(3, 2)
+        assert not fresh._pushes
+        # the identity is never pushed
+        fresh.L(1) * fresh.T(2)
+        assert not fresh._pushes
 
 
 class TestAFormQuotient:

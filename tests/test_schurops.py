@@ -1,12 +1,15 @@
 import gc
 import json
 import weakref
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloschur import schurops
-from cycloschur.coeff import EngineError, LaurentRing, qfactorial
+from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qfactorial
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import elem_to_json, m_mu, m_mu_mul, t_bracket, x_mu_mul
 from cycloschur.schurops import (
@@ -17,6 +20,7 @@ from cycloschur.schurops import (
     ow,
     ow_commutator,
     ow_mul,
+    ow_neg,
     ow_scale,
     ow_zero,
 )
@@ -135,8 +139,8 @@ class TestApplyWord:
     def test_ktilde_commutator_with_J(self, sctx22):
         # R6 at (t,s) = (0,0) away from the junction: [X+_1, X-_1] = Ktilde+ J_0
         ring = sctx22.ring
-        lhs = ow_commutator(ow(ring, X(+1, 1, 0)), ow(ring, X(-1, 1, 0)))
-        rhs = ow_mul(word_ktilde(ring, +1, 1), word_J(ring, 1, 0))
+        lhs = ow_commutator(ring, ow(ring, X(+1, 1, 0)), ow(ring, X(-1, 1, 0)))
+        rhs = ow_mul(ring, word_ktilde(ring, +1, 1), word_J(ring, 1, 0))
         ok, witness = sctx22.op_equal(lhs, rhs)
         assert ok, witness
 
@@ -272,7 +276,8 @@ def expanded_blocks(sctx, word, mu):
     for coeff, labels in word:
         nu, h = chain(sctx, labels, mu)
         if nu is not None:
-            value = (m_mu(sctx.hctx, nu, sctx.shape) * h).scale(coeff)
+            value = (m_mu(sctx.hctx, nu, sctx.shape) * h).scale(
+                MultiLaurent._make(sctx.ring.nvars, coeff))
             blocks[nu] = blocks[nu] + value if nu in blocks else value
     return blocks
 
@@ -411,7 +416,7 @@ class TestMemos:
 
         def row(nu, D):
             out = {}
-            D.accumulate(ring.one, out)
+            D.accumulate(ring.one.terms, out)
             return {mu: {nu: out}}
 
         D = hc.T(1) - hc.scalar(ring.q)
@@ -430,8 +435,8 @@ class TestMemos:
         hc, ring = sctx22.hctx, sctx22.ring
         mu = sctx22.weights[0]
         out = {}
-        hc.T(1).accumulate(ring.one, out)
-        hc.T(1).accumulate(ring.one, out, -1)
+        hc.T(1).accumulate(ring.one.terms, out)
+        hc.T(1).accumulate(ring.one.terms, out, -1)
         assert sctx22.first_difference({mu: {mu: out}}) is None
 
     def test_memos_die_with_their_context(self, monkeypatch):
@@ -465,7 +470,7 @@ class TestBlocks:
         assert total.is_zero
         row = {}
         for nu, h in comps.items():
-            h.accumulate(ring.one, row.setdefault(nu, {}))
+            h.accumulate(ring.one.terms, row.setdefault(nu, {}))
         mu = a
         assert sctx.first_difference({mu: row}) == (mu, a, comps[a])
         assert sctx.first_difference({mu: {b: row[b]}}) == (mu, b, -comps[a])
@@ -475,13 +480,75 @@ class TestBlocks:
         h = hc.L(1, 2) * hc.T(1) + hc.scalar(ring.Q(1))
         coeff = ring.q_pow(3) - ring.Q(0) * ring.from_int(2)
         out = {}
-        h.accumulate(coeff, out)
-        h.accumulate(coeff, out, -1)
+        h.accumulate(coeff.terms, out)
+        h.accumulate(coeff.terms, out, -1)
         assert hc.from_terms(out).is_zero
         out = {}
-        h.accumulate(coeff, out)
-        h.accumulate(ring.one, out)
+        h.accumulate(coeff.terms, out)
+        h.accumulate(ring.one.terms, out)
         assert hc.from_terms(out) == h.scale(coeff) + h
+
+
+RINGS = (LaurentRing(2), LaurentRing(2, q_one=True))
+
+
+@st.composite
+def ring_elements(draw, ring):
+    """Zero to three monomials in q, Q_0, Q_1 with small rational coefficients."""
+    out = ring.zero
+    for _ in range(draw(st.integers(0, 3))):
+        exps = [draw(st.integers(-3, 3)) for _ in range(ring.nvars)]
+        num = draw(st.integers(-3, 3))
+        out = out + ring.monomial(exps, Fraction(num, draw(st.integers(1, 2))))
+    return out
+
+
+@st.composite
+def ml_words(draw, ring):
+    """An operator word as (MultiLaurent, labels) pairs, zero coefficients too."""
+    word = []
+    for _ in range(draw(st.integers(0, 3))):
+        positions = draw(st.lists(st.integers(1, 3), max_size=2))
+        word.append((draw(ring_elements(ring)), tuple(K(+1, p) for p in positions)))
+    return word
+
+
+def flat(word):
+    return tuple((c.terms, labels) for c, labels in word)
+
+
+class TestWordCoefficients:
+    """Operator words carry the flat terms of their coefficients; their
+    arithmetic is that of ``MultiLaurent``."""
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_arithmetic_matches_multilaurent(self, ring, data):
+        a, b = data.draw(ml_words(ring)), data.draw(ml_words(ring))
+        c = data.draw(ring_elements(ring))
+        product = ow_mul(ring, flat(a), flat(b))
+        assert product == tuple(((ca * cb).terms, la + lb) for ca, la in a for cb, lb in b)
+        assert ow_scale(flat(a), c) == tuple(((ca * c).terms, la) for ca, la in a)
+        assert ow_neg(flat(a)) == tuple(((-ca).terms, la) for ca, la in a)
+        for coeff, _labels in product + ow_scale(flat(a), c):
+            assert all(v != 0 and (type(v) is int or v.denominator != 1)
+                       for v in coeff.values())
+
+    def test_unit_word(self):
+        ring = RINGS[0]
+        assert ow(ring, K(+1, 1)) == ((ring.one.terms, (K(+1, 1),)),)
+
+    def test_product_out_of_range_raises(self):
+        ring = RINGS[0]
+        high = ow_scale(ow(ring, K(+1, 1)), ring.q_pow(8000))
+        with pytest.raises(EngineError, match="packed key range"):
+            ow_mul(ring, high, high)
+        with pytest.raises(EngineError, match="packed key range"):
+            ow_scale(high, ring.Q(0) * ring.q_pow(200))
+        low = ow_scale(ow(ring), ring.Q(1, -8000))
+        with pytest.raises(EngineError, match="packed key range"):
+            ow_commutator(ring, low, low)
 
 
 class TestHwEigenvalues:
