@@ -168,8 +168,9 @@ def parse_multipartition(text):
 def _write_json(obj, path):
     """Write obj as compact JSON with sorted keys to path, or to stdout when
     path is None.  The compact form keeps to the C encoder, which an
-    ``indent`` would turn off."""
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    ``indent`` would turn off; the report is a fresh tree, so the encoder's
+    cycle check is skipped."""
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(payload)

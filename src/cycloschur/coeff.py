@@ -142,8 +142,14 @@ def _acc_scaled(out, terms, shift, c, guard):
 def _mul_terms(a, b, nvars):
     """The product of two zero-free flat term dicts of ring elements in
     ``nvars`` variables, zero-free.  Each key formed is tested for a guard
-    bit, so an exponent out of range raises ``EngineError``."""
+    bit, so an exponent out of range raises ``EngineError``.  A unit factor
+    gives back the other factor's dict itself, shared read-only as
+    ``LaurentRing.one.terms`` is."""
     origin, guard = _slots(_BIAS, nvars), _slots(_GUARD, nvars)
+    if len(a) == 1 and a.get(origin) == 1:
+        return b
+    if len(b) == 1 and b.get(origin) == 1:
+        return a
     out = {}
     for e1, c1 in a.items():
         e1 -= origin

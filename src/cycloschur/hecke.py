@@ -36,7 +36,10 @@ The cyclic generators m_mu are never multiplied in as elements:
 ``x_mu_mul`` per Young-subgroup level and a key shift per (L_i - Q_k), and
 ``m_mu`` is that sweep applied to 1.  Whether m_mu kills an element is
 decided in one place, ``m_mu_kills``, for the Hecke suite's m_mu identities
-and the Schur block verdicts alike.
+and the Schur block verdicts alike.  It decides by the coset sweep when that
+takes fewer than three ``lmul_gen`` passes, and otherwise by the right-coset
+collapse of ``iota(D)``, ``iota`` the anti-involution with
+iota(T_w) = T_{w^-1} that fixes every L_j.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ class HeckeContext:
         self.ring = LaurentRing(r, q_one=q_one)
         self._id = perm_id(n)
         self._zero_c = (0,) * n
+        self._parts = {}  # mu -> young_parts(mu), see ``m_mu_kills``
         self._kills = {}  # (young_parts(mu), D) -> m_mu * D == 0
         self._pushes = {}  # (w, b) -> T_w * b for w != id, see ``_push``
         # a ring key sits above the n L slots
@@ -509,9 +513,70 @@ def m_mu_mul(ctx, mu, shape, D):
     return D
 
 
+def iota(ctx, D):
+    """iota(D) for the anti-involution iota of the affine model that fixes
+    every T_i and every L_j, so iota(T_w) = T_{w^-1}.  D's terms are grouped
+    by w, and iota(sum_w f_w(L) T_w) = sum_w T_{w^-1} f_w(L), T_{w^-1}
+    applied to f_w(L) by ``lmul_gen`` along a reduced word of w^-1, right
+    to left.  Nothing is memoized: the operands are used once."""
+    by_w = {}
+    for (key, w), coeff in D.terms.items():
+        by_w.setdefault(w, {})[(key, ctx._id)] = coeff
+    out = {}
+    for w, f in by_w.items():
+        z = HeckeElem(ctx, f)
+        inverse = [0] * ctx.n
+        for p, v in enumerate(w):
+            inverse[v] = p
+        for i in reversed(reduced_word(inverse)):
+            z = ctx.lmul_gen(i, z)
+        for k, coeff in z.terms.items():
+            out[k] = out.get(k, 0) + coeff
+    return HeckeElem(ctx, _clean(out))
+
+
+def _x_mu_collapse_kills(ctx, parts, D):
+    """Whether x_mu * D == 0, decided in one pass over the terms of iota(D)
+    with no coset sweep.
+
+    x_mu = sum_{u in S_mu} q^{l(u)} T_u is iota-fixed (l(u^-1) = l(u)), so
+    x_mu D = 0 exactly when iota(x_mu D) = iota(D) x_mu = 0.  Write each
+    permutation v of iota(D) = sum g_v(L) T_v as v = d u with u in S_mu
+    and d the shortest element of v S_mu: d is v with the values in each
+    Young block of positions sorted, and l(u) counts the inversions inside
+    the blocks.  Then l(v) = l(d) + l(u) and T_u x_mu = q^{l(u)} x_mu, so
+    L^c T_v x_mu = q^{l(u)} L^c T_d x_mu.  The elements L^c T_d x_mu are
+    independent: L^c T_d x_mu = sum_u q^{l(u)} L^c T_{du} has the normal-form
+    support {(c, du)}, disjoint for distinct (c, d), since the affine model
+    has no cyclotomic reduction.  So iota(D) x_mu = 0 exactly when every
+    sum of q^{l(u)} g_v over one (c, d) is zero."""
+    blocks = []
+    off = 0
+    for part in parts:
+        if part > 1:
+            blocks.append((off, off + part))
+        off += part
+    qstep, guard = ctx._qstep, ctx._guard
+    sums = {}
+    for (key, v), coeff in iota(ctx, D).terms.items():
+        d = list(v)
+        length = 0
+        for lo, hi in blocks:
+            block = v[lo:hi]
+            length += sum(a > b for j, a in enumerate(block) for b in block[j + 1:])
+            d[lo:hi] = sorted(block)
+        key += length * qstep
+        if key & guard:
+            raise _overflow()
+        k = (key, tuple(d))
+        sums[k] = sums.get(k, 0) + coeff
+    return not any(sums.values())
+
+
 def m_mu_kills(ctx, mu, D):
     """Whether m_mu * D == 0, decided as x_mu * D == 0 and memoized on the
-    context by content, (``young_parts(mu)``, D).
+    context by content, (``young_parts(mu)``, D); the parts of each weight
+    are kept on the context too.
 
     The L factors never change whether the product is zero: m_mu = lprod *
     x_mu, and on the normal form sum_w f_w(L) T_w left multiplication by
@@ -519,12 +584,23 @@ def m_mu_kills(ctx, mu, D):
     the nonzero polynomial lprod(L); the polynomial ring in the L's over the
     Laurent ring is a domain, at q = 1 too.  So m_mu D = 0 exactly when
     x_mu D = 0.  The order of the Young blocks matters: T_1 - q is killed by
-    x_(2,1) = 1 + q T_1 and not by x_(1,2) = 1 + q T_2."""
-    parts = young_parts(mu)
+    x_(2,1) = 1 + q T_1 and not by x_(1,2) = 1 + q T_2.
+
+    Two routes decide x_mu D == 0, chosen from the parts alone: the coset
+    sweep ``x_mu_mul`` makes sum_p C(p, 2) ``lmul_gen`` passes over D, so
+    at three passes or more the right-coset collapse
+    (``_x_mu_collapse_kills``, one pass over iota(D)) decides instead."""
+    parts = ctx._parts.get(mu)
+    if parts is None:
+        parts = ctx._parts[mu] = young_parts(mu)
     key = (parts, D)
     killed = ctx._kills.get(key)
     if killed is None:
-        killed = ctx._kills[key] = x_mu_mul(ctx, parts, D).is_zero
+        if sum(p * (p - 1) // 2 for p in parts) >= 3:
+            killed = _x_mu_collapse_kills(ctx, parts, D)
+        else:
+            killed = x_mu_mul(ctx, parts, D).is_zero
+        ctx._kills[key] = killed
     return killed
 
 

@@ -37,8 +37,11 @@ coefficient is the flat, zero-free packed-key term dict of a ring element,
 ``MultiLaurent.terms`` as it is, and never a ``MultiLaurent``: ``ow_mul``
 and ``ow_scale`` multiply coefficients with ``coeff._mul_terms``, the
 product loop of ``MultiLaurent.__mul__``, which raises ``EngineError`` for
-an exponent out of range, and ``block_difference`` hands them to
-``HeckeElem.accumulate``.  ``ow_scale`` takes a ring element.
+an exponent out of range and hands back the other factor's dict for a unit
+factor, and ``block_difference`` hands them to ``HeckeElem.accumulate``.
+``ow_scale`` takes a ring element.  A word has no term with a zero
+coefficient: ``ow_mul`` and ``ow_scale`` drop them (a Cartan entry 0 scales
+whole right-hand sides by 0), so no table is built for them.
 """
 
 from __future__ import annotations
@@ -268,8 +271,9 @@ def ow_zero():
 
 
 def ow_scale(word, coeff):
-    """The word times the ring element ``coeff`` (a ``MultiLaurent``)."""
-    return tuple((_mul_terms(c, coeff.terms, coeff.nvars), labels) for c, labels in word)
+    """The word times the ring element ``coeff`` (a ``MultiLaurent``),
+    without the terms whose coefficient comes out zero."""
+    return _nonzero((_mul_terms(c, coeff.terms, coeff.nvars), labels) for c, labels in word)
 
 
 def ow_neg(word):
@@ -284,9 +288,15 @@ def ow_add(*words):
 
 
 def ow_mul(ring, a, b):
-    return tuple(
+    """The product of two words, without the terms whose coefficient comes
+    out zero."""
+    return _nonzero(
         (_mul_terms(ca, cb, ring.nvars), la + lb) for ca, la in a for cb, lb in b
     )
+
+
+def _nonzero(terms):
+    return tuple(term for term in terms if term[0])
 
 
 def ow_commutator(ring, a, b):

@@ -334,6 +334,18 @@ def test_coset_heavy_hecke_suites_pinned(capsys):
     )
 
 
+# The largest coset-heavy run, blocks of size up to 6: 7006 checks, digest
+# recorded while every m_mu identity was decided by the coset sweep.
+def test_largest_hecke_suites_pinned(capsys):
+    assert main(["verify", "--suite", "hecke", "-n", "6", "-r", "2", "-m", "2,2"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites["hecke"]["total"] == 7006
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "528ba3e9bc0eaf3ac32f759ef309383b5dd3045580e68b272b771881b3e40e1f"
+    )
+
+
 # Heavier Schur runs, digests recorded before the operator identities were
 # decided block by block: degree 3 over a junction at n = 3, and three
 # components at r = 3.  The n = 4 runs divide 1260 images by [d]! (by d! at

@@ -17,7 +17,9 @@ from cycloschur.hecke import (
     HeckeContext,
     a_form_quotient,
     divided_t_bracket,
+    _x_mu_collapse_kills,
     elem_to_json,
+    iota,
     m_mu,
     m_mu_kills,
     m_mu_mul,
@@ -698,6 +700,105 @@ class TestXmuMul:
         assert young_parts(((0,), (0,))) == ()
 
 
+def counting_routes(monkeypatch):
+    """Record each (parts, D) decided by the coset sweep and by the
+    right-coset collapse, under the keys "sweep" and "collapse"."""
+    decisions = {"sweep": [], "collapse": []}
+    real_x, real_collapse = hecke_mod.x_mu_mul, hecke_mod._x_mu_collapse_kills
+
+    def counted_x(ctx, parts, D):
+        decisions["sweep"].append((parts, D))
+        return real_x(ctx, parts, D)
+
+    def counted_collapse(ctx, parts, D):
+        decisions["collapse"].append((parts, D))
+        return real_collapse(ctx, parts, D)
+
+    monkeypatch.setattr(hecke_mod, "x_mu_mul", counted_x)
+    monkeypatch.setattr(hecke_mod, "_x_mu_collapse_kills", counted_collapse)
+    return decisions
+
+
+class TestIota:
+    """iota, the anti-involution fixing every T_i and L_j."""
+
+    @pytest.mark.parametrize("n,q_one", [(3, False), (3, True), (4, False)])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_anti_involution(self, n, q_one, data):
+        ctx = HeckeContext(n, 2, q_one=q_one)
+        a, b = data.draw(right_operands(ctx)), data.draw(right_operands(ctx))
+        assert iota(ctx, a * b) == iota(ctx, b) * iota(ctx, a)
+        assert iota(ctx, iota(ctx, a)) == a
+
+    def test_generators_are_fixed(self, ctx4):
+        for i in range(1, 4):
+            assert iota(ctx4, ctx4.T(i)) == ctx4.T(i)
+        for j in range(1, 5):
+            assert iota(ctx4, ctx4.L(j, 2)) == ctx4.L(j, 2)
+
+    def test_inverts_the_permutation(self, ctx4):
+        # T_1 T_2 T_3 is T_w for a 4-cycle w; iota gives T_3 T_2 T_1 = T_{w^-1}
+        assert iota(ctx4, ctx4.Tword((1, 2, 3))) == ctx4.Tword((3, 2, 1))
+        assert iota(ctx4, ctx4.Tword((1, 2)).shift_L(1, 1)) == (
+            ctx4.Tword((2, 1)) * ctx4.L(1))
+
+
+@st.composite
+def collapse_operands(draw, ctx, mu):
+    """An ``x_mu_operands`` operand, perturbed or not: one coefficient off
+    by one or one term added, so a killed operand mostly stops being one."""
+    D, _killed = draw(x_mu_operands(ctx, mu))
+    if draw(st.booleans()):
+        if D.terms and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(D.terms)))
+            terms = dict(D.terms)
+            terms[key] += draw(st.sampled_from((1, -1)))
+            D = ctx.from_terms(terms)
+        else:
+            D = D + ctx.Tword(draw(st.lists(st.integers(1, ctx.n - 1), max_size=3)))
+    return D
+
+
+class TestCollapse:
+    """The right-coset collapse against the coset sweep, the reference."""
+
+    # blocks of size 3 and 4, in both orders next to a smaller block, and
+    # (2, 1) against (1, 2)
+    @pytest.mark.parametrize("mu", [
+        ((3,),), ((4,),), ((2,), (1,)), ((1,), (2,)), ((1,), (3,)), ((3,), (1,)),
+        ((2, 2),), ((1, 3),), ((2,), (2,)),
+    ])
+    @pytest.mark.parametrize("q_one", [False, True])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_sweep(self, mu, q_one, data):
+        ctx = HeckeContext(sum(map(sum, mu)), len(mu), q_one=q_one)
+        D = data.draw(collapse_operands(ctx, mu))
+        parts = young_parts(mu)
+        assert _x_mu_collapse_kills(ctx, parts, D) == x_mu_mul(ctx, parts, D).is_zero
+
+    @pytest.mark.parametrize("mu", [((3,),), ((1,), (3,)), ((2, 2),)])
+    def test_kills_every_killed_operand(self, mu):
+        ctx = HeckeContext(sum(map(sum, mu)), len(mu))
+        q = ctx.scalar(ctx.ring.q)
+        parts = young_parts(mu)
+        for i in young_generators(mu):
+            for D in (ctx.one(), ctx.Tword((2, 1)), ctx.Tword((1, 2)).shift_L(3, 1)):
+                killed = (ctx.T(i) - q) * D
+                assert _x_mu_collapse_kills(ctx, parts, killed)
+                assert not _x_mu_collapse_kills(ctx, parts, killed + ctx.T(1))
+
+    def test_key_out_of_range_raises(self):
+        # the collapse shifts q^8191 T_1 by q^{l(u)} = q: out of range
+        ctx = HeckeContext(3, 1)
+        D = ctx.T(1).scale(ctx.ring.q_pow(8191))
+        with pytest.raises(EngineError, match="packed key range"):
+            _x_mu_collapse_kills(ctx, (3,), D)
+        with pytest.raises(EngineError, match="packed key range"):
+            x_mu_mul(ctx, (3,), D)
+
+
 class TestMmuKills:
     """The memo of m_mu_kills, the one decision of m_mu * D == 0 (its
     verdicts are tested in ``TestXmuMul``)."""
@@ -737,28 +838,52 @@ class TestMmuKills:
         assert ref() is None
         assert not HeckeContext(3, 2)._kills
 
-    def test_one_sweep_per_distinct_question(self, monkeypatch):
+    def test_one_decision_per_distinct_question(self, monkeypatch):
         # the m_mu identity families ask about equal (blocks, difference)
         # pairs under different families, weights and difference keys
-        real_x, real_kills = hecke_mod.x_mu_mul, hecke_mod.m_mu_kills
-        sweeps, asked = [], []
-
-        def counted_x(ctx, parts, D):
-            sweeps.append((parts, D))
-            return real_x(ctx, parts, D)
+        decisions = counting_routes(monkeypatch)
+        real_kills = hecke_mod.m_mu_kills
+        asked = []
 
         def counted_kills(ctx, mu, D):
             asked.append((young_parts(mu), D))
             return real_kills(ctx, mu, D)
 
-        monkeypatch.setattr(hecke_mod, "x_mu_mul", counted_x)
         monkeypatch.setattr(suite_mod, "m_mu_kills", counted_kills)
         ctx = HeckeContext(3, 3)
         shape = Shape((2, 2, 2))
         checks = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
         assert all(c["ok"] for c in checks)
-        assert len(sweeps) == len(set(sweeps)) == len(set(asked)) < len(asked)
-        assert set(sweeps) == set(asked)
+        decided = decisions["sweep"] + decisions["collapse"]
+        assert len(decided) == len(set(decided)) == len(set(asked)) < len(asked)
+        assert set(decided) == set(asked)
+        # blocks of three take the collapse, the rest the sweep
+        assert decisions["sweep"] and decisions["collapse"]
+
+    def test_parts_are_kept_once_per_weight(self, monkeypatch):
+        calls = []
+        real = hecke_mod.young_parts
+        monkeypatch.setattr(hecke_mod, "young_parts", lambda mu: calls.append(mu) or real(mu))
+        ctx = HeckeContext(3, 2)
+        mu = ((2,), (1,))
+        q = ctx.scalar(ctx.ring.q)
+        for D in (ctx.T(1) - q, ctx.T(2) - q, ctx.T(1) - q):
+            m_mu_kills(ctx, mu, D)
+        assert calls == [mu]
+        assert ctx._parts == {mu: (2, 1)}
+        assert not HeckeContext(3, 2)._parts
+
+    @pytest.mark.parametrize("mu,route", [
+        (((3,), (0,)), "collapse"), (((2,), (1,)), "sweep"), (((1,), (2,)), "sweep"),
+        (((2, 2), (2,)), "collapse"), (((2, 1), (1,)), "sweep"),
+    ])
+    def test_route_follows_the_sweep_passes(self, monkeypatch, mu, route):
+        # sum_p C(p, 2) lmul_gen passes: three or more take the collapse
+        decisions = counting_routes(monkeypatch)
+        ctx = HeckeContext(sum(map(sum, mu)), 2)
+        assert not m_mu_kills(ctx, mu, ctx.T(1) + ctx.one())
+        assert [len(decisions["sweep"]), len(decisions["collapse"])] == (
+            [1, 0] if route == "sweep" else [0, 1])
 
 
 class TestBrackets:

@@ -67,8 +67,9 @@ def test_only_hecke_shifts_hecke_keys():
 
 
 # Whether m_mu kills an element is decided behind ``hecke.m_mu_kills``: the
-# Young-sum sweep and the block sizes it runs on are not used elsewhere.
-KILLS_PRIVATE = {"x_mu_mul", "young_parts"}
+# Young-sum sweep, the right-coset collapse and the block sizes they run on
+# are not used elsewhere.
+KILLS_PRIVATE = {"x_mu_mul", "_x_mu_collapse_kills", "young_parts"}
 
 
 def test_only_hecke_decides_m_mu_kills():

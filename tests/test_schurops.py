@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloschur import schurops
+from cycloschur.cli import main
 from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qfactorial
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import elem_to_json, m_mu, m_mu_mul, t_bracket, x_mu_mul
@@ -18,6 +19,7 @@ from cycloschur.schurops import (
     SchurContext,
     X,
     ow,
+    ow_add,
     ow_commutator,
     ow_mul,
     ow_neg,
@@ -494,7 +496,10 @@ RINGS = (LaurentRing(2), LaurentRing(2, q_one=True))
 
 @st.composite
 def ring_elements(draw, ring):
-    """Zero to three monomials in q, Q_0, Q_1 with small rational coefficients."""
+    """The unit, or zero to three monomials in q, Q_0, Q_1 with small
+    rational coefficients."""
+    if draw(st.integers(0, 3)) == 0:
+        return ring.one
     out = ring.zero
     for _ in range(draw(st.integers(0, 3))):
         exps = [draw(st.integers(-3, 3)) for _ in range(ring.nvars)]
@@ -505,7 +510,8 @@ def ring_elements(draw, ring):
 
 @st.composite
 def ml_words(draw, ring):
-    """An operator word as (MultiLaurent, labels) pairs, zero coefficients too."""
+    """An operator word as (MultiLaurent, labels) pairs, unit and zero
+    coefficients too."""
     word = []
     for _ in range(draw(st.integers(0, 3))):
         positions = draw(st.lists(st.integers(1, 3), max_size=2))
@@ -528,12 +534,36 @@ class TestWordCoefficients:
         a, b = data.draw(ml_words(ring)), data.draw(ml_words(ring))
         c = data.draw(ring_elements(ring))
         product = ow_mul(ring, flat(a), flat(b))
-        assert product == tuple(((ca * cb).terms, la + lb) for ca, la in a for cb, lb in b)
-        assert ow_scale(flat(a), c) == tuple(((ca * c).terms, la) for ca, la in a)
+        # the terms whose coefficient comes out zero are dropped
+        assert product == tuple(
+            (p.terms, la + lb) for ca, la in a for cb, lb in b if not (p := ca * cb).is_zero
+        )
+        assert ow_scale(flat(a), c) == tuple(
+            (p.terms, la) for ca, la in a if not (p := ca * c).is_zero
+        )
         assert ow_neg(flat(a)) == tuple(((-ca).terms, la) for ca, la in a)
         for coeff, _labels in product + ow_scale(flat(a), c):
-            assert all(v != 0 and (type(v) is int or v.denominator != 1)
-                       for v in coeff.values())
+            assert coeff and all(v != 0 and (type(v) is int or v.denominator != 1)
+                                 for v in coeff.values())
+
+    def test_unit_factor_gives_the_other_dict(self):
+        ring = RINGS[0]
+        c = ring.q_pow(2) + ring.Q(0)
+        ((scaled, _),) = ow_scale(ow(ring, K(+1, 1)), c)
+        assert scaled is c.terms
+        ((product, _),) = ow_mul(ring, ow(ring, K(-1, 1)), ((c.terms, ()),))
+        assert product is c.terms
+        ((product, _),) = ow_mul(ring, ((c.terms, ()),), ow(ring, K(-1, 1)))
+        assert product is c.terms
+        ((scaled, _),) = ow_scale(((c.terms, ()),), ring.one)
+        assert scaled is c.terms
+
+    def test_zero_coefficients_are_dropped(self):
+        ring = RINGS[0]
+        word = ow_add(ow(ring, K(+1, 1)), ow_scale(ow(ring, K(+1, 2)), ring.from_int(0)))
+        assert word == ow(ring, K(+1, 1))
+        assert ow_mul(ring, word, ow_scale(ow(ring, K(+1, 3)), ring.zero)) == ow_zero()
+        assert ow_scale(word, ring.zero) == ow_zero()
 
     def test_unit_word(self):
         ring = RINGS[0]
@@ -575,6 +605,43 @@ class TestHwEigenvalues:
         ring = LaurentRing(2, q_one=True)
         a, b = hw_eigenvalue_pair(3, 2, 2, 2, +1, ring)
         assert a == b == ring.Q(1, 2).scale(3)
+
+
+# Words drop their zero-coefficient terms, and with them every label
+# sequence that only such terms used.  The closed form of each X_t must
+# still be checked against its inductive definition: the labels checked
+# are those checked while words kept their zero terms.  Every row of a
+# block difference has one target weight, so dropped terms cannot reorder
+# the blocks that first_difference walks.
+@pytest.mark.parametrize("argv,tmax", [
+    (["--suite", "schur", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2"], 5),
+    (["--suite", "schur", "-n", "3", "-r", "2", "-m", "2,2", "--deg", "2"], 5),
+    (["--suite", "q1", "-n", "3", "-r", "2", "-m", "2,2"], 4),
+])
+def test_every_x_induction_is_still_checked(monkeypatch, capsys, argv, tmax):
+    checked = set()
+    real = SchurContext._check_x_induction
+
+    def counted(self, label):
+        checked.add(label)
+        return real(self, label)
+
+    real_blocks = SchurContext.block_difference
+    targets = set()
+
+    def counted_blocks(self, a, b):
+        blocks = real_blocks(self, a, b)
+        targets.update(len(row) for row in blocks.values())
+        return blocks
+
+    monkeypatch.setattr(SchurContext, "_check_x_induction", counted)
+    monkeypatch.setattr(SchurContext, "block_difference", counted_blocks)
+    assert main(["verify", *argv]) == 0
+    capsys.readouterr()
+    assert targets == {1}
+    assert checked == {
+        X(sign, pos, t) for sign in (1, -1) for pos in (1, 2, 3) for t in range(1, tmax + 1)
+    }
 
 
 @pytest.mark.slow
