@@ -112,10 +112,8 @@ def unflatten(flat, shape):
     return tuple(mu)
 
 
-def partitions_of(n, max_len=None, max_part=None):
+def partitions_of(n, max_len=None):
     """Partitions of n, largest part first, in lexicographically decreasing order."""
-    if max_part is None:
-        max_part = n
     if max_len is None:
         max_len = n
 
@@ -129,7 +127,7 @@ def partitions_of(n, max_len=None, max_part=None):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    return list(rec(n, max_part, max_len))
+    return list(rec(n, n, max_len))
 
 
 def strip(partition):

@@ -10,21 +10,26 @@ the cyclotomic quotient, and every identity the verification suites check is
 expected to hold already in this model (the suites would expose it if one
 did not).
 
-An element is one flat dict {(key, w): coefficient}: the coefficient is an
-``int``, or a ``Fraction`` when it is not integral, never zero, and ``key``
-is one ``int`` packing the exponents of the monomial
+An element is one flat dict {(w, key): coefficient}, the (head, key)
+layout of ``liealg`` and ``symfun`` terms with the permutation w as head:
+the coefficient is an ``int``, or a ``Fraction`` when it is not integral,
+never zero, and ``key`` is one ``int`` packing the exponents of the monomial
 L_1^{c_1} ... L_n^{c_n} q^{e} Q_0^{f_0} ... Q_{r-1}^{f_{r-1}}.  The L
 exponents have the n lowest slots of the ``coeff`` packing (L_1 lowest),
 and the ring part above them is a ``MultiLaurent`` key as it is, shifted by
 16n bits.  Every exponent lies in [-8192, 8191], and a key formed out of
 that range raises ``EngineError``.  Products therefore add keys and
-multiply integers and allocate no ``MultiLaurent``.  At the boundary, where
-``HeckeContext.from_grouped`` (behind ``term``), ``HeckeElem.scale`` and
-``HeckeElem.grouped`` (behind ``sorted_terms``, ``elem_to_json`` and
-``repr``) meet a ``MultiLaurent``, a ring key moves in with ``key << 16n``
-and out with ``key >> 16n``; ``phi_jm`` moves the keys of a flat ``SymPoly``
-in the same way.  ``a_form_quotient`` divides by a polynomial in q on the
-flat keys, rewriting their q slot, and builds no ``MultiLaurent`` either.
+multiply integers and allocate no ``MultiLaurent``.  A shifted, scaled
+copy of an element's terms (by a central scalar, a power of L_j, a power of
+q in the coset sweep) is added by ``coeff._acc_scaled``, as for the other
+flat elements; the products by T_i and T_w keep their own loops.  At the
+boundary, where ``HeckeContext.from_grouped`` (behind ``term``),
+``HeckeElem.scale`` and ``HeckeElem.grouped`` (behind ``sorted_terms``,
+``elem_to_json`` and ``repr``) meet a ``MultiLaurent``, a ring key moves in
+with ``key << 16n`` and out with ``key >> 16n``; ``phi_jm`` moves the keys
+of a flat ``SymPoly`` in the same way.  ``a_form_quotient`` divides by a
+polynomial in q on the flat keys, rewriting their q slot, and builds no
+``MultiLaurent`` either.
 
 A product a * b pushes b through T_w for each w in the support of a, and
 ``HeckeContext._pushes`` keeps each push T_w * b by content (w, b) for the
@@ -54,6 +59,7 @@ from .coeff import (
     EngineError,
     LaurentRing,
     MultiLaurent,
+    _acc_scaled,
     _add_terms,
     _clean,
     _divexact_univariate,
@@ -110,20 +116,21 @@ class HeckeContext:
         for (c, w), coeff in terms.items():
             base = _slots(_BIAS, self.n) + _pack(c)
             for key, x in coeff.terms.items():
-                flat[(base + (key << self._ring_shift), tuple(w))] = x
+                flat[(tuple(w), base + (key << self._ring_shift))] = x
         return HeckeElem(self, flat)
 
     # -- constructors -------------------------------------------------------
 
     def from_terms(self, out):
-        """The element of a term dict summed by ``HeckeElem.accumulate``."""
-        return HeckeElem(self, _clean(out))
+        """The element of a term dict summed by ``HeckeElem.accumulate``,
+        which leaves it zero-free."""
+        return HeckeElem(self, out)
 
     def zero(self):
         return HeckeElem(self, {})
 
     def one(self):
-        return HeckeElem(self, {(self._origin, self._id): 1})
+        return HeckeElem(self, {(self._id, self._origin): 1})
 
     def term(self, c, w, coeff):
         return self.from_grouped({(tuple(c), tuple(w)): coeff})
@@ -167,7 +174,7 @@ class HeckeContext:
         sh = _W * (i - 1)
         # adding swap moves one unit of exponent from L_i to L_{i+1}
         swap = (1 << (sh + _W)) - (1 << sh)
-        for (key, w), coeff in elem.terms.items():
+        for (w, key), coeff in elem.terms.items():
             # d = c_i - c_{i+1}; T_i commutes with (L_i L_{i+1})^min and
             # T_i L^c = L^{s_i c} T_i + (q - q^{-1}) terms between the two
             d = ((key >> sh) & _MASK) - ((key >> (sh + _W)) & _MASK)
@@ -184,8 +191,8 @@ class HeckeContext:
                     #                  + (q - q^{-1}) sum_{1<=s<=-d} L_i^{-d-s} L_{i+1}^s
                     k, step, c = e1 + swap, swap, coeff
                 for _ in range(abs(d)):
-                    kp = (k + qstep, w)
-                    km = (k - qstep, w)
+                    kp = (w, k + qstep)
+                    km = (w, k - qstep)
                     out[kp] = get(kp, 0) + c
                     out[km] = get(km, 0) - c
                     k += step
@@ -197,7 +204,7 @@ class HeckeContext:
         p2 = w.index(i)
         w2 = list(w)
         w2[p1], w2[p2] = i, i - 1
-        k = (key, tuple(w2))
+        k = (tuple(w2), key)
         out[k] = out.get(k, 0) + coeff
         if p1 > p2:
             self._acc_qq(out, key, w, coeff)
@@ -208,8 +215,8 @@ class HeckeContext:
         if qstep:
             if (key + qstep) & self._guard or (key - qstep) & self._guard:
                 raise _overflow()
-            kp = (key + qstep, w)
-            km = (key - qstep, w)
+            kp = (w, key + qstep)
+            km = (w, key - qstep)
             out[kp] = out.get(kp, 0) + coeff
             out[km] = out.get(km, 0) - coeff
 
@@ -218,10 +225,10 @@ class HeckeContext:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"T_{i} out of range")
         out = {}
-        for (key, w), coeff in elem.terms.items():
+        for (w, key), coeff in elem.terms.items():
             w2 = list(w)
             w2[i - 1], w2[i] = w2[i], w2[i - 1]
-            k = (key, tuple(w2))
+            k = (tuple(w2), key)
             out[k] = out.get(k, 0) + coeff
             if w[i - 1] > w[i]:
                 self._acc_qq(out, key, w, coeff)
@@ -237,18 +244,18 @@ class HeckeContext:
         guard = self._guard
         origin = self._origin
         by_w = {}
-        for (key, w), coeff in a.terms.items():
+        for (w, key), coeff in a.terms.items():
             by_w.setdefault(w, []).append((key - origin, coeff))
         out = {}
         get = out.get
         for w, pairs in by_w.items():
             pushed = b if w == self._id else self._push(w, b)
-            for (key2, w2), coeff2 in pushed.terms.items():
+            for (w2, key2), coeff2 in pushed.terms.items():
                 for shift, coeff in pairs:
                     key = shift + key2
                     if key & guard:
                         raise _overflow()
-                    k = (key, w2)
+                    k = (w2, key)
                     out[k] = get(k, 0) + coeff * coeff2
         return HeckeElem(self, _clean(out))
 
@@ -307,8 +314,8 @@ class HeckeContext:
 
 
 class HeckeElem:
-    """Normal-form element: dict (packed exponent key, permutation) ->
-    nonzero int or Fraction coefficient (see the module docstring).
+    """Normal-form element: dict {(permutation, packed exponent key):
+    nonzero int or Fraction coefficient} (see the module docstring).
     Instances are immutable by convention: the hash is computed once, on
     first use, and kept."""
 
@@ -347,26 +354,16 @@ class HeckeElem:
     def __mul__(self, other):
         return self.ctx.mul(self, other)
 
-    def _shifted(self, delta, coeff, out):
-        # accumulate coeff * (this element with every key shifted by delta)
-        guard = self.ctx._guard
-        get = out.get
-        for (key, w), v in self.terms.items():
-            key += delta
-            if key & guard:
-                raise _overflow()
-            k = (key, w)
-            out[k] = get(k, 0) + v * coeff
-
     def accumulate(self, terms, out, sign=1):
         """Add sign * c * (this element) into the term dict ``out``, c the
         ring element with the flat terms ``terms`` (``MultiLaurent.terms``,
         or an operator word coefficient): each of its terms is a shift of
-        every key.  ``HeckeContext.from_terms`` makes the element of the sum."""
+        every key.  ``out`` stays zero-free, and ``HeckeContext.from_terms``
+        makes the element of the sum."""
         ctx = self.ctx
-        origin, sh = ctx.ring.origin, ctx._ring_shift
+        origin, sh, guard = ctx.ring.origin, ctx._ring_shift, ctx._guard
         for key, c in terms.items():
-            self._shifted((key - origin) << sh, sign * c, out)
+            _acc_scaled(out, self.terms, (key - origin) << sh, sign * c, guard)
 
     def scale(self, coeff):
         """The element times a central scalar: a MultiLaurent, int or Fraction."""
@@ -375,25 +372,22 @@ class HeckeElem:
             coeff = ctx.ring.from_fraction(coeff)
         out = {}
         self.accumulate(coeff.terms, out)
-        return HeckeElem(ctx, _clean(out))
+        return HeckeElem(ctx, out)
 
     def shift_L(self, j, e):
         """The element times L_j^e."""
         if not 1 <= j <= self.ctx.n:
             raise ValueError(f"L_{j} out of range")
         out = {}
-        self._shifted(_pack((e,), j - 1), 1, out)
+        _acc_scaled(out, self.terms, _pack((e,), j - 1), 1, self.ctx._guard)
         return HeckeElem(self.ctx, out)
-
-    def commutator(self, other):
-        return self * other - other * self
 
     def grouped(self):
         """The terms as {(L-exponents, permutation): MultiLaurent}."""
         ctx = self.ctx
         sh = ctx._ring_shift
         out = {}
-        for (key, w), coeff in self.terms.items():
+        for (w, key), coeff in self.terms.items():
             out.setdefault((_unpack(key, ctx.n), w), {})[key >> sh] = coeff
         nvars = ctx.ring.nvars
         return {k: MultiLaurent._make(nvars, v) for k, v in out.items()}
@@ -431,20 +425,20 @@ def a_form_quotient(elem, g):
     q_slot, q_origin = _MASK << sh, _BIAS << sh
     q_bias = _slots(_BIAS, ring.r) << (sh + _W)
     groups = {}
-    for (key, w), c in elem.terms.items():
+    for (w, key), c in elem.terms.items():
         head = key & ~q_slot
         if head & q_bias != q_bias:
             return None
-        groups.setdefault((head, w), {})[((key >> sh) & _MASK) - _BIAS] = c
+        groups.setdefault((w, head), {})[((key >> sh) & _MASK) - _BIAS] = c
     out = {}
-    for (head, w), poly in groups.items():
+    for (w, head), poly in groups.items():
         quotient = _divexact_univariate(poly, gq)
         if quotient is None:
             return None
         for e, c in quotient.items():
             if type(c) is not int:
                 return None
-            out[(head + q_origin + _pack((e,), ctx.n), w)] = c
+            out[(w, head + q_origin + _pack((e,), ctx.n))] = c
     return HeckeElem(ctx, out)
 
 
@@ -475,7 +469,7 @@ def x_mu_mul(ctx, parts, D):
     block is applied one level k = 2..part at a time as
     x_{S_k} = sum_{j<=k} q^{k-j} T_j ... T_{k-1} x_{S_{k-1}}, the minimal left
     coset representatives of S_{k-1} in S_k (k - 1 ``lmul_gen`` calls)."""
-    qstep = ctx._qstep
+    qstep, guard = ctx._qstep, ctx._guard
     off = 0
     for part in parts:
         for k in range(2, part + 1):
@@ -483,8 +477,8 @@ def x_mu_mul(ctx, parts, D):
             z = D
             for j in range(k - 1, 0, -1):
                 z = ctx.lmul_gen(off + j, z)
-                z._shifted((k - j) * qstep, 1, out)
-            D = HeckeElem(ctx, _clean(out))
+                _acc_scaled(out, z.terms, (k - j) * qstep, 1, guard)
+            D = HeckeElem(ctx, out)
         off += part
     return D
 
@@ -501,15 +495,16 @@ def m_mu_mul(ctx, mu, shape, D):
     if not D.terms:
         return D
     D = x_mu_mul(ctx, young_parts(mu), D)
+    guard = ctx._guard
     a_k = 0
     for k in range(1, shape.r):
         a_k += sum(mu[k - 1])
         Qk = _pack((1,), k + 1) << ctx._ring_shift
         for i in range(1, a_k + 1):
             out = {}
-            D._shifted(_pack((1,), i - 1), 1, out)
-            D._shifted(Qk, -1, out)
-            D = HeckeElem(ctx, _clean(out))
+            _acc_scaled(out, D.terms, _pack((1,), i - 1), 1, guard)
+            _acc_scaled(out, D.terms, Qk, -1, guard)
+            D = HeckeElem(ctx, out)
     return D
 
 
@@ -520,8 +515,8 @@ def iota(ctx, D):
     applied to f_w(L) by ``lmul_gen`` along a reduced word of w^-1, right
     to left.  Nothing is memoized: the operands are used once."""
     by_w = {}
-    for (key, w), coeff in D.terms.items():
-        by_w.setdefault(w, {})[(key, ctx._id)] = coeff
+    for (w, key), coeff in D.terms.items():
+        by_w.setdefault(w, {})[(ctx._id, key)] = coeff
     out = {}
     for w, f in by_w.items():
         z = HeckeElem(ctx, f)
@@ -558,7 +553,7 @@ def _x_mu_collapse_kills(ctx, parts, D):
         off += part
     qstep, guard = ctx._qstep, ctx._guard
     sums = {}
-    for (key, v), coeff in iota(ctx, D).terms.items():
+    for (v, key), coeff in iota(ctx, D).terms.items():
         d = list(v)
         length = 0
         for lo, hi in blocks:
@@ -568,7 +563,7 @@ def _x_mu_collapse_kills(ctx, parts, D):
         key += length * qstep
         if key & guard:
             raise _overflow()
-        k = (key, tuple(d))
+        k = (tuple(d), key)
         sums[k] = sums.get(k, 0) + coeff
     return not any(sums.values())
 
@@ -693,5 +688,5 @@ def phi_jm(ctx, t, sign, l_indices):
     terms = {}
     for (exps, key), c in poly.terms.items():
         lkey = base + sum(_pack((e,), j - 1) for j, e in zip(l_indices, exps))
-        terms[(lkey + (key << ctx._ring_shift), ctx._id)] = c
+        terms[(ctx._id, lkey + (key << ctx._ring_shift))] = c
     return HeckeElem(ctx, terms)

@@ -26,10 +26,12 @@ the boundary, ``basis``, ``scale`` and ``mat_unit`` take the terms of a
 {label: MultiLaurent} (``sorted_terms``, ``elem_to_json`` and ``repr`` read
 it).
 
-The m x m matrices of the evaluation map onto gl_m and of the modules V_tau
-are sparse and flat the same way: a dict {(i, j, key): coefficient} with
-zero-based indices that stores only nonzero entries, so the zero matrix is
-{} and matrix equality is ==.
+The m x m matrices of the modules V_tau are sparse and flat the same way: a
+dict {(i, j, key): coefficient} with zero-based indices that stores only
+nonzero entries, so the zero matrix is {} and matrix equality is ==.  A
+generator's matrix has a closed form in tau, a longer label's is the
+commutator of its peeled factors, and each is cached per tau.  The
+evaluation map onto gl_m is V_0, read from the same formula and cache.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ class LieContext:
         self._antisymmetry = {}  # tuple of labels -> first violating pair or None
         self._vtau_cache = {}  # tau -> {label: matrix}
         self._last_tau = self._last_vtau = None
-        self._eval_cache = {}
 
     # -- flat coefficients --------------------------------------------------
 
@@ -271,28 +272,6 @@ class LieContext:
             return LieElem(self, {((p, q + 1, d), Q): sign, ((p, q + 1, d + 1), one): -sign})
         return self._empty
 
-    # -- images of elements under a matrix representation -------------------
-
-    def _image(self, x, matrix_of):
-        """sum over the terms c L of x of c * matrix_of(L)."""
-        origin, guard = self._origin, self._guard
-        out = {}
-        for (label, k), c in x.terms.items():
-            shift = k - origin
-            for (i, j, key), v in matrix_of(label).items():
-                key += shift
-                if key & guard:
-                    raise _overflow()
-                e = (i, j, key)
-                v *= c
-                if e in out:
-                    v += out[e]
-                    if not v:
-                        del out[e]
-                        continue
-                out[e] = v if type(v) is int else _exact(v)
-        return out
-
     # -- the V_tau representations ----------------------------------------
 
     def _vtau_matrices(self, tau):
@@ -331,8 +310,32 @@ class LieContext:
         return M
 
     def vtau_rep(self, x, tau):
-        cache = self._vtau_matrices(tau)
-        return self._image(x, lambda label: self._vtau_matrix(label, tau, cache))
+        return self._image(x, self._vtau_matrices(tau), tau)
+
+    def _image(self, x, cache, tau):
+        """sum over the terms c L of x of c * (the V_tau matrix of L), read
+        from ``cache``, tau's {label: matrix} cache: a matrix is built only
+        on a miss."""
+        origin, guard = self._origin, self._guard
+        out = {}
+        for (label, k), c in x.terms.items():
+            M = cache.get(label)
+            if M is None:
+                M = self._vtau_matrix(label, tau, cache)
+            shift = k - origin
+            for (i, j, key), v in M.items():
+                key += shift
+                if key & guard:
+                    raise _overflow()
+                e = (i, j, key)
+                v *= c
+                if e in out:
+                    v += out[e]
+                    if not v:
+                        del out[e]
+                        continue
+                out[e] = v if type(v) is int else _exact(v)
+        return out
 
     def psi_vtau(self, p, q, tau):
         """The scalar by which E[p,q;t] hits v_q: the product (tau - Q) over
@@ -349,30 +352,13 @@ class LieContext:
     # -- evaluation onto gl_m ----------------------------------------------
 
     def eval_basis_matrix(self, label):
-        """The evaluation map: degree-zero generators to matrix units (with
-        -Q_k at junction raisers), positive degrees to zero."""
-        cached = self._eval_cache.get(label)
-        if cached is not None:
-            return cached
-        p, q, t = label
-        if abs(p - q) <= 1:
-            Q = self._jkey.get(p) if q == p + 1 else None
-            if t:
-                M = {}
-            elif Q is None:
-                M = {(p - 1, q - 1, self._origin): 1}
-            else:
-                M = {(p - 1, q - 1, Q): -1}
-        else:
-            g, inner = _peel(label)
-            M = mat_commutator(
-                self, self.eval_basis_matrix(g), self.eval_basis_matrix(inner)
-            )
-        self._eval_cache[label] = M
-        return M
+        """The evaluation map onto gl_m, the representation V_0: degree-zero
+        generators go to matrix units (with -Q_k at junction raisers),
+        positive degrees to zero."""
+        return self.vtau_basis_matrix(label, 0)
 
     def eval_map(self, x):
-        return self._image(x, self.eval_basis_matrix)
+        return self.vtau_rep(x, 0)
 
     def psi_gr(self, p, q):
         """Rescaling of the graded isomorphism: prod of (-Q_k^{-1}) over the

@@ -90,8 +90,9 @@ def verify_m_mu_T(ctx, shape):
     checks = []
     for mu in comb.enumerate_compositions(ctx.n, shape):
         mm = m_mu(ctx, mu, shape)
+        q_mm = mm.scale(ctx.ring.q)
         for i in young_generators(mu):
-            ok = ctx.rmul_gen(mm, i) == mm.scale(ctx.ring.q)
+            ok = ctx.rmul_gen(mm, i) == q_mm
             checks.append(check("m-mu-T", {"mu": mu, "i": i}, ok))
     return checks
 

@@ -82,19 +82,19 @@ def run_relations(sctx, relations):
     return checks
 
 
-def verify_relations(sctx, smax=2, tmax=2, umax=2):
+def verify_relations(sctx, deg=2):
     """Relations (R1)-(R8) plus the derived commutation expansions, as
     operator identities on every weight."""
-    return run_relations(sctx, relation_words(sctx, smax, tmax, umax))
+    return run_relations(sctx, relation_words(sctx, deg))
 
 
-def relation_words(sctx, smax, tmax, umax):
+def relation_words(sctx, deg):
     """(R1)-(R8), the expansions of [I_s, X_t] and two corollaries of (R1),
     as (name, params, lhs word, rhs word) in report order."""
     ring = sctx.ring
     qq = ring.qq_comm()
     gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
-    S, T, U = range(smax + 1), range(tmax + 1), range(umax + 1)
+    S = T = U = range(deg + 1)
     w = partial(ow, ring)
     zero, one = ow_zero(), w()
 
@@ -152,7 +152,7 @@ def relation_words(sctx, smax, tmax, umax):
                     )
             # [I_s, X_t], s >= 1: form 1 puts each X left of its I, form 2
             # right of it and runs the q-powers the other way
-            for s, t, xsign in product(range(1, smax + 2), T, (+1, -1)):
+            for s, t, xsign in product(range(1, deg + 2), T, (+1, -1)):
                 e = xsign * sign * a
                 lhs = comm(I(sign, pj, s), X(xsign, px, t))
                 for form in (1, 2):
@@ -213,7 +213,7 @@ def relation_words(sctx, smax, tmax, umax):
         if abs(p1 - p2) != 1:
             continue
         for sign, u, s in product((+1, -1), U, S):
-            for t in range(s, tmax + 1):
+            for t in range(s, deg + 1):
                 xs, xt, xu = X(sign, p1, s), X(sign, p1, t), X(sign, p2, u)
                 anti = ow_add(w(xs, xt), w(xt, xs))
                 lhs = ow_add(ow_mul(ring, w(xu), anti), ow_mul(ring, anti, w(xu)))
@@ -232,19 +232,19 @@ def relation_words(sctx, smax, tmax, umax):
         yield "CJ0", {"pos": pos}, J0, rhs
 
 
-def verify_q1(sctx, smax=2, tmax=2, umax=2):
+def verify_q1(sctx, deg=2):
     """The q = 1 identities: trivial K, matching I^+ = I^-, and the images of
     the current-algebra relations (L1)-(L6)."""
     if not sctx.ring.q_one:
         raise ValueError("needs a q = 1 context")
-    return run_relations(sctx, q1_relation_words(sctx, smax, tmax, umax))
+    return run_relations(sctx, q1_relation_words(sctx, deg))
 
 
-def q1_relation_words(sctx, smax, tmax, umax):
+def q1_relation_words(sctx, deg):
     """The q = 1 identities and (L1)-(L6) as (name, params, lhs, rhs)."""
     ring = sctx.ring
     gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
-    S, T, U = range(smax + 1), range(tmax + 1), range(umax + 1)
+    S = T = U = range(deg + 1)
     w = partial(ow, ring)
     zero, one = ow_zero(), w()
 
@@ -257,7 +257,7 @@ def q1_relation_words(sctx, smax, tmax, umax):
     for pos in gamma:
         for sign in (+1, -1):
             yield "q1-K-trivial", {"pos": pos, "sign": sign}, w(K(sign, pos)), one
-        for t in range(tmax + 2):
+        for t in range(deg + 2):
             lhs, rhs = w(I(+1, pos, t)), w(I(-1, pos, t))
             yield "q1-I-plus-minus", {"pos": pos, "t": t}, lhs, rhs
     for pos in gamma_prime:
@@ -316,12 +316,13 @@ def divided_power_image(sctx, pos, sign, t, d, mu):
     return a_form_quotient(value, qfactorial(d, sctx.ring))
 
 
-def verify_divided_powers(sctx, dmax=3, tmax=1):
-    """(X^{sign}_t)^d(m_mu) / [d]! lies in the A-form, and vanishes when d
-    exceeds the entry that X^{sign} moves nodes out of.  A failed check
+def verify_divided_powers(sctx, dmax=3):
+    """(X^{sign}_t)^d(m_mu) / [d]! lies in the A-form for t = 0, 1 and
+    d <= dmax, and vanishes when d exceeds the entry that X^{sign} moves
+    nodes out of.  A failed check
     carries the target weight and the first terms of the undivided image."""
     checks = []
-    gamma_prime, T, D = range(1, sctx.shape.total), range(tmax + 1), range(1, dmax + 1)
+    gamma_prime, T, D = range(1, sctx.shape.total), range(2), range(1, dmax + 1)
     for pos, sign, t, d, mu in product(gamma_prime, (+1, -1), T, D, sctx.weights):
         quotient = divided_power_image(sctx, pos, sign, t, d, mu)
         flat = comb.flatten(mu)
@@ -344,7 +345,7 @@ def hw_eigenvalue_pair(lam_j, j, l, t, sign, ring):
     versus the explicit q-power times a Gauss integer."""
     if lam_j == 0:
         return ring.zero, ring.zero
-    args = [ring.Q(l - 1) * ring.q_pow(2 * (c - j)) for c in range(1, lam_j + 1)]
+    args = [comb.residue((j, c, l), ring) for c in range(1, lam_j + 1)]
     poly = phi(t, lam_j, sign, ring)
     via_phi = poly.evaluate(args) * ring.q_pow(sign * (t - 1))
     # the q-power runs (2t - 1) lam_j for sign +1 and lam_j for sign -1
@@ -369,13 +370,13 @@ def verify_hw_eigenvalues(ring, lam_max=5, j_max=3, t_max=4, l_values=(1, 2)):
 def run(config):
     """The ``schur`` suite of ``cycloschur verify``."""
     sctx = SchurContext(config.n, config.shape, q_one=config.q1)
-    checks = verify_relations(sctx, smax=config.deg, tmax=config.deg, umax=config.deg)
-    checks += verify_divided_powers(sctx, dmax=config.dmax, tmax=1)
+    checks = verify_relations(sctx, deg=config.deg)
+    checks += verify_divided_powers(sctx, dmax=config.dmax)
     return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
 
 
 def run_q1(config):
     """The ``q1`` suite of ``cycloschur verify``."""
     sctx = SchurContext(config.n, config.shape, q_one=True)
-    checks = verify_q1(sctx, smax=config.deg, tmax=config.deg, umax=config.deg)
+    checks = verify_q1(sctx, deg=config.deg)
     return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)

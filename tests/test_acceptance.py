@@ -69,21 +69,21 @@ def test_criterion_3_psi_relations():
     checks = []
     for n, r, m in [(2, 2, (2, 2)), (3, 2, (2, 2)), (2, 3, (1, 1, 1))]:
         sctx = SchurContext(n, Shape(m))
-        checks += verify_relations(sctx, smax=2, tmax=2, umax=2)
+        checks += verify_relations(sctx, deg=2)
     report(3, "(R1)-(R8) and CI-CX expansions", checks, time.time() - t0, 600)
 
 
 def test_criterion_4_divided_powers():
     t0 = time.time()
     sctx = SchurContext(3, Shape((2, 2)))
-    checks = verify_divided_powers(sctx, dmax=3, tmax=1)
+    checks = verify_divided_powers(sctx, dmax=3)
     report(4, "divided powers d <= 3, t <= 1", checks, time.time() - t0, 120)
 
 
 def test_criterion_5_q1_images():
     t0 = time.time()
     sctx = SchurContext(3, Shape((2, 2)), q_one=True)
-    checks = verify_q1(sctx, smax=2, tmax=2, umax=2)
+    checks = verify_q1(sctx, deg=2)
     report(5, "q = 1: K, I, wtKJ0, (L1)-(L6) images", checks, time.time() - t0, 300)
 
 

@@ -11,6 +11,7 @@ from cycloschur import cli, hecke, schurops
 from cycloschur.suites import hecke as hecke_suite
 from cycloschur.suites import schur as schur_suite
 from cycloschur.cli import ParseError, main, parse_multipartition
+from cycloschur.combinatorics import Shape
 
 
 class TestMultipartitionParser:
@@ -423,6 +424,52 @@ def test_exhaustive_jacobi_suites_pinned(capsys, argv, triples, digest):
     assert jacobi["ok"] and jacobi["params"]["triples"] == triples
     canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+# The README's ``--suite all`` line: every suite in one run, with the
+# per-suite totals and the digest recorded before the evaluation map was
+# read from V_0 and the Hecke terms were keyed (w, key).
+def test_readme_all_suites_pinned(capsys):
+    argv = ["verify", "--suite", "all", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2",
+            "--seed", "0"]
+    assert main(argv) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert {name: s["total"] for name, s in suites.items()} == {
+        "hecke": 440, "schur": 2853, "lie": 13, "symfun": 161, "q1": 934,
+    }
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "378a27e8809a4e1e408038c3939f17f9a62cdf84c338900acf53ac12dddf8911"
+    )
+
+
+# Neither the q1 checks nor the hecke checks record n, m or q, so no pinned
+# digest tells whether a run honoured those options: these tests record the
+# context each runner builds.
+def _record_contexts(monkeypatch, module, name):
+    built = []
+    base = getattr(module, name)
+
+    class Recording(base):
+        def __init__(self, *args, **kwargs):
+            built.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, Recording)
+    return built
+
+
+def test_q1_runner_builds_the_requested_context(monkeypatch, capsys):
+    built = _record_contexts(monkeypatch, schur_suite, "SchurContext")
+    assert main(["verify", "--suite", "q1", "-n", "4", "-r", "3", "-m", "1,2,1"]) == 0
+    assert built == [((4, Shape((1, 2, 1))), {"q_one": True})]
+
+
+@pytest.mark.parametrize("flags,q_one", [([], False), (["--q1"], True)])
+def test_hecke_runner_builds_the_requested_context(monkeypatch, capsys, flags, q_one):
+    built = _record_contexts(monkeypatch, hecke_suite, "HeckeContext")
+    assert main(["verify", "--suite", "hecke", "-n", "3", "-r", "2", "-m", "2,2", *flags]) == 0
+    assert built == [((3, 2), {"q_one": q_one})]
 
 
 def _suites_sha256(capsys):

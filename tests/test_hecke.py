@@ -357,6 +357,30 @@ class TestPackedKeys:
         for elem in (*products, x + x):
             assert all(type(c) is int for c in elem.terms.values())
 
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_every_term_is_keyed_permutation_then_int(self, q_one):
+        # the (head, key) layout of every flat element, with w as head, out
+        # of each constructor and each product, shift and quotient
+        ctx = HeckeContext(3, 2, q_one=q_one)
+        ring = ctx.ring
+        mu, shape = ((1,), (2,)), Shape((1, 2))
+        x = ctx.Tword((1, 2)).shift_L(2, 1) + ctx.term((1, 0, 2), (2, 0, 1), ring.Q(1))
+        elems = [
+            ctx.one(), ctx.T(1), ctx.L(3, 2), x, x * x, ctx.lmul_gen(2, x),
+            ctx.rmul_gen(x, 1), x.scale(ring.q + ring.Q(0)), iota(ctx, x),
+            x_mu_mul(ctx, (3,), x), m_mu(ctx, mu, shape), m_mu_mul(ctx, mu, shape, x),
+            phi_jm(ctx, 2, +1, (1, 2)), a_form_quotient(x.scale(qfactorial(2, ring)),
+                                                       qfactorial(2, ring)),
+        ]
+        out = {}
+        x.accumulate((ring.q + ring.Q(1)).terms, out, -1)
+        elems.append(ctx.from_terms(out))
+        for elem in elems:
+            assert elem.terms
+            for (w, key), c in elem.terms.items():
+                assert type(w) is tuple and sorted(w) == [0, 1, 2]
+                assert type(key) is int and c != 0
+
     def test_squaring_L1_overflows_its_slot(self, ctx3):
         x = ctx3.L(1)
         for _ in range(12):
@@ -456,7 +480,7 @@ class TestPushMemo:
     def test_distinct_operands_never_share_an_entry(self):
         ctx = HeckeContext(3, 2)
         a = ctx.Tword((1, 2))
-        w = next(iter(a.terms))[1]
+        w = next(iter(a.terms))[0]
         b1, b2 = ctx.L(1), ctx.L(2)
         p1, p2 = a * b1, a * b2
         assert p1 != p2
@@ -754,7 +778,7 @@ def collapse_operands(draw, ctx, mu):
             key = draw(st.sampled_from(sorted(D.terms)))
             terms = dict(D.terms)
             terms[key] += draw(st.sampled_from((1, -1)))
-            D = ctx.from_terms(terms)
+            D = ctx.from_terms({k: c for k, c in terms.items() if c})
         else:
             D = D + ctx.Tword(draw(st.lists(st.integers(1, ctx.n - 1), max_size=3)))
     return D

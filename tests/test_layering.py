@@ -56,10 +56,9 @@ def test_only_coeff_and_hecke_know_the_key_layout():
     assert _uses(PACKING, ("coeff.py", "hecke.py")) == []
 
 
-# The ring shift of a Hecke key and the key-shifting accumulator are the
-# engine's own: other modules scale through ``HeckeElem.scale`` and
-# ``HeckeElem.accumulate``.
-HECKE_PRIVATE = {"_ring_shift", "_shifted"}
+# The ring shift of a Hecke key is the engine's own: other modules scale
+# through ``HeckeElem.scale`` and ``HeckeElem.accumulate``.
+HECKE_PRIVATE = {"_ring_shift"}
 
 
 def test_only_hecke_shifts_hecke_keys():

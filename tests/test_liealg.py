@@ -238,11 +238,34 @@ class TestEvalMap:
         rhs = mat_commutator(lctx, lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
         assert lhs == rhs
 
+    @pytest.mark.parametrize("m", [(2, 2), (1, 2, 1), (2, 2, 2), (3, 3)])
+    @pytest.mark.parametrize("ask", ["eval", "fraction"])
+    def test_v0_is_the_evaluation_table(self, m, ask):
+        # the evaluation map written out: matrix units on the degree-zero
+        # generators, -Q_k at a raiser from junction k, and zero in positive
+        # degree, every value an int; V_0 asked through eval_basis_matrix
+        # and as V_tau at tau = Fraction(0), each on a fresh context
+        lctx_m = LieContext(Shape(m))
+        for p, q, t in generator_labels(lctx_m, 3):
+            if ask == "eval":
+                M = lctx_m.eval_basis_matrix((p, q, t))
+            else:
+                M = lctx_m.vtau_basis_matrix((p, q, t), Fraction(0))
+            k = lctx_m.shape.junction(p) if q == p + 1 else None
+            if t:
+                expected = {}
+            elif k is None:
+                expected = mat_unit(lctx_m, p - 1, q - 1, 1)
+            else:
+                expected = mat_unit(lctx_m, p - 1, q - 1, -lctx_m.ring.Q(k))
+            assert M == expected, (p, q, t)
+            assert all(type(v) is int for v in M.values())
+
     def test_kills_positive_degree_checked_at_deg_zero(self):
         # at deg_cap 0 the check still covers the degree-1 generators
         lctx4 = LieContext(Shape((2, 2)))
         assert all(c["ok"] for c in verify_eval_map(lctx4, deg_cap=0))
-        lctx4._eval_cache[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
+        lctx4._vtau_cache.setdefault(0, {})[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
         checks = verify_eval_map(lctx4, deg_cap=0)
         (kill,) = _by_name(checks, "eval-kills-positive-degree")
         assert not kill["ok"]
@@ -343,7 +366,7 @@ class TestSparseMatrices:
         m, A, B = case
         x = LCTX.basis(1, 1, 0, c) + LCTX.basis(2, 2, 0, c2)
         images = {(1, 1, 0): flat(A), (2, 2, 0): flat(B)}
-        got = LCTX._image(x, images.__getitem__)
+        got = LCTX._image(x, images, None)
         assert got == flat(sparse(dense_add(dense_scale(dense(A, m), c),
                                             dense_scale(dense(B, m), c2))))
         assert_normal(got)
@@ -366,7 +389,7 @@ def _by_name(checks, name):
 class TestChecksCanFail:
     def test_corrupt_eval_entry(self):
         lctx4 = LieContext(Shape((2, 2)))
-        lctx4._eval_cache[(1, 2, 0)] = mat_unit(lctx4, 0, 1, 2)
+        lctx4._vtau_cache.setdefault(0, {})[(1, 2, 0)] = mat_unit(lctx4, 0, 1, 2)
         checks = verify_eval_map(lctx4, deg_cap=1)
         (hom,) = _by_name(checks, "eval-homomorphism")
         assert not hom["ok"]
@@ -379,7 +402,7 @@ class TestChecksCanFail:
 
     def test_corrupt_positive_degree_eval_entry(self):
         lctx4 = LieContext(Shape((2, 2)))
-        lctx4._eval_cache[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
+        lctx4._vtau_cache.setdefault(0, {})[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
         checks = verify_eval_map(lctx4, deg_cap=0)
         (kill,) = _by_name(checks, "eval-kills-positive-degree")
         assert not kill["ok"]

@@ -297,7 +297,7 @@ class TestRightFactors:
         sctx = SchurContext(2, Shape((1, 2)), q_one=q_one)
         hctx, zero = sctx.hctx, ow_zero()
         nonzero = 0
-        for _name, _params, lhs, rhs in words(sctx, 1, 1, 1):
+        for _name, _params, lhs, rhs in words(sctx, 1):
             for a, b in ((lhs, rhs), (lhs, zero), (rhs, zero)):
                 blocks = sctx.block_difference(a, b)
                 for mu in sctx.weights:
@@ -323,7 +323,7 @@ class TestRightFactors:
         assert sctx.shape.junction(1) == 1
         ((lhs, rhs),) = [
             (lhs, rhs)
-            for name, params, lhs, rhs in relation_words(sctx, 1, 1, 1)
+            for name, params, lhs, rhs in relation_words(sctx, 1)
             if name == "R6-diagonal" and params == {"pos": 1, "t": 0, "s": 0}
         ]
         mu = ((2,), (0, 0))
@@ -395,7 +395,7 @@ class TestMemos:
         calls = counting_mul(monkeypatch, sctx.hctx)
         sequences = {
             labels
-            for _name, _params, lhs, rhs in words(sctx, 1, 1, 1)
+            for _name, _params, lhs, rhs in words(sctx, 1)
             for _coeff, labels in lhs + rhs
         }
         for labels in sequences:
@@ -648,18 +648,18 @@ def test_every_x_induction_is_still_checked(monkeypatch, capsys, argv, tmax):
 class TestSuites:
     def test_relations_small(self):
         sctx = SchurContext(2, Shape((2, 2)))
-        checks = verify_relations(sctx, smax=1, tmax=1, umax=1)
+        checks = verify_relations(sctx, deg=1)
         bad = [c for c in checks if not c["ok"]]
         assert not bad, bad[:3]
 
     def test_q1_small(self):
         sctx = SchurContext(2, Shape((2, 2)), q_one=True)
-        checks = verify_q1(sctx, smax=1, tmax=1, umax=1)
+        checks = verify_q1(sctx, deg=1)
         bad = [c for c in checks if not c["ok"]]
         assert not bad, bad[:3]
 
     def test_divided_powers_small(self):
         sctx = SchurContext(2, Shape((2, 2)))
-        checks = verify_divided_powers(sctx, dmax=2, tmax=1)
+        checks = verify_divided_powers(sctx, dmax=2)
         bad = [c for c in checks if not c["ok"]]
         assert not bad, bad[:3]
