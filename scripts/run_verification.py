@@ -34,6 +34,7 @@ CAMPAIGN = [
     (("q1",), 4, 2, (2, 2), 2),
     (("lie",), 2, 2, (2, 2), 2),
     (("lie",), 4, 1, (4,), 2),
+    (("lie",), 3, 3, (2, 2, 2), 2),
 ]
 
 

@@ -32,6 +32,10 @@ nonzero entries, so the zero matrix is {} and matrix equality is ==.  A
 generator's matrix has a closed form in tau, a longer label's is the
 commutator of its peeled factors, and each is cached per tau.  The
 evaluation map onto gl_m is V_0, read from the same formula and cache.
+Each entry of a product A B pairs an entry (i, k) of A with one (k, j) of
+B, so A B is {} when no column index of A is a row index of B; the Lie
+suite reads those index sets off the matrices to skip commutators that are
+zero, exactly.
 """
 
 from __future__ import annotations
@@ -198,16 +202,23 @@ class LieContext:
     def antisymmetry_violation(self, labels):
         """The first pair (a, b) of ``labels``, a at or before b, with
         [a, b] + [b, a] != 0, or None when the bracket is antisymmetric on
-        them; memoized per tuple of labels."""
+        them; memoized per tuple of labels.  A pair whose brackets are both
+        empty is antisymmetric, so ``_negatives`` runs only where either
+        order has terms."""
         labels = tuple(labels)
         if labels not in self._antisymmetry:
-            bb = self.bracket_basis
-            self._antisymmetry[labels] = next(
-                (ab for ab in upper_pairs(labels)
-                 if not _negatives(bb(*ab).terms, bb(ab[1], ab[0]).terms)),
-                None,
-            )
+            self._antisymmetry[labels] = self._first_asymmetric_pair(labels)
         return self._antisymmetry[labels]
+
+    def _first_asymmetric_pair(self, labels):
+        bb = self.bracket_basis
+        for i, a in enumerate(labels):
+            for b in labels[i:]:
+                x = bb(a, b).terms
+                y = bb(b, a).terms
+                if (x or y) and not _negatives(x, y):
+                    return a, b
+        return None
 
     def _gen_on_basis(self, g, b, sign=1):
         """Closed-form bracket sign * [generator, basis element]; every label

@@ -406,6 +406,19 @@ def test_sign_shapes_suites_pinned(capsys, argv, digest):
     assert _suites_sha256(capsys) == digest
 
 
+# One component: gr-exact-current runs, and most of its pairs are decided
+# without building either side.  14 checks, digest recorded before that skip.
+def test_one_component_lie_suites_pinned(capsys):
+    assert main(["verify", "--suite", "lie", "-r", "1", "-m", "4", "--deg", "2"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites["lie"]["total"] == 14
+    assert "gr-exact-current" in {c["check"] for c in suites["lie"]["checks"]}
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "e8badd6d5b87f544a885a6da6760a1e78b4b706e01a0b40d6305764924a7bf05"
+    )
+
+
 # Exhaustive Jacobi runs (four positions or fewer), digests recorded while
 # Jacobi still walked every ordered triple; ``triples`` stays that count.
 # One label has no strict triple but one ordered triple, and still passes.

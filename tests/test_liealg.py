@@ -806,6 +806,11 @@ class TestAntisymmetryFirst:
           (((1, 1, 0), (1, 2, 0)), (2, 2, 1))], set()),
         # a degree-0 term under a degree-1 bracket with the last label only
         ([(("last-lowering", "last"), (1, 1, 0))], {"gr-leading-term"}),
+        # index-disjoint pairs, which the pairwise walks skip while their
+        # bracket is empty: a wrong leading term in degree 0, and a degree-0
+        # term under a degree-1 bracket
+        ([(((1, 1, 0), (3, 3, 0)), (2, 2, 0))], {"gr-filtration", "gr-exact-current"}),
+        ([(((1, 1, 1), (3, 3, 0)), (2, 2, 0))], {"gr-leading-term"}),
     ])
     def test_symmetric_mutants_are_found_where_the_product_walk_finds_them(
         self, m, mutants, survivors
@@ -829,6 +834,55 @@ class TestAntisymmetryFirst:
         failed = {name for (name, _), (detail, _) in got.items() if detail}
         assert failed == {name for name, _ in got} - survivors
         assert checks[0]["ok"]
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,)])
+    def test_a_lost_bracket_on_a_shared_index_is_found(self, m):
+        # [E_{1,2;0}, E_{2,2;0}] emptied in both orders: an empty bracket
+        # whose labels share an index is still compared with gl_m[x]
+        lctx = LieContext(Shape(m))
+        a, b = (1, 2, 0), (2, 2, 0)
+        lctx._bb_cache[a, b] = lctx._bb_cache[b, a] = lctx.zero()
+        got = _details(_pairwise_checks(lctx, 1))
+        assert got == _product_order_details(lctx, 1)
+        assert got["gr-leading-term", None] == (str((a, b)), None)
+        assert got["gr-filtration", None] == (None, None)
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,)])
+    def test_a_matrix_entry_off_the_label_is_found(self, m):
+        # E_{3,3} gains an entry at (1, 2) in V_0 and in V_2: [E_{1,1}, E_{3,3}]
+        # is empty and the labels share no index, but the matrices now meet
+        lctx = LieContext(Shape(m))
+        deg_cap = 1
+        one = lctx._origin
+        for tau in (0, TAUS[0]):
+            M = lctx.vtau_basis_matrix((3, 3, 0), tau)
+            lctx._vtau_matrices(tau)[3, 3, 0] = {**M, (0, 1, one): 1}
+        checks = _pairwise_checks(lctx, deg_cap)
+        got = _details(checks)
+        want = _product_order_details(lctx, deg_cap)
+        pair = ((1, 1, 0), (3, 3, 0))
+        assert lctx.bracket_basis(*pair).is_zero
+        for key in [("eval-homomorphism", None), ("vtau-homomorphism", str(TAUS[0]))]:
+            assert got[key] == want[key] == (f"violation at {pair}", None)
+        assert got["vtau-homomorphism", str(TAUS[1])] == (None, None)
+
+    def test_homomorphism_checks_build_only_the_pairs_that_can_fail(self, monkeypatch):
+        # 108 labels (5,886 pairs) at degree 2 and 64 generators (2,080
+        # pairs, three taus) at degree 3: the rest have an empty bracket and
+        # matrices that meet in no index
+        calls = []
+
+        def counting(lctx, A, B):
+            calls.append(None)
+            return mat_commutator(lctx, A, B)
+
+        monkeypatch.setattr(lie_suite, "mat_commutator", counting)
+        lctx = LieContext(Shape((2, 2, 2)))
+        assert all(c["ok"] for c in verify_eval_map(lctx, deg_cap=2))
+        assert len(calls) == 1761
+        calls.clear()
+        assert all(c["ok"] for c in verify_vtau(lctx, deg_cap=3))
+        assert len(calls) == 1764
 
     def test_exhaustive_jacobi_walks_the_strict_triples(self, monkeypatch):
         seen = []
