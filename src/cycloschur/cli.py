@@ -205,10 +205,17 @@ def cmd_verify(config):
     return 0 if passed else 1
 
 
+def _check_r(args, count):
+    """Reject an explicit ``-r`` that is not the query's component count."""
+    if args.r not in (None, count):
+        raise ParseError(f"-r must be {count}, the query's component count", str(args.r), 0)
+
+
 def cmd_compute(args):
-    r = args.r
+    shape = Shape(tuple(args.m))
+    if args.query not in ("phi", "lr"):
+        _check_r(args, shape.r)
     if args.query == "character":
-        shape = Shape(tuple(args.m))
         lam = parse_multipartition(args.args[0])
         if len(lam) != shape.r:
             raise ParseError("component count does not match r", args.args[0], 0)
@@ -225,6 +232,7 @@ def cmd_compute(args):
         mu = parse_multipartition(args.args[1])
         if len(lam) != len(mu):
             raise ParseError("component count mismatch", args.args[1], 0)
+        _check_r(args, len(lam))
         sizes = [sum(lk) + sum(mk) for lk, mk in zip(lam, mu)]
         terms = []
         pools = [comb.partitions_of(nk) for nk in sizes]
@@ -247,12 +255,11 @@ def cmd_compute(args):
         sign_txt = args.args[2]
         if sign_txt not in ("+", "-"):
             raise ParseError("sign must be + or -", sign_txt, 0)
-        ring = LaurentRing(r)
+        ring = LaurentRing(args.r or 1)
         poly = symfun.phi(t, k, +1 if sign_txt == "+" else -1, ring)
         out = {"query": "phi", "t": t, "k": k, "sign": sign_txt,
                "terms": symfun.sympoly_to_json(poly)}
     elif args.query == "tableaux":
-        shape = Shape(tuple(args.m))
         lam = parse_multipartition(args.args[0])
         mu_part = parse_multipartition(args.args[1])
         for text, parts in zip(args.args, (lam, mu_part)):
@@ -276,7 +283,6 @@ def cmd_compute(args):
             "tableaux": [comb.tableau_to_json(lam, tab) for tab in tabs],
         }
     else:  # structure-constants; argparse admits no other query
-        shape = Shape(tuple(args.m))
         lctx = liealg.LieContext(shape)
         deg = args.deg
         table = []
@@ -325,7 +331,8 @@ def build_parser():
     pc.add_argument("query", choices=list(_N_QUERY_ARGS))
     pc.add_argument("args", nargs="*",
                     help="query arguments, e.g. multipartition literals '((2,1),())'")
-    pc.add_argument("-r", type=int, default=1)
+    pc.add_argument("-r", type=int,
+                    help="phi's component count (1 when unset); else that of -m or lr's literals")
     pc.add_argument("-m", default="2,2")
     pc.add_argument("--deg", type=int, default=1)
     pc.add_argument("--out", default=None)
@@ -381,7 +388,8 @@ def main(argv=None):
                 0,
             )
         args.m = parse_blocks(args.m)
-        at_least("-r", args.r, 1)
+        if args.r is not None:
+            at_least("-r", args.r, 1)
         at_least("--deg", args.deg, 0)
         check_out(args.out)
         return cmd_compute(args)

@@ -312,9 +312,6 @@ class LaurentRing:
     def __repr__(self):
         return f"LaurentRing(r={self.r}, q_one={self.q_one})"
 
-    def from_int(self, n):
-        return self.one.scale(n)
-
     def from_fraction(self, a):
         return self.one.scale(a)
 

@@ -55,9 +55,6 @@ class Shape:
             k += 1
         return (pos, k)
 
-    def component(self, pos):
-        return self.node(pos)[1]
-
     def junction(self, pos):
         """If position pos is the last row of component k with k < r, return k; else None."""
         acc = 0

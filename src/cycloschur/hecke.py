@@ -525,9 +525,8 @@ def iota(ctx, D):
             inverse[v] = p
         for i in reversed(reduced_word(inverse)):
             z = ctx.lmul_gen(i, z)
-        for k, coeff in z.terms.items():
-            out[k] = out.get(k, 0) + coeff
-    return HeckeElem(ctx, _clean(out))
+        _acc_scaled(out, z.terms, 0, 1, ctx._guard)
+    return HeckeElem(ctx, out)
 
 
 def _x_mu_collapse_kills(ctx, parts, D):

@@ -12,30 +12,30 @@ derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].
 
 Coefficients lie in the shared Laurent ring with the q exponent pinned to
 zero; the parameters Q_1, ..., Q_{r-1} enter at the junction positions
-m_1 + ... + m_k.  They are stored flat, as in ``hecke`` and ``symfun``: an
-element is one dict {(label, key): coefficient}, where ``key`` is the packed
-key of a ``MultiLaurent`` monomial, used as it is, and the coefficient is a
-nonzero ``int``, or a ``Fraction`` when it is not integral.  Brackets,
-matrix products and scaling add keys less the ring's ``origin``, multiply
-numbers and test the ring's ``guard`` mask once per key formed (an exponent
-out of range raises ``EngineError``); they allocate no ``MultiLaurent`` and
-never look inside a key.  A shifted, scaled copy of one element's terms is
-added to another's by ``coeff._acc_scaled``, which ``SymPoly`` shares.  At
-the boundary, ``basis``, ``scale`` and ``mat_unit`` take the terms of a
-``MultiLaurent`` coefficient, and ``LieElem.grouped`` regroups them as
-{label: MultiLaurent} (``sorted_terms``, ``elem_to_json`` and ``repr`` read
-it).
+m_1 + ... + m_k, through one junction step of the raising bracket.  They
+are stored flat, as in ``hecke`` and ``symfun``: an element is one dict
+{(label, key): coefficient}, where ``key`` is the packed key of a
+``MultiLaurent`` monomial, used as it is, and the coefficient is a nonzero
+``int``, or a ``Fraction`` when it is not integral.  Brackets, matrix
+products and scaling add keys less the ring's ``origin``, multiply numbers
+and test the ring's ``guard`` mask once per key formed (an exponent out of
+range raises ``EngineError``); they allocate no ``MultiLaurent`` and never
+look inside a key.  At the boundary, ``basis``, ``scale`` and ``mat_unit``
+take the terms of a ``MultiLaurent`` coefficient, and ``LieElem.grouped``
+regroups them as {label: MultiLaurent} (``sorted_terms``, ``elem_to_json``
+and ``repr`` read it).
 
-The m x m matrices of the modules V_tau are sparse and flat the same way: a
-dict {(i, j, key): coefficient} with zero-based indices that stores only
-nonzero entries, so the zero matrix is {} and matrix equality is ==.  A
-generator's matrix has a closed form in tau, a longer label's is the
-commutator of its peeled factors, and each is cached per tau.  The
-evaluation map onto gl_m is V_0, read from the same formula and cache.
-Each entry of a product A B pairs an entry (i, k) of A with one (k, j) of
-B, so A B is {} when no column index of A is a row index of B; the Lie
-suite reads those index sets off the matrices to skip commutators that are
-zero, exactly.
+The m x m matrices of the modules V_tau are flat the same way, keyed
+((i, j), key) with zero-based indices, and store only nonzero entries, so
+the zero matrix is {} and matrix equality is ==.  A shifted, scaled copy
+of one element's or matrix's terms is added to another's by
+``coeff._acc_scaled``, which ``SymPoly`` shares.  A generator's matrix has
+a closed form in tau, a longer label's is the commutator of its peeled
+factors, and each is cached per tau.  The evaluation map onto gl_m is V_0,
+read from the same formula and cache.  Each entry of a product A B pairs
+an entry (i, k) of A with one (k, j) of B, so A B is {} when no column
+index of A is a row index of B; the Lie suite reads those index sets off
+the matrices to skip commutators that are zero, exactly.
 """
 
 from __future__ import annotations
@@ -156,11 +156,6 @@ class LieContext:
     def zero(self):
         return LieElem(self, {})
 
-    def junction_Q(self, pos):
-        """The parameter attached to a junction position, else None."""
-        k = self.shape.junction(pos)
-        return None if k is None else self.ring.Q(k)
-
     # -- brackets ----------------------------------------------------------
 
     def bracket(self, x, y):
@@ -259,29 +254,25 @@ class LieContext:
             if a == q:
                 return LieElem(self, {((p, q + 1, d), one): -sign})
             return self._empty
-        # p > q
-        ell = p - q
+        # p > q: the terms of the bracket away from a junction
+        if a == p - 1:
+            if p - q == 1:
+                terms = {((a, a, d), one): sign, ((p, p, d), one): -sign}
+            else:
+                terms = {((a, q, d), one): sign}
+        elif a == q:
+            terms = {((p, q + 1, d), one): -sign}
+        else:
+            return self._empty
         Q = self._jkey.get(a)
-        if ell == 1 and a == p - 1:
-            if Q is None:
-                return LieElem(
-                    self, {((p - 1, p - 1, d), one): sign, ((p, p, d), one): -sign}
-                )
-            return LieElem(self, {
-                ((p - 1, p - 1, d), Q): -sign,
-                ((p, p, d), Q): sign,
-                ((p - 1, p - 1, d + 1), one): sign,
-                ((p, p, d + 1), one): -sign,
-            })
-        if ell > 1 and a == p - 1:
-            if Q is None:
-                return LieElem(self, {((p - 1, q, d), one): sign})
-            return LieElem(self, {((p - 1, q, d), Q): -sign, ((p - 1, q, d + 1), one): sign})
-        if ell > 1 and a == q:
-            if Q is None:
-                return LieElem(self, {((p, q + 1, d), one): -sign})
-            return LieElem(self, {((p, q + 1, d), Q): sign, ((p, q + 1, d + 1), one): -sign})
-        return self._empty
+        if Q is None:
+            return LieElem(self, terms)
+        # at the junction of Q_k each c E[d] becomes -c Q_k E[d] + c E[d + 1]
+        step = {}
+        for ((i, j, _), _), c in terms.items():
+            step[(i, j, d), Q] = -c
+            step[(i, j, d + 1), one] = c
+        return LieElem(self, step)
 
     # -- the V_tau representations ----------------------------------------
 
@@ -309,7 +300,7 @@ class LieContext:
                 entries = {self._origin: tau_t}
             else:
                 entries = {self._origin: tau * tau_t, Q: -tau_t}
-            M = {(p - 1, q - 1, k): _exact(c) for k, c in entries.items() if c}
+            M = {((p - 1, q - 1), k): _exact(c) for k, c in entries.items() if c}
         else:
             g, inner = _peel(label)
             M = mat_commutator(
@@ -333,31 +324,21 @@ class LieContext:
             M = cache.get(label)
             if M is None:
                 M = self._vtau_matrix(label, tau, cache)
-            shift = k - origin
-            for (i, j, key), v in M.items():
-                key += shift
-                if key & guard:
-                    raise _overflow()
-                e = (i, j, key)
-                v *= c
-                if e in out:
-                    v += out[e]
-                    if not v:
-                        del out[e]
-                        continue
-                out[e] = v if type(v) is int else _exact(v)
+            _acc_scaled(out, M, k - origin, c, guard)
         return out
 
     def psi_vtau(self, p, q, tau):
-        """The scalar by which E[p,q;t] hits v_q: the product (tau - Q) over
-        crossed junctions for strictly upper labels, else 1."""
-        ring = self.ring
-        out = ring.one
-        if p < q:
-            for pos in range(p, q):
-                Q = self.junction_Q(pos)
-                if Q is not None:
-                    out = out * (ring.from_fraction(tau) - Q)
+        """The scalar by which E[p,q;t] hits v_q: the product of (tau - Q_k)
+        over the junctions crossed by strictly upper labels, else 1."""
+        tau = self.ring.from_fraction(tau)
+        return self._over_crossed_junctions(p, q, lambda k: tau - self.ring.Q(k))
+
+    def _over_crossed_junctions(self, p, q, factor):
+        """The product of factor(k) over the junctions k at positions p..q-1,
+        empty (1) unless p < q."""
+        out = self.ring.one
+        for k in filter(None, map(self.shape.junction, range(p, q))):
+            out = out * factor(k)
         return out
 
     # -- evaluation onto gl_m ----------------------------------------------
@@ -372,16 +353,9 @@ class LieContext:
         return self.vtau_rep(x, 0)
 
     def psi_gr(self, p, q):
-        """Rescaling of the graded isomorphism: prod of (-Q_k^{-1}) over the
-        junctions crossed by strictly upper labels, else 1."""
-        ring = self.ring
-        out = ring.one
-        if p < q:
-            for pos in range(p, q):
-                k = self.shape.junction(pos)
-                if k is not None:
-                    out = out * ring.Q(k, -1).scale(-1)
-        return out
+        """Rescaling of the graded isomorphism: the product of -Q_k^{-1}
+        over the junctions crossed by strictly upper labels, else 1."""
+        return self._over_crossed_junctions(p, q, lambda k: self.ring.Q(k, -1).scale(-1))
 
 
 def upper_pairs(labels):
@@ -410,7 +384,7 @@ def _peel(label):
 def mat_unit(lctx, i, j, coeff):
     """The matrix whose only entry is coeff (a MultiLaurent, int or Fraction)
     at (i, j)."""
-    return {(i, j, k): c for k, c in lctx._flat(coeff).items()}
+    return {((i, j), k): c for k, c in lctx._flat(coeff).items()}
 
 
 def mat_mul(lctx, A, B):
@@ -418,15 +392,15 @@ def mat_mul(lctx, A, B):
     # loop over all pairs of entries costs less than indexing B by rows
     origin, guard = lctx._origin, lctx._guard
     out = {}
-    for (i, k, ka), a in A.items():
+    for ((i, k), ka), a in A.items():
         ka -= origin
-        for (k2, j, kb), b in B.items():
+        for ((k2, j), kb), b in B.items():
             if k2 != k:
                 continue
             e = ka + kb
             if e & guard:
                 raise _overflow()
-            e = (i, j, e)
+            e = ((i, j), e)
             c = a * b
             if e in out:
                 c += out[e]
@@ -439,10 +413,7 @@ def mat_mul(lctx, A, B):
 
 def mat_commutator(lctx, A, B):
     out = mat_mul(lctx, A, B)
-    for e, c in mat_mul(lctx, B, A).items():
-        c = out.pop(e, 0) - c
-        if c:
-            out[e] = c if type(c) is int else _exact(c)
+    _acc_scaled(out, mat_mul(lctx, B, A), 0, -1, lctx._guard)
     return out
 
 

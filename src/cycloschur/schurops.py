@@ -144,7 +144,7 @@ class SchurContext:
         ring = self.ring
         # X^{sign}_t = sign [I^{sign}_1, X^{sign}_{t-1}]
         word = ow_commutator(ring, ow(ring, I(sign, pos, 1)), ow(ring, X(sign, pos, t - 1)))
-        ok, witness = self.op_equal(ow_scale(word, ring.from_int(sign)), ow(ring, label))
+        ok, witness = self.op_equal(ow_scale(word, ring.from_fraction(sign)), ow(ring, label))
         if not ok:
             raise EngineError(
                 f"closed form and inductive definition disagree for {label}: "

@@ -61,16 +61,14 @@ def verify_commute_LT(ctx, tmax=4):
         checks.append(check("commute-LT-iii-product", {"i": i}, Ti * prod == prod * Ti))
         checks.append(check("commute-LT-iii-sum", {"i": i}, Ti * tot == tot * Ti))
         for t in range(1, tmax + 1):
-            lhs4 = lpow(i + 1, t) * Ti
-            rhs4 = Ti * lpow(i, t)
-            for s in range(t):
-                rhs4 = rhs4 + (lpow(i + 1, t - s) * lpow(i, s)).scale(qq)
-            checks.append(check("commute-LT-iv", {"i": i, "t": t}, lhs4 == rhs4))
-            lhs5 = lpow(i, t) * Ti
-            rhs5 = Ti * lpow(i + 1, t)
+            # L_a^t T_i = T_i L_b^t + sign (q - q^-1) sum_{s=1}^t L_{i+1}^s L_i^{t-s}
+            cross = ctx.zero()
             for s in range(1, t + 1):
-                rhs5 = rhs5 - (lpow(i, t - s) * lpow(i + 1, s)).scale(qq)
-            checks.append(check("commute-LT-v", {"i": i, "t": t}, lhs5 == rhs5))
+                cross = cross + lpow(i + 1, s) * lpow(i, t - s)
+            for name, a, b, sign in (("commute-LT-iv", i + 1, i, 1),
+                                     ("commute-LT-v", i, i + 1, -1)):
+                ok = lpow(a, t) * Ti == Ti * lpow(b, t) + cross.scale(qq.scale(sign))
+                checks.append(check(name, {"i": i, "t": t}, ok))
     return checks
 
 
@@ -230,14 +228,16 @@ def _etc_differences(ctx, N, mi, mi1, t):
     # by a vanishing bracket difference when N = 0
     lnt = one if (t == 0 or N == 0) else ctx.L(N, t)
     diff1 = diff2 = diff3 = diff4 = None
+    if mi1 != 0:
+        b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
+        b_plus0 = t_bracket(ctx, N, mi1, +1)
+        tail = lnt * (b_minus1 - one) * b_plus0
     if mi != 0:
         b_plus = t_bracket(ctx, N - 1, mi1 + 1, +1)
         b_minus = t_bracket(ctx, N, mi, -1)
         diff1 = lnt * b_plus * b_minus - phi_jm(ctx, t, +1, dec).scale(ring.q_pow(2 * mi - 2))
         if mi1 != 0:
-            diff1 = diff1 - lnt * (
-                t_bracket(ctx, N + 1, mi + 1, -1) - one
-            ) * t_bracket(ctx, N, mi1, +1)
+            diff1 = diff1 - tail
 
         diff2 = lnt * b_plus * ctx.L(N) * b_minus - phi_jm(
             ctx, t + 1, +1, dec
@@ -250,12 +250,9 @@ def _etc_differences(ctx, N, mi, mi1, t):
         if not b_plus_tail.is_zero:  # only when mi1 >= 1, so N+1 <= n
             diff2 = diff2 - lnt * ctx.L(N + 1) * b_plus_tail * b_minus
     if mi1 != 0:
-        b_minus1 = t_bracket(ctx, N + 1, mi + 1, -1)
-        b_plus0 = t_bracket(ctx, N, mi1, +1)
         l_next = ctx.L(N + 1)
         middle = b_minus1 * (ctx.L(N + 1, t) if t else one) * b_plus0
         head = ring.q_pow(2 * mi) if t else ring.one
-        tail = lnt * (b_minus1 - one) * b_plus0
         diff3 = middle - phi_jm(ctx, t, -1, inc).scale(head) - tail
         diff4 = l_next * middle - phi_jm(ctx, t + 1, -1, inc).scale(head) - l_next * tail
         for b in range(1, t):

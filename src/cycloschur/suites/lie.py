@@ -86,7 +86,7 @@ def _homomorphism_violation(lctx, rep, images):
     rows, cols = {}, {}
     for a, M in images.items():
         r = c = 0
-        for i, j, _ in M:
+        for (i, j), _ in M:
             r |= 1 << i
             c |= 1 << j
         rows[a], cols[a] = r, c

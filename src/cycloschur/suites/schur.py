@@ -140,7 +140,7 @@ def relation_words(sctx, deg):
                         f"R4-{PM[xsign]}",
                         {"x": px, "jl": pj, "sign": sign, "t": t},
                         ow_qcomm(ring, I(sign, pj, 0), x, e),
-                        ow_scale(w(x), ring.from_int(xsign * a)),
+                        ow_scale(w(x), ring.from_fraction(xsign * a)),
                     )
                 for s, xsign in product(S, (+1, -1)):
                     x, e = X(xsign, px, t), xsign * sign * a
@@ -271,7 +271,7 @@ def q1_relation_words(sctx, deg):
     # (L2)
     for px, pj, sign, s, t in product(gamma_prime, gamma, (+1, -1), S, T):
         a = sctx.cartan(px, pj)
-        rhs = ow_scale(w(X(sign, px, s + t)), ring.from_int(sign * a))
+        rhs = ow_scale(w(X(sign, px, s + t)), ring.from_fraction(sign * a))
         params = {"x": px, "jl": pj, "sign": sign, "s": s, "t": t}
         yield "q1-L2", params, comm(I(+1, pj, s), X(sign, px, t)), rhs
     # (L3)

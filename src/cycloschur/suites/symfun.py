@@ -125,7 +125,7 @@ def lr_matches_schur_oracle(lam, mu, ring):
     for nu in comb.partitions_of(n):
         expected = comb.lr_coefficient((lam,), (mu,), (nu,))
         got = expansion.get(comb.strip(nu), ring.zero)
-        if got != ring.from_int(expected):
+        if got != ring.from_fraction(expected):
             return False
     extras = set(expansion) - {comb.strip(nu) for nu in comb.partitions_of(n)}
     return not extras

@@ -328,7 +328,7 @@ def char_product_check(lam, mu, shape, ring, chars=None, by_size=None):
         c = comb.lr_coefficient(lam, mu, nu)
         if c:
             lr_terms.append((nu, c))
-            rhs = rhs + cached_character(nu, shape, ring, chars).scale(ring.from_int(c))
+            rhs = rhs + cached_character(nu, shape, ring, chars).scale(ring.from_fraction(c))
     return {
         "lambda": [list(p) for p in lam],
         "mu": [list(p) for p in mu],

@@ -74,6 +74,21 @@ class TestComputeCommands:
         assert main(["compute", "character", "((1),!)", "-r", "2", "-m", "2,2"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["character", "((1),())", "-r", "5", "-m", "2,2"],
+        ["tableaux", "((1),())", "((1),())", "-r", "1", "-m", "2,2"],
+        ["structure-constants", "-r", "3", "-m", "2,2"],
+        ["lr", "((1))", "((1))", "-r", "2"],
+    ])
+    def test_r_other_than_the_component_count_exit_2(self, capsys, argv):
+        # only phi reads -r; every other query takes its count from -m or
+        # its literals, and an explicit -r must agree with it
+        assert main(["compute", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: -r must be ")
+
     def test_wrong_arity_exit_2(self, capsys):
         assert main(["compute", "lr", "((1))"]) == 2
 

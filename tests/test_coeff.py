@@ -100,8 +100,8 @@ class TestQInt:
 
     def test_q_one_ring(self):
         r = LaurentRing(2, q_one=True)
-        assert qint(5, r) == r.from_int(5)
-        assert qfactorial(3, r) == r.from_int(6)
+        assert qint(5, r) == r.from_fraction(5)
+        assert qfactorial(3, r) == r.from_fraction(6)
 
 
 class TestQBinom:

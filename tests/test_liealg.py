@@ -29,6 +29,12 @@ from cycloschur.suites.lie import (
 )
 
 
+def junction_Q(lctx, pos):
+    """The parameter attached to a junction position, else None."""
+    k = lctx.shape.junction(pos)
+    return None if k is None else lctx.ring.Q(k)
+
+
 @pytest.fixture(scope="module")
 def lctx():
     # shape (2,2): junction at position 2 with parameter Q_1
@@ -77,8 +83,8 @@ class TestBracketTable:
         labels = all_basis_labels(lctx, 3)
         for _ in range(25):
             a, b = rng.choice(labels), rng.choice(labels)
-            c1 = lctx.ring.from_int(rng.randint(1, 4))
-            c2 = lctx.ring.from_int(rng.randint(1, 4))
+            c1 = lctx.ring.from_fraction(rng.randint(1, 4))
+            c2 = lctx.ring.from_fraction(rng.randint(1, 4))
             x = lctx.basis(*a).scale(c1)
             y = lctx.basis(*b).scale(c2)
             assert lctx.bracket(x, y) == lctx.bracket_basis(a, b).scale(c1 * c2)
@@ -120,7 +126,7 @@ def _hand_written_lowering(lctx, g, b):
             add((p, q - 1, t + s), -one)
     else:
         ell = q - p
-        Q = lctx.junction_Q(a)
+        Q = junction_Q(lctx, a)
         if ell == 1 and a == p:
             if Q is None:
                 add((p, p, t + s), -one)
@@ -181,13 +187,13 @@ class TestVtau:
         tau = Fraction(3, 2)
         M = lctx.vtau_basis_matrix((2, 2, 2), tau)
         assert M == mat_unit(lctx, 1, 1, tau**2)
-        assert M == {(1, 1, lctx._origin): Fraction(9, 4)}
+        assert M == {((1, 1), lctx._origin): Fraction(9, 4)}
 
     def test_X_minus_action(self, lctx):
         tau = Fraction(2)
         M = lctx.vtau_basis_matrix((3, 2, 1), tau)  # X^-_{2,1}
-        assert M == {(2, 1, lctx._origin): 2}
-        assert type(M[2, 1, lctx._origin]) is int
+        assert M == {((2, 1), lctx._origin): 2}
+        assert type(M[(2, 1), lctx._origin]) is int
 
     def test_junction_raiser(self, lctx):
         tau = Fraction(1, 2)
@@ -506,7 +512,7 @@ class MultiLaurentLie:
                 self._acc(out, (p, q + 1, t + s), -one)
             return out
         ell = p - q
-        Q = self.lctx.junction_Q(a)
+        Q = junction_Q(self.lctx, a)
         if ell == 1 and a == p - 1:
             if Q is None:
                 self._acc(out, (p - 1, p - 1, t + s), one)
@@ -570,7 +576,7 @@ class MultiLaurentLie:
         p, q, t = label
         tau_t = ring.from_fraction(tau**t) if t else ring.one
         if abs(p - q) <= 1:
-            Q = self.lctx.junction_Q(p) if q == p + 1 else None
+            Q = junction_Q(self.lctx, p) if q == p + 1 else None
             coeff = tau_t if Q is None else (ring.from_fraction(tau) - Q) * tau_t
             M = {} if coeff.is_zero else {(p - 1, q - 1): coeff}
         else:
@@ -588,7 +594,7 @@ class MultiLaurentLie:
             return cached
         p, q, t = label
         if abs(p - q) <= 1:
-            Q = self.lctx.junction_Q(p) if q == p + 1 else None
+            Q = junction_Q(self.lctx, p) if q == p + 1 else None
             M = {} if t else {(p - 1, q - 1): self.ring.one if Q is None else -Q}
         else:
             step = 1 if p < q else -1
@@ -619,6 +625,31 @@ def test_flat_engine_matches_multilaurent_reference(m):
             want = flat(ref.vtau_basis_matrix(a, tau), lctx)
             assert lctx.vtau_basis_matrix(a, tau) == want, (a, tau)
     assert nonzero
+
+
+@pytest.mark.parametrize("m", [(2, 2), (1, 2, 1), (2, 2, 2)])
+def test_matrices_are_keyed_by_index_pair_and_ring_key(m):
+    # the (head, key) layout of every flat element: head (i, j), key an int
+    lctx = LieContext(Shape(m))
+    tau = Fraction(-1, 3)
+    labels = all_basis_labels(lctx, 1)
+    gens = [lctx.vtau_basis_matrix(g, tau) for g in generator_labels(lctx, 1)]
+    x = lctx.basis(1, 3, 1, lctx.ring.Q(1)) + lctx.basis(lctx.m, 1, 0, Fraction(3, 2))
+    mats = [lctx.vtau_basis_matrix(a, tau) for a in labels]
+    mats += [lctx.eval_basis_matrix(a) for a in labels]
+    mats += [lctx.vtau_rep(x, tau), mat_unit(lctx, 0, lctx.m - 1, lctx.ring.Q(1, -2))]
+    for A, B in itertools.product(gens, repeat=2):
+        mats += [mat_mul(lctx, A, B), mat_commutator(lctx, A, B)]
+    values = set()
+    for M in mats:
+        for entry, c in M.items():
+            head, key = entry
+            i, j = head
+            assert 0 <= i < lctx.m and 0 <= j < lctx.m, entry
+            assert type(i) is type(j) is type(key) is int, entry
+            assert type(c) in (int, Fraction) and c, (entry, c)
+            values.add(type(c))
+    assert values == {int, Fraction}
 
 
 class TestPackedRange:
@@ -856,7 +887,7 @@ class TestAntisymmetryFirst:
         one = lctx._origin
         for tau in (0, TAUS[0]):
             M = lctx.vtau_basis_matrix((3, 3, 0), tau)
-            lctx._vtau_matrices(tau)[3, 3, 0] = {**M, (0, 1, one): 1}
+            lctx._vtau_matrices(tau)[3, 3, 0] = {**M, ((0, 1), one): 1}
         checks = _pairwise_checks(lctx, deg_cap)
         got = _details(checks)
         want = _product_order_details(lctx, deg_cap)

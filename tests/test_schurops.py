@@ -210,7 +210,7 @@ class TestRunRelations:
         ring = sctx22.ring
         a = sctx22.cartan(1, 1)
         lhs = ow_qcomm(ring, I(+1, 1, 0), X(+1, 1, 0), -a)
-        rhs = ow_scale(ow(ring, X(+1, 1, 0)), ring.from_int(a))
+        rhs = ow_scale(ow(ring, X(+1, 1, 0)), ring.from_fraction(a))
         (check,) = run_relations(sctx22, [("R4-plus", {"x": 1}, lhs, rhs)])
         assert check["ok"] is False
         assert check["params"] == {"x": 1}
@@ -480,7 +480,7 @@ class TestBlocks:
     def test_accumulate_is_scale(self, sctx22):
         hc, ring = sctx22.hctx, sctx22.ring
         h = hc.L(1, 2) * hc.T(1) + hc.scalar(ring.Q(1))
-        coeff = ring.q_pow(3) - ring.Q(0) * ring.from_int(2)
+        coeff = ring.q_pow(3) - ring.Q(0) * ring.from_fraction(2)
         out = {}
         h.accumulate(coeff.terms, out)
         h.accumulate(coeff.terms, out, -1)
@@ -560,7 +560,7 @@ class TestWordCoefficients:
 
     def test_zero_coefficients_are_dropped(self):
         ring = RINGS[0]
-        word = ow_add(ow(ring, K(+1, 1)), ow_scale(ow(ring, K(+1, 2)), ring.from_int(0)))
+        word = ow_add(ow(ring, K(+1, 1)), ow_scale(ow(ring, K(+1, 2)), ring.from_fraction(0)))
         assert word == ow(ring, K(+1, 1))
         assert ow_mul(ring, word, ow_scale(ow(ring, K(+1, 3)), ring.zero)) == ow_zero()
         assert ow_scale(word, ring.zero) == ow_zero()

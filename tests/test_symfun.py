@@ -32,7 +32,7 @@ R2 = LaurentRing(2)
 
 
 def poly(nvars, ring, entries):
-    return SymPoly(ring, nvars, {tuple(e): ring.from_int(c) for e, c in entries.items()})
+    return SymPoly(ring, nvars, {tuple(e): ring.from_fraction(c) for e, c in entries.items()})
 
 
 class TestMonomialSym:
@@ -89,7 +89,7 @@ class TestPhi:
         # p_0(x_1..x_k) = k, the value of q^{-+k+-1} [k] at q = 1
         ring = LaurentRing(r, q_one=True)
         assert phi(0, k, sign, ring) == power_sum(0, k, ring)
-        assert power_sum(0, k, ring) == SymPoly.constant(ring, k, ring.from_int(k))
+        assert power_sum(0, k, ring) == SymPoly.constant(ring, k, ring.from_fraction(k))
 
 
 class TestSchur:
@@ -106,7 +106,7 @@ class TestSchur:
     def test_jacobi_trudi_cross_check(self):
         # s_{(2,1)} in 3 vars = m_{21} + 2 m_{111}
         expected = monomial_sym((2, 1), 3, R1) + monomial_sym((1, 1, 1), 3, R1).scale(
-            R1.from_int(2)
+            R1.from_fraction(2)
         )
         assert schur_poly((2, 1), 3, R1) == expected
 
