@@ -15,7 +15,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import combinatorics as comb
@@ -33,17 +32,13 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass
 class RunConfig:
-    n: int = 2
-    r: int = 2
-    m: tuple = (2, 2)
-    suites: tuple = SUITES
-    deg: int = 2
-    dmax: int = 3
-    seed: int = 0
-    out: str | None = None
-    q1: bool = False
+    """The settings of one ``cycloschur verify`` run."""
+
+    def __init__(self, n=2, r=2, m=(2, 2), suites=SUITES, deg=2, dmax=3, seed=0, out=None,
+                 q1=False):
+        self.n, self.r, self.m, self.suites = n, r, m, suites
+        self.deg, self.dmax, self.seed, self.out, self.q1 = deg, dmax, seed, out, q1
 
     @property
     def shape(self):
@@ -305,6 +300,9 @@ def cmd_compute(args):
 
 _N_QUERY_ARGS = {"character": 1, "lr": 2, "phi": 3, "tableaux": 2,
                  "structure-constants": 0}
+# the options each query reads besides -r (see _check_r) and --out
+_QUERY_OPTIONS = {"character": ("-m",), "lr": (), "phi": (), "tableaux": ("-m",),
+                  "structure-constants": ("-m", "--deg")}
 
 
 def build_parser():
@@ -333,8 +331,9 @@ def build_parser():
                     help="query arguments, e.g. multipartition literals '((2,1),())'")
     pc.add_argument("-r", type=int,
                     help="phi's component count (1 when unset); else that of -m or lr's literals")
-    pc.add_argument("-m", default="2,2")
-    pc.add_argument("--deg", type=int, default=1)
+    pc.add_argument("-m", help="block sizes of character, tableaux and structure-constants "
+                    "(2,2 when unset)")
+    pc.add_argument("--deg", type=int, help="degree cap of structure-constants (1 when unset)")
     pc.add_argument("--out", default=None)
     return parser
 
@@ -387,10 +386,13 @@ def main(argv=None):
                 " ".join(args.args),
                 0,
             )
-        args.m = parse_blocks(args.m)
+        for flag, value in (("-m", args.m), ("--deg", args.deg)):
+            if value is not None and flag not in _QUERY_OPTIONS[args.query]:
+                raise ParseError(f"{args.query} does not read {flag}", str(value), 0)
+        args.m = parse_blocks("2,2" if args.m is None else args.m)
         if args.r is not None:
             at_least("-r", args.r, 1)
-        at_least("--deg", args.deg, 0)
+        args.deg = at_least("--deg", 1 if args.deg is None else args.deg, 0)
         check_out(args.out)
         return cmd_compute(args)
     except ParseError as exc:

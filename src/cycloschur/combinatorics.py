@@ -15,20 +15,35 @@ may be longer than m_k.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
 class Shape:
-    """The tuple m = (m_1, ..., m_r) of block sizes, with the gamma linearization."""
+    """The tuple m = (m_1, ..., m_r) of block sizes, with the gamma
+    linearization.  Immutable; equal and hashed by m."""
 
-    m: tuple
-
-    def __post_init__(self):
-        if not self.m or any(mk < 1 for mk in self.m):
+    def __init__(self, m):
+        m = tuple(m)
+        if not m or any(mk < 1 for mk in m):
             raise ValueError("every m_k must be a positive integer")
-        object.__setattr__(self, "m", tuple(self.m))
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m
+
+    def __hash__(self):
+        return hash(self.m)
+
+    def __repr__(self):
+        return f"Shape(m={self.m!r})"
 
     @property
     def r(self):

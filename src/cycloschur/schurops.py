@@ -41,7 +41,11 @@ an exponent out of range and hands back the other factor's dict for a unit
 factor, and ``block_difference`` hands them to ``HeckeElem.accumulate``.
 ``ow_scale`` takes a ring element.  A word has no term with a zero
 coefficient: ``ow_mul`` and ``ow_scale`` drop them (a Cartan entry 0 scales
-whole right-hand sides by 0), so no table is built for them.
+whole right-hand sides by 0), so no table is built for them.  A word is a
+plain tuple, so a caller may also write one as a literal: the relation
+families in ``suites.schur`` write each two-label commutator, twist and
+q-commutator as ``((c, (a, b)), (c', (b, a)))`` over cached coefficient
+dicts, and drop a zero coefficient themselves.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ pair as an operator identity on all weights."""
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
 from .. import combinatorics as comb
@@ -53,17 +53,31 @@ def ow_reverse(word):
     return tuple((c, labels[::-1]) for c, labels in word)
 
 
-def ow_twist(ring, a, b, c):
-    """a b - c b a for single labels a, b and a scalar c."""
-    return ow_add(ow(ring, a, b), ow_neg(ow_scale(ow(ring, b, a), c)))
+@lru_cache(maxsize=None)
+def _qterms(ring, e, c):
+    """The flat terms of c q^e (empty for c = 0), built once per ring."""
+    return ring.q_pow(e).scale(c).terms
+
+
+@lru_cache(maxsize=None)
+def _qqterms(ring, e, c):
+    """The flat terms of c (q - q^-1) q^e (empty at q = 1), built once per ring."""
+    return (ring.qq_comm() * ring.q_pow(e)).scale(c).terms
+
+
+def _term(c, *labels):
+    """The one-term word c * labels, or the zero word when c is zero."""
+    return ((c, labels),) if c else ()
+
+
+def ow_twist(ring, a, b, e):
+    """a b - q^e b a for single labels a, b; the commutator at e = 0."""
+    return ((ring.one.terms, (a, b)), (_qterms(ring, e, -1), (b, a)))
 
 
 def ow_qcomm(ring, a, b, e):
     """The q-commutator q^e a b - q^{-e} b a of single labels a, b."""
-    return ow_add(
-        ow_scale(ow(ring, a, b), ring.q_pow(e)),
-        ow_neg(ow_scale(ow(ring, b, a), ring.q_pow(-e))),
-    )
+    return ((_qterms(ring, e, 1), (a, b)), (_qterms(ring, -e, -1), (b, a)))
 
 
 def at_junction(ring, jk, J, d):
@@ -74,11 +88,17 @@ def at_junction(ring, jk, J, d):
 
 
 def run_relations(sctx, relations):
-    """Decide each (name, params, lhs, rhs) on every weight, one check each."""
+    """Decide each (name, params, lhs, rhs) on every weight, one check each.
+    A relation whose (lhs, rhs) equals the previous relation's takes its
+    verdict and detail instead of being decided again."""
     checks = []
+    last = None
     for name, params, lhs, rhs in relations:
-        ok, witness = sctx.op_equal(lhs, rhs)
-        checks.append(check(name, params, ok, None if ok else difference_detail(witness)))
+        if (lhs, rhs) != last:
+            last = lhs, rhs
+            ok, witness = sctx.op_equal(lhs, rhs)
+            detail = None if ok else difference_detail(witness)
+        checks.append(check(name, params, ok, detail))
     return checks
 
 
@@ -97,9 +117,8 @@ def relation_words(sctx, deg):
     S = T = U = range(deg + 1)
     w = partial(ow, ring)
     zero, one = ow_zero(), w()
-
-    def comm(a, b):
-        return ow_commutator(ring, w(a), w(b))
+    comm = partial(ow_twist, ring, e=0)
+    qc, qqc = partial(_qterms, ring), partial(_qqterms, ring)
 
     # R1
     for pos in gamma:
@@ -130,7 +149,7 @@ def relation_words(sctx, deg):
         for xsign, t in product((+1, -1), T):
             x = X(xsign, px, t)
             params = {"x": px, "jl": pj, "xsign": xsign, "t": t}
-            rhs = ow_scale(w(x), ring.q_pow(xsign * a))
+            rhs = _term(qc(xsign * a, 1), x)
             yield "R3-KXK", params, w(K(+1, pj), x, K(-1, pj)), rhs
         for sign in (+1, -1):
             for t in T:
@@ -140,7 +159,7 @@ def relation_words(sctx, deg):
                         f"R4-{PM[xsign]}",
                         {"x": px, "jl": pj, "sign": sign, "t": t},
                         ow_qcomm(ring, I(sign, pj, 0), x, e),
-                        ow_scale(w(x), ring.from_fraction(xsign * a)),
+                        _term(qc(0, xsign * a), x),
                     )
                 for s, xsign in product(S, (+1, -1)):
                     x, e = X(xsign, px, t), xsign * sign * a
@@ -157,18 +176,16 @@ def relation_words(sctx, deg):
                 lhs = comm(I(sign, pj, s), X(xsign, px, t))
                 for form in (1, 2):
                     f = e if form == 1 else -e
-                    lead = ring.q_pow(f * (s - 1)).scale(xsign * a)
-                    parts = [ow_scale(w(X(xsign, px, t + s)), lead)]
+                    rhs = _term(qc(f * (s - 1), xsign * a), X(xsign, px, t + s))
                     for p in range(1, s):
                         pair = (X(xsign, px, t + p), I(sign, pj, s - p))
                         pair = pair if form == 1 else pair[::-1]
-                        coeff = (qq * ring.q_pow(f * (p - 1))).scale(e)
-                        parts.append(ow_scale(w(*pair), coeff))
+                        rhs += _term(qqc(f * (p - 1), e), *pair)
                     yield (
                         f"CI-CX-{PM[xsign]}-form{form}",
                         {"x": px, "jl": pj, "sign": sign, "s": s, "t": t},
                         lhs,
-                        ow_add(*parts),
+                        rhs,
                     )
 
     # R6
@@ -190,18 +207,18 @@ def relation_words(sctx, deg):
                     params = {"pos": [p1, p2], "sign": sign, "t": t, "s": s}
                     lhs = comm(X(sign, p1, t), X(sign, p2, s))
                     yield "R7-far-commute", params, lhs, zero
-            q2, x = ring.q_pow(2 * sign), partial(X, sign, p1)
+            x = partial(X, sign, p1)
             for t, s in product(T, S):
-                lhs = ow_twist(ring, x(t + 1), x(s), q2)
-                rhs = ow_neg(ow_twist(ring, x(s + 1), x(t), q2))
+                lhs = ow_twist(ring, x(t + 1), x(s), 2 * sign)
+                rhs = ow_neg(ow_twist(ring, x(s + 1), x(t), 2 * sign))
                 params = {"pos": p1, "sign": sign, "t": t, "s": s}
                 yield "R7-same-index", params, lhs, rhs
         if p1 + 1 not in gamma_prime:
             continue
         for t, s, sign in product(T, S, (+1, -1)):
             x, y = partial(X, sign, p1), partial(X, sign, p1 + 1)
-            lhs = ow_twist(ring, x(t + 1), y(s), ring.qinv)
-            rhs = ow_twist(ring, x(t), y(s + 1), ring.q)
+            lhs = ow_twist(ring, x(t + 1), y(s), -1)
+            rhs = ow_twist(ring, x(t), y(s + 1), 1)
             if sign < 0:
                 lhs, rhs = ow_reverse(lhs), ow_reverse(rhs)
             params = {"pos": p1, "t": t, "s": s}
@@ -247,9 +264,7 @@ def q1_relation_words(sctx, deg):
     S = T = U = range(deg + 1)
     w = partial(ow, ring)
     zero, one = ow_zero(), w()
-
-    def comm(a, b):
-        return ow_commutator(ring, w(a), w(b))
+    comm = partial(ow_twist, ring, e=0)
 
     def lieJ(pos, t):
         return ow_add(w(I(+1, pos, t)), ow_neg(w(I(+1, pos + 1, t))))
@@ -271,7 +286,7 @@ def q1_relation_words(sctx, deg):
     # (L2)
     for px, pj, sign, s, t in product(gamma_prime, gamma, (+1, -1), S, T):
         a = sctx.cartan(px, pj)
-        rhs = ow_scale(w(X(sign, px, s + t)), ring.from_fraction(sign * a))
+        rhs = _term(_qterms(ring, 0, sign * a), X(sign, px, s + t))
         params = {"x": px, "jl": pj, "sign": sign, "s": s, "t": t}
         yield "q1-L2", params, comm(I(+1, pj, s), X(sign, px, t)), rhs
     # (L3)

@@ -14,9 +14,10 @@ Each ``SymPoly`` carries its ``LaurentRing`` and stores its terms flat, as
 packed key of a ``MultiLaurent`` monomial and a nonzero ``int`` or
 ``Fraction`` coefficient.  Products and ``scale`` add keys and test the
 ring's ``guard`` mask (an exponent out of range raises ``EngineError``)
-without allocating a ``MultiLaurent``; ``SymPoly.grouped`` gives the
-{exponent tuple: MultiLaurent} view that ``sorted_terms``, ``evaluate``,
-``sympoly_to_json``, ``repr`` and ``expand_in_schur_basis`` read.
+without allocating a ``MultiLaurent``, and so does ``evaluate``;
+``SymPoly.grouped`` gives the {exponent tuple: MultiLaurent} view that
+``sorted_terms``, ``sympoly_to_json``, ``repr`` and ``expand_in_schur_basis``
+read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from collections import Counter
 from operator import add
 
 from . import combinatorics as comb
-from .coeff import MultiLaurent, _acc_scaled, _add_terms, _exact, _overflow, ml_to_json, qint
+from .coeff import (MultiLaurent, _acc_scaled, _add_terms, _exact, _mul_terms, _overflow,
+                    ml_to_json, qint)
 
 
 class SymPoly:
@@ -135,16 +137,27 @@ class SymPoly:
         return {e: MultiLaurent._make(nvars, v) for e, v in out.items()}
 
     def evaluate(self, values):
-        """Substitute a MultiLaurent for every variable (exponents must be >= 0)."""
+        """Substitute a MultiLaurent for every variable (exponents must be >= 0).
+        Each power v_i^e is taken once per call."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
-        total = self.ring.zero
-        for e, term in self.grouped().items():
-            for v, exp in zip(values, e):
+        nvars = self.ring.nvars
+        grouped = {}
+        for (e, key), c in self.terms.items():
+            grouped.setdefault(e, {})[key] = c
+        powers = {}
+        total = {}
+        for e, term in grouped.items():
+            for i, exp in enumerate(e):
                 if exp:
-                    term = term * v ** exp
-            total = total + term
-        return total
+                    power = powers.get((i, exp))
+                    if power is None:
+                        if values[i].nvars != nvars:
+                            raise ValueError("mixed variable arities")
+                        power = powers[i, exp] = (values[i] ** exp).terms
+                    term = _mul_terms(term, power, nvars)
+            total = _add_terms(total, term)
+        return MultiLaurent._make(nvars, total)
 
     def sorted_terms(self):
         return sorted(self.grouped().items())

@@ -89,6 +89,30 @@ class TestComputeCommands:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: -r must be ")
 
+    @pytest.mark.parametrize("argv", [
+        ["lr", "((1))", "((1))", "-m", "7,7,7"],
+        ["phi", "1", "3", "+", "-m", "9"],
+        ["phi", "1", "3", "+", "-m", "2,2"],
+        ["character", "((1),())", "-m", "2,2", "--deg", "9"],
+        ["tableaux", "((1),())", "((1),())", "--deg", "1"],
+        ["lr", "((1))", "((1))", "-r", "1", "--deg", "0"],
+    ])
+    def test_an_option_the_query_does_not_read_exit_2(self, capsys, argv):
+        # -m is read by character, tableaux and structure-constants, --deg
+        # by structure-constants alone; given to any other query it is an error
+        assert main(["compute", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "does not read" in line
+
+    def test_unset_m_and_deg_read_their_defaults(self, capsys):
+        assert main(["compute", "structure-constants"]) == 0
+        unset = capsys.readouterr().out
+        assert main(["compute", "structure-constants", "-m", "2,2", "--deg", "1"]) == 0
+        assert capsys.readouterr().out == unset
+        assert json.loads(unset)["m"] == [2, 2] and json.loads(unset)["deg"] == 1
+
     def test_wrong_arity_exit_2(self, capsys):
         assert main(["compute", "lr", "((1))"]) == 2
 

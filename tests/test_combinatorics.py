@@ -37,6 +37,19 @@ def composition_of_multipartition(lam, shape):
     )
 
 
+def test_shape_is_an_immutable_value():
+    shape = Shape([2, 1])
+    assert shape.m == (2, 1)
+    assert repr(shape) == "Shape(m=(2, 1))"
+    assert shape == Shape((2, 1)) and hash(shape) == hash(Shape((2, 1)))
+    assert shape != Shape((1, 2)) and shape != (2, 1)
+    with pytest.raises(AttributeError):
+        shape.m = (3,)
+    for bad in ((), (2, 0)):
+        with pytest.raises(ValueError):
+            Shape(bad)
+
+
 class TestGamma:
     @pytest.mark.parametrize(
         "m", [(1,), (3,), (1, 1), (2, 2), (3, 2, 1), (2, 2, 2, 2), (4, 4, 4)]

@@ -9,19 +9,30 @@ import cycloschur
 ENGINES = ("coeff", "combinatorics", "symfun", "hecke", "schurops", "liealg")
 
 
-def test_engines_load_no_suite_code():
-    # a fresh interpreter, so modules that other tests imported do not count
-    code = "".join(f"import cycloschur.{name}\n" for name in ENGINES)
+def _fresh_modules(code):
+    """The names in ``sys.modules`` after running ``code`` in a fresh
+    interpreter, so that modules other tests imported do not count."""
     code += "import sys\nprint('\\n'.join(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=str(Path(cycloschur.__file__).parents[1]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.split()
+
+
+def test_engines_load_no_suite_code():
+    out = _fresh_modules("".join(f"import cycloschur.{name}\n" for name in ENGINES))
     assert {f"cycloschur.{name}" for name in ENGINES} <= set(out)
     loaded = [
         m for m in out if m.startswith("cycloschur.suites") or m == "cycloschur.reporting"
     ]
     assert loaded == []
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up
+    out = set(_fresh_modules("import cycloschur.cli\n"))
+    assert "cycloschur.cli" in out
+    assert out.isdisjoint({"dataclasses", "inspect"})
 
 
 def _uses(private, owners):

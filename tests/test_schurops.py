@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from cycloschur.schurops import (
     ow_scale,
     ow_zero,
 )
+from cycloschur.suites import schur as schur_suite
 from cycloschur.suites.schur import (
     divided_power_image,
     hw_eigenvalue_pair,
@@ -244,6 +246,29 @@ class TestRunRelations:
         lhs = ow(ring, K(+1, 2), K(-1, 2))
         (check,) = run_relations(sctx22, [("R1-K-inverse", {"pos": 2}, lhs, ow(ring))])
         assert check == {"check": "R1-K-inverse", "params": {"pos": 2}, "ok": True}
+
+    def test_a_repeated_relation_is_decided_once(self, sctx22, monkeypatch):
+        # each check keeps its own name and params; a relation that repeats
+        # the lhs alone, with another rhs, is decided again
+        ring = sctx22.ring
+        lhs, wrong = ow(ring, K(+1, 1)), ow(ring, K(-1, 1))
+        relations = [
+            ("first", {"p": 1}, lhs, wrong),
+            ("second", {"p": 2}, ow(ring, K(+1, 1)), ow(ring, K(-1, 1))),
+            ("third", {"p": 3}, lhs, lhs),
+            ("fourth", {"p": 4}, lhs, wrong),
+        ]
+        calls = []
+        real = SchurContext.op_equal
+        monkeypatch.setattr(SchurContext, "op_equal",
+                            lambda self, a, b: calls.append(1) or real(self, a, b))
+        checks = run_relations(sctx22, relations)
+        assert len(calls) == 3
+        assert [(c["check"], c["params"], c["ok"]) for c in checks] == [
+            ("first", {"p": 1}, False), ("second", {"p": 2}, False),
+            ("third", {"p": 3}, True), ("fourth", {"p": 4}, False),
+        ]
+        assert checks[0]["detail"] == checks[1]["detail"] == checks[3]["detail"]
 
     def test_x_induction_failure_carries_the_detail(self, monkeypatch):
         # doubling phi_jm breaks the inductive definition of X_1 through I_1
@@ -579,6 +604,101 @@ class TestWordCoefficients:
         low = ow_scale(ow(ring), ring.Q(1, -8000))
         with pytest.raises(EngineError, match="packed key range"):
             ow_commutator(ring, low, low)
+
+
+def reference_rhs(sctx, name, params):
+    """The rhs of an R3, R4, CI-CX or q1-L2 relation, built with ``ow_add``
+    and ``ow_scale`` on ring elements, or None for another family."""
+    ring, w = sctx.ring, partial(ow, sctx.ring)
+    px, pj, t = params.get("x"), params.get("jl"), params.get("t")
+    if name == "q1-L2":
+        a, sign, s = sctx.cartan(px, pj), params["sign"], params["s"]
+        return ow_scale(w(X(sign, px, s + t)), ring.from_fraction(sign * a))
+    if name == "R3-KXK":
+        xsign, a = params["xsign"], sctx.cartan(px, pj)
+        return ow_scale(w(X(xsign, px, t)), ring.q_pow(xsign * a))
+    if not name.startswith(("R4-", "CI-CX-")):
+        return None
+    xsign, a, sign = (1 if "plus" in name else -1), sctx.cartan(px, pj), params["sign"]
+    if name.startswith("R4-"):
+        return ow_scale(w(X(xsign, px, t)), ring.from_fraction(xsign * a))
+    s, e = params["s"], xsign * sign * a
+    f = e if name.endswith("form1") else -e
+    parts = [ow_scale(w(X(xsign, px, t + s)), ring.q_pow(f * (s - 1)).scale(xsign * a))]
+    for p in range(1, s):
+        pair = (X(xsign, px, t + p), I(sign, pj, s - p))
+        pair = pair if name.endswith("form1") else pair[::-1]
+        coeff = (ring.qq_comm() * ring.q_pow(f * (p - 1))).scale(e)
+        parts.append(ow_scale(w(*pair), coeff))
+    return ow_add(*parts)
+
+
+class TestLiteralWords:
+    """The two-label words and the coefficients the relation families write
+    as literals equal their definitions through ``ow_add``, ``ow_mul``,
+    ``ow_neg`` and ``ow_scale``."""
+
+    @pytest.mark.parametrize("m", [(2, 2), (1, 2, 1)])
+    @pytest.mark.parametrize("q_one,words", [
+        (False, relation_words), (True, q1_relation_words),
+    ])
+    def test_literals_match_their_definitions(self, monkeypatch, m, q_one, words):
+        sctx = SchurContext(2, Shape(m), q_one=q_one)
+        ring = sctx.ring
+        twists, qcomms = set(), set()
+        real_twist, real_qcomm = schur_suite.ow_twist, schur_suite.ow_qcomm
+
+        def twist(ring_, a, b, e):
+            twists.add((a, b, e))
+            return real_twist(ring_, a, b, e)
+
+        def qcomm(ring_, a, b, e):
+            qcomms.add((a, b, e))
+            return real_qcomm(ring_, a, b, e)
+
+        monkeypatch.setattr(schur_suite, "ow_twist", twist)
+        monkeypatch.setattr(schur_suite, "ow_qcomm", qcomm)
+        compared = 0
+        for name, params, lhs, rhs in words(sctx, 2):
+            assert all(c for c, _labels in lhs + rhs)
+            want = reference_rhs(sctx, name, params)
+            if want is not None:
+                assert rhs == want, (name, params)
+                compared += 1
+        assert compared > (100 if q_one else 1000)
+        assert len(twists) > 100 and (q_one or len(qcomms) > 100)
+        w = partial(ow, ring)
+        for a, b, e in twists:
+            want = ow_add(w(a, b), ow_neg(ow_scale(w(b, a), ring.q_pow(e))))
+            assert real_twist(ring, a, b, e) == want
+            if e == 0:
+                assert want == ow_commutator(ring, w(a), w(b)) == ow_add(
+                    ow_mul(ring, w(a), w(b)), ow_neg(ow_mul(ring, w(b), w(a))))
+        for a, b, e in qcomms:
+            want = ow_add(ow_scale(w(a, b), ring.q_pow(e)),
+                          ow_neg(ow_scale(w(b, a), ring.q_pow(-e))))
+            assert real_qcomm(ring, a, b, e) == want
+
+
+# The CI-CX forms 1 and 2 coincide for e = 0 or s = 1; run_relations
+# decides each such pair once (288 of the 864 CI-CX checks on this argv)
+# and still records both forms with their own params.
+def test_repeated_relations_are_decided_once(monkeypatch, capsys):
+    calls = []
+    real = SchurContext.op_equal
+    monkeypatch.setattr(SchurContext, "op_equal",
+                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    argv = ["verify", "--suite", "schur", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2"]
+    assert main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["suites"]["schur"]["checks"]
+    assert len(calls) == 2075
+    forms = {}
+    for c in checks:
+        if c["check"].startswith("CI-CX-"):
+            name, form = c["check"].rsplit("-", 1)
+            forms.setdefault((name, json.dumps(c["params"], sort_keys=True)), []).append(form)
+    assert len(forms) == 432
+    assert all(f == ["form1", "form2"] for f in forms.values())
 
 
 class TestHwEigenvalues:
