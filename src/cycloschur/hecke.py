@@ -39,12 +39,12 @@ again and again are pushed once.
 The cyclic generators m_mu are never multiplied in as elements:
 ``m_mu_mul`` applies their factors to the right operand, the coset sweep of
 ``x_mu_mul`` per Young-subgroup level and a key shift per (L_i - Q_k), and
-``m_mu`` is that sweep applied to 1.  Whether m_mu kills an element is
-decided in one place, ``m_mu_kills``, for the Hecke suite's m_mu identities
-and the Schur block verdicts alike.  It decides by the coset sweep when that
-takes fewer than three ``lmul_gen`` passes, and otherwise by the right-coset
-collapse of ``iota(D)``, ``iota`` the anti-involution with
-iota(T_w) = T_{w^-1} that fixes every L_j.
+m_mu itself is never built.  Whether m_mu kills an element is decided in one
+place, ``m_mu_kills``, for every m_mu identity of the Hecke suite (m_mu T_i =
+q m_mu among them) and the Schur block verdicts alike.  It decides by the
+coset sweep when that takes fewer than three ``lmul_gen`` passes, and
+otherwise by the right-coset collapse of ``iota(D)``, ``iota`` the
+anti-involution with iota(T_w) = T_{w^-1} that fixes every L_j.
 """
 
 from __future__ import annotations
@@ -154,10 +154,13 @@ class HeckeContext:
         return self.term(self._zero_c, w, self.ring.one)
 
     def Tword(self, gens):
-        """Product T_{i_1} ... T_{i_p} of braid generators (each 1 <= i <= n-1)."""
+        """Product T_{i_1} ... T_{i_p} of braid generators (each 1 <= i <= n-1),
+        its letters applied right to left by ``lmul_gen``."""
         out = self.one()
-        for i in gens:
-            out = self.rmul_gen(out, i)
+        for i in reversed(tuple(gens)):
+            if not 1 <= i <= self.n - 1:
+                raise ValueError(f"T_{i} out of range")
+            out = self.lmul_gen(i, out)
         return out
 
     def scalar(self, coeff):
@@ -206,33 +209,15 @@ class HeckeContext:
         w2[p1], w2[p2] = i, i - 1
         k = (tuple(w2), key)
         out[k] = out.get(k, 0) + coeff
-        if p1 > p2:
-            self._acc_qq(out, key, w, coeff)
-
-    def _acc_qq(self, out, key, w, coeff):
-        # (q - q^{-1}) coeff L^c T_w: two terms, none at q = 1
         qstep = self._qstep
-        if qstep:
+        if p1 > p2 and qstep:
+            # (q - q^{-1}) coeff L^c T_w: two terms, none at q = 1
             if (key + qstep) & self._guard or (key - qstep) & self._guard:
                 raise _overflow()
             kp = (w, key + qstep)
             km = (w, key - qstep)
             out[kp] = out.get(kp, 0) + coeff
             out[km] = out.get(km, 0) - coeff
-
-    def rmul_gen(self, elem, i):
-        """Right multiplication by T_i (1 <= i <= n-1)."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"T_{i} out of range")
-        out = {}
-        for (w, key), coeff in elem.terms.items():
-            w2 = list(w)
-            w2[i - 1], w2[i] = w2[i], w2[i - 1]
-            k = (tuple(w2), key)
-            out[k] = out.get(k, 0) + coeff
-            if w[i - 1] > w[i]:
-                self._acc_qq(out, key, w, coeff)
-        return HeckeElem(self, _clean(out))
 
     def mul(self, a, b):
         """a * b: for each w in the support of a, T_w * b (``_push``) times
@@ -596,12 +581,6 @@ def m_mu_kills(ctx, mu, D):
             killed = x_mu_mul(ctx, parts, D).is_zero
         ctx._kills[key] = killed
     return killed
-
-
-def m_mu(ctx, mu, shape):
-    """The element m_mu: the q-weighted Young-subgroup sum times the shifted
-    Jucys-Murphy product prod_{k<r} prod_{i<=a_k} (L_i - Q_k)."""
-    return m_mu_mul(ctx, mu, shape, ctx.one())
 
 
 def t_chain(ctx, s, h, sign):

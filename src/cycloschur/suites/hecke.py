@@ -1,16 +1,16 @@
 """The Hecke-engine suite: the Jucys-Murphy normal form, the commutation
 lemma for T_i against L_j, the m_mu and bracket identities and the divided
-brackets with their cofactors.  The identities m_mu X = m_mu Y are decided
-by ``hecke.m_mu_kills`` on X - Y, which is built from the small factors once
-per distinct input of a ``verify_*`` call; m_mu (X - Y) is built
-(``m_mu_mul``) only for a failing check's detail."""
+brackets with their cofactors.  The identities m_mu X = m_mu Y, m_mu T_i =
+q m_mu among them, are decided by ``hecke.m_mu_kills`` on X - Y, which is
+built from the small factors once per distinct input of a ``verify_*`` call;
+m_mu (X - Y) is built (``m_mu_mul``) only for a failing check's detail."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from .. import combinatorics as comb
-from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu, m_mu_kills,
+from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu_kills,
                      m_mu_mul, phi_jm, stacked_bracket, t_bracket, t_chain, t_paren,
                      t_paren_factorial)
 from ..reporting import PM, check
@@ -85,14 +85,12 @@ def young_generators(mu):
 
 
 def verify_m_mu_T(ctx, shape):
-    checks = []
-    for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
-        q_mm = mm.scale(ctx.ring.q)
-        for i in young_generators(mu):
-            ok = ctx.rmul_gen(mm, i) == q_mm
-            checks.append(check("m-mu-T", {"mu": mu, "i": i}, ok))
-    return checks
+    """m_mu T_i = q m_mu for each s_i in S_mu, decided on T_i - q."""
+    q = ctx.scalar(ctx.ring.q)
+    diffs = {i: ctx.T(i) - q for i in range(1, ctx.n)}
+    return [_mm_check("m-mu-T", {"mu": mu, "i": i}, ctx, mu, shape, diffs[i])
+            for mu in comb.enumerate_compositions(ctx.n, shape)
+            for i in young_generators(mu)]
 
 
 def verify_L_commutes_bracket(ctx):

@@ -20,7 +20,6 @@ from cycloschur.hecke import (
     _x_mu_collapse_kills,
     elem_to_json,
     iota,
-    m_mu,
     m_mu_kills,
     m_mu_mul,
     phi_jm,
@@ -57,6 +56,11 @@ def ctx4():
     return HeckeContext(4, 2)
 
 
+def m_mu(ctx, mu, shape):
+    """The element m_mu, as ``m_mu_mul`` applied to 1."""
+    return m_mu_mul(ctx, mu, shape, ctx.one())
+
+
 def perm_inversions(w):
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
@@ -74,6 +78,22 @@ class TestPermutations:
                 assert w2 == w
             else:
                 assert elem == ctx4.one()
+
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_tword_is_the_product_of_its_letters(self, q_one):
+        # words that are not reduced too: T_1 T_1 has a (q - q^-1) T_1 term
+        ctx = HeckeContext(3, 2, q_one=q_one)
+        for length in range(4):
+            for word in itertools.product((1, 2), repeat=length):
+                expected = ctx.one()
+                for i in word:
+                    expected = expected * ctx.T(i)
+                assert ctx.Tword(word) == expected, word
+
+    @pytest.mark.parametrize("word", [(0,), (3,), (1, 3), (-1, 2)])
+    def test_tword_letter_out_of_range(self, ctx3, word):
+        with pytest.raises(ValueError, match="out of range"):
+            ctx3.Tword(word)
 
 
 class TestNormalize:
@@ -160,7 +180,7 @@ class TestAlgebraAxioms:
         y = ctx.normalize([data.draw(short_words(ctx))])
         results = [
             x + y, x - y, x - x, -x, x * y, x.scale(ctx.ring.qq_comm()),
-            x.shift_L(2, 1), ctx.lmul_gen(1, x), ctx.rmul_gen(x, 2),
+            x.shift_L(2, 1), ctx.lmul_gen(1, x),
         ]
         for elem in results:
             assert all(elem.terms.values())
@@ -367,7 +387,7 @@ class TestPackedKeys:
         x = ctx.Tword((1, 2)).shift_L(2, 1) + ctx.term((1, 0, 2), (2, 0, 1), ring.Q(1))
         elems = [
             ctx.one(), ctx.T(1), ctx.L(3, 2), x, x * x, ctx.lmul_gen(2, x),
-            ctx.rmul_gen(x, 1), x.scale(ring.q + ring.Q(0)), iota(ctx, x),
+            x.scale(ring.q + ring.Q(0)), iota(ctx, x),
             x_mu_mul(ctx, (3,), x), m_mu(ctx, mu, shape), m_mu_mul(ctx, mu, shape, x),
             phi_jm(ctx, 2, +1, (1, 2)), a_form_quotient(x.scale(qfactorial(2, ring)),
                                                        qfactorial(2, ring)),
@@ -455,13 +475,14 @@ class TestPushMemo:
     def test_a_miss_costs_one_lmul_gen(self, monkeypatch):
         ctx = HeckeContext(4, 2)
         b = ctx.L(1) + ctx.T(3)
+        t1, t21, t321 = ctx.T(1), ctx.Tword((2, 1)), ctx.Tword((3, 2, 1))
         calls = counting_lmul_gen(monkeypatch, ctx)
-        ctx.T(1) * b
+        t1 * b
         assert calls == [1]
         # T_2 T_1 has its tail T_1 memoized: one more call
-        ctx.Tword((2, 1)) * b
+        t21 * b
         assert calls == [1, 2]
-        ctx.Tword((3, 2, 1)) * b
+        t321 * b
         assert calls == [1, 2, 3]
 
     def test_equal_contents_make_no_lmul_gen_call(self, monkeypatch):
@@ -910,6 +931,47 @@ class TestMmuKills:
             [1, 0] if route == "sweep" else [0, 1])
 
 
+class TestMmuT:
+    """The m-mu-T family, m_mu T_i = q m_mu for s_i in S_mu, decided by
+    ``m_mu_kills`` on T_i - q."""
+
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_passes_without_building_m_mu(self, monkeypatch, q_one):
+        built = []
+        real = suite_mod.m_mu_mul
+        monkeypatch.setattr(suite_mod, "m_mu_mul", lambda *a: built.append(a) or real(*a))
+        ctx = HeckeContext(3, 3, q_one=q_one)
+        shape = Shape((2, 2, 2))
+        checks = verify_m_mu_T(ctx, shape)
+        assert [c["params"] for c in checks] == [
+            {"mu": mu, "i": i}
+            for mu in comb.enumerate_compositions(3, shape) for i in young_generators(mu)
+        ]
+        assert checks and all(c["ok"] and "detail" not in c for c in checks)
+        assert built == []
+
+    @pytest.mark.parametrize("m", [(3,), (1, 2), (2, 2)])
+    def test_a_generator_outside_S_mu_fails_with_detail(self, monkeypatch, m):
+        # every s_i asked about every weight: m_mu T_i = q m_mu exactly when
+        # s_i lies in S_mu, and a failure lists m_mu T_i - q m_mu
+        ctx = HeckeContext(3, len(m))
+        shape = Shape(m)
+        monkeypatch.setattr(suite_mod, "young_generators", lambda mu: [1, 2])
+        checks = verify_m_mu_T(ctx, shape)
+        assert len(checks) == 2 * len(comb.enumerate_compositions(3, shape))
+        assert not all(c["ok"] for c in checks)
+        for c in checks:
+            mu, i = c["params"]["mu"], c["params"]["i"]
+            assert c["ok"] == (i in young_generators(mu))
+            mm = reference_m_mu(ctx, mu, shape)
+            diff = mm * ctx.T(i) - mm.scale(ctx.ring.q)
+            assert c["ok"] == diff.is_zero
+            if c["ok"]:
+                assert "detail" not in c
+            else:
+                assert c["detail"] == {"lhs_minus_rhs": elem_to_json(diff)[:3]}
+
+
 class TestBrackets:
     def test_mu_one(self, ctx3):
         assert t_bracket(ctx3, 1, 1, +1) == ctx3.one()
@@ -1105,7 +1167,7 @@ class TestEquality:
         shape = Shape((2, 2))
         mu = ((2, 0), (1, 0))
         mm = m_mu(ctx3, mu, shape)
-        assert ctx3.rmul_gen(mm, 1) == mm.scale(ctx3.ring.q)
+        assert mm * ctx3.T(1) == mm.scale(ctx3.ring.q)
 
 
 class TestPhiJm:

@@ -35,26 +35,33 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert out.isdisjoint({"dataclasses", "inspect"})
 
 
+def _src_nodes():
+    """(path relative to the package, node) for every AST node of src."""
+    src = Path(cycloschur.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.relative_to(src).as_posix(), node
+
+
+def _names(node):
+    """The names a node uses: imported, read as an attribute or named."""
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set()
+
+
 def _uses(private, owners):
     """(file, line, name) for each use of a name in ``private`` by a src
-    module other than the ``owners``: imported, read as an attribute or
-    named."""
-    src = Path(cycloschur.__file__).parent
-    found = []
-    for path in sorted(src.rglob("*.py")):
-        if path.relative_to(src).as_posix() in owners:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            elif isinstance(node, ast.Name):
-                names = {node.id}
-            else:
-                continue
-            found += [(path.name, node.lineno, n) for n in sorted(names & private)]
-    return found
+    module other than the ``owners``."""
+    return [
+        (path, node.lineno, name)
+        for path, node in _src_nodes() if path not in owners
+        for name in sorted(_names(node) & private)
+    ]
 
 
 # The slot layout of a packed exponent key is known to coeff, which defines
@@ -84,3 +91,24 @@ KILLS_PRIVATE = {"x_mu_mul", "_x_mu_collapse_kills", "young_parts"}
 
 def test_only_hecke_decides_m_mu_kills():
     assert _uses(KILLS_PRIVATE, ("hecke.py",)) == []
+
+
+# Functions and classes that only the tests use: the oracle evaluates
+# coefficients with ``coeff.specialize``, and the hypothesis strategies build
+# ring elements with ``LaurentRing.monomial``.
+TEST_ONLY = {"specialize", "monomial"}
+
+
+def test_every_src_definition_is_used_in_src():
+    # by name, so a method counts as used when any object's attribute of
+    # that name is read; dunder methods are called by the language
+    defined, used = {}, set()
+    for path, node in _src_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.setdefault(node.name, []).append((path, node.lineno))
+        used |= _names(node)
+    unused = {
+        name: where for name, where in defined.items()
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert set(unused) == TEST_ONLY, unused

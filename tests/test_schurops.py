@@ -13,7 +13,7 @@ from cycloschur import schurops
 from cycloschur.cli import main
 from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qfactorial
 from cycloschur.combinatorics import Shape
-from cycloschur.hecke import elem_to_json, m_mu, m_mu_mul, t_bracket, x_mu_mul
+from cycloschur.hecke import elem_to_json, m_mu_mul, t_bracket, x_mu_mul
 from cycloschur.schurops import (
     I,
     K,
@@ -42,6 +42,11 @@ from cycloschur.suites.schur import (
     word_J,
     word_ktilde,
 )
+
+
+def m_mu(ctx, mu, shape):
+    """The element m_mu, as ``m_mu_mul`` applied to 1."""
+    return m_mu_mul(ctx, mu, shape, ctx.one())
 
 
 @pytest.fixture(scope="module")
