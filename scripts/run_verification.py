@@ -20,21 +20,21 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from cycloschur.cli import RunConfig, cmd_verify  # noqa: E402
 
 CAMPAIGN = [
-    # (suites, n, r, m, deg)
-    (("symfun",), 4, 2, (2, 2), 2),
-    (("hecke",), 3, 2, (2, 2), 2),
-    (("hecke",), 3, 3, (2, 2, 2), 2),
-    (("hecke",), 4, 2, (2, 2), 2),
-    (("hecke",), 5, 2, (2, 2), 2),
-    (("schur",), 2, 2, (2, 2), 2),
-    (("schur",), 3, 2, (2, 2), 2),
-    (("schur",), 2, 3, (1, 1, 1), 2),
-    (("schur",), 4, 2, (2, 2), 0),
-    (("q1",), 3, 2, (2, 2), 2),
-    (("q1",), 4, 2, (2, 2), 2),
-    (("lie",), 2, 2, (2, 2), 2),
-    (("lie",), 4, 1, (4,), 2),
-    (("lie",), 3, 3, (2, 2, 2), 2),
+    # (suites, n, m, deg); the component count r is len(m)
+    (("symfun",), 4, (2, 2), 2),
+    (("hecke",), 3, (2, 2), 2),
+    (("hecke",), 3, (2, 2, 2), 2),
+    (("hecke",), 4, (2, 2), 2),
+    (("hecke",), 5, (2, 2), 2),
+    (("schur",), 2, (2, 2), 2),
+    (("schur",), 3, (2, 2), 2),
+    (("schur",), 2, (1, 1, 1), 2),
+    (("schur",), 4, (2, 2), 0),
+    (("q1",), 3, (2, 2), 2),
+    (("q1",), 4, (2, 2), 2),
+    (("lie",), 2, (2, 2), 2),
+    (("lie",), 4, (4,), 2),
+    (("lie",), 3, (2, 2, 2), 2),
 ]
 
 
@@ -48,11 +48,11 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     overall = 0
     rows = []
-    for suites, n, r, m, deg in CAMPAIGN:
-        tag = f"{'-'.join(suites)}_n{n}_r{r}_m{'x'.join(map(str, m))}"
+    for suites, n, m, deg in CAMPAIGN:
+        tag = f"{'-'.join(suites)}_n{n}_r{len(m)}_m{'x'.join(map(str, m))}"
         out = outdir / f"{tag}.json"
         config = RunConfig(
-            n=n, r=r, m=m, suites=suites, deg=deg, seed=args.seed, out=str(out),
+            n=n, m=m, suites=suites, deg=deg, seed=args.seed, out=str(out),
         )
         t0 = time.time()
         code = cmd_verify(config)

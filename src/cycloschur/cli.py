@@ -33,22 +33,19 @@ class ParseError(ValueError):
 
 
 class RunConfig:
-    """The settings of one ``cycloschur verify`` run."""
+    """The settings of one ``cycloschur verify`` run.  The block sizes m fix
+    the component count r = len(m)."""
 
-    def __init__(self, n=2, r=2, m=(2, 2), suites=SUITES, deg=2, dmax=3, seed=0, out=None,
+    def __init__(self, n=2, m=(2, 2), suites=SUITES, deg=2, dmax=3, seed=0, out=None,
                  q1=False):
-        self.n, self.r, self.m, self.suites = n, r, m, suites
+        self.n, self.shape, self.suites = n, Shape(m), suites
         self.deg, self.dmax, self.seed, self.out, self.q1 = deg, dmax, seed, out, q1
-
-    @property
-    def shape(self):
-        return Shape(self.m)
 
     def as_json(self):
         return {
             "n": self.n,
-            "r": self.r,
-            "m": list(self.m),
+            "r": self.shape.r,
+            "m": list(self.shape.m),
             "suites": list(self.suites),
             "deg": self.deg,
             "dmax": self.dmax,
@@ -368,7 +365,6 @@ def main(argv=None):
             check_out(args.out)
             config = RunConfig(
                 n=args.n,
-                r=args.r,
                 m=m,
                 suites=suites,
                 deg=args.deg,

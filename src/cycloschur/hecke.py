@@ -2,13 +2,13 @@
 
 Elements are kept in the Bernstein-type normal form of the affine model:
 finite sums of L_1^{c_1} ... L_n^{c_n} T_w with c_j >= 0 unbounded and w a
-permutation, and NO cyclotomic reduction.  Words in T_0, ..., T_{n-1} and
-L_j^e are normalized by pushing T atoms rightward past L atoms using the
-Jucys-Murphy commutation rules; the T suffix is reduced by standard
-Iwahori-Hecke multiplication.  Equality of normal forms implies equality in
-the cyclotomic quotient, and every identity the verification suites check is
-expected to hold already in this model (the suites would expose it if one
-did not).
+permutation, and NO cyclotomic reduction.  Every product comes down to
+left multiplications by T_i (``lmul_gen``), which push T_i rightward past
+the L monomial with the Jucys-Murphy commutation rules and reduce the T
+suffix by standard Iwahori-Hecke multiplication; T_0 is L_1.  Equality of
+normal forms implies equality in the cyclotomic quotient, and every
+identity the verification suites check is expected to hold already in this
+model (the suites would expose it if one did not).
 
 An element is one flat dict {(w, key): coefficient}, the (head, key)
 layout of ``liealg`` and ``symfun`` terms with the permutation w as head:
@@ -25,7 +25,7 @@ q in the coset sweep) is added by ``coeff._acc_scaled``, as for the other
 flat elements; the products by T_i and T_w keep their own loops.  At the
 boundary, where ``HeckeContext.from_grouped`` (behind ``term``),
 ``HeckeElem.scale`` and ``HeckeElem.grouped`` (behind ``sorted_terms``,
-``elem_to_json`` and ``repr``) meet a ``MultiLaurent``, a ring key moves in
+``m_mu_witness`` and ``repr``) meet a ``MultiLaurent``, a ring key moves in
 with ``key << 16n`` and out with ``key >> 16n``; ``phi_jm`` moves the keys
 of a flat ``SymPoly`` in the same way.  ``a_form_quotient`` divides by a
 polynomial in q on the flat keys, rewriting their q slot, and builds no
@@ -44,10 +44,14 @@ place, ``m_mu_kills``, for every m_mu identity of the Hecke suite (m_mu T_i =
 q m_mu among them) and the Schur block verdicts alike.  It decides by the
 coset sweep when that takes fewer than three ``lmul_gen`` passes, and
 otherwise by the right-coset collapse of ``iota(D)``, ``iota`` the
-anti-involution with iota(T_w) = T_{w^-1} that fixes every L_j.
+anti-involution with iota(T_w) = T_{w^-1} that fixes every L_j.  What a
+failed m_mu identity reports is written once too, in ``m_mu_witness``: the
+first three terms of m_mu * D.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from . import combinatorics as comb
 from . import symfun
@@ -263,40 +267,6 @@ class HeckeContext:
             pushed = self._pushes[key] = self.lmul_gen(i, inner)
         return pushed
 
-    # -- words --------------------------------------------------------------
-
-    def normalize(self, words):
-        """Normal form of a sum of words.
-
-        Each word is a pair (coeff, atoms); an atom is ("T", i) with
-        0 <= i <= n-1 (T_0 = L_1) or ("L", j, e).  Atoms apply right to left
-        as left multiplications, so normalizing is linear by construction and
-        idempotent on normal forms.
-        """
-        total = self.zero()
-        for coeff, atoms in words:
-            cur = self.one()
-            for atom in reversed(list(atoms)):
-                if atom[0] == "T":
-                    i = atom[1]
-                    if i == 0:
-                        cur = cur.shift_L(1, 1)
-                    elif 1 <= i <= self.n - 1:
-                        cur = self.lmul_gen(i, cur)
-                    else:
-                        raise ValueError(f"T_{i} out of range")
-                elif atom[0] == "L":
-                    cur = cur.shift_L(atom[1], atom[2])
-                else:
-                    raise ValueError(f"unknown atom {atom!r}")
-            total = total + cur.scale(coeff)
-        return total
-
-    def jm_word(self, j):
-        """L_j = T_{j-1} ... T_1 T_0 T_1 ... T_{j-1} as a word in the generators."""
-        gens = list(range(j - 1, 0, -1)) + [0] + list(range(1, j))
-        return [("T", i) for i in gens]
-
 
 class HeckeElem:
     """Normal-form element: dict {(permutation, packed exponent key):
@@ -427,17 +397,6 @@ def a_form_quotient(elem, g):
     return HeckeElem(ctx, out)
 
 
-def elem_to_json(elem):
-    return [
-        {
-            "L": list(c),
-            "w": [x + 1 for x in w],
-            "coeff": ml_to_json(coeff),
-        }
-        for (c, w), coeff in elem.sorted_terms()
-    ]
-
-
 # ---------------------------------------------------------------------------
 # the m_mu generators and the bracket elements
 
@@ -468,9 +427,10 @@ def x_mu_mul(ctx, parts, D):
     return D
 
 
-def m_mu_mul(ctx, mu, shape, D):
+def m_mu_mul(ctx, mu, D):
     """m_mu * D through the factors of m_mu = x_mu * lprod, never expanding
-    m_mu: ``x_mu_mul``, then lprod = prod_{k<r} prod_{i<=a_k} (L_i - Q_k).
+    m_mu: ``x_mu_mul``, then lprod = prod_{k<r} prod_{i<=a_k} (L_i - Q_k),
+    r = len(mu) the component count.
     lprod commutes with x_mu (it is symmetric in L_1..L_{a_k} and S_mu
     preserves 1..a_k), so it is applied after x_mu, each factor as a shift of
     L_i minus a shift of Q_k: a left multiplication by L_i only adds to the
@@ -482,7 +442,7 @@ def m_mu_mul(ctx, mu, shape, D):
     D = x_mu_mul(ctx, young_parts(mu), D)
     guard = ctx._guard
     a_k = 0
-    for k in range(1, shape.r):
+    for k in range(1, len(mu)):
         a_k += sum(mu[k - 1])
         Qk = _pack((1,), k + 1) << ctx._ring_shift
         for i in range(1, a_k + 1):
@@ -581,6 +541,19 @@ def m_mu_kills(ctx, mu, D):
             killed = x_mu_mul(ctx, parts, D).is_zero
         ctx._kills[key] = killed
     return killed
+
+
+def m_mu_witness(ctx, mu, D):
+    """The failure detail of the m_mu identity m_mu * D == 0: None when
+    ``m_mu_kills`` holds, else the first three terms of m_mu * D in report
+    order (ascending L-exponents, then permutation) as JSON.  Only those
+    three terms are converted."""
+    if m_mu_kills(ctx, mu, D):
+        return None
+    return [
+        {"L": list(c), "w": [x + 1 for x in w], "coeff": ml_to_json(coeff)}
+        for (c, w), coeff in heapq.nsmallest(3, m_mu_mul(ctx, mu, D).grouped().items())
+    ]
 
 
 def t_chain(ctx, s, h, sign):

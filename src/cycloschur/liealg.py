@@ -387,34 +387,38 @@ def mat_unit(lctx, i, j, coeff):
     return {((i, j), k): c for k, c in lctx._flat(coeff).items()}
 
 
-def mat_mul(lctx, A, B):
-    # the factors are images of basis elements, one (i, j) entry each, so a
-    # loop over all pairs of entries costs less than indexing B by rows
+def mat_commutator(lctx, A, B):
+    """A B - B A in one pass over the pairs of entries: (i, k) of A and
+    (l, j) of B give a b at (i, j) when k == l, and -a b at (l, k) when
+    j == i; a pair that meets both adds both.  The factors are images of
+    basis elements, one (i, j) entry each, so a loop over all pairs costs
+    less than indexing either factor by rows."""
     origin, guard = lctx._origin, lctx._guard
     out = {}
     for ((i, k), ka), a in A.items():
         ka -= origin
-        for ((k2, j), kb), b in B.items():
-            if k2 != k:
+        for ((l, j), kb), b in B.items():
+            if k != l and j != i:
                 continue
             e = ka + kb
             if e & guard:
                 raise _overflow()
-            e = ((i, j), e)
             c = a * b
-            if e in out:
-                c += out[e]
-                if not c:
-                    del out[e]
-                    continue
-            out[e] = c if type(c) is int else _exact(c)
+            if k == l:
+                _acc_entry(out, ((i, j), e), c)
+            if j == i:
+                _acc_entry(out, ((l, k), e), -c)
     return out
 
 
-def mat_commutator(lctx, A, B):
-    out = mat_mul(lctx, A, B)
-    _acc_scaled(out, mat_mul(lctx, B, A), 0, -1, lctx._guard)
-    return out
+def _acc_entry(out, entry, c):
+    """Add c at ``entry`` of the zero-free matrix ``out``."""
+    if entry in out:
+        c += out[entry]
+        if not c:
+            del out[entry]
+            return
+    out[entry] = c if type(c) is int else _exact(c)
 
 
 # ---------------------------------------------------------------------------

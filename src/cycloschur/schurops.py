@@ -23,8 +23,9 @@ first block that fails is the witness.  The decision is per block of the
 direct sum of the M^nu: the M^nu are not independent inside H, so a sum
 over nu in H can cancel a difference.  Differing right factors alone do not
 decide either: m_nu can kill the difference (it does in R6-diagonal at a
-junction).  Each block is decided by ``hecke.m_mu_kills``; only the witness
-is multiplied by the whole m_nu, for the failure detail.
+junction).  Each block is decided and, on failure, reported by
+``hecke.m_mu_witness``, so only the first failing block is multiplied by the
+whole m_nu.
 
 Generator labels are tuples:
     ("K", sign, pos)        sign in {+1, -1}, pos in 1..m
@@ -54,8 +55,7 @@ import json
 
 from . import combinatorics as comb
 from .coeff import _mul_terms
-from .hecke import (EngineError, HeckeContext, elem_to_json, m_mu_kills, m_mu_mul, phi_jm,
-                    t_bracket)
+from .hecke import EngineError, HeckeContext, m_mu_mul, m_mu_witness, phi_jm, t_bracket
 
 
 def K(sign, pos):
@@ -148,11 +148,11 @@ class SchurContext:
         ring = self.ring
         # X^{sign}_t = sign [I^{sign}_1, X^{sign}_{t-1}]
         word = ow_commutator(ring, ow(ring, I(sign, pos, 1)), ow(ring, X(sign, pos, t - 1)))
-        ok, witness = self.op_equal(ow_scale(word, ring.from_fraction(sign)), ow(ring, label))
-        if not ok:
+        detail = self.op_equal(ow_scale(word, ring.from_fraction(sign)), ow(ring, label))
+        if detail is not None:
             raise EngineError(
                 f"closed form and inductive definition disagree for {label}: "
-                + json.dumps(difference_detail(witness))
+                + json.dumps(detail)
             )
 
     # -- words ------------------------------------------------------------
@@ -205,7 +205,7 @@ class SchurContext:
         hit = self.table(labels).get(mu)
         if hit is None:
             return self.hctx.zero()
-        return m_mu_mul(self.hctx, hit[0], self.shape, hit[1])
+        return m_mu_mul(self.hctx, *hit)
 
     def block_difference(self, a, b):
         """Word a minus word b on every weight, block by block: {mu: {nu:
@@ -226,22 +226,26 @@ class SchurContext:
         return blocks
 
     def first_difference(self, blocks):
-        """The first block of ``block_difference`` (weights mu in order) on
-        which the operators differ, as (mu, nu, m_nu * (A_nu - B_nu)), or
-        None.  A nonzero block D is decided by ``m_mu_kills``."""
+        """The failure detail of the first block of ``block_difference``
+        (weights mu in order) on which the operators differ, or None: the
+        weight mu, the target weight nu and the ``m_mu_witness`` of the
+        nonzero block D = A_nu - B_nu, the first terms of m_nu * D."""
         hctx = self.hctx
         for mu in self.weights:
             for nu, out in blocks.get(mu, {}).items():
-                D = hctx.from_terms(out)
-                if not (D.is_zero or m_mu_kills(hctx, nu, D)):
-                    return mu, nu, m_mu_mul(hctx, nu, self.shape, D)
+                witness = m_mu_witness(hctx, nu, hctx.from_terms(out)) if out else None
+                if witness is not None:
+                    return {
+                        "witness_weight": [list(c) for c in mu],
+                        "target_weight": [list(c) for c in nu],
+                        "lhs_minus_rhs": witness,
+                    }
         return None
 
     def op_equal(self, a, b):
-        """Operator equality, decided block by block over every weight;
-        returns (True, None) or (False, (mu, nu, m_nu * (A_nu - B_nu)))."""
-        witness = self.first_difference(self.block_difference(a, b))
-        return witness is None, witness
+        """Operator equality, decided block by block over every weight: None
+        when the operators agree, else the detail of ``first_difference``."""
+        return self.first_difference(self.block_difference(a, b))
 
     def cartan(self, pos_x, pos_jl):
         if pos_jl == pos_x:
@@ -249,17 +253,6 @@ class SchurContext:
         if pos_jl == pos_x + 1:
             return -1
         return 0
-
-
-def difference_detail(witness):
-    """A failure detail from an ``op_equal`` witness: the weight, the target
-    weight and the first three terms of m_nu * (A_nu - B_nu)."""
-    mu, nu, value = witness
-    return {
-        "witness_weight": [list(c) for c in mu],
-        "target_weight": [list(c) for c in nu],
-        "lhs_minus_rhs": elem_to_json(value)[:3],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,25 @@
 """The Hecke-engine suite: the Jucys-Murphy normal form, the commutation
 lemma for T_i against L_j, the m_mu and bracket identities and the divided
 brackets with their cofactors.  The identities m_mu X = m_mu Y, m_mu T_i =
-q m_mu among them, are decided by ``hecke.m_mu_kills`` on X - Y, which is
-built from the small factors once per distinct input of a ``verify_*`` call;
-m_mu (X - Y) is built (``m_mu_mul``) only for a failing check's detail."""
+q m_mu among them, are decided and reported by ``hecke.m_mu_witness`` on
+X - Y, which is built from the small factors once per distinct input of a
+``verify_*`` call."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from .. import combinatorics as comb
-from ..hecke import (HeckeContext, divided_t_bracket, elem_to_json, in_window, m_mu_kills,
-                     m_mu_mul, phi_jm, stacked_bracket, t_bracket, t_chain, t_paren,
-                     t_paren_factorial)
+from ..hecke import (HeckeContext, divided_t_bracket, in_window, m_mu_witness, phi_jm,
+                     stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial)
 from ..reporting import PM, check
 
 
 def word_built_jm(ctx):
-    """L_1, ..., L_n normalized from their defining words in the T generators."""
-    return {j: ctx.normalize([(ctx.ring.one, ctx.jm_word(j))]) for j in range(1, ctx.n + 1)}
+    """L_1, ..., L_n multiplied out from their defining words in the T
+    generators, L_j = T_{j-1} ... T_1 T_0 T_1 ... T_{j-1}."""
+    return {j: ctx.Tword(range(j - 1, 0, -1)) * ctx.T(0) * ctx.Tword(range(1, j))
+            for j in range(1, ctx.n + 1)}
 
 
 def verify_jm_normal_form(ctx):
@@ -27,9 +28,9 @@ def verify_jm_normal_form(ctx):
     for j in range(1, ctx.n + 1):
         checks.append(check("jm-normal-form", {"j": j}, built[j] == ctx.L(j)))
     if ctx.n >= 2:
-        lhs = ctx.normalize([(ctx.ring.one, [("T", 0), ("T", 1), ("T", 0), ("T", 1)])])
-        rhs = ctx.normalize([(ctx.ring.one, [("T", 1), ("T", 0), ("T", 1), ("T", 0)])])
-        checks.append(check("affine-braid-T0T1T0T1", {}, lhs == rhs))
+        T0, T1 = ctx.T(0), ctx.T(1)
+        ok = T0 * T1 * T0 * T1 == T1 * T0 * T1 * T0
+        checks.append(check("affine-braid-T0T1T0T1", {}, ok))
     return checks
 
 
@@ -88,7 +89,7 @@ def verify_m_mu_T(ctx, shape):
     """m_mu T_i = q m_mu for each s_i in S_mu, decided on T_i - q."""
     q = ctx.scalar(ctx.ring.q)
     diffs = {i: ctx.T(i) - q for i in range(1, ctx.n)}
-    return [_mm_check("m-mu-T", {"mu": mu, "i": i}, ctx, mu, shape, diffs[i])
+    return [_mm_check("m-mu-T", {"mu": mu, "i": i}, ctx, mu, diffs[i])
             for mu in comb.enumerate_compositions(ctx.n, shape)
             for i in young_generators(mu)]
 
@@ -162,14 +163,12 @@ def verify_divided_brackets(ctx, dmax=3):
     return checks
 
 
-def _mm_check(name, params, ctx, mu, shape, diff):
-    """Record m_mu X == m_mu Y from diff = X - Y, decided by ``m_mu_kills``.
-    Only on failure is m_mu (X - Y) built, and ``detail`` holds its first
-    three terms."""
-    if m_mu_kills(ctx, mu, diff):
-        return check(name, params, True)
-    value = m_mu_mul(ctx, mu, shape, diff)
-    return check(name, params, False, {"lhs_minus_rhs": elem_to_json(value)[:3]})
+def _mm_check(name, params, ctx, mu, diff):
+    """Record m_mu X == m_mu Y from diff = X - Y; a failure's detail is
+    ``m_mu_witness``, the first three terms of m_mu (X - Y)."""
+    witness = m_mu_witness(ctx, mu, diff)
+    detail = None if witness is None else {"lhs_minus_rhs": witness}
+    return check(name, params, witness is None, detail)
 
 
 def _lt_difference(ctx, sign, N, p, t):
@@ -204,7 +203,7 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
                         if diff is None:
                             diff = diffs[key] = _lt_difference(ctx, *key)
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check(name, params, ctx, mu, shape, diff))
+                        checks.append(_mm_check(name, params, ctx, mu, diff))
     return checks
 
 
@@ -278,7 +277,7 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
                 params = {"mu": mu, "pos": pos, "t": t}
                 for name, diff in zip(ETC_FAMILIES, found):
                     if diff is not None:
-                        checks.append(_mm_check(name, params, ctx, mu, shape, diff))
+                        checks.append(_mm_check(name, params, ctx, mu, diff))
     return checks
 
 
@@ -298,5 +297,5 @@ def verify_hecke(ctx, shape, t_comm=4, t_mmult=3, t_etc=2, dmax=3):
 
 def run(config):
     """The ``hecke`` suite of ``cycloschur verify``."""
-    ctx = HeckeContext(config.n, config.r, q_one=config.q1)
+    ctx = HeckeContext(config.n, config.shape.r, q_one=config.q1)
     return verify_hecke(ctx, config.shape, dmax=config.dmax)

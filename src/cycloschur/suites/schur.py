@@ -11,10 +11,10 @@ from itertools import product
 
 from .. import combinatorics as comb
 from ..coeff import qfactorial, qint
-from ..hecke import a_form_quotient, elem_to_json
+from ..hecke import a_form_quotient, m_mu_witness
 from ..reporting import PM, check
-from ..schurops import (I, K, SchurContext, X, difference_detail, ow, ow_add, ow_commutator,
-                        ow_mul, ow_neg, ow_scale, ow_zero)
+from ..schurops import (I, K, SchurContext, X, ow, ow_add, ow_commutator, ow_mul, ow_neg,
+                        ow_scale, ow_zero)
 from ..symfun import phi
 
 
@@ -96,9 +96,8 @@ def run_relations(sctx, relations):
     for name, params, lhs, rhs in relations:
         if (lhs, rhs) != last:
             last = lhs, rhs
-            ok, witness = sctx.op_equal(lhs, rhs)
-            detail = None if ok else difference_detail(witness)
-        checks.append(check(name, params, ok, detail))
+            detail = sctx.op_equal(lhs, rhs)
+        checks.append(check(name, params, detail is None, detail))
     return checks
 
 
@@ -346,10 +345,9 @@ def verify_divided_powers(sctx, dmax=3):
         ok = quotient is not None and (d <= cap or quotient.is_zero)
         detail = None
         if not ok:
-            labels = tuple([X(sign, pos, t)] * d)
-            nu = sctx.table(labels)[mu][0]
-            image = elem_to_json(sctx.apply_seq(labels, mu))[:3]
-            detail = {"target_weight": [list(c) for c in nu], "image": image}
+            hit = sctx.table(tuple([X(sign, pos, t)] * d))[mu]
+            detail = {"target_weight": [list(c) for c in hit[0]],
+                      "image": m_mu_witness(sctx.hctx, *hit)}
         checks.append(check("divided-power-integral", params, ok, detail))
     return checks
 

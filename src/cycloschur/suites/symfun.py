@@ -133,9 +133,9 @@ def lr_matches_schur_oracle(lam, mu, ring):
 
 def run(config):
     """The ``symfun`` suite of ``cycloschur verify``."""
-    ring = LaurentRing(config.r, q_one=config.q1)
+    ring = LaurentRing(config.shape.r, q_one=config.q1)
     checks = verify_phi_recursions(4, 4, ring)
-    checks += verify_phi_q1(4, 4, LaurentRing(config.r, q_one=True))
+    checks += verify_phi_q1(4, 4, LaurentRing(config.shape.r, q_one=True))
     chars = {}
     checks += verify_characters(config.shape, min(config.n, 3), ring, chars)
     checks += verify_char_products(config.shape, min(config.n, 3), ring, chars)

@@ -141,6 +141,15 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert report["suites"]["symfun"]["failed"] == []
 
+    def test_config_derives_r_from_m(self):
+        # there is no r to set apart from m, so no run can pair a rank-3
+        # ring with a 2-component shape
+        config = cli.RunConfig(n=3, m=(2, 2, 2))
+        assert config.shape == Shape((2, 2, 2))
+        assert config.as_json()["r"] == 3
+        with pytest.raises(TypeError):
+            cli.RunConfig(r=3, m=(2, 2))
+
     def test_lie_suite_passes(self, capsys):
         code = main(["verify", "--suite", "lie", "-r", "2", "-m", "1,1", "--deg", "1"])
         assert code == 0

@@ -1,16 +1,18 @@
 import gc
+import inspect
 import itertools
+import textwrap
 import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cycloschur.hecke as hecke_mod
 import cycloschur.suites.hecke as suite_mod
 from cycloschur import combinatorics as comb
-from cycloschur.coeff import qfactorial
+from cycloschur.coeff import ml_to_json, qfactorial
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import (
     EngineError,
@@ -18,10 +20,10 @@ from cycloschur.hecke import (
     a_form_quotient,
     divided_t_bracket,
     _x_mu_collapse_kills,
-    elem_to_json,
     iota,
     m_mu_kills,
     m_mu_mul,
+    m_mu_witness,
     phi_jm,
     reduced_word,
     t_bracket,
@@ -56,9 +58,16 @@ def ctx4():
     return HeckeContext(4, 2)
 
 
-def m_mu(ctx, mu, shape):
+def m_mu(ctx, mu):
     """The element m_mu, as ``m_mu_mul`` applied to 1."""
-    return m_mu_mul(ctx, mu, shape, ctx.one())
+    return m_mu_mul(ctx, mu, ctx.one())
+
+
+def json_terms(elem):
+    """Every term of elem as JSON in report order, all of them converted:
+    the reference for failure details, which keep the first three."""
+    return [{"L": list(c), "w": [x + 1 for x in w], "coeff": ml_to_json(coeff)}
+            for (c, w), coeff in elem.sorted_terms()]
 
 
 def perm_inversions(w):
@@ -116,40 +125,37 @@ class TestNormalize:
             assert c["ok"], c
 
     def test_normalize_idempotent_on_words(self, ctx3):
-        words = [
-            (ctx3.ring.one, [("T", 1), ("L", 2, 2), ("T", 2), ("T", 0)]),
-            (ctx3.ring.q, [("T", 2), ("T", 1), ("L", 1, 1)]),
-        ]
-        elem = ctx3.normalize(words)
-        # renormalizing the normal form term by term is the identity
+        T, L = ctx3.T, ctx3.L
+        elem = T(1) * L(2, 2) * T(2) * T(0) + (T(2) * T(1) * L(1)).scale(ctx3.ring.q)
+        # multiplying the normal form out again term by term is the identity
         rebuilt = ctx3.zero()
         for (c, w), coeff in elem.grouped().items():
-            atoms = [("L", j + 1, e) for j, e in enumerate(c) if e]
-            atoms += [("T", i) for i in reduced_word(w)]
-            rebuilt = rebuilt + ctx3.normalize([(coeff, atoms)])
+            term = ctx3.Tword(reduced_word(w))
+            for j, e in enumerate(c):
+                if e:
+                    term = L(j + 1, e) * term
+            rebuilt = rebuilt + term.scale(coeff)
         assert rebuilt == elem
 
     def test_T_atom_out_of_range(self, ctx3):
         # T_3 would read the q slot as an L exponent; T_{-1} a negative shift
         for i in (3, -1):
             with pytest.raises(ValueError, match=f"T_{i} out of range"):
-                ctx3.normalize([(ctx3.ring.one, [("T", i)])])
+                ctx3.T(i)
 
 
 @st.composite
 def short_words(draw, ctx):
-    length = draw(st.integers(0, 4))
-    atoms = []
-    for _ in range(length):
-        kind = draw(st.integers(0, 2))
-        if kind == 0:
-            atoms.append(("T", draw(st.integers(0, ctx.n - 1))))
-        elif kind == 1:
-            atoms.append(("L", draw(st.integers(1, ctx.n)), draw(st.integers(1, 2))))
+    """A central scalar times a product, with ``*``, of up to four factors
+    T_i (0 <= i < n, T_0 = L_1) and L_j^e."""
+    out = ctx.one()
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            factor = ctx.T(draw(st.integers(0, ctx.n - 1)))
         else:
-            atoms.append(("T", draw(st.integers(1, ctx.n - 1))))
-    coeff = ctx.ring.q_pow(draw(st.integers(-1, 1))).scale(draw(st.integers(1, 3)))
-    return (coeff, atoms)
+            factor = ctx.L(draw(st.integers(1, ctx.n)), draw(st.integers(1, 2)))
+        out = out * factor
+    return out.scale(ctx.ring.q_pow(draw(st.integers(-1, 1))).scale(draw(st.integers(1, 3))))
 
 
 class TestAlgebraAxioms:
@@ -157,27 +163,15 @@ class TestAlgebraAxioms:
     @given(st.data())
     def test_associative(self, data):
         ctx = HeckeContext(3, 2)
-        x = ctx.normalize([data.draw(short_words(ctx))])
-        y = ctx.normalize([data.draw(short_words(ctx))])
-        z = ctx.normalize([data.draw(short_words(ctx))])
+        x, y, z = (data.draw(short_words(ctx)) for _ in range(3))
         assert (x * y) * z == x * (y * z)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_normalize_linear(self, data):
-        ctx = HeckeContext(3, 2)
-        w1 = data.draw(short_words(ctx))
-        w2 = data.draw(short_words(ctx))
-        both = ctx.normalize([w1, w2])
-        assert both == ctx.normalize([w1]) + ctx.normalize([w2])
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_results_store_no_zero_coefficient(self, data):
         # the operations build their term dicts without a cleaning pass
         ctx = HeckeContext(3, 2)
-        x = ctx.normalize([data.draw(short_words(ctx))])
-        y = ctx.normalize([data.draw(short_words(ctx))])
+        x, y = data.draw(short_words(ctx)), data.draw(short_words(ctx))
         results = [
             x + y, x - y, x - x, -x, x * y, x.scale(ctx.ring.qq_comm()),
             x.shift_L(2, 1), ctx.lmul_gen(1, x),
@@ -204,7 +198,7 @@ def factor_products(draw, ctx, shape):
             N = draw(st.integers(0, ctx.n))
             factor = t_bracket(ctx, N, draw(st.integers(1, ctx.n)), sign)
         else:
-            factor = m_mu(ctx, draw(st.sampled_from(weights)), shape)
+            factor = m_mu(ctx, draw(st.sampled_from(weights)))
         out = out * factor
     return out
 
@@ -331,7 +325,7 @@ def differential_factors(draw, ctx, shape):
             N = draw(st.integers(0, ctx.n))
             factors.append(t_bracket(ctx, N, draw(st.integers(1, ctx.n)), sign))
         elif kind == 3:
-            factors.append(m_mu(ctx, draw(st.sampled_from(weights)), shape))
+            factors.append(m_mu(ctx, draw(st.sampled_from(weights))))
         else:
             factors.append(ctx.scalar(draw(central_scalars(ctx.ring))))
     return factors
@@ -383,12 +377,12 @@ class TestPackedKeys:
         # of each constructor and each product, shift and quotient
         ctx = HeckeContext(3, 2, q_one=q_one)
         ring = ctx.ring
-        mu, shape = ((1,), (2,)), Shape((1, 2))
+        mu = ((1,), (2,))
         x = ctx.Tword((1, 2)).shift_L(2, 1) + ctx.term((1, 0, 2), (2, 0, 1), ring.Q(1))
         elems = [
             ctx.one(), ctx.T(1), ctx.L(3, 2), x, x * x, ctx.lmul_gen(2, x),
             x.scale(ring.q + ring.Q(0)), iota(ctx, x),
-            x_mu_mul(ctx, (3,), x), m_mu(ctx, mu, shape), m_mu_mul(ctx, mu, shape, x),
+            x_mu_mul(ctx, (3,), x), m_mu(ctx, mu), m_mu_mul(ctx, mu, x),
             phi_jm(ctx, 2, +1, (1, 2)), a_form_quotient(x.scale(qfactorial(2, ring)),
                                                        qfactorial(2, ring)),
         ]
@@ -572,20 +566,17 @@ class TestAFormQuotient:
 class TestMmu:
     def test_trivial_weight(self):
         ctx = HeckeContext(1, 2)
-        shape = Shape((1, 1))
-        assert m_mu(ctx, ((0,), (1,)), shape) == ctx.one()
+        assert m_mu(ctx, ((0,), (1,))) == ctx.one()
 
     def test_single_box_first_component(self):
         ctx = HeckeContext(1, 2)
-        shape = Shape((1, 1))
         expected = ctx.L(1) - ctx.scalar(ctx.ring.Q(1))
-        assert m_mu(ctx, ((1,), (0,)), shape) == expected
+        assert m_mu(ctx, ((1,), (0,))) == expected
 
     def test_row_two(self):
         ctx = HeckeContext(2, 1)
-        shape = Shape((2,))
         expected = ctx.one() + ctx.T(1).scale(ctx.ring.q)
-        assert m_mu(ctx, ((2, 0),), shape) == expected
+        assert m_mu(ctx, ((2, 0),)) == expected
 
     def test_m_mu_T(self, ctx3):
         for c in verify_m_mu_T(ctx3, Shape((2, 2))):
@@ -602,7 +593,7 @@ class TestMmu:
         )
         assert elem == expected
         # at r = 1 there are no L factors and m_mu is the Young sum
-        assert m_mu(ctx, ((2, 2),), Shape((2,))) == expected
+        assert m_mu(ctx, ((2, 2),)) == expected
 
     @pytest.mark.parametrize("m", [(3,), (1, 2), (2, 2), (1, 1, 1), (2, 2, 2)])
     @pytest.mark.parametrize("q_one", [False, True])
@@ -610,7 +601,7 @@ class TestMmu:
         ctx = HeckeContext(3, len(m), q_one=q_one)
         shape = Shape(m)
         for mu in comb.enumerate_compositions(3, shape):
-            assert m_mu(ctx, mu, shape) == reference_m_mu(ctx, mu, shape), mu
+            assert m_mu(ctx, mu) == reference_m_mu(ctx, mu, shape), mu
 
 
 # -- reference m_mu ---------------------------------------------------------
@@ -687,12 +678,12 @@ class TestMmuMul:
         mu = data.draw(st.sampled_from(comb.enumerate_compositions(n, shape)))
         D = data.draw(right_operands(ctx))
         expected = reference_m_mu(ctx, mu, shape) * D
-        assert m_mu_mul(ctx, mu, shape, D) == expected
-        assert m_mu(ctx, mu, shape) * D == expected
+        assert m_mu_mul(ctx, mu, D) == expected
+        assert m_mu(ctx, mu) * D == expected
 
     def test_zero_operand(self):
         ctx = HeckeContext(3, 2)
-        assert m_mu_mul(ctx, ((1,), (2,)), Shape((1, 1)), ctx.zero()).is_zero
+        assert m_mu_mul(ctx, ((1,), (2,)), ctx.zero()).is_zero
 
     def test_operand_with_L_exponents_and_a_permutation(self):
         ctx = HeckeContext(3, 2)
@@ -700,7 +691,7 @@ class TestMmuMul:
         mu = ((1,), (0, 2))
         D = ctx.Tword((1, 2)).shift_L(2, 2).shift_L(3, 1)
         expected = reference_m_mu(ctx, mu, shape) * D
-        assert m_mu_mul(ctx, mu, shape, D) == expected
+        assert m_mu_mul(ctx, mu, D) == expected
 
 
 @st.composite
@@ -734,7 +725,7 @@ class TestXmuMul:
         D, killed = data.draw(x_mu_operands(ctx, mu))
         value = x_mu_mul(ctx, young_parts(mu), D)
         assert value == young_subgroup_sum(ctx, mu) * D
-        assert value.is_zero == m_mu_mul(ctx, mu, shape, D).is_zero
+        assert value.is_zero == m_mu_mul(ctx, mu, D).is_zero
         # asked twice, the second time from the memo
         assert m_mu_kills(ctx, mu, D) == m_mu_kills(ctx, mu, D) == value.is_zero
         if killed:
@@ -854,13 +845,13 @@ class TestMmuKills:
         ctx = HeckeContext(3, 2)
         shape = Shape((1, 1))
         D = ctx.T(1) - ctx.scalar(ctx.ring.q)
-        first = _mm_check("f", {}, ctx, ((2,), (1,)), shape, D)
-        second = _mm_check("f", {}, ctx, ((1,), (2,)), shape, D)
+        first = _mm_check("f", {}, ctx, ((2,), (1,)), D)
+        second = _mm_check("f", {}, ctx, ((1,), (2,)), D)
         assert first["ok"]
         assert not second["ok"]
         assert set(ctx._kills) == {((2, 1), D), ((1, 2), D)}
         mm = reference_m_mu(ctx, ((1,), (2,)), shape)
-        assert second["detail"] == {"lhs_minus_rhs": elem_to_json(mm * D)[:3]}
+        assert second["detail"] == {"lhs_minus_rhs": json_terms(mm * D)[:3]}
 
     def test_a_new_difference_is_decided_afresh(self):
         ctx = HeckeContext(3, 2)
@@ -894,7 +885,7 @@ class TestMmuKills:
             asked.append((young_parts(mu), D))
             return real_kills(ctx, mu, D)
 
-        monkeypatch.setattr(suite_mod, "m_mu_kills", counted_kills)
+        monkeypatch.setattr(hecke_mod, "m_mu_kills", counted_kills)
         ctx = HeckeContext(3, 3)
         shape = Shape((2, 2, 2))
         checks = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
@@ -931,6 +922,61 @@ class TestMmuKills:
             [1, 0] if route == "sweep" else [0, 1])
 
 
+class TestMmuWitness:
+    """m_mu_witness, the one report of a failed m_mu identity, against the
+    whole product converted in full."""
+
+    @pytest.mark.parametrize("m,q_one", [
+        ((1, 2), False), ((1, 2), True), ((2, 2, 2), False), ((2, 2, 2), True),
+    ])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_leading_terms_of_the_whole_product(self, m, q_one, data):
+        ctx = HeckeContext(3, len(m), q_one=q_one)
+        mu = data.draw(st.sampled_from(comb.enumerate_compositions(3, Shape(m))))
+        D, _killed = data.draw(x_mu_operands(ctx, mu))
+        value = m_mu_mul(ctx, mu, D)
+        # killed, or enough groups that only three of them are reported
+        assume(value.is_zero or len(value.grouped()) > 3)
+        witness = m_mu_witness(ctx, mu, D)
+        assert (witness is None) == m_mu_kills(ctx, mu, D) == value.is_zero
+        if witness is not None:
+            assert witness == json_terms(value)[:3]
+
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_a_long_product(self, q_one):
+        ctx = HeckeContext(3, 3, q_one=q_one)
+        mu = ((1, 1), (1, 0), (0, 0))
+        D = ctx.Tword((1, 2)).shift_L(3, 2) + ctx.L(1) * ctx.T(2)
+        value = m_mu_mul(ctx, mu, D)
+        assert len(value.grouped()) > 3
+        assert m_mu_witness(ctx, mu, D) == json_terms(value)[:3]
+
+    def test_none_when_killed(self):
+        ctx = HeckeContext(3, 2)
+        D = ctx.T(1) - ctx.scalar(ctx.ring.q)
+        assert m_mu_witness(ctx, ((2,), (1,)), D) is None
+        assert m_mu_witness(ctx, ((1,), (2,)), D) is not None
+
+
+def lmul_gen_dropping_a_term():
+    """``HeckeContext.lmul_gen`` with the last (q - q^-1) term of each push
+    of T_i past L_i^d or L_{i+1}^d left out."""
+    source = textwrap.dedent(inspect.getsource(HeckeContext.lmul_gen))
+    assert source.count("range(abs(d))") == 1
+    made = {}
+    exec(source.replace("range(abs(d))", "range(abs(d) - 1)"), vars(hecke_mod), made)
+    return made["lmul_gen"]
+
+
+class TestJmWords:
+    def test_a_dropped_term_fails_the_words_and_the_affine_braid(self, monkeypatch):
+        monkeypatch.setattr(HeckeContext, "lmul_gen", lmul_gen_dropping_a_term())
+        checks = verify_jm_normal_form(HeckeContext(3, 2))
+        failed = {c["check"] for c in checks if not c["ok"]}
+        assert failed == {"jm-normal-form", "affine-braid-T0T1T0T1"}
+
+
 class TestMmuT:
     """The m-mu-T family, m_mu T_i = q m_mu for s_i in S_mu, decided by
     ``m_mu_kills`` on T_i - q."""
@@ -938,8 +984,8 @@ class TestMmuT:
     @pytest.mark.parametrize("q_one", [False, True])
     def test_passes_without_building_m_mu(self, monkeypatch, q_one):
         built = []
-        real = suite_mod.m_mu_mul
-        monkeypatch.setattr(suite_mod, "m_mu_mul", lambda *a: built.append(a) or real(*a))
+        real = hecke_mod.m_mu_mul
+        monkeypatch.setattr(hecke_mod, "m_mu_mul", lambda *a: built.append(a) or real(*a))
         ctx = HeckeContext(3, 3, q_one=q_one)
         shape = Shape((2, 2, 2))
         checks = verify_m_mu_T(ctx, shape)
@@ -969,7 +1015,7 @@ class TestMmuT:
             if c["ok"]:
                 assert "detail" not in c
             else:
-                assert c["detail"] == {"lhs_minus_rhs": elem_to_json(diff)[:3]}
+                assert c["detail"] == {"lhs_minus_rhs": json_terms(diff)[:3]}
 
 
 class TestBrackets:
@@ -1164,9 +1210,8 @@ class TestEquality:
         assert ctx3.one() != HeckeContext(3, 2).one()
 
     def test_m_mu_T_via_equal(self, ctx3):
-        shape = Shape((2, 2))
         mu = ((2, 0), (1, 0))
-        mm = m_mu(ctx3, mu, shape)
+        mm = m_mu(ctx3, mu)
         assert mm * ctx3.T(1) == mm.scale(ctx3.ring.q)
 
 
@@ -1178,17 +1223,16 @@ class TestPhiJm:
         assert phi_jm(ctx3, 2, +1, []).is_zero
 
     def test_commutes_with_m_mu(self, ctx3):
-        shape = Shape((2, 2))
         mu = ((1, 1), (1, 0))
-        mm = m_mu(ctx3, mu, shape)
+        mm = m_mu(ctx3, mu)
         p = phi_jm(ctx3, 2, +1, [2, 1])
         assert mm * p == p * mm
 
 
 class TestJson:
     def test_roundtrip_shape(self, ctx3):
-        # canonical order: L-vector lex first, then permutation
-        data = elem_to_json(ctx3.T(1) + ctx3.L(2, 2))
+        # canonical order: L-vector lex first, then permutation; m_mu = 1
+        data = m_mu_witness(ctx3, ((1, 1, 1),), ctx3.T(1) + ctx3.L(2, 2))
         assert data[0]["L"] == [0, 0, 0] and data[0]["w"] == [2, 1, 3]
         assert data[1]["L"] == [0, 2, 0] and data[1]["w"] == [1, 2, 3]
 
@@ -1208,7 +1252,7 @@ def _reference_m_mu_L_T(ctx, shape, tmax=3):
     checks = []
     ring = ctx.ring
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
+        mm = m_mu(ctx, mu)
         flat = comb.flatten(mu)
         for pos in shape.positions():
             N = comb.jm_position(mu, shape.node(pos), shape)
@@ -1245,7 +1289,7 @@ def _reference_m_mu_L_T_etc(ctx, shape, tmax=2):
     ring = ctx.ring
     qq = ring.qq_comm()
     for mu in comb.enumerate_compositions(ctx.n, shape):
-        mm = m_mu(ctx, mu, shape)
+        mm = m_mu(ctx, mu)
         flat = comb.flatten(mu)
         for pos in range(1, shape.total):
             N = comb.jm_position(mu, shape.node(pos), shape)
@@ -1314,7 +1358,7 @@ def _ref_check(name, params, lhs, rhs):
     terms of lhs - rhs."""
     if lhs == rhs:
         return check(name, params, True)
-    return check(name, params, False, {"lhs_minus_rhs": elem_to_json(lhs - rhs)[:3]})
+    return check(name, params, False, {"lhs_minus_rhs": json_terms(lhs - rhs)[:3]})
 
 
 M_MU_FAMILIES = {
@@ -1361,7 +1405,7 @@ class TestMmuDifferences:
         mu = ((0,), (1, 2))
         diff = t_bracket(ctx, 1, 2, +1) - phi_jm(ctx, 0, -1, [2, 3])
         assert not diff.is_zero
-        assert (m_mu(ctx, mu, shape) * diff).is_zero
+        assert (m_mu(ctx, mu) * diff).is_zero
         (pinned,) = [
             c for c in verify_m_mu_L_T(ctx, shape)
             if c["check"] == "m-mu-L-T-ii"
@@ -1395,11 +1439,11 @@ class TestMmuDifferences:
             if c["check"] == "m-mu-L-T-ii"
             and c["params"] == {"mu": ((0,), (1, 2)), "pos": 2, "t": 1, "p": 2}
         ]
-        mm = m_mu(ctx, mu, shape)
+        mm = m_mu(ctx, mu)
         lhs = mm * ctx.L(2) * t_bracket(ctx, 1, 2, +1)
         rhs = mm * real(ctx, 1, -1, [2, 3]).scale(2)
         assert not c["ok"]
-        assert c["detail"] == {"lhs_minus_rhs": elem_to_json(lhs - rhs)[:3]}
+        assert c["detail"] == {"lhs_minus_rhs": json_terms(lhs - rhs)[:3]}
 
 
 class TestSharedDifferences:

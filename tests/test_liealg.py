@@ -14,7 +14,6 @@ from cycloschur.liealg import (
     all_basis_labels,
     jacobi_defect,
     mat_commutator,
-    mat_mul,
     mat_unit,
 )
 from cycloschur.suites import lie as lie_suite
@@ -336,6 +335,25 @@ def dense_mul(D, E):
     return out
 
 
+def reference_product(lctx, A, B):
+    """The flat product A B, entry (i, k) of A against entry (k, j) of B:
+    the reference for ``mat_commutator``."""
+    out = {}
+    for ((i, k), ka), a in A.items():
+        for ((l, j), kb), b in B.items():
+            if k == l:
+                key = ((i, j), ka + kb - lctx._origin)
+                out[key] = out.get(key, 0) + a * b
+    return {key: c for key, c in out.items() if c}
+
+
+def mat_sub(A, B):
+    out = dict(A)
+    for key, c in B.items():
+        out[key] = out.get(key, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
 def dense_add(D, E):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(D, E)]
 
@@ -356,13 +374,10 @@ class TestSparseMatrices:
         DA, DB = dense(A, m), dense(B, m)
         AB, BA = dense_mul(DA, DB), dense_mul(DB, DA)
         FA, FB = flat(A), flat(B)
-        cases = {
-            "mat_mul": (mat_mul(LCTX, FA, FB), AB),
-            "mat_commutator": (mat_commutator(LCTX, FA, FB), dense_sub(AB, BA)),
-        }
-        for name, (got, want) in cases.items():
-            assert got == flat(sparse(want)), name
-            assert_normal(got)
+        got = mat_commutator(LCTX, FA, FB)
+        assert got == flat(sparse(dense_sub(AB, BA)))
+        assert got == mat_sub(reference_product(LCTX, FA, FB), reference_product(LCTX, FB, FA))
+        assert_normal(got)
 
     @settings(max_examples=50, deadline=None)
     @given(sparse_pairs(), st.one_of(st.just(RING.zero), coeffs()), coeffs())
@@ -376,6 +391,26 @@ class TestSparseMatrices:
         assert got == flat(sparse(dense_add(dense_scale(dense(A, m), c),
                                             dense_scale(dense(B, m), c2))))
         assert_normal(got)
+
+    # sums of (2, 2, 2) V_tau matrices, so entries carry Q's and Fractions
+    # and many pairs meet in both a row and a column index
+    @pytest.mark.parametrize("tau", [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5, 2)])
+    def test_commutator_of_vtau_sums(self, tau):
+        lctx = LieContext(Shape((2, 2, 2)))
+        labels = all_basis_labels(lctx, 1)
+        rng = random.Random(0)
+
+        def random_sum():
+            x = LieElem(lctx, {})
+            for label in rng.sample(labels, 3):
+                x = x + lctx.basis(*label, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            return lctx.vtau_rep(x, tau)
+
+        for _ in range(60):
+            A, B = random_sum(), random_sum()
+            got = mat_commutator(lctx, A, B)
+            assert got == mat_sub(reference_product(lctx, A, B), reference_product(lctx, B, A))
+            assert_normal(got)
 
     @settings(max_examples=50, deadline=None)
     @given(sparse_pairs())
@@ -639,7 +674,7 @@ def test_matrices_are_keyed_by_index_pair_and_ring_key(m):
     mats += [lctx.eval_basis_matrix(a) for a in labels]
     mats += [lctx.vtau_rep(x, tau), mat_unit(lctx, 0, lctx.m - 1, lctx.ring.Q(1, -2))]
     for A, B in itertools.product(gens, repeat=2):
-        mats += [mat_mul(lctx, A, B), mat_commutator(lctx, A, B)]
+        mats.append(mat_commutator(lctx, A, B))
     values = set()
     for M in mats:
         for entry, c in M.items():
@@ -679,7 +714,7 @@ class TestPackedRange:
             lctx.eval_map(x)
         A = mat_unit(lctx, 0, 1, lctx.ring.Q(1, 8191))
         with pytest.raises(EngineError, match="packed key range"):
-            mat_mul(lctx, A, lctx.eval_basis_matrix((2, 3, 0)))
+            mat_commutator(lctx, A, lctx.eval_basis_matrix((2, 3, 0)))
 
     def test_exponent_past_the_slot(self, lctx):
         with pytest.raises(EngineError, match="packed key range"):

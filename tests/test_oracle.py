@@ -373,7 +373,7 @@ class TestYoungSums:
             D = random_element(ctx, rng, terms=2)
             _agree(ctx, 4, x_mu_mul(ctx, parts, D),
                    lambda p: [young_sum(parts, n, p["q"]), terms_at(D, p)])
-            _agree(ctx, 4, m_mu_mul(ctx, mu, shape, D),
+            _agree(ctx, 4, m_mu_mul(ctx, mu, D),
                    lambda p: [young_sum(parts, n, p["q"]), l_product(mu, shape, n, p),
                               terms_at(D, p)])
 
