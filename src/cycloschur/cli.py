@@ -7,6 +7,12 @@ symmetric polynomials, tableaux, and Lie structure constants as JSON.
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage or
 parse error (a ``ParseError`` raised at this edge, or an argparse failure),
 3 an engine self-check failed or any other exception (a fault in the program).
+
+When more than one suite is selected and more than one CPU is usable, the
+suites run concurrently, in this process and in forked workers (see
+``run_suites``).  The report is byte-identical to a one-process run, a suite
+that raises in a worker ends the run with the same exit code and stderr line,
+and a worker that dies without sending its result is exit 3.
 """
 
 from __future__ import annotations
@@ -170,10 +176,138 @@ def _write_json(obj, path):
         sys.stdout.write(payload)
 
 
+class WorkerFailure(Exception):
+    """A suite that raised in a worker process, or a worker that ended
+    without sending its result: ``main`` reports it with ``code`` and the
+    message as its stderr line."""
+
+    def __init__(self, code, line):
+        super().__init__(line)
+        self.code = code
+
+
+def error_exit(exc):
+    """The exit code and stderr line of an exception that ends a run."""
+    if isinstance(exc, WorkerFailure):
+        return exc.code, str(exc)
+    if isinstance(exc, ParseError):
+        return 2, f"error: {exc}"
+    if isinstance(exc, EngineError):
+        return 3, f"engine error: {exc}"
+    return 3, f"internal error: {type(exc).__name__}: {exc}"
+
+
+def run_group(config, group):
+    """Run the suites of ``group`` in order until one raises.  Returns their
+    ``{suite: checks}`` and None, or (the raising suite's position in
+    ``config.suites``, its exception)."""
+    done = {}
+    for name in group:
+        try:
+            done[name] = RUNNERS[name](config)
+        except Exception as exc:
+            return done, (config.suites.index(name), exc)
+    return done, None
+
+
+def _worker(config, group, write):
+    """The body of a forked worker: run ``group`` and send ``run_group``'s
+    result through the pipe end ``write``, an exception as the position and
+    ``error_exit`` pair.  ``os._exit`` leaves without running the parent's
+    cleanup or flushing its buffered output."""
+    import marshal
+    import os
+
+    status = 1
+    try:
+        done, failed = run_group(config, group)
+        if failed:
+            failed = (failed[0], *error_exit(failed[1]))
+        with open(write, "wb") as fh:
+            fh.write(marshal.dumps((done, failed)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_suites(config):
+    """``{suite: checks}`` for the suites of ``config.suites``.
+
+    The suites share no state, so they are dealt round-robin into k groups,
+    k the smaller of the suite count and the usable CPUs, and 1 without
+    ``os.fork``.  This process runs group 0; each other group runs in a
+    forked worker that sends its result back through a pipe as ``marshal``
+    bytes, which keep tuples and int keys as they are.  With k = 1 no worker
+    starts.  Each group stops at its first suite that raises, and the run
+    raises for the first such suite in suite order, as one process running
+    them in turn would.  A worker that ends without a result is exit 3.
+    Every worker is reaped before this returns or raises.  A fork copies
+    only the calling thread, so call this from a process that runs no other.
+
+    The objects made before the fork are frozen (``gc.freeze``) until the
+    workers are reaped, so that neither side's collector writes to the
+    pages the two share, which would copy them."""
+    import gc
+    import marshal
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    k = max(1, min(len(config.suites), cpus)) if hasattr(os, "fork") else 1
+    groups = [config.suites[i::k] for i in range(k)]
+    workers = []  # (pid, read end, group) of each worker not yet reaped
+    if k > 1:
+        gc.freeze()
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:
+                _worker(config, group, write)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), group))
+        results = [run_group(config, groups[0])]
+        while workers:
+            pid, reader, group = workers[0]
+            with reader:
+                data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status == 0 and data:
+                done, failed = marshal.loads(data)
+                results.append((done, failed and (failed[0], WorkerFailure(*failed[1:]))))
+            else:
+                line = (f"internal error: the worker running {', '.join(group)} ended "
+                        f"with status {os.waitstatus_to_exitcode(status)} and no result")
+                results.append(({}, (config.suites.index(group[0]), WorkerFailure(3, line))))
+    finally:
+        if workers:  # this process raised
+            import signal
+
+            for pid, reader, _ in workers:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if k > 1:
+            gc.unfreeze()
+    failures = [failed for _, failed in results if failed]
+    if failures:
+        raise min(failures, key=lambda failed: failed[0])[1]
+    return {name: checks for done, _ in results for name, checks in done.items()}
+
+
 def cmd_verify(config):
+    found = run_suites(config)
     suites = {}
     for name in config.suites:
-        checks = RUNNERS[name](config)
+        checks = found[name]
         failed = [c for c in checks if not c["ok"]]
         suites[name] = {
             "passed": not failed,
@@ -391,15 +525,10 @@ def main(argv=None):
         args.deg = at_least("--deg", 1 if args.deg is None else args.deg, 0)
         check_out(args.out)
         return cmd_compute(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, line = error_exit(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

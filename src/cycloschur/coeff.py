@@ -6,8 +6,7 @@ coefficients.  A coefficient is stored as an ``int`` when it is integral and
 as a ``Fraction`` otherwise, never as a ``float``.  Every structure constant
 of the Hecke and Schur engines lies in Z[q^{+-1}, Q^{+-1}], so their
 arithmetic runs on plain integers; a ``Fraction`` appears only for a value
-that really is fractional (the V_tau matrices, a user-supplied rational),
-and ``specialize`` evaluates to one.
+that really is fractional (the V_tau matrices, a user-supplied rational).
 The number of Q parameters is fixed per session by ``LaurentRing(r)``; the
 q = 1 regime is the same ring built with ``q_one=True``, which pins the q
 exponent to zero at construction time.
@@ -20,18 +19,14 @@ x-exponents, operator words in ``schurops`` carry ``MultiLaurent.terms`` as
 their coefficients, and ``hecke`` places a key above its L slots with one
 shift.
 Ring exponent tuples appear only at the edges: the constructor
-``MultiLaurent(nvars, {tuple: c})``, ``sorted_terms``, ``specialize``,
-``ml_to_json`` and ``repr``.
+``MultiLaurent(nvars, {tuple: c})``, ``sorted_terms``, ``ml_to_json`` and
+``repr``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-
-class CoeffError(ArithmeticError):
-    """A missing or zero specialization value, or a similar misuse."""
 
 
 def _exact(c):
@@ -315,17 +310,6 @@ class LaurentRing:
     def from_fraction(self, a):
         return self.one.scale(a)
 
-    def monomial(self, exps, coeff=1):
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("wrong exponent arity")
-        if self.q_one:
-            exps = (0,) + exps[1:]
-        coeff = _exact(coeff)
-        if not coeff:
-            return self.zero
-        return MultiLaurent(self.nvars, {exps: coeff})
-
     def q_pow(self, e):
         if self.q_one or e == 0:
             return self.one
@@ -413,44 +397,6 @@ def _divexact_univariate(a, b):
             elif k in rem:
                 del rem[k]
     return {e + sa - sb: c for e, c in quo.items()}
-
-
-def specialize(p, assignment):
-    """Exact evaluation of p at nonzero rational values of its variables.
-
-    ``assignment`` maps variable names ("q", "Q0", ..., "Q{r-1}") or variable
-    indices to rationals.  Every variable actually occurring in p must be
-    assigned; a zero value is rejected for variables occurring with negative
-    exponent.
-    """
-    values = [None] * p.nvars
-    for key, val in assignment.items():
-        if isinstance(key, str):
-            if key == "q":
-                idx = 0
-            elif key.startswith("Q"):
-                idx = 1 + int(key[1:])
-            else:
-                raise CoeffError(f"unknown variable {key!r}")
-        else:
-            idx = key
-        if not 0 <= idx < p.nvars:
-            raise CoeffError(f"variable index {idx} out of range")
-        values[idx] = Fraction(val)
-    total = Fraction(0)
-    for key, coeff in p.terms.items():
-        term = coeff
-        for i, e in enumerate(_unpack(key, p.nvars)):
-            if e == 0:
-                continue
-            v = values[i]
-            if v is None:
-                raise CoeffError(f"no value assigned to variable {i}")
-            if v == 0 and e < 0:
-                raise CoeffError("zero value for a variable with negative exponent")
-            term *= v ** e
-        total += term
-    return total
 
 
 def ml_to_json(p):

@@ -1,8 +1,11 @@
 import collections
+import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from cycloschur import cli, hecke, schurops
 from cycloschur.suites import hecke as hecke_suite
 from cycloschur.suites import schur as schur_suite
 from cycloschur.cli import ParseError, main, parse_multipartition
+from cycloschur.coeff import EngineError
 from cycloschur.combinatorics import Shape
 
 
@@ -606,3 +610,143 @@ def test_character_tables_script_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "26c3616b551f0da7fb225475f0fa35f2b931efb88af284624aa7afcd7faa919c"
     )
+
+
+# ``cycloschur verify`` deals its suites round-robin to as many workers as
+# there are usable CPUs: this process runs the first group, forked workers
+# the others.  These tests set the CPU count by replacing
+# ``os.sched_getaffinity``, compare a k-worker run with a one-worker run,
+# and check that no worker outlives ``main()``.
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _verify(monkeypatch, capsys, cpus, argv):
+    _use_cpus(monkeypatch, cpus)
+    code = main(["verify", *argv])
+    _no_child_left()
+    # objects are frozen only while workers run
+    assert gc.get_freeze_count() == 0
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code,totals,digest", [
+    # the README ``--suite all`` line: three workers at four CPUs
+    (["--suite", "all", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2", "--seed", "0"], 0,
+     {"hecke": 440, "schur": 2853, "lie": 13, "symfun": 161, "q1": 934},
+     "378a27e8809a4e1e408038c3939f17f9a62cdf84c338900acf53ac12dddf8911"),
+    # the lie workload of the benchmark
+    (["--suite", "lie,symfun", "-n", "3", "-r", "3", "-m", "2,2,2", "--deg", "2",
+      "--seed", "0"], 0, {"lie": 13, "symfun": 420},
+     "20e1e05b1dc47080fb6819c3471b196be23090f3afddc1e0aa5e88ba1b8e51cf"),
+    # the failing run of test_failing_schur_run_pinned, beside q1
+    (["--suite", "schur,q1", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "1"], 1,
+     {"schur": 1628, "q1": 483}, None),
+])
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_workers_write_the_one_worker_report(monkeypatch, capsys, argv, code, totals, digest,
+                                             cpus):
+    if digest is None:
+        real = schur_suite.ow_qcomm
+        monkeypatch.setattr(schur_suite, "ow_qcomm",
+                            lambda ring, a, b, e: real(ring, a, b, e + 1))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    one = _verify(monkeypatch, capsys, 1, argv)
+    assert forks == []
+    many = _verify(monkeypatch, capsys, cpus, argv)
+    assert len(forks) == min(cpus, len(totals)) - 1
+    assert many == one
+    code_many, captured = many
+    assert (code_many, captured.err) == (code, "")
+    suites = json.loads(captured.out)["suites"]
+    assert {name: s["total"] for name, s in suites.items()} == totals
+    if digest is None:
+        # the schur section is the pinned single-suite failing report
+        suites = {"schur": suites["schur"]}
+        digest = "130449d77c45c62a283f399b997745858d00ba42117c2b470ee3483bf988c1e2"
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+def _runner(outcome):
+    """A suite runner that returns no checks, or raises ``outcome``."""
+    def run(config):
+        if outcome is not None:
+            raise outcome
+        return []
+    return run
+
+
+# Each case sets the runners of ``lie,symfun,q1``: at two CPUs this process
+# runs lie and q1, a worker runs symfun.  A run stops at the first suite in
+# suite order that raises, with that suite's exit code and stderr line.
+@pytest.mark.parametrize("outcomes,line", [
+    # a worker's engine error
+    ((None, EngineError("broken"), None), "engine error: broken"),
+    # any other exception in a worker
+    ((None, ValueError("broken"), None), "internal error: ValueError: broken"),
+    # the worker's suite comes first in suite order
+    ((None, KeyError("first"), ValueError("second")), "internal error: KeyError: 'first'"),
+    # this process's suite comes first
+    ((ValueError("first"), KeyError("second"), None), "internal error: ValueError: first"),
+])
+def test_a_worker_failure_is_the_one_worker_failure(monkeypatch, capsys, tmp_path, outcomes,
+                                                    line):
+    for name, outcome in zip(("lie", "symfun", "q1"), outcomes):
+        monkeypatch.setitem(cli.RUNNERS, name, _runner(outcome))
+    out = tmp_path / "report.json"
+    argv = ["--suite", "lie,symfun,q1", "--out", str(out)]
+    for cpus in (1, 2):
+        code, captured = _verify(monkeypatch, capsys, cpus, argv)
+        assert (code, captured.out, captured.err) == (3, "", line + "\n")
+        assert not out.exists()
+
+
+# a worker that leaves before sending its result, with a failing status or not
+@pytest.mark.parametrize("status", [1, 0])
+def test_a_worker_that_dies_is_exit_3(monkeypatch, capsys, tmp_path, status):
+    monkeypatch.setitem(cli.RUNNERS, "lie", _runner(None))
+    monkeypatch.setitem(cli.RUNNERS, "symfun", lambda config: os._exit(status))
+    out = tmp_path / "report.json"
+    code, captured = _verify(monkeypatch, capsys, 2, ["--suite", "lie,symfun",
+                                                      "--out", str(out)])
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        f"internal error: the worker running symfun ended with status {status} and no result\n"
+    )
+    assert not out.exists()
+
+
+def test_this_process_failing_while_a_worker_runs(monkeypatch, capsys):
+    def slow(config):
+        time.sleep(0.3)
+        return []
+
+    monkeypatch.setitem(cli.RUNNERS, "lie", _runner(EngineError("broken")))
+    monkeypatch.setitem(cli.RUNNERS, "symfun", slow)
+    code, captured = _verify(monkeypatch, capsys, 2, ["--suite", "lie,symfun"])
+    assert (code, captured.out, captured.err) == (3, "", "engine error: broken\n")
+
+
+def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    def slow(config):
+        time.sleep(30)
+        return []
+
+    monkeypatch.setitem(cli.RUNNERS, "lie", interrupted)
+    monkeypatch.setitem(cli.RUNNERS, "symfun", slow)
+    _use_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--suite", "lie,symfun"])
+    assert time.monotonic() - start < 10
+    _no_child_left()

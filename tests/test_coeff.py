@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloschur.coeff import (
-    CoeffError,
     EngineError,
     LaurentRing,
     MultiLaurent,
@@ -13,9 +12,10 @@ from cycloschur.coeff import (
     ml_to_json,
     qfactorial,
     qint,
-    specialize,
 )
 from cycloschur.hecke import HeckeContext, a_form_quotient
+
+from coeff_helpers import CoeffError, monomial, specialize
 
 R2 = LaurentRing(2)
 # one strand, so that a Hecke scalar is a ring element of R2 and
@@ -53,7 +53,7 @@ def in_a_form(p):
 
 
 # Q_0^3 Q_1^3 moves the Q exponents of ``laurents`` into the A-form
-A_SHIFT = R2.monomial((0, 3, 3))
+A_SHIFT = monomial(R2, (0, 3, 3))
 
 
 def ml_from_json(data, nvars):
@@ -322,7 +322,7 @@ class TestPackedKeys:
             MultiLaurent(3, {(9000, 0, 0): 1})
 
     def test_range_ends_are_valid(self):
-        low, high = R2.monomial((-8192, 0, 8191)), R2.monomial((8191, -8192, 0))
+        low, high = monomial(R2, (-8192, 0, 8191)), monomial(R2, (8191, -8192, 0))
         assert (low * high).sorted_terms() == [((-1, -8192, 8191), 1)]
 
     @settings(max_examples=80)
@@ -342,11 +342,11 @@ class TestPackedKeys:
         for _ in range(3):
             exps = (0,) + data.draw(st.tuples(*[st.integers(-4, 4)] * r))
             c = data.draw(st.integers(-3, 3).filter(bool))
-            a, b = generic.monomial(exps, c), q_one.monomial(exps, c)
+            a, b = monomial(generic, exps, c), monomial(q_one, exps, c)
             assert a.terms == b.terms
             assert (a * a + a).terms == (b * b + b).terms
         for k in range(r):
             assert generic.Q(k, 2).terms == q_one.Q(k, 2).terms
         ones = (1,) * r
-        assert q_one.monomial((5,) + ones).terms == generic.monomial((0,) + ones).terms
+        assert monomial(q_one, (5,) + ones).terms == monomial(generic, (0,) + ones).terms
 

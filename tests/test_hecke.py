@@ -47,6 +47,8 @@ from cycloschur.suites.hecke import (
     young_generators,
 )
 
+from coeff_helpers import monomial
+
 
 @pytest.fixture(scope="module")
 def ctx3():
@@ -304,7 +306,7 @@ def central_scalars(draw, ring):
             draw(st.integers(-1, 1)) for _ in range(ring.r)
         ]
         num = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
-        out = out + ring.monomial(exps, Fraction(num, draw(st.integers(1, 3))))
+        out = out + monomial(ring, exps, Fraction(num, draw(st.integers(1, 3))))
     return out
 
 
@@ -427,7 +429,7 @@ def a_form_elements(draw, ctx):
         c = draw(st.tuples(*[st.integers(0, 2)] * ctx.n))
         w = tuple(draw(st.permutations(range(ctx.n))))
         exps = (draw(st.integers(-3, 3)),) + draw(st.tuples(*[st.integers(0, 3)] * ring.r))
-        out = out + ctx.term(c, w, ring.monomial(exps, draw(st.integers(-9, 9))))
+        out = out + ctx.term(c, w, monomial(ring, exps, draw(st.integers(-9, 9))))
     return out
 
 

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +34,30 @@ def test_cli_import_loads_no_dataclass_machinery():
     out = set(_fresh_modules("import cycloschur.cli\n"))
     assert "cycloschur.cli" in out
     assert out.isdisjoint({"dataclasses", "inspect"})
+
+
+# The workers of ``cycloschur verify`` are plain forks fed through a pipe, so
+# neither the import nor a run pays for pool or process-spawning machinery.
+POOL_MODULES = {"multiprocessing", "concurrent.futures", "pickle", "subprocess"}
+
+
+def test_cli_and_a_two_suite_run_load_no_pool_machinery(tmp_path):
+    imported = set(_fresh_modules("import cycloschur.cli\n"))
+    assert "cycloschur.cli" in imported
+    assert imported.isdisjoint(POOL_MODULES)
+    report = tmp_path / "report.json"
+    out = set(_fresh_modules(
+        # two usable CPUs, so that the second suite runs in a worker
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from cycloschur.cli import main\n"
+        "argv = ['verify', '--suite', 'lie,symfun', '-n', '1', '-r', '1', '-m', '2',\n"
+        f"        '--deg', '0', '--out', {str(report)!r}]\n"
+        "assert main(argv) == 0\n"
+    ))
+    assert "cycloschur.cli" in out
+    assert out.isdisjoint(POOL_MODULES)
+    assert set(json.loads(report.read_text())["suites"]) == {"lie", "symfun"}
 
 
 def _src_nodes():
@@ -93,12 +118,6 @@ def test_only_hecke_decides_m_mu_kills():
     assert _uses(KILLS_PRIVATE, ("hecke.py",)) == []
 
 
-# Functions and classes that only the tests use: the oracle evaluates
-# coefficients with ``coeff.specialize``, and the hypothesis strategies build
-# ring elements with ``LaurentRing.monomial``.
-TEST_ONLY = {"specialize", "monomial"}
-
-
 def test_every_src_definition_is_used_in_src():
     # by name, so a method counts as used when any object's attribute of
     # that name is read; dunder methods are called by the language
@@ -111,4 +130,4 @@ def test_every_src_definition_is_used_in_src():
         name: where for name, where in defined.items()
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     }
-    assert set(unused) == TEST_ONLY, unused
+    assert unused == {}

@@ -11,7 +11,7 @@ polynomials, over which the n! Artin monomials x^c, 0 <= c_j < j, are a
 basis, so an element is zero exactly when it kills those monomials.
 
 The engine's coefficients are evaluated at rational points with
-``coeff.specialize``.  Nothing here uses the engine's normal form, its
+``coeff_helpers.specialize``, which reads their exponent tuples.  Nothing here uses the engine's normal form, its
 multiplication or its packed keys: an element is read through
 ``HeckeElem.grouped`` as terms c L^a T_w, and T_w is split into generators
 by the model itself.  A value that vanishes could vanish at one point by
@@ -27,7 +27,6 @@ from operator import add
 import pytest
 
 from cycloschur import combinatorics as comb
-from cycloschur.coeff import specialize
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import (
     HeckeContext,
@@ -39,6 +38,8 @@ from cycloschur.hecke import (
     young_parts,
 )
 from cycloschur.suites.hecke import young_generators
+
+from coeff_helpers import monomial, specialize
 
 
 def _acc(out, exps, c):
@@ -185,8 +186,8 @@ def random_element(ctx, rng, terms=3):
         coeff = ring.zero
         for _ in range(rng.randint(1, 2)):
             exps = [rng.randint(-1, 1) for _ in range(ring.nvars)]
-            coeff = coeff + ring.monomial(exps, Fraction(rng.choice((-3, -1, 1, 2)),
-                                                         rng.choice((1, 2))))
+            c = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))
+            coeff = coeff + monomial(ring, exps, c)
         out = out + ctx.term(a, w, coeff)
     return out
 

@@ -44,6 +44,8 @@ from cycloschur.suites.schur import (
     word_ktilde,
 )
 
+from coeff_helpers import monomial
+
 
 def m_mu(ctx, mu):
     """The element m_mu, as ``m_mu_mul`` applied to 1."""
@@ -546,7 +548,7 @@ def ring_elements(draw, ring):
     for _ in range(draw(st.integers(0, 3))):
         exps = [draw(st.integers(-3, 3)) for _ in range(ring.nvars)]
         num = draw(st.integers(-3, 3))
-        out = out + ring.monomial(exps, Fraction(num, draw(st.integers(1, 2))))
+        out = out + monomial(ring, exps, Fraction(num, draw(st.integers(1, 2))))
     return out
 
 

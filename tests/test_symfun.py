@@ -27,6 +27,8 @@ from cycloschur.suites.symfun import (
     verify_phi_recursions,
 )
 
+from coeff_helpers import monomial
+
 R1 = LaurentRing(1)
 R2 = LaurentRing(2)
 
@@ -328,7 +330,7 @@ def coeffs(draw, ring):
     for _ in range(draw(st.integers(0, 3))):
         exps = tuple(draw(st.integers(-3, 3)) for _ in range(ring.nvars))
         c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
-        out = out + ring.monomial(exps, c)
+        out = out + monomial(ring, exps, c)
     return out
 
 
