@@ -210,16 +210,27 @@ def run_group(config, group):
     return done, None
 
 
-def _worker(config, group, write):
+def _worker(config, group, write, inherited):
     """The body of a forked worker: run ``group`` and send ``run_group``'s
     result through the pipe end ``write``, an exception as the position and
-    ``error_exit`` pair.  ``os._exit`` leaves without running the parent's
-    cleanup or flushing its buffered output."""
+    ``error_exit`` pair.  The worker first closes the pipe ends it
+    ``inherited`` and points its standard streams at the null device, so
+    that it holds no pipe that another process waits on: a reader of this
+    run's output sees its end when the run ends, and a worker left without
+    a reader fails its write instead of blocking.  ``os._exit`` leaves
+    without running the parent's cleanup or flushing its buffered output."""
     import marshal
     import os
 
     status = 1
     try:
+        for fd in inherited:
+            os.close(fd)
+        null = os.open(os.devnull, os.O_RDWR)
+        for fd in (0, 1, 2):
+            os.dup2(null, fd)
+        if null > 2:
+            os.close(null)
         done, failed = run_group(config, group)
         if failed:
             failed = (failed[0], *error_exit(failed[1]))
@@ -241,13 +252,10 @@ def run_suites(config):
     starts.  Each group stops at its first suite that raises, and the run
     raises for the first such suite in suite order, as one process running
     them in turn would.  A worker that ends without a result is exit 3.
-    Every worker is reaped before this returns or raises.  A fork copies
-    only the calling thread, so call this from a process that runs no other.
-
-    The objects made before the fork are frozen (``gc.freeze``) until the
-    workers are reaped, so that neither side's collector writes to the
-    pages the two share, which would copy them."""
-    import gc
+    A worker whose first suite comes after a failure already found cannot
+    report an earlier one, so it is killed unread.  Every worker is reaped
+    before this returns or raises.  A fork copies only the calling thread,
+    so call this from a process that runs no other."""
     import marshal
     import os
 
@@ -258,8 +266,6 @@ def run_suites(config):
     k = max(1, min(len(config.suites), cpus)) if hasattr(os, "fork") else 1
     groups = [config.suites[i::k] for i in range(k)]
     workers = []  # (pid, read end, group) of each worker not yet reaped
-    if k > 1:
-        gc.freeze()
     try:
         for group in groups[1:]:
             read, write = os.pipe()
@@ -270,12 +276,16 @@ def run_suites(config):
                 os.close(write)
                 raise
             if not pid:
-                _worker(config, group, write)
+                _worker(config, group, write,
+                        (read, *(reader.fileno() for _, reader, _ in workers)))
             os.close(write)
             workers.append((pid, open(read, "rb"), group))
         results = [run_group(config, groups[0])]
         while workers:
             pid, reader, group = workers[0]
+            if any(failed and failed[0] < config.suites.index(group[0])
+                   for _, failed in results):
+                break
             with reader:
                 data = reader.read()
             status = os.waitpid(pid, 0)[1]
@@ -288,15 +298,13 @@ def run_suites(config):
                         f"with status {os.waitstatus_to_exitcode(status)} and no result")
                 results.append(({}, (config.suites.index(group[0]), WorkerFailure(3, line))))
     finally:
-        if workers:  # this process raised
+        if workers:  # this process raised, or a failure came before them
             import signal
 
             for pid, reader, _ in workers:
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        if k > 1:
-            gc.unfreeze()
     failures = [failed for _, failed in results if failed]
     if failures:
         raise min(failures, key=lambda failed: failed[0])[1]
