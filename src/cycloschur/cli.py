@@ -340,9 +340,9 @@ def cmd_verify(config):
 
 
 def _check_r(args, count):
-    """Reject an explicit ``-r`` that is not the query's component count."""
+    """Reject an explicit ``-r`` that is not the component count of the input."""
     if args.r not in (None, count):
-        raise ParseError(f"-r must be {count}, the query's component count", str(args.r), 0)
+        raise ParseError(f"-r must be {count}, the input's component count", str(args.r), 0)
 
 
 def cmd_compute(args):
@@ -455,7 +455,8 @@ def build_parser():
     pv = sub.add_parser("verify", help="run verification suites, emit a JSON report")
     pv.add_argument("--suite", default="all", help="hecke, schur, lie, symfun, q1, or all")
     pv.add_argument("-n", type=int, default=2)
-    pv.add_argument("-r", type=int, default=2)
+    pv.add_argument("-r", type=int,
+                    help="component count, len(-m) when unset; another value is a usage error")
     pv.add_argument("-m", default="2,2", help="comma-separated block sizes")
     pv.add_argument("--deg", type=int, default=2, help="degree cap for s, t, u")
     pv.add_argument("--dmax", type=int, default=3, help="divided-power cap")
@@ -499,8 +500,7 @@ def main(argv=None):
                     suites += (s,)
                     pos += len(raw) + 1
             m = parse_blocks(args.m)
-            if len(m) != args.r:
-                raise ParseError("m must list exactly r block sizes", args.m, 0)
+            _check_r(args, len(m))
             for flag, value, least in (("-n", args.n, 0), ("--deg", args.deg, 0),
                                        ("--dmax", args.dmax, 1)):
                 at_least(flag, value, least)

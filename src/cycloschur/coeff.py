@@ -21,6 +21,13 @@ shift.
 Ring exponent tuples appear only at the edges: the constructor
 ``MultiLaurent(nvars, {tuple: c})``, ``sorted_terms``, ``ml_to_json`` and
 ``repr``.
+
+The four flat element classes share one arithmetic: ``FlatElem`` gives
+``is_zero``, ``==``, ``+``, unary ``-`` and ``-`` to ``MultiLaurent`` and,
+through ``HeadTerms``, to the (head, key) elements of ``hecke``,
+``liealg`` and ``symfun``, which also share ``scale``, ``grouped`` and
+``sorted_terms`` there.  A scalar is read one way,
+``LaurentRing.scalar_terms``.
 """
 
 from __future__ import annotations
@@ -168,7 +175,46 @@ def _clean(out):
     return {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
 
 
-class MultiLaurent:
+class FlatElem:
+    """The arithmetic shared by the flat engine elements: ``MultiLaurent``,
+    ``hecke.HeckeElem``, ``liealg.LieElem`` and ``symfun.SymPoly``.
+
+    Each keeps its value in ``terms``, a zero-free dict with int or Fraction
+    values, and names two hooks: ``_space``, the space its elements live in
+    (the variable count of a ring element, the context of a Hecke or Lie
+    element, the ring and variable count of a symmetric polynomial), and
+    ``_like``, the element of that space with given zero-free terms.  Where
+    the space is one slot, ``_space`` is that slot's descriptor under a
+    second name, read as fast as the slot itself.
+    Elements of different spaces are never equal, and adding or subtracting
+    them raises ``ValueError``."""
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and self._space == other._space
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._space != other._space:
+            raise ValueError(f"{type(self).__name__} operands from different spaces")
+        return self._like(_add_terms(self.terms, other.terms))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class MultiLaurent(FlatElem):
     """Sparse Laurent polynomial with exact rational coefficients.
 
     ``terms`` maps packed keys (see "packed exponent keys") to nonzero
@@ -203,27 +249,8 @@ class MultiLaurent:
         self.terms = clean_terms
         return self
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiLaurent):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __neg__(self):
-        return MultiLaurent._make(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, MultiLaurent):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable arities")
-        return MultiLaurent._make(self.nvars, _add_terms(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _like(self, terms):
+        return MultiLaurent._make(self.nvars, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -232,18 +259,16 @@ class MultiLaurent:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("mixed variable arities")
-        return MultiLaurent._make(self.nvars, _mul_terms(self.terms, other.terms, self.nvars))
+        return self._like(_mul_terms(self.terms, other.terms, self.nvars))
 
     def scale(self, c):
         c = _exact(c)
-        if not c:
-            return MultiLaurent._make(self.nvars, {})
-        return MultiLaurent._make(self.nvars, {e: _exact(v * c) for e, v in self.terms.items()})
+        return self._like({e: _exact(v * c) for e, v in self.terms.items()} if c else {})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = MultiLaurent._make(self.nvars, {_slots(_BIAS, self.nvars): 1})
+        result = self._like({_slots(_BIAS, self.nvars): 1})
         base = self
         while n:
             if n & 1:
@@ -267,6 +292,38 @@ class MultiLaurent:
             mono = "*".join(factors) if factors else "1"
             parts.append(f"({coeff})*{mono}")
         return " + ".join(parts)
+
+
+MultiLaurent._space = MultiLaurent.nvars
+
+
+class HeadTerms(FlatElem):
+    """A flat element keyed (head, key) over the ring ``ring``: the head a
+    permutation, a basis label or an exponent tuple, and ``key`` the packed
+    key of a ring monomial.  ``hecke.HeckeElem`` places its keys above its L
+    slots, so it brings its own ``scale`` and ``grouped``."""
+
+    __slots__ = ()
+
+    def scale(self, coeff):
+        """The element times a scalar of its ring (``LaurentRing.scalar_terms``)."""
+        ring = self.ring
+        out = {}
+        for key, c in ring.scalar_terms(coeff).items():
+            _acc_scaled(out, self.terms, key - ring.origin, c, ring.guard)
+        return self._like(out)
+
+    def grouped(self):
+        """The terms as {head: MultiLaurent}."""
+        out = {}
+        for (head, key), c in self.terms.items():
+            out.setdefault(head, {})[key] = c
+        nvars = self.ring.nvars
+        return {head: MultiLaurent._make(nvars, v) for head, v in out.items()}
+
+    def sorted_terms(self):
+        """The grouped terms in head order, the canonical order of every report."""
+        return sorted(self.grouped().items())
 
 
 class LaurentRing:
@@ -309,6 +366,18 @@ class LaurentRing:
 
     def from_fraction(self, a):
         return self.one.scale(a)
+
+    def scalar_terms(self, c):
+        """The flat terms of a scalar: a MultiLaurent in this ring's
+        variables, or an int or Fraction through ``from_fraction``.  Any other
+        value, an engine element among them, raises ``TypeError``."""
+        if type(c) is not MultiLaurent:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"a {type(c).__name__} is not a scalar of {self!r}")
+            c = self.from_fraction(c)
+        elif c.nvars != self.nvars:
+            raise ValueError("mixed variable arities")
+        return c.terms
 
     def q_pow(self, e):
         if self.q_one or e == 0:

@@ -61,10 +61,10 @@ from .coeff import (
     _MASK,
     _W,
     EngineError,
+    HeadTerms,
     LaurentRing,
     MultiLaurent,
     _acc_scaled,
-    _add_terms,
     _clean,
     _divexact_univariate,
     _overflow,
@@ -268,7 +268,7 @@ class HeckeContext:
         return pushed
 
 
-class HeckeElem:
+class HeckeElem(HeadTerms):
     """Normal-form element: dict {(permutation, packed exponent key):
     nonzero int or Fraction coefficient} (see the module docstring).
     Instances are immutable by convention: the hash is computed once, on
@@ -281,14 +281,8 @@ class HeckeElem:
         self.ctx = ctx
         self.terms = terms
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElem):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
+    def _like(self, terms):
+        return HeckeElem(self.ctx, terms)
 
     def __hash__(self):
         try:
@@ -296,15 +290,6 @@ class HeckeElem:
         except AttributeError:
             self._hash = h = hash(frozenset(self.terms.items()))
             return h
-
-    def __add__(self, other):
-        return HeckeElem(self.ctx, _add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return HeckeElem(self.ctx, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         return self.ctx.mul(self, other)
@@ -321,13 +306,11 @@ class HeckeElem:
             _acc_scaled(out, self.terms, (key - origin) << sh, sign * c, guard)
 
     def scale(self, coeff):
-        """The element times a central scalar: a MultiLaurent, int or Fraction."""
-        ctx = self.ctx
-        if not hasattr(coeff, "is_zero"):
-            coeff = ctx.ring.from_fraction(coeff)
+        """The element times a central scalar of the ring
+        (``LaurentRing.scalar_terms``)."""
         out = {}
-        self.accumulate(coeff.terms, out)
-        return HeckeElem(ctx, out)
+        self.accumulate(self.ctx.ring.scalar_terms(coeff), out)
+        return HeckeElem(self.ctx, out)
 
     def shift_L(self, j, e):
         """The element times L_j^e."""
@@ -347,9 +330,6 @@ class HeckeElem:
         nvars = ctx.ring.nvars
         return {k: MultiLaurent._make(nvars, v) for k, v in out.items()}
 
-    def sorted_terms(self):
-        return sorted(self.grouped().items())
-
     def __repr__(self):
         if not self.terms:
             return "HeckeElem(0)"
@@ -359,6 +339,9 @@ class HeckeElem:
             perm = "id" if w == self.ctx._id else "w" + str(tuple(x + 1 for x in w))
             bits.append(f"({coeff!r}) {ls or '1'}.{perm}")
         return " + ".join(bits)
+
+
+HeckeElem._space = HeckeElem.ctx
 
 
 def a_form_quotient(elem, g):

@@ -21,9 +21,9 @@ products and scaling add keys less the ring's ``origin``, multiply numbers
 and test the ring's ``guard`` mask once per key formed (an exponent out of
 range raises ``EngineError``); they allocate no ``MultiLaurent`` and never
 look inside a key.  At the boundary, ``basis``, ``scale`` and ``mat_unit``
-take the terms of a ``MultiLaurent`` coefficient, and ``LieElem.grouped``
-regroups them as {label: MultiLaurent} (``sorted_terms``, ``elem_to_json``
-and ``repr`` read it).
+take the terms of a coefficient read by ``LaurentRing.scalar_terms``, and
+``LieElem.grouped`` regroups them as {label: MultiLaurent}
+(``sorted_terms``, ``elem_to_json`` and ``repr`` read it).
 
 The m x m matrices of the modules V_tau are flat the same way, keyed
 ((i, j), key) with zero-based indices, and store only nonzero entries, so
@@ -42,11 +42,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import (LaurentRing, MultiLaurent, _acc_scaled, _add_terms, _exact, _overflow,
-                    ml_to_json)
+from .coeff import HeadTerms, LaurentRing, _acc_scaled, _exact, _overflow, ml_to_json
 
 
-class LieElem:
+class LieElem(HeadTerms):
     """Finitely supported combination of basis labels (p, q, t), stored as
     flat terms {(label, key): coefficient} (see the module docstring)."""
 
@@ -57,49 +56,20 @@ class LieElem:
         self.ctx = ctx
         self.terms = terms
 
+    def _like(self, terms):
+        return LieElem(self.ctx, terms)
+
     @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LieElem):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    def __add__(self, other):
-        return LieElem(self.ctx, _add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return LieElem(self.ctx, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        """The element times a MultiLaurent, int or Fraction."""
-        if not self.terms:
-            return self
-        ctx = self.ctx
-        out = {}
-        for key, c in ctx._flat(coeff).items():
-            _acc_scaled(out, self.terms, key - ctx._origin, c, ctx._guard)
-        return LieElem(ctx, out)
-
-    def grouped(self):
-        """The terms as {label: MultiLaurent}."""
-        nvars = self.ctx.ring.nvars
-        out = {}
-        for (label, key), c in self.terms.items():
-            out.setdefault(label, {})[key] = c
-        return {label: MultiLaurent._make(nvars, v) for label, v in out.items()}
-
-    def sorted_terms(self):
-        return sorted(self.grouped().items())
+    def ring(self):
+        return self.ctx.ring
 
     def __repr__(self):
         if not self.terms:
             return "LieElem(0)"
         return " + ".join(f"({c!r})E[{p},{q};{t}]" for (p, q, t), c in self.sorted_terms())
+
+
+LieElem._space = LieElem.ctx
 
 
 def elem_to_json(x):
@@ -130,20 +100,13 @@ class LieContext:
         self._vtau_cache = {}  # tau -> {label: matrix}
         self._last_tau = self._last_vtau = None
 
-    # -- flat coefficients --------------------------------------------------
-
-    def _flat(self, coeff):
-        """A MultiLaurent, int or Fraction as {key: nonzero coefficient}."""
-        if not isinstance(coeff, MultiLaurent):
-            coeff = self.ring.from_fraction(coeff)
-        return coeff.terms
-
     # -- element constructors --------------------------------------------
 
     def basis(self, p, q, t, coeff=1):
         if not (1 <= p <= self.m and 1 <= q <= self.m and t >= 0):
             raise ValueError(f"bad basis label ({p}, {q}, {t})")
-        return LieElem(self, {((p, q, t), k): c for k, c in self._flat(coeff).items()})
+        terms = self.ring.scalar_terms(coeff)
+        return LieElem(self, {((p, q, t), k): c for k, c in terms.items()})
 
     def X(self, sign, pos, t):
         if not 1 <= pos <= self.m - 1:
@@ -384,7 +347,7 @@ def _peel(label):
 def mat_unit(lctx, i, j, coeff):
     """The matrix whose only entry is coeff (a MultiLaurent, int or Fraction)
     at (i, j)."""
-    return {((i, j), k): c for k, c in lctx._flat(coeff).items()}
+    return {((i, j), k): c for k, c in lctx.ring.scalar_terms(coeff).items()}
 
 
 def mat_commutator(lctx, A, B):

@@ -43,10 +43,11 @@ factor, and ``block_difference`` hands them to ``HeckeElem.accumulate``.
 ``ow_scale`` takes a ring element.  A word has no term with a zero
 coefficient: ``ow_mul`` and ``ow_scale`` drop them (a Cartan entry 0 scales
 whole right-hand sides by 0), so no table is built for them.  A word is a
-plain tuple, so a caller may also write one as a literal: the relation
-families in ``suites.schur`` write each two-label commutator, twist and
-q-commutator as ``((c, (a, b)), (c', (b, a)))`` over cached coefficient
-dicts, and drop a zero coefficient themselves.
+plain tuple: words add by ``+``, the zero word is ``()``, and a caller may
+also write one as a literal: the relation families in ``suites.schur``
+write each two-label commutator, twist and q-commutator as
+``((c, (a, b)), (c', (b, a)))`` over cached coefficient dicts, and drop a
+zero coefficient themselves.
 """
 
 from __future__ import annotations
@@ -263,10 +264,6 @@ def ow(ring, *labels):
     return ((ring.one.terms, tuple(labels)),)
 
 
-def ow_zero():
-    return ()
-
-
 def ow_scale(word, coeff):
     """The word times the ring element ``coeff`` (a ``MultiLaurent``),
     without the terms whose coefficient comes out zero."""
@@ -275,13 +272,6 @@ def ow_scale(word, coeff):
 
 def ow_neg(word):
     return tuple(({k: -v for k, v in c.items()}, labels) for c, labels in word)
-
-
-def ow_add(*words):
-    out = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
 
 
 def ow_mul(ring, a, b):
@@ -297,4 +287,4 @@ def _nonzero(terms):
 
 
 def ow_commutator(ring, a, b):
-    return ow_add(ow_mul(ring, a, b), ow_neg(ow_mul(ring, b, a)))
+    return ow_mul(ring, a, b) + ow_neg(ow_mul(ring, b, a))

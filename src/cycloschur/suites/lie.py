@@ -48,16 +48,24 @@ def generator_labels(lctx, deg_cap):
     return labels
 
 
+def _verdict(name, params, examined, detail=None):
+    """The record of a check over some instances: failed with ``detail`` when
+    one is given, else failed with ``"no instances"`` when ``examined`` is
+    false, since a check over nothing shows nothing, else passed."""
+    if detail is None and not examined:
+        detail = "no instances"
+    return check(name, params, detail is None, detail)
+
+
 def _first_violation(name, params, instances, violated):
     """One check over ``instances``: it fails at the first instance at which
-    ``violated`` holds, naming it in its detail, and with the detail
-    ``"no instances"`` when there is none to examine."""
+    ``violated`` holds, naming it in its detail (see ``_verdict``)."""
     examined = False
     for x in instances:
         if violated(x):
             return check(name, params, False, f"violation at {x}")
         examined = True
-    return check(name, params, examined, None if examined else "no instances")
+    return _verdict(name, params, examined)
 
 
 def _antisymmetry_detail(pair):
@@ -113,18 +121,8 @@ def _jacobi_check(lctx, deg_cap, triples):
             bad.append((a, b, c))
             if len(bad) >= 3:
                 break
-    if not count:
-        detail = "no instances"
-    elif bad:
-        detail = f"violations at {bad}"
-    else:
-        detail = None
-    return check(
-        "jacobi",
-        {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": count},
-        detail is None,
-        detail,
-    )
+    params = {"shape": lctx.shape.m, "deg_cap": deg_cap, "triples": count}
+    return _verdict("jacobi", params, count, f"violations at {bad}" if bad else None)
 
 
 def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
@@ -152,18 +150,15 @@ def verify_jacobi(lctx, deg_cap=2, sample=None, seed=0):
         return [check("jacobi", params, False, _antisymmetry_detail(pair))]
     if not all(jacobi_defect(lctx, *abc).is_zero for abc in combinations(labels, 3)):
         return [_jacobi_check(lctx, deg_cap, product(labels, repeat=3))]
-    return [check("jacobi", params, bool(labels), None if labels else "no instances")]
+    return [_verdict("jacobi", params, labels)]
 
 
 def verify_antisymmetry(lctx, deg_cap=2):
     labels = all_basis_labels(lctx, deg_cap)
     pair = lctx.antisymmetry_violation(labels)
     params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
-    if pair is not None:
-        return [check("bracket-antisymmetry", params, False, f"violation at {pair}")]
-    return [
-        check("bracket-antisymmetry", params, bool(labels), None if labels else "no instances")
-    ]
+    detail = None if pair is None else f"violation at {pair}"
+    return [_verdict("bracket-antisymmetry", params, labels, detail)]
 
 
 def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5, 7))):
@@ -263,7 +258,7 @@ def verify_gr(lctx, deg_cap=2):
         if LieElem(lctx, lead).scale(f) != expected:
             first.setdefault("gr-leading-term", pair)
     return [
-        check(name, params, name not in first, str(first[name]) if name in first else None)
+        _verdict(name, params, labels, str(first[name]) if name in first else None)
         for name in names
     ]
 

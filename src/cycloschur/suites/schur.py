@@ -13,8 +13,7 @@ from .. import combinatorics as comb
 from ..coeff import qfactorial, qint
 from ..hecke import a_form_quotient, m_mu_witness
 from ..reporting import PM, check
-from ..schurops import (I, K, SchurContext, X, ow, ow_add, ow_commutator, ow_mul, ow_neg,
-                        ow_scale, ow_zero)
+from ..schurops import I, K, SchurContext, X, ow, ow_commutator, ow_mul, ow_neg, ow_scale
 from ..symfun import phi
 
 
@@ -27,25 +26,17 @@ def word_J(ring, pos, t):
     """The derived diagonal element J_{(i,k),t}, expanded into I's."""
     qq = ring.qq_comm()
     if t == 0:
-        return ow_add(
-            ow(ring, I(+1, pos, 0)),
-            ow_neg(ow(ring, I(-1, pos + 1, 0))),
-            ow_scale(ow(ring, I(+1, pos, 0), I(-1, pos + 1, 0)), qq),
+        return (
+            ow(ring, I(+1, pos, 0))
+            + ow_neg(ow(ring, I(-1, pos + 1, 0)))
+            + ow_scale(ow(ring, I(+1, pos, 0), I(-1, pos + 1, 0)), qq)
         )
-    parts = [
-        ow_scale(ow(ring, I(+1, pos, t)), ring.q_pow(-t)),
-        ow_neg(ow_scale(ow(ring, I(-1, pos + 1, t)), ring.q_pow(t))),
-    ]
+    word = ow_scale(ow(ring, I(+1, pos, t)), ring.q_pow(-t))
+    word += ow_neg(ow_scale(ow(ring, I(-1, pos + 1, t)), ring.q_pow(t)))
     for b in range(1, t):
-        parts.append(
-            ow_neg(
-                ow_scale(
-                    ow(ring, I(+1, pos, t - b), I(-1, pos + 1, b)),
-                    qq * ring.q_pow(-t + 2 * b),
-                )
-            )
-        )
-    return ow_add(*parts)
+        labels = I(+1, pos, t - b), I(-1, pos + 1, b)
+        word += ow_neg(ow_scale(ow(ring, *labels), qq * ring.q_pow(-t + 2 * b)))
+    return word
 
 
 def ow_reverse(word):
@@ -84,7 +75,7 @@ def at_junction(ring, jk, J, d):
     """J(d) away from a junction, -Q_k J(d) + J(d + 1) at the junction k."""
     if jk is None:
         return J(d)
-    return ow_add(ow_scale(J(d), -ring.Q(jk)), J(d + 1))
+    return ow_scale(J(d), -ring.Q(jk)) + J(d + 1)
 
 
 def run_relations(sctx, relations):
@@ -115,7 +106,7 @@ def relation_words(sctx, deg):
     gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
     S = T = U = range(deg + 1)
     w = partial(ow, ring)
-    zero, one = ow_zero(), w()
+    zero, one = (), w()
     comm = partial(ow_twist, ring, e=0)
     qc, qqc = partial(_qterms, ring), partial(_qqterms, ring)
 
@@ -124,7 +115,7 @@ def relation_words(sctx, deg):
         yield "R1-K-inverse", {"pos": pos}, w(K(+1, pos), K(-1, pos)), one
         yield "R1-K-inverse-rev", {"pos": pos}, w(K(-1, pos), K(+1, pos)), one
         for sign in (+1, -1):
-            rhs = ow_add(one, ow_scale(w(I(-sign, pos, 0)), qq.scale(sign)))
+            rhs = one + ow_scale(w(I(-sign, pos, 0)), qq.scale(sign))
             params = {"pos": pos, "sign": sign}
             yield "R1-K-square", params, w(K(sign, pos), K(sign, pos)), rhs
 
@@ -231,9 +222,9 @@ def relation_words(sctx, deg):
         for sign, u, s in product((+1, -1), U, S):
             for t in range(s, deg + 1):
                 xs, xt, xu = X(sign, p1, s), X(sign, p1, t), X(sign, p2, u)
-                anti = ow_add(w(xs, xt), w(xt, xs))
-                lhs = ow_add(ow_mul(ring, w(xu), anti), ow_mul(ring, anti, w(xu)))
-                rhs = ow_scale(ow_add(w(xs, xu, xt), w(xt, xu, xs)), qplus)
+                anti = w(xs, xt) + w(xt, xs)
+                lhs = ow_mul(ring, w(xu), anti) + ow_mul(ring, anti, w(xu))
+                rhs = ow_scale(w(xs, xu, xt) + w(xt, xu, xs), qplus)
                 params = {"pos": [p1, p2], "sign": sign, "s": s, "t": t, "u": u}
                 yield "R8-serre", params, lhs, rhs
 
@@ -241,10 +232,10 @@ def relation_words(sctx, deg):
     for pos in gamma_prime:
         ktilde, J0 = word_ktilde(ring, +1, pos), word_J(ring, pos, 0)
         lhs = ow_scale(ow_mul(ring, ktilde, J0), qq)
-        rhs = ow_add(ktilde, ow_neg(word_ktilde(ring, -1, pos)))
+        rhs = ktilde + ow_neg(word_ktilde(ring, -1, pos))
         yield "wtKJ0-cleared", {"pos": pos}, lhs, rhs
         rhs = ow_neg(w(K(-1, pos), K(-1, pos), I(-1, pos + 1, 0)))
-        rhs = ow_add(w(I(+1, pos, 0)), rhs)
+        rhs = w(I(+1, pos, 0)) + rhs
         yield "CJ0", {"pos": pos}, J0, rhs
 
 
@@ -262,11 +253,11 @@ def q1_relation_words(sctx, deg):
     gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
     S = T = U = range(deg + 1)
     w = partial(ow, ring)
-    zero, one = ow_zero(), w()
+    zero, one = (), w()
     comm = partial(ow_twist, ring, e=0)
 
     def lieJ(pos, t):
-        return ow_add(w(I(+1, pos, t)), ow_neg(w(I(+1, pos + 1, t))))
+        return w(I(+1, pos, t)) + ow_neg(w(I(+1, pos + 1, t)))
 
     for pos in gamma:
         for sign in (+1, -1):

@@ -27,11 +27,11 @@ from collections import Counter
 from operator import add
 
 from . import combinatorics as comb
-from .coeff import (MultiLaurent, _acc_scaled, _add_terms, _exact, _mul_terms, _overflow,
+from .coeff import (HeadTerms, MultiLaurent, _add_terms, _exact, _mul_terms, _overflow,
                     ml_to_json, qint)
 
 
-class SymPoly:
+class SymPoly(HeadTerms):
     """Sparse polynomial in ``nvars`` variables, stored flat (see the module
     docstring); the constructor takes {exponent tuple: MultiLaurent}."""
 
@@ -62,28 +62,15 @@ class SymPoly:
         return cls(ring, nvars, {(0,) * nvars: coeff})
 
     @property
-    def is_zero(self):
-        return not self.terms
+    def _space(self):
+        return self.ring, self.nvars
 
-    def __eq__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.ring == other.ring and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable arities")
-        return SymPoly._make(self.ring, self.nvars, _add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return SymPoly._make(self.ring, self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _like(self, terms):
+        return SymPoly._make(self.ring, self.nvars, terms)
 
     def __mul__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("mixed variable arities")
+        if self._space != other._space:
+            raise ValueError("SymPoly operands from different spaces")
         origin, guard = self.ring.origin, self.ring.guard
         out = {}
         for (e1, k1), c1 in self.terms.items():
@@ -101,15 +88,7 @@ class SymPoly:
                         del out[k]
                         continue
                 out[k] = c if type(c) is int else _exact(c)
-        return SymPoly._make(self.ring, self.nvars, out)
-
-    def scale(self, coeff):
-        """The polynomial times a MultiLaurent."""
-        ring = self.ring
-        out = {}
-        for key, c in coeff.terms.items():
-            _acc_scaled(out, self.terms, key - ring.origin, c, ring.guard)
-        return SymPoly._make(ring, self.nvars, out)
+        return self._like(out)
 
     def _map_exps(self, nvars, f):
         # the polynomial with every exponent tuple e replaced by f(e), f injective
@@ -128,26 +107,16 @@ class SymPoly:
 
         return self._map_exps(self.nvars, swap)
 
-    def grouped(self):
-        """The terms as {exponent tuple: MultiLaurent}."""
-        out = {}
-        for (e, key), c in self.terms.items():
-            out.setdefault(e, {})[key] = c
-        nvars = self.ring.nvars
-        return {e: MultiLaurent._make(nvars, v) for e, v in out.items()}
-
     def evaluate(self, values):
         """Substitute a MultiLaurent for every variable (exponents must be >= 0).
         Each power v_i^e is taken once per call."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
         nvars = self.ring.nvars
-        grouped = {}
-        for (e, key), c in self.terms.items():
-            grouped.setdefault(e, {})[key] = c
         powers = {}
         total = {}
-        for e, term in grouped.items():
+        for e, coeff in self.grouped().items():
+            term = coeff.terms
             for i, exp in enumerate(e):
                 if exp:
                     power = powers.get((i, exp))
@@ -158,9 +127,6 @@ class SymPoly:
                     term = _mul_terms(term, power, nvars)
             total = _add_terms(total, term)
         return MultiLaurent._make(nvars, total)
-
-    def sorted_terms(self):
-        return sorted(self.grouped().items())
 
     def __repr__(self):
         if not self.terms:
@@ -341,7 +307,7 @@ def char_product_check(lam, mu, shape, ring, chars=None, by_size=None):
         c = comb.lr_coefficient(lam, mu, nu)
         if c:
             lr_terms.append((nu, c))
-            rhs = rhs + cached_character(nu, shape, ring, chars).scale(ring.from_fraction(c))
+            rhs = rhs + cached_character(nu, shape, ring, chars).scale(c)
     return {
         "lambda": [list(p) for p in lam],
         "mu": [list(p) for p in mu],

@@ -166,6 +166,14 @@ class TestVerifyCommand:
     def test_mismatched_m_exit_2(self):
         assert main(["verify", "--suite", "lie", "-r", "2", "-m", "3"]) == 2
 
+    def test_r_defaults_to_the_block_count(self, capsys):
+        # -r unset is len(-m), as RunConfig derives it
+        assert main(["verify", "--suite", "lie", "-m", "2,2,2", "--deg", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["r"] == 3 and report["passed"] is True
+        assert main(["verify", "--suite", "lie", "-r", "2", "-m", "2,2,2"]) == 2
+        assert capsys.readouterr().err.startswith("error: -r must be 3, ")
+
     @pytest.mark.parametrize("argv", [
         ["--suite", "lie", "-m", "2,2", "-r", "2", "--deg", "-1"],
         ["--suite", "hecke", "-n", "-1", "-r", "1", "-m", "2"],

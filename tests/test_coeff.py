@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from cycloschur.coeff import (
     qfactorial,
     qint,
 )
+from cycloschur.combinatorics import Shape
 from cycloschur.hecke import HeckeContext, a_form_quotient
+from cycloschur.liealg import LieContext
+from cycloschur.symfun import phi
 
 from coeff_helpers import CoeffError, monomial, specialize
 
@@ -350,3 +354,39 @@ class TestPackedKeys:
         ones = (1,) * r
         assert monomial(q_one, (5,) + ones).terms == monomial(generic, (0,) + ones).terms
 
+
+
+# Two elements of one class from different spaces (contexts, rings or
+# variable counts), whose terms would otherwise merge into a meaningless sum.
+CROSS_SPACE_PAIRS = {
+    "MultiLaurent": lambda: (LaurentRing(1).q, LaurentRing(2).q),
+    "HeckeElem": lambda: (HeckeContext(3, 2).T(1), HeckeContext(4, 3).T(2)),
+    "LieElem": lambda: (
+        LieContext(Shape((2, 2))).basis(1, 2, 0),
+        LieContext(Shape((1, 1, 1))).basis(1, 2, 0),
+    ),
+    "SymPoly": lambda: (phi(1, 2, +1, LaurentRing(2)), phi(1, 2, +1, LaurentRing(3))),
+}
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+@pytest.mark.parametrize("name", CROSS_SPACE_PAIRS)
+def test_elements_of_different_spaces_do_not_mix(name, op):
+    a, b = CROSS_SPACE_PAIRS[name]()
+    assert type(a) is type(b) and a != b
+    with pytest.raises(ValueError, match="different spaces|mixed variable arities"):
+        op(a, b)
+
+
+@pytest.mark.parametrize("name", ["HeckeElem", "LieElem", "SymPoly"])
+def test_scale_takes_only_a_scalar_of_the_ring(name):
+    a, _ = CROSS_SPACE_PAIRS[name]()
+    # an engine element is not read as a ring element, however it is keyed
+    with pytest.raises(TypeError, match="is not a scalar"):
+        a.scale(a)
+    ring = a.ctx.ring if hasattr(a, "ctx") else a.ring
+    with pytest.raises(ValueError, match="mixed variable arities"):
+        a.scale(LaurentRing(ring.r + 1).one)
+    assert a.scale(2) == a + a == a.scale(ring.from_fraction(2))
+    assert a.scale(Fraction(1, 2)).scale(2) == a
+    assert a.scale(0).is_zero and (a - a).is_zero

@@ -131,3 +131,28 @@ def test_every_src_definition_is_used_in_src():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     }
     assert unused == {}
+
+
+# The arithmetic of the flat engine elements (MultiLaurent, HeckeElem,
+# LieElem, SymPoly) is written once, in ``coeff.FlatElem`` and, for the
+# elements keyed (head, key), ``coeff.HeadTerms``.  The named exceptions:
+# ``MultiLaurent`` lists its own terms, whose keys carry no head, and
+# ``LaurentRing`` and ``Shape`` hold no terms and compare by value.
+SHARED_ARITHMETIC = {
+    "is_zero": ["coeff.py:FlatElem"],
+    "__eq__": ["coeff.py:FlatElem", "coeff.py:LaurentRing", "combinatorics.py:Shape"],
+    "__add__": ["coeff.py:FlatElem"],
+    "__neg__": ["coeff.py:FlatElem"],
+    "__sub__": ["coeff.py:FlatElem"],
+    "sorted_terms": ["coeff.py:HeadTerms", "coeff.py:MultiLaurent"],
+}
+
+
+def test_element_arithmetic_is_defined_once():
+    found = {name: [] for name in SHARED_ARITHMETIC}
+    for path, node in _src_nodes():
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in found:
+                    found[item.name].append(f"{path}:{node.name}")
+    assert {name: sorted(where) for name, where in found.items()} == SHARED_ARITHMETIC

@@ -739,6 +739,13 @@ class TestNoInstances:
         c = _first_violation("x", {}, [1, 2], lambda i: i == 2)
         assert not c["ok"] and c["detail"] == "violation at 2"
 
+    def test_label_checks_over_no_labels_fail(self, lctx, monkeypatch):
+        monkeypatch.setattr(lie_suite, "all_basis_labels", lambda lctx, deg_cap: [])
+        checks = verify_antisymmetry(lctx) + verify_jacobi(lctx) + verify_gr(lctx)
+        assert [c["check"] for c in checks] == [
+            "bracket-antisymmetry", "jacobi", "gr-filtration", "gr-leading-term"]
+        assert all(not c["ok"] and c["detail"] == "no instances" for c in checks)
+
 
 # -- antisymmetry proven once, then unordered pairs and strict triples ----------
 

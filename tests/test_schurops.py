@@ -21,12 +21,10 @@ from cycloschur.schurops import (
     SchurContext,
     X,
     ow,
-    ow_add,
     ow_commutator,
     ow_mul,
     ow_neg,
     ow_scale,
-    ow_zero,
 )
 from cycloschur.suites import schur as schur_suite
 from cycloschur.suites.schur import (
@@ -143,23 +141,16 @@ class TestApplyWord:
         assert sctx22.op_equal(ow(ring, K(+1, 1)), ow(ring, K(-1, 1))) is not None
 
     def test_R1_square(self, sctx22):
-        from cycloschur.schurops import ow_add, ow_scale
-
         ring = sctx22.ring
         lhs = ow(ring, K(+1, 3), K(+1, 3))
-        rhs = ow_add(ow(ring), ow_scale(ow(ring, I(-1, 3, 0)), ring.qq_comm()))
+        rhs = ow(ring) + ow_scale(ow(ring, I(-1, 3, 0)), ring.qq_comm())
         detail = sctx22.op_equal(lhs, rhs)
         assert detail is None, detail
 
     def test_word_J_zero_degree_definition(self, sctx22):
         # J_0 against its K-corollary form on each weight
-        from cycloschur.schurops import ow_add, ow_neg
-
         ring = sctx22.ring
-        rhs = ow_add(
-            ow(ring, I(+1, 1, 0)),
-            ow_neg(ow(ring, K(-1, 1), K(-1, 1), I(-1, 2, 0))),
-        )
+        rhs = ow(ring, I(+1, 1, 0)) + ow_neg(ow(ring, K(-1, 1), K(-1, 1), I(-1, 2, 0)))
         detail = sctx22.op_equal(word_J(ring, 1, 0), rhs)
         assert detail is None, detail
 
@@ -339,7 +330,7 @@ class TestRightFactors:
     ])
     def test_difference_matches_expanded_reference(self, q_one, words):
         sctx = SchurContext(2, Shape((1, 2)), q_one=q_one)
-        hctx, zero = sctx.hctx, ow_zero()
+        hctx, zero = sctx.hctx, ()
         nonzero = 0
         for _name, _params, lhs, rhs in words(sctx, 1):
             for a, b in ((lhs, rhs), (lhs, zero), (rhs, zero)):
@@ -604,10 +595,10 @@ class TestWordCoefficients:
 
     def test_zero_coefficients_are_dropped(self):
         ring = RINGS[0]
-        word = ow_add(ow(ring, K(+1, 1)), ow_scale(ow(ring, K(+1, 2)), ring.from_fraction(0)))
+        word = ow(ring, K(+1, 1)) + ow_scale(ow(ring, K(+1, 2)), ring.from_fraction(0))
         assert word == ow(ring, K(+1, 1))
-        assert ow_mul(ring, word, ow_scale(ow(ring, K(+1, 3)), ring.zero)) == ow_zero()
-        assert ow_scale(word, ring.zero) == ow_zero()
+        assert ow_mul(ring, word, ow_scale(ow(ring, K(+1, 3)), ring.zero)) == ()
+        assert ow_scale(word, ring.zero) == ()
 
     def test_unit_word(self):
         ring = RINGS[0]
@@ -626,8 +617,8 @@ class TestWordCoefficients:
 
 
 def reference_rhs(sctx, name, params):
-    """The rhs of an R3, R4, CI-CX or q1-L2 relation, built with ``ow_add``
-    and ``ow_scale`` on ring elements, or None for another family."""
+    """The rhs of an R3, R4, CI-CX or q1-L2 relation, built with ``+`` and
+    ``ow_scale`` on ring elements, or None for another family."""
     ring, w = sctx.ring, partial(ow, sctx.ring)
     px, pj, t = params.get("x"), params.get("jl"), params.get("t")
     if name == "q1-L2":
@@ -643,18 +634,18 @@ def reference_rhs(sctx, name, params):
         return ow_scale(w(X(xsign, px, t)), ring.from_fraction(xsign * a))
     s, e = params["s"], xsign * sign * a
     f = e if name.endswith("form1") else -e
-    parts = [ow_scale(w(X(xsign, px, t + s)), ring.q_pow(f * (s - 1)).scale(xsign * a))]
+    word = ow_scale(w(X(xsign, px, t + s)), ring.q_pow(f * (s - 1)).scale(xsign * a))
     for p in range(1, s):
         pair = (X(xsign, px, t + p), I(sign, pj, s - p))
         pair = pair if name.endswith("form1") else pair[::-1]
         coeff = (ring.qq_comm() * ring.q_pow(f * (p - 1))).scale(e)
-        parts.append(ow_scale(w(*pair), coeff))
-    return ow_add(*parts)
+        word += ow_scale(w(*pair), coeff)
+    return word
 
 
 class TestLiteralWords:
     """The two-label words and the coefficients the relation families write
-    as literals equal their definitions through ``ow_add``, ``ow_mul``,
+    as literals equal their definitions through ``+``, ``ow_mul``,
     ``ow_neg`` and ``ow_scale``."""
 
     @pytest.mark.parametrize("m", [(2, 2), (1, 2, 1)])
@@ -688,14 +679,14 @@ class TestLiteralWords:
         assert len(twists) > 100 and (q_one or len(qcomms) > 100)
         w = partial(ow, ring)
         for a, b, e in twists:
-            want = ow_add(w(a, b), ow_neg(ow_scale(w(b, a), ring.q_pow(e))))
+            want = w(a, b) + ow_neg(ow_scale(w(b, a), ring.q_pow(e)))
             assert real_twist(ring, a, b, e) == want
             if e == 0:
-                assert want == ow_commutator(ring, w(a), w(b)) == ow_add(
-                    ow_mul(ring, w(a), w(b)), ow_neg(ow_mul(ring, w(b), w(a))))
+                assert want == ow_commutator(ring, w(a), w(b)) == (
+                    ow_mul(ring, w(a), w(b)) + ow_neg(ow_mul(ring, w(b), w(a))))
         for a, b, e in qcomms:
-            want = ow_add(ow_scale(w(a, b), ring.q_pow(e)),
-                          ow_neg(ow_scale(w(b, a), ring.q_pow(-e))))
+            want = (ow_scale(w(a, b), ring.q_pow(e))
+                    + ow_neg(ow_scale(w(b, a), ring.q_pow(-e))))
             assert real_qcomm(ring, a, b, e) == want
 
 
