@@ -8,11 +8,12 @@ Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage or
 parse error (a ``ParseError`` raised at this edge, or an argparse failure),
 3 an engine self-check failed or any other exception (a fault in the program).
 
-When more than one suite is selected and more than one CPU is usable, the
-suites run concurrently, in this process and in forked workers (see
-``run_suites``).  The report is byte-identical to a one-process run, a suite
-that raises in a worker ends the run with the same exit code and stderr line,
-and a worker that dies without sending its result is exit 3.
+When the selected suites have more than one part (``suites.RUNNERS``) and
+more than one CPU is usable, the parts run concurrently, in this process and
+in forked workers (see ``run_suites``); a one-suite ``--suite schur`` run has
+two parts.  The report is byte-identical to a one-process run, a part that
+raises in a worker ends the run with the same exit code and stderr line, and
+a worker that dies without sending its result is exit 3.
 """
 
 from __future__ import annotations
@@ -40,12 +41,15 @@ class ParseError(ValueError):
 
 class RunConfig:
     """The settings of one ``cycloschur verify`` run.  The block sizes m fix
-    the component count r = len(m)."""
+    the component count r = len(m).  ``shared`` holds what the parts of one
+    suite that run in one process share, such as the ``schur`` suite's
+    ``SchurContext``; it starts empty with each run."""
 
     def __init__(self, n=2, m=(2, 2), suites=SUITES, deg=2, dmax=3, seed=0, out=None,
                  q1=False):
         self.n, self.shape, self.suites = n, Shape(m), suites
         self.deg, self.dmax, self.seed, self.out, self.q1 = deg, dmax, seed, out, q1
+        self.shared = {}
 
     def as_json(self):
         return {
@@ -177,7 +181,7 @@ def _write_json(obj, path):
 
 
 class WorkerFailure(Exception):
-    """A suite that raised in a worker process, or a worker that ended
+    """A part that raised in a worker process, or a worker that ended
     without sending its result: ``main`` reports it with ``code`` and the
     message as its stderr line."""
 
@@ -198,15 +202,15 @@ def error_exit(exc):
 
 
 def run_group(config, group):
-    """Run the suites of ``group`` in order until one raises.  Returns their
-    ``{suite: checks}`` and None, or (the raising suite's position in
-    ``config.suites``, its exception)."""
+    """Run the parts of ``group``, (position, part) pairs, in order until one
+    raises.  Returns their ``{position: checks}`` and None, or (the raising
+    part's position, its exception)."""
     done = {}
-    for name in group:
+    for pos, part in group:
         try:
-            done[name] = RUNNERS[name](config)
+            done[pos] = part(config)
         except Exception as exc:
-            return done, (config.suites.index(name), exc)
+            return done, (pos, exc)
     return done, None
 
 
@@ -244,18 +248,21 @@ def _worker(config, group, write, inherited):
 def run_suites(config):
     """``{suite: checks}`` for the suites of ``config.suites``.
 
-    The suites share no state, so they are dealt round-robin into k groups,
-    k the smaller of the suite count and the usable CPUs, and 1 without
-    ``os.fork``.  This process runs group 0; each other group runs in a
-    forked worker that sends its result back through a pipe as ``marshal``
-    bytes, which keep tuples and int keys as they are.  With k = 1 no worker
-    starts.  Each group stops at its first suite that raises, and the run
-    raises for the first such suite in suite order, as one process running
-    them in turn would.  A worker that ends without a result is exit 3.
-    A worker whose first suite comes after a failure already found cannot
-    report an earlier one, so it is killed unread.  Every worker is reaped
-    before this returns or raises.  A fork copies only the calling thread,
-    so call this from a process that runs no other."""
+    The parts of the suites (``RUNNERS``), in suite order and each suite's
+    part order, are dealt round-robin into k groups, k the smaller of the
+    part count and the usable CPUs, and 1 without ``os.fork``.  Different
+    suites share no state, and parts of one suite share it only within one
+    process (``RunConfig.shared``), so any dealing gives the same checks.
+    This process runs group 0; each other group runs in a forked worker that
+    sends its result back through a pipe as ``marshal`` bytes, which keep
+    tuples and int keys as they are.  With k = 1 no worker starts.  Each
+    group stops at its first part that raises, and the run raises for the
+    first such part in part order, as one process running them in turn
+    would.  A worker that ends without a result is exit 3.  A worker whose
+    first part comes after a failure already found cannot report an earlier
+    one, so it is killed unread.  Every worker is reaped before this returns
+    or raises.  A fork copies only the calling thread, so call this from a
+    process that runs no other."""
     import marshal
     import os
 
@@ -263,8 +270,10 @@ def run_suites(config):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    k = max(1, min(len(config.suites), cpus)) if hasattr(os, "fork") else 1
-    groups = [config.suites[i::k] for i in range(k)]
+    names = [name for name in config.suites for _ in RUNNERS[name]]
+    parts = list(enumerate(part for name in config.suites for part in RUNNERS[name]))
+    k = max(1, min(len(parts), cpus)) if hasattr(os, "fork") else 1
+    groups = [parts[i::k] for i in range(k)]
     workers = []  # (pid, read end, group) of each worker not yet reaped
     try:
         for group in groups[1:]:
@@ -283,8 +292,7 @@ def run_suites(config):
         results = [run_group(config, groups[0])]
         while workers:
             pid, reader, group = workers[0]
-            if any(failed and failed[0] < config.suites.index(group[0])
-                   for _, failed in results):
+            if any(failed and failed[0] < group[0][0] for _, failed in results):
                 break
             with reader:
                 data = reader.read()
@@ -294,9 +302,10 @@ def run_suites(config):
                 done, failed = marshal.loads(data)
                 results.append((done, failed and (failed[0], WorkerFailure(*failed[1:]))))
             else:
-                line = (f"internal error: the worker running {', '.join(group)} ended "
+                running = ", ".join(names[pos] for pos, _ in group)
+                line = (f"internal error: the worker running {running} ended "
                         f"with status {os.waitstatus_to_exitcode(status)} and no result")
-                results.append(({}, (config.suites.index(group[0]), WorkerFailure(3, line))))
+                results.append(({}, (group[0][0], WorkerFailure(3, line))))
     finally:
         if workers:  # this process raised, or a failure came before them
             import signal
@@ -308,7 +317,11 @@ def run_suites(config):
     failures = [failed for _, failed in results if failed]
     if failures:
         raise min(failures, key=lambda failed: failed[0])[1]
-    return {name: checks for done, _ in results for name, checks in done.items()}
+    found = {pos: checks for done, _ in results for pos, checks in done.items()}
+    checks = {name: [] for name in config.suites}
+    for pos, name in enumerate(names):
+        checks[name] += found[pos]
+    return checks
 
 
 def cmd_verify(config):

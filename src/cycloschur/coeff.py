@@ -37,9 +37,13 @@ from functools import lru_cache
 
 
 def _exact(c):
-    """The rational c as an int when it is integral, else as a Fraction."""
+    """The rational c as an int when it is integral, else as a Fraction.
+    Anything but an int or a Fraction, a float among them, raises
+    ``TypeError``."""
     if type(c) is not int:
         if type(c) is not Fraction:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"a {type(c).__name__} is not an exact rational")
             c = Fraction(c)
         if c.denominator == 1:
             return c.numerator

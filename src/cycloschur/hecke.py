@@ -115,9 +115,12 @@ class HeckeContext:
         self._qstep = 0 if q_one else 1 << sh
 
     def from_grouped(self, terms):
-        """The element with terms {(c, w): MultiLaurent}."""
+        """The element with terms {(c, w): MultiLaurent}, each coefficient in
+        the ring's variables."""
         flat = {}
         for (c, w), coeff in terms.items():
+            if coeff.nvars != self.ring.nvars:
+                raise ValueError("mixed variable arities")
             base = _slots(_BIAS, self.n) + _pack(c)
             for key, x in coeff.terms.items():
                 flat[(tuple(w), base + (key << self._ring_shift))] = x

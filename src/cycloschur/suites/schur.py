@@ -2,7 +2,9 @@
 expansions, the q = 1 identities with the images of (L1)-(L6), divided
 powers and the highest-weight eigenvalues.  Each relation family yields
 (name, params, lhs word, rhs word), and ``run_relations`` decides every
-pair as an operator identity on all weights."""
+pair as an operator identity on all weights.  The ``schur`` suite has two
+parts, ``run_ki`` and ``run_x``, which ``cli.run_suites`` may run in two
+processes."""
 
 from __future__ import annotations
 
@@ -92,19 +94,13 @@ def run_relations(sctx, relations):
     return checks
 
 
-def verify_relations(sctx, deg=2):
-    """Relations (R1)-(R8) plus the derived commutation expansions, as
-    operator identities on every weight."""
-    return run_relations(sctx, relation_words(sctx, deg))
-
-
-def relation_words(sctx, deg):
-    """(R1)-(R8), the expansions of [I_s, X_t] and two corollaries of (R1),
-    as (name, params, lhs word, rhs word) in report order."""
+def ki_relation_words(sctx, deg):
+    """(R1)-(R5) and the expansions of [I_s, X_t], the relations with a K or
+    an I, in report order."""
     ring = sctx.ring
     qq = ring.qq_comm()
     gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
-    S = T = U = range(deg + 1)
+    S = T = range(deg + 1)
     w = partial(ow, ring)
     zero, one = (), w()
     comm = partial(ow_twist, ring, e=0)
@@ -178,6 +174,18 @@ def relation_words(sctx, deg):
                         rhs,
                     )
 
+
+def x_relation_words(sctx, deg):
+    """(R6)-(R8), the relations among the X, and two corollaries of (R1),
+    in report order."""
+    ring = sctx.ring
+    qq = ring.qq_comm()
+    gamma_prime = range(1, sctx.shape.total)
+    S = T = U = range(deg + 1)
+    w = partial(ow, ring)
+    zero = ()
+    comm = partial(ow_twist, ring, e=0)
+
     # R6
     for p1, p2, t, s in product(gamma_prime, gamma_prime, T, S):
         lhs = comm(X(+1, p1, t), X(-1, p2, s))
@@ -237,6 +245,19 @@ def relation_words(sctx, deg):
         rhs = ow_neg(w(K(-1, pos), K(-1, pos), I(-1, pos + 1, 0)))
         rhs = w(I(+1, pos, 0)) + rhs
         yield "CJ0", {"pos": pos}, J0, rhs
+
+
+def relation_words(sctx, deg):
+    """(R1)-(R8), the expansions of [I_s, X_t] and two corollaries of (R1),
+    as (name, params, lhs word, rhs word) in report order."""
+    yield from ki_relation_words(sctx, deg)
+    yield from x_relation_words(sctx, deg)
+
+
+def verify_relations(sctx, deg=2, words=relation_words):
+    """The relations of ``words``, by default (R1)-(R8) plus the derived
+    commutation expansions, as operator identities on every weight."""
+    return run_relations(sctx, words(sctx, deg))
 
 
 def verify_q1(sctx, deg=2):
@@ -371,10 +392,27 @@ def verify_hw_eigenvalues(ring, lam_max=5, j_max=3, t_max=4, l_values=(1, 2)):
     return checks
 
 
-def run(config):
-    """The ``schur`` suite of ``cycloschur verify``."""
-    sctx = SchurContext(config.n, config.shape, q_one=config.q1)
-    checks = verify_relations(sctx, deg=config.deg)
+def _context(config):
+    """The ``schur`` suite's SchurContext in this run: its parts that run in
+    one process build it once, in ``config.shared``, which dies with the run."""
+    sctx = config.shared.get("schur")
+    if sctx is None:
+        sctx = config.shared["schur"] = SchurContext(config.n, config.shape,
+                                                     q_one=config.q1)
+    return sctx
+
+
+def run_ki(config):
+    """Part 0 of the ``schur`` suite of ``cycloschur verify``: the relations
+    with a K or an I."""
+    return verify_relations(_context(config), config.deg, ki_relation_words)
+
+
+def run_x(config):
+    """Part 1 of the ``schur`` suite: the relations among the X, the
+    divided powers and the highest-weight eigenvalues."""
+    sctx = _context(config)
+    checks = verify_relations(sctx, config.deg, x_relation_words)
     checks += verify_divided_powers(sctx, dmax=config.dmax)
     return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
 

@@ -253,7 +253,7 @@ class TestVerifyCommand:
         def not_run(*args):
             raise AssertionError("ran before --out was checked")
 
-        monkeypatch.setitem(cli.RUNNERS, "lie", not_run)
+        monkeypatch.setitem(cli.RUNNERS, "lie", (not_run,))
         monkeypatch.setattr(cli, "cmd_compute", not_run)
         out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
         assert main([*command, "--out", str(out)]) == 2
@@ -620,9 +620,9 @@ def test_character_tables_script_pinned():
     )
 
 
-# ``cycloschur verify`` deals its suites round-robin to as many workers as
-# there are usable CPUs: this process runs the first group, forked workers
-# the others.  These tests set the CPU count by replacing
+# ``cycloschur verify`` deals the parts of its suites round-robin to as many
+# workers as there are usable CPUs: this process runs the first group, forked
+# workers the others.  These tests set the CPU count by replacing
 # ``os.sched_getaffinity``, compare a k-worker run with a one-worker run,
 # and check that no worker outlives ``main()``.
 def _use_cpus(monkeypatch, count):
@@ -666,7 +666,8 @@ def test_workers_write_the_one_worker_report(monkeypatch, capsys, argv, code, to
     one = _verify(monkeypatch, capsys, 1, argv)
     assert forks == []
     many = _verify(monkeypatch, capsys, cpus, argv)
-    assert len(forks) == min(cpus, len(totals)) - 1
+    parts = sum(len(cli.RUNNERS[name]) for name in totals)
+    assert len(forks) == min(cpus, parts) - 1
     assert many == one
     code_many, captured = many
     assert (code_many, captured.err) == (code, "")
@@ -680,13 +681,84 @@ def test_workers_write_the_one_worker_report(monkeypatch, capsys, argv, code, to
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
+# The schur suite has two parts: the relations with a K or an I, then the
+# relations among the X with the divided powers and the highest-weight
+# eigenvalues.  At two CPUs the second part runs in the one worker.
+SCHUR_ARGVS = [
+    ["--suite", "schur", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2"],
+    ["--suite", "schur", "-n", "3", "-m", "2,2", "--deg", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SCHUR_ARGVS)
+def test_a_schur_run_uses_two_cpus(monkeypatch, capsys, argv):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    one = _verify(monkeypatch, capsys, 1, argv)
+    assert forks == []
+    assert _verify(monkeypatch, capsys, 2, argv) == one
+    assert len(forks) == 1
+    assert one[0] == 0 and one[1].err == ""
+
+
+def _junction_off_by_one(monkeypatch):
+    real = schur_suite.at_junction
+    monkeypatch.setattr(schur_suite, "at_junction",
+                        lambda ring, jk, J, d: real(ring, jk, J, d + 1))
+
+
+def _broken_quotient(monkeypatch):
+    def broken(value, divisor):
+        raise EngineError("broken quotient")
+
+    monkeypatch.setattr(schur_suite, "a_form_quotient", broken)
+
+
+# Faults that only the second part reaches: a wrong degree of J in the
+# R6-diagonal right-hand side (a verification failure) and an engine error
+# in the divided powers.
+@pytest.mark.parametrize("fault,code,line", [
+    (_junction_off_by_one, 1, ""),
+    (_broken_quotient, 3, "engine error: broken quotient\n"),
+])
+def test_a_fault_in_the_second_schur_part(monkeypatch, capsys, fault, code, line):
+    fault(monkeypatch)
+    argv = SCHUR_ARGVS[0]
+    one = _verify(monkeypatch, capsys, 1, argv)
+    assert _verify(monkeypatch, capsys, 2, argv) == one
+    assert (one[0], one[1].err) == (code, line)
+    if code == 1:
+        failed = json.loads(one[1].out)["suites"]["schur"]["failed"]
+        assert failed and {c["check"] for c in failed} == {"R6-diagonal"}
+    else:
+        assert one[1].out == ""
+
+
+# The parts of a suite share one SchurContext within a run and in one
+# process, and no context outlives its run: a second run builds its own, so
+# an engine fault installed after the first run reaches the second.
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_context_outlives_its_run(monkeypatch, capsys, cpus):
+    built = _record_contexts(monkeypatch, schur_suite, "SchurContext")
+    argv = ["--suite", "schur", "-n", "2", "-r", "1", "-m", "2", "--deg", "1"]
+    assert _verify(monkeypatch, capsys, cpus, argv)[0] == 0
+    assert built == [((2, Shape((2,))), {"q_one": False})]
+    real = schurops.phi_jm
+    monkeypatch.setattr(schurops, "phi_jm", lambda *a: real(*a).scale(2))
+    code, captured = _verify(monkeypatch, capsys, cpus, argv)
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("engine error: ")
+    assert len(built) == 2
+
+
 def _runner(outcome):
-    """A suite runner that returns no checks, or raises ``outcome``."""
+    """The parts of a one-part suite that returns no checks, or raises
+    ``outcome``."""
     def run(config):
         if outcome is not None:
             raise outcome
         return []
-    return run
+    return (run,)
 
 
 # Each case sets the runners of ``lie,symfun,q1``: at two CPUs this process
@@ -718,7 +790,7 @@ def test_a_worker_failure_is_the_one_worker_failure(monkeypatch, capsys, tmp_pat
 @pytest.mark.parametrize("status", [1, 0])
 def test_a_worker_that_dies_is_exit_3(monkeypatch, capsys, tmp_path, status):
     monkeypatch.setitem(cli.RUNNERS, "lie", _runner(None))
-    monkeypatch.setitem(cli.RUNNERS, "symfun", lambda config: os._exit(status))
+    monkeypatch.setitem(cli.RUNNERS, "symfun", (lambda config: os._exit(status),))
     out = tmp_path / "report.json"
     code, captured = _verify(monkeypatch, capsys, 2, ["--suite", "lie,symfun",
                                                       "--out", str(out)])
@@ -736,7 +808,7 @@ def test_this_process_failing_while_a_worker_runs(monkeypatch, capsys):
 
     # symfun comes after lie, so its worker is killed, not waited for
     monkeypatch.setitem(cli.RUNNERS, "lie", _runner(EngineError("broken")))
-    monkeypatch.setitem(cli.RUNNERS, "symfun", slow)
+    monkeypatch.setitem(cli.RUNNERS, "symfun", (slow,))
     start = time.monotonic()
     code, captured = _verify(monkeypatch, capsys, 2, ["--suite", "lie,symfun"])
     assert time.monotonic() - start < 10
@@ -751,8 +823,8 @@ def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch):
         time.sleep(30)
         return []
 
-    monkeypatch.setitem(cli.RUNNERS, "lie", interrupted)
-    monkeypatch.setitem(cli.RUNNERS, "symfun", slow)
+    monkeypatch.setitem(cli.RUNNERS, "lie", (interrupted,))
+    monkeypatch.setitem(cli.RUNNERS, "symfun", (slow,))
     _use_cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -784,7 +856,7 @@ def worker(config):
     return []
 
 
-cli.RUNNERS["lie"], cli.RUNNERS["symfun"] = started, worker
+cli.RUNNERS["lie"], cli.RUNNERS["symfun"] = (started,), (worker,)
 cli.main(["verify", "--suite", "lie,symfun"])
 """
 

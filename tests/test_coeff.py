@@ -378,6 +378,17 @@ def test_elements_of_different_spaces_do_not_mix(name, op):
         op(a, b)
 
 
+# A ring scalar is exact: a float is rejected, not read as the binary
+# fraction it stores (0.1 is 3602879701896397/36028797018963968).
+@pytest.mark.parametrize("make", [
+    lambda: LaurentRing(2).from_fraction(0.1),
+    lambda: LaurentRing(2).one.scale(0.5),
+], ids=["from_fraction", "scale"])
+def test_a_float_is_not_a_ring_scalar(make):
+    with pytest.raises(TypeError, match="float is not an exact rational"):
+        make()
+
+
 @pytest.mark.parametrize("name", ["HeckeElem", "LieElem", "SymPoly"])
 def test_scale_takes_only_a_scalar_of_the_ring(name):
     a, _ = CROSS_SPACE_PAIRS[name]()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cycloschur.hecke as hecke_mod
 import cycloschur.suites.hecke as suite_mod
 from cycloschur import combinatorics as comb
-from cycloschur.coeff import ml_to_json, qfactorial
+from cycloschur.coeff import LaurentRing, ml_to_json, qfactorial
 from cycloschur.combinatorics import Shape
 from cycloschur.hecke import (
     EngineError,
@@ -331,6 +331,17 @@ def differential_factors(draw, ctx, shape):
         else:
             factors.append(ctx.scalar(draw(central_scalars(ctx.ring))))
     return factors
+
+
+# A coefficient from a ring with more parameters is rejected: its Q_2 slot
+# would fall outside the key, so Q_2 would read as 1.
+def test_a_coefficient_of_another_arity_is_rejected():
+    ctx = HeckeContext(2, 2)
+    with pytest.raises(ValueError, match="mixed variable arities"):
+        ctx.scalar(LaurentRing(3).Q(2))
+    assert ctx.scalar(ctx.ring.Q(1)).sorted_terms() == [
+        (((0, 0), (0, 1)), ctx.ring.Q(1)),
+    ]
 
 
 class TestPackedKeys:

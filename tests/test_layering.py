@@ -46,18 +46,23 @@ def test_cli_and_a_two_suite_run_load_no_pool_machinery(tmp_path):
     assert "cycloschur.cli" in imported
     assert imported.isdisjoint(POOL_MODULES)
     report = tmp_path / "report.json"
-    out = set(_fresh_modules(
-        # two usable CPUs, so that the second suite runs in a worker
-        "import os\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "from cycloschur.cli import main\n"
-        "argv = ['verify', '--suite', 'lie,symfun', '-n', '1', '-r', '1', '-m', '2',\n"
-        f"        '--deg', '0', '--out', {str(report)!r}]\n"
-        "assert main(argv) == 0\n"
-    ))
-    assert "cycloschur.cli" in out
-    assert out.isdisjoint(POOL_MODULES)
-    assert set(json.loads(report.read_text())["suites"]) == {"lie", "symfun"}
+    # two usable CPUs, so that the second suite, or the second part of the
+    # one schur suite, runs in the one worker
+    for suites in ("lie,symfun", "schur"):
+        out = set(_fresh_modules(
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
+            "from cycloschur.cli import main\n"
+            f"argv = ['verify', '--suite', {suites!r}, '-n', '1', '-r', '1', '-m', '2',\n"
+            f"        '--deg', '0', '--dmax', '1', '--out', {str(report)!r}]\n"
+            "assert main(argv) == 0\n"
+            "assert len(forks) == 1\n"
+        ))
+        assert "cycloschur.cli" in out
+        assert out.isdisjoint(POOL_MODULES)
+        assert set(json.loads(report.read_text())["suites"]) == set(suites.split(","))
 
 
 def _src_nodes():

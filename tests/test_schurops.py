@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -692,8 +693,10 @@ class TestLiteralWords:
 
 # The CI-CX forms 1 and 2 coincide for e = 0 or s = 1; run_relations
 # decides each such pair once (288 of the 864 CI-CX checks on this argv)
-# and still records both forms with their own params.
+# and still records both forms with their own params.  The run has one
+# usable CPU, so that both parts of the suite decide in this process.
 def test_repeated_relations_are_decided_once(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
     real = SchurContext.op_equal
     monkeypatch.setattr(SchurContext, "op_equal",
