@@ -39,14 +39,15 @@ again and again are pushed once.
 The cyclic generators m_mu are never multiplied in as elements:
 ``m_mu_mul`` applies their factors to the right operand, the coset sweep of
 ``x_mu_mul`` per Young-subgroup level and a key shift per (L_i - Q_k), and
-m_mu itself is never built.  Whether m_mu kills an element is decided in one
-place, ``m_mu_kills``, for every m_mu identity of the Hecke suite (m_mu T_i =
-q m_mu among them) and the Schur block verdicts alike.  It decides by the
-coset sweep when that takes fewer than three ``lmul_gen`` passes, and
-otherwise by the right-coset collapse of ``iota(D)``, ``iota`` the
-anti-involution with iota(T_w) = T_{w^-1} that fixes every L_j.  What a
-failed m_mu identity reports is written once too, in ``m_mu_witness``: the
-first three terms of m_mu * D.
+m_mu itself is never built.  Every m_mu verdict is decided in one place, on
+x_mu * D: whether m_mu kills D in ``m_mu_kills``, for every m_mu identity of
+the Hecke suite (m_mu T_i = q m_mu among them) and the Schur block verdicts
+alike, and whether m_mu * D / [d]! lies in the A-form in ``m_mu_divides``,
+for the divided powers.  ``m_mu_kills`` decides by the coset sweep when that
+takes fewer than three ``lmul_gen`` passes, and otherwise by the right-coset
+collapse of ``iota(D)``, ``iota`` the anti-involution with iota(T_w) =
+T_{w^-1} that fixes every L_j.  What a failed m_mu identity reports is
+written once too, in ``m_mu_witness``: the first three terms of m_mu * D.
 """
 
 from __future__ import annotations
@@ -421,8 +422,7 @@ def m_mu_mul(ctx, mu, D):
     preserves 1..a_k), so it is applied after x_mu, each factor as a shift of
     L_i minus a shift of Q_k: a left multiplication by L_i only adds to the
     exponent key.  Applying the L factors first would make every coset level
-    work on 2^a times the terms.  To decide m_mu * D == 0, use
-    ``m_mu_kills``."""
+    work on 2^a times the terms.  Only ``m_mu_witness`` expands m_mu * D."""
     if not D.terms:
         return D
     D = x_mu_mul(ctx, young_parts(mu), D)
@@ -527,6 +527,23 @@ def m_mu_kills(ctx, mu, D):
             killed = x_mu_mul(ctx, parts, D).is_zero
         ctx._kills[key] = killed
     return killed
+
+
+def m_mu_divides(ctx, mu, D, g):
+    """Whether m_mu * D / g lies in the A-form (``a_form_quotient``), g a
+    nonzero polynomial in q alone ([d]!, or d! at q = 1), decided as
+    whether x_mu * D / g does, m_mu never multiplied in.
+
+    m_mu D = lprod * x_mu D, and on the normal form sum_w F_w(L) T_w of
+    x_mu D, lprod = prod (L_i - Q_k) multiplies each coefficient polynomial
+    F_w.  lprod is primitive (monic in the L's), so it shares no prime
+    factor with g, nor with a denominator of F_w, all of them in Z[q^+-1],
+    in the UFD Z[q^+-1, Q, L] (Z[Q, L] at q = 1): by Gauss's lemma g divides
+    lprod F_w with integer coefficients exactly when it divides F_w so.  In
+    each Q_k the lowest part of lprod is nonzero and of degree 0, so lprod F_w
+    has a negative Q exponent exactly when F_w has.  And lprod F_w is zero
+    exactly when F_w is, the injectivity half of ``m_mu_kills``."""
+    return a_form_quotient(x_mu_mul(ctx, young_parts(mu), D), g) is not None
 
 
 def m_mu_witness(ctx, mu, D):

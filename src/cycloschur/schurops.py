@@ -56,7 +56,7 @@ import json
 
 from . import combinatorics as comb
 from .coeff import _mul_terms
-from .hecke import EngineError, HeckeContext, m_mu_mul, m_mu_witness, phi_jm, t_bracket
+from .hecke import EngineError, HeckeContext, m_mu_witness, phi_jm, t_bracket
 
 
 def K(sign, pos):
@@ -200,13 +200,6 @@ class SchurContext:
         if h is None:
             h = self._products[key] = self._intern(self.hctx.mul(left, right))
         return h
-
-    def apply_seq(self, labels, mu):
-        """The sequence applied to m_mu, expanded in the Hecke algebra."""
-        hit = self.table(labels).get(mu)
-        if hit is None:
-            return self.hctx.zero()
-        return m_mu_mul(self.hctx, *hit)
 
     def block_difference(self, a, b):
         """Word a minus word b on every weight, block by block: {mu: {nu:

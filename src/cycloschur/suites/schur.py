@@ -13,7 +13,7 @@ from itertools import product
 
 from .. import combinatorics as comb
 from ..coeff import qfactorial, qint
-from ..hecke import a_form_quotient, m_mu_witness
+from ..hecke import m_mu_divides, m_mu_kills, m_mu_witness
 from ..reporting import PM, check
 from ..schurops import I, K, SchurContext, X, ow, ow_commutator, ow_mul, ow_neg, ow_scale
 from ..symfun import phi
@@ -333,33 +333,23 @@ def q1_relation_words(sctx, deg):
 # divided powers and highest-weight eigenvalues
 
 
-def divided_power_image(sctx, pos, sign, t, d, mu):
-    """(X^{sign}_t)^d(m_mu) divided by [d]! when the quotient lies in the
-    A-form (integer coefficients, Laurent in q, polynomial in Q), else None."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    value = sctx.apply_seq(tuple([X(sign, pos, t)] * d), mu)
-    return a_form_quotient(value, qfactorial(d, sctx.ring))
-
-
 def verify_divided_powers(sctx, dmax=3):
     """(X^{sign}_t)^d(m_mu) / [d]! lies in the A-form for t = 0, 1 and
     d <= dmax, and vanishes when d exceeds the entry that X^{sign} moves
-    nodes out of.  A failed check
-    carries the target weight and the first terms of the undivided image."""
+    nodes out of; the engine decides both on h, the image being m_nu * h for
+    the table hit (nu, h).  A failed check carries the target weight and the
+    first terms of the undivided image."""
     checks = []
+    hctx = sctx.hctx
     gamma_prime, T, D = range(1, sctx.shape.total), range(2), range(1, dmax + 1)
     for pos, sign, t, d, mu in product(gamma_prime, (+1, -1), T, D, sctx.weights):
-        quotient = divided_power_image(sctx, pos, sign, t, d, mu)
-        flat = comb.flatten(mu)
-        cap = flat[pos] if sign > 0 else flat[pos - 1]
+        hit = sctx.table(tuple([X(sign, pos, t)] * d)).get(mu)
+        cap = comb.flatten(mu)[pos if sign > 0 else pos - 1]
         params = {"pos": pos, "sign": sign, "t": t, "d": d, "mu": mu}
-        ok = quotient is not None and (d <= cap or quotient.is_zero)
-        detail = None
-        if not ok:
-            hit = sctx.table(tuple([X(sign, pos, t)] * d))[mu]
-            detail = {"target_weight": [list(c) for c in hit[0]],
-                      "image": m_mu_witness(sctx.hctx, *hit)}
+        ok = hit is None or (m_mu_divides(hctx, *hit, qfactorial(d, sctx.ring)) if d <= cap
+                             else m_mu_kills(hctx, *hit))
+        detail = None if ok else {"target_weight": [list(c) for c in hit[0]],
+                                  "image": m_mu_witness(hctx, *hit)}
         checks.append(check("divided-power-integral", params, ok, detail))
     return checks
 

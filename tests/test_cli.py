@@ -424,6 +424,11 @@ def test_largest_hecke_suites_pinned(capsys):
     # recorded before the table products and block verdicts were memoized
     (["-n", "3", "-r", "2", "-m", "2,2", "--deg", "2"], 3213,
      "c4ebb7614ec448d7e581af24720338c9b33f449a0e0d566e57d4846d865fa8eb"),
+    # recorded while the divided powers were decided on the expanded m_nu h:
+    # 7560 divided powers, 1660 of them with a nonzero quotient, and the
+    # only pinned n = 4 run whose lprod has both Q_1 and Q_2 factors
+    (["-n", "4", "-r", "3", "-m", "2,2,2", "--deg", "2"], 13310,
+     "5913c29282888a1272e972fc819f3ac8d58fead0f7ffb8bac6b8e34279a5fbbc"),
 ])
 def test_heavy_schur_suites_pinned(capsys, argv, total, digest):
     assert main(["verify", "--suite", "schur", *argv]) == 0
@@ -708,10 +713,10 @@ def _junction_off_by_one(monkeypatch):
 
 
 def _broken_quotient(monkeypatch):
-    def broken(value, divisor):
+    def broken(ctx, mu, D, g):
         raise EngineError("broken quotient")
 
-    monkeypatch.setattr(schur_suite, "a_form_quotient", broken)
+    monkeypatch.setattr(schur_suite, "m_mu_divides", broken)
 
 
 # Faults that only the second part reaches: a wrong degree of J in the

@@ -21,6 +21,7 @@ from cycloschur.hecke import (
     divided_t_bracket,
     _x_mu_collapse_kills,
     iota,
+    m_mu_divides,
     m_mu_kills,
     m_mu_mul,
     m_mu_witness,
@@ -970,6 +971,65 @@ class TestMmuWitness:
         D = ctx.T(1) - ctx.scalar(ctx.ring.q)
         assert m_mu_witness(ctx, ((2,), (1,)), D) is None
         assert m_mu_witness(ctx, ((1,), (2,)), D) is not None
+
+
+class TestMmuDivides:
+    """m_mu_divides, decided on x_mu * D, against the A-form quotient of the
+    whole m_mu * D.  Each kind of operand reaches one clause of the Gauss
+    lemma argument in its docstring: a multiple of g (divisible), a
+    ``Fraction`` coefficient (a denominator prime to lprod), a negative Q
+    exponent (lprod keeps the lowest Q degree) and a multiple of T_i - q,
+    s_i in S_mu (x_mu D = 0, so m_mu D = 0); the mixed kind divides a
+    multiple of [e]! by [d]!, either way round."""
+
+    # the verdict each kind of operand must get, None for the mixed kind
+    @pytest.mark.parametrize("kind,verdict", [
+        ("multiple", True), ("fraction", False), ("negative_Q", False),
+        ("killed", True), ("mixed", None),
+    ])
+    @pytest.mark.parametrize("m,q_one", [
+        ((1, 2), False), ((1, 2), True), ((2, 2, 2), False), ((2, 2, 2), True),
+    ])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), d=st.integers(0, 3))
+    def test_against_the_expanded_product(self, m, q_one, kind, verdict, data, d):
+        ctx = HeckeContext(3, len(m), q_one=q_one)
+        ring = ctx.ring
+        weights = comb.enumerate_compositions(3, Shape(m))
+        if kind == "killed":
+            weights = [mu for mu in weights if young_generators(mu)]
+        mu = data.draw(st.sampled_from(weights))
+        g = qfactorial(d, ring)
+        a = data.draw(a_form_elements(ctx))
+        # a nonzero L^c T_w, whose x_mu multiple is nonzero with all its
+        # coefficients 1 at q = 1
+        b = ctx.term(data.draw(st.tuples(*[st.integers(0, 2)] * 3)),
+                     tuple(data.draw(st.permutations(range(3)))), ring.one)
+        k = data.draw(st.integers(0, ring.r - 1))
+        if kind == "multiple":
+            D = a.scale(g)
+        elif kind == "fraction":
+            D = (a + b.scale(Fraction(1, 2))).scale(g)
+        elif kind == "negative_Q":
+            D = (a + b.scale(ring.Q(k, -1))).scale(g)
+        elif kind == "killed":
+            i = data.draw(st.sampled_from(young_generators(mu)))
+            c = a + b.scale(Fraction(1, 2)) + b.scale(ring.Q(k, -1))
+            D = (ctx.T(i) - ctx.scalar(ring.q)) * c
+        else:
+            D = a.scale(qfactorial(data.draw(st.integers(0, 3)), ring))
+        expected = a_form_quotient(m_mu_mul(ctx, mu, D), g) is not None
+        assert m_mu_divides(ctx, mu, D, g) == expected
+        if verdict is not None:
+            assert expected == verdict
+
+    def test_x_mu_can_supply_the_divisor(self):
+        # [2] divides x_(2) (T_1 + q^-1) = [2] x_(2), x_(2) = 1 + q T_1, but not x_(2) T_2
+        ctx = HeckeContext(3, 2)
+        mu, g = ((2,), (1,)), qfactorial(2, ctx.ring)
+        D = ctx.T(1) + ctx.scalar(ctx.ring.q_pow(-1))
+        assert m_mu_divides(ctx, mu, D, g)
+        assert not m_mu_divides(ctx, mu, ctx.T(2), g)
 
 
 def lmul_gen_dropping_a_term():

@@ -113,14 +113,18 @@ def test_only_hecke_shifts_hecke_keys():
     assert _uses(HECKE_PRIVATE, ("hecke.py",)) == []
 
 
-# Whether m_mu kills an element is decided behind ``hecke.m_mu_kills``: the
-# Young-sum sweep, the right-coset collapse and the block sizes they run on
-# are not used elsewhere.
-KILLS_PRIVATE = {"x_mu_mul", "_x_mu_collapse_kills", "young_parts"}
+# Every m_mu verdict is decided inside hecke, behind ``m_mu_kills`` and
+# ``m_mu_divides``: the Young-sum sweep, the right-coset collapse, the block
+# sizes they run on, the A-form division and the expanded m_mu product are
+# not used elsewhere, so no other module divides or expands a whole m_mu
+# image for a verdict.
+M_MU_PRIVATE = {
+    "x_mu_mul", "_x_mu_collapse_kills", "young_parts", "a_form_quotient", "m_mu_mul",
+}
 
 
-def test_only_hecke_decides_m_mu_kills():
-    assert _uses(KILLS_PRIVATE, ("hecke.py",)) == []
+def test_only_hecke_decides_m_mu_verdicts():
+    assert _uses(M_MU_PRIVATE, ("hecke.py",)) == []
 
 
 def test_every_src_definition_is_used_in_src():

@@ -1,6 +1,8 @@
 import gc
+import inspect
 import json
 import os
+import textwrap
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -10,12 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloschur import schurops
+from cycloschur import combinatorics as comb
+from cycloschur import hecke, schurops
 from cycloschur.cli import main
 from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qfactorial
 from cycloschur.combinatorics import Shape
 from cycloschur.coeff import ml_to_json
-from cycloschur.hecke import m_mu_mul, t_bracket, x_mu_mul
+from cycloschur.hecke import (
+    a_form_quotient,
+    m_mu_divides,
+    m_mu_kills,
+    m_mu_mul,
+    t_bracket,
+    x_mu_mul,
+)
 from cycloschur.schurops import (
     I,
     K,
@@ -29,7 +39,6 @@ from cycloschur.schurops import (
 )
 from cycloschur.suites import schur as schur_suite
 from cycloschur.suites.schur import (
-    divided_power_image,
     hw_eigenvalue_pair,
     ow_qcomm,
     q1_relation_words,
@@ -49,6 +58,21 @@ from coeff_helpers import monomial
 def m_mu(ctx, mu):
     """The element m_mu, as ``m_mu_mul`` applied to 1."""
     return m_mu_mul(ctx, mu, ctx.one())
+
+
+def expanded_image(sctx, labels, mu):
+    """The sequence applied to m_mu, expanded in the Hecke algebra:
+    ``m_mu_mul`` on the table hit (nu, h), the m_nu route that no verdict
+    takes."""
+    hit = sctx.table(labels).get(mu)
+    return sctx.hctx.zero() if hit is None else m_mu_mul(sctx.hctx, *hit)
+
+
+def divided_image(sctx, pos, sign, t, d, mu):
+    """(X^{sign}_t)^d(m_mu) / [d]! on the expanded image, or None when the
+    quotient leaves the A-form."""
+    value = expanded_image(sctx, (X(sign, pos, t),) * d, mu)
+    return a_form_quotient(value, qfactorial(d, sctx.ring))
 
 
 def json_terms(elem):
@@ -93,7 +117,7 @@ class TestApplyGen:
     def test_I_eigen_action(self, sctx22):
         # I^+_{(1,1),0} acts on m_mu by q^{-e}[e] with e the weight entry
         mu = ((2, 0), (0, 0))
-        value = sctx22.apply_seq((I(+1, 1, 0),), mu)
+        value = expanded_image(sctx22, (I(+1, 1, 0),), mu)
         from cycloschur.coeff import qint
 
         ring = sctx22.ring
@@ -130,7 +154,7 @@ class TestApplyGen:
 class TestApplyWord:
     def test_empty_word_is_identity(self, sctx22):
         mu = ((1, 0), (1, 0))
-        assert sctx22.apply_seq((), mu) == m_mu(sctx22.hctx, mu)
+        assert expanded_image(sctx22, (), mu) == m_mu(sctx22.hctx, mu)
 
     def test_KK_inverse(self, sctx22):
         ring = sctx22.ring
@@ -164,36 +188,95 @@ class TestApplyWord:
         assert detail is None, detail
 
 
+def m_mu_divides_mutant(old, new):
+    """``hecke.m_mu_divides`` with ``old`` replaced by ``new`` in its source."""
+    source = textwrap.dedent(inspect.getsource(hecke.m_mu_divides))
+    assert source.count(old) == 1
+    made = {}
+    exec(source.replace(old, new), vars(hecke), made)
+    return made["m_mu_divides"]
+
+
 class TestDividedPowers:
     def test_d1_integral(self, sctx32):
         mu = ((1, 1), (1, 0))
-        quotient = divided_power_image(sctx32, 1, +1, 0, 1, mu)
-        assert quotient == sctx32.apply_seq((X(+1, 1, 0),), mu)
+        quotient = divided_image(sctx32, 1, +1, 0, 1, mu)
+        assert quotient == expanded_image(sctx32, (X(+1, 1, 0),), mu)
+        hit = sctx32.table((X(+1, 1, 0),))[mu]
+        assert m_mu_divides(sctx32.hctx, *hit, qfactorial(1, sctx32.ring))
 
     def test_d2_divides(self, sctx32):
         mu = ((0, 2), (1, 0))
-        quotient = divided_power_image(sctx32, 1, +1, 0, 2, mu)
+        quotient = divided_image(sctx32, 1, +1, 0, 2, mu)
         assert quotient is not None
         assert not quotient.is_zero
+        hit = sctx32.table((X(+1, 1, 0),) * 2)[mu]
+        assert m_mu_divides(sctx32.hctx, *hit, qfactorial(2, sctx32.ring))
 
     def test_overshoot_vanishes(self, sctx32):
         mu = ((1, 1), (1, 0))
-        quotient = divided_power_image(sctx32, 1, +1, 0, 2, mu)
+        quotient = divided_image(sctx32, 1, +1, 0, 2, mu)
         assert quotient.is_zero
+        # X^+_1 twice moves two nodes out of an entry 1: a dead weight
+        assert mu not in sctx32.table((X(+1, 1, 0),) * 2)
+
+    @pytest.mark.parametrize("killed", [True, False])
+    def test_a_live_overshoot_is_decided_by_m_mu_kills(self, monkeypatch, killed):
+        # d beyond the entry leaves no table hit; were one left, the check
+        # would pass only when m_nu kills its h
+        sctx = SchurContext(3, Shape((2, 2)))
+        hctx, real = sctx.hctx, sctx.table
+        mu, nu = ((1, 1), (1, 0)), ((2, 0), (1, 0))
+        h = hctx.T(1) - hctx.scalar(sctx.ring.q) if killed else hctx.one()
+        assert m_mu_kills(hctx, nu, h) == killed
+
+        def table(labels):
+            out = real(labels)
+            return {**out, mu: (nu, h)} if labels == (X(+1, 1, 0),) * 2 else out
+
+        monkeypatch.setattr(sctx, "table", table)
+        params = {"pos": 1, "sign": 1, "t": 0, "d": 2, "mu": mu}
+        (c,) = [c for c in verify_divided_powers(sctx, dmax=2) if c["params"] == params]
+        assert c["ok"] == killed
+        if not killed:
+            assert c["detail"] == {"target_weight": [[2, 0], [1, 0]],
+                                   "image": json_terms(m_mu_mul(hctx, nu, h))[:3]}
 
     @pytest.mark.parametrize("q_one", [False, True])
     def test_quotient_times_divisor_is_the_image(self, q_one):
-        # every divided power at n = 3, m = (2, 2): the A-form quotient times
-        # [d]! (d! at q = 1) gives back the image, and some are nonzero
+        # every divided power at n = 3, m = (2, 2): the A-form quotient of
+        # the expanded image times [d]! (d! at q = 1) gives back the image,
+        # some quotients are nonzero, and the suite's verdict, which the
+        # engine takes on x_nu h, is the one read off the quotient
         sctx = SchurContext(3, Shape((2, 2)), q_one=q_one)
         gamma_prime = range(1, sctx.shape.total)
+        checks = iter(verify_divided_powers(sctx, dmax=3))
         nonzero = 0
         for pos, sign, t, d, mu in product(gamma_prime, (+1, -1), (0, 1), (1, 2, 3), sctx.weights):
-            value = sctx.apply_seq(tuple([X(sign, pos, t)] * d), mu)
-            quotient = divided_power_image(sctx, pos, sign, t, d, mu)
+            value = expanded_image(sctx, (X(sign, pos, t),) * d, mu)
+            quotient = divided_image(sctx, pos, sign, t, d, mu)
             assert quotient.scale(qfactorial(d, sctx.ring)) == value
             nonzero += not quotient.is_zero
+            cap = comb.flatten(mu)[pos if sign > 0 else pos - 1]
+            c = next(checks)
+            assert c["params"] == {"pos": pos, "sign": sign, "t": t, "d": d, "mu": mu}
+            assert c["ok"] == (d <= cap or quotient.is_zero)
+        assert next(checks, None) is None
         assert nonzero > 0
+
+    # x_mu with its last or its first Young block left out: the A-form test
+    # then reads the wrong Young sum, and some checks fail with the first
+    # terms of the undivided image
+    @pytest.mark.parametrize("q_one", [False, True])
+    @pytest.mark.parametrize("blocks,failed", [("[:-1]", 42), ("[1:]", 58)])
+    def test_a_dropped_young_block_fails(self, monkeypatch, q_one, blocks, failed):
+        mutant = m_mu_divides_mutant("young_parts(mu)", "young_parts(mu)" + blocks)
+        monkeypatch.setattr(schur_suite, "m_mu_divides", mutant)
+        sctx = SchurContext(3, Shape((2, 2)), q_one=q_one)
+        bad = [c for c in verify_divided_powers(sctx, dmax=3) if not c["ok"]]
+        assert len(bad) == failed
+        assert {c["check"] for c in bad} == {"divided-power-integral"}
+        assert all(c["detail"]["image"] for c in bad)
 
     def test_power_formula_with_cofactor(self, sctx32):
         # (X^+_t)^d (m_mu) = [d]! q^{-d mu_{i+1} + d^2} m_{mu + d alpha}
@@ -204,7 +287,7 @@ class TestDividedPowers:
         sctx = sctx32
         pos, t, d = 1, 1, 2
         mu = ((0, 2), (1, 0))
-        value = sctx.apply_seq(tuple([X(+1, pos, t)] * d), mu)
+        value = expanded_image(sctx, (X(+1, pos, t),) * d, mu)
         N = jm_position(mu, sctx.shape.node(pos), sctx.shape)
         succ = flatten(mu)[pos]
         _, cofactor = divided_t_bracket(sctx.hctx, N, succ, d, +1)
@@ -383,7 +466,7 @@ class TestRightFactors:
         for key in (labels[:2], labels[:1], labels[1:2], labels[2:]):
             assert key in sctx._seq_cache
         assert sctx._seq_cache[labels[:2]][((1, 2), (0, 0))][0] == nu
-        assert sctx.apply_seq(labels, mu) == m_mu(sctx.hctx, nu) * prod
+        assert expanded_image(sctx, labels, mu) == m_mu(sctx.hctx, nu) * prod
 
     def test_tables_hold_exactly_the_live_weights(self):
         sctx = SchurContext(3, Shape((2, 2)))
@@ -403,7 +486,7 @@ class TestRightFactors:
     def test_dead_sequence(self, sctx22):
         # X^+_1 on a weight whose successor entry is zero
         assert ((2, 0), (0, 0)) not in sctx22.table((X(+1, 1, 0),))
-        assert sctx22.apply_seq((X(+1, 1, 0),), ((2, 0), (0, 0))).is_zero
+        assert expanded_image(sctx22, (X(+1, 1, 0),), ((2, 0), (0, 0))).is_zero
         # (X^+_1)^3 moves three nodes, more than n = 2: dead on every weight
         assert sctx22.table((X(+1, 1, 0),) * 3) == {}
         assert sctx22.table((X(+1, 1, 0),) * 2)
