@@ -30,7 +30,7 @@ def main():
 
     print(f"shape m = {shape.m}, characters of Weyl modules up to n = {args.n}\n")
     for n in range(args.n + 1):
-        for lam in enumerate_multipartitions(n, shape, extended=True):
+        for lam in enumerate_multipartitions(n, shape):
             ch = weyl_character(lam, shape, ring)
             one = (0,) * ring.nvars
             weights = ch.grouped()
@@ -38,7 +38,7 @@ def main():
             print(f"  ch D{fmt_mp(lam)}: {len(weights)} weights, dimension {dim}")
     print("\nproducts with the box character:")
     box = ((1,),) + ((),) * (shape.r - 1)
-    for lam in enumerate_multipartitions(min(args.n, 3), shape, extended=True):
+    for lam in enumerate_multipartitions(min(args.n, 3), shape):
         rep = char_product_check(lam, box, shape, ring)
         rhs = " + ".join(
             (f"{item['coeff']}*" if item["coeff"] != 1 else "")

@@ -2,14 +2,17 @@
 """Run the full desk-scale verification campaign and write one JSON report
 per configuration.
 
-This drives the same suites as `cycloschur verify`, at the configurations the
-acceptance gate pins, and prints a summary table.  Reports land in
-./reports/ by default.
+Each configuration, one the acceptance gate pins, is a `cycloschur verify`
+run through `cli.main`, so a usage error (exit 2) or an engine error
+(exit 3) shows in its row of the summary table and the campaign goes on.
+The script exits with the largest code.  Reports land in ./reports/ by
+default.
 
     python3 scripts/run_verification.py [--outdir reports] [--seed 0]
 """
 
 import argparse
+import collections
 import json
 import pathlib
 import sys
@@ -17,7 +20,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from cycloschur.cli import RunConfig, cmd_verify  # noqa: E402
+from cycloschur.cli import main as cli_main  # noqa: E402
 
 CAMPAIGN = [
     # (suites, n, m, deg); the component count r is len(m)
@@ -37,6 +40,9 @@ CAMPAIGN = [
     (("lie",), 3, (2, 2, 2), 2),
 ]
 
+# the exit codes of ``cycloschur verify``
+STATUS = {0: "pass", 1: "FAIL", 2: "usage", 3: "error"}
+
 
 def main():
     ap = argparse.ArgumentParser()
@@ -51,20 +57,26 @@ def main():
     for suites, n, m, deg in CAMPAIGN:
         tag = f"{'-'.join(suites)}_n{n}_r{len(m)}_m{'x'.join(map(str, m))}"
         out = outdir / f"{tag}.json"
-        config = RunConfig(
-            n=n, m=m, suites=suites, deg=deg, seed=args.seed, out=str(out),
-        )
+        argv = ["verify", "--suite", ",".join(suites), "-n", str(n),
+                "-m", ",".join(map(str, m)), "--deg", str(deg),
+                "--seed", str(args.seed), "--out", str(out)]
         t0 = time.time()
-        code = cmd_verify(config)
+        code = cli_main(argv)
         elapsed = time.time() - t0
         overall = max(overall, code)
-        data = json.loads(out.read_text())
-        total = sum(s["total"] for s in data["suites"].values())
-        rows.append((tag, "pass" if code == 0 else "FAIL", total, elapsed))
+        # a usage or engine error (exit 2 or 3) ends the run before the
+        # report is written
+        total = "-"
+        if code in (0, 1):
+            data = json.loads(out.read_text())
+            total = sum(s["total"] for s in data["suites"].values())
+        rows.append((tag, STATUS[code], total, elapsed))
     width = max(len(r[0]) for r in rows)
     print(f"\n{'configuration'.ljust(width)}  status  checks  seconds")
     for tag, status, total, elapsed in rows:
-        print(f"{tag.ljust(width)}  {status:6}  {total:6d}  {elapsed:7.1f}")
+        print(f"{tag.ljust(width)}  {status:6}  {total:>6}  {elapsed:7.1f}")
+    tally = collections.Counter(status for _, status, _, _ in rows)
+    print(", ".join(f"{tally[status]} {status}" for status in STATUS.values()))
     return overall
 
 

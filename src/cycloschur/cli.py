@@ -360,7 +360,7 @@ def _check_r(args, count):
 
 def cmd_compute(args):
     shape = Shape(tuple(args.m))
-    if args.query not in ("phi", "lr"):
+    if "-m" in _QUERIES[args.query][1]:
         _check_r(args, shape.r)
     if args.query == "character":
         lam = parse_multipartition(args.args[0])
@@ -450,11 +450,10 @@ def cmd_compute(args):
     return 0
 
 
-_N_QUERY_ARGS = {"character": 1, "lr": 2, "phi": 3, "tableaux": 2,
-                 "structure-constants": 0}
-# the options each query reads besides -r (see _check_r) and --out
-_QUERY_OPTIONS = {"character": ("-m",), "lr": (), "phi": (), "tableaux": ("-m",),
-                  "structure-constants": ("-m", "--deg")}
+# each query's argument count and the options it reads besides -r and --out;
+# -r must match -m where a query reads -m, and lr's literals (see _check_r)
+_QUERIES = {"character": (1, ("-m",)), "lr": (2, ()), "phi": (3, ()),
+            "tableaux": (2, ("-m",)), "structure-constants": (0, ("-m", "--deg"))}
 
 
 def build_parser():
@@ -479,7 +478,7 @@ def build_parser():
     pv.add_argument("--q1", action="store_true", help="run at q = 1")
 
     pc = sub.add_parser("compute", help="compute one object as JSON")
-    pc.add_argument("query", choices=list(_N_QUERY_ARGS))
+    pc.add_argument("query", choices=list(_QUERIES))
     pc.add_argument("args", nargs="*",
                     help="query arguments, e.g. multipartition literals '((2,1),())'")
     pc.add_argument("-r", type=int,
@@ -530,7 +529,7 @@ def main(argv=None):
             )
             return cmd_verify(config)
         # the subcommand is required, so it is compute
-        expected = _N_QUERY_ARGS[args.query]
+        expected, options = _QUERIES[args.query]
         if len(args.args) != expected:
             raise ParseError(
                 f"{args.query} needs {expected} argument(s)",
@@ -538,7 +537,7 @@ def main(argv=None):
                 0,
             )
         for flag, value in (("-m", args.m), ("--deg", args.deg)):
-            if value is not None and flag not in _QUERY_OPTIONS[args.query]:
+            if value is not None and flag not in options:
                 raise ParseError(f"{args.query} does not read {flag}", str(value), 0)
         args.m = parse_blocks("2,2" if args.m is None else args.m)
         if args.r is not None:

@@ -19,8 +19,10 @@ from functools import lru_cache
 
 
 class Shape:
-    """The tuple m = (m_1, ..., m_r) of block sizes, with the gamma
-    linearization.  Immutable; equal and hashed by m."""
+    """The tuple m = (m_1, ..., m_r) of block sizes.  The gamma
+    linearization numbers the node (i, k) m_1 + ... + m_{k-1} + i, a
+    bijection onto 1..m, and ``node`` inverts it.  Immutable; equal and
+    hashed by m."""
 
     def __init__(self, m):
         m = tuple(m)
@@ -53,15 +55,8 @@ class Shape:
     def total(self):
         return sum(self.m)
 
-    def gamma(self, node):
-        """Linearize (i, k) |-> m_1 + ... + m_{k-1} + i, a bijection onto 1..m."""
-        i, k = node
-        if not (1 <= k <= self.r and 1 <= i <= self.m[k - 1]):
-            raise ValueError(f"node {node} not in Gamma({self.m})")
-        return sum(self.m[: k - 1]) + i
-
     def node(self, pos):
-        """Inverse of gamma."""
+        """The node (i, k) at position pos of the gamma linearization."""
         if not 1 <= pos <= self.total:
             raise ValueError(f"position {pos} out of range")
         k = 1
@@ -150,12 +145,10 @@ def strip(partition):
     return p
 
 
-def enumerate_multipartitions(n, shape, extended=False):
-    """Lambda^+_{n,r}(m), or the extended set with component lengths
-    bounded by (n, ..., n, m_r) when ``extended`` is true."""
-    bounds = [n if extended else mk for mk in shape.m]
-    if extended:
-        bounds[-1] = shape.m[-1]
+def enumerate_multipartitions(n, shape):
+    """The extended set of multipartitions of n, whose component lengths are
+    bounded by (n, ..., n, m_r), the index set of the Weyl characters."""
+    bounds = [n] * (shape.r - 1) + [shape.m[-1]]
     out = []
     for sizes in compositions_of(n, shape.r):
         pools = [partitions_of(nk, max_len=bounds[k]) for k, nk in enumerate(sizes)]

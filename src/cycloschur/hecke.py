@@ -607,25 +607,16 @@ def stacked_bracket(ctx, N, mu, d, sign):
     return out
 
 
-def divided_t_bracket(ctx, N, mu, d, sign):
-    """The stacked bracket together with its cofactor: returns (product, h)
-    with h built by the recursive expansion, so that product should equal
-    (T;N,d)^{sign}! * h (the divided-bracket-cofactor check)."""
-    direct = stacked_bracket(ctx, N, mu, d, sign)
-    if d == 0:
-        return direct, ctx.one()
-    if mu < d or direct.is_zero:
-        return direct, ctx.zero()
-    return direct, _cofactor(ctx, N, mu, d, sign)
-
-
-def _cofactor(ctx, N, mu, d, sign):
+def bracket_cofactor(ctx, N, mu, d, sign):
+    """The cofactor h of the stacked bracket by its recursive expansion, so
+    that ``stacked_bracket(ctx, N, mu, d, sign)`` should equal
+    (T;N,d)^{sign}! * h when d <= mu (the divided-bracket-cofactor check)."""
     if d == 0:
         return ctx.one()
-    out = _cofactor(ctx, N, d - 1, d - 1, sign)
+    out = bracket_cofactor(ctx, N, d - 1, d - 1, sign)
     for h in range(1, mu - d + 1):
         word = t_chain(ctx, N + sign * d, h, sign)
-        out = out + (word * _cofactor(ctx, N, d + h - 1, d - 1, sign)).scale(
+        out = out + (word * bracket_cofactor(ctx, N, d + h - 1, d - 1, sign)).scale(
             ctx.ring.q_pow(h)
         )
     return out

@@ -108,30 +108,10 @@ class LieContext:
         terms = self.ring.scalar_terms(coeff)
         return LieElem(self, {((p, q, t), k): c for k, c in terms.items()})
 
-    def X(self, sign, pos, t):
-        if not 1 <= pos <= self.m - 1:
-            raise ValueError(f"position {pos} not in Gamma'")
-        return self.basis(pos, pos + 1, t) if sign > 0 else self.basis(pos + 1, pos, t)
-
-    def I(self, pos, t):
-        return self.basis(pos, pos, t)
-
     def zero(self):
         return LieElem(self, {})
 
     # -- brackets ----------------------------------------------------------
-
-    def bracket(self, x, y):
-        origin, guard = self._origin, self._guard
-        out = {}
-        for (a, ka), ca in x.terms.items():
-            for (b, kb), cb in y.terms.items():
-                key = ka + kb - origin
-                if key & guard:
-                    raise _overflow()
-                terms = self.bracket_basis(a, b).terms
-                _acc_scaled(out, terms, key - origin, ca * cb, guard)
-        return LieElem(self, out)
 
     def bracket_basis(self, a, b):
         key = (a, b)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 
 from .. import combinatorics as comb
-from ..hecke import (HeckeContext, divided_t_bracket, in_window, m_mu_witness, phi_jm,
+from ..hecke import (HeckeContext, bracket_cofactor, in_window, m_mu_witness, phi_jm,
                      stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial)
 from ..reporting import PM, check
 
@@ -138,12 +138,16 @@ def verify_bracket_com_rel(ctx):
 
 
 def verify_divided_brackets(ctx, dmax=3):
+    """Each stacked bracket equals (T;N,d)^{sign}! times its cofactor, the
+    zero cofactor when mu < d or the bracket is zero; it vanishes when
+    mu < d or its window leaves 0..n, and else matches its expansion."""
     checks = []
     ring = ctx.ring
     n = ctx.n
     for sign, N, mu, d in product((+1, -1), range(n + 1), range(n + 1), range(1, dmax + 1)):
         params = {"sign": sign, "N": N, "mu": mu, "d": d}
-        direct, h = divided_t_bracket(ctx, N, mu, d, sign)
+        direct = stacked_bracket(ctx, N, mu, d, sign)
+        h = ctx.zero() if mu < d or direct.is_zero else bracket_cofactor(ctx, N, mu, d, sign)
         recon = t_paren_factorial(ctx, N, d, sign) * h
         checks.append(check("divided-bracket-cofactor", params, recon == direct))
         if mu < d:

@@ -13,7 +13,7 @@ from itertools import product
 
 from .. import combinatorics as comb
 from ..coeff import qfactorial, qint
-from ..hecke import m_mu_divides, m_mu_kills, m_mu_witness
+from ..hecke import m_mu_divides, m_mu_witness
 from ..reporting import PM, check
 from ..schurops import I, K, SchurContext, X, ow, ow_commutator, ow_mul, ow_neg, ow_scale
 from ..symfun import phi
@@ -247,19 +247,6 @@ def x_relation_words(sctx, deg):
         yield "CJ0", {"pos": pos}, J0, rhs
 
 
-def relation_words(sctx, deg):
-    """(R1)-(R8), the expansions of [I_s, X_t] and two corollaries of (R1),
-    as (name, params, lhs word, rhs word) in report order."""
-    yield from ki_relation_words(sctx, deg)
-    yield from x_relation_words(sctx, deg)
-
-
-def verify_relations(sctx, deg=2, words=relation_words):
-    """The relations of ``words``, by default (R1)-(R8) plus the derived
-    commutation expansions, as operator identities on every weight."""
-    return run_relations(sctx, words(sctx, deg))
-
-
 def verify_q1(sctx, deg=2):
     """The q = 1 identities: trivial K, matching I^+ = I^-, and the images of
     the current-algebra relations (L1)-(L6)."""
@@ -335,19 +322,18 @@ def q1_relation_words(sctx, deg):
 
 def verify_divided_powers(sctx, dmax=3):
     """(X^{sign}_t)^d(m_mu) / [d]! lies in the A-form for t = 0, 1 and
-    d <= dmax, and vanishes when d exceeds the entry that X^{sign} moves
-    nodes out of; the engine decides both on h, the image being m_nu * h for
-    the table hit (nu, h).  A failed check carries the target weight and the
-    first terms of the undivided image."""
+    d <= dmax; the engine decides it on h, the image being m_nu * h for the
+    table hit (nu, h).  A d above the entry that X^{sign} moves nodes out of
+    leaves no hit, since ``SchurContext.add_alpha`` admits no negative
+    entry, so its image is zero.  A failed check carries the target weight
+    and the first terms of the undivided image."""
     checks = []
     hctx = sctx.hctx
     gamma_prime, T, D = range(1, sctx.shape.total), range(2), range(1, dmax + 1)
     for pos, sign, t, d, mu in product(gamma_prime, (+1, -1), T, D, sctx.weights):
         hit = sctx.table(tuple([X(sign, pos, t)] * d)).get(mu)
-        cap = comb.flatten(mu)[pos if sign > 0 else pos - 1]
         params = {"pos": pos, "sign": sign, "t": t, "d": d, "mu": mu}
-        ok = hit is None or (m_mu_divides(hctx, *hit, qfactorial(d, sctx.ring)) if d <= cap
-                             else m_mu_kills(hctx, *hit))
+        ok = hit is None or m_mu_divides(hctx, *hit, qfactorial(d, sctx.ring))
         detail = None if ok else {"target_weight": [list(c) for c in hit[0]],
                                   "image": m_mu_witness(hctx, *hit)}
         checks.append(check("divided-power-integral", params, ok, detail))
@@ -369,11 +355,11 @@ def hw_eigenvalue_pair(lam_j, j, l, t, sign, ring):
     return via_phi, closed
 
 
-def verify_hw_eigenvalues(ring, lam_max=5, j_max=3, t_max=4, l_values=(1, 2)):
+def verify_hw_eigenvalues(ring, lam_max=5, j_max=3, t_max=4):
     """The two closed forms of the highest-weight eigenvalues agree, for both
-    signs (and at q = 1 when the ring pins q), at every l <= r of l_values."""
+    signs (and at q = 1 when the ring pins q), at l = 1 and 2 when l <= r."""
     checks = []
-    L = [l for l in l_values if l <= ring.r]
+    L = [l for l in (1, 2) if l <= ring.r]
     J, LAM, T = range(1, j_max + 1), range(lam_max + 1), range(t_max + 1)
     for l, j, lam_j, t, sign in product(L, J, LAM, T, (+1, -1)):
         via_phi, closed = hw_eigenvalue_pair(lam_j, j, l, t, sign, ring)
@@ -395,14 +381,15 @@ def _context(config):
 def run_ki(config):
     """Part 0 of the ``schur`` suite of ``cycloschur verify``: the relations
     with a K or an I."""
-    return verify_relations(_context(config), config.deg, ki_relation_words)
+    sctx = _context(config)
+    return run_relations(sctx, ki_relation_words(sctx, config.deg))
 
 
 def run_x(config):
     """Part 1 of the ``schur`` suite: the relations among the X, the
     divided powers and the highest-weight eigenvalues."""
     sctx = _context(config)
-    checks = verify_relations(sctx, config.deg, x_relation_words)
+    checks = run_relations(sctx, x_relation_words(sctx, config.deg))
     checks += verify_divided_powers(sctx, dmax=config.dmax)
     return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
 

@@ -57,7 +57,7 @@ def verify_characters(shape, nmax, ring, chars=None):
     checks = []
     nvars = shape.total
     for n in range(0, nmax + 1):
-        for lam in comb.enumerate_multipartitions(n, shape, extended=True):
+        for lam in comb.enumerate_multipartitions(n, shape):
             ch = cached_character(lam, shape, ring, chars)
             sym_ok = True
             for k in range(1, shape.r + 1):
@@ -92,7 +92,7 @@ def verify_char_products(shape, total_max, ring, chars=None):
     checks = []
     seen_partition_pairs = set()
     by_size = {
-        n: comb.enumerate_multipartitions(n, shape, extended=True)
+        n: comb.enumerate_multipartitions(n, shape)
         for n in range(total_max + 1)
     }
     pairs = [

@@ -298,7 +298,7 @@ def char_product_check(lam, mu, shape, ring, chars=None, by_size=None):
     lhs = cached_character(lam, shape, ring, chars) * cached_character(mu, shape, ring, chars)
     n_total = comb.size(lam) + comb.size(mu)
     if by_size is None:
-        nus = comb.enumerate_multipartitions(n_total, shape, extended=True)
+        nus = comb.enumerate_multipartitions(n_total, shape)
     else:
         nus = by_size[n_total]
     rhs = SymPoly.zero(ring, shape.total)

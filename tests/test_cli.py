@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import importlib.util
 import json
 import os
 import signal
@@ -300,10 +301,8 @@ class TestVerifyCommand:
 
     def test_broken_stacked_bracket_fails_the_cofactor_check(self, capsys, monkeypatch):
         # the cofactor reconstruction is a recorded check, not an engine error
-        real = hecke.stacked_bracket
-        # the engine's divided_t_bracket and the suite's expansion both use it
-        for module in (hecke, hecke_suite):
-            monkeypatch.setattr(module, "stacked_bracket", lambda *a: real(*a).scale(2))
+        real = hecke_suite.stacked_bracket
+        monkeypatch.setattr(hecke_suite, "stacked_bracket", lambda *a: real(*a).scale(2))
         assert main(["verify", "--suite", "hecke", "-n", "2", "-r", "1", "-m", "2"]) == 1
         failed = json.loads(capsys.readouterr().out)["suites"]["hecke"]["failed"]
         assert any(c["check"] == "divided-bracket-cofactor" for c in failed)
@@ -623,6 +622,31 @@ def test_character_tables_script_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "26c3616b551f0da7fb225475f0fa35f2b931efb88af284624aa7afcd7faa919c"
     )
+
+
+def test_campaign_script_goes_on_past_usage_and_engine_errors(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # a negative n is a usage error; a doubled phi_jm breaks the X_t
+    # induction check of the schur suite, an engine error
+    monkeypatch.setattr(script, "CAMPAIGN", [
+        (("symfun",), -1, (2,), 0), (("symfun",), 2, (2,), 0), (("schur",), 2, (2,), 1),
+    ])
+    real = schurops.phi_jm
+    monkeypatch.setattr(schurops, "phi_jm", lambda *a: real(*a).scale(2))
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--outdir", str(tmp_path)])
+    assert script.main() == 3
+    captured = capsys.readouterr()
+    rows = [line.split()[:3] for line in captured.out.splitlines()[-4:-1]]
+    assert rows == [["symfun_n-1_r1_m2", "usage", "-"], ["symfun_n2_r1_m2", "pass", "130"],
+                    ["schur_n2_r1_m2", "error", "-"]]
+    assert captured.out.splitlines()[-1] == "1 pass, 0 FAIL, 1 usage, 1 error"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["symfun_n2_r1_m2.json"]
+    errors = captured.err.splitlines()
+    assert errors[0].startswith("error: -n must be at least 0")
+    assert errors[1].startswith("engine error: ")
 
 
 # ``cycloschur verify`` deals the parts of its suites round-robin to as many

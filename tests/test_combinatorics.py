@@ -18,6 +18,8 @@ from cycloschur.combinatorics import (
     tableau_weight,
 )
 
+from api_helpers import small_multipartitions
+
 R2 = LaurentRing(2)
 
 
@@ -57,12 +59,13 @@ class TestGamma:
     def test_bijection(self, m):
         shape = Shape(m)
         seen = set()
+        pos = 0
         for k in range(1, shape.r + 1):
             for i in range(1, shape.m[k - 1] + 1):
-                pos = shape.gamma((i, k))
+                pos += 1  # gamma((i, k)) = m_1 + ... + m_{k-1} + i
                 assert shape.node(pos) == (i, k)
                 seen.add(pos)
-        assert seen == set(range(1, shape.total + 1))
+        assert seen == set(shape.positions())
 
     def test_junctions(self):
         shape = Shape((2, 3, 1))
@@ -100,8 +103,8 @@ class TestCompositions:
 class TestMultipartitions:
     def test_n1(self):
         shape = Shape((2, 2))
-        got = set(enumerate_multipartitions(1, shape))
-        assert got == {((1,), ()), ((), (1,))}
+        for got in (small_multipartitions(1, shape), enumerate_multipartitions(1, shape)):
+            assert set(got) == {((1,), ()), ((), (1,))}
 
     def test_n2_r1(self):
         shape = Shape((2,))
@@ -109,13 +112,15 @@ class TestMultipartitions:
 
     def test_length_filter(self):
         shape = Shape((1,))
-        assert set(enumerate_multipartitions(2, shape, extended=False)) == {((2,),)}
+        # the last component is bounded by m_r in the extended set too
+        assert set(small_multipartitions(2, shape)) == {((2,),)}
+        assert set(enumerate_multipartitions(2, shape)) == {((2,),)}
 
     def test_extended_set(self):
         # extended bound is (n, ..., n, m_r): component 1 may exceed m_1
         shape = Shape((1, 1))
-        small = set(enumerate_multipartitions(2, shape))
-        ext = set(enumerate_multipartitions(2, shape, extended=True))
+        small = set(small_multipartitions(2, shape))
+        ext = set(enumerate_multipartitions(2, shape))
         assert (((1, 1), ()),) [0] in ext - small
         assert small < ext
         assert all(multipartition_in_small_set(lam, shape) for lam in small)
@@ -127,9 +132,9 @@ class TestMultipartitions:
         wide = Shape((n, 2))
         direct = {
             tuple(strip(p) for p in lam)
-            for lam in enumerate_multipartitions(n, wide)
+            for lam in small_multipartitions(n, wide)
         }
-        assert set(enumerate_multipartitions(n, shape, extended=True)) == direct
+        assert set(enumerate_multipartitions(n, shape)) == direct
 
 
 class TestResidue:
@@ -169,7 +174,7 @@ class TestTableaux:
 
     def test_weight_equals_shape_unique(self):
         shape = Shape((2, 2))
-        for lam in enumerate_multipartitions(3, shape):
+        for lam in small_multipartitions(3, shape):
             mu = composition_of_multipartition(lam, shape)
             tabs = semistandard_tableaux(lam, shape, weight=mu)
             assert len(tabs) == 1

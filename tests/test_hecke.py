@@ -18,7 +18,7 @@ from cycloschur.hecke import (
     EngineError,
     HeckeContext,
     a_form_quotient,
-    divided_t_bracket,
+    bracket_cofactor,
     _x_mu_collapse_kills,
     iota,
     m_mu_divides,
@@ -27,6 +27,7 @@ from cycloschur.hecke import (
     m_mu_witness,
     phi_jm,
     reduced_word,
+    stacked_bracket,
     t_bracket,
     t_paren,
     t_paren_factorial,
@@ -1219,7 +1220,7 @@ class TestOneSidedMatchMirrored:
         for sign, N, mu, d in itertools.product(
             (+1, -1), range(-1, n + 2), range(0, n + 2), range(0, n + 2)
         ):
-            new = _outcome(hecke_mod._cofactor, ctx, N, mu, d, sign)
+            new = _outcome(bracket_cofactor, ctx, N, mu, d, sign)
             assert new == _outcome(_mirrored_cofactor, ctx, N, mu, d, sign)
             raised += new is ValueError
         assert raised
@@ -1227,21 +1228,23 @@ class TestOneSidedMatchMirrored:
 
 class TestDividedBrackets:
     def test_d0(self, ctx3):
-        prod, h = divided_t_bracket(ctx3, 1, 2, 0, +1)
-        assert prod == ctx3.one() and h == ctx3.one()
+        assert stacked_bracket(ctx3, 1, 2, 0, +1) == ctx3.one()
+        assert bracket_cofactor(ctx3, 1, 2, 0, +1) == ctx3.one()
 
     def test_mu_less_than_d(self, ctx3):
-        prod, h = divided_t_bracket(ctx3, 0, 1, 2, +1)
-        assert prod.is_zero and h.is_zero
+        # the suite pairs a zero bracket below d with the zero cofactor
+        assert stacked_bracket(ctx3, 0, 1, 2, +1).is_zero
+        checks = [c for c in verify_divided_brackets(ctx3, dmax=2)
+                  if c["params"] == {"sign": 1, "N": 0, "mu": 1, "d": 2}]
+        assert [(c["check"], c["ok"]) for c in checks] == [
+            ("divided-bracket-cofactor", True), ("divided-bracket-vanishing", True)]
 
     def test_reconstruction_mismatch_fails_the_cofactor_check(self, monkeypatch):
         ctx = HeckeContext(3, 2)
-        real = hecke_mod.stacked_bracket
-        # the engine's divided_t_bracket and the suite's expansion both use it
-        for module in (hecke_mod, suite_mod):
-            monkeypatch.setattr(module, "stacked_bracket", lambda *a: real(*a).scale(2))
-        direct, h = divided_t_bracket(ctx, 0, 2, 1, +1)
-        assert direct == real(ctx, 0, 2, 1, +1).scale(2) and not h.is_zero
+        real = suite_mod.stacked_bracket
+        # the suite's bracket and its expansion both read it
+        monkeypatch.setattr(suite_mod, "stacked_bracket", lambda *a: real(*a).scale(2))
+        assert not bracket_cofactor(ctx, 0, 2, 1, +1).is_zero
         failed = [c for c in verify_divided_brackets(ctx, dmax=2) if not c["ok"]]
         assert {c["check"] for c in failed} == {"divided-bracket-cofactor"}
 
@@ -1253,18 +1256,16 @@ class TestDividedBrackets:
             extra = c.one() if mu < d else c.zero()
             return real(c, N, mu, d, sign) + extra
 
-        for module in (hecke_mod, suite_mod):
-            monkeypatch.setattr(module, "stacked_bracket", broken)
-        assert divided_t_bracket(ctx, 0, 1, 2, +1) == (ctx.one(), ctx.zero())
+        monkeypatch.setattr(suite_mod, "stacked_bracket", broken)
         failed = [c for c in verify_divided_brackets(ctx, dmax=2) if not c["ok"]]
         assert {"mu": 1, "d": 2, "N": 0, "sign": 1} in [
             c["params"] for c in failed if c["check"] == "divided-bracket-vanishing"
         ]
 
     def test_d1(self, ctx3):
-        prod, h = divided_t_bracket(ctx3, 0, 2, 1, +1)
+        prod = stacked_bracket(ctx3, 0, 2, 1, +1)
         assert prod == t_bracket(ctx3, 0, 2, +1)
-        assert h == prod  # (T;N,1)^+! = 1
+        assert bracket_cofactor(ctx3, 0, 2, 1, +1) == prod  # (T;N,1)^+! = 1
 
     def test_suite(self, ctx3):
         for c in verify_divided_brackets(ctx3, dmax=3):
@@ -1310,7 +1311,6 @@ class TestJson:
         assert data[1]["L"] == [0, 2, 0] and data[1]["w"] == [1, 2, 3]
 
 
-@pytest.mark.slow
 class TestSuiteSmall:
     def test_full_suite_n3_r2(self):
         ctx = HeckeContext(3, 2)

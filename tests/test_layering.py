@@ -127,19 +127,35 @@ def test_only_hecke_decides_m_mu_verdicts():
     assert _uses(M_MU_PRIVATE, ("hecke.py",)) == []
 
 
+def test_suites_import_no_private_engine_name():
+    private = [
+        (path, node.lineno, alias.name) for path, node in _src_nodes()
+        if path.startswith("suites/") and isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_every_src_definition_is_used_in_src():
-    # by name, so a method counts as used when any object's attribute of
-    # that name is read; dunder methods are called by the language
-    defined, used = {}, set()
-    for path, node in _src_nodes():
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.setdefault(node.name, []).append((path, node.lineno))
-        used |= _names(node)
-    unused = {
-        name: where for name, where in defined.items()
-        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    # a function or class counts as used when src names it; a method only
+    # when src reads an attribute of its name, since a name that matches a
+    # function or a local does not call it; dunder methods are called by
+    # the language
+    nodes = list(_src_nodes())
+    owner = {
+        id(item): node.name for _, node in nodes if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, ast.FunctionDef)
     }
-    assert unused == {}
+    named = set().union(*(_names(node) for _, node in nodes))
+    read = {node.attr for _, node in nodes if isinstance(node, ast.Attribute)}
+    unused = [
+        f"{path}:{owner[id(node)]}.{node.name}" if id(node) in owner else f"{path}:{node.name}"
+        for path, node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in (read if id(node) in owner else named)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert unused == []
 
 
 # The arithmetic of the flat engine elements (MultiLaurent, HeckeElem,

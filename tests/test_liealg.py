@@ -27,6 +27,8 @@ from cycloschur.suites.lie import (
     verify_vtau,
 )
 
+from api_helpers import lie_bracket, lie_I, lie_X
+
 
 def junction_Q(lctx, pos):
     """The parameter attached to a junction position, else None."""
@@ -42,40 +44,39 @@ def lctx():
 
 class TestBracketTable:
     def test_diagonal_commute(self, lctx):
-        assert lctx.bracket(lctx.I(1, 2), lctx.I(3, 1)).is_zero
-        assert lctx.bracket(lctx.I(2, 0), lctx.I(2, 5)).is_zero
+        assert lie_bracket(lie_I(lctx, 1, 2), lie_I(lctx, 3, 1)).is_zero
+        assert lie_bracket(lie_I(lctx, 2, 0), lie_I(lctx, 2, 5)).is_zero
 
     def test_I_on_X(self, lctx):
         # [I_{jl,s}, X^+_{ik,t}] = a X^+_{ik,s+t}
-        assert lctx.bracket(lctx.I(1, 2), lctx.X(+1, 1, 1)) == lctx.X(+1, 1, 3)
-        assert lctx.bracket(lctx.I(2, 2), lctx.X(+1, 1, 1)) == lctx.X(+1, 1, 3).scale(
-            -lctx.ring.one
-        )
-        assert lctx.bracket(lctx.I(3, 2), lctx.X(+1, 1, 1)).is_zero
+        x, x3 = lie_X(lctx, +1, 1, 1), lie_X(lctx, +1, 1, 3)
+        assert lie_bracket(lie_I(lctx, 1, 2), x) == x3
+        assert lie_bracket(lie_I(lctx, 2, 2), x) == x3.scale(-lctx.ring.one)
+        assert lie_bracket(lie_I(lctx, 3, 2), x).is_zero
 
     def test_L3_interior(self, lctx):
         # away from the junction: [X^+_t, X^-_s] = I_p - I_{p+1} at degree s+t
-        got = lctx.bracket(lctx.X(+1, 1, 1), lctx.X(-1, 1, 2))
-        assert got == lctx.I(1, 3) - lctx.I(2, 3)
+        got = lie_bracket(lie_X(lctx, +1, 1, 1), lie_X(lctx, -1, 1, 2))
+        assert got == lie_I(lctx, 1, 3) - lie_I(lctx, 2, 3)
 
     def test_L3_junction(self, lctx):
-        got = lctx.bracket(lctx.X(+1, 2, 1), lctx.X(-1, 2, 1))
-        J2 = lctx.I(2, 2) - lctx.I(3, 2)
-        J3 = lctx.I(2, 3) - lctx.I(3, 3)
+        got = lie_bracket(lie_X(lctx, +1, 2, 1), lie_X(lctx, -1, 2, 1))
+        J2 = lie_I(lctx, 2, 2) - lie_I(lctx, 3, 2)
+        J3 = lie_I(lctx, 2, 3) - lie_I(lctx, 3, 3)
         assert got == J3 - J2.scale(lctx.ring.Q(1))
 
     def test_L4_far_commute(self, lctx):
-        assert lctx.bracket(lctx.X(+1, 1, 0), lctx.X(+1, 3, 2)).is_zero
-        assert lctx.bracket(lctx.X(-1, 1, 1), lctx.X(-1, 3, 0)).is_zero
+        assert lie_bracket(lie_X(lctx, +1, 1, 0), lie_X(lctx, +1, 3, 2)).is_zero
+        assert lie_bracket(lie_X(lctx, -1, 1, 1), lie_X(lctx, -1, 3, 0)).is_zero
 
     def test_L5_degree_shift(self, lctx):
-        lhs = lctx.bracket(lctx.X(+1, 1, 2), lctx.X(+1, 2, 0))
-        rhs = lctx.bracket(lctx.X(+1, 1, 1), lctx.X(+1, 2, 1))
+        lhs = lie_bracket(lie_X(lctx, +1, 1, 2), lie_X(lctx, +1, 2, 0))
+        rhs = lie_bracket(lie_X(lctx, +1, 1, 1), lie_X(lctx, +1, 2, 1))
         assert lhs == rhs
 
     def test_ladder_builds_long_roots(self, lctx):
-        assert lctx.bracket(lctx.X(+1, 1, 0), lctx.X(+1, 2, 3)) == lctx.basis(1, 3, 3)
-        assert lctx.bracket(lctx.X(-1, 2, 0), lctx.X(-1, 1, 3)) == lctx.basis(3, 1, 3)
+        assert lie_bracket(lie_X(lctx, +1, 1, 0), lie_X(lctx, +1, 2, 3)) == lctx.basis(1, 3, 3)
+        assert lie_bracket(lie_X(lctx, -1, 2, 0), lie_X(lctx, -1, 1, 3)) == lctx.basis(3, 1, 3)
 
     def test_bilinear_antisymmetric_random(self, lctx):
         rng = random.Random(5)
@@ -86,15 +87,15 @@ class TestBracketTable:
             c2 = lctx.ring.from_fraction(rng.randint(1, 4))
             x = lctx.basis(*a).scale(c1)
             y = lctx.basis(*b).scale(c2)
-            assert lctx.bracket(x, y) == lctx.bracket_basis(a, b).scale(c1 * c2)
-            assert (lctx.bracket(x, y) + lctx.bracket(y, x)).is_zero
+            assert lie_bracket(x, y) == lctx.bracket_basis(a, b).scale(c1 * c2)
+            assert (lie_bracket(x, y) + lie_bracket(y, x)).is_zero
         for c in verify_antisymmetry(lctx, deg_cap=2):
             assert c["ok"], c
 
     def test_degree_raise_bounded_by_junction_count(self):
         # two junctions crossed: the bracket picks up terms two degrees up
         lctx3 = LieContext(Shape((1, 1, 1)))
-        br = lctx3.bracket(lctx3.basis(1, 3, 0), lctx3.basis(3, 1, 0))
+        br = lie_bracket(lctx3.basis(1, 3, 0), lctx3.basis(3, 1, 0))
         degrees = {t for (_, _, t) in br.grouped()}
         assert degrees == {0, 1, 2}
         lead = [lab for lab in br.grouped() if lab[2] == 0]
@@ -700,10 +701,10 @@ class TestPackedRange:
         # [E_23, E_32] carries a Q_1 term, which overflows Q_1^8191
         x = lctx.basis(2, 3, 0, lctx.ring.Q(1, 8191))
         with pytest.raises(EngineError, match="packed key range"):
-            lctx.bracket(x, lctx.basis(3, 2, 0))
+            lie_bracket(x, lctx.basis(3, 2, 0))
         y = lctx.basis(2, 3, 0, lctx.ring.Q(1, -8192))
         with pytest.raises(EngineError, match="packed key range"):
-            lctx.bracket(y, lctx.basis(3, 2, 0, lctx.ring.Q(1, -1)))
+            lie_bracket(y, lctx.basis(3, 2, 0, lctx.ring.Q(1, -1)))
 
     def test_matrix_image_out_of_range(self, lctx):
         # the V_tau and evaluation matrices of E_23 carry Q_1 as well

@@ -42,16 +42,15 @@ from cycloschur.suites.schur import (
     hw_eigenvalue_pair,
     ow_qcomm,
     q1_relation_words,
-    relation_words,
     run_relations,
     verify_divided_powers,
     verify_hw_eigenvalues,
     verify_q1,
-    verify_relations,
     word_J,
     word_ktilde,
 )
 
+from api_helpers import relation_words, verify_relations
 from coeff_helpers import monomial
 
 
@@ -220,10 +219,31 @@ class TestDividedPowers:
         # X^+_1 twice moves two nodes out of an entry 1: a dead weight
         assert mu not in sctx32.table((X(+1, 1, 0),) * 2)
 
+    # every (X^{sign}_t)^d with d <= 3 at every weight: a table hit exactly
+    # when d is at most the entry that X^{sign} moves nodes out of, so no
+    # divided power is decided above that entry
+    @pytest.mark.parametrize("n,m,q_one", [
+        (2, (2, 2), False), (3, (2, 2), False), (2, (2, 2), True), (3, (2, 2), True),
+        (2, (1, 1, 1), False), (3, (2, 2, 2), False),
+    ])
+    def test_a_table_hit_exactly_up_to_the_source_entry(self, n, m, q_one):
+        sctx = SchurContext(n, Shape(m), q_one=q_one)
+        hits = misses = 0
+        for pos, sign, t, d in product(range(1, sctx.shape.total), (+1, -1), (0, 1), (1, 2, 3)):
+            table = sctx.table((X(sign, pos, t),) * d)
+            for mu in sctx.weights:
+                source = comb.flatten(mu)[pos if sign > 0 else pos - 1]
+                hit = mu in table
+                assert hit == (d <= source), (pos, sign, t, d, mu)
+                hits += hit
+                misses += not hit
+        assert hits and misses
+
     @pytest.mark.parametrize("killed", [True, False])
-    def test_a_live_overshoot_is_decided_by_m_mu_kills(self, monkeypatch, killed):
+    def test_a_live_overshoot_is_decided_by_m_mu_divides(self, monkeypatch, killed):
         # d beyond the entry leaves no table hit; were one left, the check
-        # would pass only when m_nu kills its h
+        # would read the A-form quotient of m_nu h / [d]! like any other: it
+        # passes when m_nu kills h and fails for h = 1
         sctx = SchurContext(3, Shape((2, 2)))
         hctx, real = sctx.hctx, sctx.table
         mu, nu = ((1, 1), (1, 0)), ((2, 0), (1, 0))
@@ -282,7 +302,7 @@ class TestDividedPowers:
         # (X^+_t)^d (m_mu) = [d]! q^{-d mu_{i+1} + d^2} m_{mu + d alpha}
         #                     (L_{N+1}...L_{N+d})^t  H^+(N, mu_{i+1}, d)
         from cycloschur.combinatorics import flatten, jm_position, unflatten
-        from cycloschur.hecke import divided_t_bracket
+        from cycloschur.hecke import bracket_cofactor
 
         sctx = sctx32
         pos, t, d = 1, 1, 2
@@ -290,7 +310,7 @@ class TestDividedPowers:
         value = expanded_image(sctx, (X(+1, pos, t),) * d, mu)
         N = jm_position(mu, sctx.shape.node(pos), sctx.shape)
         succ = flatten(mu)[pos]
-        _, cofactor = divided_t_bracket(sctx.hctx, N, succ, d, +1)
+        cofactor = bracket_cofactor(sctx.hctx, N, succ, d, +1)
         flat = list(flatten(mu))
         flat[pos - 1] += d
         flat[pos] -= d
@@ -860,7 +880,6 @@ def test_every_x_induction_is_still_checked(monkeypatch, capsys, argv, tmax):
     }
 
 
-@pytest.mark.slow
 class TestSuites:
     def test_relations_small(self):
         sctx = SchurContext(2, Shape((2, 2)))

@@ -217,7 +217,7 @@ class TestHelpers:
         # a character (entries can sit in component 2)
         shape = Shape((1, 1))
         lam = ((1, 1), ())
-        assert lam in enumerate_multipartitions(2, shape, extended=True)
+        assert lam in enumerate_multipartitions(2, shape)
         ch = weyl_character(lam, shape, R2)
         # column of two boxes forces the strictly increasing filling (1,1),(1,2)
         assert ch == poly(2, R2, {(1, 1): 1})
