@@ -6,7 +6,8 @@ coefficients.  A coefficient is stored as an ``int`` when it is integral and
 as a ``Fraction`` otherwise, never as a ``float``.  Every structure constant
 of the Hecke and Schur engines lies in Z[q^{+-1}, Q^{+-1}], so their
 arithmetic runs on plain integers; a ``Fraction`` appears only for a value
-that really is fractional (the V_tau matrices, a user-supplied rational).
+that really is fractional (a V_tau matrix at a rational tau, a
+user-supplied rational).
 The number of Q parameters is fixed per session by ``LaurentRing(r)``; the
 q = 1 regime is the same ring built with ``q_one=True``, which pins the q
 exponent to zero at construction time.
@@ -177,6 +178,24 @@ def _mul_terms(a, b, nvars):
 def _clean(out):
     """The accumulated terms without zeros, integral Fractions as ints."""
     return {k: c if type(c) is int else _exact(c) for k, c in out.items() if c}
+
+
+def at_q(terms, value):
+    """Flat terms {(head, key): c} with q set to the exact rational
+    ``value``: each c q^e on a key becomes c value^e on that key with q
+    exponent zero.  The result is zero-free, with integral values as ints;
+    at 0 only the q^0 terms remain.  A float ``value`` raises
+    ``TypeError``."""
+    value = _exact(value)
+    out = {}
+    for (head, key), c in terms.items():
+        e = (key & _MASK) - _BIAS
+        if e:
+            c *= value**e if e > 0 else Fraction(value) ** e
+            key -= e
+        k = (head, key)
+        out[k] = out.get(k, 0) + c
+    return _clean(out)
 
 
 class FlatElem:

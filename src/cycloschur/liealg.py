@@ -11,8 +11,9 @@ their minus transpose; general brackets reduce recursively through the
 derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].
 
 Coefficients lie in the shared Laurent ring with the q exponent pinned to
-zero; the parameters Q_1, ..., Q_{r-1} enter at the junction positions
-m_1 + ... + m_k, through one junction step of the raising bracket.  They
+zero (the V_tau matrices put tau in that slot); the parameters Q_1, ...,
+Q_{r-1} enter at the junction positions m_1 + ... + m_k, through one
+junction step of the raising bracket.  They
 are stored flat, as in ``hecke`` and ``symfun``: an element is one dict
 {(label, key): coefficient}, where ``key`` is the packed key of a
 ``MultiLaurent`` monomial, used as it is, and the coefficient is a nonzero
@@ -29,20 +30,21 @@ The m x m matrices of the modules V_tau are flat the same way, keyed
 ((i, j), key) with zero-based indices, and store only nonzero entries, so
 the zero matrix is {} and matrix equality is ==.  A shifted, scaled copy
 of one element's or matrix's terms is added to another's by
-``coeff._acc_scaled``, which ``SymPoly`` shares.  A generator's matrix has
-a closed form in tau, a longer label's is the commutator of its peeled
-factors, and each is cached per tau.  The evaluation map onto gl_m is V_0,
-read from the same formula and cache.  Each entry of a product A B pairs
-an entry (i, k) of A with one (k, j) of B, so A B is {} when no column
-index of A is a row index of B; the Lie suite reads those index sets off
-the matrices to skip commutators that are zero, exactly.
+``coeff._acc_scaled``, which ``SymPoly`` shares.  The V_tau matrices are
+held once, over Z[tau, Q^{+-1}] with tau as the ring's q: a generator's
+matrix has a closed form in tau, a longer label's is the commutator of its
+peeled factors, every value is an int, and each is cached per label.
+``coeff.at_q`` reads them at a numeric tau.  The evaluation map onto gl_m
+is V_0, the same matrices at tau = 0, a ring map as no tau exponent is
+negative.  Each entry of a product A B pairs an entry (i, k) of A with one
+(k, j) of B, so A B is {} when no column index of A is a row index of B;
+the Lie suite reads those index sets off the matrices to skip commutators
+that are zero, exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeff import HeadTerms, LaurentRing, _acc_scaled, _exact, _overflow, ml_to_json
+from .coeff import HeadTerms, LaurentRing, _acc_scaled, _exact, _overflow, at_q, ml_to_json
 
 
 class LieElem(HeadTerms):
@@ -97,8 +99,7 @@ class LieContext:
         self._empty = LieElem(self, {})  # every vanishing closed-form bracket
         self._bb_cache = {}
         self._antisymmetry = {}  # tuple of labels -> first violating pair or None
-        self._vtau_cache = {}  # tau -> {label: matrix}
-        self._last_tau = self._last_vtau = None
+        self._vtau = {}  # label -> V_tau matrix over Z[tau, Q^{+-1}]
 
     # -- element constructors --------------------------------------------
 
@@ -219,62 +220,51 @@ class LieContext:
 
     # -- the V_tau representations ----------------------------------------
 
-    def _vtau_matrices(self, tau):
-        """The {label: matrix} cache of V_tau.  The suites ask for one tau
-        many times in a row and hashing a Fraction is slow, so the last tau's
-        cache is kept at hand."""
-        if tau is not self._last_tau:
-            self._last_tau = tau
-            self._last_vtau = self._vtau_cache.setdefault(tau, {})
-        return self._last_vtau
-
-    def vtau_basis_matrix(self, label, tau):
-        return self._vtau_matrix(label, tau, self._vtau_matrices(tau))
-
-    def _vtau_matrix(self, label, tau, cache):
-        M = cache.get(label)
+    def vtau_basis_matrix(self, label):
+        """The matrix of E[label] on V_tau over Z[tau, Q^{+-1}], with tau in
+        the ring's q slot: a generator's entry is tau^t, or
+        tau^{t+1} - Q_k tau^t at a raiser from the junction of Q_k, and a
+        longer label's matrix is the commutator of its peeled factors.  Every
+        value is an int and no tau exponent is negative.  Cached per label."""
+        M = self._vtau.get(label)
         if M is not None:
             return M
         p, q, t = label
         if abs(p - q) <= 1:
-            tau_t = Fraction(tau) ** t
-            Q = self._jkey.get(p) if q == p + 1 else None
-            if Q is None:
-                entries = {self._origin: tau_t}
-            else:
-                entries = {self._origin: tau * tau_t, Q: -tau_t}
-            M = {((p - 1, q - 1), k): _exact(c) for k, c in entries.items() if c}
+            coeff = self.ring.q_pow(t)
+            k = self.shape.junction(p) if q == p + 1 else None
+            if k is not None:
+                coeff = coeff * self._tau_minus_Q(k)
+            M = mat_unit(self, p - 1, q - 1, coeff)
         else:
             g, inner = _peel(label)
-            M = mat_commutator(
-                self,
-                self._vtau_matrix(g, tau, cache),
-                self._vtau_matrix(inner, tau, cache),
-            )
-        cache[label] = M
+            M = mat_commutator(self, self.vtau_basis_matrix(g), self.vtau_basis_matrix(inner))
+        self._vtau[label] = M
         return M
 
-    def vtau_rep(self, x, tau):
-        return self._image(x, self._vtau_matrices(tau), tau)
-
-    def _image(self, x, cache, tau):
-        """sum over the terms c L of x of c * (the V_tau matrix of L), read
-        from ``cache``, tau's {label: matrix} cache: a matrix is built only
-        on a miss."""
+    def vtau_rep(self, x):
+        """The matrix of x on V_tau over Z[tau, Q^{+-1}]: the sum over the
+        terms c L of x of c * (the matrix of L), built only on a cache
+        miss."""
         origin, guard = self._origin, self._guard
+        cache = self._vtau
         out = {}
         for (label, k), c in x.terms.items():
             M = cache.get(label)
             if M is None:
-                M = self._vtau_matrix(label, tau, cache)
+                M = self.vtau_basis_matrix(label)
             _acc_scaled(out, M, k - origin, c, guard)
         return out
 
-    def psi_vtau(self, p, q, tau):
-        """The scalar by which E[p,q;t] hits v_q: the product of (tau - Q_k)
-        over the junctions crossed by strictly upper labels, else 1."""
-        tau = self.ring.from_fraction(tau)
-        return self._over_crossed_junctions(p, q, lambda k: tau - self.ring.Q(k))
+    def _tau_minus_Q(self, k):
+        """tau - Q_k, tau in the q slot."""
+        return self.ring.q - self.ring.Q(k)
+
+    def psi_vtau(self, p, q):
+        """The scalar by which E[p,q;t] hits v_q, over Z[tau, Q]: the product
+        of (tau - Q_k) over the junctions crossed by strictly upper labels,
+        else 1."""
+        return self._over_crossed_junctions(p, q, self._tau_minus_Q)
 
     def _over_crossed_junctions(self, p, q, factor):
         """The product of factor(k) over the junctions k at positions p..q-1,
@@ -287,13 +277,13 @@ class LieContext:
     # -- evaluation onto gl_m ----------------------------------------------
 
     def eval_basis_matrix(self, label):
-        """The evaluation map onto gl_m, the representation V_0: degree-zero
-        generators go to matrix units (with -Q_k at junction raisers),
-        positive degrees to zero."""
-        return self.vtau_basis_matrix(label, 0)
+        """The evaluation map onto gl_m, the representation V_0: the V_tau
+        matrix at tau = 0, which sends degree-zero generators to matrix units
+        (with -Q_k at junction raisers) and positive degrees to zero."""
+        return at_q(self.vtau_basis_matrix(label), 0)
 
     def eval_map(self, x):
-        return self.vtau_rep(x, 0)
+        return at_q(self.vtau_rep(x), 0)
 
     def psi_gr(self, p, q):
         """Rescaling of the graded isomorphism: the product of -Q_k^{-1}

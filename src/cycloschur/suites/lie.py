@@ -14,6 +14,10 @@ provably vanish, and compute every other pair in full:
   row and column sets are read off each label's matrix, never off the
   label, so a matrix with a wrong entry is still compared in full.
 
+The V_tau checks walk once for all their values of tau, over Z[tau]:
+where the two sides agree there they agree at every tau, and a pair whose
+V_tau matrices meet in no index over Z[tau] meets in none at a tau.
+
 The walks stay in product order, so a failed check names the same first
 pair as a walk that builds every pair."""
 
@@ -23,6 +27,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+from ..coeff import at_q
 from ..liealg import (
     LieContext,
     LieElem,
@@ -72,25 +77,51 @@ def _antisymmetry_detail(pair):
     return f"antisymmetry violation at {pair}"
 
 
-def _first_pair_violation(name, params, lctx, labels, violated):
-    """One check of a condition on pairs of labels that is symmetric in the
-    pair wherever the bracket is antisymmetric.  It proves antisymmetry on
-    ``labels`` first and fails naming the first pair where that breaks;
-    otherwise it walks the pairs (a, b) with a at or before b, whose first
-    violation is the first of the whole product, as the condition holds or
-    fails for (a, b) and (b, a) alike."""
+def _first_violations(name, params, taus, instances, sides):
+    """The checks at each value of ``taus``, with ``params[i]`` for the i-th,
+    of a condition that two matrices over Z[tau] agree, decided in one walk
+    over ``instances``: ``sides(x)`` gives the two matrices at x, or None
+    where both are zero.  Only sides that differ over Z[tau] are read at a
+    tau (``at_q``), at each tau still undecided, so each check fails at its
+    first instance whose sides differ at its tau, as a walk at that tau alone
+    would (see ``_verdict``)."""
+    first = {}
+    examined = False
+    for x in instances:
+        examined = True
+        pair = sides(x)
+        if pair is None or pair[0] == pair[1]:
+            continue
+        for i, tau in enumerate(taus):
+            if i not in first and at_q(pair[0], tau) != at_q(pair[1], tau):
+                first[i] = x
+        if len(first) == len(taus):
+            break
+    return [
+        _verdict(name, p, examined, f"violation at {first[i]}" if i in first else None)
+        for i, p in enumerate(params)
+    ]
+
+
+def _first_pair_violations(name, params, taus, lctx, labels, sides):
+    """The checks of ``_first_violations`` for a condition on pairs of labels
+    that is symmetric in the pair wherever the bracket is antisymmetric.  It
+    proves antisymmetry on ``labels`` first and fails naming the first pair
+    where that breaks; otherwise it walks the pairs (a, b) with a at or
+    before b, whose first violation is the first of the whole product, as
+    the condition holds or fails for (a, b) and (b, a) alike."""
     pair = lctx.antisymmetry_violation(labels)
     if pair is not None:
-        return check(name, params, False, _antisymmetry_detail(pair))
-    return _first_violation(name, params, upper_pairs(labels), violated)
+        return [check(name, p, False, _antisymmetry_detail(pair)) for p in params]
+    return _first_violations(name, params, taus, upper_pairs(labels), sides)
 
 
-def _homomorphism_violation(lctx, rep, images):
-    """The violation test of a homomorphism check on pairs of labels: does
-    ``rep([a, b])`` differ from the commutator of ``images[a]`` and
-    ``images[b]``?  A pair with an empty bracket whose matrices meet in no
-    index, cols(a) & rows(b) = cols(b) & rows(a) = {}, holds without either
-    side being built (see the module docstring)."""
+def _homomorphism_sides(lctx, rep, images):
+    """The two sides of a homomorphism check on a pair of labels (a, b):
+    ``rep([a, b])`` and the commutator of ``images[a]`` and ``images[b]``.
+    A pair with an empty bracket whose matrices meet in no index,
+    cols(a) & rows(b) = cols(b) & rows(a) = {}, gives None: both sides are
+    zero, and neither is built (see the module docstring)."""
     rows, cols = {}, {}
     for a, M in images.items():
         r = c = 0
@@ -100,14 +131,14 @@ def _homomorphism_violation(lctx, rep, images):
         rows[a], cols[a] = r, c
     bracket = lctx.bracket_basis
 
-    def violated(ab):
+    def sides(ab):
         a, b = ab
         br = bracket(a, b)
         if not br.terms and not (cols[a] & rows[b] or cols[b] & rows[a]):
-            return False
-        return rep(br) != mat_commutator(lctx, images[a], images[b])
+            return None
+        return rep(br), mat_commutator(lctx, images[a], images[b])
 
-    return violated
+    return sides
 
 
 def _jacobi_check(lctx, deg_cap, triples):
@@ -164,39 +195,32 @@ def verify_antisymmetry(lctx, deg_cap=2):
 def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5, 7))):
     """V_tau is a representation: the matrix of a bracket of generators equals
     the matrix commutator; the basis action has the expected closed form.
-    The homomorphism check relies on antisymmetry of the bracket on the
-    generators, which it proves first, to walk each unordered pair once."""
-    checks = []
+    Both are decided once over Z[tau] and read at each tau in ``taus`` only
+    where they differ there (``_first_violations``).  The homomorphism check
+    relies on antisymmetry of the bracket on the generators, which it proves
+    first, to walk each unordered pair once."""
     gens = generator_labels(lctx, deg_cap)
     positions = range(1, lctx.m + 1)
-    for tau in taus:
-        params = {"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap}
-        rep = {g: lctx.vtau_basis_matrix(g, tau) for g in gens}
-        checks.append(
-            _first_pair_violation(
-                "vtau-homomorphism",
-                params,
-                lctx,
-                gens,
-                _homomorphism_violation(lctx, lambda x: lctx.vtau_rep(x, tau), rep),
-            )
-        )
-        psi = {(p, q): lctx.psi_vtau(p, q, tau) for p in positions for q in positions}
-        checks.append(
-            _first_violation(
-                "vtau-basis-closed-form",
-                params,
-                product(positions, positions, range(deg_cap + 1)),
-                lambda pqt: lctx.vtau_basis_matrix(pqt, tau)
-                != mat_unit(
-                    lctx,
-                    pqt[0] - 1,
-                    pqt[1] - 1,
-                    psi[pqt[0], pqt[1]] * lctx.ring.from_fraction(tau ** pqt[2]),
-                ),
-            )
-        )
-    return checks
+    params = [{"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap} for tau in taus]
+    rep = {g: lctx.vtau_basis_matrix(g) for g in gens}
+    homs = _first_pair_violations(
+        "vtau-homomorphism", params, taus, lctx, gens,
+        _homomorphism_sides(lctx, lctx.vtau_rep, rep),
+    )
+    psi = {(p, q): lctx.psi_vtau(p, q) for p in positions for q in positions}
+    closed = _first_violations(
+        "vtau-basis-closed-form",
+        params,
+        taus,
+        product(positions, positions, range(deg_cap + 1)),
+        lambda pqt: (
+            lctx.vtau_basis_matrix(pqt),
+            mat_unit(
+                lctx, pqt[0] - 1, pqt[1] - 1, psi[pqt[0], pqt[1]] * lctx.ring.q_pow(pqt[2])
+            ),
+        ),
+    )
+    return [c for pair in zip(homs, closed) for c in pair]
 
 
 def verify_gr(lctx, deg_cap=2):
@@ -267,7 +291,8 @@ def verify_eval_map(lctx, deg_cap=2):
     """The evaluation onto gl_m is a Lie homomorphism, and composing with the
     Levi embedding recovers the block-diagonal inclusion.  The homomorphism
     check relies on antisymmetry of the bracket on its labels, which it
-    proves first, to walk each unordered pair once."""
+    proves first, to walk each unordered pair once.  Its matrices are V_0
+    already, which reading at tau = 0 leaves as they are."""
     labels = all_basis_labels(lctx, deg_cap)
     image = {a: lctx.eval_basis_matrix(a) for a in labels}
     # g o iota = block-diagonal embedding on the Levi generators
@@ -278,12 +303,13 @@ def verify_eval_map(lctx, deg_cap=2):
         for pos in block[:-1]:
             levi += [(pos, pos + 1, 0), (pos + 1, pos, 0)]
     return [
-        _first_pair_violation(
+        *_first_pair_violations(
             "eval-homomorphism",
-            {"shape": lctx.shape.m, "deg_cap": deg_cap},
+            [{"shape": lctx.shape.m, "deg_cap": deg_cap}],
+            [0],
             lctx,
             labels,
-            _homomorphism_violation(lctx, lctx.eval_map, image),
+            _homomorphism_sides(lctx, lctx.eval_map, image),
         ),
         # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
         _first_violation(

@@ -10,6 +10,7 @@ from cycloschur.coeff import (
     LaurentRing,
     MultiLaurent,
     _divexact_univariate,
+    at_q,
     ml_to_json,
     qfactorial,
     qint,
@@ -401,3 +402,60 @@ def test_scale_takes_only_a_scalar_of_the_ring(name):
     assert a.scale(2) == a + a == a.scale(ring.from_fraction(2))
     assert a.scale(Fraction(1, 2)).scale(2) == a
     assert a.scale(0).is_zero and (a - a).is_zero
+
+
+# -- setting q to a rational: coeff.at_q ---------------------------------------
+
+
+def flat_terms(polys):
+    """{(head, key): c} from {head: MultiLaurent}."""
+    return {(h, k): c for h, p in polys.items() for k, c in p.terms.items()}
+
+
+def q_set(p, v):
+    """p with q set to v, summed term by term from exponent tuples."""
+    out = R2.zero
+    for (e, *fs), c in p.sorted_terms():
+        out = out + monomial(R2, (0, *fs), c * Fraction(v) ** e)
+    return out
+
+
+class TestAtQ:
+    @settings(max_examples=100, deadline=None)
+    @given(laurents(), laurents(), st.fractions(max_denominator=7).filter(bool))
+    def test_matches_the_term_by_term_value(self, p, p2, v):
+        got = at_q(flat_terms({"a": p, "b": p2}), v)
+        assert got == flat_terms({"a": q_set(p, v), "b": q_set(p2, v)})
+        # exact and zero-free, an integral value as an int
+        for c in got.values():
+            assert c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+
+    def test_integral_value_is_an_int(self):
+        # q^2 Q_0 / 4 at q = 2 and 3 q^-1 at q = 3/2: Q_0 and 2
+        terms = flat_terms({"a": monomial(R2, (2, 1, 0), Fraction(1, 4))})
+        (c,) = at_q(terms, Fraction(2)).values()
+        assert c == 1 and type(c) is int
+        (c,) = at_q(flat_terms({"a": monomial(R2, (-1, 0, 0), 3)}), Fraction(3, 2)).values()
+        assert c == 2 and type(c) is int
+
+    def test_terms_that_cancel_are_dropped(self):
+        # q Q_0 - 2 Q_0 at q = 2
+        p = monomial(R2, (1, 1, 0)) - monomial(R2, (0, 1, 0), 2)
+        assert at_q(flat_terms({"a": p}), 2) == {}
+
+    def test_a_float_is_rejected(self):
+        terms = flat_terms({"a": R2.q})
+        with pytest.raises(TypeError, match="float is not an exact rational"):
+            at_q(terms, 0.5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(laurents())
+    def test_at_zero_only_the_q0_terms_remain(self, p):
+        p = p * R2.q_pow(3)  # no negative q exponent
+        want = {(e, *fs): c for (e, *fs), c in p.sorted_terms() if e == 0}
+        assert at_q(flat_terms({"a": p}), 0) == flat_terms({"a": ml(want)})
+        assert at_q(flat_terms({"a": p}), Fraction(0)) == at_q(flat_terms({"a": p}), 0)
+
+    def test_a_negative_q_power_has_no_value_at_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            at_q(flat_terms({"a": R2.qinv}), 0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloschur.coeff import EngineError
+from cycloschur.coeff import EngineError, at_q
 from cycloschur.combinatorics import Shape
 from cycloschur.liealg import (
     LieContext,
@@ -34,6 +34,20 @@ def junction_Q(lctx, pos):
     """The parameter attached to a junction position, else None."""
     k = lctx.shape.junction(pos)
     return None if k is None else lctx.ring.Q(k)
+
+
+def vtau_at(lctx, label, tau):
+    """The V_tau matrix of a basis label at a numeric tau."""
+    return at_q(lctx.vtau_basis_matrix(label), tau)
+
+
+def corrupt(lctx, label, extra, at=None):
+    """Put ``label``'s V_tau matrix plus the ring element ``extra`` at the
+    entry ``at`` (the label's own entry by default) in the context's one
+    matrix cache.  ``extra`` is a polynomial in tau, the ring's q, that
+    vanishes exactly at the taus whose checks must still pass."""
+    i, j = at or (label[0] - 1, label[1] - 1)
+    lctx._vtau[label] = mat_sub(lctx.vtau_basis_matrix(label), mat_unit(lctx, i, j, -extra))
 
 
 @pytest.fixture(scope="module")
@@ -185,26 +199,32 @@ class TestJacobi:
 class TestVtau:
     def test_I_diagonal_action(self, lctx):
         tau = Fraction(3, 2)
-        M = lctx.vtau_basis_matrix((2, 2, 2), tau)
+        M = vtau_at(lctx, (2, 2, 2), tau)
         assert M == mat_unit(lctx, 1, 1, tau**2)
         assert M == {((1, 1), lctx._origin): Fraction(9, 4)}
 
     def test_X_minus_action(self, lctx):
         tau = Fraction(2)
-        M = lctx.vtau_basis_matrix((3, 2, 1), tau)  # X^-_{2,1}
+        M = vtau_at(lctx, (3, 2, 1), tau)  # X^-_{2,1}
         assert M == {((2, 1), lctx._origin): 2}
         assert type(M[(2, 1), lctx._origin]) is int
 
     def test_junction_raiser(self, lctx):
         tau = Fraction(1, 2)
-        M = lctx.vtau_basis_matrix((2, 3, 0), tau)
+        M = vtau_at(lctx, (2, 3, 0), tau)
         assert M == mat_unit(lctx, 1, 2, lctx.ring.from_fraction(tau) - lctx.ring.Q(1))
+        # over Z[tau], tau in the q slot: tau - Q_1
+        assert lctx.vtau_basis_matrix((2, 3, 0)) == mat_unit(
+            lctx, 1, 2, lctx.ring.q - lctx.ring.Q(1))
 
     def test_long_label_closed_form(self, lctx):
         tau = Fraction(3)
-        M = lctx.vtau_basis_matrix((1, 4, 2), tau)
-        expected = lctx.psi_vtau(1, 4, tau) * lctx.ring.from_fraction(tau**2)
+        M = vtau_at(lctx, (1, 4, 2), tau)
+        # (1, 4) crosses the junction of Q_1 at position 2
+        expected = (lctx.ring.from_fraction(tau) - lctx.ring.Q(1)).scale(tau**2)
         assert M == mat_unit(lctx, 0, 3, expected)
+        assert lctx.psi_vtau(1, 4) == lctx.ring.q - lctx.ring.Q(1)
+        assert lctx.psi_vtau(4, 1) == lctx.psi_vtau(1, 2) == lctx.ring.one
 
     def test_homomorphism_suite(self, lctx):
         checks = verify_vtau(lctx, deg_cap=2, taus=(Fraction(2), Fraction(-1, 3)))
@@ -256,7 +276,7 @@ class TestEvalMap:
             if ask == "eval":
                 M = lctx_m.eval_basis_matrix((p, q, t))
             else:
-                M = lctx_m.vtau_basis_matrix((p, q, t), Fraction(0))
+                M = vtau_at(lctx_m, (p, q, t), Fraction(0))
             k = lctx_m.shape.junction(p) if q == p + 1 else None
             if t:
                 expected = {}
@@ -271,7 +291,7 @@ class TestEvalMap:
         # at deg_cap 0 the check still covers the degree-1 generators
         lctx4 = LieContext(Shape((2, 2)))
         assert all(c["ok"] for c in verify_eval_map(lctx4, deg_cap=0))
-        lctx4._vtau_cache.setdefault(0, {})[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
+        corrupt(lctx4, (1, 2, 1), lctx4.ring.one)
         checks = verify_eval_map(lctx4, deg_cap=0)
         (kill,) = _by_name(checks, "eval-kills-positive-degree")
         assert not kill["ok"]
@@ -386,9 +406,10 @@ class TestSparseMatrices:
         # the image of c E[1,1;0] + c2 E[2,2;0] under a map sending the two
         # labels to A and B: each basis matrix scaled by its coefficient
         m, A, B = case
-        x = LCTX.basis(1, 1, 0, c) + LCTX.basis(2, 2, 0, c2)
-        images = {(1, 1, 0): flat(A), (2, 2, 0): flat(B)}
-        got = LCTX._image(x, images, None)
+        lctx = LieContext(Shape((1, 1)))
+        x = lctx.basis(1, 1, 0, c) + lctx.basis(2, 2, 0, c2)
+        lctx._vtau.update({(1, 1, 0): flat(A), (2, 2, 0): flat(B)})
+        got = lctx.vtau_rep(x)
         assert got == flat(sparse(dense_add(dense_scale(dense(A, m), c),
                                             dense_scale(dense(B, m), c2))))
         assert_normal(got)
@@ -405,7 +426,7 @@ class TestSparseMatrices:
             x = LieElem(lctx, {})
             for label in rng.sample(labels, 3):
                 x = x + lctx.basis(*label, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-            return lctx.vtau_rep(x, tau)
+            return at_q(lctx.vtau_rep(x), tau)
 
         for _ in range(60):
             A, B = random_sum(), random_sum()
@@ -431,7 +452,7 @@ def _by_name(checks, name):
 class TestChecksCanFail:
     def test_corrupt_eval_entry(self):
         lctx4 = LieContext(Shape((2, 2)))
-        lctx4._vtau_cache.setdefault(0, {})[(1, 2, 0)] = mat_unit(lctx4, 0, 1, 2)
+        corrupt(lctx4, (1, 2, 0), lctx4.ring.one)
         checks = verify_eval_map(lctx4, deg_cap=1)
         (hom,) = _by_name(checks, "eval-homomorphism")
         assert not hom["ok"]
@@ -444,7 +465,7 @@ class TestChecksCanFail:
 
     def test_corrupt_positive_degree_eval_entry(self):
         lctx4 = LieContext(Shape((2, 2)))
-        lctx4._vtau_cache.setdefault(0, {})[(1, 2, 1)] = mat_unit(lctx4, 0, 1, 1)
+        corrupt(lctx4, (1, 2, 1), lctx4.ring.one)
         checks = verify_eval_map(lctx4, deg_cap=0)
         (kill,) = _by_name(checks, "eval-kills-positive-degree")
         assert not kill["ok"]
@@ -453,7 +474,8 @@ class TestChecksCanFail:
     def test_corrupt_vtau_matrix(self):
         lctx4 = LieContext(Shape((2, 2)))
         tau = Fraction(2)
-        lctx4._vtau_cache.setdefault(tau, {})[(1, 2, 0)] = mat_unit(lctx4, 0, 1, 2)
+        # 3 tau + 1 vanishes at tau = -1/3 only
+        corrupt(lctx4, (1, 2, 0), lctx4.ring.q.scale(3) + lctx4.ring.one)
         checks = verify_vtau(lctx4, deg_cap=1, taus=(tau, Fraction(-1, 3)))
         homs = _by_name(checks, "vtau-homomorphism")
         assert [c["ok"] for c in homs] == [False, True]
@@ -657,10 +679,41 @@ def test_flat_engine_matches_multilaurent_reference(m):
             assert lctx._gen_on_basis(g, a).grouped() == ref.gen_on_basis(g, a), (g, a)
         want = flat(ref.eval_basis_matrix(a), lctx)
         assert lctx.eval_basis_matrix(a) == want, a
-        for tau in (Fraction(2), Fraction(-1, 3), Fraction(5, 7)):
+        for tau in DEFAULT_TAUS:
             want = flat(ref.vtau_basis_matrix(a, tau), lctx)
-            assert lctx.vtau_basis_matrix(a, tau) == want, (a, tau)
+            assert vtau_at(lctx, a, tau) == want, (a, tau)
     assert nonzero
+
+
+def _assert_vtau_matches_reference(lctx, ref, labels, tau):
+    for a in labels:
+        assert vtau_at(lctx, a, tau) == flat(ref.vtau_basis_matrix(a, tau), lctx), (a, tau)
+
+
+VTAU_SHAPES = [(2, 2), (1, 2, 1), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("m", VTAU_SHAPES)
+def test_vtau_over_z_tau_is_integral_and_reads_as_the_reference(m):
+    # every label up to degree 3: int values over Z[tau], and V_0 and the
+    # default V_tau read off them
+    lctx = LieContext(Shape(m))
+    ref = MultiLaurentLie(lctx)
+    labels = all_basis_labels(lctx, 3)
+    for a in labels:
+        assert all(type(c) is int for c in lctx.vtau_basis_matrix(a).values()), a
+    for tau in (Fraction(0), *DEFAULT_TAUS):
+        _assert_vtau_matches_reference(lctx, ref, labels, tau)
+    for a in labels:
+        assert lctx.eval_basis_matrix(a) == flat(ref.eval_basis_matrix(a), lctx), a
+
+
+@pytest.mark.parametrize("m", VTAU_SHAPES)
+@settings(max_examples=15, deadline=None)
+@given(tau=st.fractions(min_value=-9, max_value=9, max_denominator=12))
+def test_vtau_over_z_tau_reads_as_the_reference_at_a_drawn_tau(m, tau):
+    lctx = LieContext(Shape(m))
+    _assert_vtau_matches_reference(lctx, MultiLaurentLie(lctx), all_basis_labels(lctx, 3), tau)
 
 
 @pytest.mark.parametrize("m", [(2, 2), (1, 2, 1), (2, 2, 2)])
@@ -669,11 +722,13 @@ def test_matrices_are_keyed_by_index_pair_and_ring_key(m):
     lctx = LieContext(Shape(m))
     tau = Fraction(-1, 3)
     labels = all_basis_labels(lctx, 1)
-    gens = [lctx.vtau_basis_matrix(g, tau) for g in generator_labels(lctx, 1)]
+    gens = [vtau_at(lctx, g, tau) for g in generator_labels(lctx, 1)]
     x = lctx.basis(1, 3, 1, lctx.ring.Q(1)) + lctx.basis(lctx.m, 1, 0, Fraction(3, 2))
-    mats = [lctx.vtau_basis_matrix(a, tau) for a in labels]
+    mats = [vtau_at(lctx, a, tau) for a in labels]
+    mats += [lctx.vtau_basis_matrix(a) for a in labels]
     mats += [lctx.eval_basis_matrix(a) for a in labels]
-    mats += [lctx.vtau_rep(x, tau), mat_unit(lctx, 0, lctx.m - 1, lctx.ring.Q(1, -2))]
+    mats += [lctx.vtau_rep(x), at_q(lctx.vtau_rep(x), tau)]
+    mats += [mat_unit(lctx, 0, lctx.m - 1, lctx.ring.Q(1, -2))]
     for A, B in itertools.product(gens, repeat=2):
         mats.append(mat_commutator(lctx, A, B))
     values = set()
@@ -710,7 +765,7 @@ class TestPackedRange:
         # the V_tau and evaluation matrices of E_23 carry Q_1 as well
         x = lctx.basis(2, 3, 0, lctx.ring.Q(1, 8191))
         with pytest.raises(EngineError, match="packed key range"):
-            lctx.vtau_rep(x, Fraction(2))
+            lctx.vtau_rep(x)
         with pytest.raises(EngineError, match="packed key range"):
             lctx.eval_map(x)
         A = mat_unit(lctx, 0, 1, lctx.ring.Q(1, 8191))
@@ -751,6 +806,8 @@ class TestNoInstances:
 # -- antisymmetry proven once, then unordered pairs and strict triples ----------
 
 TAUS = (Fraction(2), Fraction(-1, 3))
+# the default taus of ``verify_vtau``
+DEFAULT_TAUS = (Fraction(2), Fraction(-1, 3), Fraction(5, 7))
 
 
 def _pairwise_checks(lctx, deg_cap):
@@ -763,28 +820,36 @@ def _pairwise_checks(lctx, deg_cap):
     return checks
 
 
+def _first_in_product(out, key, instances, violated):
+    bad = next((x for x in instances if violated(x)), None)
+    out[key] = (None if bad is None else f"violation at {bad}", None)
+
+
+def _per_tau_details(lctx, deg_cap, taus):
+    """{("vtau-homomorphism", str(tau)): (detail or None, None)} as found by
+    walking the whole product of generators at each tau alone, on the
+    context's V_tau matrices read at that tau."""
+    out = {}
+    gens = generator_labels(lctx, deg_cap)
+    for tau in taus:
+        rep = {g: vtau_at(lctx, g, tau) for g in gens}
+        _first_in_product(out, ("vtau-homomorphism", str(tau)), itertools.product(gens, gens),
+                          lambda ab: at_q(lctx.vtau_rep(lctx.bracket_basis(*ab)), tau)
+                          != mat_commutator(lctx, rep[ab[0]], rep[ab[1]]))
+    return out
+
+
 def _product_order_details(lctx, deg_cap):
     """{(check, tau): (detail or None, ordered triples examined)} for the
     pairwise checks and Jacobi as found by walking the whole product of
     labels, as the suite did before it proved antisymmetry first: the
     reference for the unordered walks."""
     labels = all_basis_labels(lctx, deg_cap)
-    out = {}
-
-    def first(name, tau, instances, violated):
-        bad = next((x for x in instances if violated(x)), None)
-        out[name, tau] = (None if bad is None else f"violation at {bad}", None)
-
-    gens = generator_labels(lctx, deg_cap)
-    for tau in TAUS:
-        rep = {g: lctx.vtau_basis_matrix(g, tau) for g in gens}
-        first("vtau-homomorphism", str(tau), itertools.product(gens, gens),
-              lambda ab: lctx.vtau_rep(lctx.bracket_basis(*ab), tau)
-              != mat_commutator(lctx, rep[ab[0]], rep[ab[1]]))
+    out = _per_tau_details(lctx, deg_cap, TAUS)
     image = {a: lctx.eval_basis_matrix(a) for a in labels}
-    first("eval-homomorphism", None, itertools.product(labels, labels),
-          lambda ab: lctx.eval_map(lctx.bracket_basis(*ab))
-          != mat_commutator(lctx, image[ab[0]], image[ab[1]]))
+    _first_in_product(out, ("eval-homomorphism", None), itertools.product(labels, labels),
+                      lambda ab: lctx.eval_map(lctx.bracket_basis(*ab))
+                      != mat_commutator(lctx, image[ab[0]], image[ab[1]]))
     m = lctx.m
     psi = {(p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)}
     names = {"gr-filtration": None, "gr-leading-term": None}
@@ -923,14 +988,12 @@ class TestAntisymmetryFirst:
 
     @pytest.mark.parametrize("m", [(2, 2), (3,)])
     def test_a_matrix_entry_off_the_label_is_found(self, m):
-        # E_{3,3} gains an entry at (1, 2) in V_0 and in V_2: [E_{1,1}, E_{3,3}]
-        # is empty and the labels share no index, but the matrices now meet
+        # E_{3,3} gains an entry 3 tau + 1 at (1, 2): 1 in V_0, 7 in V_2 and
+        # none in V_{-1/3}.  [E_{1,1}, E_{3,3}] is empty and the labels share
+        # no index, but the matrices now meet
         lctx = LieContext(Shape(m))
         deg_cap = 1
-        one = lctx._origin
-        for tau in (0, TAUS[0]):
-            M = lctx.vtau_basis_matrix((3, 3, 0), tau)
-            lctx._vtau_matrices(tau)[3, 3, 0] = {**M, ((0, 1), one): 1}
+        corrupt(lctx, (3, 3, 0), lctx.ring.q.scale(3) + lctx.ring.one, at=(0, 1))
         checks = _pairwise_checks(lctx, deg_cap)
         got = _details(checks)
         want = _product_order_details(lctx, deg_cap)
@@ -942,8 +1005,8 @@ class TestAntisymmetryFirst:
 
     def test_homomorphism_checks_build_only_the_pairs_that_can_fail(self, monkeypatch):
         # 108 labels (5,886 pairs) at degree 2 and 64 generators (2,080
-        # pairs, three taus) at degree 3: the rest have an empty bracket and
-        # matrices that meet in no index
+        # pairs, walked once for three taus) at degree 3: the rest have an
+        # empty bracket and matrices that meet in no index
         calls = []
 
         def counting(lctx, A, B):
@@ -956,7 +1019,34 @@ class TestAntisymmetryFirst:
         assert len(calls) == 1761
         calls.clear()
         assert all(c["ok"] for c in verify_vtau(lctx, deg_cap=3))
-        assert len(calls) == 1764
+        assert len(calls) == 588
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,)])
+    @pytest.mark.parametrize("label", [(1, 2, 0), (2, 1, 1), (2, 2, 0)])
+    def test_a_raised_tau_degree_fails_at_every_tau(self, m, label):
+        # tau^{t+1} in place of tau^t at one generator: the generator is
+        # scaled by tau, which no default tau undoes
+        lctx = LieContext(Shape(m))
+        (entry,) = lctx.vtau_basis_matrix(label)
+        lctx._vtau[label] = mat_unit(lctx, *entry[0], lctx.ring.q_pow(label[2] + 1))
+        homs = _by_name(verify_vtau(lctx, deg_cap=1), "vtau-homomorphism")
+        want = _per_tau_details(lctx, 1, DEFAULT_TAUS)
+        assert {(c["params"]["tau"], c.get("detail")) for c in homs} == {
+            (tau, detail) for (_, tau), (detail, _) in want.items()}
+        assert len(homs) == 3 and not any(c["ok"] for c in homs)
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,), (1, 2, 1)])
+    def test_a_corruption_vanishing_at_two_passes_only_there(self, m):
+        lctx = LieContext(Shape(m))
+        corrupt(lctx, (1, 2, 0), lctx.ring.q - lctx.ring.from_fraction(2))
+        checks = verify_vtau(lctx, deg_cap=1)
+        homs = _by_name(checks, "vtau-homomorphism")
+        want = _per_tau_details(lctx, 1, DEFAULT_TAUS)
+        assert [c["ok"] for c in homs] == [True, False, False]
+        for c in homs:
+            assert (c.get("detail"), None) == want["vtau-homomorphism", c["params"]["tau"]]
+        closed = _by_name(checks, "vtau-basis-closed-form")
+        assert [c.get("detail") for c in closed] == [None] + ["violation at (1, 2, 0)"] * 2
 
     def test_exhaustive_jacobi_walks_the_strict_triples(self, monkeypatch):
         seen = []
