@@ -4,10 +4,11 @@ Everything downstream computes over one commutative ring: sparse Laurent
 polynomials in the variables q, Q_0, ..., Q_{r-1} with exact rational
 coefficients.  A coefficient is stored as an ``int`` when it is integral and
 as a ``Fraction`` otherwise, never as a ``float``.  Every structure constant
-of the Hecke and Schur engines lies in Z[q^{+-1}, Q^{+-1}], so their
+of the Hecke and Schur engines lies in Z[q^{+-1}, Q^{+-1}], and every
+V_tau matrix of the Lie engine in Z[tau, Q^{+-1}] with tau as q, so their
 arithmetic runs on plain integers; a ``Fraction`` appears only for a value
-that really is fractional (a V_tau matrix at a rational tau, a
-user-supplied rational).
+that really is fractional: ``at_q`` at a rational tau, or a user-supplied
+rational.
 The number of Q parameters is fixed per session by ``LaurentRing(r)``; the
 q = 1 regime is the same ring built with ``q_one=True``, which pins the q
 exponent to zero at construction time.

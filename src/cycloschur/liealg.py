@@ -34,17 +34,17 @@ of one element's or matrix's terms is added to another's by
 held once, over Z[tau, Q^{+-1}] with tau as the ring's q: a generator's
 matrix has a closed form in tau, a longer label's is the commutator of its
 peeled factors, every value is an int, and each is cached per label.
-``coeff.at_q`` reads them at a numeric tau.  The evaluation map onto gl_m
-is V_0, the same matrices at tau = 0, a ring map as no tau exponent is
-negative.  Each entry of a product A B pairs an entry (i, k) of A with one
-(k, j) of B, so A B is {} when no column index of A is a row index of B;
-the Lie suite reads those index sets off the matrices to skip commutators
-that are zero, exactly.
+The engine keeps them over Z[tau]; only the Lie suite reads them at a
+numeric tau, and the evaluation map onto gl_m is V_0, the same matrices at
+tau = 0, a ring map as no tau exponent is negative.  Each entry of a
+product A B pairs an entry (i, k) of A with one (k, j) of B, so A B is {}
+when no column index of A is a row index of B; the Lie suite reads those
+index sets off the matrices to skip commutators that are zero, exactly.
 """
 
 from __future__ import annotations
 
-from .coeff import HeadTerms, LaurentRing, _acc_scaled, _exact, _overflow, at_q, ml_to_json
+from .coeff import HeadTerms, LaurentRing, _acc_scaled, _exact, _overflow, ml_to_json
 
 
 class LieElem(HeadTerms):
@@ -273,17 +273,6 @@ class LieContext:
         for k in filter(None, map(self.shape.junction, range(p, q))):
             out = out * factor(k)
         return out
-
-    # -- evaluation onto gl_m ----------------------------------------------
-
-    def eval_basis_matrix(self, label):
-        """The evaluation map onto gl_m, the representation V_0: the V_tau
-        matrix at tau = 0, which sends degree-zero generators to matrix units
-        (with -Q_k at junction raisers) and positive degrees to zero."""
-        return at_q(self.vtau_basis_matrix(label), 0)
-
-    def eval_map(self, x):
-        return at_q(self.vtau_rep(x), 0)
 
     def psi_gr(self, p, q):
         """Rescaling of the graded isomorphism: the product of -Q_k^{-1}

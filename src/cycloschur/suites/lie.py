@@ -14,9 +14,11 @@ provably vanish, and compute every other pair in full:
   row and column sets are read off each label's matrix, never off the
   label, so a matrix with a wrong entry is still compared in full.
 
-The V_tau checks walk once for all their values of tau, over Z[tau]:
-where the two sides agree there they agree at every tau, and a pair whose
-V_tau matrices meet in no index over Z[tau] meets in none at a tau.
+One walker, ``_first_violations``, decides the ``vtau-*``, ``eval-*`` and
+``gr-*`` checks.  The matrix checks walk once over Z[tau] for all their
+values of tau, the eval checks at tau = 0 (V_0): where two sides agree over
+Z[tau] they agree at every tau, and matrices that meet in no index over
+Z[tau] meet in none at a tau.
 
 The walks stay in product order, so a failed check names the same first
 pair as a walk that builds every pair."""
@@ -62,66 +64,63 @@ def _verdict(name, params, examined, detail=None):
     return check(name, params, detail is None, detail)
 
 
-def _first_violation(name, params, instances, violated):
-    """One check over ``instances``: it fails at the first instance at which
-    ``violated`` holds, naming it in its detail (see ``_verdict``)."""
-    examined = False
-    for x in instances:
-        if violated(x):
-            return check(name, params, False, f"violation at {x}")
-        examined = True
-    return _verdict(name, params, examined)
+_violation_at = "violation at {}".format
 
 
 def _antisymmetry_detail(pair):
     return f"antisymmetry violation at {pair}"
 
 
-def _first_violations(name, params, taus, instances, sides):
-    """The checks at each value of ``taus``, with ``params[i]`` for the i-th,
-    of a condition that two matrices over Z[tau] agree, decided in one walk
-    over ``instances``: ``sides(x)`` gives the two matrices at x, or None
-    where both are zero.  Only sides that differ over Z[tau] are read at a
-    tau (``at_q``), at each tau still undecided, so each check fails at its
-    first instance whose sides differ at its tau, as a walk at that tau alone
-    would (see ``_verdict``)."""
+def _first_violations(checks, examined, violations, detail=_violation_at):
+    """The records of ``checks``, (name, params) pairs, decided in one walk
+    over their instances: ``violations`` yields (i, x) in walk order for each
+    instance x at which the i-th check fails, and each check fails at its
+    first x, named by ``detail(x)`` (see ``_verdict``).  The walk stops once
+    every check has failed."""
     first = {}
-    examined = False
-    for x in instances:
-        examined = True
-        pair = sides(x)
-        if pair is None or pair[0] == pair[1]:
-            continue
-        for i, tau in enumerate(taus):
-            if i not in first and at_q(pair[0], tau) != at_q(pair[1], tau):
-                first[i] = x
-        if len(first) == len(taus):
-            break
+    for i, x in violations:
+        if i not in first:
+            first[i] = x
+            if len(first) == len(checks):
+                break
     return [
-        _verdict(name, p, examined, f"violation at {first[i]}" if i in first else None)
-        for i, p in enumerate(params)
+        _verdict(name, params, examined, detail(first[i]) if i in first else None)
+        for i, (name, params) in enumerate(checks)
     ]
 
 
-def _first_pair_violations(name, params, taus, lctx, labels, sides):
-    """The checks of ``_first_violations`` for a condition on pairs of labels
+def _differ_at(taus, instances, sides):
+    """(i, x) for each instance x whose two matrices ``sides(x)`` over
+    Z[tau] differ at ``taus[i]``, read at a tau (``at_q``) only where they
+    differ over Z[tau]."""
+    for x in instances:
+        a, b = sides(x)
+        if a != b:
+            for i, tau in enumerate(taus):
+                if at_q(a, tau) != at_q(b, tau):
+                    yield i, x
+
+
+def _first_pair_violations(checks, lctx, labels, violations, detail=_violation_at):
+    """``_first_violations`` for checks of a condition on pairs of labels
     that is symmetric in the pair wherever the bracket is antisymmetric.  It
     proves antisymmetry on ``labels`` first and fails naming the first pair
-    where that breaks; otherwise it walks the pairs (a, b) with a at or
-    before b, whose first violation is the first of the whole product, as
-    the condition holds or fails for (a, b) and (b, a) alike."""
+    where that breaks; otherwise it walks ``violations(pairs)`` over the
+    pairs (a, b) with a at or before b, whose first violation is the first
+    of the whole product, as the condition holds or fails for (a, b) and
+    (b, a) alike."""
     pair = lctx.antisymmetry_violation(labels)
     if pair is not None:
-        return [check(name, p, False, _antisymmetry_detail(pair)) for p in params]
-    return _first_violations(name, params, taus, upper_pairs(labels), sides)
+        return [check(name, p, False, _antisymmetry_detail(pair)) for name, p in checks]
+    return _first_violations(checks, labels, violations(upper_pairs(labels)), detail)
 
 
-def _homomorphism_sides(lctx, rep, images):
-    """The two sides of a homomorphism check on a pair of labels (a, b):
-    ``rep([a, b])`` and the commutator of ``images[a]`` and ``images[b]``.
-    A pair with an empty bracket whose matrices meet in no index,
-    cols(a) & rows(b) = cols(b) & rows(a) = {}, gives None: both sides are
-    zero, and neither is built (see the module docstring)."""
+def _homomorphism_sides(lctx, images):
+    """The two sides over Z[tau] of a homomorphism check on a pair of labels
+    (a, b): the V_tau matrix of [a, b] and the commutator of ``images[a]``
+    and ``images[b]``.  A pair with an empty bracket whose matrices meet in
+    no index, cols(a) & rows(b) = cols(b) & rows(a) = {}, gives two zero
+    matrices and builds neither side (see the module docstring)."""
     rows, cols = {}, {}
     for a, M in images.items():
         r = c = 0
@@ -135,8 +134,8 @@ def _homomorphism_sides(lctx, rep, images):
         a, b = ab
         br = bracket(a, b)
         if not br.terms and not (cols[a] & rows[b] or cols[b] & rows[a]):
-            return None
-        return rep(br), mat_commutator(lctx, images[a], images[b])
+            return {}, {}
+        return lctx.vtau_rep(br), mat_commutator(lctx, images[a], images[b])
 
     return sides
 
@@ -188,7 +187,7 @@ def verify_antisymmetry(lctx, deg_cap=2):
     labels = all_basis_labels(lctx, deg_cap)
     pair = lctx.antisymmetry_violation(labels)
     params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
-    detail = None if pair is None else f"violation at {pair}"
+    detail = None if pair is None else _violation_at(pair)
     return [_verdict("bracket-antisymmetry", params, labels, detail)]
 
 
@@ -196,30 +195,25 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
     """V_tau is a representation: the matrix of a bracket of generators equals
     the matrix commutator; the basis action has the expected closed form.
     Both are decided once over Z[tau] and read at each tau in ``taus`` only
-    where they differ there (``_first_violations``).  The homomorphism check
+    where they differ there (``_differ_at``).  The homomorphism check
     relies on antisymmetry of the bracket on the generators, which it proves
     first, to walk each unordered pair once."""
     gens = generator_labels(lctx, deg_cap)
     positions = range(1, lctx.m + 1)
     params = [{"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap} for tau in taus]
-    rep = {g: lctx.vtau_basis_matrix(g) for g in gens}
-    homs = _first_pair_violations(
-        "vtau-homomorphism", params, taus, lctx, gens,
-        _homomorphism_sides(lctx, lctx.vtau_rep, rep),
-    )
+    sides = _homomorphism_sides(lctx, {g: lctx.vtau_basis_matrix(g) for g in gens})
+    homs = _first_pair_violations([("vtau-homomorphism", p) for p in params], lctx, gens,
+                                  lambda pairs: _differ_at(taus, pairs, sides))
     psi = {(p, q): lctx.psi_vtau(p, q) for p in positions for q in positions}
-    closed = _first_violations(
-        "vtau-basis-closed-form",
-        params,
-        taus,
-        product(positions, positions, range(deg_cap + 1)),
-        lambda pqt: (
-            lctx.vtau_basis_matrix(pqt),
-            mat_unit(
-                lctx, pqt[0] - 1, pqt[1] - 1, psi[pqt[0], pqt[1]] * lctx.ring.q_pow(pqt[2])
-            ),
-        ),
-    )
+
+    def closed_form(pqt):
+        p, q, t = pqt
+        unit = mat_unit(lctx, p - 1, q - 1, psi[p, q] * lctx.ring.q_pow(t))
+        return lctx.vtau_basis_matrix(pqt), unit
+
+    cells = list(product(positions, positions, range(deg_cap + 1)))
+    closed = _first_violations([("vtau-basis-closed-form", p) for p in params], cells,
+                               _differ_at(taus, cells, closed_form))
     return [c for pair in zip(homs, closed) for c in pair]
 
 
@@ -251,50 +245,49 @@ def verify_gr(lctx, deg_cap=2):
     names = ["gr-filtration", "gr-leading-term"]
     if one_component:
         names.append("gr-exact-current")
+
+    def violations(pairs):
+        # (i, pair) where names[i] fails
+        for pair in pairs:
+            (p, q, s), (u, v, t) = pair
+            br = lctx.bracket_basis(*pair)
+            if not br.terms and q != u and v != p:
+                continue
+            lead = {}
+            for term, coeff in br.terms.items():
+                d = term[0][2]
+                if d < s + t:
+                    yield 0, pair
+                elif d == s + t:
+                    lead[term] = coeff
+            expected = lctx.zero()
+            if q == u:
+                expected = expected + psi_basis[p, v, s + t]
+            if v == p:
+                expected = expected - psi_basis[u, q, s + t]
+            f = factor.get((p, q, u, v))
+            if f is None:
+                f = factor[p, q, u, v] = psi[p, q] * psi[u, v]
+            if LieElem(lctx, lead).scale(f) != expected:
+                yield 1, pair
+            if one_component and lead != br.terms:
+                yield 2, pair
+
     params = {"shape": lctx.shape.m, "deg_cap": deg_cap}
-    labels = all_basis_labels(lctx, deg_cap)
-    broken = lctx.antisymmetry_violation(labels)
-    if broken is not None:
-        return [check(name, params, False, _antisymmetry_detail(broken)) for name in names]
-    first = {}
-    for pair in upper_pairs(labels):
-        (p, q, s), (u, v, t) = pair
-        br = lctx.bracket_basis(*pair)
-        if not br.terms and q != u and v != p:
-            continue
-        lead = {}
-        for term, coeff in br.terms.items():
-            d = term[0][2]
-            if d < s + t:
-                first.setdefault("gr-filtration", pair)
-            elif d == s + t:
-                lead[term] = coeff
-        if one_component and lead != br.terms:
-            first.setdefault("gr-exact-current", pair)
-        expected = lctx.zero()
-        if q == u:
-            expected = expected + psi_basis[p, v, s + t]
-        if v == p:
-            expected = expected - psi_basis[u, q, s + t]
-        f = factor.get((p, q, u, v))
-        if f is None:
-            f = factor[p, q, u, v] = psi[p, q] * psi[u, v]
-        if LieElem(lctx, lead).scale(f) != expected:
-            first.setdefault("gr-leading-term", pair)
-    return [
-        _verdict(name, params, labels, str(first[name]) if name in first else None)
-        for name in names
-    ]
+    return _first_pair_violations([(name, params) for name in names], lctx,
+                                  all_basis_labels(lctx, deg_cap), violations, str)
 
 
 def verify_eval_map(lctx, deg_cap=2):
     """The evaluation onto gl_m is a Lie homomorphism, and composing with the
-    Levi embedding recovers the block-diagonal inclusion.  The homomorphism
+    Levi embedding recovers the block-diagonal inclusion.  The evaluation is
+    V_0, so each check is the V_tau walk at tau = 0 alone.  The homomorphism
     check relies on antisymmetry of the bracket on its labels, which it
-    proves first, to walk each unordered pair once.  Its matrices are V_0
-    already, which reading at tau = 0 leaves as they are."""
+    proves first, to walk each unordered pair once."""
     labels = all_basis_labels(lctx, deg_cap)
-    image = {a: lctx.eval_basis_matrix(a) for a in labels}
+    sides = _homomorphism_sides(lctx, {a: lctx.vtau_basis_matrix(a) for a in labels})
+    # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
+    positive = [g for g in generator_labels(lctx, max(deg_cap, 1)) if g[2] >= 1]
     # g o iota = block-diagonal embedding on the Levi generators
     levi = []
     for k in range(1, lctx.shape.r + 1):
@@ -302,29 +295,15 @@ def verify_eval_map(lctx, deg_cap=2):
         levi += [(pos, pos, 0) for pos in block]
         for pos in block[:-1]:
             levi += [(pos, pos + 1, 0), (pos + 1, pos, 0)]
+    shape = {"shape": lctx.shape.m}
     return [
-        *_first_pair_violations(
-            "eval-homomorphism",
-            [{"shape": lctx.shape.m, "deg_cap": deg_cap}],
-            [0],
-            lctx,
-            labels,
-            _homomorphism_sides(lctx, lctx.eval_map, image),
-        ),
-        # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
-        _first_violation(
-            "eval-kills-positive-degree",
-            {"shape": lctx.shape.m},
-            [g for g in generator_labels(lctx, max(deg_cap, 1)) if g[2] >= 1],
-            lambda g: lctx.eval_basis_matrix(g) != {},
-        ),
-        _first_violation(
-            "eval-levi-embedding",
-            {"shape": lctx.shape.m},
-            levi,
-            lambda g: lctx.eval_map(lctx.basis(*g))
-            != mat_unit(lctx, g[0] - 1, g[1] - 1, 1),
-        ),
+        *_first_pair_violations([("eval-homomorphism", {**shape, "deg_cap": deg_cap})],
+                                lctx, labels, lambda pairs: _differ_at([0], pairs, sides)),
+        *_first_violations([("eval-kills-positive-degree", shape)], positive, _differ_at(
+            [0], positive, lambda g: (lctx.vtau_basis_matrix(g), {}))),
+        *_first_violations([("eval-levi-embedding", shape)], levi, _differ_at(
+            [0], levi, lambda g: (lctx.vtau_basis_matrix(g),
+                                  mat_unit(lctx, g[0] - 1, g[1] - 1, 1)))),
     ]
 
 

@@ -343,15 +343,16 @@ def verify_divided_powers(sctx, dmax=3):
 def hw_eigenvalue_pair(lam_j, j, l, t, sign, ring):
     """(residue form, closed form) of the highest-weight eigenvalue of
     I^{sign}_{(j,l),t} on the Weyl module: the Phi value at the row residues
-    versus the explicit q-power times a Gauss integer."""
-    if lam_j == 0:
-        return ring.zero, ring.zero
-    args = [comb.residue((j, c, l), ring) for c in range(1, lam_j + 1)]
-    poly = phi(t, lam_j, sign, ring)
-    via_phi = poly.evaluate(args) * ring.q_pow(sign * (t - 1))
+    versus the explicit q-power times a Gauss integer.  An empty row has no
+    residues, and its eigenvalue is 0."""
     # the q-power runs (2t - 1) lam_j for sign +1 and lam_j for sign -1
     e = (t - 1) * (1 + sign) * lam_j + lam_j - t * (2 * j - 1)
     closed = ring.Q(l - 1, t) * ring.q_pow(e) * qint(lam_j, ring)
+    if lam_j == 0:
+        return ring.zero, closed
+    args = [comb.residue((j, c, l), ring) for c in range(1, lam_j + 1)]
+    poly = phi(t, lam_j, sign, ring)
+    via_phi = poly.evaluate(args) * ring.q_pow(sign * (t - 1))
     return via_phi, closed
 
 

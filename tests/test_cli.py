@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from cycloschur import cli, hecke, schurops
+from cycloschur.liealg import mat_unit
 from cycloschur.suites import hecke as hecke_suite
+from cycloschur.suites import lie as lie_suite
 from cycloschur.suites import schur as schur_suite
 from cycloschur.cli import ParseError, main, parse_multipartition
 from cycloschur.coeff import EngineError
@@ -451,6 +453,36 @@ def test_failing_schur_run_pinned(capsys, monkeypatch):
     canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == (
         "130449d77c45c62a283f399b997745858d00ba42117c2b470ee3483bf988c1e2"
+    )
+
+
+# A failing Lie run on (2, 2) at degree 1.  E[1,2;1] acts on V_tau as
+# 4 tau + 1 in place of tau, which differs at every tau but -1/3 and
+# survives at tau = 0, and [E[1,2;0], E[2,2;0]] is emptied in both orders, a
+# lost bracket on a shared index.  The failed checks and the digest were
+# recorded while the evaluation map had its own route through V_0.
+def test_failing_lie_run_pinned(capsys, monkeypatch):
+    real = lie_suite.LieContext
+
+    def corrupted(shape):
+        lctx = real(shape)
+        ring = lctx.ring
+        lctx._vtau[1, 2, 1] = mat_unit(lctx, 0, 1, ring.q.scale(4) + ring.one)
+        a, b = (1, 2, 0), (2, 2, 0)
+        lctx._bb_cache[a, b] = lctx._bb_cache[b, a] = lctx.zero()
+        return lctx
+
+    monkeypatch.setattr(lie_suite, "LieContext", corrupted)
+    assert main(["verify", "--suite", "lie", "-m", "2,2", "-r", "2", "--deg", "1"]) == 1
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert suites["lie"]["total"] == 13
+    assert sorted(c["check"] for c in suites["lie"]["checks"] if not c["ok"]) == [
+        "eval-homomorphism", "eval-kills-positive-degree", "gr-leading-term", "jacobi",
+        *["vtau-basis-closed-form"] * 2, *["vtau-homomorphism"] * 3,
+    ]
+    canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "f2983c3f79774b1aed55cc4ecae150d73aa2d7e2874f967366a7ab4a33240d11"
     )
 
 

@@ -127,6 +127,12 @@ def test_only_hecke_decides_m_mu_verdicts():
     assert _uses(M_MU_PRIVATE, ("hecke.py",)) == []
 
 
+# The engine keeps the V_tau matrices over Z[tau]; only the Lie suite's
+# checks read them at a number, through ``at_q``, which coeff defines.
+def test_only_coeff_and_the_lie_suite_name_at_q():
+    assert _uses({"at_q"}, ("coeff.py", "suites/lie.py")) == []
+
+
 def test_suites_import_no_private_engine_name():
     private = [
         (path, node.lineno, alias.name) for path, node in _src_nodes()

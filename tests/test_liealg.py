@@ -18,7 +18,7 @@ from cycloschur.liealg import (
 )
 from cycloschur.suites import lie as lie_suite
 from cycloschur.suites.lie import (
-    _first_violation,
+    _first_violations,
     generator_labels,
     verify_antisymmetry,
     verify_eval_map,
@@ -39,6 +39,16 @@ def junction_Q(lctx, pos):
 def vtau_at(lctx, label, tau):
     """The V_tau matrix of a basis label at a numeric tau."""
     return at_q(lctx.vtau_basis_matrix(label), tau)
+
+
+def eval_matrix(lctx, label):
+    """The evaluation map onto gl_m on a basis label: its V_0 matrix."""
+    return vtau_at(lctx, label, 0)
+
+
+def eval_map(lctx, x):
+    """The evaluation map onto gl_m on an element: its V_0 matrix."""
+    return at_q(lctx.vtau_rep(x), 0)
 
 
 def corrupt(lctx, label, extra, at=None):
@@ -246,11 +256,11 @@ class TestGr:
 
 class TestEvalMap:
     def test_kills_positive_degree(self, lctx):
-        M = lctx.eval_basis_matrix((1, 2, 1))
+        M = eval_matrix(lctx, (1, 2, 1))
         assert not M
 
     def test_junction_value(self, lctx):
-        M = lctx.eval_basis_matrix((2, 3, 0))
+        M = eval_matrix(lctx, (2, 3, 0))
         assert M == mat_unit(lctx, 1, 2, -lctx.ring.Q(1))
 
     def test_levi_and_homomorphism(self, lctx):
@@ -260,8 +270,8 @@ class TestEvalMap:
     def test_commutator_matches_by_hand(self, lctx):
         a = (1, 2, 0)
         b = (2, 1, 0)
-        lhs = lctx.eval_map(lctx.bracket_basis(a, b))
-        rhs = mat_commutator(lctx, lctx.eval_basis_matrix(a), lctx.eval_basis_matrix(b))
+        lhs = eval_map(lctx, lctx.bracket_basis(a, b))
+        rhs = mat_commutator(lctx, eval_matrix(lctx, a), eval_matrix(lctx, b))
         assert lhs == rhs
 
     @pytest.mark.parametrize("m", [(2, 2), (1, 2, 1), (2, 2, 2), (3, 3)])
@@ -269,12 +279,12 @@ class TestEvalMap:
     def test_v0_is_the_evaluation_table(self, m, ask):
         # the evaluation map written out: matrix units on the degree-zero
         # generators, -Q_k at a raiser from junction k, and zero in positive
-        # degree, every value an int; V_0 asked through eval_basis_matrix
-        # and as V_tau at tau = Fraction(0), each on a fresh context
+        # degree, every value an int; V_0 asked as V_tau at tau = 0 and at
+        # tau = Fraction(0), each on a fresh context
         lctx_m = LieContext(Shape(m))
         for p, q, t in generator_labels(lctx_m, 3):
             if ask == "eval":
-                M = lctx_m.eval_basis_matrix((p, q, t))
+                M = eval_matrix(lctx_m, (p, q, t))
             else:
                 M = vtau_at(lctx_m, (p, q, t), Fraction(0))
             k = lctx_m.shape.junction(p) if q == p + 1 else None
@@ -678,7 +688,7 @@ def test_flat_engine_matches_multilaurent_reference(m):
         for g in generator_labels(lctx, 2):
             assert lctx._gen_on_basis(g, a).grouped() == ref.gen_on_basis(g, a), (g, a)
         want = flat(ref.eval_basis_matrix(a), lctx)
-        assert lctx.eval_basis_matrix(a) == want, a
+        assert eval_matrix(lctx, a) == want, a
         for tau in DEFAULT_TAUS:
             want = flat(ref.vtau_basis_matrix(a, tau), lctx)
             assert vtau_at(lctx, a, tau) == want, (a, tau)
@@ -705,7 +715,7 @@ def test_vtau_over_z_tau_is_integral_and_reads_as_the_reference(m):
     for tau in (Fraction(0), *DEFAULT_TAUS):
         _assert_vtau_matches_reference(lctx, ref, labels, tau)
     for a in labels:
-        assert lctx.eval_basis_matrix(a) == flat(ref.eval_basis_matrix(a), lctx), a
+        assert eval_matrix(lctx, a) == flat(ref.eval_basis_matrix(a), lctx), a
 
 
 @pytest.mark.parametrize("m", VTAU_SHAPES)
@@ -726,7 +736,7 @@ def test_matrices_are_keyed_by_index_pair_and_ring_key(m):
     x = lctx.basis(1, 3, 1, lctx.ring.Q(1)) + lctx.basis(lctx.m, 1, 0, Fraction(3, 2))
     mats = [vtau_at(lctx, a, tau) for a in labels]
     mats += [lctx.vtau_basis_matrix(a) for a in labels]
-    mats += [lctx.eval_basis_matrix(a) for a in labels]
+    mats += [eval_matrix(lctx, a) for a in labels]
     mats += [lctx.vtau_rep(x), at_q(lctx.vtau_rep(x), tau)]
     mats += [mat_unit(lctx, 0, lctx.m - 1, lctx.ring.Q(1, -2))]
     for A, B in itertools.product(gens, repeat=2):
@@ -767,10 +777,10 @@ class TestPackedRange:
         with pytest.raises(EngineError, match="packed key range"):
             lctx.vtau_rep(x)
         with pytest.raises(EngineError, match="packed key range"):
-            lctx.eval_map(x)
+            eval_map(lctx, x)
         A = mat_unit(lctx, 0, 1, lctx.ring.Q(1, 8191))
         with pytest.raises(EngineError, match="packed key range"):
-            mat_commutator(lctx, A, lctx.eval_basis_matrix((2, 3, 0)))
+            mat_commutator(lctx, A, eval_matrix(lctx, (2, 3, 0)))
 
     def test_exponent_past_the_slot(self, lctx):
         with pytest.raises(EngineError, match="packed key range"):
@@ -788,12 +798,34 @@ class TestNoInstances:
         }
 
     def test_first_violation_over_nothing_fails(self):
-        c = _first_violation("x", {}, [], lambda _: False)
+        (c,) = _first_violations([("x", {})], [], iter(()))
         assert not c["ok"] and c["detail"] == "no instances"
-        c = _first_violation("x", {}, [1, 2], lambda _: False)
+        (c,) = _first_violations([("x", {})], [1, 2], iter(()))
         assert c["ok"] and "detail" not in c
-        c = _first_violation("x", {}, [1, 2], lambda i: i == 2)
+        (c,) = _first_violations([("x", {})], [1, 2], iter([(0, 2)]))
         assert not c["ok"] and c["detail"] == "violation at 2"
+        # ``detail`` names the instance, and a violation outweighs an
+        # empty ``examined``
+        (c,) = _first_violations([("x", {})], [], iter([(0, 2)]), str)
+        assert not c["ok"] and c["detail"] == "2"
+
+    def test_first_violations_stop_once_every_check_failed(self):
+        pulled = []
+
+        def violations():
+            # check 1 fails at every odd x, check 0 at every even one
+            for x in range(1, 6):
+                pulled.append(x)
+                yield x % 2, x
+
+        checks = [("x", {}), ("y", {}), ("z", {})]
+        got = _first_violations(checks, [1], violations())
+        assert [c.get("detail") for c in got] == ["violation at 2", "violation at 1", None]
+        assert pulled == [1, 2, 3, 4, 5]
+        pulled.clear()
+        got = _first_violations(checks[:2], [1], violations())
+        assert [c.get("detail") for c in got] == ["violation at 2", "violation at 1"]
+        assert pulled == [1, 2]
 
     def test_label_checks_over_no_labels_fail(self, lctx, monkeypatch):
         monkeypatch.setattr(lie_suite, "all_basis_labels", lambda lctx, deg_cap: [])
@@ -810,14 +842,24 @@ TAUS = (Fraction(2), Fraction(-1, 3))
 DEFAULT_TAUS = (Fraction(2), Fraction(-1, 3), Fraction(5, 7))
 
 
-def _pairwise_checks(lctx, deg_cap):
-    """Every check over pairs of labels, and exhaustive Jacobi."""
+# the checks over single labels, each of them a walk of the suite's one walker
+SINGLE_LABEL = {"vtau-basis-closed-form", "eval-kills-positive-degree", "eval-levi-embedding"}
+
+
+def _walked_checks(lctx, deg_cap):
+    """Every check of ``_product_order_details``, with antisymmetry: the
+    pairwise checks, exhaustive Jacobi and the checks over single labels."""
     checks = verify_antisymmetry(lctx, deg_cap=deg_cap)
     checks += verify_jacobi(lctx, deg_cap=deg_cap)
-    checks += _by_name(verify_vtau(lctx, deg_cap=deg_cap, taus=TAUS), "vtau-homomorphism")
+    checks += verify_vtau(lctx, deg_cap=deg_cap, taus=TAUS)
     checks += verify_gr(lctx, deg_cap=deg_cap)
-    checks += _by_name(verify_eval_map(lctx, deg_cap=deg_cap), "eval-homomorphism")
+    checks += verify_eval_map(lctx, deg_cap=deg_cap)
     return checks
+
+
+def _pairwise_checks(lctx, deg_cap):
+    """Every check over pairs of labels, and exhaustive Jacobi."""
+    return [c for c in _walked_checks(lctx, deg_cap) if c["check"] not in SINGLE_LABEL]
 
 
 def _first_in_product(out, key, instances, violated):
@@ -842,15 +884,40 @@ def _per_tau_details(lctx, deg_cap, taus):
 def _product_order_details(lctx, deg_cap):
     """{(check, tau): (detail or None, ordered triples examined)} for the
     pairwise checks and Jacobi as found by walking the whole product of
-    labels, as the suite did before it proved antisymmetry first: the
-    reference for the unordered walks."""
+    labels, as the suite did before it proved antisymmetry first, and for
+    the checks over single labels as found at each tau alone, on matrices
+    read at that tau: the reference for the suite's walks over Z[tau]."""
     labels = all_basis_labels(lctx, deg_cap)
     out = _per_tau_details(lctx, deg_cap, TAUS)
-    image = {a: lctx.eval_basis_matrix(a) for a in labels}
+    image = {a: eval_matrix(lctx, a) for a in labels}
     _first_in_product(out, ("eval-homomorphism", None), itertools.product(labels, labels),
-                      lambda ab: lctx.eval_map(lctx.bracket_basis(*ab))
+                      lambda ab: eval_map(lctx, lctx.bracket_basis(*ab))
                       != mat_commutator(lctx, image[ab[0]], image[ab[1]]))
     m = lctx.m
+    ring = lctx.ring
+    for tau in TAUS:
+        # E[p,q;t] hits v_q as tau^t times (tau - Q_k) for each junction k
+        # at the positions p..q-1
+        def off_closed_form(pqt, tau=tau):
+            p, q, t = pqt
+            coeff = ring.from_fraction(tau**t)
+            for pos in range(p, q):
+                if junction_Q(lctx, pos) is not None:
+                    coeff = coeff * (ring.from_fraction(tau) - junction_Q(lctx, pos))
+            return vtau_at(lctx, pqt, tau) != mat_unit(lctx, p - 1, q - 1, coeff)
+
+        _first_in_product(out, ("vtau-basis-closed-form", str(tau)), itertools.product(
+            range(1, m + 1), range(1, m + 1), range(deg_cap + 1)), off_closed_form)
+    positive = [g for g in generator_labels(lctx, max(deg_cap, 1)) if g[2] >= 1]
+    _first_in_product(out, ("eval-kills-positive-degree", None), positive,
+                      lambda g: eval_matrix(lctx, g) != {})
+    levi = []
+    for k in range(1, lctx.shape.r + 1):
+        block = [pos + 1 for pos in lctx.shape.block(k)]
+        levi += [(pos, pos, 0) for pos in block]
+        levi += [g for pos in block[:-1] for g in ((pos, pos + 1, 0), (pos + 1, pos, 0))]
+    _first_in_product(out, ("eval-levi-embedding", None), levi,
+                      lambda g: eval_matrix(lctx, g) != mat_unit(lctx, g[0] - 1, g[1] - 1, 1))
     psi = {(p, q): lctx.psi_gr(p, q) for p in range(1, m + 1) for q in range(1, m + 1)}
     names = {"gr-filtration": None, "gr-leading-term": None}
     if lctx.shape.r == 1:
@@ -967,11 +1034,12 @@ class TestAntisymmetryFirst:
             lctx._bb_cache[x, y] = br
             lctx._bb_cache[y, x] = -br
         assert lctx.antisymmetry_violation(all_basis_labels(lctx, deg_cap)) is None
-        checks = _pairwise_checks(lctx, deg_cap)
+        checks = _walked_checks(lctx, deg_cap)
         got = _details(checks)
         assert got == _product_order_details(lctx, deg_cap)
         failed = {name for (name, _), (detail, _) in got.items() if detail}
-        assert failed == {name for name, _ in got} - survivors
+        # the mutants touch no matrix, so the checks over single labels pass
+        assert failed == {name for name, _ in got} - survivors - SINGLE_LABEL
         assert checks[0]["ok"]
 
     @pytest.mark.parametrize("m", [(2, 2), (3,)])
@@ -981,7 +1049,7 @@ class TestAntisymmetryFirst:
         lctx = LieContext(Shape(m))
         a, b = (1, 2, 0), (2, 2, 0)
         lctx._bb_cache[a, b] = lctx._bb_cache[b, a] = lctx.zero()
-        got = _details(_pairwise_checks(lctx, 1))
+        got = _details(_walked_checks(lctx, 1))
         assert got == _product_order_details(lctx, 1)
         assert got["gr-leading-term", None] == (str((a, b)), None)
         assert got["gr-filtration", None] == (None, None)
@@ -994,14 +1062,53 @@ class TestAntisymmetryFirst:
         lctx = LieContext(Shape(m))
         deg_cap = 1
         corrupt(lctx, (3, 3, 0), lctx.ring.q.scale(3) + lctx.ring.one, at=(0, 1))
-        checks = _pairwise_checks(lctx, deg_cap)
+        checks = _walked_checks(lctx, deg_cap)
         got = _details(checks)
         want = _product_order_details(lctx, deg_cap)
+        assert got == want
         pair = ((1, 1, 0), (3, 3, 0))
         assert lctx.bracket_basis(*pair).is_zero
         for key in [("eval-homomorphism", None), ("vtau-homomorphism", str(TAUS[0]))]:
             assert got[key] == want[key] == (f"violation at {pair}", None)
         assert got["vtau-homomorphism", str(TAUS[1])] == (None, None)
+        # the closed form of E_{3,3} fails off its label, and V_0 of the
+        # Levi generator E_{3,3} is no matrix unit
+        assert got["vtau-basis-closed-form", str(TAUS[0])] == ("violation at (3, 3, 0)", None)
+        assert got["vtau-basis-closed-form", str(TAUS[1])] == (None, None)
+        assert got["eval-levi-embedding", None] == ("violation at (3, 3, 0)", None)
+        assert got["eval-kills-positive-degree", None] == (None, None)
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,)])
+    @pytest.mark.parametrize("label", [(1, 2, 0), (2, 1, 1)])
+    def test_a_corruption_vanishing_at_zero_passes_every_eval_check(self, m, label):
+        # 5 tau added at a generator's own entry: V_0 is untouched, and
+        # every V_tau at a default tau changes
+        lctx = LieContext(Shape(m))
+        corrupt(lctx, label, lctx.ring.q.scale(5))
+        got = _details(_walked_checks(lctx, 1))
+        assert got == _product_order_details(lctx, 1)
+        failed = {key for key, (detail, _) in got.items() if detail}
+        assert failed == {(name, str(tau)) for name in ("vtau-homomorphism",
+                                                        "vtau-basis-closed-form")
+                          for tau in TAUS}
+
+    @pytest.mark.parametrize("m", [(2, 2), (3,)])
+    @pytest.mark.parametrize("label,eval_check", [
+        ((1, 2, 0), "eval-levi-embedding"), ((2, 1, 1), "eval-kills-positive-degree")])
+    def test_a_corruption_vanishing_at_minus_a_third_passes_only_there(
+        self, m, label, eval_check
+    ):
+        # 3 tau + 1 added at a generator's own entry: V_{-1/3} is untouched,
+        # and V_0 gains 1 there
+        lctx = LieContext(Shape(m))
+        corrupt(lctx, label, lctx.ring.q.scale(3) + lctx.ring.one)
+        got = _details(_walked_checks(lctx, 1))
+        assert got == _product_order_details(lctx, 1)
+        failed = {key for key, (detail, _) in got.items() if detail}
+        assert failed == {("vtau-homomorphism", str(TAUS[0])),
+                          ("vtau-basis-closed-form", str(TAUS[0])),
+                          ("eval-homomorphism", None), (eval_check, None)}
+        assert got[eval_check, None] == (f"violation at {label}", None)
 
     def test_homomorphism_checks_build_only_the_pairs_that_can_fail(self, monkeypatch):
         # 108 labels (5,886 pairs) at degree 2 and 64 generators (2,080
@@ -1016,7 +1123,7 @@ class TestAntisymmetryFirst:
         monkeypatch.setattr(lie_suite, "mat_commutator", counting)
         lctx = LieContext(Shape((2, 2, 2)))
         assert all(c["ok"] for c in verify_eval_map(lctx, deg_cap=2))
-        assert len(calls) == 1761
+        assert len(calls) == 1791
         calls.clear()
         assert all(c["ok"] for c in verify_vtau(lctx, deg_cap=3))
         assert len(calls) == 588
@@ -1064,7 +1171,7 @@ class TestAntisymmetryFirst:
 
     def test_clean_reports_match_the_product_walk(self):
         lctx = LieContext(Shape((1, 2)))
-        checks = _pairwise_checks(lctx, deg_cap=1)
+        checks = _walked_checks(lctx, deg_cap=1)
         assert all(c["ok"] for c in checks)
         assert _details(checks) == _product_order_details(lctx, 1)
 

@@ -837,6 +837,18 @@ class TestHwEigenvalues:
             checks = verify_hw_eigenvalues(ring, lam_max=3, j_max=2, t_max=3)
             assert checks and all(c["ok"] for c in checks)
 
+    @pytest.mark.parametrize("q_one", [False, True])
+    def test_a_wrong_empty_gauss_integer_fails_exactly_the_empty_rows(self, monkeypatch, q_one):
+        # [0] = 1 in place of 0: an empty row's closed form Q^t q^e [0] is
+        # computed and compared with 0, at each of the suite's 32 empty rows
+        real = schur_suite.qint
+        monkeypatch.setattr(schur_suite, "qint",
+                            lambda d, ring: ring.one if d == 0 else real(d, ring))
+        checks = verify_hw_eigenvalues(LaurentRing(2, q_one=q_one), lam_max=4, j_max=2, t_max=3)
+        failed = [c for c in checks if not c["ok"]]
+        assert failed == [c for c in checks if c["params"]["lam_j"] == 0]
+        assert len(failed) == 32
+
     def test_q1_closed_form_is_Q_times_row(self):
         ring = LaurentRing(2, q_one=True)
         a, b = hw_eigenvalue_pair(3, 2, 2, 2, +1, ring)
