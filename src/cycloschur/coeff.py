@@ -356,7 +356,10 @@ class LaurentRing:
     With ``q_one=True`` every q power collapses to 1 at construction, so the
     whole engine runs at the q = 1 specialization without a parallel code
     path.  ``origin`` is the packed key of 1 and ``guard`` the mask of the
-    guard bits of every slot.
+    guard bits of every slot.  A ring equals and hashes as its (r, q_one),
+    so the values derived from it, ``q_pow``, ``qq_comm``, ``qint`` and
+    ``qfactorial``, are memoized by ``lru_cache`` on their definitions and
+    shared by equal rings; the ring itself holds no cache.
     """
 
     def __init__(self, r, q_one=False):
@@ -369,11 +372,6 @@ class LaurentRing:
         self.guard = _slots(_GUARD, self.nvars)
         self.zero = MultiLaurent._make(self.nvars, {})
         self.one = MultiLaurent._make(self.nvars, {self.origin: 1})
-        self._qpow_cache = {}
-        self._qint_cache = {}
-        self._qfact_cache = {}
-        self._phi_cache = {}  # symfun.phi by (t, k, sign)
-        self._qq_comm = None
 
     def __eq__(self, other):
         return (
@@ -403,14 +401,12 @@ class LaurentRing:
             raise ValueError("mixed variable arities")
         return c.terms
 
+    @lru_cache(maxsize=None)
     def q_pow(self, e):
+        """q^e (1 at q = 1), built once per ring value and exponent."""
         if self.q_one or e == 0:
             return self.one
-        cached = self._qpow_cache.get(e)
-        if cached is None:
-            cached = MultiLaurent._make(self.nvars, {self.origin + _pack((e,)): 1})
-            self._qpow_cache[e] = cached
-        return cached
+        return MultiLaurent._make(self.nvars, {self.origin + _pack((e,)): 1})
 
     @property
     def q(self):
@@ -426,39 +422,30 @@ class LaurentRing:
             raise ValueError(f"Q_{k} not in this ring (r={self.r})")
         return MultiLaurent._make(self.nvars, {self.origin + _pack((e,), k + 1): 1})
 
+    @lru_cache(maxsize=None)
     def qq_comm(self):
-        """The ubiquitous factor q - q^{-1} (zero at q = 1), built once per ring."""
-        if self._qq_comm is None:
-            self._qq_comm = self.q_pow(1) - self.q_pow(-1)
-        return self._qq_comm
+        """The ubiquitous factor q - q^{-1} (zero at q = 1), built once per ring value."""
+        return self.q_pow(1) - self.q_pow(-1)
 
 
+@lru_cache(maxsize=None)
 def qint(d, ring):
     """Gauss integer [d] = (q^d - q^{-d}) / (q - q^{-1}) as a Laurent polynomial."""
-    cached = ring._qint_cache.get(d)
-    if cached is not None:
-        return cached
     a = abs(d)
     out = ring.zero
     for j in range(a):
         out = out + ring.q_pow(a - 1 - 2 * j)
-    if d < 0:
-        out = -out
-    ring._qint_cache[d] = out
-    return out
+    return -out if d < 0 else out
 
 
+@lru_cache(maxsize=None)
 def qfactorial(d, ring):
     """[d]! = [d][d-1]...[1] with [0]! = 1; requires d >= 0."""
     if d < 0:
         raise ValueError("q-factorial needs d >= 0")
-    cached = ring._qfact_cache.get(d)
-    if cached is not None:
-        return cached
     out = ring.one
     for j in range(1, d + 1):
         out = out * qint(j, ring)
-    ring._qfact_cache[d] = out
     return out
 
 

@@ -145,16 +145,17 @@ def strip(partition):
     return p
 
 
+@lru_cache(maxsize=None)
 def enumerate_multipartitions(n, shape):
     """The extended set of multipartitions of n, whose component lengths are
-    bounded by (n, ..., n, m_r), the index set of the Weyl characters."""
+    bounded by (n, ..., n, m_r), the index set of the Weyl characters; a
+    tuple, built once per n and shape."""
     bounds = [n] * (shape.r - 1) + [shape.m[-1]]
     out = []
     for sizes in compositions_of(n, shape.r):
         pools = [partitions_of(nk, max_len=bounds[k]) for k, nk in enumerate(sizes)]
-        for combo in itertools.product(*pools):
-            out.append(tuple(combo))
-    return out
+        out.extend(itertools.product(*pools))
+    return tuple(out)
 
 
 def size(lam):

@@ -53,6 +53,7 @@ written once too, in ``m_mu_witness``: the first three terms of m_mu * D.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 
 from . import combinatorics as comb
 from . import symfun
@@ -105,7 +106,6 @@ class HeckeContext:
         self.ring = LaurentRing(r, q_one=q_one)
         self._id = perm_id(n)
         self._zero_c = (0,) * n
-        self._parts = {}  # mu -> young_parts(mu), see ``m_mu_kills``
         self._kills = {}  # (young_parts(mu), D) -> m_mu * D == 0
         self._pushes = {}  # (w, b) -> T_w * b for w != id, see ``_push``
         # a ring key sits above the n L slots
@@ -388,9 +388,10 @@ def a_form_quotient(elem, g):
 # the m_mu generators and the bracket elements
 
 
+@lru_cache(maxsize=None)
 def young_parts(mu):
     """The block sizes of the Young subgroup S_mu: the nonzero parts of the
-    flattened composition, in order."""
+    flattened composition, in order; built once per weight."""
     return tuple(part for part in comb.flatten(mu) if part)
 
 
@@ -500,8 +501,7 @@ def _x_mu_collapse_kills(ctx, parts, D):
 
 def m_mu_kills(ctx, mu, D):
     """Whether m_mu * D == 0, decided as x_mu * D == 0 and memoized on the
-    context by content, (``young_parts(mu)``, D); the parts of each weight
-    are kept on the context too.
+    context by content, (``young_parts(mu)``, D).
 
     The L factors never change whether the product is zero: m_mu = lprod *
     x_mu, and on the normal form sum_w f_w(L) T_w left multiplication by
@@ -515,9 +515,7 @@ def m_mu_kills(ctx, mu, D):
     sweep ``x_mu_mul`` makes sum_p C(p, 2) ``lmul_gen`` passes over D, so
     at three passes or more the right-coset collapse
     (``_x_mu_collapse_kills``, one pass over iota(D)) decides instead."""
-    parts = ctx._parts.get(mu)
-    if parts is None:
-        parts = ctx._parts[mu] = young_parts(mu)
+    parts = young_parts(mu)
     key = (parts, D)
     killed = ctx._kills.get(key)
     if killed is None:

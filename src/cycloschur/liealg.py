@@ -87,7 +87,7 @@ class LieContext:
     def __init__(self, shape):
         self.shape = shape
         self.m = shape.total
-        self.ring = LaurentRing(max(shape.r, 1))
+        self.ring = LaurentRing(shape.r)
         self._origin = self.ring.origin  # key of 1
         self._guard = self.ring.guard
         # the key of Q_k at the junction position of each k

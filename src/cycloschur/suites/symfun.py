@@ -7,8 +7,8 @@ from __future__ import annotations
 from .. import combinatorics as comb
 from ..coeff import LaurentRing
 from ..reporting import check
-from ..symfun import (SymPoly, cached_character, char_product_check, embed, expand_in_schur_basis,
-                      phi, power_sum, schur_poly, single_component_multipartition)
+from ..symfun import (SymPoly, char_product_check, embed, expand_in_schur_basis, phi, power_sum,
+                      schur_poly, single_component_multipartition, weyl_character)
 
 
 def verify_phi_recursions(tmax, kmax, ring):
@@ -49,16 +49,13 @@ def verify_phi_q1(tmax, kmax, ring_q1):
     return checks
 
 
-def verify_characters(shape, nmax, ring, chars=None):
-    """Parts (i) and (ii) of the character proposition plus block symmetry.
-    ``chars`` is an optional character cache shared with other checks."""
-    if chars is None:
-        chars = {}
+def verify_characters(shape, nmax, ring):
+    """Parts (i) and (ii) of the character proposition plus block symmetry."""
     checks = []
     nvars = shape.total
     for n in range(0, nmax + 1):
         for lam in comb.enumerate_multipartitions(n, shape):
-            ch = cached_character(lam, shape, ring, chars)
+            ch = weyl_character(lam, shape, ring)
             sym_ok = True
             for k in range(1, shape.r + 1):
                 block = list(shape.block(k))
@@ -70,7 +67,7 @@ def verify_characters(shape, nmax, ring, chars=None):
             prod = SymPoly.constant(ring, nvars, ring.one)
             for k in range(1, shape.r + 1):
                 single = single_component_multipartition(lam[k - 1], k, shape.r)
-                ch_single = cached_character(single, shape, ring, chars)
+                ch_single = weyl_character(single, shape, ring)
                 prod = prod * ch_single
                 positions = [
                     slot for l in range(k, shape.r + 1) for slot in shape.block(l)
@@ -82,28 +79,21 @@ def verify_characters(shape, nmax, ring, chars=None):
     return checks
 
 
-def verify_char_products(shape, total_max, ring, chars=None):
+def verify_char_products(shape, total_max, ring):
     """Part (iii): the LR product formula for all multipartition pairs with
     |lam| + |mu| <= total_max, plus the classical LR cross-check against the
-    Schur-expansion oracle on every component pair encountered.  ``chars``
-    is an optional character cache shared with other checks."""
-    if chars is None:
-        chars = {}
+    Schur-expansion oracle on every component pair encountered."""
     checks = []
     seen_partition_pairs = set()
-    by_size = {
-        n: comb.enumerate_multipartitions(n, shape)
-        for n in range(total_max + 1)
-    }
     pairs = [
         (lam, mu)
         for n1 in range(0, total_max + 1)
         for n2 in range(0, total_max - n1 + 1)
-        for lam in by_size[n1]
-        for mu in by_size[n2]
+        for lam in comb.enumerate_multipartitions(n1, shape)
+        for mu in comb.enumerate_multipartitions(n2, shape)
     ]
     for lam, mu in pairs:
-        report = char_product_check(lam, mu, shape, ring, chars, by_size)
+        report = char_product_check(lam, mu, shape, ring)
         checks.append(check("char-product-lr", {"lambda": lam, "mu": mu}, report["verified"]))
         for lk, mk in zip(lam, mu):
             seen_partition_pairs.add((comb.strip(lk), comb.strip(mk)))
@@ -136,7 +126,6 @@ def run(config):
     ring = LaurentRing(config.shape.r, q_one=config.q1)
     checks = verify_phi_recursions(4, 4, ring)
     checks += verify_phi_q1(4, 4, LaurentRing(config.shape.r, q_one=True))
-    chars = {}
-    checks += verify_characters(config.shape, min(config.n, 3), ring, chars)
-    checks += verify_char_products(config.shape, min(config.n, 3), ring, chars)
+    checks += verify_characters(config.shape, min(config.n, 3), ring)
+    checks += verify_char_products(config.shape, min(config.n, 3), ring)
     return checks

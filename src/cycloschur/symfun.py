@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 from operator import add
 
 from . import combinatorics as comb
@@ -165,30 +166,25 @@ def monomial_sym(lam, k, ring):
     return _tally(ring, k, set(itertools.permutations(padded)))
 
 
+@lru_cache(maxsize=None)
 def phi(t, k, sign, ring):
     """The degree-t symmetric polynomial Phi_t^{sign} in k variables.
 
     Closed form: sum over partitions lam of t with at most k parts of
     (1 - q^{-+2})^{len(lam)-1} m_lam; the degenerate t = 0 value is the
     constant q^{-+k+-1} [k].  ``sign`` is +1 or -1.  Built once per ring
-    and arguments.
+    value and arguments.
     """
     if k < 1:
         raise ValueError("need at least one variable")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    key = (t, k, sign)
-    cached = ring._phi_cache.get(key)
-    if cached is not None:
-        return cached
     if t == 0:
-        out = SymPoly.constant(ring, k, ring.q_pow(-sign * k + sign) * qint(k, ring))
-    else:
-        unit = ring.one - ring.q_pow(-2 * sign)
-        out = SymPoly.zero(ring, k)
-        for lam in comb.partitions_of(t, max_len=k):
-            out = out + monomial_sym(lam, k, ring).scale(unit ** (len(lam) - 1))
-    ring._phi_cache[key] = out
+        return SymPoly.constant(ring, k, ring.q_pow(-sign * k + sign) * qint(k, ring))
+    unit = ring.one - ring.q_pow(-2 * sign)
+    out = SymPoly.zero(ring, k)
+    for lam in comb.partitions_of(t, max_len=k):
+        out = out + monomial_sym(lam, k, ring).scale(unit ** (len(lam) - 1))
     return out
 
 
@@ -238,17 +234,16 @@ def schur_poly(lam, nvars, ring, positions=None):
     return _tally(ring, nvars, weights)
 
 
+@lru_cache(maxsize=None)
 def weyl_character(lam, shape, ring):
-    """ch Delta(lam) = sum over weights mu of #T_0(lam, mu) x^mu."""
-    nvars = shape.total
+    """ch Delta(lam) = sum over weights mu of #T_0(lam, mu) x^mu, built once
+    per multipartition, shape and ring value.  The empty shape has one
+    tableau, of weight 0, so its character is 1."""
     weights = (
         comb.flatten(comb.tableau_weight(tab, shape))
         for tab in comb.semistandard_tableaux(lam, shape)
     )
-    ch = _tally(ring, nvars, weights)
-    if ch.is_zero and comb.size(lam) == 0:
-        return SymPoly.constant(ring, nvars, ring.one)
-    return ch
+    return _tally(ring, shape.total, weights)
 
 
 def single_component_multipartition(part, k, r):
@@ -274,40 +269,22 @@ def expand_in_schur_basis(poly, ring):
     return out
 
 
-def cached_character(nu, shape, ring, chars):
-    """weyl_character(nu, shape, ring) through the cache ``chars``, keyed by
-    multipartition."""
-    ch = chars.get(nu)
-    if ch is None:
-        ch = chars[nu] = weyl_character(nu, shape, ring)
-    return ch
-
-
-def char_product_check(lam, mu, shape, ring, chars=None, by_size=None):
+def char_product_check(lam, mu, shape, ring):
     """Verify ch Delta(lam) ch Delta(mu) = sum_nu LR^nu_{lam,mu} ch Delta(nu).
 
     Returns a report dict with the LR multiset and a ``verified`` flag; never
-    silently passes a mismatch.  ``chars`` is an optional shared character
-    cache keyed by multipartition, and ``by_size`` an optional {n: the
-    extended multipartitions of n} that covers |lam| + |mu|.
+    silently passes a mismatch.
     """
-    if chars is None:
-        chars = {}
     lam = tuple(comb.strip(p) for p in lam)
     mu = tuple(comb.strip(p) for p in mu)
-    lhs = cached_character(lam, shape, ring, chars) * cached_character(mu, shape, ring, chars)
-    n_total = comb.size(lam) + comb.size(mu)
-    if by_size is None:
-        nus = comb.enumerate_multipartitions(n_total, shape)
-    else:
-        nus = by_size[n_total]
+    lhs = weyl_character(lam, shape, ring) * weyl_character(mu, shape, ring)
     rhs = SymPoly.zero(ring, shape.total)
     lr_terms = []
-    for nu in nus:
+    for nu in comb.enumerate_multipartitions(comb.size(lam) + comb.size(mu), shape):
         c = comb.lr_coefficient(lam, mu, nu)
         if c:
             lr_terms.append((nu, c))
-            rhs = rhs + cached_character(nu, shape, ring, chars).scale(c)
+            rhs = rhs + weyl_character(nu, shape, ring).scale(c)
     return {
         "lambda": [list(p) for p in lam],
         "mu": [list(p) for p in mu],

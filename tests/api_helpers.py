@@ -1,12 +1,15 @@
 """Conveniences that only the tests use, built on the public names of src:
 the Lie generators X and I and the bracket of whole elements, the plain
-multipartition set Lambda^+_{n,r}(m), and the Schur relations (R1)-(R8) as
-one family.  The suites reach none of them: they bracket basis labels,
-enumerate the extended multipartitions and run the relations in two
-parts."""
+multipartition set Lambda^+_{n,r}(m), the Schur relations (R1)-(R8) as
+one family, and the memoized functions of src.  The suites reach none of
+them: they bracket basis labels, enumerate the extended multipartitions and
+run the relations in two parts."""
 
+import importlib
+import pkgutil
 from itertools import chain, product
 
+import cycloschur
 from cycloschur.combinatorics import compositions_of, partitions_of
 from cycloschur.suites.schur import ki_relation_words, run_relations, x_relation_words
 
@@ -53,3 +56,18 @@ def verify_relations(sctx, deg=2):
     """The checks of ``relation_words`` as operator identities on every
     weight."""
     return run_relations(sctx, relation_words(sctx, deg))
+
+
+def memoized_functions():
+    """{"module.name": function} for every function and method defined in a
+    ``cycloschur`` module that has a ``cache_clear``, found by walking the
+    package's modules and their classes."""
+    found = {}
+    for info in pkgutil.walk_packages(cycloschur.__path__, "cycloschur."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else (value,)
+            for f in members:
+                if hasattr(f, "cache_clear") and f.__module__ == module.__name__:
+                    found[f"{module.__name__}.{f.__qualname__}"] = f
+    return found

@@ -133,13 +133,12 @@ def test_criterion_9_tensor_character_identity():
     t0 = time.time()
     shape = Shape((2, 2))
     ring = LaurentRing(2)
-    chars = {}
     checks = []
     for n1 in range(0, 6):
         for n2 in range(0, 6 - n1):
             for lam in small_multipartitions(n1, shape):
                 for mu in small_multipartitions(n2, shape):
-                    rep = char_product_check(lam, mu, shape, ring, chars)
+                    rep = char_product_check(lam, mu, shape, ring)
                     params = {"lambda": lam, "mu": mu}
                     checks.append(check("tensor-character", params, rep["verified"]))
     assert len(checks) == 316

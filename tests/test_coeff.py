@@ -292,8 +292,9 @@ class TestExactness:
 
     def test_qq_comm_built_once(self):
         ring = LaurentRing(2)
-        assert ring.qq_comm() is ring.qq_comm()
+        assert ring.qq_comm() is ring.qq_comm() is LaurentRing(2).qq_comm()
         assert ring.qq_comm() == ring.q - ring.qinv
+        assert LaurentRing(2, q_one=True).qq_comm().is_zero
 
 
 exponents = st.integers(-8192, 8191)

@@ -911,18 +911,17 @@ class TestMmuKills:
         # blocks of three take the collapse, the rest the sweep
         assert decisions["sweep"] and decisions["collapse"]
 
-    def test_parts_are_kept_once_per_weight(self, monkeypatch):
-        calls = []
-        real = hecke_mod.young_parts
-        monkeypatch.setattr(hecke_mod, "young_parts", lambda mu: calls.append(mu) or real(mu))
-        ctx = HeckeContext(3, 2)
+    def test_parts_are_kept_once_per_weight(self):
+        # young_parts is memoized on its definition, so two contexts asking
+        # three questions each at one weight build its parts once
         mu = ((2,), (1,))
-        q = ctx.scalar(ctx.ring.q)
-        for D in (ctx.T(1) - q, ctx.T(2) - q, ctx.T(1) - q):
-            m_mu_kills(ctx, mu, D)
-        assert calls == [mu]
-        assert ctx._parts == {mu: (2, 1)}
-        assert not HeckeContext(3, 2)._parts
+        for ctx in (HeckeContext(3, 2), HeckeContext(3, 2)):
+            q = ctx.scalar(ctx.ring.q)
+            for D in (ctx.T(1) - q, ctx.T(2) - q, ctx.T(1) - q):
+                m_mu_kills(ctx, mu, D)
+        info = young_parts.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+        assert young_parts(mu) == (2, 1)
 
     @pytest.mark.parametrize("mu,route", [
         (((3,), (0,)), "collapse"), (((2,), (1,)), "sweep"), (((1,), (2,)), "sweep"),

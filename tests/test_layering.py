@@ -6,6 +6,10 @@ import sys
 from pathlib import Path
 
 import cycloschur
+from cycloschur.coeff import LaurentRing
+from cycloschur.combinatorics import Shape, enumerate_multipartitions
+
+from api_helpers import memoized_functions
 
 ENGINES = ("coeff", "combinatorics", "symfun", "hecke", "schurops", "liealg")
 
@@ -187,3 +191,37 @@ def test_element_arithmetic_is_defined_once():
                 if isinstance(item, ast.FunctionDef) and item.name in found:
                     found[item.name].append(f"{path}:{node.name}")
     assert {name: sorted(where) for name, where in found.items()} == SHARED_ARITHMETIC
+
+
+# One memo rule: a pure function of hashable, immutable inputs is memoized
+# by ``functools.lru_cache`` on its own definition; only memos keyed by
+# engine elements live on a context.  So a ring holds no cache, and a
+# memoized value a caller could mutate is a tuple, not a list.
+def test_a_ring_holds_no_cache():
+    assert set(vars(LaurentRing(2))) == {"r", "q_one", "nvars", "origin", "guard", "zero", "one"}
+
+
+def test_multipartition_sets_are_tuples():
+    assert type(enumerate_multipartitions(2, Shape((1, 2)))) is tuple
+
+
+def _lru_decorated():
+    """"module.qualname" of every src definition decorated with ``lru_cache``."""
+    src = Path(cycloschur.__file__).parent
+    out = set()
+    for path in sorted(src.rglob("*.py")):
+        module = "cycloschur." + path.relative_to(src).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.parse(path.read_text()).body:
+            defs = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+            for item in defs:
+                if isinstance(item, ast.FunctionDef) and any(
+                    "lru_cache" in ast.unparse(d) for d in item.decorator_list
+                ):
+                    owner = f"{node.name}." if item is not node else ""
+                    out.add(f"{module}.{owner}{item.name}")
+    return out
+
+
+def test_the_memo_walker_finds_every_memo():
+    # tests/conftest.py clears these before each test
+    assert set(memoized_functions()) == _lru_decorated()

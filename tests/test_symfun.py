@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloschur import combinatorics
-from cycloschur import symfun as symfun_module
 from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qint
 from cycloschur.combinatorics import Shape, enumerate_multipartitions
 from cycloschur.symfun import (
@@ -177,27 +176,25 @@ class TestCharProduct:
         assert checks and all(c["ok"] for c in checks)
 
     def test_suite_computes_each_character_and_size_once(self, monkeypatch):
-        # the character checks and the product checks share one character
-        # cache, and the products list each size's multipartitions once
-        calls = {"weyl_character": [], "enumerate_multipartitions": []}
+        # the character checks and the product checks share the memoized
+        # characters, even over two equal rings, and each size's
+        # multipartitions are listed once
+        tableaux = []
+        real = combinatorics.semistandard_tableaux
 
-        def counting(module, name):
-            real = getattr(module, name)
+        def counting(lam, *args):
+            tableaux.append(lam)
+            return real(lam, *args)
 
-            def wrapper(*args, **kwargs):
-                calls[name].append(args[0])
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(symfun_module, "weyl_character")
-        counting(combinatorics, "enumerate_multipartitions")
-        shape, chars = Shape((1, 2, 1)), {}
-        checks = verify_characters(shape, 3, LaurentRing(3), chars)
-        checks += verify_char_products(shape, 3, LaurentRing(3), chars)
+        monkeypatch.setattr(combinatorics, "semistandard_tableaux", counting)
+        shape = Shape((1, 2, 1))
+        checks = verify_characters(shape, 3, LaurentRing(3))
+        checks += verify_char_products(shape, 3, LaurentRing(3))
         assert all(c["ok"] for c in checks)
-        assert sorted(calls["weyl_character"]) == sorted(chars)
-        assert calls["enumerate_multipartitions"] == [0, 1, 2, 3] * 2
+        assert len(tableaux) == len(set(tableaux)) == weyl_character.cache_info().currsize
+        sizes = enumerate_multipartitions.cache_info()
+        assert (sizes.misses, sizes.currsize) == (4, 4)
+        assert sizes.hits
 
 
 class TestHelpers:
