@@ -11,9 +11,10 @@ parse error (a ``ParseError`` raised at this edge, or an argparse failure),
 When the selected suites have more than one part (``suites.RUNNERS``) and
 more than one CPU is usable, the parts run concurrently, in this process and
 in forked workers (see ``run_suites``); a one-suite ``--suite schur`` run has
-two parts.  The report is byte-identical to a one-process run, a part that
-raises in a worker ends the run with the same exit code and stderr line, and
-a worker that dies without sending its result is exit 3.
+two parts and a ``--suite q1`` run three.  The report is byte-identical to a
+one-process run, a part that raises in a worker ends the run with the same
+exit code and stderr line, and a worker that dies without sending its result
+is exit 3.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class ParseError(ValueError):
 class RunConfig:
     """The settings of one ``cycloschur verify`` run.  The block sizes m fix
     the component count r = len(m).  ``shared`` holds what the parts of one
-    suite that run in one process share, such as the ``schur`` suite's
-    ``SchurContext``; it starts empty with each run."""
+    suite that run in one process share, such as the ``SchurContext`` of the
+    ``schur`` or the ``q1`` suite; it starts empty with each run."""
 
     def __init__(self, n=2, m=(2, 2), suites=SUITES, deg=2, dmax=3, seed=0, out=None,
                  q1=False):

@@ -5,8 +5,8 @@ maps each suite name of ``cycloschur verify``, in the order of ``--suite
 all``, to the suite's parts in report order: each part takes the run's
 ``RunConfig`` and returns its checks, and the suite's checks are its parts'
 checks in turn.  ``cli.run_suites`` deals parts, not suites, to its
-workers, so a suite of two parts can use two CPUs; parts of one suite that
-run in one process share what they build through ``RunConfig.shared``."""
+workers, so a suite of k parts can use k CPUs; parts of one suite that run
+in one process share what they build through ``RunConfig.shared``."""
 
 from . import hecke, lie, schur, symfun
 
@@ -15,5 +15,5 @@ RUNNERS = {
     "schur": (schur.run_ki, schur.run_x),
     "lie": (lie.run,),
     "symfun": (symfun.run,),
-    "q1": (schur.run_q1,),
+    "q1": (schur.run_q1_l13, schur.run_q1_l46, schur.run_q1_hw),
 }

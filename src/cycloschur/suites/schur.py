@@ -3,8 +3,9 @@ expansions, the q = 1 identities with the images of (L1)-(L6), divided
 powers and the highest-weight eigenvalues.  Each relation family yields
 (name, params, lhs word, rhs word), and ``run_relations`` decides every
 pair as an operator identity on all weights.  The ``schur`` suite has two
-parts, ``run_ki`` and ``run_x``, which ``cli.run_suites`` may run in two
-processes."""
+parts, ``run_ki`` and ``run_x``, and the ``q1`` suite three, ``run_q1_l13``,
+``run_q1_l46`` and ``run_q1_hw``; ``cli.run_suites`` may run the parts of
+one suite in different processes."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from functools import lru_cache, partial
 from itertools import product
 
 from .. import combinatorics as comb
-from ..coeff import qfactorial, qint
+from ..coeff import LaurentRing, qfactorial, qint
 from ..hecke import m_mu_divides, m_mu_witness
 from ..reporting import PM, check
 from ..schurops import I, K, SchurContext, X, ow, ow_commutator, ow_mul, ow_neg, ow_scale
@@ -247,19 +248,14 @@ def x_relation_words(sctx, deg):
         yield "CJ0", {"pos": pos}, J0, rhs
 
 
-def verify_q1(sctx, deg=2):
-    """The q = 1 identities: trivial K, matching I^+ = I^-, and the images of
-    the current-algebra relations (L1)-(L6)."""
-    if not sctx.ring.q_one:
-        raise ValueError("needs a q = 1 context")
-    return run_relations(sctx, q1_relation_words(sctx, deg))
-
-
-def q1_relation_words(sctx, deg):
-    """The q = 1 identities and (L1)-(L6) as (name, params, lhs, rhs)."""
+def q1_l13_relation_words(sctx, deg):
+    """The q = 1 identities: trivial K, matching I^+ = I^- and the tilde-K J_0
+    identity, then the images of (L1)-(L3), the current-algebra relations
+    with an I or an X^+ X^- pair, as (name, params, lhs, rhs) in report
+    order."""
     ring = sctx.ring
     gamma, gamma_prime = range(1, sctx.shape.total + 1), range(1, sctx.shape.total)
-    S = T = U = range(deg + 1)
+    S = T = range(deg + 1)
     w = partial(ow, ring)
     zero, one = (), w()
     comm = partial(ow_twist, ring, e=0)
@@ -295,6 +291,18 @@ def q1_relation_words(sctx, deg):
             continue
         rhs = at_junction(ring, sctx.shape.junction(p1), partial(lieJ, p1), s + t)
         yield "q1-L3-diag", {"pos": p1, "t": t, "s": s}, lhs, rhs
+
+
+def q1_l46_relation_words(sctx, deg):
+    """The images of (L4)-(L6) at q = 1, the relations among the X of one
+    sign, as (name, params, lhs, rhs) in report order."""
+    ring = sctx.ring
+    gamma_prime = range(1, sctx.shape.total)
+    S = T = U = range(deg + 1)
+    w = partial(ow, ring)
+    zero = ()
+    comm = partial(ow_twist, ring, e=0)
+
     # (L4), (L5), (L6)
     for p1, sign in product(gamma_prime, (+1, -1)):
         for p2, t, s in product(gamma_prime, T, S):
@@ -369,34 +377,47 @@ def verify_hw_eigenvalues(ring, lam_max=5, j_max=3, t_max=4):
     return checks
 
 
-def _context(config):
-    """The ``schur`` suite's SchurContext in this run: its parts that run in
-    one process build it once, in ``config.shared``, which dies with the run."""
-    sctx = config.shared.get("schur")
+def _context(config, suite, q_one):
+    """The SchurContext of the ``schur`` or ``q1`` suite in this run: the
+    suite's parts that run in one process build it once, in
+    ``config.shared``, which dies with the run."""
+    sctx = config.shared.get(suite)
     if sctx is None:
-        sctx = config.shared["schur"] = SchurContext(config.n, config.shape,
-                                                     q_one=config.q1)
+        sctx = config.shared[suite] = SchurContext(config.n, config.shape, q_one=q_one)
     return sctx
 
 
 def run_ki(config):
     """Part 0 of the ``schur`` suite of ``cycloschur verify``: the relations
     with a K or an I."""
-    sctx = _context(config)
+    sctx = _context(config, "schur", config.q1)
     return run_relations(sctx, ki_relation_words(sctx, config.deg))
 
 
 def run_x(config):
     """Part 1 of the ``schur`` suite: the relations among the X, the
     divided powers and the highest-weight eigenvalues."""
-    sctx = _context(config)
+    sctx = _context(config, "schur", config.q1)
     checks = run_relations(sctx, x_relation_words(sctx, config.deg))
     checks += verify_divided_powers(sctx, dmax=config.dmax)
     return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
 
 
-def run_q1(config):
-    """The ``q1`` suite of ``cycloschur verify``."""
-    sctx = SchurContext(config.n, config.shape, q_one=True)
-    checks = verify_q1(sctx, deg=config.deg)
-    return checks + verify_hw_eigenvalues(sctx.ring, lam_max=4, j_max=2, t_max=3)
+def run_q1_l13(config):
+    """Part 0 of the ``q1`` suite of ``cycloschur verify``: the q = 1
+    identities and the images of (L1)-(L3)."""
+    sctx = _context(config, "q1", True)
+    return run_relations(sctx, q1_l13_relation_words(sctx, config.deg))
+
+
+def run_q1_l46(config):
+    """Part 1 of the ``q1`` suite: the images of (L4)-(L6)."""
+    sctx = _context(config, "q1", True)
+    return run_relations(sctx, q1_l46_relation_words(sctx, config.deg))
+
+
+def run_q1_hw(config):
+    """Part 2 of the ``q1`` suite: the highest-weight eigenvalues at q = 1,
+    which read the ring alone and build no SchurContext."""
+    ring = LaurentRing(config.shape.r, q_one=True)
+    return verify_hw_eigenvalues(ring, lam_max=4, j_max=2, t_max=3)

@@ -1,9 +1,10 @@
 """Conveniences that only the tests use, built on the public names of src:
 the Lie generators X and I and the bracket of whole elements, the plain
-multipartition set Lambda^+_{n,r}(m), the Schur relations (R1)-(R8) as
-one family, and the memoized functions of src.  The suites reach none of
-them: they bracket basis labels, enumerate the extended multipartitions and
-run the relations in two parts."""
+multipartition set Lambda^+_{n,r}(m), the Schur relations (R1)-(R8) and
+the q = 1 relations (L1)-(L6) each as one family, and the memoized
+functions of src.  The suites reach none of them: they bracket basis
+labels, enumerate the extended multipartitions and run each family in two
+parts."""
 
 import importlib
 import pkgutil
@@ -11,7 +12,13 @@ from itertools import chain, product
 
 import cycloschur
 from cycloschur.combinatorics import compositions_of, partitions_of
-from cycloschur.suites.schur import ki_relation_words, run_relations, x_relation_words
+from cycloschur.suites.schur import (
+    ki_relation_words,
+    q1_l13_relation_words,
+    q1_l46_relation_words,
+    run_relations,
+    x_relation_words,
+)
 
 
 def lie_X(lctx, sign, pos, t):
@@ -56,6 +63,20 @@ def verify_relations(sctx, deg=2):
     """The checks of ``relation_words`` as operator identities on every
     weight."""
     return run_relations(sctx, relation_words(sctx, deg))
+
+
+def q1_relation_words(sctx, deg):
+    """The q = 1 identities and the images of (L1)-(L6) in report order:
+    the two relation parts of the ``q1`` suite in turn."""
+    return chain(q1_l13_relation_words(sctx, deg), q1_l46_relation_words(sctx, deg))
+
+
+def verify_q1(sctx, deg=2):
+    """The checks of ``q1_relation_words`` as operator identities on every
+    weight of a q = 1 context."""
+    if not sctx.ring.q_one:
+        raise ValueError("needs a q = 1 context")
+    return run_relations(sctx, q1_relation_words(sctx, deg))
 
 
 def memoized_functions():

@@ -19,11 +19,7 @@ from cycloschur.suites.lie import (
     verify_jacobi,
     verify_vtau,
 )
-from cycloschur.suites.schur import (
-    verify_divided_powers,
-    verify_hw_eigenvalues,
-    verify_q1,
-)
+from cycloschur.suites.schur import verify_divided_powers, verify_hw_eigenvalues
 from cycloschur.suites.symfun import (
     verify_char_products,
     verify_characters,
@@ -32,7 +28,7 @@ from cycloschur.suites.symfun import (
 )
 from cycloschur.symfun import char_product_check
 
-from api_helpers import small_multipartitions, verify_relations
+from api_helpers import small_multipartitions, verify_q1, verify_relations
 
 
 def report(criterion, label, checks, elapsed, budget):

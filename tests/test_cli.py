@@ -744,22 +744,32 @@ def test_workers_write_the_one_worker_report(monkeypatch, capsys, argv, code, to
 
 # The schur suite has two parts: the relations with a K or an I, then the
 # relations among the X with the divided powers and the highest-weight
-# eigenvalues.  At two CPUs the second part runs in the one worker.
+# eigenvalues.  The q1 suite has three: the q = 1 identities with (L1)-(L3),
+# then (L4)-(L6), then the highest-weight eigenvalues.  A run forks one
+# worker for each part beyond the first that a usable CPU is left for.
 SCHUR_ARGVS = [
     ["--suite", "schur", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2"],
     ["--suite", "schur", "-n", "3", "-m", "2,2", "--deg", "2"],
 ]
+Q1_ARGVS = [
+    # the q1 workload of the benchmark
+    ["--suite", "q1", "-n", "3", "-r", "2", "-m", "2,2"],
+    ["--suite", "q1", "-n", "3", "-r", "3", "-m", "1,2,1"],
+]
 
 
-@pytest.mark.parametrize("argv", SCHUR_ARGVS)
-def test_a_schur_run_uses_two_cpus(monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv", SCHUR_ARGVS + Q1_ARGVS)
+def test_a_split_run_uses_its_cpus(monkeypatch, capsys, argv):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
     one = _verify(monkeypatch, capsys, 1, argv)
     assert forks == []
-    assert _verify(monkeypatch, capsys, 2, argv) == one
-    assert len(forks) == 1
     assert one[0] == 0 and one[1].err == ""
+    parts = len(cli.RUNNERS[argv[1]])
+    for cpus in (2, 4):
+        del forks[:]
+        assert _verify(monkeypatch, capsys, cpus, argv) == one
+        assert len(forks) == min(cpus, parts) - 1
 
 
 def _junction_off_by_one(monkeypatch):
@@ -795,21 +805,58 @@ def test_a_fault_in_the_second_schur_part(monkeypatch, capsys, fault, code, line
         assert one[1].out == ""
 
 
+def _commutator_as_product(monkeypatch):
+    monkeypatch.setattr(schur_suite, "ow_commutator",
+                        lambda ring, a, b: schurops.ow_mul(ring, a, b))
+
+
+def _broken_eigenvalue(monkeypatch):
+    def broken(*args):
+        raise EngineError("broken eigenvalue")
+
+    monkeypatch.setattr(schur_suite, "hw_eigenvalue_pair", broken)
+
+
+# Faults that only a later q1 part reaches: [a, b] read as the product a b
+# in the (L6) left-hand sides (a verification failure, in the worker's part
+# at two CPUs) and an engine error in the highest-weight eigenvalues (the
+# last part, in this process at two CPUs).
+@pytest.mark.parametrize("fault,code,line", [
+    (_commutator_as_product, 1, ""),
+    (_broken_eigenvalue, 3, "engine error: broken eigenvalue\n"),
+])
+def test_a_fault_in_a_later_q1_part(monkeypatch, capsys, fault, code, line):
+    fault(monkeypatch)
+    argv = ["--suite", "q1", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "1"]
+    one = _verify(monkeypatch, capsys, 1, argv)
+    assert _verify(monkeypatch, capsys, 2, argv) == one
+    assert (one[0], one[1].err) == (code, line)
+    if code == 1:
+        failed = json.loads(one[1].out)["suites"]["q1"]["failed"]
+        assert failed and {c["check"] for c in failed} == {"q1-L6"}
+    else:
+        assert one[1].out == ""
+
+
 # The parts of a suite share one SchurContext within a run and in one
 # process, and no context outlives its run: a second run builds its own, so
-# an engine fault installed after the first run reaches the second.
+# an engine fault installed after the first run reaches the second.  The
+# q1 suite's eigenvalue part builds no context.
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_no_context_outlives_its_run(monkeypatch, capsys, cpus):
     built = _record_contexts(monkeypatch, schur_suite, "SchurContext")
-    argv = ["--suite", "schur", "-n", "2", "-r", "1", "-m", "2", "--deg", "1"]
-    assert _verify(monkeypatch, capsys, cpus, argv)[0] == 0
-    assert built == [((2, Shape((2,))), {"q_one": False})]
     real = schurops.phi_jm
-    monkeypatch.setattr(schurops, "phi_jm", lambda *a: real(*a).scale(2))
-    code, captured = _verify(monkeypatch, capsys, cpus, argv)
-    assert (code, captured.out) == (3, "")
-    assert captured.err.startswith("engine error: ")
-    assert len(built) == 2
+    for suite, q_one in (("schur", False), ("q1", True)):
+        del built[:]
+        monkeypatch.setattr(schurops, "phi_jm", real)
+        argv = ["--suite", suite, "-n", "2", "-r", "1", "-m", "2", "--deg", "1"]
+        assert _verify(monkeypatch, capsys, cpus, argv)[0] == 0
+        assert built == [((2, Shape((2,))), {"q_one": q_one})]
+        monkeypatch.setattr(schurops, "phi_jm", lambda *a: real(*a).scale(2))
+        code, captured = _verify(monkeypatch, capsys, cpus, argv)
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("engine error: ")
+        assert len(built) == 2
 
 
 def _runner(outcome):

@@ -41,16 +41,14 @@ from cycloschur.suites import schur as schur_suite
 from cycloschur.suites.schur import (
     hw_eigenvalue_pair,
     ow_qcomm,
-    q1_relation_words,
     run_relations,
     verify_divided_powers,
     verify_hw_eigenvalues,
-    verify_q1,
     word_J,
     word_ktilde,
 )
 
-from api_helpers import relation_words, verify_relations
+from api_helpers import q1_relation_words, relation_words, verify_q1, verify_relations
 from coeff_helpers import monomial
 
 
@@ -860,7 +858,8 @@ class TestHwEigenvalues:
 # still be checked against its inductive definition: the labels checked
 # are those checked while words kept their zero terms.  Every row of a
 # block difference has one target weight, so dropped terms cannot reorder
-# the blocks that first_difference walks.
+# the blocks that first_difference walks.  The run has one usable CPU, so
+# that every part of the suite runs in this process, where it is counted.
 @pytest.mark.parametrize("argv,tmax", [
     (["--suite", "schur", "-n", "2", "-r", "2", "-m", "2,2", "--deg", "2"], 5),
     (["--suite", "schur", "-n", "3", "-r", "2", "-m", "2,2", "--deg", "2"], 5),
@@ -884,6 +883,7 @@ def test_every_x_induction_is_still_checked(monkeypatch, capsys, argv, tmax):
 
     monkeypatch.setattr(SchurContext, "_check_x_induction", counted)
     monkeypatch.setattr(SchurContext, "block_difference", counted_blocks)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert main(["verify", *argv]) == 0
     capsys.readouterr()
     assert targets == {1}
