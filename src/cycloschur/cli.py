@@ -1,8 +1,7 @@
 """Command-line front end.
 
-``cycloschur verify`` runs the machine-verification suites and emits a JSON
-report (schema 2); ``cycloschur compute`` evaluates characters, LR data,
-symmetric polynomials, tableaux, and Lie structure constants as JSON.
+``cycloschur verify``, the one command, runs the machine-verification
+suites and emits a JSON report (schema 2).
 
 Exit codes: 0 all selected checks pass, 1 verification failure, 2 usage or
 parse error (a ``ParseError`` raised at this edge, or an argparse failure),
@@ -20,14 +19,11 @@ is exit 3.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
 
-from . import combinatorics as comb
-from . import liealg, symfun
-from .coeff import EXP_MAX, EngineError, LaurentRing
+from .coeff import EngineError
 from .combinatorics import Shape
 from .suites import RUNNERS
 
@@ -71,19 +67,19 @@ def at_least(what, value, least):
     return value
 
 
-def parse_int(text, what, least=None):
-    """``int(text)``, or a ParseError naming ``what``; with ``least``, the
-    value must also be at least that."""
+def parse_int(text, what, least):
+    """``int(text)`` when it is an integer of at least ``least``, else a
+    ParseError naming ``what``."""
     try:
         value = int(text)
     except ValueError:
         raise ParseError(f"{what} must be an integer", text, 0) from None
-    return value if least is None else at_least(what, value, least)
+    return at_least(what, value, least)
 
 
 def parse_blocks(text):
     """The comma-separated block sizes of ``-m``, each a positive integer."""
-    return tuple(parse_int(x, "block size", least=1) for x in text.split(","))
+    return tuple(parse_int(x, "block size", 1) for x in text.split(","))
 
 
 def check_out(path):
@@ -97,75 +93,6 @@ def check_out(path):
         raise ParseError("--out names a directory", path, 0)
     if not target.parent.is_dir():
         raise ParseError("the directory of --out does not exist", path, 0)
-
-
-def parse_multipartition(text):
-    """Parse a parenthesized multipartition literal.
-
-    Grammar (whitespace-insensitive):
-        multipartition := '(' partition (',' partition)* ')'
-        partition      := '(' [ int (',' int)* ] ')'
-    Example: ``((2,1),())`` is the 2-component multipartition with first
-    component (2,1) and empty second component.
-    """
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expect(ch):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            found = text[pos] if pos < len(text) else "end of input"
-            raise ParseError(f"expected {ch!r}, found {found!r}", text, pos)
-        pos += 1
-
-    def parse_int():
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            found = text[pos] if pos < len(text) else "end of input"
-            raise ParseError(f"expected integer, found {found!r}", text, pos)
-        return int(text[start:pos])
-
-    def parse_partition():
-        nonlocal pos
-        expect("(")
-        skip_ws()
-        parts = []
-        if pos < len(text) and text[pos] == ")":
-            pos += 1
-            return ()
-        while True:
-            parts.append(parse_int())
-            skip_ws()
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            expect(")")
-            break
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ParseError("partition parts must be weakly decreasing", text, pos)
-        return comb.strip(tuple(parts))
-
-    expect("(")
-    components = [parse_partition()]
-    skip_ws()
-    while pos < len(text) and text[pos] == ",":
-        pos += 1
-        components.append(parse_partition())
-        skip_ws()
-    expect(")")
-    skip_ws()
-    if pos != len(text):
-        raise ParseError("trailing input", text, pos)
-    return tuple(components)
 
 
 def _write_json(obj, path):
@@ -353,115 +280,11 @@ def cmd_verify(config):
     return 0 if passed else 1
 
 
-def _check_r(args, count):
-    """Reject an explicit ``-r`` that is not the component count of the input."""
-    if args.r not in (None, count):
-        raise ParseError(f"-r must be {count}, the input's component count", str(args.r), 0)
-
-
-def cmd_compute(args):
-    shape = Shape(tuple(args.m))
-    if "-m" in _QUERIES[args.query][1]:
-        _check_r(args, shape.r)
-    if args.query == "character":
-        lam = parse_multipartition(args.args[0])
-        if len(lam) != shape.r:
-            raise ParseError("component count does not match r", args.args[0], 0)
-        ring = LaurentRing(shape.r)
-        poly = symfun.weyl_character(lam, shape, ring)
-        out = {
-            "query": "character",
-            "lambda": [list(p) for p in lam],
-            "m": list(shape.m),
-            "terms": symfun.sympoly_to_json(poly),
-        }
-    elif args.query == "lr":
-        lam = parse_multipartition(args.args[0])
-        mu = parse_multipartition(args.args[1])
-        if len(lam) != len(mu):
-            raise ParseError("component count mismatch", args.args[1], 0)
-        _check_r(args, len(lam))
-        sizes = [sum(lk) + sum(mk) for lk, mk in zip(lam, mu)]
-        terms = []
-        pools = [comb.partitions_of(nk) for nk in sizes]
-        for nu in itertools.product(*pools):
-            c = comb.lr_coefficient(lam, mu, nu)
-            if c:
-                terms.append({"nu": [list(p) for p in nu], "coeff": c})
-        out = {
-            "query": "lr",
-            "lambda": [list(p) for p in lam],
-            "mu": [list(p) for p in mu],
-            "terms": sorted(terms, key=lambda item: item["nu"]),
-        }
-    elif args.query == "phi":
-        t = parse_int(args.args[0], "t", least=0)
-        k = parse_int(args.args[1], "k", least=1)
-        # the q exponents of Phi_t in k variables reach 2k - 2 in absolute value
-        if 2 * k - 2 > EXP_MAX:
-            raise ParseError(f"k must be at most {EXP_MAX // 2 + 1}", args.args[1], 0)
-        sign_txt = args.args[2]
-        if sign_txt not in ("+", "-"):
-            raise ParseError("sign must be + or -", sign_txt, 0)
-        ring = LaurentRing(args.r or 1)
-        poly = symfun.phi(t, k, +1 if sign_txt == "+" else -1, ring)
-        out = {"query": "phi", "t": t, "k": k, "sign": sign_txt,
-               "terms": symfun.sympoly_to_json(poly)}
-    elif args.query == "tableaux":
-        lam = parse_multipartition(args.args[0])
-        mu_part = parse_multipartition(args.args[1])
-        for text, parts in zip(args.args, (lam, mu_part)):
-            if len(parts) != shape.r:
-                raise ParseError("component count does not match m", text, 0)
-        for k, p in enumerate(mu_part):
-            if len(p) > shape.m[k]:
-                raise ParseError(
-                    f"weight component {k + 1} longer than m_{k + 1}", args.args[1], 0
-                )
-        mu = tuple(
-            tuple(list(p) + [0] * (shape.m[k] - len(p)))
-            for k, p in enumerate(mu_part)
-        )
-        tabs = comb.semistandard_tableaux(lam, shape, weight=mu)
-        out = {
-            "query": "tableaux",
-            "lambda": [list(p) for p in lam],
-            "mu": [list(p) for p in mu],
-            "count": len(tabs),
-            "tableaux": [comb.tableau_to_json(lam, tab) for tab in tabs],
-        }
-    else:  # structure-constants; argparse admits no other query
-        lctx = liealg.LieContext(shape)
-        deg = args.deg
-        table = []
-        for a in liealg.all_basis_labels(lctx, deg):
-            for b in liealg.all_basis_labels(lctx, deg):
-                br = lctx.bracket_basis(a, b)
-                if not br.is_zero:
-                    table.append(
-                        {
-                            "a": list(a),
-                            "b": list(b),
-                            "bracket": liealg.elem_to_json(br),
-                        }
-                    )
-        out = {"query": "structure-constants", "m": list(shape.m), "deg": deg,
-               "table": table}
-    _write_json(out, args.out)
-    return 0
-
-
-# each query's argument count and the options it reads besides -r and --out;
-# -r must match -m where a query reads -m, and lr's literals (see _check_r)
-_QUERIES = {"character": (1, ("-m",)), "lr": (2, ()), "phi": (3, ()),
-            "tableaux": (2, ("-m",)), "structure-constants": (0, ("-m", "--deg"))}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cycloschur",
-        description="Exact verification and computation for cyclotomic q-Schur "
-        "generators, deformed current Lie algebras, and Weyl characters.",
+        description="Exact verification of cyclotomic q-Schur generators, "
+        "deformed current Lie algebras, and Weyl characters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -477,17 +300,6 @@ def build_parser():
                     help="seed of the Jacobi sample in the lie suite")
     pv.add_argument("--out", default=None)
     pv.add_argument("--q1", action="store_true", help="run at q = 1")
-
-    pc = sub.add_parser("compute", help="compute one object as JSON")
-    pc.add_argument("query", choices=list(_QUERIES))
-    pc.add_argument("args", nargs="*",
-                    help="query arguments, e.g. multipartition literals '((2,1),())'")
-    pc.add_argument("-r", type=int,
-                    help="phi's component count (1 when unset); else that of -m or lr's literals")
-    pc.add_argument("-m", help="block sizes of character, tableaux and structure-constants "
-                    "(2,2 when unset)")
-    pc.add_argument("--deg", type=int, help="degree cap of structure-constants (1 when unset)")
-    pc.add_argument("--out", default=None)
     return parser
 
 
@@ -498,54 +310,38 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            if args.suite == "all":
-                suites = SUITES
-            else:
-                suites = ()
-                pos = 0
-                for raw in args.suite.split(","):
-                    s = raw.strip()
-                    if s not in SUITES:
-                        raise ParseError(f"unknown suite {s!r}", args.suite, pos)
-                    if s in suites:
-                        raise ParseError(f"suite {s!r} listed twice", args.suite, pos)
-                    suites += (s,)
-                    pos += len(raw) + 1
-            m = parse_blocks(args.m)
-            _check_r(args, len(m))
-            for flag, value, least in (("-n", args.n, 0), ("--deg", args.deg, 0),
-                                       ("--dmax", args.dmax, 1)):
-                at_least(flag, value, least)
-            check_out(args.out)
-            config = RunConfig(
-                n=args.n,
-                m=m,
-                suites=suites,
-                deg=args.deg,
-                dmax=args.dmax,
-                seed=args.seed,
-                out=args.out,
-                q1=args.q1,
-            )
-            return cmd_verify(config)
-        # the subcommand is required, so it is compute
-        expected, options = _QUERIES[args.query]
-        if len(args.args) != expected:
-            raise ParseError(
-                f"{args.query} needs {expected} argument(s)",
-                " ".join(args.args),
-                0,
-            )
-        for flag, value in (("-m", args.m), ("--deg", args.deg)):
-            if value is not None and flag not in options:
-                raise ParseError(f"{args.query} does not read {flag}", str(value), 0)
-        args.m = parse_blocks("2,2" if args.m is None else args.m)
-        if args.r is not None:
-            at_least("-r", args.r, 1)
-        args.deg = at_least("--deg", 1 if args.deg is None else args.deg, 0)
+        if args.suite == "all":
+            suites = SUITES
+        else:
+            suites = ()
+            pos = 0
+            for raw in args.suite.split(","):
+                s = raw.strip()
+                if s not in SUITES:
+                    raise ParseError(f"unknown suite {s!r}", args.suite, pos)
+                if s in suites:
+                    raise ParseError(f"suite {s!r} listed twice", args.suite, pos)
+                suites += (s,)
+                pos += len(raw) + 1
+        m = parse_blocks(args.m)
+        if args.r not in (None, len(m)):
+            raise ParseError(f"-r must be {len(m)}, the input's component count",
+                             str(args.r), 0)
+        for flag, value, least in (("-n", args.n, 0), ("--deg", args.deg, 0),
+                                   ("--dmax", args.dmax, 1)):
+            at_least(flag, value, least)
         check_out(args.out)
-        return cmd_compute(args)
+        config = RunConfig(
+            n=args.n,
+            m=m,
+            suites=suites,
+            deg=args.deg,
+            dmax=args.dmax,
+            seed=args.seed,
+            out=args.out,
+            q1=args.q1,
+        )
+        return cmd_verify(config)
     except Exception as exc:
         code, line = error_exit(exc)
         print(line, file=sys.stderr)

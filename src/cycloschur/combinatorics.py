@@ -277,16 +277,6 @@ def tableau_weight(tab, shape):
     return tuple(tuple(row) for row in counts)
 
 
-def tableau_to_json(lam, tab):
-    """Node -> entry list in row-major order per component."""
-    out = []
-    for k, comp in enumerate(tab, start=1):
-        for i, row in enumerate(comp, start=1):
-            for j, (a, c) in enumerate(row, start=1):
-                out.append({"node": [i, j, k], "entry": [a, c]})
-    return out
-
-
 @lru_cache(maxsize=None)
 def _lr_single(lam, mu, nu):
     """Littlewood-Richardson coefficient for partitions via the lattice-word rule:

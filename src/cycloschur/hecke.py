@@ -43,11 +43,12 @@ m_mu itself is never built.  Every m_mu verdict is decided in one place, on
 x_mu * D: whether m_mu kills D in ``m_mu_kills``, for every m_mu identity of
 the Hecke suite (m_mu T_i = q m_mu among them) and the Schur block verdicts
 alike, and whether m_mu * D / [d]! lies in the A-form in ``m_mu_divides``,
-for the divided powers.  ``m_mu_kills`` decides by the coset sweep when that
-takes fewer than three ``lmul_gen`` passes, and otherwise by the right-coset
-collapse of ``iota(D)``, ``iota`` the anti-involution with iota(T_w) =
-T_{w^-1} that fixes every L_j.  What a failed m_mu identity reports is
-written once too, in ``m_mu_witness``: the first three terms of m_mu * D.
+for the divided powers.  Both read x_mu * D on one route, ``_x_mu_route``:
+the coset sweep when that takes fewer than three ``lmul_gen`` passes, and
+otherwise the right-coset collapse sums of ``iota(D)``, ``iota`` the
+anti-involution with iota(T_w) = T_{w^-1} that fixes every L_j.  What a
+failed m_mu identity reports is written once too, in ``m_mu_witness``: the
+first three terms of m_mu * D.
 """
 
 from __future__ import annotations
@@ -461,9 +462,10 @@ def iota(ctx, D):
     return HeckeElem(ctx, out)
 
 
-def _x_mu_collapse_kills(ctx, parts, D):
-    """Whether x_mu * D == 0, decided in one pass over the terms of iota(D)
-    with no coset sweep.
+def _x_mu_collapse_sums(ctx, parts, D):
+    """The collapse sums of x_mu * D, built in one pass over the terms of
+    iota(D) with no coset sweep: the zero-free element with the sum G_{c,d}
+    at (c, d), which is zero exactly when x_mu * D is.
 
     x_mu = sum_{u in S_mu} q^{l(u)} T_u is iota-fixed (l(u^-1) = l(u)), so
     x_mu D = 0 exactly when iota(x_mu D) = iota(D) x_mu = 0.  Write each
@@ -471,11 +473,13 @@ def _x_mu_collapse_kills(ctx, parts, D):
     and d the shortest element of v S_mu: d is v with the values in each
     Young block of positions sorted, and l(u) counts the inversions inside
     the blocks.  Then l(v) = l(d) + l(u) and T_u x_mu = q^{l(u)} x_mu, so
-    L^c T_v x_mu = q^{l(u)} L^c T_d x_mu.  The elements L^c T_d x_mu are
-    independent: L^c T_d x_mu = sum_u q^{l(u)} L^c T_{du} has the normal-form
-    support {(c, du)}, disjoint for distinct (c, d), since the affine model
-    has no cyclotomic reduction.  So iota(D) x_mu = 0 exactly when every
-    sum of q^{l(u)} g_v over one (c, d) is zero."""
+    L^c T_v x_mu = q^{l(u)} L^c T_d x_mu, and iota(D) x_mu is the sum of
+    G_{c,d} L^c T_d x_mu, G_{c,d} the sum of q^{l(u)} g_v over the v = d u
+    with an L^c term.  The elements L^c T_d x_mu are independent:
+    L^c T_d x_mu = sum_u q^{l(u)} L^c T_{du} has the normal-form support
+    {(c, du)}, disjoint for distinct (c, d), since the affine model has no
+    cyclotomic reduction.  So the coefficient of iota(x_mu D) at (c, d u)
+    is q^{l(u)} G_{c,d}."""
     blocks = []
     off = 0
     for part in parts:
@@ -496,12 +500,25 @@ def _x_mu_collapse_kills(ctx, parts, D):
             raise _overflow()
         k = (tuple(d), key)
         sums[k] = sums.get(k, 0) + coeff
-    return not any(sums.values())
+    return HeckeElem(ctx, _clean(sums))
+
+
+def _x_mu_route(ctx, parts, D):
+    """What both m_mu verdicts read of x_mu * D, chosen from the parts
+    alone: the coset sweep ``x_mu_mul`` makes sum_p C(p, 2) ``lmul_gen``
+    passes over D, so below three passes it is x_mu * D itself, and at three
+    or more the collapse sums (``_x_mu_collapse_sums``, one pass over
+    iota(D)).  Either is zero exactly when x_mu * D is, and either divided
+    by a polynomial in q lies in the A-form exactly when x_mu * D so divided
+    does (``m_mu_divides``)."""
+    if sum(p * (p - 1) // 2 for p in parts) >= 3:
+        return _x_mu_collapse_sums(ctx, parts, D)
+    return x_mu_mul(ctx, parts, D)
 
 
 def m_mu_kills(ctx, mu, D):
-    """Whether m_mu * D == 0, decided as x_mu * D == 0 and memoized on the
-    context by content, (``young_parts(mu)``, D).
+    """Whether m_mu * D == 0, decided as x_mu * D == 0 on ``_x_mu_route``
+    and memoized on the context by content, (``young_parts(mu)``, D).
 
     The L factors never change whether the product is zero: m_mu = lprod *
     x_mu, and on the normal form sum_w f_w(L) T_w left multiplication by
@@ -509,28 +526,19 @@ def m_mu_kills(ctx, mu, D):
     the nonzero polynomial lprod(L); the polynomial ring in the L's over the
     Laurent ring is a domain, at q = 1 too.  So m_mu D = 0 exactly when
     x_mu D = 0.  The order of the Young blocks matters: T_1 - q is killed by
-    x_(2,1) = 1 + q T_1 and not by x_(1,2) = 1 + q T_2.
-
-    Two routes decide x_mu D == 0, chosen from the parts alone: the coset
-    sweep ``x_mu_mul`` makes sum_p C(p, 2) ``lmul_gen`` passes over D, so
-    at three passes or more the right-coset collapse
-    (``_x_mu_collapse_kills``, one pass over iota(D)) decides instead."""
+    x_(2,1) = 1 + q T_1 and not by x_(1,2) = 1 + q T_2."""
     parts = young_parts(mu)
     key = (parts, D)
     killed = ctx._kills.get(key)
     if killed is None:
-        if sum(p * (p - 1) // 2 for p in parts) >= 3:
-            killed = _x_mu_collapse_kills(ctx, parts, D)
-        else:
-            killed = x_mu_mul(ctx, parts, D).is_zero
-        ctx._kills[key] = killed
+        killed = ctx._kills[key] = _x_mu_route(ctx, parts, D).is_zero
     return killed
 
 
 def m_mu_divides(ctx, mu, D, g):
     """Whether m_mu * D / g lies in the A-form (``a_form_quotient``), g a
     nonzero polynomial in q alone ([d]!, or d! at q = 1), decided as
-    whether x_mu * D / g does, m_mu never multiplied in.
+    whether x_mu * D / g does, on ``_x_mu_route``, m_mu never multiplied in.
 
     m_mu D = lprod * x_mu D, and on the normal form sum_w F_w(L) T_w of
     x_mu D, lprod = prod (L_i - Q_k) multiplies each coefficient polynomial
@@ -540,8 +548,17 @@ def m_mu_divides(ctx, mu, D, g):
     lprod F_w with integer coefficients exactly when it divides F_w so.  In
     each Q_k the lowest part of lprod is nonzero and of degree 0, so lprod F_w
     has a negative Q exponent exactly when F_w has.  And lprod F_w is zero
-    exactly when F_w is, the injectivity half of ``m_mu_kills``."""
-    return a_form_quotient(x_mu_mul(ctx, young_parts(mu), D), g) is not None
+    exactly when F_w is, the injectivity half of ``m_mu_kills``.
+
+    On the collapse route the collapse sums G_{c,d} stand for x_mu D.  Let
+    the A-form be the span of the L^c T_w over Z[q^+-1][Q].  iota fixes every
+    T_i, every L_j and the scalars, and the Bernstein relations have their
+    coefficients in Z[q^+-1], so iota maps the A-form onto itself, and
+    x_mu D / g lies in it exactly when iota(x_mu D) / g does.  The
+    coefficient of iota(x_mu D) at (c, d u) is q^{l(u)} G_{c,d}
+    (``_x_mu_collapse_sums``), and q^{l(u)} is a unit, so that holds exactly
+    when every G_{c,d} / g lies in Z[q^+-1][Q]."""
+    return a_form_quotient(_x_mu_route(ctx, young_parts(mu), D), g) is not None
 
 
 def m_mu_witness(ctx, mu, D):

@@ -24,7 +24,7 @@ range raises ``EngineError``); they allocate no ``MultiLaurent`` and never
 look inside a key.  At the boundary, ``basis``, ``scale`` and ``mat_unit``
 take the terms of a coefficient read by ``LaurentRing.scalar_terms``, and
 ``LieElem.grouped`` regroups them as {label: MultiLaurent}
-(``sorted_terms``, ``elem_to_json`` and ``repr`` read it).
+(``sorted_terms`` and ``repr`` read it).
 
 The m x m matrices of the modules V_tau are flat the same way, keyed
 ((i, j), key) with zero-based indices, and store only nonzero entries, so
@@ -44,7 +44,7 @@ index sets off the matrices to skip commutators that are zero, exactly.
 
 from __future__ import annotations
 
-from .coeff import HeadTerms, LaurentRing, _acc_scaled, _exact, _overflow, ml_to_json
+from .coeff import HeadTerms, LaurentRing, _acc_scaled, _exact, _overflow
 
 
 class LieElem(HeadTerms):
@@ -72,13 +72,6 @@ class LieElem(HeadTerms):
 
 
 LieElem._space = LieElem.ctx
-
-
-def elem_to_json(x):
-    return [
-        {"src": p, "tgt": q, "t": t, "coeff": ml_to_json(c)}
-        for (p, q, t), c in x.sorted_terms()
-    ]
 
 
 class LieContext:

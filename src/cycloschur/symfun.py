@@ -16,8 +16,7 @@ packed key of a ``MultiLaurent`` monomial and a nonzero ``int`` or
 ring's ``guard`` mask (an exponent out of range raises ``EngineError``)
 without allocating a ``MultiLaurent``, and so does ``evaluate``;
 ``SymPoly.grouped`` gives the {exponent tuple: MultiLaurent} view that
-``sorted_terms``, ``sympoly_to_json``, ``repr`` and ``expand_in_schur_basis``
-read.
+``sorted_terms``, ``repr`` and ``expand_in_schur_basis`` read.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from functools import lru_cache
 from operator import add
 
 from . import combinatorics as comb
-from .coeff import (HeadTerms, MultiLaurent, _add_terms, _exact, _mul_terms, _overflow,
-                    ml_to_json, qint)
+from .coeff import HeadTerms, MultiLaurent, _add_terms, _exact, _mul_terms, _overflow, qint
 
 
 class SymPoly(HeadTerms):
@@ -291,9 +289,3 @@ def char_product_check(lam, mu, shape, ring):
         "lr": [{"nu": [list(p) for p in nu], "coeff": c} for nu, c in sorted(lr_terms)],
         "verified": lhs == rhs,
     }
-
-
-def sympoly_to_json(poly):
-    return [
-        {"exponents": list(e), "coeff": ml_to_json(c)} for e, c in poly.sorted_terms()
-    ]

@@ -1,16 +1,18 @@
 """Conveniences that only the tests use, built on the public names of src:
 the Lie generators X and I and the bracket of whole elements, the plain
 multipartition set Lambda^+_{n,r}(m), the Schur relations (R1)-(R8) and
-the q = 1 relations (L1)-(L6) each as one family, and the memoized
-functions of src.  The suites reach none of them: they bracket basis
-labels, enumerate the extended multipartitions and run each family in two
-parts."""
+the q = 1 relations (L1)-(L6) each as one family, the memoized functions
+of src, and the JSON forms of Lie elements and symmetric polynomials that
+the pinned structure constants, Phi values and characters hash.  The
+suites reach none of them: they bracket basis labels, enumerate the
+extended multipartitions and run each family in two parts."""
 
 import importlib
 import pkgutil
 from itertools import chain, product
 
 import cycloschur
+from cycloschur.coeff import ml_to_json
 from cycloschur.combinatorics import compositions_of, partitions_of
 from cycloschur.suites.schur import (
     ki_relation_words,
@@ -92,3 +94,18 @@ def memoized_functions():
                 if hasattr(f, "cache_clear") and f.__module__ == module.__name__:
                     found[f"{module.__name__}.{f.__qualname__}"] = f
     return found
+
+
+def lie_elem_to_json(x):
+    """The terms of a Lie element as JSON, in label order."""
+    return [
+        {"src": p, "tgt": q, "t": t, "coeff": ml_to_json(c)}
+        for (p, q, t), c in x.sorted_terms()
+    ]
+
+
+def sympoly_to_json(poly):
+    """The terms of a symmetric polynomial as JSON, in exponent order."""
+    return [
+        {"exponents": list(e), "coeff": ml_to_json(c)} for e, c in poly.sorted_terms()
+    ]

@@ -16,125 +16,9 @@ from cycloschur.liealg import mat_unit
 from cycloschur.suites import hecke as hecke_suite
 from cycloschur.suites import lie as lie_suite
 from cycloschur.suites import schur as schur_suite
-from cycloschur.cli import ParseError, main, parse_multipartition
+from cycloschur.cli import main
 from cycloschur.coeff import EngineError
 from cycloschur.combinatorics import Shape
-
-
-class TestMultipartitionParser:
-    def test_simple(self):
-        assert parse_multipartition("((1),())") == ((1,), ())
-
-    def test_whitespace_insensitive(self):
-        assert parse_multipartition(" ( ( 2 , 1 ) , ( 1 ) ) ") == ((2, 1), (1,))
-
-    def test_single_component(self):
-        assert parse_multipartition("((3,1))") == ((3, 1),)
-
-    def test_empty_only(self):
-        assert parse_multipartition("((),())") == ((), ())
-
-    def test_error_reports_position(self):
-        with pytest.raises(ParseError) as err:
-            parse_multipartition("((1),x)")
-        assert "position 5" in str(err.value)
-
-    def test_not_decreasing(self):
-        with pytest.raises(ParseError):
-            parse_multipartition("((1,2))")
-
-
-class TestComputeCommands:
-    def test_phi(self, capsys):
-        assert main(["compute", "phi", "1", "3", "+"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["query"] == "phi"
-        assert len(data["terms"]) == 3
-
-    def test_lr_pieri(self, capsys):
-        assert main(["compute", "lr", "((1))", "((1))", "-r", "1"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["terms"] == [
-            {"nu": [[1, 1]], "coeff": 1},
-            {"nu": [[2]], "coeff": 1},
-        ]
-
-    def test_character(self, capsys):
-        code = main(["compute", "character", "((1),())", "-r", "2", "-m", "2,2"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert len(data["terms"]) == 4
-
-    def test_tableaux(self, capsys):
-        code = main(["compute", "tableaux", "((1),())", "((1),())", "-m", "2,2"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["count"] == 1
-
-    def test_structure_constants(self, capsys):
-        code = main(["compute", "structure-constants", "-m", "1,1", "--deg", "0"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["table"]
-
-    def test_parse_error_exit_2(self, capsys):
-        assert main(["compute", "character", "((1),!)", "-r", "2", "-m", "2,2"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["character", "((1),())", "-r", "5", "-m", "2,2"],
-        ["tableaux", "((1),())", "((1),())", "-r", "1", "-m", "2,2"],
-        ["structure-constants", "-r", "3", "-m", "2,2"],
-        ["lr", "((1))", "((1))", "-r", "2"],
-    ])
-    def test_r_other_than_the_component_count_exit_2(self, capsys, argv):
-        # only phi reads -r; every other query takes its count from -m or
-        # its literals, and an explicit -r must agree with it
-        assert main(["compute", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: -r must be ")
-
-    @pytest.mark.parametrize("argv", [
-        ["lr", "((1))", "((1))", "-m", "7,7,7"],
-        ["phi", "1", "3", "+", "-m", "9"],
-        ["phi", "1", "3", "+", "-m", "2,2"],
-        ["character", "((1),())", "-m", "2,2", "--deg", "9"],
-        ["tableaux", "((1),())", "((1),())", "--deg", "1"],
-        ["lr", "((1))", "((1))", "-r", "1", "--deg", "0"],
-    ])
-    def test_an_option_the_query_does_not_read_exit_2(self, capsys, argv):
-        # -m is read by character, tableaux and structure-constants, --deg
-        # by structure-constants alone; given to any other query it is an error
-        assert main(["compute", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: ") and "does not read" in line
-
-    def test_unset_m_and_deg_read_their_defaults(self, capsys):
-        assert main(["compute", "structure-constants"]) == 0
-        unset = capsys.readouterr().out
-        assert main(["compute", "structure-constants", "-m", "2,2", "--deg", "1"]) == 0
-        assert capsys.readouterr().out == unset
-        assert json.loads(unset)["m"] == [2, 2] and json.loads(unset)["deg"] == 1
-
-    def test_wrong_arity_exit_2(self, capsys):
-        assert main(["compute", "lr", "((1))"]) == 2
-
-    def test_unknown_query_exit_2(self, capsys):
-        assert main(["compute", "nosuch"]) == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_no_subcommand_exit_2(self, capsys):
-        assert main([]) == 2
-        assert "required" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("lam,mu", [("((1),())", "((1),())"), ("((1),(),())", "((1),())")])
-    def test_tableaux_component_count_exit_2(self, capsys, lam, mu):
-        assert main(["compute", "tableaux", lam, mu, "-m", "2,2,2"]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestVerifyCommand:
@@ -165,6 +49,10 @@ class TestVerifyCommand:
 
     def test_unknown_suite_exit_2(self):
         assert main(["verify", "--suite", "nope"]) == 2
+
+    def test_no_subcommand_exit_2(self, capsys):
+        assert main([]) == 2
+        assert "required" in capsys.readouterr().err
 
     def test_mismatched_m_exit_2(self):
         assert main(["verify", "--suite", "lie", "-r", "2", "-m", "3"]) == 2
@@ -229,13 +117,6 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "hecke", "-r", "2", "-m", "2,x"],
         ["verify", "--suite", "hecke", "-r", "2", "-m", "0,2"],
-        ["compute", "phi", "2", "0", "+"],
-        ["compute", "phi", "x", "2", "+"],
-        ["compute", "phi", "1", "2", "+", "-r", "0"],
-        ["compute", "phi", "-1", "2", "+"],
-        ["compute", "structure-constants", "-m", "2,2", "--deg", "-1"],
-        ["compute", "phi", "0", "4097", "-"],
-        ["compute", "phi", "0", "5000", "+"],
         ["verify", "--suite", "hecke,hecke"],
     ])
     def test_bad_input_is_a_usage_error(self, capsys, argv):
@@ -247,17 +128,15 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("command", [
         ["verify", "--suite", "lie", "-r", "1", "-m", "2", "--deg", "0"],
-        ["compute", "phi", "1", "3", "+"],
     ])
     @pytest.mark.parametrize("where", ["directory", "missing directory"])
     def test_unwritable_out_is_a_usage_error(self, capsys, monkeypatch, tmp_path,
                                              command, where):
-        # rejected before any suite or query runs
+        # rejected before any suite runs
         def not_run(*args):
             raise AssertionError("ran before --out was checked")
 
         monkeypatch.setitem(cli.RUNNERS, "lie", (not_run,))
-        monkeypatch.setattr(cli, "cmd_compute", not_run)
         out = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
         assert main([*command, "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -265,12 +144,6 @@ class TestVerifyCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and str(out) in line
         assert list(tmp_path.iterdir()) == []
-
-    def test_phi_at_the_largest_k(self, capsys):
-        # q^{2k-2} is the largest q power of Phi_0^- in k = 4096 variables
-        assert main(["compute", "phi", "0", "4096", "-"]) == 0
-        (term,) = json.loads(capsys.readouterr().out)["terms"]
-        assert max(t["exponents"][0] for t in term["coeff"]) == 2 * 4096 - 2
 
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
         def broken(self, a, b):
@@ -287,8 +160,13 @@ class TestVerifyCommand:
     def test_points_option_removed(self, capsys):
         assert main(["verify", "--suite", "lie", "--points", "3"]) == 2
 
-    def test_compute_n_option_removed(self, capsys):
-        assert main(["compute", "phi", "1", "3", "+", "-n", "2"]) == 2
+    def test_compute_command_removed(self, capsys):
+        # verify is the one command: character tables are printed by
+        # scripts/character_tables.py
+        assert main(["compute", "phi", "1", "3", "+"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "invalid choice" in line]) == 1
 
     def test_engine_error_exit_3(self, capsys, monkeypatch):
         # doubling phi_jm makes the X_t induction check disagree
@@ -602,45 +480,6 @@ def test_schur_q1_suites_pinned(capsys):
     assert sum(PINNED_FAMILIES["q1"].values()) == 329
     canonical = json.dumps(suites, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_SHA256
-
-
-# The sha256 of the canonical ``compute structure-constants`` output, with
-# its row count, as computed with MultiLaurent coefficients before the Lie
-# engine stored them flat.
-@pytest.mark.parametrize("argv,rows,digest", [
-    (["-m", "1,2,1", "-r", "3", "--deg", "1"], 432,
-     "c5c94d15497a2d720f572c7b82a21235075d6aa793d199cc3f8309dbabdc8ad9"),
-    (["-m", "2,2", "-r", "2", "--deg", "2"], 972,
-     "2f0e63f40ed7bd83bf225124cf7b2aa73396d48165edd96a0aae634d23365764"),
-])
-def test_structure_constants_pinned(capsys, argv, rows, digest):
-    assert main(["compute", "structure-constants", *argv]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert len(out["table"]) == rows
-    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
-
-
-# The sha256 of the canonical ``compute`` output, with its term count, as
-# computed with MultiLaurent coefficients keyed by exponent tuples.
-@pytest.mark.parametrize("argv,count,digest", [
-    (["phi", "3", "4", "+"], 20,
-     "e8d95769132585bd0e2b741c8e4d481b5131ef6717c968ae65cddf6004a28447"),
-    (["phi", "2", "3", "-", "-r", "3"], 6,
-     "35e5259a2e9e06f779a0dade1013db868c5da4b496034c45b2048174200b8a19"),
-    (["phi", "0", "5", "-", "-r", "2"], 1,
-     "1ffc40c72d1e1033ef324258c0bebe4a6145a8b81f2c6cfedc4f33815c541e04"),
-    (["character", "((2,1),(1))", "-r", "2", "-m", "2,2"], 24,
-     "a37b3c7cdb817fd5e0ab68e6349b91928f7a960eab52b916bb9974eee4120cc0"),
-    (["character", "((1),(1),(1))", "-r", "3", "-m", "1,2,1"], 9,
-     "fdf6088dd844389420ad469363edd469f86e9e013553bcc2246e0a47bb75c701"),
-])
-def test_compute_pinned(capsys, argv, count, digest):
-    assert main(["compute", *argv]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert len(out["terms"]) == count
-    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 def test_character_tables_script_pinned():

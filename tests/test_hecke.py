@@ -19,7 +19,7 @@ from cycloschur.hecke import (
     HeckeContext,
     a_form_quotient,
     bracket_cofactor,
-    _x_mu_collapse_kills,
+    _x_mu_collapse_sums,
     iota,
     m_mu_divides,
     m_mu_kills,
@@ -752,21 +752,17 @@ class TestXmuMul:
 
 
 def counting_routes(monkeypatch):
-    """Record each (parts, D) decided by the coset sweep and by the
-    right-coset collapse, under the keys "sweep" and "collapse"."""
-    decisions = {"sweep": [], "collapse": []}
-    real_x, real_collapse = hecke_mod.x_mu_mul, hecke_mod._x_mu_collapse_kills
+    """Record each (parts, D) routed by ``_x_mu_route``, and each decided by
+    the coset sweep and by the right-coset collapse, under the keys
+    "route", "sweep" and "collapse"."""
+    decisions = {"route": [], "sweep": [], "collapse": []}
+    for key, name in (("route", "_x_mu_route"), ("sweep", "x_mu_mul"),
+                      ("collapse", "_x_mu_collapse_sums")):
+        def counted(ctx, parts, D, key=key, real=getattr(hecke_mod, name)):
+            decisions[key].append((parts, D))
+            return real(ctx, parts, D)
 
-    def counted_x(ctx, parts, D):
-        decisions["sweep"].append((parts, D))
-        return real_x(ctx, parts, D)
-
-    def counted_collapse(ctx, parts, D):
-        decisions["collapse"].append((parts, D))
-        return real_collapse(ctx, parts, D)
-
-    monkeypatch.setattr(hecke_mod, "x_mu_mul", counted_x)
-    monkeypatch.setattr(hecke_mod, "_x_mu_collapse_kills", counted_collapse)
+        monkeypatch.setattr(hecke_mod, name, counted)
     return decisions
 
 
@@ -827,7 +823,7 @@ class TestCollapse:
         ctx = HeckeContext(sum(map(sum, mu)), len(mu), q_one=q_one)
         D = data.draw(collapse_operands(ctx, mu))
         parts = young_parts(mu)
-        assert _x_mu_collapse_kills(ctx, parts, D) == x_mu_mul(ctx, parts, D).is_zero
+        assert _x_mu_collapse_sums(ctx, parts, D).is_zero == x_mu_mul(ctx, parts, D).is_zero
 
     @pytest.mark.parametrize("mu", [((3,),), ((1,), (3,)), ((2, 2),)])
     def test_kills_every_killed_operand(self, mu):
@@ -837,15 +833,15 @@ class TestCollapse:
         for i in young_generators(mu):
             for D in (ctx.one(), ctx.Tword((2, 1)), ctx.Tword((1, 2)).shift_L(3, 1)):
                 killed = (ctx.T(i) - q) * D
-                assert _x_mu_collapse_kills(ctx, parts, killed)
-                assert not _x_mu_collapse_kills(ctx, parts, killed + ctx.T(1))
+                assert _x_mu_collapse_sums(ctx, parts, killed).is_zero
+                assert not _x_mu_collapse_sums(ctx, parts, killed + ctx.T(1)).is_zero
 
     def test_key_out_of_range_raises(self):
         # the collapse shifts q^8191 T_1 by q^{l(u)} = q: out of range
         ctx = HeckeContext(3, 1)
         D = ctx.T(1).scale(ctx.ring.q_pow(8191))
         with pytest.raises(EngineError, match="packed key range"):
-            _x_mu_collapse_kills(ctx, (3,), D)
+            _x_mu_collapse_sums(ctx, (3,), D)
         with pytest.raises(EngineError, match="packed key range"):
             x_mu_mul(ctx, (3,), D)
 
@@ -908,6 +904,9 @@ class TestMmuKills:
         decided = decisions["sweep"] + decisions["collapse"]
         assert len(decided) == len(set(decided)) == len(set(asked)) < len(asked)
         assert set(decided) == set(asked)
+        # each decision is routed once
+        assert len(decisions["route"]) == len(decided)
+        assert set(decisions["route"]) == set(decided)
         # blocks of three take the collapse, the rest the sweep
         assert decisions["sweep"] and decisions["collapse"]
 
@@ -928,12 +927,18 @@ class TestMmuKills:
         (((2, 2), (2,)), "collapse"), (((2, 1), (1,)), "sweep"),
     ])
     def test_route_follows_the_sweep_passes(self, monkeypatch, mu, route):
-        # sum_p C(p, 2) lmul_gen passes: three or more take the collapse
+        # sum_p C(p, 2) lmul_gen passes: three or more take the collapse, for
+        # m_mu_kills and m_mu_divides alike
         decisions = counting_routes(monkeypatch)
         ctx = HeckeContext(sum(map(sum, mu)), 2)
-        assert not m_mu_kills(ctx, mu, ctx.T(1) + ctx.one())
+        D = ctx.T(1) + ctx.one()
+        assert not m_mu_kills(ctx, mu, D)
         assert [len(decisions["sweep"]), len(decisions["collapse"])] == (
             [1, 0] if route == "sweep" else [0, 1])
+        assert m_mu_divides(ctx, mu, D, ctx.ring.one)
+        assert [len(decisions["sweep"]), len(decisions["collapse"])] == (
+            [2, 0] if route == "sweep" else [0, 2])
+        assert decisions["route"] == [(young_parts(mu), D)] * 2
 
 
 class TestMmuWitness:

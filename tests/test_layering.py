@@ -118,12 +118,13 @@ def test_only_hecke_shifts_hecke_keys():
 
 
 # Every m_mu verdict is decided inside hecke, behind ``m_mu_kills`` and
-# ``m_mu_divides``: the Young-sum sweep, the right-coset collapse, the block
-# sizes they run on, the A-form division and the expanded m_mu product are
-# not used elsewhere, so no other module divides or expands a whole m_mu
-# image for a verdict.
+# ``m_mu_divides``: the Young-sum sweep, the right-coset collapse, the route
+# between them, the block sizes they run on, the A-form division and the
+# expanded m_mu product are not used elsewhere, so no other module divides
+# or expands a whole m_mu image for a verdict.
 M_MU_PRIVATE = {
-    "x_mu_mul", "_x_mu_collapse_kills", "young_parts", "a_form_quotient", "m_mu_mul",
+    "x_mu_mul", "_x_mu_collapse_sums", "_x_mu_route", "young_parts", "a_form_quotient",
+    "m_mu_mul",
 }
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from cycloschur.suites.lie import (
     verify_vtau,
 )
 
-from api_helpers import lie_bracket, lie_I, lie_X
+from api_helpers import lie_bracket, lie_elem_to_json, lie_I, lie_X
 
 
 def junction_Q(lctx, pos):
@@ -124,6 +126,28 @@ class TestBracketTable:
         assert degrees == {0, 1, 2}
         lead = [lab for lab in br.grouped() if lab[2] == 0]
         assert set(lead) == {(1, 1, 0), (3, 3, 0)}
+
+
+# The sha256 of the canonical structure-constant table, every nonzero
+# bracket of two basis labels of degree at most deg, with its row count,
+# as computed with MultiLaurent coefficients before the Lie engine stored
+# them flat.
+@pytest.mark.parametrize("m,deg,rows,digest", [
+    ((1, 2, 1), 1, 432, "c5c94d15497a2d720f572c7b82a21235075d6aa793d199cc3f8309dbabdc8ad9"),
+    ((2, 2), 2, 972, "2f0e63f40ed7bd83bf225124cf7b2aa73396d48165edd96a0aae634d23365764"),
+])
+def test_structure_constants_pinned(m, deg, rows, digest):
+    lctx = LieContext(Shape(m))
+    labels = all_basis_labels(lctx, deg)
+    table = []
+    for a, b in itertools.product(labels, labels):
+        br = lctx.bracket_basis(a, b)
+        if not br.is_zero:
+            table.append({"a": list(a), "b": list(b), "bracket": lie_elem_to_json(br)})
+    assert len(table) == rows
+    out = {"query": "structure-constants", "m": list(m), "deg": deg, "table": table}
+    canonical = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 def _hand_written_lowering(lctx, g, b):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cycloschur import combinatorics as comb
 from cycloschur import hecke, schurops
 from cycloschur.cli import main
-from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qfactorial
+from cycloschur.coeff import EngineError, LaurentRing, MultiLaurent, qfactorial, qint
 from cycloschur.combinatorics import Shape
 from cycloschur.coeff import ml_to_json
 from cycloschur.hecke import (
@@ -194,6 +194,18 @@ def m_mu_divides_mutant(old, new):
     return made["m_mu_divides"]
 
 
+def m_mu_divides_without_q_powers():
+    """``hecke.m_mu_divides`` on collapse sums that leave out the factor
+    q^{l(u)} of each term; ``m_mu_kills`` keeps reading the real sums."""
+    made = dict(vars(hecke))
+    source = textwrap.dedent(inspect.getsource(hecke._x_mu_collapse_sums))
+    assert source.count("key += length * qstep") == 1
+    exec(source.replace("key += length * qstep", "key += 0"), made)
+    for f in (hecke._x_mu_route, hecke.m_mu_divides):
+        exec(textwrap.dedent(inspect.getsource(f)), made)
+    return made["m_mu_divides"]
+
+
 class TestDividedPowers:
     def test_d1_integral(self, sctx32):
         mu = ((1, 1), (1, 0))
@@ -295,6 +307,51 @@ class TestDividedPowers:
         assert len(bad) == failed
         assert {c["check"] for c in bad} == {"divided-power-integral"}
         assert all(c["detail"]["image"] for c in bad)
+
+    # q^{l(u)} dropped from the collapse sums of the divided powers: only
+    # weights with a Young block of 3 take the collapse, and some of their
+    # checks fail.  At q = 1 every q^{l(u)} is 1, so there the mutant is
+    # equivalent and every check passes.
+    @pytest.mark.parametrize("q_one,failed", [(False, 24), (True, 0)])
+    def test_collapse_sums_without_q_powers_fail(self, monkeypatch, q_one, failed):
+        monkeypatch.setattr(schur_suite, "m_mu_divides", m_mu_divides_without_q_powers())
+        sctx = SchurContext(3, Shape((2, 2)), q_one=q_one)
+        bad = [c for c in verify_divided_powers(sctx, dmax=3) if not c["ok"]]
+        assert len(bad) == failed
+        assert {c["check"] for c in bad} <= {"divided-power-integral"}
+        assert all(max(map(max, c["detail"]["target_weight"])) == 3 for c in bad)
+
+    # every distinct (parts, D, g) that the divided powers ask, once as the
+    # suite asks it and once with g times [2] (2 at q = 1), which some x_mu D
+    # fail: the sweep and the collapse give one verdict whichever route the
+    # parts pick.  The run has one usable CPU, so every question is asked in
+    # this process, where it is recorded.
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "schur", "-n", "3", "-r", "2", "-m", "2,2", "--deg", "1"],
+        ["--suite", "schur,q1", "-n", "2", "-r", "2", "-m", "1,2", "--deg", "1",
+         "--dmax", "1"],
+    ])
+    @pytest.mark.parametrize("q1", [[], ["--q1"]], ids=["generic", "q1"])
+    def test_sweep_and_collapse_divide_alike(self, monkeypatch, capsys, argv, q1):
+        asked = {}
+        real = schur_suite.m_mu_divides
+
+        def recorded(ctx, mu, D, g):
+            asked[(hecke.young_parts(mu), D, frozenset(g.terms.items()))] = (ctx, g)
+            return real(ctx, mu, D, g)
+
+        monkeypatch.setattr(schur_suite, "m_mu_divides", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["verify", *argv, *q1]) == 0
+        capsys.readouterr()
+        verdicts = set()
+        for (parts, D, _), (ctx, g) in asked.items():
+            for divisor in (g, g * qint(2, ctx.ring)):
+                swept = a_form_quotient(x_mu_mul(ctx, parts, D), divisor) is not None
+                collapsed = a_form_quotient(hecke._x_mu_collapse_sums(ctx, parts, D), divisor)
+                assert (collapsed is not None) == swept
+                verdicts.add(swept)
+        assert verdicts == {True, False}
 
     def test_power_formula_with_cofactor(self, sctx32):
         # (X^+_t)^d (m_mu) = [d]! q^{-d mu_{i+1} + d^2} m_{mu + d alpha}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from cycloschur.suites.symfun import (
     verify_phi_recursions,
 )
 
+from api_helpers import sympoly_to_json
 from coeff_helpers import monomial
 
 R1 = LaurentRing(1)
@@ -91,6 +94,45 @@ class TestPhi:
         ring = LaurentRing(r, q_one=True)
         assert phi(0, k, sign, ring) == power_sum(0, k, ring)
         assert power_sum(0, k, ring) == SymPoly.constant(ring, k, ring.from_fraction(k))
+
+
+def pinned_digest(out):
+    return hashlib.sha256(
+        json.dumps(out, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+# The sha256 of the canonical Phi_t^{sign} in k variables, with its term
+# count, as computed with MultiLaurent coefficients keyed by exponent tuples.
+@pytest.mark.parametrize("t,k,sign,r,count,digest", [
+    (3, 4, "+", 1, 20, "e8d95769132585bd0e2b741c8e4d481b5131ef6717c968ae65cddf6004a28447"),
+    (2, 3, "-", 3, 6, "35e5259a2e9e06f779a0dade1013db868c5da4b496034c45b2048174200b8a19"),
+    (0, 5, "-", 2, 1, "1ffc40c72d1e1033ef324258c0bebe4a6145a8b81f2c6cfedc4f33815c541e04"),
+])
+def test_phi_pinned(t, k, sign, r, count, digest):
+    terms = sympoly_to_json(phi(t, k, +1 if sign == "+" else -1, LaurentRing(r)))
+    assert len(terms) == count
+    assert pinned_digest({"query": "phi", "t": t, "k": k, "sign": sign, "terms": terms}) == digest
+
+
+# The sha256 of the canonical Weyl character ch Delta(lam), with its term
+# count, as computed with MultiLaurent coefficients keyed by exponent tuples.
+@pytest.mark.parametrize("lam,m,count,digest", [
+    (((2, 1), (1,)), (2, 2), 24,
+     "a37b3c7cdb817fd5e0ab68e6349b91928f7a960eab52b916bb9974eee4120cc0"),
+    (((1,), (1,), (1,)), (1, 2, 1), 9,
+     "fdf6088dd844389420ad469363edd469f86e9e013553bcc2246e0a47bb75c701"),
+])
+def test_character_pinned(lam, m, count, digest):
+    terms = sympoly_to_json(weyl_character(lam, Shape(m), LaurentRing(len(m))))
+    assert len(terms) == count
+    out = {"query": "character", "lambda": [list(p) for p in lam], "m": list(m), "terms": terms}
+    assert pinned_digest(out) == digest
+
+
+def test_phi_at_the_largest_k():
+    # q^{2k-2} is the largest q power of Phi_0^- in k = 4096 variables
+    (term,) = sympoly_to_json(phi(0, 4096, -1, R1))
+    assert max(t["exponents"][0] for t in term["coeff"]) == 2 * 4096 - 2
 
 
 class TestSchur:
