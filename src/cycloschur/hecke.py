@@ -34,7 +34,11 @@ polynomial in q on the flat keys, rewriting their q slot, and builds no
 A product a * b pushes b through T_w for each w in the support of a, and
 ``HeckeContext._pushes`` keeps each push T_w * b by content (w, b) for the
 life of the context, so the right factors that the Schur tables multiply
-again and again are pushed once.
+again and again are pushed once.  The bracket builders (``t_chain``,
+``t_bracket``, ``t_paren``, ``t_paren_factorial``, ``bracket_cofactor`` and
+``phi_jm``) keep what they build in ``HeckeContext._built``, one dict keyed
+by (builder, integer arguments) (``_built_once``), so the Hecke suite and
+``schurops.apply_gen`` build each bracket once per context and share it.
 
 The cyclic generators m_mu are never multiplied in as elements:
 ``m_mu_mul`` applies their factors to the right operand, the coset sweep of
@@ -54,7 +58,7 @@ first three terms of m_mu * D.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import combinatorics as comb
 from . import symfun
@@ -109,6 +113,7 @@ class HeckeContext:
         self._zero_c = (0,) * n
         self._kills = {}  # (young_parts(mu), D) -> m_mu * D == 0
         self._pushes = {}  # (w, b) -> T_w * b for w != id, see ``_push``
+        self._built = {}  # (builder, *int arguments) -> element, see ``_built_once``
         # a ring key sits above the n L slots
         sh = self._ring_shift = _W * n
         self._origin = _slots(_BIAS, n) + (self.ring.origin << sh)  # key of 1
@@ -574,6 +579,25 @@ def m_mu_witness(ctx, mu, D):
     ]
 
 
+def _built_once(build):
+    """The bracket builder ``build`` memoized on its context, in the one
+    dict ``HeckeContext._built`` keyed by (``build``, its integer
+    arguments), so each element is built once per context and dies with it.
+    An ``lru_cache`` keyed by the context would keep the context alive after
+    its run.  Callers share the returned elements, which no one mutates."""
+
+    @wraps(build)
+    def built(ctx, *args):
+        key = (build, *args)
+        out = ctx._built.get(key)
+        if out is None:
+            out = ctx._built[key] = build(ctx, *args)
+        return out
+
+    return built
+
+
+@_built_once
 def t_chain(ctx, s, h, sign):
     """The word T_s T_{s+sign} ... of h letters."""
     return ctx.Tword(range(s, s + sign * h, sign))
@@ -584,6 +608,7 @@ def in_window(n, N, length, sign):
     return N <= n and 0 <= N + sign * length <= n
 
 
+@_built_once
 def t_bracket(ctx, N, mu, sign):
     """[T; N, mu]^{sign} = sum_{h<mu} q^h T_{N+sign} ... T_{N+sign*h}; zero
     when mu = 0 or the window from N to N + sign*mu leaves 0..n."""
@@ -595,6 +620,7 @@ def t_bracket(ctx, N, mu, sign):
     return out
 
 
+@_built_once
 def t_paren(ctx, N, d, sign):
     """(T; N, d)^{sign} = sum_{h<d} q^h T_{N+sign*(d-h)} ... T_{N+sign*(d-1)}
     for d >= 1; zero when the window from N to N + sign*d leaves 0..n."""
@@ -606,6 +632,7 @@ def t_paren(ctx, N, d, sign):
     return out
 
 
+@_built_once
 def t_paren_factorial(ctx, N, d, sign):
     """(T; N, d)^{sign}! = (T;N,d)(T;N,d-1)...(T;N,1)."""
     out = ctx.one()
@@ -622,6 +649,7 @@ def stacked_bracket(ctx, N, mu, d, sign):
     return out
 
 
+@_built_once
 def bracket_cofactor(ctx, N, mu, d, sign):
     """The cofactor h of the stacked bracket by its recursive expansion, so
     that ``stacked_bracket(ctx, N, mu, d, sign)`` should equal
@@ -639,7 +667,13 @@ def bracket_cofactor(ctx, N, mu, d, sign):
 
 def phi_jm(ctx, t, sign, l_indices):
     """Phi_t^{sign} evaluated at commuting Jucys-Murphy elements: the direct
-    L-exponent expansion, with variable j mapped to L_{l_indices[j]}."""
+    L-exponent expansion, with variable j mapped to L_{l_indices[j]}; built
+    once per context, keyed by the indices as a tuple."""
+    return _phi_jm(ctx, t, sign, tuple(l_indices))
+
+
+@_built_once
+def _phi_jm(ctx, t, sign, l_indices):
     k = len(l_indices)
     if k == 0:
         return ctx.zero()

@@ -8,7 +8,12 @@ raising/lowering generators with an innermost generator carrying the
 degree.  Brackets of a diagonal or raising generator against any basis
 element come from closed formulas, and a lowering generator's bracket is
 their minus transpose; general brackets reduce recursively through the
-derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].
+derivation rule [[a,b],c] = [a,[b,c]] - [b,[a,c]].  The recursion peels a
+degree-zero generator g off a longer label, [[g, a1], b] = [g, [a1, b]] -
+[a1, [g, b]], and reads [a1, b], [g, b] and each [a1, lab] through the
+bracket cache ``_bb_cache``, so each is built once per context.  Each
+[g, lab] is the closed form, taken afresh, so a wrong entry in the cache
+stays in the bracket it belongs to.
 
 Coefficients lie in the shared Laurent ring with the q exponent pinned to
 zero (the V_tau matrices put tau in that slot); the parameters Q_1, ...,
@@ -120,11 +125,12 @@ class LieContext:
             g, a1 = _peel(a)
             origin, guard = self._origin, self._guard
             acc = {}
-            # [[g, a1], b] = [g, [a1, b]] - [a1, [g, b]]
+            # [[g, a1], b] = [g, [a1, b]] - [a1, [g, b]]; [g, lab] from the
+            # closed form, [a1, b], [g, b] and [a1, lab] from the cache
             for (lab, k), c in self.bracket_basis(a1, b).terms.items():
                 _acc_scaled(acc, self._gen_on_basis(g, lab).terms, k - origin, c, guard)
             # the labels of [g, b] are distinct: one bracket_basis call each
-            for (lab, k), c in self._gen_on_basis(g, b).terms.items():
+            for (lab, k), c in self.bracket_basis(g, b).terms.items():
                 terms = self.bracket_basis(a1, lab).terms
                 _acc_scaled(acc, terms, k - origin, -c, guard)
             out = LieElem(self, acc)
@@ -236,18 +242,10 @@ class LieContext:
         return M
 
     def vtau_rep(self, x):
-        """The matrix of x on V_tau over Z[tau, Q^{+-1}]: the sum over the
-        terms c L of x of c * (the matrix of L), built only on a cache
+        """The matrix of x on V_tau over Z[tau, Q^{+-1}]: ``mat_image`` of
+        ``vtau_basis_matrix``, each label's matrix built only on a cache
         miss."""
-        origin, guard = self._origin, self._guard
-        cache = self._vtau
-        out = {}
-        for (label, k), c in x.terms.items():
-            M = cache.get(label)
-            if M is None:
-                M = self.vtau_basis_matrix(label)
-            _acc_scaled(out, M, k - origin, c, guard)
-        return out
+        return mat_image(self, x, self.vtau_basis_matrix)
 
     def _tau_minus_Q(self, k):
         """tau - Q_k, tau in the q slot."""
@@ -300,6 +298,17 @@ def mat_unit(lctx, i, j, coeff):
     """The matrix whose only entry is coeff (a MultiLaurent, int or Fraction)
     at (i, j)."""
     return {((i, j), k): c for k, c in lctx.ring.scalar_terms(coeff).items()}
+
+
+def mat_image(lctx, x, image):
+    """The matrix of the element x under the linear map that sends each
+    basis label to the matrix ``image(label)``: the sum over the terms c L
+    of x of c * image(L)."""
+    origin, guard = lctx._origin, lctx._guard
+    out = {}
+    for (label, k), c in x.terms.items():
+        _acc_scaled(out, image(label), k - origin, c, guard)
+    return out
 
 
 def mat_commutator(lctx, A, B):

@@ -1,17 +1,21 @@
 """The Hecke-engine suite: the Jucys-Murphy normal form, the commutation
 lemma for T_i against L_j, the m_mu and bracket identities and the divided
 brackets with their cofactors.  The identities m_mu X = m_mu Y, m_mu T_i =
-q m_mu among them, are decided and reported by ``hecke.m_mu_witness`` on
-X - Y, which is built from the small factors once per distinct input of a
-``verify_*`` call."""
+q m_mu among them, are decided by ``hecke.m_mu_kills`` on X - Y, and a
+failure is reported by ``hecke.m_mu_witness``.  Each value is built once
+per distinct input of a ``verify_*`` call: X - Y from the small factors,
+and in the m-mu-L-T families each verdict per (Young blocks, difference
+key).  The word-built L_j are built once per suite run and their powers
+once per ``verify_commute_LT`` call; the brackets come from the builder
+memo of ``hecke``."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from .. import combinatorics as comb
-from ..hecke import (HeckeContext, bracket_cofactor, in_window, m_mu_witness, phi_jm,
-                     stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial)
+from ..hecke import (HeckeContext, bracket_cofactor, in_window, m_mu_kills, m_mu_witness,
+                     phi_jm, stacked_bracket, t_bracket, t_chain, t_paren, t_paren_factorial)
 from ..reporting import PM, check
 
 
@@ -22,9 +26,10 @@ def word_built_jm(ctx):
             for j in range(1, ctx.n + 1)}
 
 
-def verify_jm_normal_form(ctx):
+def verify_jm_normal_form(ctx, built):
+    """The word-built L_j (``word_built_jm``) against their normal forms,
+    and the affine braid relation."""
     checks = []
-    built = word_built_jm(ctx)
     for j in range(1, ctx.n + 1):
         checks.append(check("jm-normal-form", {"j": j}, built[j] == ctx.L(j)))
     if ctx.n >= 2:
@@ -34,17 +39,17 @@ def verify_jm_normal_form(ctx):
     return checks
 
 
-def verify_commute_LT(ctx, tmax=4):
+def verify_commute_LT(ctx, built, tmax=4):
     """Lemma parts (i)-(v) about T_i versus Jucys-Murphy elements, with the
-    L's built from their defining words."""
+    L's built from their defining words (``word_built_jm``)."""
     checks = []
-    built = word_built_jm(ctx)
     qq = ctx.ring.qq_comm()
+    powers = {}  # (j, t) -> L_j^t, each multiplied out once
 
     def lpow(j, t):
-        out = ctx.one()
-        for _ in range(t):
-            out = out * built[j]
+        out = powers.get((j, t))
+        if out is None:
+            out = powers[j, t] = ctx.one() if t == 0 else lpow(j, t - 1) * built[j]
         return out
 
     for j in range(1, ctx.n + 1):
@@ -175,6 +180,25 @@ def _mm_check(name, params, ctx, mu, diff):
     return check(name, params, witness is None, detail)
 
 
+def _mm_recorder(ctx):
+    """record(name, params, mu, question, diff), which records m_mu X ==
+    m_mu Y at the weight mu from diff = X - Y, where question is (the Young
+    blocks of mu, the key of the difference).  ``m_mu_kills`` reads mu only
+    through its Young blocks, the nonzero entries of the flattened weight in
+    order, so each question is decided once per call.  A failure's witness
+    reads all of mu, as m_mu's L factors use its component sizes, so each
+    failure is reported with its own weight's (``_mm_check``)."""
+    passed = {}
+
+    def record(name, params, mu, question, diff):
+        ok = passed.get(question)
+        if ok is None:
+            ok = passed[question] = m_mu_kills(ctx, mu, diff)
+        return check(name, params, True) if ok else _mm_check(name, params, ctx, mu, diff)
+
+    return record
+
+
 def _lt_difference(ctx, sign, N, p, t):
     """The m-mu-L-T difference L_j^t [T; N, p]^sign - c Phi_t^{-sign} at the
     p Jucys-Murphy elements L_j, L_{j+sign}, ...: j = N and c = q^{2p-2} for
@@ -193,8 +217,10 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
     built once per call."""
     checks = []
     diffs = {}
+    record = _mm_recorder(ctx)
     for mu in comb.enumerate_compositions(ctx.n, shape):
         flat = comb.flatten(mu)
+        blocks = tuple(filter(None, flat))
         for pos in shape.positions():
             N = comb.jm_position(mu, shape.node(pos), shape)
             succ = flat[pos] if pos < shape.total else 0
@@ -207,7 +233,7 @@ def verify_m_mu_L_T(ctx, shape, tmax=3):
                         if diff is None:
                             diff = diffs[key] = _lt_difference(ctx, *key)
                         params = {"mu": mu, "pos": pos, "t": t, "p": p}
-                        checks.append(_mm_check(name, params, ctx, mu, diff))
+                        checks.append(record(name, params, mu, (blocks, key), diff))
     return checks
 
 
@@ -269,8 +295,10 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
     (N, m_i, m_{i+1}, t), so each set is built once per call."""
     checks = []
     diffs = {}
+    record = _mm_recorder(ctx)
     for mu in comb.enumerate_compositions(ctx.n, shape):
         flat = comb.flatten(mu)
+        blocks = tuple(filter(None, flat))
         for pos in range(1, shape.total):
             N = comb.jm_position(mu, shape.node(pos), shape)
             for t in range(0, tmax + 1):
@@ -281,15 +309,16 @@ def verify_m_mu_L_T_etc(ctx, shape, tmax=2):
                 params = {"mu": mu, "pos": pos, "t": t}
                 for name, diff in zip(ETC_FAMILIES, found):
                     if diff is not None:
-                        checks.append(_mm_check(name, params, ctx, mu, diff))
+                        checks.append(record(name, params, mu, (blocks, name, key), diff))
     return checks
 
 
 def verify_hecke(ctx, shape, t_comm=4, t_mmult=3, t_etc=2, dmax=3):
     """The full Hecke-engine suite for one (n, r, m) configuration."""
     checks = []
-    checks += verify_jm_normal_form(ctx)
-    checks += verify_commute_LT(ctx, tmax=t_comm)
+    built = word_built_jm(ctx)
+    checks += verify_jm_normal_form(ctx, built)
+    checks += verify_commute_LT(ctx, built, tmax=t_comm)
     checks += verify_m_mu_T(ctx, shape)
     checks += verify_L_commutes_bracket(ctx)
     checks += verify_bracket_com_rel(ctx)

@@ -15,10 +15,15 @@ provably vanish, and compute every other pair in full:
   label, so a matrix with a wrong entry is still compared in full.
 
 One walker, ``_first_violations``, decides the ``vtau-*``, ``eval-*`` and
-``gr-*`` checks.  The matrix checks walk once over Z[tau] for all their
-values of tau, the eval checks at tau = 0 (V_0): where two sides agree over
-Z[tau] they agree at every tau, and matrices that meet in no index over
-Z[tau] meet in none at a tau.
+``gr-*`` checks.  The vtau checks walk once over Z[tau] for all their
+values of tau: where two sides agree over Z[tau] they agree at every tau.
+The eval checks are decided on the V_0 images, each V_tau matrix read at
+tau = 0 once per label: the bracket side is the V_0 image of the bracket,
+the other the commutator of V_0 images, and the index sets are read off
+the V_0 images, so a label whose V_0 image is zero, as most labels of
+positive degree have, meets no index.  Evaluation at tau = 0 is a ring
+map, as no tau exponent is negative, so every verdict and every named pair
+is that of the walk over Z[tau] read at 0.
 
 The walks stay in product order, so a failed check names the same first
 pair as a walk that builds every pair."""
@@ -36,6 +41,7 @@ from ..liealg import (
     all_basis_labels,
     jacobi_defect,
     mat_commutator,
+    mat_image,
     mat_unit,
     upper_pairs,
 )
@@ -115,12 +121,12 @@ def _first_pair_violations(checks, lctx, labels, violations, detail=_violation_a
     return _first_violations(checks, labels, violations(upper_pairs(labels)), detail)
 
 
-def _homomorphism_sides(lctx, images):
-    """The two sides over Z[tau] of a homomorphism check on a pair of labels
-    (a, b): the V_tau matrix of [a, b] and the commutator of ``images[a]``
-    and ``images[b]``.  A pair with an empty bracket whose matrices meet in
-    no index, cols(a) & rows(b) = cols(b) & rows(a) = {}, gives two zero
-    matrices and builds neither side (see the module docstring)."""
+def _homomorphism_sides(lctx, images, rep):
+    """The two sides of a homomorphism check on a pair of labels (a, b):
+    ``rep`` of [a, b] and the commutator of ``images[a]`` and ``images[b]``.
+    A pair with an empty bracket whose matrices meet in no index,
+    cols(a) & rows(b) = cols(b) & rows(a) = {}, gives two zero matrices and
+    builds neither side (see the module docstring)."""
     rows, cols = {}, {}
     for a, M in images.items():
         r = c = 0
@@ -135,7 +141,7 @@ def _homomorphism_sides(lctx, images):
         br = bracket(a, b)
         if not br.terms and not (cols[a] & rows[b] or cols[b] & rows[a]):
             return {}, {}
-        return lctx.vtau_rep(br), mat_commutator(lctx, images[a], images[b])
+        return rep(br), mat_commutator(lctx, images[a], images[b])
 
     return sides
 
@@ -201,7 +207,8 @@ def verify_vtau(lctx, deg_cap=3, taus=(Fraction(2), Fraction(-1, 3), Fraction(5,
     gens = generator_labels(lctx, deg_cap)
     positions = range(1, lctx.m + 1)
     params = [{"shape": lctx.shape.m, "tau": str(tau), "deg_cap": deg_cap} for tau in taus]
-    sides = _homomorphism_sides(lctx, {g: lctx.vtau_basis_matrix(g) for g in gens})
+    sides = _homomorphism_sides(lctx, {g: lctx.vtau_basis_matrix(g) for g in gens},
+                                lctx.vtau_rep)
     homs = _first_pair_violations([("vtau-homomorphism", p) for p in params], lctx, gens,
                                   lambda pairs: _differ_at(taus, pairs, sides))
     psi = {(p, q): lctx.psi_vtau(p, q) for p in positions for q in positions}
@@ -281,13 +288,23 @@ def verify_gr(lctx, deg_cap=2):
 def verify_eval_map(lctx, deg_cap=2):
     """The evaluation onto gl_m is a Lie homomorphism, and composing with the
     Levi embedding recovers the block-diagonal inclusion.  The evaluation is
-    V_0, so each check is the V_tau walk at tau = 0 alone.  The homomorphism
-    check relies on antisymmetry of the bracket on its labels, which it
-    proves first, to walk each unordered pair once."""
+    V_0, so each check is decided on the V_0 images, each built once per
+    label (see the module docstring).  The homomorphism check relies on
+    antisymmetry of the bracket on its labels, which it proves first, to
+    walk each unordered pair once."""
     labels = all_basis_labels(lctx, deg_cap)
-    sides = _homomorphism_sides(lctx, {a: lctx.vtau_basis_matrix(a) for a in labels})
     # g(X_{t>=1}) = g(I_{t>=1}) = 0, checked at degree 1 even when deg_cap is 0
     positive = [g for g in generator_labels(lctx, max(deg_cap, 1)) if g[2] >= 1]
+    v0 = {}  # label -> V_0 image
+
+    def image(label):
+        M = v0.get(label)
+        if M is None:
+            M = v0[label] = at_q(lctx.vtau_basis_matrix(label), 0)
+        return M
+
+    sides = _homomorphism_sides(lctx, {a: image(a) for a in labels},
+                                lambda x: mat_image(lctx, x, image))
     # g o iota = block-diagonal embedding on the Levi generators
     levi = []
     for k in range(1, lctx.shape.r + 1):
@@ -299,11 +316,10 @@ def verify_eval_map(lctx, deg_cap=2):
     return [
         *_first_pair_violations([("eval-homomorphism", {**shape, "deg_cap": deg_cap})],
                                 lctx, labels, lambda pairs: _differ_at([0], pairs, sides)),
-        *_first_violations([("eval-kills-positive-degree", shape)], positive, _differ_at(
-            [0], positive, lambda g: (lctx.vtau_basis_matrix(g), {}))),
+        *_first_violations([("eval-kills-positive-degree", shape)], positive,
+                           _differ_at([0], positive, lambda g: (image(g), {}))),
         *_first_violations([("eval-levi-embedding", shape)], levi, _differ_at(
-            [0], levi, lambda g: (lctx.vtau_basis_matrix(g),
-                                  mat_unit(lctx, g[0] - 1, g[1] - 1, 1)))),
+            [0], levi, lambda g: (image(g), mat_unit(lctx, g[0] - 1, g[1] - 1, 1)))),
     ]
 
 

@@ -69,9 +69,9 @@ def verify_characters(shape, nmax, ring):
                 single = single_component_multipartition(lam[k - 1], k, shape.r)
                 ch_single = weyl_character(single, shape, ring)
                 prod = prod * ch_single
-                positions = [
+                positions = tuple(
                     slot for l in range(k, shape.r + 1) for slot in shape.block(l)
-                ]
+                )
                 schur = schur_poly(lam[k - 1], nvars, ring, positions=positions)
                 params = {"lambda": lam, "component": k}
                 checks.append(check("character-vs-schur", params, ch_single == schur))

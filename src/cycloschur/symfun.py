@@ -191,13 +191,15 @@ def power_sum(t, k, ring):
     return _tally(ring, k, ((0,) * i + (t,) + (0,) * (k - 1 - i) for i in range(k)))
 
 
+@lru_cache(maxsize=None)
 def schur_poly(lam, nvars, ring, positions=None):
     """Schur polynomial as the semistandard-tableau generating function.
 
-    ``positions`` selects the 0-based variable slots used for entries (default
-    all of them); entries 1..len(positions) in a tableau contribute to the
-    corresponding slots.  Returns 0 when the partition is longer than the
-    number of selected variables.
+    ``positions``, a tuple, selects the 0-based variable slots used for
+    entries (default all of them); entries 1..len(positions) in a tableau
+    contribute to the corresponding slots.  Returns 0 when the partition is
+    longer than the number of selected variables.  Built once per partition,
+    variable count, ring value and positions.
     """
     lam = comb.strip(lam)
     if positions is None:

@@ -2,10 +2,12 @@
 the Lie generators X and I and the bracket of whole elements, the plain
 multipartition set Lambda^+_{n,r}(m), the Schur relations (R1)-(R8) and
 the q = 1 relations (L1)-(L6) each as one family, the memoized functions
-of src, and the JSON forms of Lie elements and symmetric polynomials that
-the pinned structure constants, Phi values and characters hash.  The
-suites reach none of them: they bracket basis labels, enumerate the
-extended multipartitions and run each family in two parts."""
+of src, the JSON forms of Lie elements and symmetric polynomials that
+the pinned structure constants, Phi values and characters hash, and the
+evaluation-map checks walked over Z[tau], the reference for the walk on
+V_0.  The suites reach none of them: they bracket basis labels, enumerate
+the extended multipartitions, run each family in two parts and decide the
+evaluation map on V_0."""
 
 import importlib
 import pkgutil
@@ -14,6 +16,14 @@ from itertools import chain, product
 import cycloschur
 from cycloschur.coeff import ml_to_json
 from cycloschur.combinatorics import compositions_of, partitions_of
+from cycloschur.liealg import all_basis_labels, mat_unit
+from cycloschur.suites.lie import (
+    _differ_at,
+    _first_pair_violations,
+    _first_violations,
+    _homomorphism_sides,
+    generator_labels,
+)
 from cycloschur.suites.schur import (
     ki_relation_words,
     q1_l13_relation_words,
@@ -108,4 +118,31 @@ def sympoly_to_json(poly):
     """The terms of a symmetric polynomial as JSON, in exponent order."""
     return [
         {"exponents": list(e), "coeff": ml_to_json(c)} for e, c in poly.sorted_terms()
+    ]
+
+
+def eval_map_over_ztau(lctx, deg_cap=2):
+    """The records of ``suites.lie.verify_eval_map`` as the walk over Z[tau]
+    decides them: every side is a matrix over Z[tau], read at tau = 0 only
+    where the two sides differ over Z[tau], and a pair with an empty bracket
+    is skipped when its Z[tau] matrices meet in no index."""
+    labels = all_basis_labels(lctx, deg_cap)
+    sides = _homomorphism_sides(lctx, {a: lctx.vtau_basis_matrix(a) for a in labels},
+                                lctx.vtau_rep)
+    positive = [g for g in generator_labels(lctx, max(deg_cap, 1)) if g[2] >= 1]
+    levi = []
+    for k in range(1, lctx.shape.r + 1):
+        block = [pos + 1 for pos in lctx.shape.block(k)]
+        levi += [(pos, pos, 0) for pos in block]
+        for pos in block[:-1]:
+            levi += [(pos, pos + 1, 0), (pos + 1, pos, 0)]
+    shape = {"shape": lctx.shape.m}
+    return [
+        *_first_pair_violations([("eval-homomorphism", {**shape, "deg_cap": deg_cap})],
+                                lctx, labels, lambda pairs: _differ_at([0], pairs, sides)),
+        *_first_violations([("eval-kills-positive-degree", shape)], positive, _differ_at(
+            [0], positive, lambda g: (lctx.vtau_basis_matrix(g), {}))),
+        *_first_violations([("eval-levi-embedding", shape)], levi, _differ_at(
+            [0], levi, lambda g: (lctx.vtau_basis_matrix(g),
+                                  mat_unit(lctx, g[0] - 1, g[1] - 1, 1)))),
     ]

@@ -1,6 +1,9 @@
 import gc
+import hashlib
 import inspect
 import itertools
+import json
+import sys
 import textwrap
 import weakref
 from fractions import Fraction
@@ -35,6 +38,7 @@ from cycloschur.hecke import (
     young_parts,
 )
 from cycloschur.reporting import check
+from cycloschur.schurops import SchurContext
 from cycloschur.suites.hecke import (
     _mm_check,
     verify_bracket_com_rel,
@@ -46,9 +50,12 @@ from cycloschur.suites.hecke import (
     verify_m_mu_L_T,
     verify_m_mu_L_T_etc,
     verify_m_mu_T,
+    word_built_jm,
     young_generators,
 )
+from cycloschur.suites.schur import verify_divided_powers
 
+from api_helpers import verify_relations
 from coeff_helpers import monomial
 
 
@@ -125,7 +132,7 @@ class TestNormalize:
         assert lhs == rhs
 
     def test_jm_words(self, ctx3):
-        for c in verify_jm_normal_form(ctx3):
+        for c in verify_jm_normal_form(ctx3, word_built_jm(ctx3)):
             assert c["ok"], c
 
     def test_normalize_idempotent_on_words(self, ctx3):
@@ -897,6 +904,7 @@ class TestMmuKills:
             return real_kills(ctx, mu, D)
 
         monkeypatch.setattr(hecke_mod, "m_mu_kills", counted_kills)
+        monkeypatch.setattr(suite_mod, "m_mu_kills", counted_kills)
         ctx = HeckeContext(3, 3)
         shape = Shape((2, 2, 2))
         checks = verify_m_mu_L_T(ctx, shape) + verify_m_mu_L_T_etc(ctx, shape)
@@ -1050,7 +1058,8 @@ def lmul_gen_dropping_a_term():
 class TestJmWords:
     def test_a_dropped_term_fails_the_words_and_the_affine_braid(self, monkeypatch):
         monkeypatch.setattr(HeckeContext, "lmul_gen", lmul_gen_dropping_a_term())
-        checks = verify_jm_normal_form(HeckeContext(3, 2))
+        ctx = HeckeContext(3, 2)
+        checks = verify_jm_normal_form(ctx, word_built_jm(ctx))
         failed = {c["check"] for c in checks if not c["ok"]}
         assert failed == {"jm-normal-form", "affine-braid-T0T1T0T1"}
 
@@ -1123,6 +1132,84 @@ class TestBrackets:
     def test_com_rel(self, ctx4):
         for c in verify_bracket_com_rel(ctx4):
             assert c["ok"], c
+
+
+# The bracket builders memoized on their context, and each one's body: the
+# function the memo keys its entries by.
+BUILDERS = {
+    f.__wrapped__.__name__: f for f in (
+        hecke_mod.t_chain, hecke_mod.t_bracket, hecke_mod.t_paren,
+        hecke_mod.t_paren_factorial, hecke_mod.bracket_cofactor, hecke_mod._phi_jm,
+    )
+}
+
+
+def hecke_bench_run():
+    """The context of a full ``hecke -n 3 -r 3 -m 2,2,2`` run, the
+    benchmark's hecke argv, after the run."""
+    ctx = HeckeContext(3, 3)
+    assert all(c["ok"] for c in verify_hecke(ctx, Shape((2, 2, 2))))
+    return ctx
+
+
+def schur_run():
+    """The Hecke context of a full ``schur -n 3 -r 2 -m 2,2 --deg 1`` run
+    (both relation parts and the divided powers), after the run."""
+    sctx = SchurContext(3, Shape((2, 2)))
+    checks = verify_relations(sctx, deg=1) + verify_divided_powers(sctx)
+    assert all(c["ok"] for c in checks)
+    return sctx.hctx
+
+
+class TestBuilderMemo:
+    """The bracket builders keep each element in ``HeckeContext._built``,
+    one entry per (body, integer arguments), and hand it out shared."""
+
+    @pytest.mark.parametrize("run,used", [
+        (hecke_bench_run, set(BUILDERS)),
+        (schur_run, {"t_chain", "t_bracket", "_phi_jm"}),
+    ])
+    def test_every_entry_equals_a_fresh_build(self, run, used):
+        # after the whole run, so an entry a caller wrote to would differ
+        ctx = run()
+        assert {key[0].__name__ for key in ctx._built} == used
+        for (body, *args), value in ctx._built.items():
+            fresh = HeckeContext(ctx.n, ctx.r, q_one=ctx.ring.q_one)
+            assert value.terms == body(fresh, *args).terms, (body.__name__, args)
+            # a second call is the entry itself
+            assert BUILDERS[body.__name__](ctx, *args) is value
+
+    def test_each_body_runs_once_per_distinct_argument(self):
+        codes = {f.__wrapped__.__code__: name for name, f in BUILDERS.items()}
+        runs = dict.fromkeys(BUILDERS, 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                runs[codes[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            ctx = hecke_bench_run()
+        finally:
+            sys.setprofile(None)
+        assert runs == {"t_chain": 6, "t_bracket": 60, "t_paren": 24,
+                        "t_paren_factorial": 24, "bracket_cofactor": 32, "_phi_jm": 49}
+        entries = dict.fromkeys(BUILDERS, 0)
+        for body, *_ in ctx._built:
+            entries[body.__name__] += 1
+        assert entries == runs
+
+    def test_phi_jm_keys_its_indices_as_a_tuple(self, ctx3):
+        assert phi_jm(ctx3, 2, +1, [2, 1]) is phi_jm(ctx3, 2, +1, (2, 1))
+
+    def test_memo_dies_with_its_context(self):
+        ctx = HeckeContext(3, 2)
+        assert not t_bracket(ctx, 0, 2, +1).is_zero
+        assert ctx._built
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
 
 
 # -- the one-sided elements as hand-mirrored plus and minus copies ----------
@@ -1521,6 +1608,58 @@ class TestMmuDifferences:
         rhs = mm * real(ctx, 1, -1, [2, 3]).scale(2)
         assert not c["ok"]
         assert c["detail"] == {"lhs_minus_rhs": json_terms(lhs - rhs)[:3]}
+
+
+_real_lt_difference = suite_mod._lt_difference
+_real_etc_differences = suite_mod._etc_differences
+
+
+def _faulty_lt_difference(ctx, sign, N, p, t):
+    # one m-mu-L-T key off by 1: m_mu * 1 = m_mu is never zero
+    diff = _real_lt_difference(ctx, sign, N, p, t)
+    return diff + ctx.one() if (sign, N, p, t) == (-1, 2, 1, 0) else diff
+
+
+def _faulty_etc_differences(ctx, N, mi, mi1, t):
+    # one m-mu-L-T-etc-iii key off by 1
+    diffs = list(_real_etc_differences(ctx, N, mi, mi1, t))
+    if (N, mi, mi1, t) == (1, 1, 2, 0):
+        diffs[2] = diffs[2] + ctx.one()
+    return tuple(diffs)
+
+
+class TestWitnessPerWeight:
+    """A question decided once per (Young blocks, difference key) still
+    reports each failure with its own weight's witness: m_mu's L factors
+    read the component sizes, which the blocks do not hold."""
+
+    # (0,) | (2,) and (2,) | (0,) at n = 2, m = (1, 1), and (0,) | (1, 2)
+    # and (1,) | (2, 0) at n = 3, m = (1, 2), share their Young blocks and the
+    # faulty key, and differ in their component sizes.  The failed checks
+    # and the digests were taken with one witness per check, each built at
+    # its own weight.
+    @pytest.mark.parametrize("name,fault,verify,n,m,failed,digest", [
+        ("_lt_difference", _faulty_lt_difference, verify_m_mu_L_T, 2, (1, 1),
+         [("m-mu-L-T-i", ((0,), (2,))), ("m-mu-L-T-i", ((1,), (1,))),
+          ("m-mu-L-T-i", ((2,), (0,)))],
+         "09ff8674ee6d6268d01adc4dcd9017e5adda9b7853bf16efb4298c051b0b71e6"),
+        ("_etc_differences", _faulty_etc_differences, verify_m_mu_L_T_etc, 3, (1, 2),
+         [("m-mu-L-T-etc-iii", ((0,), (1, 2))), ("m-mu-L-T-etc-iii", ((1,), (2, 0)))],
+         "b34579a36878d50163bda09d67823ce6a0edb98f5ac0bc35700cfea20f23c4ae"),
+    ])
+    def test_each_failure_keeps_its_weights_witness(
+        self, monkeypatch, name, fault, verify, n, m, failed, digest
+    ):
+        monkeypatch.setattr(suite_mod, name, fault)
+        ctx = HeckeContext(n, len(m))
+        checks = verify(ctx, Shape(m))
+        bad = [c for c in checks if not c["ok"]]
+        assert [(c["check"], c["params"]["mu"]) for c in bad] == failed
+        # the first and last failures ask one question, with two witnesses
+        assert young_parts(failed[0][1]) == young_parts(failed[-1][1])
+        assert bad[0]["detail"] != bad[-1]["detail"]
+        canonical = json.dumps(checks, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 class TestSharedDifferences:

@@ -196,8 +196,10 @@ def test_element_arithmetic_is_defined_once():
 
 # One memo rule: a pure function of hashable, immutable inputs is memoized
 # by ``functools.lru_cache`` on its own definition; only memos keyed by
-# engine elements live on a context.  So a ring holds no cache, and a
-# memoized value a caller could mutate is a tuple, not a list.
+# engine elements live on a context, and the Hecke bracket builders' memo,
+# keyed by (builder, integer arguments), since an ``lru_cache`` keyed by the
+# context would keep the context alive after its run.  So a ring holds no
+# cache, and a memoized value a caller could mutate is a tuple, not a list.
 def test_a_ring_holds_no_cache():
     assert set(vars(LaurentRing(2))) == {"r", "q_one", "nvars", "origin", "guard", "zero", "one"}
 

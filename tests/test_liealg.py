@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloschur.cli import RunConfig
 from cycloschur.coeff import EngineError, at_q
 from cycloschur.combinatorics import Shape
 from cycloschur.liealg import (
@@ -29,7 +30,7 @@ from cycloschur.suites.lie import (
     verify_vtau,
 )
 
-from api_helpers import lie_bracket, lie_elem_to_json, lie_I, lie_X
+from api_helpers import eval_map_over_ztau, lie_bracket, lie_elem_to_json, lie_I, lie_X
 
 
 def junction_Q(lctx, pos):
@@ -329,6 +330,61 @@ class TestEvalMap:
         checks = verify_eval_map(lctx4, deg_cap=0)
         (kill,) = _by_name(checks, "eval-kills-positive-degree")
         assert not kill["ok"]
+
+
+def seeded_corruption(lctx, rng, labels):
+    """One seeded fault: a label's V_tau matrix plus a small polynomial in
+    tau at its own entry or another (``corrupt``), or a bracket plus a basis
+    element, its reverse order negated or left alone."""
+    ring = lctx.ring
+    if rng.random() < 0.5:
+        extra = ring.q_pow(rng.randrange(3)).scale(rng.choice((1, -1, 2)))
+        if rng.random() < 0.5:
+            extra = extra + ring.one
+        at = None if rng.random() < 0.5 else (rng.randrange(lctx.m), rng.randrange(lctx.m))
+        corrupt(lctx, rng.choice(labels), extra, at)
+    else:
+        a, b = rng.choice(labels), rng.choice(labels)
+        br = lctx.bracket_basis(a, b) + lctx.basis(*rng.choice(labels))
+        lctx._bb_cache[a, b] = br
+        if a != b and rng.random() < 0.7:
+            lctx._bb_cache[b, a] = -br
+
+
+class TestEvalOnV0:
+    """The eval checks decided on V_0 images give every record of the walk
+    over Z[tau], which reads V_0 only where two sides differ over Z[tau]."""
+
+    @pytest.mark.parametrize("m", [(2, 2), (1, 2, 1)])
+    def test_seeded_corruptions_match_the_ztau_walk(self, m):
+        rng = random.Random(sum(m) * 31 + len(m))
+        failed = {"eval-homomorphism": 0, "eval-kills-positive-degree": 0,
+                  "eval-levi-embedding": 0}
+        for _ in range(20):
+            lctx = LieContext(Shape(m))
+            seeded_corruption(lctx, rng, all_basis_labels(lctx, 1))
+            checks = verify_eval_map(lctx, deg_cap=1)
+            assert checks == eval_map_over_ztau(lctx, deg_cap=1)
+            for c in checks:
+                failed[c["check"]] += not c["ok"]
+        # every check fails under some faults and passes under others
+        assert all(0 < count < 20 for count in failed.values()), failed
+
+
+def test_generator_brackets_on_the_lie_argv(monkeypatch):
+    # the benchmark's lie argv, lie -n 3 -r 3 -m 2,2,2 --deg 2 at seed 0:
+    # 22,700 closed-form brackets while the derivation step built [g, b]
+    # afresh, 17,003 with [g, b] read through bracket_basis
+    calls = []
+    real = LieContext._gen_on_basis
+
+    def counting(self, g, b, sign=1):
+        calls.append(None)
+        return real(self, g, b, sign)
+
+    monkeypatch.setattr(LieContext, "_gen_on_basis", counting)
+    assert all(c["ok"] for c in lie_suite.run(RunConfig(n=3, m=(2, 2, 2), deg=2)))
+    assert len(calls) == 17003
 
 
 # -- sparse matrices against a dense reference ---------------------------------
@@ -1137,7 +1193,8 @@ class TestAntisymmetryFirst:
     def test_homomorphism_checks_build_only_the_pairs_that_can_fail(self, monkeypatch):
         # 108 labels (5,886 pairs) at degree 2 and 64 generators (2,080
         # pairs, walked once for three taus) at degree 3: the rest have an
-        # empty bracket and matrices that meet in no index
+        # empty bracket and matrices that meet in no index, the V_0 images
+        # for the eval check and the Z[tau] matrices for the vtau check
         calls = []
 
         def counting(lctx, A, B):
@@ -1147,7 +1204,7 @@ class TestAntisymmetryFirst:
         monkeypatch.setattr(lie_suite, "mat_commutator", counting)
         lctx = LieContext(Shape((2, 2, 2)))
         assert all(c["ok"] for c in verify_eval_map(lctx, deg_cap=2))
-        assert len(calls) == 1791
+        assert len(calls) == 1761
         calls.clear()
         assert all(c["ok"] for c in verify_vtau(lctx, deg_cap=3))
         assert len(calls) == 588
